@@ -206,9 +206,10 @@ class Triple:
 
     __rmul__ = __mul__
 
-    def norm(self) -> float:
-        """Euclidean norm of the full 9-component state."""
-        return math.sqrt(self.B.norm2() + self.u.norm2() + self.E.norm2())
+    def norm(self, r: float = 1.0, s: float = 1.0) -> float:
+        """Euclidean norm of the 9-component state (B/r, u/s, E/(rs))."""
+        return math.sqrt(self.B.norm2() / (r * r) + self.u.norm2() / (s * s)
+                         + self.E.norm2() / (r * r * s * s))
 
     def to_json_dict(self) -> dict:
         return {"B": self.B.as_list(), "u": self.u.as_list(), "E": self.E.as_list()}
@@ -277,9 +278,10 @@ class HullParams:
 class Tolerances:
     """Numerical slacks used by the predicates and the decomposition solver.
 
-    eps_mem governs membership comparisons, eps_root is the bisection bracket
-    width for the decomposition angle equation, eps_residual is the slack for
-    plane-wave condition and PDE residual checks.
+    eps_mem is the dimensionless slack of membership and verification, made
+    on the normalised triple (B/r, u/s, E/(rs)) at every radius pair;
+    eps_root is the bisection bracket width for the decomposition angle
+    equation; eps_residual is the slack for plane-wave and PDE residuals.
     """
 
     __slots__ = ("eps_mem", "eps_root", "eps_residual")
@@ -349,13 +351,6 @@ class ConeKind(enum.Enum):
                          + ", ".join(k.value for k in cls))
 
 
-def _membership_eps(p: HullParams, tol: Tolerances) -> float:
-    # Hull inequalities are quadratic in the amplitudes, so the slack is
-    # scaled by max(r, s, 1)^2.
-    scale = max(p.r, p.s, 1.0)
-    return tol.eps_mem * scale * scale
-
-
 def eval_g1(z: Triple) -> float:
     """B . E, affine along every direction of the shared cone."""
     return z.B.dot(z.E)
@@ -387,8 +382,7 @@ def eval_g3(z: Triple) -> float:
 
 def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -> bool:
     """True when E = B x u with |B| = r and |u| = s, up to relative slack."""
-    tol = tol or DEFAULT_TOLERANCES
-    eps = tol.eps_mem
+    eps = (tol or DEFAULT_TOLERANCES).eps_mem
     if abs(z.B.norm() - p.r) > eps * p.r:
         return False
     if abs(z.u.norm() - p.s) > eps * p.s:
@@ -396,29 +390,35 @@ def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -
     return (z.E - z.B.cross(z.u)).norm() <= eps * p.r * p.s
 
 
-def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bool:
-    """True when z is an admissible one-dimensional oscillation direction."""
-    tol = tol or DEFAULT_TOLERANCES
-    eps = tol.eps_mem
-    if abs(z.B.dot(z.E)) > eps * (1.0 + z.B.norm() * z.E.norm()):
-        return False
-    if kind.restricts_u:
-        return abs(z.u.dot(z.E)) <= eps * (1.0 + z.u.norm() * z.E.norm())
-    return True
+def cone_residual(a: Vec3, b: Vec3, unit: float = 0.0) -> float:
+    """|a . b| / (unit + |a||b|), the residual of a cone condition a . b = 0.
 
-
-def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
-            tol: Tolerances | None = None) -> bool:
-    """Closed-form membership in the relaxed set.
-
-    Checks |B| <= r, |u| <= s, B . E = 0 and the excess bound
-    |E - B x u|^2 <= (r^2 - |B|^2)(s^2 - |u|^2), each with slack scaled by
-    max(r, s, 1)^2; the stationary incompressible kind adds u . E = 0.
+    With unit = r^2 s for B . E (r s^2 for u . E) it is the residual of the
+    normalised triple (B/r, u/s, E/(rs)); unit = 0 gives the scale-free cosine.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    eps = _membership_eps(p, tol)
-    # Unrolled component arithmetic: this predicate sits inside the
-    # million-point verification campaigns.
+    den = unit + a.norm() * b.norm()
+    return abs(a.dot(b)) / den if den else 0.0
+
+
+def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bool:
+    """True when z is an admissible one-dimensional oscillation direction:
+    |B . E| <= eps_mem |B||E| (and likewise u . E), whatever the scale of z."""
+    eps = (tol or DEFAULT_TOLERANCES).eps_mem
+    return cone_residual(z.B, z.E) <= eps and (
+        not kind.restricts_u or cone_residual(z.u, z.E) <= eps)
+
+
+def _separating_function(z: Triple, p: HullParams, kind: ConeKind, eps: float) -> str | None:
+    """The membership kernel: which of "g1", "g3", "g2" separates z, or None.
+
+    Every comparison is made on the normalised triple (b, v, e) =
+    (B/r, u/s, E/(rs)), where the relaxed set is the same for all radii:
+    |b . e| <= eps (1 + |b||e|) and likewise v . e; |b|, |v| <= 1 + eps;
+    |e - b x v|^2 <= (1 - |b|^2)(1 - |v|^2) + eps.  The radii are folded into
+    unrolled arithmetic: this kernel sits inside the million-point campaigns.
+    """
+    r, s = p.r, p.s
+    rr, ss = r * r, s * s
     B, u, E = z.B, z.u, z.E
     bx, by, bz = B.x, B.y, B.z
     ux, uy, uz = u.x, u.y, u.z
@@ -427,19 +427,29 @@ def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     nu2 = ux * ux + uy * uy + uz * uz
     nb = math.sqrt(nb2)
     nu = math.sqrt(nu2)
-    if nb > p.r + eps or nu > p.s + eps:
-        return False
     ne = math.sqrt(ex * ex + ey * ey + ez * ez)
-    if abs(bx * ex + by * ey + bz * ez) > eps * (1.0 + nb * ne):
-        return False
-    if kind.restricts_u and abs(ux * ex + uy * ey + uz * ez) > eps * (1.0 + nu * ne):
-        return False
+    if abs(bx * ex + by * ey + bz * ez) > eps * (rr * s + nb * ne):
+        return "g1"
+    if kind.restricts_u and abs(ux * ex + uy * ey + uz * ez) > eps * (r * ss + nu * ne):
+        return "g3"
+    if nb > r * (1.0 + eps) or nu > s * (1.0 + eps):
+        return "g2"
     wx = ex - (by * uz - bz * uy)
     wy = ey - (bz * ux - bx * uz)
     wz = ez - (bx * uy - by * ux)
-    excess2 = wx * wx + wy * wy + wz * wz
-    cap = max(0.0, p.r * p.r - nb2) * max(0.0, p.s * p.s - nu2)
-    return excess2 <= cap + eps
+    cap = max(0.0, rr - nb2) * max(0.0, ss - nu2)
+    return "g2" if wx * wx + wy * wy + wz * wz > cap + eps * (rr * ss) else None
+
+
+def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
+            tol: Tolerances | None = None) -> bool:
+    """Closed-form membership in the relaxed set: no function separates z.
+
+    |B| <= r, |u| <= s, B . E = 0 (and u . E = 0 for the stationary
+    incompressible kind) and |E - B x u|^2 <= (r^2 - |B|^2)(s^2 - |u|^2),
+    each checked on the normalised triple (B/r, u/s, E/(rs)) with slack eps_mem.
+    """
+    return _separating_function(z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem) is None
 
 
 def hull_excess_bound(B: Vec3, u: Vec3, p: HullParams) -> float:
@@ -472,18 +482,11 @@ def separation_witness(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONST
 
     The relaxed set is exactly {g1 = 0} ∩ {g2 <= 0} (∩ {g3 = 0} for the
     stationary incompressible cone), so one of the three functions always
-    witnesses a point outside it.
+    witnesses a point outside it.  The verdict is in_hull's; the value is
+    the function evaluated in the caller's units.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    eps = _membership_eps(p, tol)
-    g1 = eval_g1(z)
-    if abs(g1) > eps * (1.0 + z.B.norm() * z.E.norm()):
-        return SeparationWitness("g1", g1)
-    if kind.restricts_u:
-        g3 = eval_g3(z)
-        if abs(g3) > eps * (1.0 + z.u.norm() * z.E.norm()):
-            return SeparationWitness("g3", g3)
-    g2 = eval_g2(z, p)
-    if g2 > eps:
-        return SeparationWitness("g2", g2)
-    return SeparationWitness(None, 0.0)
+    function = _separating_function(z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem)
+    if function is None:
+        return SeparationWitness(None, 0.0)
+    value = eval_g1(z) if function == "g1" else eval_g3(z) if function == "g3" else eval_g2(z, p)
+    return SeparationWitness(function, value)

@@ -42,6 +42,7 @@ from .core import (
     Tolerances,
     Triple,
     Vec3,
+    cone_residual,
     hull_excess_bound,
     separation_witness,
     unit_perpendicular,
@@ -152,6 +153,14 @@ def _exact_ohm_threshold(p: HullParams, tol: Tolerances) -> float:
     return tol.eps_root * p.r * p.s
 
 
+def _require_in_hull(z: Triple, p: HullParams, kind: ConeKind, tol: Tolerances | None):
+    """Raise NotInHullError, carrying the separating witness, when z is outside."""
+    w = separation_witness(z, p, kind, tol)
+    if w.separates:
+        raise NotInHullError(f"point outside the relaxed set (witness {w.function}"
+                             f" = {w.value})", w)
+
+
 def decompose_exact_ohm(B: Vec3, u: Vec3, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
                         tol: Tolerances | None = None) -> Decomposition:
     """Split (B, u, B x u) into two full-amplitude states.
@@ -163,17 +172,9 @@ def decompose_exact_ohm(B: Vec3, u: Vec3, p: HullParams, kind: ConeKind = ConeKi
     field is exactly B x u; the difference of the endpoints is admissible
     for every cone kind.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    scale = max(p.r, p.s, 1.0)
-    eps = tol.eps_mem * scale * scale
-    nb = B.norm()
-    nu = u.norm()
-    if nb > p.r + eps or nu > p.s + eps:
-        w = separation_witness(Triple(B, u, B.cross(u)), p, kind, tol)
-        raise NotInHullError(
-            f"amplitudes |B|={nb}, |u|={nu} exceed the radii ({p.r}, {p.s})", w)
-    db = math.sqrt(max(0.0, p.r * p.r - nb * nb))
-    du = math.sqrt(max(0.0, p.s * p.s - nu * nu))
+    _require_in_hull(Triple(B, u, B.cross(u)), p, kind, tol)
+    db = math.sqrt(max(0.0, p.r * p.r - B.norm2()))
+    du = math.sqrt(max(0.0, p.s * p.s - u.norm2()))
     e = unit_perpendicular_to_all((B, u))
     bbar = e * db
     ubar = e * du
@@ -210,9 +211,7 @@ def angle_equation(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIO
     Exposed so tests can scan G for continuity and check the bracket signs.
     """
     tol = tol or DEFAULT_TOLERANCES
-    w = separation_witness(z, p, kind, tol)
-    if w.separates:
-        raise NotInHullError(f"point outside the relaxed set (witness {w.function})", w)
+    _require_in_hull(z, p, kind, tol)
     rr, ss, _ = _interior_gaps(z, p, tol)
     if z.B.norm() == 0.0:
         raise DegenerateCallError("angle equation needs B != 0; the B = 0 "
@@ -305,9 +304,7 @@ def solve_laminate_conditions(z: Triple, p: HullParams, kind: ConeKind = ConeKin
     span{B, u}).
     """
     tol = tol or DEFAULT_TOLERANCES
-    w = separation_witness(z, p, kind, tol)
-    if w.separates:
-        raise NotInHullError(f"point outside the relaxed set (witness {w.function})", w)
+    _require_in_hull(z, p, kind, tol)
     return _solve_validated(z, p, kind, tol)
 
 
@@ -366,10 +363,7 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     separating function attached) for points outside the relaxed set.
     """
     tol = tol or DEFAULT_TOLERANCES
-    w = separation_witness(z, p, kind, tol)
-    if w.separates:
-        raise NotInHullError(f"point outside the relaxed set (witness {w.function}"
-                             f" = {w.value})", w)
+    _require_in_hull(z, p, kind, tol)
     c = (z.E - z.B.cross(z.u)).norm()
     if c <= _exact_ohm_threshold(p, tol):
         return decompose_exact_ohm(z.B, z.u, p, kind, tol)
@@ -417,26 +411,27 @@ def verify_decomposition(d: Decomposition, target: Triple, p: HullParams,
     = sqrt((r^2-|B|^2)(s^2-|u|^2)) tying the weight to the amplitude gaps.
     """
     tol = tol or DEFAULT_TOLERANCES
+    r, s = p.r, p.s
+    rs = r * s
     res: dict[str, float] = {}
 
     for name, zi in (("z1", d.z1), ("z2", d.z2)):
-        res[f"{name}_B_amplitude"] = abs(zi.B.norm() - p.r) / p.r
-        res[f"{name}_u_amplitude"] = abs(zi.u.norm() - p.s) / p.s
-        res[f"{name}_ohm"] = (zi.E - zi.B.cross(zi.u)).norm() / (p.r * p.s)
+        res[f"{name}_B_amplitude"] = abs(zi.B.norm() - r) / r
+        res[f"{name}_u_amplitude"] = abs(zi.u.norm() - s) / s
+        res[f"{name}_ohm"] = (zi.E - zi.B.cross(zi.u)).norm() / rs
 
     dz = d.z1 - d.z2
-    res["cone_BE"] = abs(dz.B.dot(dz.E)) / (1.0 + dz.B.norm() * dz.E.norm())
+    res["cone_BE"] = cone_residual(dz.B, dz.E, rs * r)
     if kind.restricts_u:
-        res["cone_uE"] = abs(dz.u.dot(dz.E)) / (1.0 + dz.u.norm() * dz.E.norm())
+        res["cone_uE"] = cone_residual(dz.u, dz.E, rs * s)
 
     res["lambda_range"] = max(0.0, -d.lam, d.lam - 1.0)
 
-    mid = d.combine()
-    res["reconstruction"] = (mid - target).norm() / (1.0 + target.norm())
+    res["reconstruction"] = (d.combine() - target).norm(r, s) / (1.0 + target.norm(r, s))
 
     d_bound = hull_excess_bound(target.B, target.u, p)
     prod = d.lam * (1.0 - d.lam) * dz.B.norm() * dz.u.norm()
-    res["weight_amplitude_identity"] = abs(prod - d_bound) / (1.0 + d_bound)
+    res["weight_amplitude_identity"] = abs(prod - d_bound) / (rs + d_bound)
 
     failures = tuple(name for name, v in res.items() if v > tol.eps_mem)
     max_res = max(res.values())

@@ -41,6 +41,7 @@ from .core import (
     Triple,
     Vec3,
     _vec,
+    cone_residual,
     eval_g1,
     eval_g2,
     eval_g3,
@@ -135,30 +136,33 @@ def _pair_floats(stream: UniformStream, p: HullParams, restricts_u: bool,
                  stats: SampleStats):
     """One constraint-set pair as raw component floats.
 
+    The pair is built on the unit spheres, where every threshold below is
+    dimensionless, then scaled once (B by r, u by s, E by rs), so the same
+    draws give the same normalised pair at every radius pair.
+
     Flattened scalar arithmetic: this routine runs a million times per
     verification campaign, so it avoids vector objects entirely.  Draw
     order per attempt: B1 (2), u1 (2), B2 (2), then the circle angle (one
     draw; the stationary incompressible branch instead draws a root-choice
     coin, or an angle when the whole circle satisfies the second plane).
     """
-    r, s = p.r, p.s
     uniform = stream.uniform
     sqrt = math.sqrt
-    rejections = 0
-    while True:
+    last_attempt = stats.attempts + MAX_REJECTIONS_PER_SAMPLE + 1
+    while stats.attempts < last_attempt:
         stats.attempts += 1
         t = 2.0 * uniform() - 1.0
         phi = TWO_PI * uniform()
-        rho = r * sqrt(max(0.0, 1.0 - t * t))
-        b1x = rho * math.cos(phi); b1y = rho * math.sin(phi); b1z = r * t
+        rho = sqrt(max(0.0, 1.0 - t * t))
+        b1x = rho * math.cos(phi); b1y = rho * math.sin(phi); b1z = t
         t = 2.0 * uniform() - 1.0
         phi = TWO_PI * uniform()
-        rho = s * sqrt(max(0.0, 1.0 - t * t))
-        u1x = rho * math.cos(phi); u1y = rho * math.sin(phi); u1z = s * t
+        rho = sqrt(max(0.0, 1.0 - t * t))
+        u1x = rho * math.cos(phi); u1y = rho * math.sin(phi); u1z = t
         t = 2.0 * uniform() - 1.0
         phi = TWO_PI * uniform()
-        rho = r * sqrt(max(0.0, 1.0 - t * t))
-        b2x = rho * math.cos(phi); b2y = rho * math.sin(phi); b2z = r * t
+        rho = sqrt(max(0.0, 1.0 - t * t))
+        b2x = rho * math.cos(phi); b2y = rho * math.sin(phi); b2z = t
 
         e1x = b1y * u1z - b1z * u1y
         e1y = b1z * u1x - b1x * u1z
@@ -168,22 +172,16 @@ def _pair_floats(stream: UniformStream, p: HullParams, restricts_u: bool,
         ny = b1z * b2x - b1x * b2z
         nz = b1x * b2y - b1y * b2x
         n_len = sqrt(nx * nx + ny * ny + nz * nz)
-        if n_len <= 1e-9 * r * r:
-            rejections += 1
-            if rejections > MAX_REJECTIONS_PER_SAMPLE:
-                raise RuntimeError("pair sampling rejected 1e6 draws in a row "
-                                   f"(near-parallel B draws) for params {p!r}")
+        if n_len <= 1e-9:
+            reason = "near-parallel B draws"
             continue
         inv_n = 1.0 / n_len
         nhx = nx * inv_n; nhy = ny * inv_n; nhz = nz * inv_n
         h = ((b1x - b2x) * e1x + (b1y - b2y) * e1y + (b1z - b2z) * e1z) * inv_n
-        if abs(h) > s:
-            rejections += 1
-            if rejections > MAX_REJECTIONS_PER_SAMPLE:
-                raise RuntimeError("pair sampling rejected 1e6 draws in a row "
-                                   f"(plane misses the sphere) for params {p!r}")
+        if abs(h) > 1.0:
+            reason = "plane misses the sphere"
             continue
-        rho_c = sqrt(max(0.0, s * s - h * h))
+        rho_c = sqrt(max(0.0, 1.0 - h * h))
 
         # Orthonormal frame of the circle plane (axis picked off nhat).
         anx = abs(nhx); any_ = abs(nhy); anz = abs(nhz)
@@ -212,20 +210,14 @@ def _pair_floats(stream: UniformStream, p: HullParams, restricts_u: bool,
             a_cos = rho_c * (p1x * n2x + p1y * n2y + p1z * n2z)
             a_sin = rho_c * (p2x * n2x + p2y * n2y + p2z * n2z)
             amp = math.hypot(a_cos, a_sin)
-            degeneracy = 1e-12 * s * (1.0 + sqrt(n2x * n2x + n2y * n2y + n2z * n2z))
+            degeneracy = 1e-12 * (1.0 + sqrt(n2x * n2x + n2y * n2y + n2z * n2z))
             if amp <= degeneracy:
                 if abs(c_target) > degeneracy:
-                    rejections += 1
-                    if rejections > MAX_REJECTIONS_PER_SAMPLE:
-                        raise RuntimeError("pair sampling rejected 1e6 draws "
-                                           f"(degenerate circle) for params {p!r}")
+                    reason = "degenerate circle"
                     continue
                 phi = TWO_PI * uniform()
             elif abs(c_target) > amp:
-                rejections += 1
-                if rejections > MAX_REJECTIONS_PER_SAMPLE:
-                    raise RuntimeError("pair sampling rejected 1e6 draws in a row "
-                                       f"(second plane misses the circle) for params {p!r}")
+                reason = "second plane misses the circle"
                 continue
             else:
                 base = math.atan2(a_sin, a_cos)
@@ -257,8 +249,11 @@ def _pair_floats(stream: UniformStream, p: HullParams, restricts_u: bool,
         if res > 1e-10:
             raise RuntimeError(f"constructed pair violates the cone: residual {res}")
         stats.accepted += 1
-        return (b1x, b1y, b1z, u1x, u1y, u1z, e1x, e1y, e1z,
-                b2x, b2y, b2z, u2x, u2y, u2z, e2x, e2y, e2z)
+        r, s = p.r, p.s
+        rs = r * s
+        return (b1x * r, b1y * r, b1z * r, u1x * s, u1y * s, u1z * s, e1x * rs, e1y * rs, e1z * rs,
+                b2x * r, b2y * r, b2z * r, u2x * s, u2y * s, u2z * s, e2x * rs, e2y * rs, e2z * rs)
+    raise RuntimeError(f"pair sampling rejected 1e6 draws in a row ({reason}) for params {p!r}")
 
 
 def sample_lambda_pair(cfg: SampleConfig,
@@ -422,6 +417,9 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
         decompose_count = cfg.count // 10
     p = cfg.params
     kind = cfg.kind
+    # u-orthogonality residuals are those of the normalised triple
+    # (B/r, u/s, E/(rs)); r s^2 is the unit of u . E.
+    rss = p.r * p.s * p.s
     report = HullCheckReport(seed=cfg.seed, worker=cfg.worker, kind=kind.label,
                              r=p.r, s=p.s)
 
@@ -431,7 +429,7 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
         if not in_hull(z, p, kind, inner_tol):
             report.record_failure("laminate", z, "combination fails closed-form membership")
         if kind.restricts_u:
-            res = abs(eval_g3(z)) / (1.0 + z.u.norm() * z.E.norm())
+            res = cone_residual(z.u, z.E, rss)
             if report.max_u_orthogonality is None or res > report.max_u_orthogonality:
                 report.max_u_orthogonality = res
             if res > tol.eps_mem:
@@ -458,7 +456,7 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
         if kind.restricts_u:
             dz = d.z1 - d.z2
             mix = dz.B.cross(dz.u)
-            res = abs(z.u.dot(mix)) / (1.0 + z.u.norm() * dz.B.norm() * dz.u.norm())
+            res = abs(z.u.dot(mix)) / (rss + z.u.norm() * dz.B.norm() * dz.u.norm())
             if report.max_mixing_orthogonality is None or res > report.max_mixing_orthogonality:
                 report.max_mixing_orthogonality = res
             if res > tol.eps_mem:

@@ -279,10 +279,12 @@ class GridResidualReport:
                 "xi": self.xi.to_json_dict(), "kind": self.kind}
 
 
-def _spatial_phase(xi_x: Vec3, n: int, h: float) -> np.ndarray:
-    ix = np.arange(n, dtype=np.float64) * h
-    return (ix[:, None, None] * xi_x.x + ix[None, :, None] * xi_x.y
-            + ix[None, None, :] * xi_x.z)
+def _phase_index(xi_x: Vec3, n: int, periods: int) -> np.ndarray:
+    """Grid phase x . xi_x in steps of 2 pi / n, reduced mod n: exact in
+    integers, where sin of the unreduced phase (tens of radians) is not."""
+    i = np.arange(n, dtype=np.int64) * periods
+    kx, ky, kz = (round(c) for c in xi_x)
+    return (i[:, None, None] * kx + i[None, :, None] * ky + i[None, None, :] * kz) % n
 
 
 def _spatial_derivative_residuals(s: np.ndarray, h: float, direction: Triple,
@@ -330,26 +332,28 @@ def grid_residual(direction: Triple, xi: WaveVector, g: GridSpec,
     if abs(g.n * g.h / TWO_PI - round(g.n * g.h / TWO_PI)) > 1e-9:
         raise ValueError("grid must span a whole number of 2*pi periods "
                          f"(n*h = {g.n * g.h})")
-    phase = _spatial_phase(xi.xi_x, g.n, g.h)
+    periods = round(g.n * g.h / TWO_PI)
+    # Two periods of sin on the phase steps: phase + shift (both < n) needs no second mod.
+    sines = np.tile(np.sin(np.arange(g.n) * (TWO_PI / g.n)), 2)
+    phase = _phase_index(xi.xi_x, g.n, periods)
 
     if kind.stationary or xi.xi_t == 0.0:
         # Stationary system, or a time-independent wave of the time-dependent
         # system: either way the time derivative vanishes identically.
-        s = np.sin(phase)
-        residuals = _spatial_derivative_residuals(s, g.h, direction, kind, dst=None)
+        residuals = _spatial_derivative_residuals(sines[phase], g.h, direction, kind, dst=None)
         return GridResidualReport(g.n, g.h, residuals, xi, kind.label)
 
+    step_t = periods * round(xi.xi_t)
     inv2h = 1.0 / (2.0 * g.h)
     worst: dict[str, float] = {}
-    slices = [np.sin(phase + (t_idx * g.h) * xi.xi_t) for t_idx in (g.n - 1, 0, 1)]
+    slices = [sines[phase + t_idx * step_t % g.n] for t_idx in (g.n - 1, 0, 1)]
     for t_idx in range(g.n):
         s_prev, s_cur, s_next = slices
         dst = (s_next - s_prev) * inv2h
         res = _spatial_derivative_residuals(s_cur, g.h, direction, kind, dst=dst)
         for key, val in res.items():
             worst[key] = max(worst.get(key, 0.0), val)
-        nxt = (t_idx + 2) % g.n
-        slices = [s_cur, s_next, np.sin(phase + (nxt * g.h) * xi.xi_t)]
+        slices = [s_cur, s_next, sines[phase + (t_idx + 2) * step_t % g.n]]
     return GridResidualReport(g.n, g.h, worst, xi, kind.label)
 
 
@@ -429,11 +433,9 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
     if n_osc < 1:
         raise ValueError(f"n_osc must be a positive integer, got {n_osc}")
     dz = d.z1 - d.z2
-    res = plane_wave_conditions(dz, xi, ConeKind.NONSTATIONARY)
-    scale = 1.0 + xi.norm() * dz.norm()
-    if max(res["gauss"], res["faraday"]) > tol.eps_residual * scale:
+    if not _conditions_ok(dz, xi, ConeKind.NONSTATIONARY, tol):
         raise ValueError("xi does not admit plane waves along z1 - z2; "
-                         f"condition residuals {res}")
+                         f"condition residuals {plane_wave_conditions(dz, xi)}")
 
     samples = g.n ** 3
     window = TWO_PI * g.periods + math.pi / n_osc

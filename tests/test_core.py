@@ -228,6 +228,21 @@ def test_wave_cone_rejects_parallel_fields():
     assert not in_wave_cone(z, ConeKind.NONSTATIONARY)
 
 
+def test_wave_cone_is_scale_free():
+    # B parallel to E is maximally off the cone, however small the fields.
+    z = Triple(Vec3(1e-3, 0, 0), Vec3(0, 1e-3, 0), Vec3(1e-6, 0, 0))
+    for kind in ALL_KINDS:
+        assert not in_wave_cone(z, kind)
+    rng = np.random.default_rng(63)
+    for _ in range(100):
+        z = cone_direction(rng, ConeKind.STATIONARY_INCOMPRESSIBLE)
+        for a in (1e-6, 1.0, 1e6):
+            scaled = Triple(z.B * a, z.u * a, z.E * (a * a))
+            assert in_wave_cone(scaled, ConeKind.STATIONARY_INCOMPRESSIBLE)
+            assert not in_wave_cone(Triple(scaled.B, scaled.u, scaled.B + scaled.E),
+                                    ConeKind.NONSTATIONARY)
+
+
 def test_wave_cone_shared_between_three_kinds():
     rng = np.random.default_rng(6)
     for _ in range(100):
@@ -325,8 +340,8 @@ def test_hull_scaling_symmetry():
     inside = list(sample_hull(cfg))
     outside = [Triple(vec(rng, 1.5), vec(rng), vec(rng, 1.5)) for _ in range(200)]
     for z in inside + outside:
-        a = rng.uniform(0.2, 3.0)
-        b = rng.uniform(0.2, 3.0)
+        a = 10.0 ** rng.uniform(-6.0, 6.0)
+        b = 10.0 ** rng.uniform(-6.0, 6.0)
         scaled = Triple(z.B * a, z.u * b, z.E * (a * b))
         sp = HullParams(a * P11.r, b * P11.s)
         assert in_hull(scaled, sp) == in_hull(z, P11)

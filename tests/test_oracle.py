@@ -231,3 +231,20 @@ def test_sample_K_stream_differs_per_worker():
     a = list(sample_K(SampleConfig(seed=19, count=50, params=P11)))
     b = list(sample_K(SampleConfig(seed=19, count=50, params=P11, worker=1)))
     assert a != b
+
+
+def test_pair_sampler_gives_up_after_max_rejections(monkeypatch):
+    # A constant stream draws B2 = B1, so every attempt is rejected as
+    # near-parallel; the sampler stops after MAX_REJECTIONS_PER_SAMPLE + 1.
+    from dynamohull import oracle
+
+    class Constant:
+        def uniform(self):
+            return 0.5
+
+    monkeypatch.setattr(oracle, "MAX_REJECTIONS_PER_SAMPLE", 3)
+    stats = SampleStats()
+    with pytest.raises(RuntimeError, match="near-parallel B draws"):
+        oracle._pair_floats(Constant(), P11, False, stats)
+    assert stats.attempts == 4
+    assert stats.accepted == 0

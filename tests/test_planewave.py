@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from dynamohull import (
     wave_vector_for,
     WaveVector,
 )
+from dynamohull.cli import main as cli_main
 from _helpers import ALL_KINDS, cone_direction
 
 P11 = HullParams(1.0, 1.0)
@@ -272,6 +274,30 @@ def test_grid_residual_magnitude_matches_truncation_estimate():
     h = g.h
     expected = abs(6 * math.sin(h) - 3 * math.sin(h) - math.sin(3 * h)) / h
     assert rep.residuals["div_B"] == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("label", ["nonstationary", "stationary-incompressible"])
+def test_fine_grid_residual_equals_truncation_error(label, capsys):
+    # On a sine the centred difference along axis i is cos(phase)
+    # sin(xi_i h)/h and the grid contains phase 0, so each residual is the
+    # modulus of the cos(phase) coefficient, to rounding.
+    assert cli_main(["residual", "--n", "64", "--kind", label, "--deterministic"]) == 0
+    study = json.loads(capsys.readouterr().out)
+    kind = ConeKind.from_label(label)
+    direction = {k: np.array(v) for k, v in study["direction"].items()}
+    xi_x, xi_t = np.array(study["xi"]["xi_x"]), study["xi"]["xi_t"]
+    h = 2.0 * math.pi / 64
+    d = np.sin(xi_x * h) / h
+    curl = np.cross(d, direction["E"])
+    if not kind.stationary:
+        curl = curl + math.sin(xi_t * h) / h * direction["B"]
+    expected = {"div_B": abs(direction["B"] @ d), "faraday": np.abs(curl).max()}
+    if kind.incompressible:
+        expected["div_u"] = abs(direction["u"] @ d)
+    reported = study["residuals"][-1]
+    assert set(reported) == set(expected)
+    for key, val in expected.items():
+        assert abs(reported[key] - val) <= 1e-12 * val, key
 
 
 # ----------------------------------------------------- staircase averages
