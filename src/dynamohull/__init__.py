@@ -18,7 +18,6 @@ from .core import (
     Tolerances,
     Triple,
     Vec3,
-    cone_residual,
     eval_g1,
     eval_g2,
     eval_g3,
@@ -77,7 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConeKind", "DEFAULT_TOLERANCES", "HullParams", "SeparationWitness",
     "Tolerances", "Triple", "Vec3", "eval_g1", "eval_g2", "eval_g3",
-    "cone_residual", "hull_excess_bound", "in_constraint_set", "in_hull", "in_wave_cone",
+    "hull_excess_bound", "in_constraint_set", "in_hull", "in_wave_cone",
     "orthonormal_basis", "separation_witness", "unit_perpendicular",
     "unit_perpendicular_to_all",
     "AngleEquation", "Decomposition", "DecompositionError",

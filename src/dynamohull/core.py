@@ -390,22 +390,21 @@ def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -
     return (z.E - z.B.cross(z.u)).norm() <= eps * p.r * p.s
 
 
-def cone_residual(a: Vec3, b: Vec3, unit: float = 0.0) -> float:
-    """|a . b| / (unit + |a||b|), the residual of a cone condition a . b = 0.
-
-    With unit = r^2 s for B . E (r s^2 for u . E) it is the residual of the
-    normalised triple (B/r, u/s, E/(rs)); unit = 0 gives the scale-free cosine.
-    """
+def _cone_residual(a: Vec3, b: Vec3, unit: float) -> float:
+    """|a . b| / (unit + |a||b|), the residual of a cone condition a . b = 0;
+    unit = r^2 s for B . E (r s^2 for u . E) normalises it as (B/r, u/s, E/(rs))."""
     den = unit + a.norm() * b.norm()
     return abs(a.dot(b)) / den if den else 0.0
 
 
 def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bool:
     """True when z is an admissible one-dimensional oscillation direction:
-    |B . E| <= eps_mem |B||E| (and likewise u . E), whatever the scale of z."""
+    |B . E| <= eps_mem |B| (|E| + |B x u|) and likewise u . E, unchanged under
+    (B, u, E) -> (aB, bu, abE); |B x u| absorbs rounding in a cancelled E."""
     eps = (tol or DEFAULT_TOLERANCES).eps_mem
-    return cone_residual(z.B, z.E) <= eps and (
-        not kind.restricts_u or cone_residual(z.u, z.E) <= eps)
+    mix = z.B.cross(z.u).norm()
+    return _cone_residual(z.B, z.E, z.B.norm() * mix) <= eps and (
+        not kind.restricts_u or _cone_residual(z.u, z.E, z.u.norm() * mix) <= eps)
 
 
 def _separating_function(z: Triple, p: HullParams, kind: ConeKind, eps: float) -> str | None:

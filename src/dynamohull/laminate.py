@@ -42,7 +42,7 @@ from .core import (
     Tolerances,
     Triple,
     Vec3,
-    cone_residual,
+    _cone_residual,
     hull_excess_bound,
     separation_witness,
     unit_perpendicular,
@@ -421,9 +421,9 @@ def verify_decomposition(d: Decomposition, target: Triple, p: HullParams,
         res[f"{name}_ohm"] = (zi.E - zi.B.cross(zi.u)).norm() / rs
 
     dz = d.z1 - d.z2
-    res["cone_BE"] = cone_residual(dz.B, dz.E, rs * r)
+    res["cone_BE"] = _cone_residual(dz.B, dz.E, rs * r)
     if kind.restricts_u:
-        res["cone_uE"] = cone_residual(dz.u, dz.E, rs * s)
+        res["cone_uE"] = _cone_residual(dz.u, dz.E, rs * s)
 
     res["lambda_range"] = max(0.0, -d.lam, d.lam - 1.0)
 

@@ -40,8 +40,8 @@ from .core import (
     Tolerances,
     Triple,
     Vec3,
+    _cone_residual,
     _vec,
-    cone_residual,
     eval_g1,
     eval_g2,
     eval_g3,
@@ -429,7 +429,7 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
         if not in_hull(z, p, kind, inner_tol):
             report.record_failure("laminate", z, "combination fails closed-form membership")
         if kind.restricts_u:
-            res = cone_residual(z.u, z.E, rss)
+            res = _cone_residual(z.u, z.E, rss)
             if report.max_u_orthogonality is None or res > report.max_u_orthogonality:
                 report.max_u_orthogonality = res
             if res > tol.eps_mem:

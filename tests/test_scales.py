@@ -23,10 +23,13 @@ from dynamohull import (
     decompose,
     in_constraint_set,
     in_hull,
+    plane_wave_conditions,
     sample_K,
+    sample_hull,
     sample_lambda_pair,
     separation_witness,
     verify_decomposition,
+    wave_vector_for,
 )
 from _helpers import unit
 
@@ -141,3 +144,23 @@ def test_verification_rejects_off_cone_pairs_at_small_radii(radius):
         passed += rep.passed
         assert rep.passed or "cone_BE" in rep.failures
     assert passed == 0
+
+
+@pytest.mark.parametrize("kind", SCALE_KINDS)
+@pytest.mark.parametrize("r,s", [(1.0, 1.0), (1e-3, 1e3), (1e-6, 1e-6)])
+def test_every_decomposition_direction_has_a_wave_vector(kind, r, s):
+    # sample_hull forces the excess boundary (delta = 1) every 100th point;
+    # there the two endpoints' E agree up to rounding, so the laminate
+    # direction's E is ~1e-16 noise that the wave cone must tolerate.
+    p = HullParams(r, s)
+    for z in sample_hull(SampleConfig(seed=73, count=1000, params=p, kind=kind)):
+        d = decompose(z, p, kind)
+        dz = d.z1 - d.z2
+        xi = wave_vector_for(dz, kind)
+        res = plane_wave_conditions(dz, xi, kind)
+        nx = xi.xi_x.norm()
+        e_scale = dz.E.norm() + dz.B.cross(dz.u).norm()
+        assert res["gauss"] <= 1e-9 * dz.B.norm() * nx
+        assert res["faraday"] <= 1e-9 * (abs(xi.xi_t) * dz.B.norm() + nx * e_scale)
+        if kind.incompressible:
+            assert res["u_div"] <= 1e-9 * dz.u.norm() * nx
