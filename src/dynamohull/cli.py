@@ -21,14 +21,13 @@ from .core import (
     Triple,
     Vec3,
     eval_g1,
-    eval_g2,
     eval_g3,
-    in_hull,
     in_wave_cone,
 )
-from .laminate import NotInHullError, decompose, verify_decomposition
+from .laminate import DecompositionError, NotInHullError, decompose, verify_decomposition
 from .oracle import (
     SampleConfig,
+    _sample_row,
     sample_K,
     sample_first_laminate,
     sample_hull,
@@ -152,8 +151,9 @@ def _cmd_decompose(args, parser) -> int:
     z = _read_triple(args)
     try:
         d = decompose(z, p, kind, tol)
-    except NotInHullError as exc:
-        payload = {"error": "not-in-hull", "message": str(exc)}
+    except DecompositionError as exc:
+        payload = {"error": "not-in-hull" if isinstance(exc, NotInHullError)
+                   else "decomposition-failed", "message": str(exc)}
         if exc.witness is not None:
             payload["witness"] = exc.witness.to_json_dict()
         _emit_json(args, payload)
@@ -194,14 +194,7 @@ def _cmd_sample(args, parser) -> int:
         write_samples_csv(buf, sampler(cfg), p, kind, tol)
         _emit_text(args, buf.getvalue())
         return 0
-    rows = []
-    for z in sampler(cfg):
-        row = z.to_json_dict()
-        row["in_hull"] = in_hull(z, p, kind, tol)
-        row["g1"] = eval_g1(z)
-        row["g2"] = eval_g2(z, p)
-        row["g3"] = eval_g3(z)
-        rows.append(row)
+    rows = [{**z.to_json_dict(), **_sample_row(z, p, kind, tol)} for z in sampler(cfg)]
     _emit_json(args, {"seed": args.seed, "kind": kind.label, "sampler": args.sampler,
                       "samples": rows})
     return 0

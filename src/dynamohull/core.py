@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 
+@dataclass(frozen=True, slots=True)
 class Vec3:
     """Immutable real 3-vector; rejects non-finite components at construction.
 
@@ -40,31 +41,19 @@ class Vec3:
     predicates pay for the non-finiteness check only at the API boundary.
     """
 
-    __slots__ = ("x", "y", "z")
+    x: float
+    y: float
+    z: float
 
-    def __init__(self, x: float, y: float, z: float):
-        x = float(x)
-        y = float(y)
-        z = float(z)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise ValueError(f"non-finite Vec3 component: ({x}, {y}, {z})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Vec3 is immutable")
+    def __post_init__(self):
+        for name in ("x", "y", "z"):
+            v = float(getattr(self, name))
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite Vec3 component {name} = {v}")
+            _obj_set(self, name, v)
 
     def __repr__(self):
         return f"Vec3({self.x!r}, {self.y!r}, {self.z!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Vec3):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y and self.z == other.z
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.z))
 
     def __iter__(self):
         yield self.x
@@ -171,29 +160,18 @@ def unit_perpendicular_to_all(vs: tuple["Vec3", ...]) -> Vec3:
     return Vec3(1.0, 0.0, 0.0)
 
 
+@dataclass(frozen=True, slots=True)
 class Triple:
     """A state z = (B, u, E): magnetic field, velocity and electric field values."""
 
-    __slots__ = ("B", "u", "E")
+    B: Vec3
+    u: Vec3
+    E: Vec3
 
-    def __init__(self, B: Vec3, u: Vec3, E: Vec3):
-        for name, v in (("B", B), ("u", u), ("E", E)):
+    def __post_init__(self):
+        for name, v in (("B", self.B), ("u", self.u), ("E", self.E)):
             if not isinstance(v, Vec3):
                 raise TypeError(f"Triple field {name} must be a Vec3, got {type(v).__name__}")
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "E", E)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Triple is immutable")
-
-    def __repr__(self):
-        return f"Triple(B={self.B!r}, u={self.u!r}, E={self.E!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Triple):
-            return NotImplemented
-        return self.B == other.B and self.u == other.u and self.E == other.E
 
     def __add__(self, other: "Triple") -> "Triple":
         return _triple(self.B + other.B, self.u + other.u, self.E + other.E)
@@ -238,31 +216,19 @@ def _triple(B: Vec3, u: Vec3, E: Vec3) -> Triple:
     return z
 
 
+@dataclass(frozen=True, slots=True)
 class HullParams:
     """Amplitude radii: |B| = r on the constraint set, |u| = s."""
 
-    __slots__ = ("r", "s")
+    r: float
+    s: float
 
-    def __init__(self, r: float, s: float):
-        r = float(r)
-        s = float(s)
-        if not (math.isfinite(r) and r > 0.0):
-            raise ValueError(f"magnetic radius r must be a positive finite real, got {r}")
-        if not (math.isfinite(s) and s > 0.0):
-            raise ValueError(f"velocity radius s must be a positive finite real, got {s}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HullParams is immutable")
-
-    def __repr__(self):
-        return f"HullParams(r={self.r!r}, s={self.s!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, HullParams):
-            return NotImplemented
-        return self.r == other.r and self.s == other.s
+    def __post_init__(self):
+        for name, label in (("r", "magnetic"), ("s", "velocity")):
+            v = float(getattr(self, name))
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{label} radius {name} must be a positive finite real, got {v}")
+            _obj_set(self, name, v)
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "s": self.s}
@@ -275,38 +241,30 @@ class HullParams:
             raise ValueError(f"malformed params JSON: {exc}") from exc
 
 
+@dataclass(frozen=True, slots=True)
 class Tolerances:
     """Numerical slacks used by the predicates and the decomposition solver.
 
     eps_mem is the dimensionless slack of membership and verification, made
     on the normalised triple (B/r, u/s, E/(rs)) at every radius pair;
-    eps_root is the bisection bracket width for the decomposition angle
-    equation; eps_residual is the slack for plane-wave and PDE residuals.
+    eps_root is the exact-Ohm threshold: decompose treats a point with
+    |E - B x u| / (rs) <= eps_root as E = B x u; eps_residual is the slack
+    for plane-wave and PDE residuals.
     """
 
-    __slots__ = ("eps_mem", "eps_root", "eps_residual")
+    eps_mem: float = 1e-9
+    eps_root: float = 1e-12
+    eps_residual: float = 1e-10
 
-    def __init__(self, eps_mem: float = 1e-9, eps_root: float = 1e-12,
-                 eps_residual: float = 1e-10):
-        eps_mem = float(eps_mem)
-        eps_root = float(eps_root)
-        eps_residual = float(eps_residual)
-        for name, v in (("eps_mem", eps_mem), ("eps_root", eps_root),
-                        ("eps_residual", eps_residual)):
+    def __post_init__(self):
+        for name in ("eps_mem", "eps_root", "eps_residual"):
+            v = float(getattr(self, name))
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be a positive finite real, got {v}")
-        if not eps_root < eps_mem:
-            raise ValueError(f"eps_root ({eps_root}) must be smaller than eps_mem ({eps_mem})")
-        object.__setattr__(self, "eps_mem", eps_mem)
-        object.__setattr__(self, "eps_root", eps_root)
-        object.__setattr__(self, "eps_residual", eps_residual)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tolerances is immutable")
-
-    def __repr__(self):
-        return (f"Tolerances(eps_mem={self.eps_mem!r}, eps_root={self.eps_root!r}, "
-                f"eps_residual={self.eps_residual!r})")
+            _obj_set(self, name, v)
+        if not self.eps_root < self.eps_mem:
+            raise ValueError(f"eps_root ({self.eps_root}) must be smaller than "
+                             f"eps_mem ({self.eps_mem})")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -17,13 +17,14 @@ direction.  This module produces such a witness constructively:
       G(alpha) = |B| cos(alpha)
                  - sqrt((r^2-|B|^2)/(s^2-|u|^2)) * (u . uhat(alpha)) = 0.
 
-  G(pi/2) = -G(3pi/2), so a root exists in [pi/2, 3pi/2] and bisection finds
-  it.  The perturbation lengths follow from
+  In a fixed frame G is a sinusoid A cos(alpha) + C sin(alpha), so its root
+  in [pi/2, 3pi/2] is pi/2 + (atan2(A, -C) - pi/2) mod pi.  The perturbation
+  lengths follow from
   |Bbar|^2 = 4 (r^2 - |B|^2 sin^2 alpha) and
   |Bbar|^2 (s^2-|u|^2) = |ubar|^2 (r^2-|B|^2).
 
-* ``decompose`` dispatches between the two and assembles the endpoints with
-  weight lambda = 1/2 + B . Bbar / |Bbar|^2.
+* ``decompose`` checks membership once, dispatches between the two and
+  assembles the endpoints with weight lambda = 1/2 + B . Bbar / |Bbar|^2.
 
 * ``verify_decomposition`` is the independent residual check used by the
   test suite and the sampling oracle.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     ConeKind,
@@ -50,19 +52,19 @@ from .core import (
 )
 
 HALF_PI = 0.5 * math.pi
-THREE_HALF_PI = 1.5 * math.pi
 
 
 class DecompositionError(ValueError):
-    """Base class for decomposition failures."""
-
-
-class NotInHullError(DecompositionError):
-    """The target point lies outside the relaxed set (or on a bad boundary)."""
+    """Base class for decomposition failures; witness, when not None, is the
+    function that separates the point from the relaxed set."""
 
     def __init__(self, message: str, witness: SeparationWitness | None = None):
         super().__init__(message)
         self.witness = witness
+
+
+class NotInHullError(DecompositionError):
+    """The target point lies outside the relaxed set (or on a bad boundary)."""
 
 
 class DegenerateCallError(DecompositionError):
@@ -116,6 +118,7 @@ class LaminateConditions:
     alpha_u: float
 
 
+@dataclass(frozen=True, slots=True)
 class AngleEquation:
     """The scalar gap G(alpha) whose root balances the amplitude budget.
 
@@ -124,33 +127,30 @@ class AngleEquation:
     [pi/2, 3pi/2] therefore satisfy G(pi/2) = -G(3pi/2) exactly.
     """
 
-    __slots__ = ("e1", "e2", "p_vec", "q_vec", "amp_cos", "amp_sin")
-
-    def __init__(self, e1: Vec3, e2: Vec3, p_vec: Vec3, q_vec: Vec3,
-                 amp_cos: float, amp_sin: float):
-        self.e1 = e1
-        self.e2 = e2
-        self.p_vec = p_vec
-        self.q_vec = q_vec
-        self.amp_cos = amp_cos
-        self.amp_sin = amp_sin
+    e1: Vec3
+    e2: Vec3
+    p_vec: Vec3
+    q_vec: Vec3
+    amp_cos: float
+    amp_sin: float
 
     @property
     def bracket(self) -> tuple[float, float]:
-        return (HALF_PI, THREE_HALF_PI)
+        return (HALF_PI, 3.0 * HALF_PI)
 
     def __call__(self, alpha: float) -> float:
         return self.amp_cos * math.cos(alpha) + self.amp_sin * math.sin(alpha)
+
+    def root(self) -> float:
+        """The root of G in [pi/2, 3pi/2], in closed form: G vanishes where
+        tan(alpha) = -A / C, and atan2(A, -C) is such an angle modulo pi."""
+        return HALF_PI + (math.atan2(self.amp_cos, -self.amp_sin) - HALF_PI) % math.pi
 
     def direction_pair(self, alpha: float) -> tuple[Vec3, Vec3]:
         """Unit directions (bhat, uhat) at angle alpha from the frame axis."""
         ca = math.cos(alpha)
         sa = math.sin(alpha)
         return self.e1 * ca + self.e2 * sa, self.p_vec * ca + self.q_vec * sa
-
-
-def _exact_ohm_threshold(p: HullParams, tol: Tolerances) -> float:
-    return tol.eps_root * p.r * p.s
 
 
 def _require_in_hull(z: Triple, p: HullParams, kind: ConeKind, tol: Tolerances | None):
@@ -173,26 +173,47 @@ def decompose_exact_ohm(B: Vec3, u: Vec3, p: HullParams, kind: ConeKind = ConeKi
     for every cone kind.
     """
     _require_in_hull(Triple(B, u, B.cross(u)), p, kind, tol)
-    db = math.sqrt(max(0.0, p.r * p.r - B.norm2()))
-    du = math.sqrt(max(0.0, p.s * p.s - u.norm2()))
+    return _split_exact_ohm(B, u, p)
+
+
+def _split_exact_ohm(B: Vec3, u: Vec3, p: HullParams) -> Decomposition:
     e = unit_perpendicular_to_all((B, u))
-    bbar = e * db
-    ubar = e * du
-    B1 = B + bbar
-    u1 = u + ubar
-    B2 = B - bbar
-    u2 = u - ubar
-    z1 = Triple(B1, u1, B1.cross(u1))
-    z2 = Triple(B2, u2, B2.cross(u2))
-    return Decomposition(0.5, z1, z2)
+    # Endpoints B +- e sqrt(r^2-|B|^2), u +- e sqrt(s^2-|u|^2): the difference
+    # is doubled here and halved by lam = 1/2, both exact in floating point.
+    return _endpoints(B, u, e * (2.0 * math.sqrt(max(0.0, p.r * p.r - B.norm2()))),
+                      e * (2.0 * math.sqrt(max(0.0, p.s * p.s - u.norm2()))), 0.5)
 
 
-def _interior_gaps(z: Triple, p: HullParams, tol: Tolerances) -> tuple[float, float, float]:
-    """(r^2-|B|^2, s^2-|u|^2, |E - B x u|), raising on boundary/degenerate input."""
+def _endpoints(B: Vec3, u: Vec3, bbar: Vec3, ubar: Vec3, lam: float) -> Decomposition:
+    """Weight lam and endpoints (B + (1-lam) bbar, u + (1-lam) ubar) and
+    (B - lam bbar, u - lam ubar), each with E its own B x u."""
+    mu = 1.0 - lam
+    B1 = B + bbar * mu
+    u1 = u + ubar * mu
+    B2 = B - bbar * lam
+    u2 = u - ubar * lam
+    return Decomposition(lam, Triple(B1, u1, B1.cross(u1)), Triple(B2, u2, B2.cross(u2)))
+
+
+class _Frame(NamedTuple):
+    """The working-plane data of an interior point, built once per point."""
+
+    rr: float     # r^2 - |B|^2
+    ebar: Vec3    # (E - B x u) / sqrt((r^2-|B|^2)(s^2-|u|^2))
+    nhat: Vec3    # ebar / |ebar|
+    ct: float     # cos of the rotation angle arcsin|ebar|
+    st: float     # sin of it: |ebar|, capped at 1 against rounding
+    kappa: float  # sqrt((r^2-|B|^2) / (s^2-|u|^2))
+
+
+def _interior_frame(z: Triple, p: HullParams, tol: Tolerances) -> _Frame:
+    """The frame of a relaxed-set point z; raises DegenerateCallError when
+    |E - B x u| <= eps_root rs and NotInHullError on the amplitude boundary."""
     rr = p.r * p.r - z.B.norm2()
     ss = p.s * p.s - z.u.norm2()
-    c = (z.E - z.B.cross(z.u)).norm()
-    if c <= _exact_ohm_threshold(p, tol):
+    excess = z.E - z.B.cross(z.u)
+    c = excess.norm()
+    if c <= tol.eps_root * p.r * p.s:
         raise DegenerateCallError(
             "E = B x u within tolerance; use decompose_exact_ohm")
     if rr <= tol.eps_mem * p.r * p.r or ss <= tol.eps_mem * p.s * p.s:
@@ -201,39 +222,38 @@ def _interior_gaps(z: Triple, p: HullParams, tol: Tolerances) -> tuple[float, fl
         raise NotInHullError(
             f"amplitude on the boundary (r^2-|B|^2={rr}, s^2-|u|^2={ss}) "
             f"with nonzero excess |E-Bxu|={c}")
-    return rr, ss, c
+    ebar = excess / math.sqrt(rr * ss)
+    e_len = ebar.norm()
+    st = min(e_len, 1.0)
+    return _Frame(rr, ebar, ebar / e_len, math.sqrt(max(0.0, 1.0 - st * st)), st,
+                  math.sqrt(rr / ss))
 
 
 def angle_equation(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
                    tol: Tolerances | None = None) -> AngleEquation:
-    """Build the root-finding problem for an interior point with B != 0.
+    """Build the angle equation G for an interior point with B != 0.
 
-    Exposed so tests can scan G for continuity and check the bracket signs.
+    Exposed so tests can scan G for continuity, check the bracket signs and
+    check the root the solver chose.
     """
-    tol = tol or DEFAULT_TOLERANCES
     _require_in_hull(z, p, kind, tol)
-    rr, ss, _ = _interior_gaps(z, p, tol)
+    f = _interior_frame(z, p, tol or DEFAULT_TOLERANCES)
     if z.B.norm() == 0.0:
-        raise DegenerateCallError("angle equation needs B != 0; the B = 0 "
-                                  "branch fixes the directions directly")
-    return _build_angle_equation(z, p, rr, ss)
+        raise DegenerateCallError("angle equation needs B != 0; with B = 0 the "
+                                  "frame axis is free")
+    return _build_angle_equation(z, f)
 
 
-def _build_angle_equation(z: Triple, p: HullParams, rr: float, ss: float) -> AngleEquation:
-    excess = z.E - z.B.cross(z.u)
-    d_bound = math.sqrt(rr * ss)
-    ebar = excess / d_bound
-    e_len = min(ebar.norm(), 1.0)
-    nhat = ebar.normalized()
-    ct = math.sqrt(max(0.0, 1.0 - e_len * e_len))
-    st = e_len
-
+def _build_angle_equation(z: Triple, f: _Frame) -> AngleEquation:
     nb = z.B.norm()
-    e1 = z.B / nb
-    w = e1.cross(nhat)
+    # With B = 0 any axis perpendicular to the excess will do: G then reads
+    # -kappa u . uhat(alpha) for every such axis, and its root makes uhat
+    # perpendicular to u.
+    e1 = z.B / nb if nb else unit_perpendicular(f.nhat)
+    w = e1.cross(f.nhat)
     wn = w.norm()
-    # B . Ebar = 0 on the relaxed set, so B and Ebar nonzero force |B x Ebar|
-    # = |B||Ebar|; a vanishing cross product here means corrupted input.
+    # B . Ebar = 0 on the relaxed set forces |B x Ebar| = |B||Ebar|; it vanishes
+    # only for a tiny B parallel to the excess, admitted by the slack of g1.
     if wn < 1e-6:
         raise DecompositionError(
             "working plane degenerate: B is parallel to the excess field")
@@ -241,50 +261,11 @@ def _build_angle_equation(z: Triple, p: HullParams, rr: float, ss: float) -> Ang
     # uhat(alpha) is bhat(alpha) rotated by arcsin|Ebar| about +nhat, which
     # makes bhat x uhat = Ebar for every alpha.  Both are linear in
     # (cos alpha, sin alpha), so G is the sinusoid below.
-    p_vec = e1 * ct + nhat.cross(e1) * st
-    q_vec = e2 * ct + nhat.cross(e2) * st
-    kappa = math.sqrt(rr / ss)
-    amp_cos = nb - kappa * z.u.dot(p_vec)
-    amp_sin = -kappa * z.u.dot(q_vec)
+    p_vec = e1 * f.ct + f.nhat.cross(e1) * f.st
+    q_vec = e2 * f.ct + f.nhat.cross(e2) * f.st
+    amp_cos = nb - f.kappa * z.u.dot(p_vec)
+    amp_sin = -f.kappa * z.u.dot(q_vec)
     return AngleEquation(e1, e2, p_vec, q_vec, amp_cos, amp_sin)
-
-
-def _bisect_gap(gap: AngleEquation, eps_root: float) -> float:
-    """Bisection on [pi/2, 3pi/2]; runs down to floating-point resolution.
-
-    The extra refinement below eps_root costs ~10 iterations and keeps the
-    residual of the velocity-side amplitude equations at rounding level even
-    when one amplitude gap is many orders smaller than the other.
-    """
-    amp_cos = gap.amp_cos
-    amp_sin = gap.amp_sin
-    cos = math.cos
-    sin = math.sin
-    lo, hi = gap.bracket
-    g_lo = amp_cos * cos(lo) + amp_sin * sin(lo)
-    g_hi = amp_cos * cos(hi) + amp_sin * sin(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if (g_lo > 0.0) == (g_hi > 0.0):
-        # Mathematically g(lo) = -g(hi); same signs only happen when both
-        # values sit at rounding level.
-        return lo if abs(g_lo) <= abs(g_hi) else hi
-    lo_positive = g_lo > 0.0
-    width_floor = min(eps_root, 1e-15)
-    while hi - lo > width_floor:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        g_mid = amp_cos * cos(mid) + amp_sin * sin(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0.0) == lo_positive:
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-    return lo if abs(g_lo) <= abs(g_hi) else hi
 
 
 def solve_laminate_conditions(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -303,83 +284,52 @@ def solve_laminate_conditions(z: Triple, p: HullParams, kind: ConeKind = ConeKin
     cone (where the excess is parallel to B x u, so the working plane is
     span{B, u}).
     """
-    tol = tol or DEFAULT_TOLERANCES
     _require_in_hull(z, p, kind, tol)
-    return _solve_validated(z, p, kind, tol)
+    return _solve_validated(z, _interior_frame(z, p, tol or DEFAULT_TOLERANCES))
 
 
-def _solve_validated(z: Triple, p: HullParams, kind: ConeKind,
-                     tol: Tolerances) -> LaminateConditions:
-    rr, ss, _ = _interior_gaps(z, p, tol)
-    d_bound = math.sqrt(rr * ss)
-    ebar = (z.E - z.B.cross(z.u)) / d_bound
-    kappa = math.sqrt(rr / ss)
+def _solve_validated(z: Triple, f: _Frame) -> LaminateConditions:
     nb = z.B.norm()
-    nu = z.u.norm()
-
-    if nb == 0.0:
-        # Fix uhat perpendicular to both u and the excess, then tilt bhat
-        # against it so that bhat x uhat reproduces the normalised excess.
-        e_len = min(ebar.norm(), 1.0)
-        nhat = ebar.normalized()
-        ct = math.sqrt(max(0.0, 1.0 - e_len * e_len))
-        w = z.u.cross(nhat)
-        if w.norm() > 1e-12 * nu:
-            uhat = w.normalized()
-        else:
-            uhat = unit_perpendicular(nhat)
-        bhat = uhat * ct + uhat.cross(nhat) * e_len
-        cos2_alpha = 0.0
-        alpha_b = 0.0
-    else:
-        gap = _build_angle_equation(z, p, rr, ss)
-        alpha = _bisect_gap(gap, tol.eps_root)
-        bhat, uhat = gap.direction_pair(alpha)
-        cos_alpha = math.cos(alpha)
-        cos2_alpha = cos_alpha * cos_alpha
-        alpha_b = alpha
-
+    gap = _build_angle_equation(z, f)
+    alpha = gap.root()
+    bhat, uhat = gap.direction_pair(alpha)
+    cos_alpha = math.cos(alpha)
     # |Bbar|^2 = 4 (r^2 - |B|^2 sin^2 alpha), computed as the amplitude gap
     # plus |B|^2 cos^2 alpha: near the boundary the direct form cancels
     # catastrophically and the endpoint amplitudes inherit the damage.
-    bbar_len = 2.0 * math.sqrt(rr + nb * nb * cos2_alpha)
-    ubar_len = bbar_len / kappa
+    bbar_len = 2.0 * math.sqrt(f.rr + nb * nb * (cos_alpha * cos_alpha))
+    ubar_len = bbar_len / f.kappa
     bbar = bhat * bbar_len
     ubar = uhat * ubar_len
-    if nu > 0.0:
+    if z.u.norm() > 0.0:
         alpha_u = math.atan2(z.u.cross(uhat).norm(), z.u.dot(uhat))
     else:
         alpha_u = 0.0
-    return LaminateConditions(ebar=ebar, bbar=bbar, ubar=ubar,
-                              alpha_b=alpha_b, alpha_u=alpha_u)
+    return LaminateConditions(ebar=f.ebar, bbar=bbar, ubar=ubar,
+                              alpha_b=alpha if nb else 0.0, alpha_u=alpha_u)
 
 
 def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
               tol: Tolerances | None = None) -> Decomposition:
     """Write a relaxed-set point as a two-state constraint-set mixture.
 
-    Decompositions are not unique; the returned witness is the one reached
-    by bisection from the standard bracket.  Raises NotInHullError (with the
-    separating function attached) for points outside the relaxed set.
+    Decompositions are not unique.  A point with |E - B x u| <= eps_root rs
+    is split along a direction perpendicular to B and u
+    (decompose_exact_ohm); any other point by the laminate conditions at the
+    closed-form root of the angle equation in [pi/2, 3pi/2].  Raises
+    NotInHullError (with the separating function attached) for points
+    outside the relaxed set, and DecompositionError when the working plane
+    is degenerate.
     """
     tol = tol or DEFAULT_TOLERANCES
     _require_in_hull(z, p, kind, tol)
-    c = (z.E - z.B.cross(z.u)).norm()
-    if c <= _exact_ohm_threshold(p, tol):
-        return decompose_exact_ohm(z.B, z.u, p, kind, tol)
-
-    conds = _solve_validated(z, p, kind, tol)
-    bb2 = conds.bbar.norm2()
-    lam = 0.5 + z.B.dot(conds.bbar) / bb2
-    lam = min(1.0, max(0.0, lam))
-    mu = 1.0 - lam
-    B1 = z.B + conds.bbar * mu
-    u1 = z.u + conds.ubar * mu
-    B2 = z.B - conds.bbar * lam
-    u2 = z.u - conds.ubar * lam
-    z1 = Triple(B1, u1, B1.cross(u1))
-    z2 = Triple(B2, u2, B2.cross(u2))
-    return Decomposition(lam, z1, z2)
+    try:
+        f = _interior_frame(z, p, tol)
+    except DegenerateCallError:  # E = B x u within eps_root rs
+        return _split_exact_ohm(z.B, z.u, p)
+    conds = _solve_validated(z, f)
+    lam = 0.5 + z.B.dot(conds.bbar) / conds.bbar.norm2()
+    return _endpoints(z.B, z.u, conds.bbar, conds.ubar, min(1.0, max(0.0, lam)))
 
 
 @dataclass(frozen=True)

@@ -256,14 +256,18 @@ def _pair_floats(stream: UniformStream, p: HullParams, restricts_u: bool,
     raise RuntimeError(f"pair sampling rejected 1e6 draws in a row ({reason}) for params {p!r}")
 
 
+def _pair_stream(stream: UniformStream, cfg: SampleConfig, stats: SampleStats | None):
+    """cfg.count pairs from _pair_floats, drawn lazily: a caller's own draws
+    between two pairs (sample_first_laminate's weight) come after the first."""
+    stats = stats if stats is not None else SampleStats()
+    for _ in range(cfg.count):
+        yield _pair_floats(stream, cfg.params, cfg.kind.restricts_u, stats)
+
+
 def sample_lambda_pair(cfg: SampleConfig,
                        stats: SampleStats | None = None) -> Iterator[tuple[Triple, Triple]]:
     """Constraint-set pairs whose difference lies in the cone for cfg.kind."""
-    stream = UniformStream(cfg.seed, cfg.worker)
-    stats = stats if stats is not None else SampleStats()
-    restricts_u = cfg.kind.restricts_u
-    for _ in range(cfg.count):
-        f = _pair_floats(stream, cfg.params, restricts_u, stats)
+    for f in _pair_stream(UniformStream(cfg.seed, cfg.worker), cfg, stats):
         z1 = Triple(_vec(f[0], f[1], f[2]), _vec(f[3], f[4], f[5]), _vec(f[6], f[7], f[8]))
         z2 = Triple(_vec(f[9], f[10], f[11]), _vec(f[12], f[13], f[14]), _vec(f[15], f[16], f[17]))
         yield z1, z2
@@ -273,10 +277,7 @@ def sample_first_laminate(cfg: SampleConfig,
                           stats: SampleStats | None = None) -> Iterator[Triple]:
     """Convex combinations lam*z1 + (1-lam)*z2 of cone-compatible pairs."""
     stream = UniformStream(cfg.seed, cfg.worker)
-    stats = stats if stats is not None else SampleStats()
-    restricts_u = cfg.kind.restricts_u
-    for _ in range(cfg.count):
-        f = _pair_floats(stream, cfg.params, restricts_u, stats)
+    for f in _pair_stream(stream, cfg, stats):
         lam = stream.uniform()
         mu = 1.0 - lam
         yield Triple(
@@ -467,19 +468,23 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
 CSV_HEADER = "Bx,By,Bz,ux,uy,uz,Ex,Ey,Ez,in_hull,g1,g2,g3"
 
 
+def _sample_row(z: Triple, p: HullParams, kind: ConeKind, tol: Tolerances | None) -> dict:
+    """The per-sample verdict and separating-function values of a CSV or JSON row."""
+    return {"in_hull": in_hull(z, p, kind, tol), "g1": eval_g1(z), "g2": eval_g2(z, p),
+            "g3": eval_g3(z)}
+
+
 def write_samples_csv(out: TextIO, triples: Iterator[Triple], p: HullParams,
                       kind: ConeKind = ConeKind.NONSTATIONARY,
                       tol: Tolerances | None = None) -> int:
     """Dump triples with membership verdict and separating-function values."""
-    tol = tol or DEFAULT_TOLERANCES
     out.write(CSV_HEADER + "\n")
     n = 0
     for z in triples:
+        row = _sample_row(z, p, kind, tol)
         cells = [repr(v) for v in (*z.B, *z.u, *z.E)]
-        cells.append("true" if in_hull(z, p, kind, tol) else "false")
-        cells.append(repr(eval_g1(z)))
-        cells.append(repr(eval_g2(z, p)))
-        cells.append(repr(eval_g3(z)))
+        cells.append("true" if row["in_hull"] else "false")
+        cells += [repr(row[g]) for g in ("g1", "g2", "g3")]
         out.write(",".join(cells) + "\n")
         n += 1
     return n

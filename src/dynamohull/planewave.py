@@ -47,27 +47,22 @@ class LatticeError(ValueError):
     """No integer frequency vector approximates the wave vector closely enough."""
 
 
+@dataclass(frozen=True, slots=True)
 class WaveVector:
     """Space-time frequency (xi_x, xi_t) of a plane wave; xi_x must be nonzero."""
 
-    __slots__ = ("xi_x", "xi_t")
+    xi_x: Vec3
+    xi_t: float
 
-    def __init__(self, xi_x: Vec3, xi_t: float):
-        if not isinstance(xi_x, Vec3):
+    def __post_init__(self):
+        if not isinstance(self.xi_x, Vec3):
             raise TypeError("xi_x must be a Vec3")
-        if xi_x.norm() == 0.0:
+        if self.xi_x.norm() == 0.0:
             raise ValueError("spatial frequency xi_x must be nonzero")
-        xi_t = float(xi_t)
+        xi_t = float(self.xi_t)
         if not math.isfinite(xi_t):
             raise ValueError(f"non-finite temporal frequency {xi_t}")
-        object.__setattr__(self, "xi_x", xi_x)
         object.__setattr__(self, "xi_t", xi_t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WaveVector is immutable")
-
-    def __repr__(self):
-        return f"WaveVector(xi_x={self.xi_x!r}, xi_t={self.xi_t!r})"
 
     def norm(self) -> float:
         return math.sqrt(self.xi_x.norm2() + self.xi_t * self.xi_t)
@@ -81,31 +76,28 @@ class WaveVector:
         return {"xi_x": self.xi_x.as_list(), "xi_t": self.xi_t}
 
 
+@dataclass(frozen=True, slots=True)
 class GridSpec:
-    """Periodic evaluation grid: n points per axis, spacing h, and the
-    number of base periods spanned by averaging windows."""
+    """Periodic evaluation grid: n points per axis, spacing h (default
+    2 pi / n), and the number of base periods spanned by averaging windows."""
 
-    __slots__ = ("n", "h", "periods")
+    n: int
+    h: float | None = None
+    periods: int = 1
 
-    def __init__(self, n: int, h: float | None = None, periods: int = 1):
-        n = int(n)
+    def __post_init__(self):
+        n = int(self.n)
         if n < 4 or n % 2 != 0:
             raise ValueError(f"grid needs at least 4 points per axis and an even count, got {n}")
-        h = TWO_PI / n if h is None else float(h)
+        h = TWO_PI / n if self.h is None else float(self.h)
         if not (math.isfinite(h) and h > 0.0):
             raise ValueError(f"grid spacing must be a positive real, got {h}")
-        periods = int(periods)
+        periods = int(self.periods)
         if periods < 1:
             raise ValueError(f"periods must be a positive integer, got {periods}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "periods", periods)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GridSpec is immutable")
-
-    def __repr__(self):
-        return f"GridSpec(n={self.n}, h={self.h!r}, periods={self.periods})"
 
 
 def plane_wave_conditions(direction: Triple, xi: WaveVector,
@@ -417,7 +409,8 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
     The field takes value z1 where frac(n_osc * phi / 2pi) < lambda and z2
     otherwise, with phi the plane-wave phase; jumps across phase planes are
     admissible because z1 - z2 satisfies the plane-wave conditions for xi
-    (validated here).  The phase is sampled at n^3 cell centres.
+    (validated here).  The 1-D phase is sampled at g.n**3 midpoints of equal
+    steps across the averaging window; samples reports that count.
 
     The averaging window spans g.periods base periods plus half an
     oscillation band.  A window commensurate with the bands would average

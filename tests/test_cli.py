@@ -80,6 +80,19 @@ def test_decompose_outside_hull_exits_one_with_witness(capsys, monkeypatch):
     assert payload["witness"]["value"] == pytest.approx(1.0)
 
 
+def test_decompose_failure_inside_the_hull_exits_one(capsys, monkeypatch):
+    # in_hull accepts this point through the absolute floor of the g1 test,
+    # but B is parallel to the excess E - B x u = (1e-5, 0, 0), so the
+    # working plane of the solver is degenerate.
+    z = '{"B": [1e-5, 0, 0], "u": [0, 0.5, 0], "E": [1e-5, 0, 5e-6]}'
+    code = run(["decompose"], stdin=z, monkeypatch=monkeypatch)
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "decomposition-failed"
+    assert "working plane degenerate" in payload["message"]
+    assert "witness" not in payload
+
+
 def test_decompose_parse_failure_exits_two(capsys, monkeypatch):
     assert run(["decompose"], stdin="{not json", monkeypatch=monkeypatch) == 2
     assert run(["decompose"], stdin='{"B": [1, 0, 0]}', monkeypatch=monkeypatch) == 2
@@ -144,9 +157,9 @@ def test_verify_hull_deterministic_reports(tmp_path):
 # a verdict or a residual changes the digest; the determinism criterion
 # only compares a rerun with itself and cannot see such a change.
 GOLDEN_DIGESTS = {
-    "nonstationary": "2b899c7766f56c7b07ae25e5883d9db597d6434334cebb6243a6c8c9b10df805",
+    "nonstationary": "3ee6824cdbea3167ccf2e44c37405d23fa49d74acb407f949750c47fd4bbab47",
     "stationary-incompressible":
-        "e017b58c34dec6137d676e9ce2197e38c87c4f0de4199855a2753ff15964b113",
+        "c064d0146a9813b3ebab71b7439a3f070e212d2cd8186b54e1451c0f97cf8ec4",
 }
 
 
@@ -193,8 +206,8 @@ def test_tol_flag_loosens_membership_slack(tmp_path):
     assert json.loads(out.read_text())["failure_count"] == 0
 
 
-def test_tol_flag_rejects_value_below_bisection_width():
-    # eps_mem must stay above the default bisection width.
+def test_tol_flag_rejects_value_below_exact_ohm_threshold():
+    # eps_mem must stay above the default exact-Ohm threshold eps_root.
     assert main(["verify-hull", "--count", "10", "--tol", "1e-14"]) == 2
 
 
@@ -209,3 +222,30 @@ def test_sample_constraint_sampler_csv(capsys):
         cells = line.split(",")
         assert abs(float(cells[10])) < 1e-14
         assert abs(float(cells[11])) < 1e-12
+
+
+# sha256 of `sample --seed 0 --count 2000 --deterministic`, pinned on Python
+# 3.11.7 with numpy 2.4.6.  The samplers draw nothing from the decomposition
+# solver, so these digests guard the sample streams and the CSV/JSON rows
+# while solver changes move the verify-hull digests above.
+SAMPLE_DIGESTS = {
+    ("laminate", "nonstationary", "csv"):
+        "6be4acccb9cd357e9f22cb6218ffb800e505aa555a9013b60a6804cb8c4db076",
+    ("hull", "nonstationary", "csv"):
+        "88ab04e3ad315e189162751cf8e0e8386ced28c0cf1b5740a6036db259c3c93a",
+    ("laminate", "stationary-incompressible", "csv"):
+        "5832b7b45ee96cd8a91106e1ca830767deaa139cf3ffa66499fc4fa6bc2d0bac",
+    ("hull", "stationary-incompressible", "csv"):
+        "6b0eebc4f8111b33a27843427cbe98e01db586908431c34daabe37462c0753e2",
+    ("laminate", "nonstationary", "json"):
+        "6c9ff3d6d02ca9496b47d93826fab5ada5916fc2fd552ab3ae4ba19979424793",
+}
+
+
+@pytest.mark.parametrize("sampler,kind,fmt", sorted(SAMPLE_DIGESTS))
+def test_sample_stream_digest(sampler, kind, fmt, tmp_path):
+    out = tmp_path / f"samples.{fmt}"
+    assert main(["sample", "--seed", "0", "--count", "2000", "--format", fmt,
+                 "--sampler", sampler, "--kind", kind, "--deterministic",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_DIGESTS[(sampler, kind, fmt)]

@@ -22,9 +22,10 @@ from dynamohull import (
     sample_hull,
     sample_lambda_pair,
     solve_laminate_conditions,
+    unit_perpendicular,
     verify_decomposition,
 )
-from _helpers import ALL_KINDS, vec
+from _helpers import ALL_KINDS, unit, vec
 
 P11 = HullParams(1.0, 1.0)
 
@@ -211,6 +212,22 @@ def test_angle_gap_rejects_zero_B():
         angle_equation(z, P11)
 
 
+@pytest.mark.parametrize("kind", [ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE])
+def test_chosen_angle_is_the_bracketed_root(kind):
+    # The solver's alpha_b must be a root of G inside [pi/2, 3pi/2], to
+    # rounding relative to the sinusoid's amplitude |A| + |C|.
+    checked = 0
+    for z in _interior_hull_points(kind, 1100, seed=25):
+        if z.B.norm() == 0.0 or (z.E - z.B.cross(z.u)).norm() <= 1e-12:
+            continue
+        gap = angle_equation(z, P11, kind)
+        alpha = solve_laminate_conditions(z, P11, kind).alpha_b
+        assert 0.5 * math.pi <= alpha <= 1.5 * math.pi
+        assert abs(gap(alpha)) <= 1e-15 * (abs(gap.amp_cos) + abs(gap.amp_sin))
+        checked += 1
+    assert checked >= 1000
+
+
 # ------------------------------------------------------------ decompose
 
 def test_decompose_constraint_set_point_is_degenerate():
@@ -232,6 +249,22 @@ def test_decompose_zero_fields_with_excess():
     assert rep.max_residual < 1e-12
     assert in_constraint_set(d.z1, P11)
     assert in_constraint_set(d.z2, P11)
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-13, 1e-11, 1e-9, 1e-6])
+def test_decompose_zero_B_with_velocity_along_the_excess(tilt):
+    # With B = 0 the frame axis is free; the root makes uhat perpendicular to
+    # u even when u is (nearly) parallel to the excess, where u x Ebar is
+    # rounding noise.
+    rng = np.random.default_rng(26)
+    for p in (P11, HullParams(0.5, 2.0), HullParams(1e-3, 1e3)):
+        for _ in range(40):
+            u = unit(rng) * (p.s * rng.uniform(0.1, 1.0))
+            e = (u.normalized() + unit_perpendicular(u) * tilt).normalized()
+            excess = e * (hull_excess_bound(Vec3(0, 0, 0), u, p) * rng.uniform(0.1, 1.0))
+            z = Triple(Vec3(0, 0, 0), u, excess)
+            rep = verify_decomposition(decompose(z, p), z, p)
+            assert rep.passed, (p, z, rep.failures)
 
 
 def test_decompose_outside_hull_reports_witness():
