@@ -31,6 +31,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True, slots=True)
 class Vec3:
@@ -348,11 +350,49 @@ def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -
     return (z.E - z.B.cross(z.u)).norm() <= eps * p.r * p.s
 
 
+def _libm(fn, *cols: np.ndarray) -> np.ndarray:
+    """fn of the math module applied row by row to numpy columns.
+
+    numpy's arctan2, arccos, hypot and power differ from the C library by an
+    ulp on a few percent of inputs, while its sin, cos, sqrt and mod agree
+    bit for bit; the block kernels route the former through here so that a
+    block rounds exactly as the per-point arithmetic does.
+    """
+    return np.fromiter(map(fn, *(c.tolist() for c in cols)), dtype=np.float64,
+                       count=len(cols[0]))
+
+
+def _dot(a, b):
+    """a . b of two component triples (numpy columns), in Vec3.dot's order."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    """a x b of two component triples (numpy columns), in Vec3.cross's order."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _positive(x: np.ndarray) -> np.ndarray:
+    """max(0.0, x) row by row, with Python's max semantics (NaN -> 0.0)."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _columns(rows: np.ndarray):
+    """The (B, u, E) component triples of an N x 9 block of rows."""
+    return tuple(tuple(rows[:, 3 * k + i] for i in range(3)) for k in range(3))
+
+
 def _cone_residual(a: Vec3, b: Vec3, unit: float) -> float:
     """|a . b| / (unit + |a||b|), the residual of a cone condition a . b = 0;
     unit = r^2 s for B . E (r s^2 for u . E) normalises it as (B/r, u/s, E/(rs))."""
     den = unit + a.norm() * b.norm()
     return abs(a.dot(b)) / den if den else 0.0
+
+
+def _cone_residuals(a, b, unit: float) -> np.ndarray:
+    """_cone_residual row by row on component triples (numpy columns)."""
+    den = unit + np.sqrt(_dot(a, a)) * np.sqrt(_dot(b, b))
+    return np.divide(np.abs(_dot(a, b)), den, out=np.zeros_like(den), where=den != 0.0)
 
 
 def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bool:
@@ -398,6 +438,27 @@ def _separating_function(z: Triple, p: HullParams, kind: ConeKind, eps: float) -
     return "g2" if wx * wx + wy * wy + wz * wz > cap + eps * (rr * ss) else None
 
 
+def _separating_mask(rows: np.ndarray, p: HullParams, kind: ConeKind, eps: float) -> np.ndarray:
+    """The membership kernel on an N x 9 block of (B, u, E) rows: True where
+    _separating_function would return a function, in the same arithmetic."""
+    r, s = p.r, p.s
+    rr, ss = r * r, s * s
+    b, u, e = _columns(rows)
+    nb2 = _dot(b, b)
+    nu2 = _dot(u, u)
+    nb = np.sqrt(nb2)
+    nu = np.sqrt(nu2)
+    ne = np.sqrt(_dot(e, e))
+    out = np.abs(_dot(b, e)) > eps * (rr * s + nb * ne)
+    if kind.restricts_u:
+        out |= np.abs(_dot(u, e)) > eps * (r * ss + nu * ne)
+    out |= (nb > r * (1.0 + eps)) | (nu > s * (1.0 + eps))
+    bxu = _cross(b, u)
+    w = (e[0] - bxu[0], e[1] - bxu[1], e[2] - bxu[2])
+    cap = _positive(rr - nb2) * _positive(ss - nu2)
+    return out | (_dot(w, w) > cap + eps * (rr * ss))
+
+
 def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
             tol: Tolerances | None = None) -> bool:
     """Closed-form membership in the relaxed set: no function separates z.
@@ -412,6 +473,11 @@ def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
 def hull_excess_bound(B: Vec3, u: Vec3, p: HullParams) -> float:
     """sqrt((r^2 - |B|^2)(s^2 - |u|^2)), the sharp bound on |E - B x u|."""
     return math.sqrt(max(0.0, p.r * p.r - B.norm2()) * max(0.0, p.s * p.s - u.norm2()))
+
+
+def _excess_bounds(B, u, p: HullParams) -> np.ndarray:
+    """hull_excess_bound row by row on component triples (numpy columns)."""
+    return np.sqrt(_positive(p.r * p.r - _dot(B, B)) * _positive(p.s * p.s - _dot(u, u)))
 
 
 @dataclass(frozen=True)

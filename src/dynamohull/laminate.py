@@ -28,6 +28,12 @@ direction.  This module produces such a witness constructively:
 
 * ``verify_decomposition`` is the independent residual check used by the
   test suite and the sampling oracle.
+
+The campaign engine runs ``decompose`` and ``verify_decomposition`` on
+blocks of N x 9 (B, u, E) rows (``_decompose_block``, ``_verify_block``):
+the same arithmetic, operation for operation, on numpy columns, so each row
+rounds exactly as the per-point path.  The block decomposition covers the
+interior branch only and leaves every other row to ``decompose``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .core import (
     ConeKind,
@@ -44,7 +52,15 @@ from .core import (
     Tolerances,
     Triple,
     Vec3,
+    _columns,
     _cone_residual,
+    _cone_residuals,
+    _cross,
+    _dot,
+    _excess_bounds,
+    _libm,
+    _positive,
+    _separating_mask,
     hull_excess_bound,
     separation_witness,
     unit_perpendicular,
@@ -330,6 +346,97 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     conds = _solve_validated(z, f)
     lam = 0.5 + z.B.dot(conds.bbar) / conds.bbar.norm2()
     return _endpoints(z.B, z.u, conds.bbar, conds.ubar, min(1.0, max(0.0, lam)))
+
+
+def _decompose_block(rows: np.ndarray, p: HullParams, kind: ConeKind, tol: Tolerances):
+    """decompose on the interior rows of an N x 9 block of targets.
+
+    Returns (lam, z1, z2, fallback): the weights and the N x 9 endpoint rows
+    in decompose's arithmetic, and the mask of rows left to decompose itself:
+    outside the relaxed set, exact Ohm, B = 0, amplitude boundary or a
+    degenerate working plane.  lam, z1 and z2 are meaningless on those rows.
+    """
+    r, s = p.r, p.s
+    B, u, E = _columns(rows)
+    with np.errstate(all="ignore"):
+        rr = r * r - _dot(B, B)
+        ss = s * s - _dot(u, u)
+        bxu = _cross(B, u)
+        excess = tuple(E[i] - bxu[i] for i in range(3))
+        c = np.sqrt(_dot(excess, excess))
+        scale = np.sqrt(rr * ss)
+        ebar = tuple(x / scale for x in excess)
+        e_len = np.sqrt(_dot(ebar, ebar))
+        st = np.where(1.0 < e_len, 1.0, e_len)
+        nhat = tuple(x / e_len for x in ebar)
+        ct = np.sqrt(_positive(1.0 - st * st))
+        kappa = np.sqrt(rr / ss)
+        nb = np.sqrt(_dot(B, B))
+        e1 = tuple(x / nb for x in B)
+        w = _cross(e1, nhat)
+        wn = np.sqrt(_dot(w, w))
+        e2 = tuple(x / wn for x in w)
+        n1 = _cross(nhat, e1)
+        n2 = _cross(nhat, e2)
+        p_vec = tuple(e1[i] * ct + n1[i] * st for i in range(3))
+        q_vec = tuple(e2[i] * ct + n2[i] * st for i in range(3))
+        amp_cos = nb - kappa * _dot(u, p_vec)
+        amp_sin = -kappa * _dot(u, q_vec)
+        alpha = HALF_PI + np.mod(_libm(math.atan2, amp_cos, -amp_sin) - HALF_PI, math.pi)
+        ca = np.cos(alpha)
+        sa = np.sin(alpha)
+        bbar_len = 2.0 * np.sqrt(rr + nb * nb * (ca * ca))
+        ubar_len = bbar_len / kappa
+        bbar = tuple((e1[i] * ca + e2[i] * sa) * bbar_len for i in range(3))
+        ubar = tuple((p_vec[i] * ca + q_vec[i] * sa) * ubar_len for i in range(3))
+        lam = 0.5 + _dot(B, bbar) / _dot(bbar, bbar)
+        lam = np.where(lam > 0.0, lam, 0.0)
+        lam = np.where(lam < 1.0, lam, 1.0)
+        mu = 1.0 - lam
+        B1 = tuple(B[i] + bbar[i] * mu for i in range(3))
+        u1 = tuple(u[i] + ubar[i] * mu for i in range(3))
+        B2 = tuple(B[i] - bbar[i] * lam for i in range(3))
+        u2 = tuple(u[i] - ubar[i] * lam for i in range(3))
+        fallback = (_separating_mask(rows, p, kind, tol.eps_mem)
+                    | (c <= tol.eps_root * r * s)
+                    | (rr <= tol.eps_mem * r * r) | (ss <= tol.eps_mem * s * s)
+                    | (nb == 0.0) | ~(wn >= 1e-6))
+    return (lam, np.column_stack((*B1, *u1, *_cross(B1, u1))),
+            np.column_stack((*B2, *u2, *_cross(B2, u2))), fallback)
+
+
+def _verify_block(lam: np.ndarray, z1: np.ndarray, z2: np.ndarray, target: np.ndarray,
+                  p: HullParams, kind: ConeKind) -> dict:
+    """verify_decomposition's residuals on blocks of rows: one column per
+    check, in its key order and arithmetic."""
+    r, s = p.r, p.s
+    rs = r * s
+    res = {}
+    for name, zi in (("z1", z1), ("z2", z2)):
+        B, u, E = _columns(zi)
+        bxu = _cross(B, u)
+        ohm = tuple(E[i] - bxu[i] for i in range(3))
+        res[f"{name}_B_amplitude"] = np.abs(np.sqrt(_dot(B, B)) - r) / r
+        res[f"{name}_u_amplitude"] = np.abs(np.sqrt(_dot(u, u)) - s) / s
+        res[f"{name}_ohm"] = np.sqrt(_dot(ohm, ohm)) / rs
+    dB, du, dE = _columns(z1 - z2)
+    res["cone_BE"] = _cone_residuals(dB, dE, rs * r)
+    if kind.restricts_u:
+        res["cone_uE"] = _cone_residuals(du, dE, rs * s)
+    lam_range = np.where(-lam > 0.0, -lam, 0.0)
+    res["lambda_range"] = np.where(lam - 1.0 > lam_range, lam - 1.0, lam_range)
+    rr, ss, rrss = r * r, s * s, r * r * s * s
+
+    def norm_rs(B, u, E):  # Triple.norm(r, s)
+        return np.sqrt(_dot(B, B) / rr + _dot(u, u) / ss + _dot(E, E) / rrss)
+
+    gap = z1 * lam[:, None] + z2 * (1.0 - lam)[:, None] - target
+    res["reconstruction"] = norm_rs(*_columns(gap)) / (1.0 + norm_rs(*_columns(target)))
+    tB, tu, _ = _columns(target)
+    d_bound = _excess_bounds(tB, tu, p)
+    prod = lam * (1.0 - lam) * np.sqrt(_dot(dB, dB)) * np.sqrt(_dot(du, du))
+    res["weight_amplitude_identity"] = np.abs(prod - d_bound) / (rs + d_bound)
+    return res
 
 
 @dataclass(frozen=True)

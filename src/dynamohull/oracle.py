@@ -22,6 +22,12 @@ All randomness comes from a named 64-bit generator (PCG64) seeded through
 numpy's SeedSequence; worker w of a sharded run draws from
 SeedSequence(seed, spawn_key=(w,)), so substreams are independent and the
 merged counts and maxima do not depend on worker interleaving.
+
+Samplers and campaign run in blocks of BLOCK rows: a block is an N x 9
+float64 array of (B, u, E) rows (N x 18 for a pair), computed column by
+column in the same operations, in the same order, as a single point would
+be, so the block engine's streams and reports are those of the per-point
+arithmetic bit for bit.  The public samplers yield Triples from these rows.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, TextIO
 
+import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .core import (
@@ -39,23 +46,39 @@ from .core import (
     HullParams,
     Tolerances,
     Triple,
-    Vec3,
-    _cone_residual,
+    _columns,
+    _cone_residuals,
+    _cross,
+    _dot,
+    _excess_bounds,
+    _libm,
+    _positive,
+    _separating_mask,
+    _triple,
     _vec,
     eval_g1,
     eval_g2,
     eval_g3,
-    hull_excess_bound,
     in_hull,
     unit_perpendicular_to_all,
 )
-from .laminate import DecompositionError, decompose, verify_decomposition
+from .laminate import DecompositionError, _decompose_block, _verify_block, decompose
 
 TWO_PI = 2.0 * math.pi
+THIRD = 1.0 / 3.0
 
 # Abort threshold for rejection sampling; hitting it means the requested
 # configuration essentially never intersects the constraint circle.
 MAX_REJECTIONS_PER_SAMPLE = 10 ** 6
+
+# Rows per block of the samplers and the campaign: large enough to amortise
+# numpy's cost per call, small enough that a campaign's arrays stay at about
+# a megabyte whatever its count.
+BLOCK = 1024
+
+# Why a pair attempt is rejected, in the order the conditions are tested.
+REJECTIONS = ("near-parallel B draws", "plane misses the sphere", "degenerate circle",
+              "second plane misses the circle")
 
 
 @dataclass(frozen=True)
@@ -76,38 +99,33 @@ class SampleConfig:
 
 
 class UniformStream:
-    """Buffered uniform doubles from PCG64; the buffer size is fixed so the
-    stream does not depend on how values are consumed."""
+    """Uniform doubles of one PCG64 stream, read one at a time or as numpy
+    windows; the stream does not depend on how its values are read."""
 
     __slots__ = ("_gen", "_buf", "_idx")
     CHUNK = 8192
 
     def __init__(self, seed: int, worker: int = 0):
         self._gen = Generator(PCG64(SeedSequence(seed, spawn_key=(worker,))))
-        self._buf = self._gen.random(self.CHUNK).tolist()
+        self._buf = self._gen.random(self.CHUNK)
         self._idx = 0
 
-    def uniform(self) -> float:
+    def peek(self, n: int) -> np.ndarray:
+        """The next n draws, not consumed until advance(n)."""
         i = self._idx
-        if i >= self.CHUNK:
-            self._buf = self._gen.random(self.CHUNK).tolist()
-            i = 0
-        self._idx = i + 1
-        return self._buf[i]
+        if i + n > len(self._buf):
+            self._buf = np.concatenate((self._buf[i:], self._gen.random(max(self.CHUNK, n))))
+            self._idx = i = 0
+        return self._buf[i:i + n]
 
+    def advance(self, n: int):
+        """Consume n draws."""
+        self._idx += n
 
-def _sphere_point(stream: UniformStream, radius: float) -> Vec3:
-    """Uniform point on the sphere of the given radius (2 draws)."""
-    z = 2.0 * stream.uniform() - 1.0
-    phi = TWO_PI * stream.uniform()
-    rho = radius * math.sqrt(max(0.0, 1.0 - z * z))
-    return _vec(rho * math.cos(phi), rho * math.sin(phi), radius * z)
-
-
-def _ball_point(stream: UniformStream, radius: float) -> Vec3:
-    """Uniform-volume point in the ball of the given radius (3 draws)."""
-    r = radius * stream.uniform() ** (1.0 / 3.0)
-    return _sphere_point(stream, r)
+    def uniform(self) -> float:
+        u = float(self.peek(1)[0])
+        self._idx += 1
+        return u
 
 
 @dataclass
@@ -122,191 +140,266 @@ class SampleStats:
         return self.accepted / self.attempts if self.attempts else 0.0
 
 
+def _sphere(t: np.ndarray, phi: np.ndarray, radius):
+    """Points on spheres of the given radii, uniform from the draws t (height)
+    and phi (azimuth): component columns."""
+    z = 2.0 * t - 1.0
+    phi = TWO_PI * phi
+    rho = radius * np.sqrt(_positive(1.0 - z * z))
+    return rho * np.cos(phi), rho * np.sin(phi), radius * z
+
+
+def _ball(w: np.ndarray, radius: float):
+    """Uniform-volume points in the ball of the given radius from three draws
+    per row (radius, then the sphere): component columns."""
+    return _sphere(w[:, 1], w[:, 2], radius * _libm(lambda x: x ** THIRD, w[:, 0]))
+
+
+def _row_triple(f: list[float]) -> Triple:
+    """The Triple of one (B, u, E) row."""
+    return _triple(_vec(f[0], f[1], f[2]), _vec(f[3], f[4], f[5]), _vec(f[6], f[7], f[8]))
+
+
+def _triples(rows: np.ndarray) -> Iterator[Triple]:
+    """The rows of an N x 9 block as Triples."""
+    return map(_row_triple, rows.tolist())
+
+
 def sample_K(cfg: SampleConfig) -> Iterator[Triple]:
     """Uniform constraint-set states: B and u on their spheres, E = B x u."""
     stream = UniformStream(cfg.seed, cfg.worker)
     p = cfg.params
-    for _ in range(cfg.count):
-        B = _sphere_point(stream, p.r)
-        u = _sphere_point(stream, p.s)
-        yield Triple(B, u, B.cross(u))
+    for done in range(0, cfg.count, BLOCK):
+        n = min(BLOCK, cfg.count - done)
+        w = stream.peek(4 * n).reshape(n, 4)
+        stream.advance(4 * n)
+        B = _sphere(w[:, 0], w[:, 1], p.r)
+        u = _sphere(w[:, 2], w[:, 3], p.s)
+        yield from _triples(np.column_stack((*B, *u, *_cross(B, u))))
 
 
-def _pair_floats(stream: UniformStream, p: HullParams, restricts_u: bool,
-                 stats: SampleStats):
-    """One constraint-set pair as raw component floats.
+def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
+    """One pair attempt per row of draws (columns 0-6 of w).
 
     The pair is built on the unit spheres, where every threshold below is
     dimensionless, then scaled once (B by r, u by s, E by rs), so the same
-    draws give the same normalised pair at every radius pair.
-
-    Flattened scalar arithmetic: this routine runs a million times per
-    verification campaign, so it avoids vector objects entirely.  Draw
-    order per attempt: B1 (2), u1 (2), B2 (2), then the circle angle (one
-    draw; the stationary incompressible branch instead draws a root-choice
-    coin, or an angle when the whole circle satisfies the second plane).
+    draws give the same normalised pair at every radius pair.  Draws: B1 (2),
+    u1 (2), B2 (2), then the circle angle (the stationary incompressible
+    branch draws a root-choice coin instead, or an angle when the whole
+    circle satisfies the second plane).  Returns the N x 18 rows (z1 then
+    z2), the index into REJECTIONS of each rejected attempt (-1 where
+    accepted) and the cone residual of each pair.
     """
-    uniform = stream.uniform
-    sqrt = math.sqrt
-    last_attempt = stats.attempts + MAX_REJECTIONS_PER_SAMPLE + 1
-    while stats.attempts < last_attempt:
-        stats.attempts += 1
-        t = 2.0 * uniform() - 1.0
-        phi = TWO_PI * uniform()
-        rho = sqrt(max(0.0, 1.0 - t * t))
-        b1x = rho * math.cos(phi); b1y = rho * math.sin(phi); b1z = t
-        t = 2.0 * uniform() - 1.0
-        phi = TWO_PI * uniform()
-        rho = sqrt(max(0.0, 1.0 - t * t))
-        u1x = rho * math.cos(phi); u1y = rho * math.sin(phi); u1z = t
-        t = 2.0 * uniform() - 1.0
-        phi = TWO_PI * uniform()
-        rho = sqrt(max(0.0, 1.0 - t * t))
-        b2x = rho * math.cos(phi); b2y = rho * math.sin(phi); b2z = t
-
-        e1x = b1y * u1z - b1z * u1y
-        e1y = b1z * u1x - b1x * u1z
-        e1z = b1x * u1y - b1y * u1x
-
-        nx = b1y * b2z - b1z * b2y
-        ny = b1z * b2x - b1x * b2z
-        nz = b1x * b2y - b1y * b2x
-        n_len = sqrt(nx * nx + ny * ny + nz * nz)
-        if n_len <= 1e-9:
-            reason = "near-parallel B draws"
-            continue
+    with np.errstate(all="ignore"):
+        b1 = _sphere(w[:, 0], w[:, 1], 1.0)
+        u1 = _sphere(w[:, 2], w[:, 3], 1.0)
+        b2 = _sphere(w[:, 4], w[:, 5], 1.0)
+        e1 = _cross(b1, u1)
+        nv = _cross(b1, b2)
+        n_len = np.sqrt(_dot(nv, nv))
         inv_n = 1.0 / n_len
-        nhx = nx * inv_n; nhy = ny * inv_n; nhz = nz * inv_n
-        h = ((b1x - b2x) * e1x + (b1y - b2y) * e1y + (b1z - b2z) * e1z) * inv_n
-        if abs(h) > 1.0:
-            reason = "plane misses the sphere"
-            continue
-        rho_c = sqrt(max(0.0, 1.0 - h * h))
+        nh = tuple(x * inv_n for x in nv)
+        db = tuple(b1[i] - b2[i] for i in range(3))
+        h = _dot(db, e1) * inv_n
+        rho_c = np.sqrt(_positive(1.0 - h * h))
 
         # Orthonormal frame of the circle plane (axis picked off nhat).
-        anx = abs(nhx); any_ = abs(nhy); anz = abs(nhz)
-        if anx <= any_ and anx <= anz:
-            wx, wy, wz = 1.0, 0.0, 0.0
-        elif any_ <= anz:
-            wx, wy, wz = 0.0, 1.0, 0.0
-        else:
-            wx, wy, wz = 0.0, 0.0, 1.0
-        p1x = nhy * wz - nhz * wy
-        p1y = nhz * wx - nhx * wz
-        p1z = nhx * wy - nhy * wx
-        inv_p = 1.0 / sqrt(p1x * p1x + p1y * p1y + p1z * p1z)
-        p1x *= inv_p; p1y *= inv_p; p1z *= inv_p
-        p2x = nhy * p1z - nhz * p1y
-        p2y = nhz * p1x - nhx * p1z
-        p2z = nhx * p1y - nhy * p1x
+        an = tuple(np.abs(x) for x in nh)
+        on_x = (an[0] <= an[1]) & (an[0] <= an[2])
+        on_y = ~on_x & (an[1] <= an[2])
+        axis = (on_x.astype(float), on_y.astype(float), (~on_x & ~on_y).astype(float))
+        p1 = _cross(nh, axis)
+        inv_p = 1.0 / np.sqrt(_dot(p1, p1))
+        p1 = tuple(x * inv_p for x in p1)
+        p2 = _cross(nh, p1)
 
+        conditions = [n_len <= 1e-9, np.abs(h) > 1.0]
         if restricts_u:
             # Second plane: u2 . (u1 x B2 + E1) = u1 . E1 on the circle.
-            n2x = u1y * b2z - u1z * b2y + e1x
-            n2y = u1z * b2x - u1x * b2z + e1y
-            n2z = u1x * b2y - u1y * b2x + e1z
-            c_target = (u1x * e1x + u1y * e1y + u1z * e1z
-                        - h * (nhx * n2x + nhy * n2y + nhz * n2z))
-            a_cos = rho_c * (p1x * n2x + p1y * n2y + p1z * n2z)
-            a_sin = rho_c * (p2x * n2x + p2y * n2y + p2z * n2z)
-            amp = math.hypot(a_cos, a_sin)
-            degeneracy = 1e-12 * (1.0 + sqrt(n2x * n2x + n2y * n2y + n2z * n2z))
-            if amp <= degeneracy:
-                if abs(c_target) > degeneracy:
-                    reason = "degenerate circle"
-                    continue
-                phi = TWO_PI * uniform()
-            elif abs(c_target) > amp:
-                reason = "second plane misses the circle"
-                continue
-            else:
-                base = math.atan2(a_sin, a_cos)
-                delta = math.acos(min(1.0, max(-1.0, c_target / amp)))
-                phi = base + delta if uniform() < 0.5 else base - delta
+            ub = _cross(u1, b2)
+            n2 = tuple(ub[i] + e1[i] for i in range(3))
+            c_target = _dot(u1, e1) - h * _dot(nh, n2)
+            a_cos = rho_c * _dot(p1, n2)
+            a_sin = rho_c * _dot(p2, n2)
+            amp = _libm(math.hypot, a_cos, a_sin)
+            degeneracy = 1e-12 * (1.0 + np.sqrt(_dot(n2, n2)))
+            free = amp <= degeneracy
+            conditions += [free & (np.abs(c_target) > degeneracy),
+                           ~free & (np.abs(c_target) > amp)]
+            ratio = c_target / amp
+            ratio = np.where(ratio > -1.0, ratio, -1.0)
+            ratio = np.where(ratio < 1.0, ratio, 1.0)
+            base = _libm(math.atan2, a_sin, a_cos)
+            delta = _libm(math.acos, ratio)
+            phi = np.where(free, TWO_PI * w[:, 6],
+                           np.where(w[:, 6] < 0.5, base + delta, base - delta))
         else:
-            phi = TWO_PI * uniform()
+            phi = TWO_PI * w[:, 6]
+        status = np.select(conditions, list(range(len(conditions))), -1)
 
-        ca = rho_c * math.cos(phi)
-        sa = rho_c * math.sin(phi)
-        u2x = nhx * h + ca * p1x + sa * p2x
-        u2y = nhy * h + ca * p1y + sa * p2y
-        u2z = nhz * h + ca * p1z + sa * p2z
-        e2x = b2y * u2z - b2z * u2y
-        e2y = b2z * u2x - b2x * u2z
-        e2z = b2x * u2y - b2y * u2x
+        ca = rho_c * np.cos(phi)
+        sa = rho_c * np.sin(phi)
+        u2 = tuple(nh[i] * h + ca * p1[i] + sa * p2[i] for i in range(3))
+        e2 = _cross(b2, u2)
 
-        dbx = b1x - b2x; dby = b1y - b2y; dbz = b1z - b2z
-        dex = e1x - e2x; dey = e1y - e2y; dez = e1z - e2z
-        db_len = sqrt(dbx * dbx + dby * dby + dbz * dbz)
-        de_len = sqrt(dex * dex + dey * dey + dez * dez)
-        res = abs(dbx * dex + dby * dey + dbz * dez) / (1.0 + db_len * de_len)
+        de = tuple(e1[i] - e2[i] for i in range(3))
+        de_len = np.sqrt(_dot(de, de))
+        res = np.abs(_dot(db, de)) / (1.0 + np.sqrt(_dot(db, db)) * de_len)
         if restricts_u:
-            dux = u1x - u2x; duy = u1y - u2y; duz = u1z - u2z
-            du_len = sqrt(dux * dux + duy * duy + duz * duz)
-            res2 = abs(dux * dex + duy * dey + duz * dez) / (1.0 + du_len * de_len)
-            if res2 > res:
-                res = res2
-        if res > 1e-10:
-            raise RuntimeError(f"constructed pair violates the cone: residual {res}")
-        stats.accepted += 1
-        r, s = p.r, p.s
-        rs = r * s
-        return (b1x * r, b1y * r, b1z * r, u1x * s, u1y * s, u1z * s, e1x * rs, e1y * rs, e1z * rs,
-                b2x * r, b2y * r, b2z * r, u2x * s, u2y * s, u2z * s, e2x * rs, e2y * rs, e2z * rs)
-    raise RuntimeError(f"pair sampling rejected 1e6 draws in a row ({reason}) for params {p!r}")
+            du = tuple(u1[i] - u2[i] for i in range(3))
+            res2 = np.abs(_dot(du, de)) / (1.0 + np.sqrt(_dot(du, du)) * de_len)
+            res = np.where(res2 > res, res2, res)
+    r, s = p.r, p.s
+    rs = r * s
+    rows = np.column_stack([x * r for x in b1] + [x * s for x in u1] + [x * rs for x in e1]
+                           + [x * r for x in b2] + [x * s for x in u2] + [x * rs for x in e2])
+    return rows, status, res
 
 
-def _pair_stream(stream: UniformStream, cfg: SampleConfig, stats: SampleStats | None):
-    """cfg.count pairs from _pair_floats, drawn lazily: a caller's own draws
-    between two pairs (sample_first_laminate's weight) come after the first."""
-    stats = stats if stats is not None else SampleStats()
-    for _ in range(cfg.count):
-        yield _pair_floats(stream, cfg.params, cfg.kind.restricts_u, stats)
+def _pair_blocks(stream: UniformStream, cfg: SampleConfig, stats: SampleStats,
+                 weighted: bool = False) -> Iterator[np.ndarray]:
+    """cfg.count pairs as blocks of N x 18 rows, with a 19th column, the
+    mixture weight, when weighted.
+
+    The draws are read in the per-pair order: an accepted attempt reads 7
+    and a rejected one 6, and a weight is the draw after its pair.  A block
+    assumes every attempt is accepted; at its first rejected row it keeps the
+    rows before and starts the next block 6 draws after that row's start.
+    """
+    p = cfg.params
+    stride = 8 if weighted else 7
+    left = cfg.count
+    in_a_row = 0
+    while left:
+        n = min(BLOCK, left)
+        w = stream.peek(n * stride).reshape(n, stride)
+        rows, status, res = _pair_block(w, p, cfg.kind.restricts_u)
+        bad = np.flatnonzero((status >= 0) | (res > 1e-10))
+        k = int(bad[0]) if len(bad) else n
+        if k:
+            stats.attempts += k
+            stats.accepted += k
+            in_a_row = 0
+            stream.advance(k * stride)
+            left -= k
+            yield np.column_stack((rows[:k], w[:k, 7])) if weighted else rows[:k]
+        if k < n:
+            stats.attempts += 1
+            if status[k] < 0:
+                raise RuntimeError(f"constructed pair violates the cone: residual {float(res[k])}")
+            stream.advance(6)
+            in_a_row += 1
+            if in_a_row > MAX_REJECTIONS_PER_SAMPLE:
+                raise RuntimeError(f"pair sampling rejected 1e6 draws in a row "
+                                   f"({REJECTIONS[status[k]]}) for params {p!r}")
+
+
+def _mixture_blocks(stream: UniformStream, cfg: SampleConfig,
+                    stats: SampleStats) -> Iterator[np.ndarray]:
+    """cfg.count mixtures lam*z1 + (1-lam)*z2 as blocks of N x 9 rows."""
+    for rows in _pair_blocks(stream, cfg, stats, weighted=True):
+        lam = rows[:, 18:]
+        yield lam * rows[:, :9] + (1.0 - lam) * rows[:, 9:18]
 
 
 def sample_lambda_pair(cfg: SampleConfig,
                        stats: SampleStats | None = None) -> Iterator[tuple[Triple, Triple]]:
     """Constraint-set pairs whose difference lies in the cone for cfg.kind."""
-    for f in _pair_stream(UniformStream(cfg.seed, cfg.worker), cfg, stats):
-        z1 = Triple(_vec(f[0], f[1], f[2]), _vec(f[3], f[4], f[5]), _vec(f[6], f[7], f[8]))
-        z2 = Triple(_vec(f[9], f[10], f[11]), _vec(f[12], f[13], f[14]), _vec(f[15], f[16], f[17]))
-        yield z1, z2
+    stats = stats if stats is not None else SampleStats()
+    for rows in _pair_blocks(UniformStream(cfg.seed, cfg.worker), cfg, stats):
+        yield from zip(_triples(rows[:, :9]), _triples(rows[:, 9:]))
 
 
 def sample_first_laminate(cfg: SampleConfig,
                           stats: SampleStats | None = None) -> Iterator[Triple]:
     """Convex combinations lam*z1 + (1-lam)*z2 of cone-compatible pairs."""
-    stream = UniformStream(cfg.seed, cfg.worker)
-    for f in _pair_stream(stream, cfg, stats):
-        lam = stream.uniform()
-        mu = 1.0 - lam
-        yield Triple(
-            _vec(lam * f[0] + mu * f[9], lam * f[1] + mu * f[10], lam * f[2] + mu * f[11]),
-            _vec(lam * f[3] + mu * f[12], lam * f[4] + mu * f[13], lam * f[5] + mu * f[14]),
-            _vec(lam * f[6] + mu * f[15], lam * f[7] + mu * f[16], lam * f[8] + mu * f[17]),
-        )
+    stats = stats if stats is not None else SampleStats()
+    for rows in _mixture_blocks(UniformStream(cfg.seed, cfg.worker), cfg, stats):
+        yield from _triples(rows)
 
 
-def _perpendicular_excess_direction(stream: UniformStream, B: Vec3, u: Vec3,
-                                    kind: ConeKind) -> Vec3:
-    """Unit direction perpendicular to B (and to u for the stationary
-    incompressible cone) along which excess electric field is added."""
-    if kind.restricts_u:
-        w = B.cross(u)
-        if w.norm() > 1e-4 * B.norm() * u.norm():
-            e = w.normalized()
+def _excess_directions(B, t: np.ndarray, phi: np.ndarray):
+    """One try per row of a unit direction perpendicular to B (2 draws): the
+    component columns and whether the try succeeded."""
+    with np.errstate(all="ignore"):
+        v = _sphere(t, phi, 1.0)
+        nb = np.sqrt(_dot(B, B))
+        bhat = tuple(x / nb for x in B)
+        d = _dot(v, bhat)
+        w = tuple(v[i] - bhat[i] * d for i in range(3))
+        wn = np.sqrt(_dot(w, w))
+        zero = nb == 0.0
+        e = tuple(np.where(zero, v[i], w[i] / wn) for i in range(3))
+    return e, zero | (wn > 1e-4)
+
+
+def _restricted_directions(B, u, coin: np.ndarray):
+    """Unit directions perpendicular to B and u, signed by a coin draw."""
+    with np.errstate(all="ignore"):
+        w = _cross(B, u)
+        wn = np.sqrt(_dot(w, w))
+        e = np.column_stack([x / wn for x in w])
+        small = ~(wn > 1e-4 * np.sqrt(_dot(B, B)) * np.sqrt(_dot(u, u)))
+    for i in np.flatnonzero(small).tolist():
+        e[i] = unit_perpendicular_to_all((_vec(*(float(x[i]) for x in B)),
+                                          _vec(*(float(x[i]) for x in u)))).as_list()
+    e = np.where((coin < 0.5)[:, None], e, -e)
+    return e[:, 0], e[:, 1], e[:, 2]
+
+
+def _hull_rows(B, u, e, delta: np.ndarray, start: int, p: HullParams) -> np.ndarray:
+    """Rows (B, u, B x u + delta d e) of sample points start, start + 1, ...,
+    with d the sharp excess bound and delta = 1 at every 100th point."""
+    index = np.arange(start, start + len(delta))
+    delta = np.where(index % 100 == 99, 1.0, delta)
+    f = delta * _excess_bounds(B, u, p)
+    bxu = _cross(B, u)
+    return np.column_stack((*B, *u, *(bxu[i] + e[i] * f for i in range(3))))
+
+
+def _hull_blocks(stream: UniformStream, cfg: SampleConfig) -> Iterator[np.ndarray]:
+    """cfg.count points of the relaxed set as blocks of N x 9 rows.
+
+    Draws per point: 3 for B and 3 for u (radius, then the sphere); then 1
+    coin for the sign of the excess direction (stationary incompressible
+    kind) or 2 per try of it (the other kinds); then 1 for delta.  A block
+    assumes one try per point; the first point that needs more ends it and
+    is finished on its own.
+    """
+    p = cfg.params
+    restricts = cfg.kind.restricts_u
+    stride = 8 if restricts else 9
+    done = 0
+    while done < cfg.count:
+        n = min(BLOCK, cfg.count - done)
+        w = stream.peek(n * stride).reshape(n, stride)
+        B = _ball(w[:, 0:3], p.r)
+        u = _ball(w[:, 3:6], p.s)
+        if restricts:
+            e = _restricted_directions(B, u, w[:, 6])
+            k = n
         else:
-            e = unit_perpendicular_to_all((B, u))
-        return e if stream.uniform() < 0.5 else -e
-    nb = B.norm()
-    while True:
-        v = _sphere_point(stream, 1.0)
-        if nb == 0.0:
-            return v
-        bhat = B / nb
-        w = v - bhat * v.dot(bhat)
-        if w.norm() > 1e-4:
-            return w.normalized()
+            e, ok = _excess_directions(B, w[:, 6], w[:, 7])
+            retry = np.flatnonzero(~ok)
+            k = int(retry[0]) if len(retry) else n
+        if k:
+            rows = _hull_rows(*(tuple(x[:k] for x in v) for v in (B, u, e)), w[:k, -1], done, p)
+            stream.advance(k * stride)
+            done += k
+            yield rows
+        if k < n:
+            # Point k: repeat the direction tries, 2 draws each, until one succeeds.
+            Bk, uk = (tuple(x[k:k + 1] for x in v) for v in (B, u))
+            stream.advance(6)
+            ok = np.zeros(1, dtype=bool)
+            while not ok[0]:
+                t = stream.peek(2)
+                e, ok = _excess_directions(Bk, t[:1], t[1:])
+                stream.advance(2)
+            rows = _hull_rows(Bk, uk, e, stream.peek(1), done, p)
+            stream.advance(1)
+            done += 1
+            yield rows
 
 
 def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
@@ -316,18 +409,8 @@ def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
     delta is uniform on [0, 1]; every 100th sample forces delta = 1 so the
     excess boundary is exercised with positive frequency.
     """
-    stream = UniformStream(cfg.seed, cfg.worker)
-    p = cfg.params
-    for i in range(cfg.count):
-        B = _ball_point(stream, p.r)
-        u = _ball_point(stream, p.s)
-        e = _perpendicular_excess_direction(stream, B, u, cfg.kind)
-        delta = stream.uniform()
-        if i % 100 == 99:
-            delta = 1.0
-        d_bound = hull_excess_bound(B, u, p)
-        E = B.cross(u) + e * (delta * d_bound)
-        yield Triple(B, u, E)
+    for rows in _hull_blocks(UniformStream(cfg.seed, cfg.worker), cfg):
+        yield from _triples(rows)
 
 
 @dataclass
@@ -410,7 +493,8 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
     (default cfg.count // 10) points are sampled from the closed-form set
     for the surjective half.  inner_tol (default tol) controls the
     membership slack on the inner half; tol controls decomposition and
-    verification.
+    verification.  Both halves run in blocks of BLOCK rows and report
+    exactly what the per-point functions would, failures in point order.
     """
     tol = tol or DEFAULT_TOLERANCES
     inner_tol = inner_tol or tol
@@ -425,44 +509,94 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
                              r=p.r, s=p.s)
 
     stats = SampleStats()
-    for z in sample_first_laminate(cfg, stats):
-        report.laminate_checked += 1
-        if not in_hull(z, p, kind, inner_tol):
-            report.record_failure("laminate", z, "combination fails closed-form membership")
+    for rows in _mixture_blocks(UniformStream(cfg.seed, cfg.worker), cfg, stats):
+        report.laminate_checked += len(rows)
+        outside = _separating_mask(rows, p, kind, inner_tol.eps_mem)
+        off_cone = np.zeros(len(rows), dtype=bool)
         if kind.restricts_u:
-            res = _cone_residual(z.u, z.E, rss)
-            if report.max_u_orthogonality is None or res > report.max_u_orthogonality:
-                report.max_u_orthogonality = res
-            if res > tol.eps_mem:
-                report.record_failure("laminate", z, f"u.E residual {res}")
+            _, u, E = _columns(rows)
+            res = _cone_residuals(u, E, rss)
+            report.max_u_orthogonality = _fold_max(report.max_u_orthogonality, res)
+            off_cone = res > tol.eps_mem
+        for i in np.flatnonzero(outside | off_cone).tolist():
+            z = _row_triple(rows[i].tolist())
+            if outside[i]:
+                report.record_failure("laminate", z, "combination fails closed-form membership")
+            if off_cone[i]:
+                report.record_failure("laminate", z, f"u.E residual {float(res[i])}")
     report.pair_attempts = stats.attempts
 
     hull_cfg = SampleConfig(seed=cfg.seed, count=decompose_count, params=p,
                             kind=kind, worker=cfg.worker)
-    for z in sample_hull(hull_cfg):
-        report.decompose_checked += 1
+    for rows in _hull_blocks(UniformStream(cfg.seed, cfg.worker), hull_cfg):
+        _check_decompositions(report, rows, p, kind, tol, rss)
+    return report
+
+
+def _fold_max(acc: float | None, values: np.ndarray) -> float | None:
+    """The running maximum acc (None before the first value) over values."""
+    if not len(values):
+        return acc
+    top = float(values.max())
+    return top if acc is None or top > acc else acc
+
+
+def _check_decompositions(report: HullCheckReport, rows: np.ndarray, p: HullParams,
+                          kind: ConeKind, tol: Tolerances, rss: float):
+    """Decompose and verify a block of hull points into the report.
+
+    The block kernel splits the interior points; every other point goes
+    through decompose itself, so the rare branches and their errors have one
+    implementation.  All endpoints are then verified as one block.
+    """
+    report.decompose_checked += len(rows)
+    lam, z1, z2, fallback = _decompose_block(rows, p, kind, tol)
+    raised = {}
+    for i in np.flatnonzero(fallback).tolist():
+        z = _row_triple(rows[i].tolist())
         try:
             d = decompose(z, p, kind, tol)
         except DecompositionError as exc:
-            report.record_failure("decompose", z, f"decomposition raised: {exc}")
+            raised[i] = f"decomposition raised: {exc}"
             continue
-        ver = verify_decomposition(d, z, p, kind, tol)
-        report.max_verify_residual = max(report.max_verify_residual, ver.max_residual)
+        lam[i] = d.lam
+        z1[i] = (*d.z1.B, *d.z1.u, *d.z1.E)
+        z2[i] = (*d.z2.B, *d.z2.u, *d.z2.E)
+    verified = np.ones(len(rows), dtype=bool)
+    verified[list(raised)] = False
+
+    with np.errstate(all="ignore"):  # the rows that raised hold no endpoints
+        res = _verify_block(lam, z1, z2, rows, p, kind)
+    names = list(res)
+    table = np.column_stack([res[name] for name in names])[verified]
+    if len(table):
+        report.max_verify_residual = max(report.max_verify_residual, float(table.max()))
         by_check = report.max_residual_by_check
-        for name, val in ver.residuals.items():
+        for name, val in zip(names, table.max(axis=0).tolist()):
             by_check[name] = max(by_check.get(name, 0.0), val)
-        if not ver.passed:
-            report.record_failure("decompose", z,
-                                  "verification failed: " + ", ".join(ver.failures))
-        if kind.restricts_u:
-            dz = d.z1 - d.z2
-            mix = dz.B.cross(dz.u)
-            res = abs(z.u.dot(mix)) / (rss + z.u.norm() * dz.B.norm() * dz.u.norm())
-            if report.max_mixing_orthogonality is None or res > report.max_mixing_orthogonality:
-                report.max_mixing_orthogonality = res
-            if res > tol.eps_mem:
-                report.record_failure("decompose", z, f"u.(Bbar x ubar) residual {res}")
-    return report
+    failing = np.zeros((len(rows), len(names)), dtype=bool)
+    failing[verified] = table > tol.eps_mem
+    mixing = np.zeros(len(rows))
+    if kind.restricts_u:
+        dB, du, _ = _columns(z1 - z2)
+        _, u, _ = _columns(rows)
+        with np.errstate(all="ignore"):
+            mixing = np.abs(_dot(u, _cross(dB, du))) / (
+                rss + np.sqrt(_dot(u, u)) * np.sqrt(_dot(dB, dB)) * np.sqrt(_dot(du, du)))
+        report.max_mixing_orthogonality = _fold_max(report.max_mixing_orthogonality,
+                                                    mixing[verified])
+    unmixed = verified & (mixing > tol.eps_mem)
+
+    for i in np.flatnonzero(~verified | failing.any(axis=1) | unmixed).tolist():
+        z = _row_triple(rows[i].tolist())
+        if i in raised:
+            report.record_failure("decompose", z, raised[i])
+            continue
+        if failing[i].any():
+            report.record_failure("decompose", z, "verification failed: " + ", ".join(
+                name for name, bad in zip(names, failing[i].tolist()) if bad))
+        if unmixed[i]:
+            report.record_failure("decompose", z, f"u.(Bbar x ubar) residual {float(mixing[i])}")
 
 
 CSV_HEADER = "Bx,By,Bz,ux,uy,uz,Ex,Ey,Ez,in_hull,g1,g2,g3"

@@ -4,7 +4,23 @@ import math
 
 import numpy as np
 
-from dynamohull import ConeKind, HullParams, Triple, Vec3, unit_perpendicular_to_all
+from dynamohull import (
+    DEFAULT_TOLERANCES,
+    ConeKind,
+    DecompositionError,
+    HullCheckReport,
+    HullParams,
+    SampleConfig,
+    SampleStats,
+    Triple,
+    Vec3,
+    decompose,
+    in_hull,
+    sample_first_laminate,
+    sample_hull,
+    unit_perpendicular_to_all,
+    verify_decomposition,
+)
 
 ALPHA_GRID = np.linspace(0.0, 1.0, 10_000)
 _SQRT_WEIGHT = 2.0 * np.sqrt(ALPHA_GRID * (1.0 - ALPHA_GRID))
@@ -75,6 +91,31 @@ def cone_direction(rng: np.random.Generator, kind: ConeKind = ConeKind.NONSTATIO
     return Triple(B, u, E)
 
 
+def scaled_point(rng: np.random.Generator, kind: ConeKind, fraction: float,
+                 r: float, s: float) -> Triple:
+    """A point built in normalised coordinates (b, v, e) = (B/r, u/s, E/(rs))
+    and scaled to the radii (r, s).
+
+    |b|, |v| <= 0.999 (uniform in volume), b . e = 0 (and v . e = 0 for the
+    restricted cone), and the excess |e - b x v| is the given fraction of the
+    sharp bound sqrt((1 - |b|^2)(1 - |v|^2)): fractions <= 1 lie in the
+    relaxed set, fractions > 1 outside it.
+    """
+    b = np.array(list(unit(rng))) * 0.999 * rng.random() ** (1.0 / 3.0)
+    v = np.array(list(unit(rng))) * 0.999 * rng.random() ** (1.0 / 3.0)
+    if kind.restricts_u:
+        d = np.cross(b, v)
+        d *= (1.0 if rng.random() < 0.5 else -1.0) / np.linalg.norm(d)
+    else:
+        w = np.array(list(unit(rng)))
+        bh = b / np.linalg.norm(b)
+        d = w - bh * (w @ bh)
+        d /= np.linalg.norm(d)
+    bound = math.sqrt((1.0 - b @ b) * (1.0 - v @ v))
+    e = np.cross(b, v) + d * (fraction * bound)
+    return Triple(Vec3(*(b * r)), Vec3(*(v * s)), Vec3(*(e * (r * s))))
+
+
 def rotation_matrix(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation from a normalized quaternion."""
     q = rng.normal(size=4)
@@ -99,3 +140,58 @@ def rotate_triple(R: np.ndarray, z: Triple) -> Triple:
 ALL_KINDS = tuple(ConeKind)
 SHARED_CONE_KINDS = (ConeKind.NONSTATIONARY, ConeKind.NONSTATIONARY_INCOMPRESSIBLE,
                      ConeKind.STATIONARY)
+
+
+def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None, decompose_count=None):
+    """two_sided_hull_check one point at a time through the public per-point
+    API: the reference the block campaign engine must reproduce exactly."""
+    tol = tol or DEFAULT_TOLERANCES
+    inner_tol = inner_tol or tol
+    if decompose_count is None:
+        decompose_count = cfg.count // 10
+    p = cfg.params
+    kind = cfg.kind
+    rss = p.r * p.s * p.s
+    report = HullCheckReport(seed=cfg.seed, worker=cfg.worker, kind=kind.label,
+                             r=p.r, s=p.s)
+
+    stats = SampleStats()
+    for z in sample_first_laminate(cfg, stats):
+        report.laminate_checked += 1
+        if not in_hull(z, p, kind, inner_tol):
+            report.record_failure("laminate", z, "combination fails closed-form membership")
+        if kind.restricts_u:
+            den = rss + z.u.norm() * z.E.norm()
+            res = abs(z.u.dot(z.E)) / den if den else 0.0
+            if report.max_u_orthogonality is None or res > report.max_u_orthogonality:
+                report.max_u_orthogonality = res
+            if res > tol.eps_mem:
+                report.record_failure("laminate", z, f"u.E residual {res}")
+    report.pair_attempts = stats.attempts
+
+    hull_cfg = SampleConfig(seed=cfg.seed, count=decompose_count, params=p,
+                            kind=kind, worker=cfg.worker)
+    for z in sample_hull(hull_cfg):
+        report.decompose_checked += 1
+        try:
+            d = decompose(z, p, kind, tol)
+        except DecompositionError as exc:
+            report.record_failure("decompose", z, f"decomposition raised: {exc}")
+            continue
+        ver = verify_decomposition(d, z, p, kind, tol)
+        report.max_verify_residual = max(report.max_verify_residual, ver.max_residual)
+        by_check = report.max_residual_by_check
+        for name, val in ver.residuals.items():
+            by_check[name] = max(by_check.get(name, 0.0), val)
+        if not ver.passed:
+            report.record_failure("decompose", z,
+                                  "verification failed: " + ", ".join(ver.failures))
+        if kind.restricts_u:
+            dz = d.z1 - d.z2
+            mix = dz.B.cross(dz.u)
+            res = abs(z.u.dot(mix)) / (rss + z.u.norm() * dz.B.norm() * dz.u.norm())
+            if report.max_mixing_orthogonality is None or res > report.max_mixing_orthogonality:
+                report.max_mixing_orthogonality = res
+            if res > tol.eps_mem:
+                report.record_failure("decompose", z, f"u.(Bbar x ubar) residual {res}")
+    return report

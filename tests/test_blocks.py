@@ -1,0 +1,252 @@
+"""The block campaign engine against the per-point path.
+
+The samplers, the membership mask, the interior decomposition and the
+verification residuals run on N x 9 blocks of rows in the per-point
+arithmetic, so every comparison here is exact: bit for bit, not within a
+tolerance.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dynamohull import (
+    ConeKind,
+    DecompositionError,
+    HullCheckReport,
+    HullParams,
+    NotInHullError,
+    SampleConfig,
+    SampleStats,
+    Tolerances,
+    Triple,
+    UniformStream,
+    Vec3,
+    decompose,
+    hull_excess_bound,
+    sample_hull,
+    sample_lambda_pair,
+    two_sided_hull_check,
+    unit_perpendicular_to_all,
+    verify_decomposition,
+)
+from dynamohull import oracle
+from dynamohull.core import DEFAULT_TOLERANCES, _separating_function, _separating_mask
+from dynamohull.laminate import _decompose_block, _verify_block
+from _helpers import reference_two_sided_hull_check, scaled_point
+
+KINDS = (ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE)
+RADII = (1e-6, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e6)
+
+
+def block(triples) -> np.ndarray:
+    return np.array([[*z.B, *z.u, *z.E] for z in triples], dtype=np.float64).reshape(-1, 9)
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def special_points(p: HullParams) -> dict:
+    """One triple per rare branch of decompose, at radii p."""
+    r, s = p.r, p.s
+    B = Vec3(0.3 * r, 0.1 * r, 0.0)
+    u = Vec3(0.0, 0.2 * s, 0.4 * s)
+    bound = math.sqrt((r * r - B.norm2()) * (s * s - u.norm2()))
+    excess = B.cross(Vec3(0.0, 0.0, 1.0)).normalized() * (0.5 * bound)
+    edge = Vec3(r, 0.0, 0.0)
+    return {
+        "outside": Triple(B, u, B.cross(u) + excess * 3.0),
+        "exact Ohm": Triple(B, u, B.cross(u)),
+        "B = 0": Triple(Vec3(0.0, 0.0, 0.0), u, Vec3(0.5 * r * s, 0.0, 0.0)),
+        "u = 0": Triple(B, Vec3(0.0, 0.0, 0.0), excess),
+        "amplitude boundary": Triple(edge, u, edge.cross(u) + Vec3(0.0, 2e-6, -1e-6) * (r * s)),
+        # Tiny B parallel to the excess, admitted by the floor of the g1 test.
+        "degenerate plane": Triple(Vec3(1e-5 * r, 0.0, 0.0), Vec3(0.0, 0.5 * s, 0.0),
+                                   Vec3(1e-5 * r * s, 0.0, 5e-6 * r * s)),
+    }
+
+
+@pytest.mark.parametrize("count", [0, 1, 2500])
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (1e-3, 1e3), (1e-6, 1e6)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_driver_matches_reference(kind, radii, count):
+    cfg = SampleConfig(seed=21, count=count, params=HullParams(*radii), kind=kind)
+    assert two_sided_hull_check(cfg).to_json() == reference_two_sided_hull_check(cfg).to_json()
+
+
+@pytest.mark.parametrize("count, tol, inner_tol", [
+    (10_000, Tolerances(eps_mem=1e-15, eps_root=1e-16), None),
+    # decompose raises (g1 at rounding level) between verification failures
+    (2500, Tolerances(eps_mem=1e-17, eps_root=1e-18), Tolerances()),
+    # membership and u.E failures, then verification and mixing failures
+    (2500, Tolerances(eps_mem=1e-16, eps_root=1e-17), None),
+])
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_driver_matches_reference_on_failures(kind, count, tol, inner_tol):
+    # Slacks at or below rounding make points fail, which pins the order of
+    # the recorded failures, their cap and the counts.
+    cfg = SampleConfig(seed=22, count=count, params=HullParams(0.5, 2.0), kind=kind)
+    block_report = two_sided_hull_check(cfg, tol, inner_tol)
+    assert block_report.to_json() == reference_two_sided_hull_check(cfg, tol, inner_tol).to_json()
+    assert len(block_report.failures) == HullCheckReport.MAX_RECORDED_FAILURES
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_separating_mask_matches_kernel(kind):
+    eps = DEFAULT_TOLERANCES.eps_mem
+    for ri, r in enumerate(RADII):
+        for si, s in enumerate(RADII):
+            p = HullParams(r, s)
+            rng = np.random.default_rng([23, ri, si])
+            points = [scaled_point(rng, kind, f, r, s) for f in
+                      (*rng.uniform(0.0, 1.0, 8), 1.0, *np.exp(rng.uniform(0.0, 4.0, 8)))]
+            points += special_points(p).values()
+            mask = _separating_mask(block(points), p, kind, eps)
+            expected = [_separating_function(z, p, kind, eps) is not None for z in points]
+            assert mask.tolist() == expected, (r, s)
+    assert any(expected) and not all(expected)
+
+
+def hull_points(kind, p, count=1500, seed=24):
+    points = list(sample_hull(SampleConfig(seed=seed, count=count, params=p, kind=kind)))
+    return points + list(special_points(p).values())
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (1e-3, 1e3), (1e6, 1e-6)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_decomposition_matches_decompose(kind, radii):
+    # Interior rows: the block endpoints are decompose's.  Every decomposed
+    # row, the rare branches' endpoints filled in as the campaign does:
+    # the block residuals are verify_decomposition's.
+    p = HullParams(*radii)
+    points = hull_points(kind, p)
+    rows = block(points)
+    lam, z1, z2, fallback = _decompose_block(rows, p, kind, DEFAULT_TOLERANCES)
+    decomposed = {}
+    for i, z in enumerate(points):
+        try:
+            d = decompose(z, p, kind)
+        except DecompositionError:
+            assert fallback[i]
+            continue
+        decomposed[i] = d
+        if fallback[i]:
+            lam[i] = d.lam
+            z1[i] = [*d.z1.B, *d.z1.u, *d.z1.E]
+            z2[i] = [*d.z2.B, *d.z2.u, *d.z2.E]
+            continue
+        assert bits(lam[i]) == bits(d.lam)
+        assert (bits(z1[i]) == bits([*d.z1.B, *d.z1.u, *d.z1.E])).all()
+        assert (bits(z2[i]) == bits([*d.z2.B, *d.z2.u, *d.z2.E])).all()
+    res = _verify_block(lam, z1, z2, rows, p, kind)
+    for i, d in decomposed.items():
+        ver = verify_decomposition(d, points[i], p, kind)
+        assert list(res) == list(ver.residuals)
+        assert (bits([res[name][i] for name in res]) == bits(list(ver.residuals.values()))).all()
+    assert len(points) - fallback.sum() >= 1400
+    assert fallback.sum() - (len(points) - len(decomposed)) >= 2  # exact Ohm and B = 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fallback_rows_are_the_rare_branches(kind):
+    p = HullParams(2.0, 0.5)
+    tol = DEFAULT_TOLERANCES
+    special = special_points(p)
+    interior = list(sample_hull(SampleConfig(seed=25, count=300, params=p, kind=kind)))
+    points = interior + list(special.values())
+    _, _, _, fallback = _decompose_block(block(points), p, kind, tol)
+    branch = {}
+    for name, z in special.items():
+        try:
+            d = decompose(z, p, kind, tol)
+        except NotInHullError as exc:
+            branch[name] = "outside" if exc.witness else "amplitude boundary"
+        except DecompositionError as exc:
+            assert "working plane degenerate" in str(exc)
+            branch[name] = "degenerate plane"
+        else:
+            assert verify_decomposition(d, z, p, kind, tol).passed
+            rs = p.r * p.s
+            branch[name] = ("exact Ohm" if (z.E - z.B.cross(z.u)).norm() <= tol.eps_root * rs
+                            else "B = 0" if z.B.norm() == 0.0 else "interior")
+    # Each special point takes the branch it is named for (u = 0 is interior),
+    # and exactly the points of the rare branches are left to decompose.
+    assert branch == {name: ("interior" if name == "u = 0" else name) for name in special}
+    expected = [False] * len(interior) + [branch[name] != "interior" for name in special]
+    assert fallback.tolist() == expected
+
+
+class ListStream:
+    """A stream of given draws, read through the block interface."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+        self.i = 0
+
+    def peek(self, n):
+        assert self.i + n <= len(self.draws)
+        return self.draws[self.i:self.i + n]
+
+    def advance(self, n):
+        self.i += n
+
+
+@pytest.mark.parametrize("k", [0, 700, 1024, 1500])
+@pytest.mark.parametrize("kind", KINDS)
+def test_rejected_attempt_resyncs_the_stream(kind, k, monkeypatch):
+    # Before pair k, insert an attempt whose B2 draws repeat its B1 draws:
+    # it is rejected as near-parallel after its 6 draws, and the pairs that
+    # follow are those of the stream without it.
+    count = 2000
+    cfg = SampleConfig(seed=26, count=count, params=HullParams(0.5, 2.0), kind=kind)
+    expected = list(sample_lambda_pair(cfg))
+    draws = UniformStream(cfg.seed).peek(7 * count).copy()
+    at = 7 * k
+    rejected = [*draws[at:at + 4], *draws[at:at + 2]]
+    fake = ListStream(np.concatenate((draws[:at], rejected, draws[at:])))
+    monkeypatch.setattr(oracle, "UniformStream", lambda seed, worker=0: fake)
+    stats = SampleStats()
+    assert list(sample_lambda_pair(cfg, stats)) == expected
+    assert stats.attempts == count + 1
+    assert stats.accepted == count
+    assert fake.i == len(fake.draws)
+
+
+@pytest.mark.parametrize("k", [0, 500, 1024])
+def test_excess_direction_retry_resyncs_the_stream(k, monkeypatch):
+    # Before the excess-direction try of hull point k, insert a try that
+    # repeats the sphere draws of its B: that direction is parallel to B, so
+    # it is discarded after its 2 draws and the point takes the next try.
+    count = 1500
+    cfg = SampleConfig(seed=27, count=count, params=HullParams(0.5, 2.0))
+    expected = list(sample_hull(cfg))
+    draws = UniformStream(cfg.seed).peek(9 * count).copy()
+    at = 9 * k + 6
+    fake = ListStream(np.concatenate((draws[:at], draws[at - 5:at - 3], draws[at:])))
+    monkeypatch.setattr(oracle, "UniformStream", lambda seed, worker=0: fake)
+    assert list(sample_hull(cfg)) == expected
+    assert fake.i == len(fake.draws)
+
+
+def test_parallel_B_and_u_take_the_perpendicular_fallback(monkeypatch):
+    # Hull point k of the stationary incompressible kind with u drawn on
+    # B's direction: B x u is rounding noise, so the excess direction is
+    # unit_perpendicular_to_all((B, u)), signed by the coin.
+    count, k = 1500, 700
+    kind = ConeKind.STATIONARY_INCOMPRESSIBLE
+    p = HullParams(0.5, 2.0)
+    cfg = SampleConfig(seed=28, count=count, params=p, kind=kind)
+    draws = UniformStream(cfg.seed).peek(8 * count).copy()
+    draws[8 * k + 4:8 * k + 6] = draws[8 * k + 1:8 * k + 3]
+    monkeypatch.setattr(oracle, "UniformStream", lambda seed, worker=0: ListStream(draws))
+    points = list(sample_hull(cfg))
+    z = points[k]
+    assert z.B.cross(z.u).norm() <= 1e-4 * z.B.norm() * z.u.norm()
+    e = unit_perpendicular_to_all((z.B, z.u))
+    e = e if draws[8 * k + 6] < 0.5 else -e
+    assert z.E == z.B.cross(z.u) + e * (draws[8 * k + 7] * hull_excess_bound(z.B, z.u, p))
+    monkeypatch.undo()
+    assert points[:k] + points[k + 1:] == [
+        q for i, q in enumerate(sample_hull(cfg)) if i != k]

@@ -42,6 +42,14 @@ def test_uniform_stream_is_deterministic_and_buffered():
     assert [a.uniform() for _ in range(10_000)] == [b.uniform() for _ in range(10_000)]
     c = UniformStream(124)
     assert a.uniform() != c.uniform()
+    # Windows read by peek/advance continue the same stream across buffers.
+    d = UniformStream(123)
+    e = UniformStream(123)
+    head = [d.uniform() for _ in range(10_001)]
+    window = d.peek(3 * UniformStream.CHUNK).tolist()
+    d.advance(3 * UniformStream.CHUNK)
+    n = len(head) + len(window) + 1
+    assert head + window + [d.uniform()] == [e.uniform() for _ in range(n)]
 
 
 def test_worker_substreams_differ():
@@ -239,12 +247,16 @@ def test_pair_sampler_gives_up_after_max_rejections(monkeypatch):
     from dynamohull import oracle
 
     class Constant:
-        def uniform(self):
-            return 0.5
+        def peek(self, n):
+            return np.full(n, 0.5)
+
+        def advance(self, n):
+            pass
 
     monkeypatch.setattr(oracle, "MAX_REJECTIONS_PER_SAMPLE", 3)
     stats = SampleStats()
+    cfg = SampleConfig(seed=0, count=5, params=P11)
     with pytest.raises(RuntimeError, match="near-parallel B draws"):
-        oracle._pair_floats(Constant(), P11, False, stats)
+        list(oracle._pair_blocks(Constant(), cfg, stats))
     assert stats.attempts == 4
     assert stats.accepted == 0

@@ -18,8 +18,6 @@ from dynamohull import (
     HullParams,
     NotInHullError,
     SampleConfig,
-    Triple,
-    Vec3,
     decompose,
     in_constraint_set,
     in_hull,
@@ -31,34 +29,9 @@ from dynamohull import (
     verify_decomposition,
     wave_vector_for,
 )
-from _helpers import unit
+from _helpers import scaled_point
 
 RADII = (1e-6, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e6)
-
-
-def scaled_point(rng: np.random.Generator, kind: ConeKind, fraction: float,
-                 r: float, s: float) -> Triple:
-    """A point built in normalised coordinates (b, v, e) = (B/r, u/s, E/(rs))
-    and scaled to the radii (r, s).
-
-    |b|, |v| <= 0.999 (uniform in volume), b . e = 0 (and v . e = 0 for the
-    restricted cone), and the excess |e - b x v| is the given fraction of the
-    sharp bound sqrt((1 - |b|^2)(1 - |v|^2)): fractions <= 1 lie in the
-    relaxed set, fractions > 1 outside it.
-    """
-    b = np.array(list(unit(rng))) * 0.999 * rng.random() ** (1.0 / 3.0)
-    v = np.array(list(unit(rng))) * 0.999 * rng.random() ** (1.0 / 3.0)
-    if kind.restricts_u:
-        d = np.cross(b, v)
-        d *= (1.0 if rng.random() < 0.5 else -1.0) / np.linalg.norm(d)
-    else:
-        w = np.array(list(unit(rng)))
-        bh = b / np.linalg.norm(b)
-        d = w - bh * (w @ bh)
-        d /= np.linalg.norm(d)
-    bound = math.sqrt((1.0 - b @ b) * (1.0 - v @ v))
-    e = np.cross(b, v) + d * (fraction * bound)
-    return Triple(Vec3(*(b * r)), Vec3(*(v * s)), Vec3(*(e * (r * s))))
 
 
 SCALE_KINDS = (ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE)
