@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("residual", help="plane-wave grid residual convergence table")
     _add_common(p)
     p.add_argument("--n", type=int, default=32,
-                   help="finest grid points per axis; levels n/4, n/2, n (default 32)")
+                   help="finest grid points per axis, a multiple of 8 and at least 16; "
+                        "levels n/4, n/2, n (default 32)")
     return parser
 
 
@@ -201,8 +202,8 @@ def _cmd_sample(args, parser) -> int:
 
 
 def _cmd_residual(args, parser) -> int:
-    if args.n < 16 or args.n % 4 != 0:
-        parser.error(f"--n must be a multiple of 4 and at least 16, got {args.n}")
+    if args.n < 16 or args.n % 8 != 0:
+        parser.error(f"--n must be a multiple of 8 and at least 16, got {args.n}")
     tol = _tolerances(args)
     kind = ConeKind.from_label(args.kind)
     if kind is ConeKind.STATIONARY_INCOMPRESSIBLE:

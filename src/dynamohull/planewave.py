@@ -19,6 +19,7 @@ first-order decay of the averaging error in the oscillation count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -279,74 +280,60 @@ def _phase_index(xi_x: Vec3, n: int, periods: int) -> np.ndarray:
     return (i[:, None, None] * kx + i[None, :, None] * ky + i[None, None, :] * kz) % n
 
 
-def _spatial_derivative_residuals(s: np.ndarray, h: float, direction: Triple,
-                                  kind: ConeKind,
-                                  dst: np.ndarray | None) -> dict[str, float]:
-    inv2h = 1.0 / (2.0 * h)
-    dsx = (np.roll(s, -1, axis=0) - np.roll(s, 1, axis=0)) * inv2h
-    dsy = (np.roll(s, -1, axis=1) - np.roll(s, 1, axis=1)) * inv2h
-    dsz = (np.roll(s, -1, axis=2) - np.roll(s, 1, axis=2)) * inv2h
-    bb, uu, ee = direction.B, direction.u, direction.E
-
-    out: dict[str, float] = {}
-    div_b = dsx * bb.x + dsy * bb.y + dsz * bb.z
-    out["div_B"] = float(np.abs(div_b).max())
-
-    curl_x = dsy * ee.z - dsz * ee.y
-    curl_y = dsz * ee.x - dsx * ee.z
-    curl_z = dsx * ee.y - dsy * ee.x
-    if dst is not None:
-        curl_x = curl_x + dst * bb.x
-        curl_y = curl_y + dst * bb.y
-        curl_z = curl_z + dst * bb.z
-    out["faraday"] = float(max(np.abs(curl_x).max(), np.abs(curl_y).max(),
-                               np.abs(curl_z).max()))
-
-    if kind.incompressible:
-        div_u = dsx * uu.x + dsy * uu.y + dsz * uu.z
-        out["div_u"] = float(np.abs(div_u).max())
-    return out
-
-
 def grid_residual(direction: Triple, xi: WaveVector, g: GridSpec,
                   kind: ConeKind = ConeKind.NONSTATIONARY) -> GridResidualReport:
     """Centred-difference residuals of the sin-profile plane wave.
 
     The field sin(x . xi_x + t xi_t) * direction is sampled on an n^3 grid
-    (times n points in t for the non-stationary kinds) over a 2*pi-periodic
-    box, which requires integer frequencies; the time axis is streamed so
-    only three sin slices are alive at once.  The truncation error of the
-    centred stencil on sin is O(h^2) per equation.
+    (times n points in t for a time-dependent wave) over a 2*pi-periodic
+    box, which requires integer frequencies.  Each time slice is gathered
+    once on a periodically padded phase index; its centred differences in
+    x, y, z and between its neighbour slices in t fill four difference
+    fields.  Each residual combines them linearly by one row of coefficients
+    over 2h (div B from B; a Faraday component from +-E, and B for d/dt;
+    div u from u) and is reduced to its max norm row by row.  Stationary
+    kinds and waves with xi_t = 0 take one slice and the spatial fields.
+    The stencil's truncation error on sin is O(h^2) per equation.
     """
     if not xi.is_lattice():
         raise ValueError("grid_residual needs integer frequencies for exact "
                          "periodicity; use round_to_lattice first")
-    if abs(g.n * g.h / TWO_PI - round(g.n * g.h / TWO_PI)) > 1e-9:
-        raise ValueError("grid must span a whole number of 2*pi periods "
-                         f"(n*h = {g.n * g.h})")
     periods = round(g.n * g.h / TWO_PI)
-    # Two periods of sin on the phase steps: phase + shift (both < n) needs no second mod.
-    sines = np.tile(np.sin(np.arange(g.n) * (TWO_PI / g.n)), 2)
-    phase = _phase_index(xi.xi_x, g.n, periods)
-
-    if kind.stationary or xi.xi_t == 0.0:
-        # Stationary system, or a time-independent wave of the time-dependent
-        # system: either way the time derivative vanishes identically.
-        residuals = _spatial_derivative_residuals(sines[phase], g.h, direction, kind, dst=None)
-        return GridResidualReport(g.n, g.h, residuals, xi, kind.label)
-
+    if periods < 1 or abs(g.n * g.h / TWO_PI - periods) > 1e-9:
+        raise ValueError("grid must span a whole, positive number of 2*pi periods "
+                         f"(n*h = {g.n * g.h})")
+    n, bb, uu, ee = g.n, direction.B, direction.u, direction.E
+    rows = [(bb.x, bb.y, bb.z, 0.0), (0.0, ee.z, -ee.y, bb.x),
+            (-ee.z, 0.0, ee.x, bb.y), (ee.y, -ee.x, 0.0, bb.z)]
+    if kind.incompressible:
+        rows.append((uu.x, uu.y, uu.z, 0.0))
+    timed = not (kind.stationary or xi.xi_t == 0.0)
+    coef = np.array(rows)[:, :4 if timed else 3] / (2.0 * g.h)
     step_t = periods * round(xi.xi_t)
-    inv2h = 1.0 / (2.0 * g.h)
-    worst: dict[str, float] = {}
-    slices = [sines[phase + t_idx * step_t % g.n] for t_idx in (g.n - 1, 0, 1)]
-    for t_idx in range(g.n):
-        s_prev, s_cur, s_next = slices
-        dst = (s_next - s_prev) * inv2h
-        res = _spatial_derivative_residuals(s_cur, g.h, direction, kind, dst=dst)
-        for key, val in res.items():
-            worst[key] = max(worst.get(key, 0.0), val)
-        slices = [s_cur, s_next, sines[phase + (t_idx + 2) * step_t % g.n]]
-    return GridResidualReport(g.n, g.h, worst, xi, kind.label)
+    # Two periods of sin on the phase steps: the slice shifted by c < n reads
+    # the view sines[c:c + n] at the phase index, with no add and no mod.
+    sines = np.tile(np.sin(np.arange(n) * (TWO_PI / n)), 2)
+    phase = np.pad(_phase_index(xi.xi_x, n, periods), 1, mode="wrap")
+    diffs = np.empty((coef.shape[1], n ** 3))
+    fields = diffs.reshape(-1, n, n, n)
+    buf, worst, inner = np.empty(n ** 3), [0.0] * len(coef), (slice(1, -1),) * 3
+    prev, cur = (sines[c:c + n].take(phase) for c in (-step_t % n, 0))
+    for t in range(n if timed else 1):
+        np.subtract(cur[2:, 1:-1, 1:-1], cur[:-2, 1:-1, 1:-1], out=fields[0])
+        np.subtract(cur[1:-1, 2:, 1:-1], cur[1:-1, :-2, 1:-1], out=fields[1])
+        np.subtract(cur[1:-1, 1:-1, 2:], cur[1:-1, 1:-1, :-2], out=fields[2])
+        if timed:
+            c = (t + 1) * step_t % n
+            nxt = sines[c:c + n].take(phase)
+            np.subtract(nxt[inner], prev[inner], out=fields[3])
+            prev, cur = cur, nxt
+        for i, row in enumerate(coef):
+            np.dot(row, diffs, out=buf)
+            worst[i] = max(worst[i], buf.max(), -buf.min())
+    residuals = {"div_B": float(worst[0]), "faraday": float(max(worst[1:4]))}
+    if kind.incompressible:
+        residuals["div_u"] = float(worst[4])
+    return GridResidualReport(n, g.h, residuals, xi, kind.label)
 
 
 # Residuals below this floor are rounding noise, not truncation error;
@@ -421,6 +408,10 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
 
     which cleanly halves when n_osc doubles, the signature of weak
     convergence of fast oscillations to their mean.
+
+    The sampled band positions depend on (n_osc, g.n, g.periods) only: they
+    are cached sorted for the last 4 keys, 8 * g.n**3 bytes each (0.9 MB at
+    n = 48), and the count below lambda is one binary search.
     """
     tol = tol or DEFAULT_TOLERANCES
     if n_osc < 1:
@@ -430,13 +421,22 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
         raise ValueError("xi does not admit plane waves along z1 - z2; "
                          f"condition residuals {plane_wave_conditions(dz, xi)}")
 
-    samples = g.n ** 3
-    window = TWO_PI * g.periods + math.pi / n_osc
-    phi = (np.arange(samples, dtype=np.float64) + 0.5) * (window / samples)
-    frac = (phi * (n_osc / TWO_PI)) % 1.0
-    fraction = float(np.count_nonzero(frac < d.lam)) / samples
+    fracs = _band_fractions(n_osc, g.n, g.periods)
+    samples = fracs.size
+    fraction = float(np.searchsorted(fracs, d.lam, side="left")) / samples
 
     average = d.z1 * fraction + d.z2 * (1.0 - fraction)
     error = (average - d.combine()).norm()
     return StaircaseReport(average=average, error=error, fraction=fraction,
                            weight=d.lam, n_osc=n_osc, samples=samples)
+
+
+@functools.lru_cache(maxsize=4)
+def _band_fractions(n_osc: int, n: int, periods: int) -> np.ndarray:
+    """Sorted, read-only band positions of staircase_average's samples."""
+    samples = n ** 3
+    window = TWO_PI * periods + math.pi / n_osc
+    phi = (np.arange(samples, dtype=np.float64) + 0.5) * (window / samples)
+    fracs = np.sort((phi * (n_osc / TWO_PI)) % 1.0)
+    fracs.flags.writeable = False
+    return fracs

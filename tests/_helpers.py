@@ -195,3 +195,58 @@ def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None, decompose_coun
             if res > tol.eps_mem:
                 report.record_failure("decompose", z, f"u.(Bbar x ubar) residual {res}")
     return report
+
+
+def _reference_spatial_residuals(s, h, direction, kind, dst):
+    inv2h = 1.0 / (2.0 * h)
+    dsx = (np.roll(s, -1, axis=0) - np.roll(s, 1, axis=0)) * inv2h
+    dsy = (np.roll(s, -1, axis=1) - np.roll(s, 1, axis=1)) * inv2h
+    dsz = (np.roll(s, -1, axis=2) - np.roll(s, 1, axis=2)) * inv2h
+    bb, uu, ee = direction.B, direction.u, direction.E
+
+    out = {}
+    div_b = dsx * bb.x + dsy * bb.y + dsz * bb.z
+    out["div_B"] = float(np.abs(div_b).max())
+
+    curl_x = dsy * ee.z - dsz * ee.y
+    curl_y = dsz * ee.x - dsx * ee.z
+    curl_z = dsx * ee.y - dsy * ee.x
+    if dst is not None:
+        curl_x = curl_x + dst * bb.x
+        curl_y = curl_y + dst * bb.y
+        curl_z = curl_z + dst * bb.z
+    out["faraday"] = float(max(np.abs(curl_x).max(), np.abs(curl_y).max(),
+                               np.abs(curl_z).max()))
+
+    if kind.incompressible:
+        div_u = dsx * uu.x + dsy * uu.y + dsz * uu.z
+        out["div_u"] = float(np.abs(div_u).max())
+    return out
+
+
+def reference_grid_residual(direction, xi, g, kind=ConeKind.NONSTATIONARY):
+    """grid_residual's residuals the plain way, with np.roll centred
+    differences on whole sampled fields: the reference the streamed stencil
+    kernel must reproduce to rounding."""
+    n = g.n
+    periods = round(n * g.h / (2.0 * math.pi))
+    sines = np.tile(np.sin(np.arange(n) * (2.0 * math.pi / n)), 2)
+    i = np.arange(n, dtype=np.int64) * periods
+    kx, ky, kz = (round(c) for c in xi.xi_x)
+    phase = (i[:, None, None] * kx + i[None, :, None] * ky + i[None, None, :] * kz) % n
+
+    if kind.stationary or xi.xi_t == 0.0:
+        return _reference_spatial_residuals(sines[phase], g.h, direction, kind, dst=None)
+
+    step_t = periods * round(xi.xi_t)
+    inv2h = 1.0 / (2.0 * g.h)
+    worst = {}
+    slices = [sines[phase + t_idx * step_t % n] for t_idx in (n - 1, 0, 1)]
+    for t_idx in range(n):
+        s_prev, s_cur, s_next = slices
+        dst = (s_next - s_prev) * inv2h
+        res = _reference_spatial_residuals(s_cur, g.h, direction, kind, dst=dst)
+        for key, val in res.items():
+            worst[key] = max(worst.get(key, 0.0), val)
+        slices = [s_cur, s_next, sines[phase + (t_idx + 2) * step_t % n]]
+    return worst

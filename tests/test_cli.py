@@ -195,6 +195,15 @@ def test_residual_rejects_bad_grid():
     assert main(["residual", "--n", "8"]) == 2
 
 
+def test_residual_rejects_odd_coarsest_level(capsys):
+    # --n 20 is a multiple of 4 but its coarsest level n/4 = 5 is odd: the
+    # parser refuses it before any grid is built.
+    assert main(["residual", "--n", "20"]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--n must be a multiple of 8 and at least 16, got 20" in err
+
+
 def test_sampler_choices_validated():
     assert main(["sample", "--sampler", "everything"]) == 2
 

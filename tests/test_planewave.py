@@ -28,8 +28,9 @@ from dynamohull import (
     wave_vector_for,
     WaveVector,
 )
+from dynamohull import planewave
 from dynamohull.cli import main as cli_main
-from _helpers import ALL_KINDS, cone_direction
+from _helpers import ALL_KINDS, cone_direction, reference_grid_residual
 
 P11 = HullParams(1.0, 1.0)
 ZERO = Vec3(0, 0, 0)
@@ -239,6 +240,64 @@ def test_grid_residual_requires_periodic_span():
                       ConeKind.NONSTATIONARY)
 
 
+def test_grid_residual_rejects_grid_spanning_no_period():
+    # n h / 2 pi is about 1.3e-12, a whole number to within 1e-9 but zero
+    # periods: every phase index would be 0 and every residual a false 0.
+    for kind in (ConeKind.NONSTATIONARY, ConeKind.STATIONARY):
+        with pytest.raises(ValueError, match="positive number"):
+            grid_residual(CANONICAL_DIR, CANONICAL_XI, GridSpec(8, h=1e-12), kind)
+
+
+# The stationary-incompressible direction of `dynamohull residual`.
+SI_DIR = Triple(Vec3(6, -3, -1), Vec3(2, -1, 3), Vec3(1, 2, 0))
+
+
+def _kind_wave(kind):
+    """The direction and lattice frequency `dynamohull residual` uses for kind."""
+    if kind is ConeKind.NONSTATIONARY:
+        return CANONICAL_DIR, CANONICAL_XI
+    direction = SI_DIR if kind is ConeKind.STATIONARY_INCOMPRESSIBLE else CANONICAL_DIR
+    return direction, round_to_lattice(wave_vector_for(direction, kind), direction, kind)
+
+
+def _assert_matches_reference(direction, xi, g, kind):
+    got = grid_residual(direction, xi, g, kind).residuals
+    ref = reference_grid_residual(direction, xi, g, kind)
+    assert list(got) == list(ref)
+    for key, val in ref.items():
+        if val > 1e-13:
+            assert abs(got[key] - val) <= 1e-12 * val, (key, got[key], val)
+        else:
+            assert abs(got[key]) <= 1e-13, (key, got[key], val)
+
+
+@pytest.mark.parametrize("periods", [1, 2])
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
+def test_grid_residual_matches_roll_reference(kind, n, periods):
+    direction, xi = _kind_wave(kind)
+    _assert_matches_reference(direction, xi, GridSpec(n, h=periods * 2.0 * math.pi / n), kind)
+
+
+@pytest.mark.parametrize("periods", [1, 2])
+def test_grid_residual_matches_roll_reference_on_special_waves(periods):
+    axis_dir = Triple(Vec3(1, 0, 0), ZERO, ZERO)
+    cases = [
+        (CANONICAL_DIR, CANONICAL_XI),
+        (SI_DIR, _kind_wave(ConeKind.STATIONARY_INCOMPRESSIBLE)[1]),
+        # Axis-aligned exact cancellation: the reference is 0 to rounding.
+        (axis_dir, wave_vector_for(axis_dir, ConeKind.NONSTATIONARY)),
+        # c = 0 gives xi_t = 0: a time-independent wave of the time-dependent system.
+        (CANONICAL_DIR, wave_vector_for(CANONICAL_DIR, ConeKind.NONSTATIONARY, c=0.0)),
+    ]
+    assert cases[-1][1].xi_t == 0.0
+    for n in (8, 16):
+        g = GridSpec(n, h=periods * 2.0 * math.pi / n)
+        for direction, xi in cases:
+            for kind in (ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE):
+                _assert_matches_reference(direction, xi, g, kind)
+
+
 def test_refinement_ratios_nonstationary():
     study = refinement_study(CANONICAL_DIR, CANONICAL_XI,
                              ConeKind.NONSTATIONARY, (8, 16, 32))
@@ -361,6 +420,44 @@ def test_staircase_fraction_tracks_weight():
     xi = wave_vector_for(d.z1 - d.z2, ConeKind.NONSTATIONARY)
     rep = staircase_average(d, xi, n_osc=64, g=GridSpec(48))
     assert rep.fraction == pytest.approx(d.lam, abs=0.01)
+
+
+def _sampled_bands(n_osc, g):
+    """Band positions of the staircase samples, computed afresh."""
+    samples = g.n ** 3
+    window = 2.0 * math.pi * g.periods + math.pi / n_osc
+    phi = (np.arange(samples, dtype=np.float64) + 0.5) * (window / samples)
+    return (phi * (n_osc / (2.0 * math.pi))) % 1.0
+
+
+@pytest.mark.parametrize("periods", [1, 2, 3])
+@pytest.mark.parametrize("n", [4, 16, 48])
+def test_staircase_fraction_equals_full_count(n, periods):
+    cfg = SampleConfig(seed=58, count=1, params=P11)
+    z1, z2 = next(iter(sample_lambda_pair(cfg)))
+    xi = wave_vector_for(z1 - z2, ConeKind.NONSTATIONARY)
+    g = GridSpec(n, periods=periods)
+    sampled = list(np.random.default_rng(59).uniform(0.0, 1.0, 4))
+    for n_osc in (1, 8, 32, 64):
+        frac = _sampled_bands(n_osc, g)
+        inner = frac[(frac > 0.0) & (frac < 1.0)]
+        # Weights equal to a sample's band position: the comparison is strict.
+        ties = [float(v) for v in np.sort(inner)[[0, inner.size // 2, -1]]]
+        assert np.count_nonzero(frac <= ties[1]) > np.count_nonzero(frac < ties[1])
+        for lam in [0.0, 1.0] + sampled + ties:
+            expected = float(np.count_nonzero(frac < lam)) / frac.size
+            rep = staircase_average(Decomposition(lam, z1, z2), xi, n_osc, g)
+            assert rep.fraction == expected, (n_osc, lam)
+            assert rep.samples == n ** 3
+
+
+def test_band_fraction_cache_is_read_only_and_bounded():
+    fracs = planewave._band_fractions(8, 16, 1)
+    assert not fracs.flags.writeable
+    with pytest.raises(ValueError):
+        fracs[0] = 0.5
+    assert np.all(np.diff(fracs) >= 0.0)
+    assert planewave._band_fractions.cache_info().maxsize == 4
 
 
 def test_report_json_shapes():
