@@ -139,14 +139,19 @@ def unit_perpendicular(v: Vec3) -> Vec3:
     return p / n
 
 
-def orthonormal_basis(vs: tuple["Vec3", ...], drop_rel: float = 1e-10) -> list["Vec3"]:
+# orthonormal_basis drops a vector whose residual after projection is below
+# this fraction of its norm.
+BASIS_DROP_REL = 1e-10
+
+
+def orthonormal_basis(vs: tuple["Vec3", ...]) -> list["Vec3"]:
     """Gram-Schmidt with a relative pivot; near-dependent vectors are dropped."""
     basis: list[Vec3] = []
     for v in vs:
         w = v
         for b in basis:
             w = w - b * w.dot(b)
-        if w.norm() > drop_rel * v.norm():
+        if w.norm() > BASIS_DROP_REL * v.norm():
             basis.append(w.normalized())
     return basis
 

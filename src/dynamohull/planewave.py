@@ -38,6 +38,10 @@ from .core import (
 from .laminate import Decomposition
 
 TWO_PI = 2.0 * math.pi
+# A frequency within this of an integer counts as a lattice frequency.
+LATTICE_TOL = 1e-9
+# round_to_lattice puts the largest spatial component at 1..LATTICE_MAX_SCALE.
+LATTICE_MAX_SCALE = 64
 
 
 class NotInConeError(ValueError):
@@ -68,10 +72,10 @@ class WaveVector:
     def norm(self) -> float:
         return math.sqrt(self.xi_x.norm2() + self.xi_t * self.xi_t)
 
-    def is_lattice(self, tol_abs: float = 1e-9) -> bool:
+    def is_lattice(self) -> bool:
         """True when all frequencies are integers (so a 2*pi box is periodic)."""
         vals = [self.xi_x.x, self.xi_x.y, self.xi_x.z, self.xi_t]
-        return all(abs(v - round(v)) <= tol_abs for v in vals)
+        return all(abs(v - round(v)) <= LATTICE_TOL for v in vals)
 
     def to_json_dict(self) -> dict:
         return {"xi_x": self.xi_x.as_list(), "xi_t": self.xi_t}
@@ -79,26 +83,25 @@ class WaveVector:
 
 @dataclass(frozen=True, slots=True)
 class GridSpec:
-    """Periodic evaluation grid: n points per axis, spacing h (default
-    2 pi / n), and the number of base periods spanned by averaging windows."""
+    """Periodic evaluation grid: n points per axis spanning `periods` base
+    periods of 2 pi, so the spacing is h = 2 pi periods / n."""
 
     n: int
-    h: float | None = None
     periods: int = 1
 
     def __post_init__(self):
         n = int(self.n)
         if n < 4 or n % 2 != 0:
             raise ValueError(f"grid needs at least 4 points per axis and an even count, got {n}")
-        h = TWO_PI / n if self.h is None else float(self.h)
-        if not (math.isfinite(h) and h > 0.0):
-            raise ValueError(f"grid spacing must be a positive real, got {h}")
         periods = int(self.periods)
         if periods < 1:
             raise ValueError(f"periods must be a positive integer, got {periods}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "h", h)
         object.__setattr__(self, "periods", periods)
+
+    @property
+    def h(self) -> float:
+        return TWO_PI * self.periods / self.n
 
 
 def plane_wave_conditions(direction: Triple, xi: WaveVector,
@@ -179,16 +182,16 @@ def wave_vector_for(direction: Triple, kind: ConeKind = ConeKind.NONSTATIONARY,
 
 def round_to_lattice(xi: WaveVector, direction: Triple,
                      kind: ConeKind = ConeKind.NONSTATIONARY,
-                     tol: Tolerances | None = None,
-                     max_scale: int = 64) -> WaveVector:
+                     tol: Tolerances | None = None) -> WaveVector:
     """Scale xi to the nearest nonzero integer frequency vector.
 
-    Tries scalings that put the largest spatial component at 1..max_scale,
-    accepting an integer candidate within angle 1e-2 of xi_x whose rounded
-    frequencies still satisfy the plane-wave conditions; when rounding
-    breaks them, the frame coefficients (a, c) are re-solved against the
-    rounded spatial direction.  Raises LatticeError when the wave vector is
-    not commensurable with the integer lattice at these scales.
+    Tries scalings that put the largest spatial component at
+    1..LATTICE_MAX_SCALE, accepting an integer candidate within angle 1e-2
+    of xi_x whose rounded frequencies still satisfy the plane-wave
+    conditions; when rounding breaks them, the frame coefficients (a, c)
+    are re-solved against the rounded spatial direction.  Raises
+    LatticeError when the wave vector is not commensurable with the integer
+    lattice at these scales.
     """
     tol = tol or DEFAULT_TOLERANCES
     if xi.is_lattice():
@@ -196,7 +199,7 @@ def round_to_lattice(xi: WaveVector, direction: Triple,
         if _conditions_ok(direction, reduced, kind, tol):
             return reduced
     top = max(abs(v) for v in xi.xi_x)
-    for k in range(1, max_scale + 1):
+    for k in range(1, LATTICE_MAX_SCALE + 1):
         t = k / top
         cand_x = Vec3(round(xi.xi_x.x * t), round(xi.xi_x.y * t), round(xi.xi_x.z * t))
         if cand_x.norm() == 0.0:
@@ -211,7 +214,7 @@ def round_to_lattice(xi: WaveVector, direction: Triple,
         if resolved is not None and _conditions_ok(direction, resolved, kind, tol):
             return _reduce_lattice(resolved)
     raise LatticeError(
-        f"no integer frequency within angle 1e-2 of {xi!r} up to scale {max_scale}")
+        f"no integer frequency within angle 1e-2 of {xi!r} up to scale {LATTICE_MAX_SCALE}")
 
 
 def _reduce_lattice(xi: WaveVector) -> WaveVector:
@@ -272,67 +275,43 @@ class GridResidualReport:
                 "xi": self.xi.to_json_dict(), "kind": self.kind}
 
 
-def _phase_index(xi_x: Vec3, n: int, periods: int) -> np.ndarray:
-    """Grid phase x . xi_x in steps of 2 pi / n, reduced mod n: exact in
-    integers, where sin of the unreduced phase (tens of radians) is not."""
-    i = np.arange(n, dtype=np.int64) * periods
-    kx, ky, kz = (round(c) for c in xi_x)
-    return (i[:, None, None] * kx + i[None, :, None] * ky + i[None, None, :] * kz) % n
-
-
 def grid_residual(direction: Triple, xi: WaveVector, g: GridSpec,
                   kind: ConeKind = ConeKind.NONSTATIONARY) -> GridResidualReport:
     """Centred-difference residuals of the sin-profile plane wave.
 
     The field sin(x . xi_x + t xi_t) * direction is sampled on an n^3 grid
-    (times n points in t for a time-dependent wave) over a 2*pi-periodic
-    box, which requires integer frequencies.  Each time slice is gathered
-    once on a periodically padded phase index; its centred differences in
-    x, y, z and between its neighbour slices in t fill four difference
-    fields.  Each residual combines them linearly by one row of coefficients
-    over 2h (div B from B; a Faraday component from +-E, and B for d/dt;
-    div u from u) and is reduced to its max norm row by row.  Stationary
-    kinds and waves with xi_t = 0 take one slice and the spatial fields.
-    The stencil's truncation error on sin is O(h^2) per equation.
+    (times n points in t for a time-dependent wave) spanning g.periods
+    2*pi periods per axis, which requires integer frequencies.  Grid point
+    (i, j, k, t) then has phase index q = periods (i kx + j ky + k kz) +
+    t step_t mod n, and its stencil neighbours sit at q +- periods k_axis
+    and q +- step_t: every centred difference, and so every residual,
+    depends on q alone.  The residues q the grid reaches are the multiples
+    of gcd(n, steps), so the stencil is evaluated once per reached residue
+    on the same sampled sine table, which gives the max norm over all grid
+    points.  Each residual combines the differences linearly by one row of
+    coefficients over 2h (div B from B; a Faraday component from +-E, and B
+    for d/dt; div u from u).  Stationary kinds and waves with xi_t = 0 have
+    no t step.  The stencil's truncation error on sin is O(h^2) per equation.
     """
     if not xi.is_lattice():
         raise ValueError("grid_residual needs integer frequencies for exact "
                          "periodicity; use round_to_lattice first")
-    periods = round(g.n * g.h / TWO_PI)
-    if periods < 1 or abs(g.n * g.h / TWO_PI - periods) > 1e-9:
-        raise ValueError("grid must span a whole, positive number of 2*pi periods "
-                         f"(n*h = {g.n * g.h})")
     n, bb, uu, ee = g.n, direction.B, direction.u, direction.E
     rows = [(bb.x, bb.y, bb.z, 0.0), (0.0, ee.z, -ee.y, bb.x),
             (-ee.z, 0.0, ee.x, bb.y), (ee.y, -ee.x, 0.0, bb.z)]
     if kind.incompressible:
         rows.append((uu.x, uu.y, uu.z, 0.0))
-    timed = not (kind.stationary or xi.xi_t == 0.0)
-    coef = np.array(rows)[:, :4 if timed else 3] / (2.0 * g.h)
-    step_t = periods * round(xi.xi_t)
-    # Two periods of sin on the phase steps: the slice shifted by c < n reads
-    # the view sines[c:c + n] at the phase index, with no add and no mod.
-    sines = np.tile(np.sin(np.arange(n) * (TWO_PI / n)), 2)
-    phase = np.pad(_phase_index(xi.xi_x, n, periods), 1, mode="wrap")
-    diffs = np.empty((coef.shape[1], n ** 3))
-    fields = diffs.reshape(-1, n, n, n)
-    buf, worst, inner = np.empty(n ** 3), [0.0] * len(coef), (slice(1, -1),) * 3
-    prev, cur = (sines[c:c + n].take(phase) for c in (-step_t % n, 0))
-    for t in range(n if timed else 1):
-        np.subtract(cur[2:, 1:-1, 1:-1], cur[:-2, 1:-1, 1:-1], out=fields[0])
-        np.subtract(cur[1:-1, 2:, 1:-1], cur[1:-1, :-2, 1:-1], out=fields[1])
-        np.subtract(cur[1:-1, 1:-1, 2:], cur[1:-1, 1:-1, :-2], out=fields[2])
-        if timed:
-            c = (t + 1) * step_t % n
-            nxt = sines[c:c + n].take(phase)
-            np.subtract(nxt[inner], prev[inner], out=fields[3])
-            prev, cur = cur, nxt
-        for i, row in enumerate(coef):
-            np.dot(row, diffs, out=buf)
-            worst[i] = max(worst[i], buf.max(), -buf.min())
-    residuals = {"div_B": float(worst[0]), "faraday": float(max(worst[1:4]))}
+    steps = [g.periods * round(c) for c in xi.xi_x]
+    if not (kind.stationary or xi.xi_t == 0.0):
+        steps.append(g.periods * round(xi.xi_t))
+    coef = np.array(rows)[:, :len(steps)] / (2.0 * g.h)
+    sines = np.sin(np.arange(n) * (TWO_PI / n))
+    q = np.arange(0, n, math.gcd(n, *steps))
+    diffs = np.array([sines[(q + k) % n] - sines[(q - k) % n] for k in steps])
+    worst = [float(abs(np.dot(row, diffs)).max()) for row in coef]
+    residuals = {"div_B": worst[0], "faraday": max(worst[1:4])}
     if kind.incompressible:
-        residuals["div_u"] = float(worst[4])
+        residuals["div_u"] = worst[4]
     return GridResidualReport(n, g.h, residuals, xi, kind.label)
 
 

@@ -226,10 +226,9 @@ def _reference_spatial_residuals(s, h, direction, kind, dst):
 
 def reference_grid_residual(direction, xi, g, kind=ConeKind.NONSTATIONARY):
     """grid_residual's residuals the plain way, with np.roll centred
-    differences on whole sampled fields: the reference the streamed stencil
-    kernel must reproduce to rounding."""
-    n = g.n
-    periods = round(n * g.h / (2.0 * math.pi))
+    differences on whole sampled fields over every grid point: the reference
+    the stencil on the reached phase residues must reproduce to rounding."""
+    n, periods = g.n, g.periods
     sines = np.tile(np.sin(np.arange(n) * (2.0 * math.pi / n)), 2)
     i = np.arange(n, dtype=np.int64) * periods
     kx, ky, kz = (round(c) for c in xi.xi_x)

@@ -190,6 +190,19 @@ def test_residual_convergence_table(kind, capsys):
         assert all(r >= 3.0 for r in ratios if r is not None)
 
 
+@pytest.mark.parametrize("kind", ["nonstationary", "nonstationary-incompressible",
+                                  "stationary", "stationary-incompressible"])
+def test_residual_fine_grid_converges_at_second_order(kind, capsys):
+    # n = 1024 samples 1024^3 points (times 1024 in t for a time-dependent
+    # wave); the stencil runs on the at most n reached phase residues.
+    code = main(["residual", "--n", "1024", "--kind", kind, "--deterministic"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["levels"] == [256, 512, 1024]
+    for ratios in payload["ratios"].values():
+        assert ratios and all(r is not None and 3.9 <= r <= 4.1 for r in ratios)
+
+
 def test_residual_rejects_bad_grid():
     assert main(["residual", "--n", "10"]) == 2
     assert main(["residual", "--n", "8"]) == 2

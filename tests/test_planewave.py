@@ -56,13 +56,14 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(3)
     with pytest.raises(ValueError):
-        GridSpec(6, h=-0.1)
-    with pytest.raises(ValueError):
         GridSpec(7)
     with pytest.raises(ValueError):
         GridSpec(8, periods=0)
-    g = GridSpec(8)
-    assert g.h == pytest.approx(2.0 * math.pi / 8.0)
+    # The span is periods alone: h is derived from it and cannot be set.
+    with pytest.raises(TypeError):
+        GridSpec(8, h=0.5)
+    assert GridSpec(8).h == pytest.approx(2.0 * math.pi / 8.0)
+    assert GridSpec(8, periods=3).h == pytest.approx(3 * 2.0 * math.pi / 8.0)
 
 
 # -------------------------------------------------------- wave vectors
@@ -234,20 +235,6 @@ def test_grid_residual_requires_lattice_frequencies():
                       GridSpec(8), ConeKind.NONSTATIONARY)
 
 
-def test_grid_residual_requires_periodic_span():
-    with pytest.raises(ValueError):
-        grid_residual(CANONICAL_DIR, CANONICAL_XI, GridSpec(8, h=0.5),
-                      ConeKind.NONSTATIONARY)
-
-
-def test_grid_residual_rejects_grid_spanning_no_period():
-    # n h / 2 pi is about 1.3e-12, a whole number to within 1e-9 but zero
-    # periods: every phase index would be 0 and every residual a false 0.
-    for kind in (ConeKind.NONSTATIONARY, ConeKind.STATIONARY):
-        with pytest.raises(ValueError, match="positive number"):
-            grid_residual(CANONICAL_DIR, CANONICAL_XI, GridSpec(8, h=1e-12), kind)
-
-
 # The stationary-incompressible direction of `dynamohull residual`.
 SI_DIR = Triple(Vec3(6, -3, -1), Vec3(2, -1, 3), Vec3(1, 2, 0))
 
@@ -276,7 +263,7 @@ def _assert_matches_reference(direction, xi, g, kind):
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
 def test_grid_residual_matches_roll_reference(kind, n, periods):
     direction, xi = _kind_wave(kind)
-    _assert_matches_reference(direction, xi, GridSpec(n, h=periods * 2.0 * math.pi / n), kind)
+    _assert_matches_reference(direction, xi, GridSpec(n, periods=periods), kind)
 
 
 @pytest.mark.parametrize("periods", [1, 2])
@@ -287,12 +274,18 @@ def test_grid_residual_matches_roll_reference_on_special_waves(periods):
         (SI_DIR, _kind_wave(ConeKind.STATIONARY_INCOMPRESSIBLE)[1]),
         # Axis-aligned exact cancellation: the reference is 0 to rounding.
         (axis_dir, wave_vector_for(axis_dir, ConeKind.NONSTATIONARY)),
+        # Even frequencies: the grid reaches only the even phase residues.
+        (CANONICAL_DIR, WaveVector(Vec3(2, 2, 6), 2.0)),
+        # The z step is 0 mod n, so that axis adds no residue.
+        (CANONICAL_DIR, WaveVector(Vec3(1, 2, 16), 0.0)),
+        # Even space steps with an odd t step: time alone reaches the odd residues.
+        (CANONICAL_DIR, WaveVector(Vec3(2, 2, 6), 1.0)),
         # c = 0 gives xi_t = 0: a time-independent wave of the time-dependent system.
         (CANONICAL_DIR, wave_vector_for(CANONICAL_DIR, ConeKind.NONSTATIONARY, c=0.0)),
     ]
     assert cases[-1][1].xi_t == 0.0
     for n in (8, 16):
-        g = GridSpec(n, h=periods * 2.0 * math.pi / n)
+        g = GridSpec(n, periods=periods)
         for direction, xi in cases:
             for kind in (ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE):
                 _assert_matches_reference(direction, xi, g, kind)
