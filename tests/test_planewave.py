@@ -59,9 +59,6 @@ def test_grid_spec_validation():
         GridSpec(7)
     with pytest.raises(ValueError):
         GridSpec(8, periods=0)
-    # The span is periods alone: h is derived from it and cannot be set.
-    with pytest.raises(TypeError):
-        GridSpec(8, h=0.5)
     assert GridSpec(8).h == pytest.approx(2.0 * math.pi / 8.0)
     assert GridSpec(8, periods=3).h == pytest.approx(3 * 2.0 * math.pi / 8.0)
 
@@ -233,6 +230,25 @@ def test_grid_residual_requires_lattice_frequencies():
     with pytest.raises(ValueError):
         grid_residual(CANONICAL_DIR, WaveVector(Vec3(1.0, 0.5, 3.0), 1.0),
                       GridSpec(8), ConeKind.NONSTATIONARY)
+
+
+def test_grid_residual_requires_periodic_span():
+    # The span is periods alone: h is derived from it and cannot be set, so
+    # no grid handed to grid_residual spans a fractional number of periods.
+    with pytest.raises(TypeError):
+        grid_residual(CANONICAL_DIR, CANONICAL_XI, GridSpec(8, h=0.5),
+                      ConeKind.NONSTATIONARY)
+    for n, periods in ((8, 1), (16, 3), (32, 2)):
+        g = GridSpec(n, periods=periods)
+        assert n * g.h / (2.0 * math.pi) == pytest.approx(periods, abs=1e-12)
+
+
+def test_grid_residual_rejects_grid_spanning_no_period():
+    # A zero-period grid would give every phase index 0 and every residual
+    # a false 0; GridSpec refuses to build one.
+    for kind in (ConeKind.NONSTATIONARY, ConeKind.STATIONARY):
+        with pytest.raises(ValueError, match="positive"):
+            grid_residual(CANONICAL_DIR, CANONICAL_XI, GridSpec(8, periods=0), kind)
 
 
 # The stationary-incompressible direction of `dynamohull residual`.
