@@ -368,12 +368,12 @@ def _libm(fn, *cols: np.ndarray) -> np.ndarray:
 
 
 def _dot(a, b):
-    """a . b of two component triples (numpy columns), in Vec3.dot's order."""
+    """a . b of two component triples (floats or numpy columns), in Vec3.dot's order."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _cross(a, b):
-    """a x b of two component triples (numpy columns), in Vec3.cross's order."""
+    """a x b of two component triples (floats or numpy columns), in Vec3.cross's order."""
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
@@ -387,11 +387,17 @@ def _columns(rows: np.ndarray):
     return tuple(tuple(rows[:, 3 * k + i] for i in range(3)) for k in range(3))
 
 
-def _cone_residual(a: Vec3, b: Vec3, unit: float) -> float:
-    """|a . b| / (unit + |a||b|), the residual of a cone condition a . b = 0;
-    unit = r^2 s for B . E (r s^2 for u . E) normalises it as (B/r, u/s, E/(rs))."""
-    den = unit + a.norm() * b.norm()
-    return abs(a.dot(b)) / den if den else 0.0
+def _parts(z: Triple):
+    """The (B, u, E) component triples of one state, as _columns gives a block's."""
+    B, u, E = z.B, z.u, z.E
+    return (B.x, B.y, B.z), (u.x, u.y, u.z), (E.x, E.y, E.z)
+
+
+def _cone_residual(a, b, unit: float) -> float:
+    """|a . b| / (unit + |a||b|) of component triples, the residual of a cone condition
+    a . b = 0; unit = r^2 s for B . E (r s^2 for u . E) normalises it as (B/r, u/s, E/(rs))."""
+    den = unit + math.sqrt(_dot(a, a)) * math.sqrt(_dot(b, b))
+    return abs(_dot(a, b)) / den if den else 0.0
 
 
 def _cone_residuals(a, b, unit: float) -> np.ndarray:
@@ -405,9 +411,10 @@ def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bo
     |B . E| <= eps_mem |B| (|E| + |B x u|) and likewise u . E, unchanged under
     (B, u, E) -> (aB, bu, abE); |B x u| absorbs rounding in a cancelled E."""
     eps = (tol or DEFAULT_TOLERANCES).eps_mem
+    B, u, E = _parts(z)
     mix = z.B.cross(z.u).norm()
-    return _cone_residual(z.B, z.E, z.B.norm() * mix) <= eps and (
-        not kind.restricts_u or _cone_residual(z.u, z.E, z.u.norm() * mix) <= eps)
+    return _cone_residual(B, E, z.B.norm() * mix) <= eps and (
+        not kind.restricts_u or _cone_residual(u, E, z.u.norm() * mix) <= eps)
 
 
 def _separating_function(z: Triple, p: HullParams, kind: ConeKind, eps: float) -> str | None:

@@ -29,11 +29,11 @@ direction.  This module produces such a witness constructively:
 * ``verify_decomposition`` is the independent residual check used by the
   test suite and the sampling oracle.
 
-The campaign engine runs ``decompose`` and ``verify_decomposition`` on
-blocks of N x 9 (B, u, E) rows (``_decompose_block``, ``_verify_block``):
-the same arithmetic, operation for operation, on numpy columns, so each row
-rounds exactly as the per-point path.  The block decomposition covers the
-interior branch only and leaves every other row to ``decompose``.
+The per-point path computes on float component triples, not ``Vec3``; the
+campaign engine runs the same arithmetic, operation for operation, on numpy
+columns of N x 9 (B, u, E) blocks (``_decompose_block``, ``_verify_block``),
+so each row rounds exactly as the per-point path.  The block decomposition
+covers the interior branch only and leaves every other row to ``decompose``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,10 @@ from .core import (
     _dot,
     _excess_bounds,
     _libm,
+    _parts,
     _positive,
+    _triple,
+    _vec,
     _separating_mask,
     hull_excess_bound,
     separation_witness,
@@ -111,9 +114,10 @@ class Decomposition:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Decomposition":
         try:
-            return cls(float(d["lambda"]),
-                       Triple.from_json_dict(d["z1"]),
-                       Triple.from_json_dict(d["z2"]))
+            lam = float(d["lambda"])
+            if not math.isfinite(lam):
+                raise ValueError(f"non-finite decomposition weight lambda = {lam}")
+            return cls(lam, Triple.from_json_dict(d["z1"]), Triple.from_json_dict(d["z2"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed decomposition JSON: {exc}") from exc
 
@@ -158,15 +162,14 @@ class AngleEquation:
         return self.amp_cos * math.cos(alpha) + self.amp_sin * math.sin(alpha)
 
     def root(self) -> float:
-        """The root of G in [pi/2, 3pi/2], in closed form: G vanishes where
-        tan(alpha) = -A / C, and atan2(A, -C) is such an angle modulo pi."""
-        return HALF_PI + (math.atan2(self.amp_cos, -self.amp_sin) - HALF_PI) % math.pi
+        """The root of G in [pi/2, 3pi/2]."""
+        return _angle_root(self.amp_cos, self.amp_sin)
 
-    def direction_pair(self, alpha: float) -> tuple[Vec3, Vec3]:
-        """Unit directions (bhat, uhat) at angle alpha from the frame axis."""
-        ca = math.cos(alpha)
-        sa = math.sin(alpha)
-        return self.e1 * ca + self.e2 * sa, self.p_vec * ca + self.q_vec * sa
+
+def _angle_root(amp_cos: float, amp_sin: float) -> float:
+    """The root of A cos(alpha) + C sin(alpha) in [pi/2, 3pi/2], in closed form: it
+    vanishes where tan(alpha) = -A / C, and atan2(A, -C) is such an angle modulo pi."""
+    return HALF_PI + (math.atan2(amp_cos, -amp_sin) - HALF_PI) % math.pi
 
 
 def _require_in_hull(z: Triple, p: HullParams, kind: ConeKind, tol: Tolerances | None):
@@ -196,39 +199,42 @@ def _split_exact_ohm(B: Vec3, u: Vec3, p: HullParams) -> Decomposition:
     e = unit_perpendicular_to_all((B, u))
     # Endpoints B +- e sqrt(r^2-|B|^2), u +- e sqrt(s^2-|u|^2): the difference
     # is doubled here and halved by lam = 1/2, both exact in floating point.
-    return _endpoints(B, u, e * (2.0 * math.sqrt(max(0.0, p.r * p.r - B.norm2()))),
-                      e * (2.0 * math.sqrt(max(0.0, p.s * p.s - u.norm2()))), 0.5)
+    return _endpoints(tuple(B), tuple(u),
+                      tuple(e * (2.0 * math.sqrt(max(0.0, p.r * p.r - B.norm2())))),
+                      tuple(e * (2.0 * math.sqrt(max(0.0, p.s * p.s - u.norm2())))), 0.5)
 
 
-def _endpoints(B: Vec3, u: Vec3, bbar: Vec3, ubar: Vec3, lam: float) -> Decomposition:
+def _endpoints(B, u, bbar, ubar, lam: float) -> Decomposition:
     """Weight lam and endpoints (B + (1-lam) bbar, u + (1-lam) ubar) and
-    (B - lam bbar, u - lam ubar), each with E its own B x u."""
+    (B - lam bbar, u - lam ubar) of component triples, each E its own B x u."""
     mu = 1.0 - lam
-    B1 = B + bbar * mu
-    u1 = u + ubar * mu
-    B2 = B - bbar * lam
-    u2 = u - ubar * lam
-    return Decomposition(lam, Triple(B1, u1, B1.cross(u1)), Triple(B2, u2, B2.cross(u2)))
+    B1 = (B[0] + bbar[0] * mu, B[1] + bbar[1] * mu, B[2] + bbar[2] * mu)
+    u1 = (u[0] + ubar[0] * mu, u[1] + ubar[1] * mu, u[2] + ubar[2] * mu)
+    B2 = (B[0] - bbar[0] * lam, B[1] - bbar[1] * lam, B[2] - bbar[2] * lam)
+    u2 = (u[0] - ubar[0] * lam, u[1] - ubar[1] * lam, u[2] - ubar[2] * lam)
+    return Decomposition(lam, _triple(_vec(*B1), _vec(*u1), _vec(*_cross(B1, u1))),
+                         _triple(_vec(*B2), _vec(*u2), _vec(*_cross(B2, u2))))
 
 
 class _Frame(NamedTuple):
     """The working-plane data of an interior point, built once per point."""
 
     rr: float     # r^2 - |B|^2
-    ebar: Vec3    # (E - B x u) / sqrt((r^2-|B|^2)(s^2-|u|^2))
-    nhat: Vec3    # ebar / |ebar|
+    ebar: tuple   # (E - B x u) / sqrt((r^2-|B|^2)(s^2-|u|^2)), components
+    nhat: tuple   # ebar / |ebar|, components
     ct: float     # cos of the rotation angle arcsin|ebar|
     st: float     # sin of it: |ebar|, capped at 1 against rounding
     kappa: float  # sqrt((r^2-|B|^2) / (s^2-|u|^2))
 
 
-def _interior_frame(z: Triple, p: HullParams, tol: Tolerances) -> _Frame:
-    """The frame of a relaxed-set point z; raises DegenerateCallError when
-    |E - B x u| <= eps_root rs and NotInHullError on the amplitude boundary."""
-    rr = p.r * p.r - z.B.norm2()
-    ss = p.s * p.s - z.u.norm2()
-    excess = z.E - z.B.cross(z.u)
-    c = excess.norm()
+def _interior_frame(B, u, E, p: HullParams, tol: Tolerances) -> _Frame:
+    """The frame of the point (B, u, E) of component triples; raises DegenerateCallError
+    when |E - B x u| <= eps_root rs and NotInHullError on the amplitude boundary."""
+    rr = p.r * p.r - _dot(B, B)
+    ss = p.s * p.s - _dot(u, u)
+    bxu = _cross(B, u)
+    excess = (E[0] - bxu[0], E[1] - bxu[1], E[2] - bxu[2])
+    c = math.sqrt(_dot(excess, excess))
     if c <= tol.eps_root * p.r * p.s:
         raise DegenerateCallError(
             "E = B x u within tolerance; use decompose_exact_ohm")
@@ -238,11 +244,12 @@ def _interior_frame(z: Triple, p: HullParams, tol: Tolerances) -> _Frame:
         raise NotInHullError(
             f"amplitude on the boundary (r^2-|B|^2={rr}, s^2-|u|^2={ss}) "
             f"with nonzero excess |E-Bxu|={c}")
-    ebar = excess / math.sqrt(rr * ss)
-    e_len = ebar.norm()
+    scale = math.sqrt(rr * ss)
+    ebar = (excess[0] / scale, excess[1] / scale, excess[2] / scale)
+    e_len = math.sqrt(_dot(ebar, ebar))
     st = min(e_len, 1.0)
-    return _Frame(rr, ebar, ebar / e_len, math.sqrt(max(0.0, 1.0 - st * st)), st,
-                  math.sqrt(rr / ss))
+    return _Frame(rr, ebar, (ebar[0] / e_len, ebar[1] / e_len, ebar[2] / e_len),
+                  math.sqrt(max(0.0, 1.0 - st * st)), st, math.sqrt(rr / ss))
 
 
 def angle_equation(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -253,35 +260,40 @@ def angle_equation(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIO
     check the root the solver chose.
     """
     _require_in_hull(z, p, kind, tol)
-    f = _interior_frame(z, p, tol or DEFAULT_TOLERANCES)
+    B, u, E = _parts(z)
+    f = _interior_frame(B, u, E, p, tol or DEFAULT_TOLERANCES)
     if z.B.norm() == 0.0:
         raise DegenerateCallError("angle equation needs B != 0; with B = 0 the "
                                   "frame axis is free")
-    return _build_angle_equation(z, f)
+    _, *vectors, amp_cos, amp_sin = _build_angle_equation(B, u, f)
+    return AngleEquation(*(_vec(*v) for v in vectors), amp_cos, amp_sin)
 
 
-def _build_angle_equation(z: Triple, f: _Frame) -> AngleEquation:
-    nb = z.B.norm()
+def _build_angle_equation(B, u, f: _Frame):
+    """|B|, the frame (e1, e2, p_vec, q_vec) and the amplitudes (A, C) of the
+    angle equation, from component triples."""
+    nb = math.sqrt(_dot(B, B))
+    _, _, nhat, ct, st, kappa = f
     # With B = 0 any axis perpendicular to the excess will do: G then reads
     # -kappa u . uhat(alpha) for every such axis, and its root makes uhat
     # perpendicular to u.
-    e1 = z.B / nb if nb else unit_perpendicular(f.nhat)
-    w = e1.cross(f.nhat)
-    wn = w.norm()
+    e1 = (B[0] / nb, B[1] / nb, B[2] / nb) if nb else tuple(unit_perpendicular(_vec(*nhat)))
+    w = _cross(e1, nhat)
+    wn = math.sqrt(_dot(w, w))
     # B . Ebar = 0 on the relaxed set forces |B x Ebar| = |B||Ebar|; it vanishes
     # only for a tiny B parallel to the excess, admitted by the slack of g1.
     if wn < 1e-6:
         raise DecompositionError(
             "working plane degenerate: B is parallel to the excess field")
-    e2 = w / wn
+    e2 = (w[0] / wn, w[1] / wn, w[2] / wn)
     # uhat(alpha) is bhat(alpha) rotated by arcsin|Ebar| about +nhat, which
     # makes bhat x uhat = Ebar for every alpha.  Both are linear in
     # (cos alpha, sin alpha), so G is the sinusoid below.
-    p_vec = e1 * f.ct + f.nhat.cross(e1) * f.st
-    q_vec = e2 * f.ct + f.nhat.cross(e2) * f.st
-    amp_cos = nb - f.kappa * z.u.dot(p_vec)
-    amp_sin = -f.kappa * z.u.dot(q_vec)
-    return AngleEquation(e1, e2, p_vec, q_vec, amp_cos, amp_sin)
+    n1 = _cross(nhat, e1)
+    n2 = _cross(nhat, e2)
+    p_vec = (e1[0] * ct + n1[0] * st, e1[1] * ct + n1[1] * st, e1[2] * ct + n1[2] * st)
+    q_vec = (e2[0] * ct + n2[0] * st, e2[1] * ct + n2[1] * st, e2[2] * ct + n2[2] * st)
+    return nb, e1, e2, p_vec, q_vec, nb - kappa * _dot(u, p_vec), -kappa * _dot(u, q_vec)
 
 
 def solve_laminate_conditions(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -301,28 +313,32 @@ def solve_laminate_conditions(z: Triple, p: HullParams, kind: ConeKind = ConeKin
     span{B, u}).
     """
     _require_in_hull(z, p, kind, tol)
-    return _solve_validated(z, _interior_frame(z, p, tol or DEFAULT_TOLERANCES))
+    B, u, E = _parts(z)
+    f = _interior_frame(B, u, E, p, tol or DEFAULT_TOLERANCES)
+    nb, alpha, bbar, ubar, uhat = _solve_validated(B, u, f)
+    uhat = _vec(*uhat)
+    alpha_u = math.atan2(z.u.cross(uhat).norm(), z.u.dot(uhat)) if z.u.norm() > 0.0 else 0.0
+    return LaminateConditions(ebar=_vec(*f.ebar), bbar=_vec(*bbar), ubar=_vec(*ubar),
+                              alpha_b=alpha if nb else 0.0, alpha_u=alpha_u)
 
 
-def _solve_validated(z: Triple, f: _Frame) -> LaminateConditions:
-    nb = z.B.norm()
-    gap = _build_angle_equation(z, f)
-    alpha = gap.root()
-    bhat, uhat = gap.direction_pair(alpha)
-    cos_alpha = math.cos(alpha)
+def _solve_validated(B, u, f: _Frame):
+    """|B|, the root alpha, the perturbations bbar and ubar and the unit
+    direction uhat of ubar, from component triples."""
+    nb, e1, e2, p_vec, q_vec, amp_cos, amp_sin = _build_angle_equation(B, u, f)
+    alpha = _angle_root(amp_cos, amp_sin)
+    ca = math.cos(alpha)
+    sa = math.sin(alpha)
     # |Bbar|^2 = 4 (r^2 - |B|^2 sin^2 alpha), computed as the amplitude gap
     # plus |B|^2 cos^2 alpha: near the boundary the direct form cancels
     # catastrophically and the endpoint amplitudes inherit the damage.
-    bbar_len = 2.0 * math.sqrt(f.rr + nb * nb * (cos_alpha * cos_alpha))
+    bbar_len = 2.0 * math.sqrt(f.rr + nb * nb * (ca * ca))
     ubar_len = bbar_len / f.kappa
-    bbar = bhat * bbar_len
-    ubar = uhat * ubar_len
-    if z.u.norm() > 0.0:
-        alpha_u = math.atan2(z.u.cross(uhat).norm(), z.u.dot(uhat))
-    else:
-        alpha_u = 0.0
-    return LaminateConditions(ebar=f.ebar, bbar=bbar, ubar=ubar,
-                              alpha_b=alpha if nb else 0.0, alpha_u=alpha_u)
+    bbar = ((e1[0] * ca + e2[0] * sa) * bbar_len, (e1[1] * ca + e2[1] * sa) * bbar_len,
+            (e1[2] * ca + e2[2] * sa) * bbar_len)
+    uhat = (p_vec[0] * ca + q_vec[0] * sa, p_vec[1] * ca + q_vec[1] * sa,
+            p_vec[2] * ca + q_vec[2] * sa)
+    return nb, alpha, bbar, (uhat[0] * ubar_len, uhat[1] * ubar_len, uhat[2] * ubar_len), uhat
 
 
 def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -339,13 +355,14 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     """
     tol = tol or DEFAULT_TOLERANCES
     _require_in_hull(z, p, kind, tol)
+    B, u, E = _parts(z)
     try:
-        f = _interior_frame(z, p, tol)
+        f = _interior_frame(B, u, E, p, tol)
     except DegenerateCallError:  # E = B x u within eps_root rs
         return _split_exact_ohm(z.B, z.u, p)
-    conds = _solve_validated(z, f)
-    lam = 0.5 + z.B.dot(conds.bbar) / conds.bbar.norm2()
-    return _endpoints(z.B, z.u, conds.bbar, conds.ubar, min(1.0, max(0.0, lam)))
+    _, _, bbar, ubar, _ = _solve_validated(B, u, f)
+    lam = 0.5 + _dot(B, bbar) / _dot(bbar, bbar)
+    return _endpoints(B, u, bbar, ubar, min(1.0, max(0.0, lam)))
 
 
 def _decompose_block(rows: np.ndarray, p: HullParams, kind: ConeKind, tol: Tolerances):
@@ -471,26 +488,32 @@ def verify_decomposition(d: Decomposition, target: Triple, p: HullParams,
     r, s = p.r, p.s
     rs = r * s
     res: dict[str, float] = {}
+    parts = _parts(d.z1), _parts(d.z2)
+    for name, (B, u, E) in zip(("z1", "z2"), parts):
+        bxu = _cross(B, u)
+        ohm = (E[0] - bxu[0], E[1] - bxu[1], E[2] - bxu[2])
+        res[f"{name}_B_amplitude"] = abs(math.sqrt(_dot(B, B)) - r) / r
+        res[f"{name}_u_amplitude"] = abs(math.sqrt(_dot(u, u)) - s) / s
+        res[f"{name}_ohm"] = math.sqrt(_dot(ohm, ohm)) / rs
 
-    for name, zi in (("z1", d.z1), ("z2", d.z2)):
-        res[f"{name}_B_amplitude"] = abs(zi.B.norm() - r) / r
-        res[f"{name}_u_amplitude"] = abs(zi.u.norm() - s) / s
-        res[f"{name}_ohm"] = (zi.E - zi.B.cross(zi.u)).norm() / rs
-
-    dz = d.z1 - d.z2
-    res["cone_BE"] = _cone_residual(dz.B, dz.E, rs * r)
+    dB, du, dE = ((a[0] - b[0], a[1] - b[1], a[2] - b[2]) for a, b in zip(*parts))
+    res["cone_BE"] = _cone_residual(dB, dE, rs * r)
     if kind.restricts_u:
-        res["cone_uE"] = _cone_residual(dz.u, dz.E, rs * s)
+        res["cone_uE"] = _cone_residual(du, dE, rs * s)
 
     res["lambda_range"] = max(0.0, -d.lam, d.lam - 1.0)
 
-    res["reconstruction"] = (d.combine() - target).norm(r, s) / (1.0 + target.norm(r, s))
+    mu = 1.0 - d.lam
+    gap = (_vec(a[0] * d.lam + b[0] * mu - t[0], a[1] * d.lam + b[1] * mu - t[1],
+                a[2] * d.lam + b[2] * mu - t[2]) for a, b, t in zip(*parts, _parts(target)))
+    res["reconstruction"] = _triple(*gap).norm(r, s) / (1.0 + target.norm(r, s))
 
     d_bound = hull_excess_bound(target.B, target.u, p)
-    prod = d.lam * (1.0 - d.lam) * dz.B.norm() * dz.u.norm()
+    prod = d.lam * mu * math.sqrt(_dot(dB, dB)) * math.sqrt(_dot(du, du))
     res["weight_amplitude_identity"] = abs(prod - d_bound) / (rs + d_bound)
 
-    failures = tuple(name for name, v in res.items() if v > tol.eps_mem)
-    max_res = max(res.values())
+    # A NaN residual fails and is the maximum.
+    failures = tuple(name for name, v in res.items() if not v <= tol.eps_mem)
+    max_res = math.nan if any(map(math.isnan, res.values())) else max(res.values())
     return VerificationReport(passed=not failures, max_residual=max_res,
                               residuals=res, failures=failures)

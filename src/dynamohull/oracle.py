@@ -575,7 +575,7 @@ def _check_decompositions(report: HullCheckReport, rows: np.ndarray, p: HullPara
         for name, val in zip(names, table.max(axis=0).tolist()):
             by_check[name] = max(by_check.get(name, 0.0), val)
     failing = np.zeros((len(rows), len(names)), dtype=bool)
-    failing[verified] = table > tol.eps_mem
+    failing[verified] = ~(table <= tol.eps_mem)  # a NaN residual fails
     mixing = np.zeros(len(rows))
     if kind.restricts_u:
         dB, du, _ = _columns(z1 - z2)

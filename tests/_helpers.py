@@ -6,18 +6,27 @@ import numpy as np
 
 from dynamohull import (
     DEFAULT_TOLERANCES,
+    AngleEquation,
     ConeKind,
+    Decomposition,
     DecompositionError,
+    DegenerateCallError,
     HullCheckReport,
     HullParams,
+    LaminateConditions,
+    NotInHullError,
     SampleConfig,
     SampleStats,
     Triple,
     Vec3,
+    VerificationReport,
     decompose,
+    hull_excess_bound,
     in_hull,
     sample_first_laminate,
     sample_hull,
+    separation_witness,
+    unit_perpendicular,
     unit_perpendicular_to_all,
     verify_decomposition,
 )
@@ -249,3 +258,138 @@ def reference_grid_residual(direction, xi, g, kind=ConeKind.NONSTATIONARY):
             worst[key] = max(worst.get(key, 0.0), val)
         slices = [s_cur, s_next, sines[phase + (t_idx + 2) * step_t % n]]
     return worst
+
+
+# The scalar decomposition and verification in Vec3 arithmetic, one
+# temporary per operation: the reference the unrolled float path in
+# dynamohull.laminate must reproduce bit for bit, errors included.
+
+def _reference_require_in_hull(z, p, kind, tol):
+    w = separation_witness(z, p, kind, tol)
+    if w.separates:
+        raise NotInHullError(f"point outside the relaxed set (witness {w.function}"
+                             f" = {w.value})", w)
+
+
+def _reference_frame(z, p, tol):
+    rr = p.r * p.r - z.B.norm2()
+    ss = p.s * p.s - z.u.norm2()
+    excess = z.E - z.B.cross(z.u)
+    c = excess.norm()
+    if c <= tol.eps_root * p.r * p.s:
+        raise DegenerateCallError(
+            "E = B x u within tolerance; use decompose_exact_ohm")
+    if rr <= tol.eps_mem * p.r * p.r or ss <= tol.eps_mem * p.s * p.s:
+        raise NotInHullError(
+            f"amplitude on the boundary (r^2-|B|^2={rr}, s^2-|u|^2={ss}) "
+            f"with nonzero excess |E-Bxu|={c}")
+    ebar = excess / math.sqrt(rr * ss)
+    e_len = ebar.norm()
+    st = min(e_len, 1.0)
+    return rr, ebar, ebar / e_len, math.sqrt(max(0.0, 1.0 - st * st)), st, math.sqrt(rr / ss)
+
+
+def _reference_gap(z, frame):
+    _, _, nhat, ct, st, kappa = frame
+    nb = z.B.norm()
+    e1 = z.B / nb if nb else unit_perpendicular(nhat)
+    w = e1.cross(nhat)
+    wn = w.norm()
+    if wn < 1e-6:
+        raise DecompositionError(
+            "working plane degenerate: B is parallel to the excess field")
+    e2 = w / wn
+    p_vec = e1 * ct + nhat.cross(e1) * st
+    q_vec = e2 * ct + nhat.cross(e2) * st
+    amp_cos = nb - kappa * z.u.dot(p_vec)
+    amp_sin = -kappa * z.u.dot(q_vec)
+    return AngleEquation(e1, e2, p_vec, q_vec, amp_cos, amp_sin)
+
+
+def _reference_solve(z, frame):
+    rr, ebar, _, _, _, kappa = frame
+    nb = z.B.norm()
+    gap = _reference_gap(z, frame)
+    alpha = 0.5 * math.pi + (math.atan2(gap.amp_cos, -gap.amp_sin) - 0.5 * math.pi) % math.pi
+    ca = math.cos(alpha)
+    sa = math.sin(alpha)
+    bhat, uhat = gap.e1 * ca + gap.e2 * sa, gap.p_vec * ca + gap.q_vec * sa
+    cos_alpha = math.cos(alpha)
+    bbar_len = 2.0 * math.sqrt(rr + nb * nb * (cos_alpha * cos_alpha))
+    ubar_len = bbar_len / kappa
+    bbar = bhat * bbar_len
+    ubar = uhat * ubar_len
+    if z.u.norm() > 0.0:
+        alpha_u = math.atan2(z.u.cross(uhat).norm(), z.u.dot(uhat))
+    else:
+        alpha_u = 0.0
+    return LaminateConditions(ebar=ebar, bbar=bbar, ubar=ubar,
+                              alpha_b=alpha if nb else 0.0, alpha_u=alpha_u)
+
+
+def _reference_endpoints(B, u, bbar, ubar, lam):
+    mu = 1.0 - lam
+    B1 = B + bbar * mu
+    u1 = u + ubar * mu
+    B2 = B - bbar * lam
+    u2 = u - ubar * lam
+    return Decomposition(lam, Triple(B1, u1, B1.cross(u1)), Triple(B2, u2, B2.cross(u2)))
+
+
+def reference_angle_equation(z, p, kind=ConeKind.NONSTATIONARY, tol=None):
+    _reference_require_in_hull(z, p, kind, tol)
+    frame = _reference_frame(z, p, tol or DEFAULT_TOLERANCES)
+    if z.B.norm() == 0.0:
+        raise DegenerateCallError("angle equation needs B != 0; with B = 0 the "
+                                  "frame axis is free")
+    return _reference_gap(z, frame)
+
+
+def reference_solve_laminate_conditions(z, p, kind=ConeKind.NONSTATIONARY, tol=None):
+    _reference_require_in_hull(z, p, kind, tol)
+    return _reference_solve(z, _reference_frame(z, p, tol or DEFAULT_TOLERANCES))
+
+
+def reference_decompose(z, p, kind=ConeKind.NONSTATIONARY, tol=None):
+    """decompose in Vec3 arithmetic."""
+    tol = tol or DEFAULT_TOLERANCES
+    _reference_require_in_hull(z, p, kind, tol)
+    try:
+        frame = _reference_frame(z, p, tol)
+    except DegenerateCallError:
+        e = unit_perpendicular_to_all((z.B, z.u))
+        return _reference_endpoints(
+            z.B, z.u, e * (2.0 * math.sqrt(max(0.0, p.r * p.r - z.B.norm2()))),
+            e * (2.0 * math.sqrt(max(0.0, p.s * p.s - z.u.norm2()))), 0.5)
+    conds = _reference_solve(z, frame)
+    lam = 0.5 + z.B.dot(conds.bbar) / conds.bbar.norm2()
+    return _reference_endpoints(z.B, z.u, conds.bbar, conds.ubar, min(1.0, max(0.0, lam)))
+
+
+def _reference_cone_residual(a, b, unit):
+    den = unit + a.norm() * b.norm()
+    return abs(a.dot(b)) / den if den else 0.0
+
+
+def reference_verify_decomposition(d, target, p, kind=ConeKind.NONSTATIONARY, tol=None):
+    """verify_decomposition in Vec3 arithmetic (for finite residuals)."""
+    tol = tol or DEFAULT_TOLERANCES
+    r, s = p.r, p.s
+    rs = r * s
+    res = {}
+    for name, zi in (("z1", d.z1), ("z2", d.z2)):
+        res[f"{name}_B_amplitude"] = abs(zi.B.norm() - r) / r
+        res[f"{name}_u_amplitude"] = abs(zi.u.norm() - s) / s
+        res[f"{name}_ohm"] = (zi.E - zi.B.cross(zi.u)).norm() / rs
+    dz = d.z1 - d.z2
+    res["cone_BE"] = _reference_cone_residual(dz.B, dz.E, rs * r)
+    if kind.restricts_u:
+        res["cone_uE"] = _reference_cone_residual(dz.u, dz.E, rs * s)
+    res["lambda_range"] = max(0.0, -d.lam, d.lam - 1.0)
+    res["reconstruction"] = (d.combine() - target).norm(r, s) / (1.0 + target.norm(r, s))
+    d_bound = hull_excess_bound(target.B, target.u, p)
+    prod = d.lam * (1.0 - d.lam) * dz.B.norm() * dz.u.norm()
+    res["weight_amplitude_identity"] = abs(prod - d_bound) / (rs + d_bound)
+    failures = tuple(name for name, v in res.items() if v > tol.eps_mem)
+    return VerificationReport(passed=not failures, max_residual=max(res.values()),
+                              residuals=res, failures=failures)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from dynamohull import (
     ConeKind,
     Decomposition,
+    DecompositionError,
     DegenerateCallError,
     HullParams,
     NotInHullError,
@@ -19,13 +22,23 @@ from dynamohull import (
     hull_excess_bound,
     in_constraint_set,
     in_hull,
+    sample_first_laminate,
     sample_hull,
     sample_lambda_pair,
     solve_laminate_conditions,
     unit_perpendicular,
     verify_decomposition,
 )
-from _helpers import ALL_KINDS, unit, vec
+from _helpers import (
+    ALL_KINDS,
+    reference_angle_equation,
+    reference_decompose,
+    reference_solve_laminate_conditions,
+    reference_verify_decomposition,
+    unit,
+    vec,
+)
+from test_blocks import KINDS, RADII, special_points
 
 P11 = HullParams(1.0, 1.0)
 
@@ -368,6 +381,72 @@ def test_verify_json_shape():
     round_trip = Decomposition.from_json_dict(payload)
     assert round_trip.lam == d.lam
     assert round_trip.z1 == d.z1
+
+
+def test_verify_fails_a_nan_weight():
+    z = Triple(Vec3(0.2, 0.1, 0), Vec3(0, 0.3, 0.1), Vec3(0, 0, 0.05))
+    d = decompose(z, P11)
+    rep = verify_decomposition(Decomposition(math.nan, d.z1, d.z2), z, P11)
+    assert not rep.passed
+    assert math.isnan(rep.max_residual)
+    assert set(rep.failures) == {"reconstruction", "weight_amplitude_identity"}
+    payload = d.to_json_dict()
+    for lam in (math.nan, math.inf, -math.inf):
+        payload["lambda"] = lam
+        with pytest.raises(ValueError, match="non-finite"):
+            Decomposition.from_json_dict(payload)
+
+
+# ----------------------------- the float path against Vec3 arithmetic
+
+def _leaves(obj):
+    """The fields of a result, in order, with every float as its uint64 bits."""
+    if isinstance(obj, float):
+        return [struct.unpack("<Q", struct.pack("<d", obj))[0]]
+    if isinstance(obj, dict):
+        return [*obj, *(x for v in obj.values() for x in _leaves(v))]
+    if dataclasses.is_dataclass(obj):
+        return [type(obj), *(x for f in dataclasses.fields(obj)
+                             for x in _leaves(getattr(obj, f.name)))]
+    return [obj]
+
+
+def _outcome(fn, *args):
+    """_leaves of fn's result, or the type, message and witness it raised."""
+    try:
+        return _leaves(fn(*args))
+    except DecompositionError as exc:
+        return [type(exc), str(exc), *_leaves(exc.witness)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scalar_path_matches_vec3_reference_bit_for_bit(kind):
+    tight = Tolerances(eps_mem=1e-15, eps_root=1e-16)
+    raised = failed = 0
+    for ri, r in enumerate(RADII):
+        for si, s in enumerate(RADII):
+            p = HullParams(r, s)
+            cfg = SampleConfig(seed=ri * 7 + si, count=20, params=p, kind=kind)
+            points = [*sample_hull(cfg), *sample_first_laminate(cfg),
+                      *special_points(p).values()]
+            for z, other in zip(points, points[1:] + points[:1]):
+                for fn, ref in ((angle_equation, reference_angle_equation),
+                                (solve_laminate_conditions, reference_solve_laminate_conditions),
+                                (decompose, reference_decompose)):
+                    assert _outcome(fn, z, p, kind) == _outcome(ref, z, p, kind), (r, s, z)
+                try:
+                    d = decompose(z, p, kind)
+                except DecompositionError:
+                    raised += 1
+                    continue
+                # The decomposition's own target, another point, and a slack
+                # below rounding: passing and failing reports alike.
+                for target, tol in ((z, None), (other, None), (z, tight)):
+                    rep = verify_decomposition(d, target, p, kind, tol)
+                    assert _leaves(rep) == _leaves(
+                        reference_verify_decomposition(d, target, p, kind, tol)), (r, s, z)
+                    failed += not rep.passed
+    assert raised >= 49 * 3 and failed >= 49 * 40
 
 
 # ------------------------------------- mixtures of sampled pairs (inverse)

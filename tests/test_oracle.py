@@ -73,10 +73,13 @@ def test_sample_K_mean_is_centred():
     n = 1_000_000
     r = 1.3
     cfg = SampleConfig(seed=0, count=n, params=HullParams(r, 1.0))
-    acc = np.zeros(3)
+    sx = sy = sz = 0.0
     for z in sample_K(cfg):
-        acc += (z.B.x, z.B.y, z.B.z)
-    mean = acc / n
+        B = z.B
+        sx += B.x
+        sy += B.y
+        sz += B.z
+    mean = np.array((sx, sy, sz)) / n
     assert np.all(np.abs(mean) < 3.0 / np.sqrt(n) * r)
 
 
