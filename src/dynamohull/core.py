@@ -29,7 +29,9 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -377,9 +379,19 @@ def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _positive(x: np.ndarray) -> np.ndarray:
-    """max(0.0, x) row by row, with Python's max semantics (NaN -> 0.0)."""
-    return np.where(x > 0.0, x, 0.0)
+# The functions a kernel below takes from its operand type.  Each kernel is
+# written once, on component triples, and runs on Python floats with _FLOATS
+# and on numpy columns with _COLUMNS, in the same operations and order, so a
+# block row rounds exactly as one point.  where(c, a, b) is a where c holds,
+# else b; positive(x) is max(0.0, x) with Python's max semantics (NaN -> 0.0);
+# quotient(n, d) is n / d, or 0.0 where d == 0.  A float kernel raises where a
+# column kernel gives inf or NaN, so its callers guard the arithmetic first.
+_Math = namedtuple("_Math", "sqrt atan2 cos sin where positive quotient")
+_FLOATS = _Math(math.sqrt, math.atan2, math.cos, math.sin, lambda c, a, b: a if c else b,
+                lambda x: x if x > 0.0 else 0.0, lambda n, d: n / d if d else 0.0)
+_COLUMNS = _Math(np.sqrt, partial(_libm, math.atan2), np.cos, np.sin, np.where,
+                 lambda x: np.where(x > 0.0, x, 0.0),
+                 lambda n, d: np.divide(n, d, out=np.zeros_like(d), where=d != 0.0))
 
 
 def _columns(rows: np.ndarray):
@@ -393,17 +405,22 @@ def _parts(z: Triple):
     return (B.x, B.y, B.z), (u.x, u.y, u.z), (E.x, E.y, E.z)
 
 
-def _cone_residual(a, b, unit: float) -> float:
+def _norm_rs(B, u, E, r: float, s: float, m: _Math = _FLOATS):
+    """Triple.norm(r, s) of a (B, u, E) state of component triples, floats or columns."""
+    return m.sqrt(_dot(B, B) / (r * r) + _dot(u, u) / (s * s) + _dot(E, E) / (r * r * s * s))
+
+
+def _cone_residual(a, b, unit, m: _Math = _FLOATS):
     """|a . b| / (unit + |a||b|) of component triples, the residual of a cone condition
-    a . b = 0; unit = r^2 s for B . E (r s^2 for u . E) normalises it as (B/r, u/s, E/(rs))."""
-    den = unit + math.sqrt(_dot(a, a)) * math.sqrt(_dot(b, b))
-    return abs(_dot(a, b)) / den if den else 0.0
+    a . b = 0; unit = r^2 s for B . E (r s^2 for u . E) normalises it as (B/r, u/s, E/(rs)).
+    0.0 where the denominator vanishes, as it does in in_wave_cone for B = 0."""
+    return m.quotient(abs(_dot(a, b)), unit + m.sqrt(_dot(a, a)) * m.sqrt(_dot(b, b)))
 
 
-def _cone_residuals(a, b, unit: float) -> np.ndarray:
-    """_cone_residual row by row on component triples (numpy columns)."""
-    den = unit + np.sqrt(_dot(a, a)) * np.sqrt(_dot(b, b))
-    return np.divide(np.abs(_dot(a, b)), den, out=np.zeros_like(den), where=den != 0.0)
+def _excess_cap(nb2, nu2, p: HullParams, m: _Math = _FLOATS):
+    """(r^2 - |B|^2)(s^2 - |u|^2), each factor clipped at 0, from |B|^2 and |u|^2:
+    the square of the sharp bound on |E - B x u|."""
+    return m.positive(p.r * p.r - nb2) * m.positive(p.s * p.s - nu2)
 
 
 def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bool:
@@ -417,58 +434,54 @@ def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bo
         not kind.restricts_u or _cone_residual(u, E, z.u.norm() * mix) <= eps)
 
 
-def _separating_function(z: Triple, p: HullParams, kind: ConeKind, eps: float) -> str | None:
-    """The membership kernel: which of "g1", "g3", "g2" separates z, or None.
+def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Math):
+    """The membership kernel: the flags (g1, g3, g2), each true where that function
+    separates the point (B, u, E) of component triples, floats or numpy columns.
 
     Every comparison is made on the normalised triple (b, v, e) =
     (B/r, u/s, E/(rs)), where the relaxed set is the same for all radii:
     |b . e| <= eps (1 + |b||e|) and likewise v . e; |b|, |v| <= 1 + eps;
     |e - b x v|^2 <= (1 - |b|^2)(1 - |v|^2) + eps.  The radii are folded into
     unrolled arithmetic: this kernel sits inside the million-point campaigns.
+    The flags combine with |, as bools and as masks.
     """
+    sqrt = m.sqrt
     r, s = p.r, p.s
     rr, ss = r * r, s * s
-    B, u, E = z.B, z.u, z.E
-    bx, by, bz = B.x, B.y, B.z
-    ux, uy, uz = u.x, u.y, u.z
-    ex, ey, ez = E.x, E.y, E.z
+    bx, by, bz = B
+    ux, uy, uz = u
+    ex, ey, ez = E
     nb2 = bx * bx + by * by + bz * bz
     nu2 = ux * ux + uy * uy + uz * uz
-    nb = math.sqrt(nb2)
-    nu = math.sqrt(nu2)
-    ne = math.sqrt(ex * ex + ey * ey + ez * ez)
-    if abs(bx * ex + by * ey + bz * ez) > eps * (rr * s + nb * ne):
-        return "g1"
-    if kind.restricts_u and abs(ux * ex + uy * ey + uz * ez) > eps * (r * ss + nu * ne):
-        return "g3"
-    if nb > r * (1.0 + eps) or nu > s * (1.0 + eps):
-        return "g2"
+    nb = sqrt(nb2)
+    nu = sqrt(nu2)
+    ne = sqrt(ex * ex + ey * ey + ez * ez)
+    g1 = abs(bx * ex + by * ey + bz * ez) > eps * (rr * s + nb * ne)
+    g3 = kind.restricts_u and abs(ux * ex + uy * ey + uz * ez) > eps * (r * ss + nu * ne)
     wx = ex - (by * uz - bz * uy)
     wy = ey - (bz * ux - bx * uz)
     wz = ez - (bx * uy - by * ux)
-    cap = max(0.0, rr - nb2) * max(0.0, ss - nu2)
-    return "g2" if wx * wx + wy * wy + wz * wz > cap + eps * (rr * ss) else None
+    cap = _excess_cap(nb2, nu2, p, m)
+    g2 = ((nb > r * (1.0 + eps)) | (nu > s * (1.0 + eps))
+          | (wx * wx + wy * wy + wz * wz > cap + eps * (rr * ss)))
+    return g1, g3, g2
+
+
+def _separating_function(z: Triple, p: HullParams, kind: ConeKind, eps: float) -> str | None:
+    """Which of "g1", "g3", "g2" separates z, or None: the first flag, in that
+    order, of the membership kernel, whose one body runs here on the floats of
+    one point and in _separating_mask on the numpy columns of a block."""
+    B, u, E = z.B, z.u, z.E
+    g1, g3, g2 = _separation_flags((B.x, B.y, B.z), (u.x, u.y, u.z), (E.x, E.y, E.z),
+                                   p, kind, eps, _FLOATS)
+    return "g1" if g1 else "g3" if g3 else "g2" if g2 else None
 
 
 def _separating_mask(rows: np.ndarray, p: HullParams, kind: ConeKind, eps: float) -> np.ndarray:
     """The membership kernel on an N x 9 block of (B, u, E) rows: True where
-    _separating_function would return a function, in the same arithmetic."""
-    r, s = p.r, p.s
-    rr, ss = r * r, s * s
-    b, u, e = _columns(rows)
-    nb2 = _dot(b, b)
-    nu2 = _dot(u, u)
-    nb = np.sqrt(nb2)
-    nu = np.sqrt(nu2)
-    ne = np.sqrt(_dot(e, e))
-    out = np.abs(_dot(b, e)) > eps * (rr * s + nb * ne)
-    if kind.restricts_u:
-        out |= np.abs(_dot(u, e)) > eps * (r * ss + nu * ne)
-    out |= (nb > r * (1.0 + eps)) | (nu > s * (1.0 + eps))
-    bxu = _cross(b, u)
-    w = (e[0] - bxu[0], e[1] - bxu[1], e[2] - bxu[2])
-    cap = _positive(rr - nb2) * _positive(ss - nu2)
-    return out | (_dot(w, w) > cap + eps * (rr * ss))
+    _separating_function would return a function."""
+    g1, g3, g2 = _separation_flags(*_columns(rows), p, kind, eps, _COLUMNS)
+    return g1 | g3 | g2
 
 
 def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -484,12 +497,7 @@ def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
 
 def hull_excess_bound(B: Vec3, u: Vec3, p: HullParams) -> float:
     """sqrt((r^2 - |B|^2)(s^2 - |u|^2)), the sharp bound on |E - B x u|."""
-    return math.sqrt(max(0.0, p.r * p.r - B.norm2()) * max(0.0, p.s * p.s - u.norm2()))
-
-
-def _excess_bounds(B, u, p: HullParams) -> np.ndarray:
-    """hull_excess_bound row by row on component triples (numpy columns)."""
-    return np.sqrt(_positive(p.r * p.r - _dot(B, B)) * _positive(p.s * p.s - _dot(u, u)))
+    return math.sqrt(_excess_cap(B.norm2(), u.norm2(), p))
 
 
 @dataclass(frozen=True)

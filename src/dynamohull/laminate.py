@@ -29,11 +29,16 @@ direction.  This module produces such a witness constructively:
 * ``verify_decomposition`` is the independent residual check used by the
   test suite and the sampling oracle.
 
-The per-point path computes on float component triples, not ``Vec3``; the
-campaign engine runs the same arithmetic, operation for operation, on numpy
-columns of N x 9 (B, u, E) blocks (``_decompose_block``, ``_verify_block``),
-so each row rounds exactly as the per-point path.  The block decomposition
-covers the interior branch only and leaves every other row to ``decompose``.
+The interior decomposition (the stages ``_excess``, ``_frame``,
+``_sinusoid``, ``_perturbations``, ``_weight`` and ``_endpoints``) and the
+verification residuals (``_residuals``) are written once, on component
+triples, and one body serves both paths: the per-point functions run it on
+Python floats, the campaign engine on the numpy columns of N x 9 (B, u, E)
+blocks (``_decompose_block``, ``_verify_block``), so each row rounds exactly
+as the per-point path.  The per-point callers raise between stages, before
+the float arithmetic each guard protects; the block computes every row
+through and leaves the rows a guard would stop, and the points outside the
+set, to ``decompose``.
 """
 
 from __future__ import annotations
@@ -52,19 +57,20 @@ from .core import (
     Tolerances,
     Triple,
     Vec3,
+    _COLUMNS,
+    _FLOATS,
+    _Math,
     _columns,
     _cone_residual,
-    _cone_residuals,
     _cross,
     _dot,
-    _excess_bounds,
-    _libm,
+    _excess_cap,
+    _norm_rs,
     _parts,
-    _positive,
+    _separating_function,
+    _separating_mask,
     _triple,
     _vec,
-    _separating_mask,
-    hull_excess_bound,
     separation_witness,
     unit_perpendicular,
     unit_perpendicular_to_all,
@@ -166,16 +172,11 @@ class AngleEquation:
         return _angle_root(self.amp_cos, self.amp_sin)
 
 
-def _angle_root(amp_cos: float, amp_sin: float) -> float:
-    """The root of A cos(alpha) + C sin(alpha) in [pi/2, 3pi/2], in closed form: it
-    vanishes where tan(alpha) = -A / C, and atan2(A, -C) is such an angle modulo pi."""
-    return HALF_PI + (math.atan2(amp_cos, -amp_sin) - HALF_PI) % math.pi
-
-
 def _require_in_hull(z: Triple, p: HullParams, kind: ConeKind, tol: Tolerances | None):
-    """Raise NotInHullError, carrying the separating witness, when z is outside."""
-    w = separation_witness(z, p, kind, tol)
-    if w.separates:
+    """Raise NotInHullError, carrying the separating witness, when z is outside;
+    the witness is built only then."""
+    if _separating_function(z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem) is not None:
+        w = separation_witness(z, p, kind, tol)
         raise NotInHullError(f"point outside the relaxed set (witness {w.function}"
                              f" = {w.value})", w)
 
@@ -199,21 +200,27 @@ def _split_exact_ohm(B: Vec3, u: Vec3, p: HullParams) -> Decomposition:
     e = unit_perpendicular_to_all((B, u))
     # Endpoints B +- e sqrt(r^2-|B|^2), u +- e sqrt(s^2-|u|^2): the difference
     # is doubled here and halved by lam = 1/2, both exact in floating point.
-    return _endpoints(tuple(B), tuple(u),
-                      tuple(e * (2.0 * math.sqrt(max(0.0, p.r * p.r - B.norm2())))),
-                      tuple(e * (2.0 * math.sqrt(max(0.0, p.s * p.s - u.norm2())))), 0.5)
+    return _decomposition(0.5, *_endpoints(
+        tuple(B), tuple(u), tuple(e * (2.0 * math.sqrt(max(0.0, p.r * p.r - B.norm2())))),
+        tuple(e * (2.0 * math.sqrt(max(0.0, p.s * p.s - u.norm2())))), 0.5))
 
 
-def _endpoints(B, u, bbar, ubar, lam: float) -> Decomposition:
-    """Weight lam and endpoints (B + (1-lam) bbar, u + (1-lam) ubar) and
-    (B - lam bbar, u - lam ubar) of component triples, each E its own B x u."""
+def _decomposition(lam: float, z1, z2) -> Decomposition:
+    """The Decomposition of a weight and two (B, u, E) states of component triples."""
+    (B1, u1, E1), (B2, u2, E2) = z1, z2
+    return Decomposition(lam, _triple(_vec(*B1), _vec(*u1), _vec(*E1)),
+                         _triple(_vec(*B2), _vec(*u2), _vec(*E2)))
+
+
+def _endpoints(B, u, bbar, ubar, lam):
+    """Endpoints (B + (1-lam) bbar, u + (1-lam) ubar) and (B - lam bbar, u - lam ubar)
+    of component triples, each E its own B x u, as two (B, u, E) states."""
     mu = 1.0 - lam
     B1 = (B[0] + bbar[0] * mu, B[1] + bbar[1] * mu, B[2] + bbar[2] * mu)
     u1 = (u[0] + ubar[0] * mu, u[1] + ubar[1] * mu, u[2] + ubar[2] * mu)
     B2 = (B[0] - bbar[0] * lam, B[1] - bbar[1] * lam, B[2] - bbar[2] * lam)
     u2 = (u[0] - ubar[0] * lam, u[1] - ubar[1] * lam, u[2] - ubar[2] * lam)
-    return Decomposition(lam, _triple(_vec(*B1), _vec(*u1), _vec(*_cross(B1, u1))),
-                         _triple(_vec(*B2), _vec(*u2), _vec(*_cross(B2, u2))))
+    return (B1, u1, _cross(B1, u1)), (B2, u2, _cross(B2, u2))
 
 
 class _Frame(NamedTuple):
@@ -227,14 +234,83 @@ class _Frame(NamedTuple):
     kappa: float  # sqrt((r^2-|B|^2) / (s^2-|u|^2))
 
 
-def _interior_frame(B, u, E, p: HullParams, tol: Tolerances) -> _Frame:
-    """The frame of the point (B, u, E) of component triples; raises DegenerateCallError
-    when |E - B x u| <= eps_root rs and NotInHullError on the amplitude boundary."""
+def _excess(B, u, E, p: HullParams, m: _Math):
+    """r^2 - |B|^2, s^2 - |u|^2, the excess E - B x u and its length."""
     rr = p.r * p.r - _dot(B, B)
     ss = p.s * p.s - _dot(u, u)
     bxu = _cross(B, u)
     excess = (E[0] - bxu[0], E[1] - bxu[1], E[2] - bxu[2])
-    c = math.sqrt(_dot(excess, excess))
+    return rr, ss, excess, m.sqrt(_dot(excess, excess))
+
+
+def _frame(rr, ss, excess, m: _Math) -> _Frame:
+    """The frame of a point from _excess's values; needs rr, ss > 0 and excess != 0."""
+    scale = m.sqrt(rr * ss)
+    ebar = (excess[0] / scale, excess[1] / scale, excess[2] / scale)
+    e_len = m.sqrt(_dot(ebar, ebar))
+    st = m.where(1.0 < e_len, 1.0, e_len)
+    return _Frame(rr, ebar, (ebar[0] / e_len, ebar[1] / e_len, ebar[2] / e_len),
+                  m.sqrt(m.positive(1.0 - st * st)), st, m.sqrt(rr / ss))
+
+
+def _plane_normal(e1, f: _Frame, m: _Math):
+    """w = e1 x nhat, the normal of the working plane through the axis e1, and |w|."""
+    w = _cross(e1, f.nhat)
+    return w, m.sqrt(_dot(w, w))
+
+
+def _sinusoid(u, nb, e1, w, wn, f: _Frame):
+    """The frame (e1, e2, p_vec, q_vec) and the amplitudes (A, C) of the angle
+    equation, from |B|, the axis e1 and the plane normal w of length wn > 0."""
+    _, _, nhat, ct, st, kappa = f
+    e2 = (w[0] / wn, w[1] / wn, w[2] / wn)
+    # uhat(alpha) is bhat(alpha) rotated by arcsin|Ebar| about +nhat, which
+    # makes bhat x uhat = Ebar for every alpha.  Both are linear in
+    # (cos alpha, sin alpha), so G is the sinusoid below.
+    n1 = _cross(nhat, e1)
+    n2 = _cross(nhat, e2)
+    p_vec = (e1[0] * ct + n1[0] * st, e1[1] * ct + n1[1] * st, e1[2] * ct + n1[2] * st)
+    q_vec = (e2[0] * ct + n2[0] * st, e2[1] * ct + n2[1] * st, e2[2] * ct + n2[2] * st)
+    return e1, e2, p_vec, q_vec, nb - kappa * _dot(u, p_vec), -kappa * _dot(u, q_vec)
+
+
+def _angle_root(amp_cos, amp_sin, m: _Math = _FLOATS):
+    """The root of A cos(alpha) + C sin(alpha) in [pi/2, 3pi/2], in closed form: it
+    vanishes where tan(alpha) = -A / C, and atan2(A, -C) is such an angle modulo pi."""
+    return HALF_PI + (m.atan2(amp_cos, -amp_sin) - HALF_PI) % math.pi
+
+
+def _perturbations(nb, eq, f: _Frame, m: _Math):
+    """The root alpha of the angle equation eq (_sinusoid's values), bbar, ubar and
+    the unit direction uhat of ubar."""
+    e1, e2, p_vec, q_vec, amp_cos, amp_sin = eq
+    alpha = _angle_root(amp_cos, amp_sin, m)
+    ca = m.cos(alpha)
+    sa = m.sin(alpha)
+    # |Bbar|^2 = 4 (r^2 - |B|^2 sin^2 alpha), computed as the amplitude gap
+    # plus |B|^2 cos^2 alpha: near the boundary the direct form cancels
+    # catastrophically and the endpoint amplitudes inherit the damage.
+    bbar_len = 2.0 * m.sqrt(f.rr + nb * nb * (ca * ca))
+    ubar_len = bbar_len / f.kappa
+    bbar = ((e1[0] * ca + e2[0] * sa) * bbar_len, (e1[1] * ca + e2[1] * sa) * bbar_len,
+            (e1[2] * ca + e2[2] * sa) * bbar_len)
+    uhat = (p_vec[0] * ca + q_vec[0] * sa, p_vec[1] * ca + q_vec[1] * sa,
+            p_vec[2] * ca + q_vec[2] * sa)
+    return alpha, bbar, (uhat[0] * ubar_len, uhat[1] * ubar_len, uhat[2] * ubar_len), uhat
+
+
+def _weight(B, bbar, m: _Math):
+    """lam = 1/2 + B . bbar / |bbar|^2, clipped to [0, 1]."""
+    lam = m.positive(0.5 + _dot(B, bbar) / _dot(bbar, bbar))
+    return m.where(lam < 1.0, lam, 1.0)
+
+
+def _interior_frame(B, u, E, p: HullParams, tol: Tolerances):
+    """The frame, |B| and the angle equation (_sinusoid's values) of an interior point
+    of float component triples.  Raises DegenerateCallError when |E - B x u| <=
+    eps_root rs, NotInHullError on the amplitude boundary and DecompositionError
+    when the working plane is degenerate, each before the arithmetic it guards."""
+    rr, ss, excess, c = _excess(B, u, E, p, _FLOATS)
     if c <= tol.eps_root * p.r * p.s:
         raise DegenerateCallError(
             "E = B x u within tolerance; use decompose_exact_ohm")
@@ -244,12 +320,19 @@ def _interior_frame(B, u, E, p: HullParams, tol: Tolerances) -> _Frame:
         raise NotInHullError(
             f"amplitude on the boundary (r^2-|B|^2={rr}, s^2-|u|^2={ss}) "
             f"with nonzero excess |E-Bxu|={c}")
-    scale = math.sqrt(rr * ss)
-    ebar = (excess[0] / scale, excess[1] / scale, excess[2] / scale)
-    e_len = math.sqrt(_dot(ebar, ebar))
-    st = min(e_len, 1.0)
-    return _Frame(rr, ebar, (ebar[0] / e_len, ebar[1] / e_len, ebar[2] / e_len),
-                  math.sqrt(max(0.0, 1.0 - st * st)), st, math.sqrt(rr / ss))
+    f = _frame(rr, ss, excess, _FLOATS)
+    nb = math.sqrt(_dot(B, B))
+    # With B = 0 any axis perpendicular to the excess will do: G then reads
+    # -kappa u . uhat(alpha) for every such axis, and its root makes uhat
+    # perpendicular to u.
+    e1 = (B[0] / nb, B[1] / nb, B[2] / nb) if nb else tuple(unit_perpendicular(_vec(*f.nhat)))
+    w, wn = _plane_normal(e1, f, _FLOATS)
+    # B . Ebar = 0 on the relaxed set forces |B x Ebar| = |B||Ebar|; it vanishes
+    # only for a tiny B parallel to the excess, admitted by the slack of g1.
+    if wn < 1e-6:
+        raise DecompositionError(
+            "working plane degenerate: B is parallel to the excess field")
+    return f, nb, _sinusoid(u, nb, e1, w, wn, f)
 
 
 def angle_equation(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -260,40 +343,13 @@ def angle_equation(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIO
     check the root the solver chose.
     """
     _require_in_hull(z, p, kind, tol)
-    B, u, E = _parts(z)
-    f = _interior_frame(B, u, E, p, tol or DEFAULT_TOLERANCES)
-    if z.B.norm() == 0.0:
+    # With B = 0 the working plane is never degenerate, so no other error
+    # precedes this one.
+    _, nb, (*vectors, amp_cos, amp_sin) = _interior_frame(*_parts(z), p, tol or DEFAULT_TOLERANCES)
+    if nb == 0.0:
         raise DegenerateCallError("angle equation needs B != 0; with B = 0 the "
                                   "frame axis is free")
-    _, *vectors, amp_cos, amp_sin = _build_angle_equation(B, u, f)
     return AngleEquation(*(_vec(*v) for v in vectors), amp_cos, amp_sin)
-
-
-def _build_angle_equation(B, u, f: _Frame):
-    """|B|, the frame (e1, e2, p_vec, q_vec) and the amplitudes (A, C) of the
-    angle equation, from component triples."""
-    nb = math.sqrt(_dot(B, B))
-    _, _, nhat, ct, st, kappa = f
-    # With B = 0 any axis perpendicular to the excess will do: G then reads
-    # -kappa u . uhat(alpha) for every such axis, and its root makes uhat
-    # perpendicular to u.
-    e1 = (B[0] / nb, B[1] / nb, B[2] / nb) if nb else tuple(unit_perpendicular(_vec(*nhat)))
-    w = _cross(e1, nhat)
-    wn = math.sqrt(_dot(w, w))
-    # B . Ebar = 0 on the relaxed set forces |B x Ebar| = |B||Ebar|; it vanishes
-    # only for a tiny B parallel to the excess, admitted by the slack of g1.
-    if wn < 1e-6:
-        raise DecompositionError(
-            "working plane degenerate: B is parallel to the excess field")
-    e2 = (w[0] / wn, w[1] / wn, w[2] / wn)
-    # uhat(alpha) is bhat(alpha) rotated by arcsin|Ebar| about +nhat, which
-    # makes bhat x uhat = Ebar for every alpha.  Both are linear in
-    # (cos alpha, sin alpha), so G is the sinusoid below.
-    n1 = _cross(nhat, e1)
-    n2 = _cross(nhat, e2)
-    p_vec = (e1[0] * ct + n1[0] * st, e1[1] * ct + n1[1] * st, e1[2] * ct + n1[2] * st)
-    q_vec = (e2[0] * ct + n2[0] * st, e2[1] * ct + n2[1] * st, e2[2] * ct + n2[2] * st)
-    return nb, e1, e2, p_vec, q_vec, nb - kappa * _dot(u, p_vec), -kappa * _dot(u, q_vec)
 
 
 def solve_laminate_conditions(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -313,32 +369,12 @@ def solve_laminate_conditions(z: Triple, p: HullParams, kind: ConeKind = ConeKin
     span{B, u}).
     """
     _require_in_hull(z, p, kind, tol)
-    B, u, E = _parts(z)
-    f = _interior_frame(B, u, E, p, tol or DEFAULT_TOLERANCES)
-    nb, alpha, bbar, ubar, uhat = _solve_validated(B, u, f)
+    f, nb, eq = _interior_frame(*_parts(z), p, tol or DEFAULT_TOLERANCES)
+    alpha, bbar, ubar, uhat = _perturbations(nb, eq, f, _FLOATS)
     uhat = _vec(*uhat)
     alpha_u = math.atan2(z.u.cross(uhat).norm(), z.u.dot(uhat)) if z.u.norm() > 0.0 else 0.0
     return LaminateConditions(ebar=_vec(*f.ebar), bbar=_vec(*bbar), ubar=_vec(*ubar),
                               alpha_b=alpha if nb else 0.0, alpha_u=alpha_u)
-
-
-def _solve_validated(B, u, f: _Frame):
-    """|B|, the root alpha, the perturbations bbar and ubar and the unit
-    direction uhat of ubar, from component triples."""
-    nb, e1, e2, p_vec, q_vec, amp_cos, amp_sin = _build_angle_equation(B, u, f)
-    alpha = _angle_root(amp_cos, amp_sin)
-    ca = math.cos(alpha)
-    sa = math.sin(alpha)
-    # |Bbar|^2 = 4 (r^2 - |B|^2 sin^2 alpha), computed as the amplitude gap
-    # plus |B|^2 cos^2 alpha: near the boundary the direct form cancels
-    # catastrophically and the endpoint amplitudes inherit the damage.
-    bbar_len = 2.0 * math.sqrt(f.rr + nb * nb * (ca * ca))
-    ubar_len = bbar_len / f.kappa
-    bbar = ((e1[0] * ca + e2[0] * sa) * bbar_len, (e1[1] * ca + e2[1] * sa) * bbar_len,
-            (e1[2] * ca + e2[2] * sa) * bbar_len)
-    uhat = (p_vec[0] * ca + q_vec[0] * sa, p_vec[1] * ca + q_vec[1] * sa,
-            p_vec[2] * ca + q_vec[2] * sa)
-    return nb, alpha, bbar, (uhat[0] * ubar_len, uhat[1] * ubar_len, uhat[2] * ubar_len), uhat
 
 
 def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -357,103 +393,79 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     _require_in_hull(z, p, kind, tol)
     B, u, E = _parts(z)
     try:
-        f = _interior_frame(B, u, E, p, tol)
+        f, nb, eq = _interior_frame(B, u, E, p, tol)
     except DegenerateCallError:  # E = B x u within eps_root rs
         return _split_exact_ohm(z.B, z.u, p)
-    _, _, bbar, ubar, _ = _solve_validated(B, u, f)
-    lam = 0.5 + _dot(B, bbar) / _dot(bbar, bbar)
-    return _endpoints(B, u, bbar, ubar, min(1.0, max(0.0, lam)))
+    _, bbar, ubar, _ = _perturbations(nb, eq, f, _FLOATS)
+    lam = _weight(B, bbar, _FLOATS)
+    return _decomposition(lam, *_endpoints(B, u, bbar, ubar, lam))
 
 
 def _decompose_block(rows: np.ndarray, p: HullParams, kind: ConeKind, tol: Tolerances):
     """decompose on the interior rows of an N x 9 block of targets.
 
     Returns (lam, z1, z2, fallback): the weights and the N x 9 endpoint rows
-    in decompose's arithmetic, and the mask of rows left to decompose itself:
+    from decompose's stages, and the mask of rows left to decompose itself:
     outside the relaxed set, exact Ohm, B = 0, amplitude boundary or a
     degenerate working plane.  lam, z1 and z2 are meaningless on those rows.
     """
     r, s = p.r, p.s
+    m = _COLUMNS
     B, u, E = _columns(rows)
     with np.errstate(all="ignore"):
-        rr = r * r - _dot(B, B)
-        ss = s * s - _dot(u, u)
-        bxu = _cross(B, u)
-        excess = tuple(E[i] - bxu[i] for i in range(3))
-        c = np.sqrt(_dot(excess, excess))
-        scale = np.sqrt(rr * ss)
-        ebar = tuple(x / scale for x in excess)
-        e_len = np.sqrt(_dot(ebar, ebar))
-        st = np.where(1.0 < e_len, 1.0, e_len)
-        nhat = tuple(x / e_len for x in ebar)
-        ct = np.sqrt(_positive(1.0 - st * st))
-        kappa = np.sqrt(rr / ss)
+        rr, ss, excess, c = _excess(B, u, E, p, m)
+        f = _frame(rr, ss, excess, m)
         nb = np.sqrt(_dot(B, B))
         e1 = tuple(x / nb for x in B)
-        w = _cross(e1, nhat)
-        wn = np.sqrt(_dot(w, w))
-        e2 = tuple(x / wn for x in w)
-        n1 = _cross(nhat, e1)
-        n2 = _cross(nhat, e2)
-        p_vec = tuple(e1[i] * ct + n1[i] * st for i in range(3))
-        q_vec = tuple(e2[i] * ct + n2[i] * st for i in range(3))
-        amp_cos = nb - kappa * _dot(u, p_vec)
-        amp_sin = -kappa * _dot(u, q_vec)
-        alpha = HALF_PI + np.mod(_libm(math.atan2, amp_cos, -amp_sin) - HALF_PI, math.pi)
-        ca = np.cos(alpha)
-        sa = np.sin(alpha)
-        bbar_len = 2.0 * np.sqrt(rr + nb * nb * (ca * ca))
-        ubar_len = bbar_len / kappa
-        bbar = tuple((e1[i] * ca + e2[i] * sa) * bbar_len for i in range(3))
-        ubar = tuple((p_vec[i] * ca + q_vec[i] * sa) * ubar_len for i in range(3))
-        lam = 0.5 + _dot(B, bbar) / _dot(bbar, bbar)
-        lam = np.where(lam > 0.0, lam, 0.0)
-        lam = np.where(lam < 1.0, lam, 1.0)
-        mu = 1.0 - lam
-        B1 = tuple(B[i] + bbar[i] * mu for i in range(3))
-        u1 = tuple(u[i] + ubar[i] * mu for i in range(3))
-        B2 = tuple(B[i] - bbar[i] * lam for i in range(3))
-        u2 = tuple(u[i] - ubar[i] * lam for i in range(3))
+        w, wn = _plane_normal(e1, f, m)
+        _, bbar, ubar, _ = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, m)
+        lam = _weight(B, bbar, m)
+        z1, z2 = _endpoints(B, u, bbar, ubar, lam)
         fallback = (_separating_mask(rows, p, kind, tol.eps_mem)
                     | (c <= tol.eps_root * r * s)
                     | (rr <= tol.eps_mem * r * r) | (ss <= tol.eps_mem * s * s)
                     | (nb == 0.0) | ~(wn >= 1e-6))
-    return (lam, np.column_stack((*B1, *u1, *_cross(B1, u1))),
-            np.column_stack((*B2, *u2, *_cross(B2, u2))), fallback)
+    z1, z2 = (np.column_stack([col for v in zi for col in v]) for zi in (z1, z2))
+    return lam, z1, z2, fallback
+
+
+def _residuals(lam, z1, z2, target, p: HullParams, kind: ConeKind, m: _Math) -> dict:
+    """verify_decomposition's residuals, in its key order, of the weight lam and
+    the (B, u, E) states z1, z2 and target of component triples."""
+    r, s = p.r, p.s
+    rs = r * s
+    res = {}
+    for name, (B, u, E) in (("z1", z1), ("z2", z2)):
+        bxu = _cross(B, u)
+        ohm = (E[0] - bxu[0], E[1] - bxu[1], E[2] - bxu[2])
+        res[f"{name}_B_amplitude"] = abs(m.sqrt(_dot(B, B)) - r) / r
+        res[f"{name}_u_amplitude"] = abs(m.sqrt(_dot(u, u)) - s) / s
+        res[f"{name}_ohm"] = m.sqrt(_dot(ohm, ohm)) / rs
+
+    dB, du, dE = ((a[0] - b[0], a[1] - b[1], a[2] - b[2]) for a, b in zip(z1, z2))
+    res["cone_BE"] = _cone_residual(dB, dE, rs * r, m)
+    if kind.restricts_u:
+        res["cone_uE"] = _cone_residual(du, dE, rs * s, m)
+
+    below = m.positive(-lam)
+    res["lambda_range"] = m.where(lam - 1.0 > below, lam - 1.0, below)
+
+    mu = 1.0 - lam
+    gap = ((a[0] * lam + b[0] * mu - t[0], a[1] * lam + b[1] * mu - t[1],
+            a[2] * lam + b[2] * mu - t[2]) for a, b, t in zip(z1, z2, target))
+    res["reconstruction"] = _norm_rs(*gap, r, s, m) / (1.0 + _norm_rs(*target, r, s, m))
+
+    tB, tu, _ = target
+    d_bound = m.sqrt(_excess_cap(_dot(tB, tB), _dot(tu, tu), p, m))
+    prod = lam * mu * m.sqrt(_dot(dB, dB)) * m.sqrt(_dot(du, du))
+    res["weight_amplitude_identity"] = abs(prod - d_bound) / (rs + d_bound)
+    return res
 
 
 def _verify_block(lam: np.ndarray, z1: np.ndarray, z2: np.ndarray, target: np.ndarray,
                   p: HullParams, kind: ConeKind) -> dict:
-    """verify_decomposition's residuals on blocks of rows: one column per
-    check, in its key order and arithmetic."""
-    r, s = p.r, p.s
-    rs = r * s
-    res = {}
-    for name, zi in (("z1", z1), ("z2", z2)):
-        B, u, E = _columns(zi)
-        bxu = _cross(B, u)
-        ohm = tuple(E[i] - bxu[i] for i in range(3))
-        res[f"{name}_B_amplitude"] = np.abs(np.sqrt(_dot(B, B)) - r) / r
-        res[f"{name}_u_amplitude"] = np.abs(np.sqrt(_dot(u, u)) - s) / s
-        res[f"{name}_ohm"] = np.sqrt(_dot(ohm, ohm)) / rs
-    dB, du, dE = _columns(z1 - z2)
-    res["cone_BE"] = _cone_residuals(dB, dE, rs * r)
-    if kind.restricts_u:
-        res["cone_uE"] = _cone_residuals(du, dE, rs * s)
-    lam_range = np.where(-lam > 0.0, -lam, 0.0)
-    res["lambda_range"] = np.where(lam - 1.0 > lam_range, lam - 1.0, lam_range)
-    rr, ss, rrss = r * r, s * s, r * r * s * s
-
-    def norm_rs(B, u, E):  # Triple.norm(r, s)
-        return np.sqrt(_dot(B, B) / rr + _dot(u, u) / ss + _dot(E, E) / rrss)
-
-    gap = z1 * lam[:, None] + z2 * (1.0 - lam)[:, None] - target
-    res["reconstruction"] = norm_rs(*_columns(gap)) / (1.0 + norm_rs(*_columns(target)))
-    tB, tu, _ = _columns(target)
-    d_bound = _excess_bounds(tB, tu, p)
-    prod = lam * (1.0 - lam) * np.sqrt(_dot(dB, dB)) * np.sqrt(_dot(du, du))
-    res["weight_amplitude_identity"] = np.abs(prod - d_bound) / (rs + d_bound)
-    return res
+    """verify_decomposition's residuals on blocks of rows: one column per check."""
+    return _residuals(lam, _columns(z1), _columns(z2), _columns(target), p, kind, _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -485,33 +497,7 @@ def verify_decomposition(d: Decomposition, target: Triple, p: HullParams,
     = sqrt((r^2-|B|^2)(s^2-|u|^2)) tying the weight to the amplitude gaps.
     """
     tol = tol or DEFAULT_TOLERANCES
-    r, s = p.r, p.s
-    rs = r * s
-    res: dict[str, float] = {}
-    parts = _parts(d.z1), _parts(d.z2)
-    for name, (B, u, E) in zip(("z1", "z2"), parts):
-        bxu = _cross(B, u)
-        ohm = (E[0] - bxu[0], E[1] - bxu[1], E[2] - bxu[2])
-        res[f"{name}_B_amplitude"] = abs(math.sqrt(_dot(B, B)) - r) / r
-        res[f"{name}_u_amplitude"] = abs(math.sqrt(_dot(u, u)) - s) / s
-        res[f"{name}_ohm"] = math.sqrt(_dot(ohm, ohm)) / rs
-
-    dB, du, dE = ((a[0] - b[0], a[1] - b[1], a[2] - b[2]) for a, b in zip(*parts))
-    res["cone_BE"] = _cone_residual(dB, dE, rs * r)
-    if kind.restricts_u:
-        res["cone_uE"] = _cone_residual(du, dE, rs * s)
-
-    res["lambda_range"] = max(0.0, -d.lam, d.lam - 1.0)
-
-    mu = 1.0 - d.lam
-    gap = (_vec(a[0] * d.lam + b[0] * mu - t[0], a[1] * d.lam + b[1] * mu - t[1],
-                a[2] * d.lam + b[2] * mu - t[2]) for a, b, t in zip(*parts, _parts(target)))
-    res["reconstruction"] = _triple(*gap).norm(r, s) / (1.0 + target.norm(r, s))
-
-    d_bound = hull_excess_bound(target.B, target.u, p)
-    prod = d.lam * mu * math.sqrt(_dot(dB, dB)) * math.sqrt(_dot(du, du))
-    res["weight_amplitude_identity"] = abs(prod - d_bound) / (rs + d_bound)
-
+    res = _residuals(d.lam, _parts(d.z1), _parts(d.z2), _parts(target), p, kind, _FLOATS)
     # A NaN residual fails and is the maximum.
     failures = tuple(name for name, v in res.items() if not v <= tol.eps_mem)
     max_res = math.nan if any(map(math.isnan, res.values())) else max(res.values())

@@ -26,8 +26,10 @@ merged counts and maxima do not depend on worker interleaving.
 Samplers and campaign run in blocks of BLOCK rows: a block is an N x 9
 float64 array of (B, u, E) rows (N x 18 for a pair), computed column by
 column in the same operations, in the same order, as a single point would
-be, so the block engine's streams and reports are those of the per-point
-arithmetic bit for bit.  The public samplers yield Triples from these rows.
+be.  The campaign's membership, decomposition and verification kernels are
+the per-point ones, run on numpy columns, so its reports are those of the
+per-point functions bit for bit.  The public samplers yield Triples from
+the sampler rows.
 """
 
 from __future__ import annotations
@@ -46,13 +48,13 @@ from .core import (
     HullParams,
     Tolerances,
     Triple,
+    _COLUMNS,
     _columns,
-    _cone_residuals,
+    _cone_residual,
     _cross,
     _dot,
-    _excess_bounds,
+    _excess_cap,
     _libm,
-    _positive,
     _separating_mask,
     _triple,
     _vec,
@@ -145,7 +147,7 @@ def _sphere(t: np.ndarray, phi: np.ndarray, radius):
     and phi (azimuth): component columns."""
     z = 2.0 * t - 1.0
     phi = TWO_PI * phi
-    rho = radius * np.sqrt(_positive(1.0 - z * z))
+    rho = radius * np.sqrt(_COLUMNS.positive(1.0 - z * z))
     return rho * np.cos(phi), rho * np.sin(phi), radius * z
 
 
@@ -165,9 +167,8 @@ def _triples(rows: np.ndarray) -> Iterator[Triple]:
     return map(_row_triple, rows.tolist())
 
 
-def sample_K(cfg: SampleConfig) -> Iterator[Triple]:
-    """Uniform constraint-set states: B and u on their spheres, E = B x u."""
-    stream = UniformStream(cfg.seed, cfg.worker)
+def _K_blocks(stream: UniformStream, cfg: SampleConfig) -> Iterator[np.ndarray]:
+    """cfg.count constraint-set states as blocks of N x 9 rows; 4 draws per state."""
     p = cfg.params
     for done in range(0, cfg.count, BLOCK):
         n = min(BLOCK, cfg.count - done)
@@ -175,7 +176,13 @@ def sample_K(cfg: SampleConfig) -> Iterator[Triple]:
         stream.advance(4 * n)
         B = _sphere(w[:, 0], w[:, 1], p.r)
         u = _sphere(w[:, 2], w[:, 3], p.s)
-        yield from _triples(np.column_stack((*B, *u, *_cross(B, u))))
+        yield np.column_stack((*B, *u, *_cross(B, u)))
+
+
+def sample_K(cfg: SampleConfig) -> Iterator[Triple]:
+    """Uniform constraint-set states: B and u on their spheres, E = B x u."""
+    for rows in _K_blocks(UniformStream(cfg.seed, cfg.worker), cfg):
+        yield from _triples(rows)
 
 
 def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
@@ -201,7 +208,7 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
         nh = tuple(x * inv_n for x in nv)
         db = tuple(b1[i] - b2[i] for i in range(3))
         h = _dot(db, e1) * inv_n
-        rho_c = np.sqrt(_positive(1.0 - h * h))
+        rho_c = np.sqrt(_COLUMNS.positive(1.0 - h * h))
 
         # Orthonormal frame of the circle plane (axis picked off nhat).
         an = tuple(np.abs(x) for x in nh)
@@ -352,7 +359,7 @@ def _hull_rows(B, u, e, delta: np.ndarray, start: int, p: HullParams) -> np.ndar
     with d the sharp excess bound and delta = 1 at every 100th point."""
     index = np.arange(start, start + len(delta))
     delta = np.where(index % 100 == 99, 1.0, delta)
-    f = delta * _excess_bounds(B, u, p)
+    f = delta * np.sqrt(_excess_cap(_dot(B, B), _dot(u, u), p, _COLUMNS))
     bxu = _cross(B, u)
     return np.column_stack((*B, *u, *(bxu[i] + e[i] * f for i in range(3))))
 
@@ -515,7 +522,7 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
         off_cone = np.zeros(len(rows), dtype=bool)
         if kind.restricts_u:
             _, u, E = _columns(rows)
-            res = _cone_residuals(u, E, rss)
+            res = _cone_residual(u, E, rss, _COLUMNS)
             report.max_u_orthogonality = _fold_max(report.max_u_orthogonality, res)
             off_cone = res > tol.eps_mem
         for i in np.flatnonzero(outside | off_cone).tolist():

@@ -260,6 +260,43 @@ def reference_grid_residual(direction, xi, g, kind=ConeKind.NONSTATIONARY):
     return worst
 
 
+# The per-point membership kernel written out on its own, not shared with the
+# block mask: an independent reference for both.
+
+def reference_separating_function(z: Triple, p: HullParams, kind: ConeKind,
+                                  eps: float) -> str | None:
+    """The membership kernel: which of "g1", "g3", "g2" separates z, or None.
+
+    Every comparison is made on the normalised triple (b, v, e) =
+    (B/r, u/s, E/(rs)), where the relaxed set is the same for all radii:
+    |b . e| <= eps (1 + |b||e|) and likewise v . e; |b|, |v| <= 1 + eps;
+    |e - b x v|^2 <= (1 - |b|^2)(1 - |v|^2) + eps.  The radii are folded into
+    unrolled arithmetic: this kernel sits inside the million-point campaigns.
+    """
+    r, s = p.r, p.s
+    rr, ss = r * r, s * s
+    B, u, E = z.B, z.u, z.E
+    bx, by, bz = B.x, B.y, B.z
+    ux, uy, uz = u.x, u.y, u.z
+    ex, ey, ez = E.x, E.y, E.z
+    nb2 = bx * bx + by * by + bz * bz
+    nu2 = ux * ux + uy * uy + uz * uz
+    nb = math.sqrt(nb2)
+    nu = math.sqrt(nu2)
+    ne = math.sqrt(ex * ex + ey * ey + ez * ez)
+    if abs(bx * ex + by * ey + bz * ez) > eps * (rr * s + nb * ne):
+        return "g1"
+    if kind.restricts_u and abs(ux * ex + uy * ey + uz * ez) > eps * (r * ss + nu * ne):
+        return "g3"
+    if nb > r * (1.0 + eps) or nu > s * (1.0 + eps):
+        return "g2"
+    wx = ex - (by * uz - bz * uy)
+    wy = ey - (bz * ux - bx * uz)
+    wz = ez - (bx * uy - by * ux)
+    cap = max(0.0, rr - nb2) * max(0.0, ss - nu2)
+    return "g2" if wx * wx + wy * wy + wz * wz > cap + eps * (rr * ss) else None
+
+
 # The scalar decomposition and verification in Vec3 arithmetic, one
 # temporary per operation: the reference the unrolled float path in
 # dynamohull.laminate must reproduce bit for bit, errors included.

@@ -18,6 +18,8 @@ from dynamohull import (
     HullParams,
     NotInHullError,
     SampleConfig,
+    Triple,
+    Vec3,
     decompose,
     in_constraint_set,
     in_hull,
@@ -29,7 +31,8 @@ from dynamohull import (
     verify_decomposition,
     wave_vector_for,
 )
-from _helpers import scaled_point
+from _helpers import reference_separating_function, scaled_point
+from test_blocks import special_points
 
 RADII = (1e-6, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e6)
 
@@ -59,6 +62,72 @@ def test_verdicts_and_decompositions_at_every_scale(kind):
                 if in_hull(z, p, kind) or not separation_witness(z, p, kind).separates:
                     problems.append(("outside point accepted", r, s))
     assert not problems, problems[:10]
+
+
+def threshold_points(p: HullParams, eps: float, d: float) -> list[Triple]:
+    """Points a relative distance d from each threshold of the membership kernel:
+    |B| = r (1 + eps), |u| = s (1 + eps), the floors eps r^2 s of g1 and
+    eps r s^2 of g3, and the excess cap (r^2 - |B|^2)(s^2 - |u|^2) + eps r^2 s^2."""
+    r, s = p.r, p.s
+    rs = r * s
+    half_B, half_u = Vec3(0.5 * r, 0.0, 0.0), Vec3(0.0, 0.5 * s, 0.0)
+    B = Vec3(r * (1.0 + eps) * (1.0 + d), 0.0, 0.0)
+    u = Vec3(0.0, s * (1.0 + eps) * (1.0 + d), 0.0)
+    points = [Triple(B, half_u, B.cross(half_u)), Triple(half_B, u, half_B.cross(u))]
+    # B . E = eps (r^2 s + |B||E|) at x = 2 eps (rs + |E| / 2), and likewise
+    # u . E at y; |E| hardly depends on x, y, so a few fixed-point steps converge.
+    x = y = 0.0
+    for _ in range(4):
+        x = 2.0 * eps * (rs + 0.5 * math.hypot(x, 0.25 * rs))
+        y = 2.0 * eps * (rs + 0.5 * math.hypot(y, 0.25 * rs))
+    points += [Triple(half_B, half_u, Vec3(x * (1.0 + d), 0.0, 0.25 * rs)),
+               Triple(half_B, half_u, Vec3(0.0, y * (1.0 + d), 0.25 * rs))]
+    B, u = Vec3(0.6 * r, 0.0, 0.0), Vec3(0.0, 0.3 * s, 0.0)
+    cap = (r * r - B.norm2()) * (s * s - u.norm2()) + eps * (r * r * s * s)
+    return points + [Triple(B, u, B.cross(u) + Vec3(0.0, 0.0, math.sqrt(cap) * (1.0 + d)))]
+
+
+def slack_band_points(p: HullParams) -> list[Triple]:
+    """The three families of points in the eps_mem slack band that in_hull
+    accepts and decompose + verify_decomposition need not split, at radii p."""
+    r, s = p.r, p.s
+
+    def point(B, u, excess, ohm=1.0):
+        B, u = Vec3(*B) * r, Vec3(*u) * s
+        return Triple(B, u, B.cross(u) * ohm + Vec3(*excess) * (r * s))
+
+    return [point((1, 0, 0), (0, 0.5, 0), (0, 0, 1e-6)),        # amplitude boundary
+            point((0.3, 0, 0), (0, 1, 0), (0, 0, 1e-5)),
+            point((1e-5, 0, 0), (0, 0.5, 0), (1e-5, 0, 5e-6)),  # tiny B parallel to the excess
+            point((0.5, 0, 0), (0, 0.5, 0), (2.4e-9, 0, 0.3)),  # cone slack
+            point((0.5, 0, 0), (0, 0.5, 0), (0, 2e-9, 0), ohm=1.5)]
+
+
+@pytest.mark.parametrize("kind", SCALE_KINDS)
+def test_membership_matches_reference_kernel(kind):
+    # The membership kernel against the unmerged reference_separating_function,
+    # on both sides of every threshold within 1e-12 relative.
+    eps = 1e-9
+    for ri, r in enumerate(RADII):
+        for si, s in enumerate(RADII):
+            p = HullParams(r, s)
+            rng = np.random.default_rng([73, ri, si])
+            points = [scaled_point(rng, kind, f, r, s) for f in
+                      (*rng.uniform(0.0, 1.0, 6), 1.0, *np.exp(rng.uniform(0.0, 4.0, 6)))]
+            points += [*special_points(p).values(), *slack_band_points(p)]
+            below, above = threshold_points(p, eps, -1e-12), threshold_points(p, eps, 1e-12)
+            # Each pair straddles its threshold as the reference kernel sees it;
+            # u . E is no condition of the shared cone.
+            straddle = [(reference_separating_function(a, p, kind, eps) is None,
+                         reference_separating_function(b, p, kind, eps) is None)
+                        for a, b in zip(below, above)]
+            expected = [(True, False)] * 5
+            expected[3] = (True, not kind.restricts_u)
+            assert straddle == expected, (r, s, straddle)
+            for z in points + below + above:
+                function = reference_separating_function(z, p, kind, eps)
+                assert separation_witness(z, p, kind).function == function, (r, s, z)
+                assert in_hull(z, p, kind) == (function is None), (r, s, z)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
