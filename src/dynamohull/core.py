@@ -360,10 +360,11 @@ def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -
 def _libm(fn, *cols: np.ndarray) -> np.ndarray:
     """fn of the math module applied row by row to numpy columns.
 
-    numpy's arctan2, arccos, hypot and power differ from the C library by an
-    ulp on a few percent of inputs, while its sin, cos, sqrt and mod agree
-    bit for bit; the block kernels route the former through here so that a
-    block rounds exactly as the per-point arithmetic does.
+    numpy's arctan2 and power differ from the C library by an ulp on a few
+    percent of inputs, while its sin, cos, sqrt and mod agree bit for bit;
+    the block kernels route the former through here so that a block rounds
+    exactly as the per-point arithmetic does.  Two uses remain: atan2 in
+    _COLUMNS (the decomposition angle) and the cube root in oracle._ball.
     """
     return np.fromiter(map(fn, *(c.tolist() for c in cols)), dtype=np.float64,
                        count=len(cols[0]))

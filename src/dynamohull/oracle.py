@@ -23,13 +23,16 @@ numpy's SeedSequence; worker w of a sharded run draws from
 SeedSequence(seed, spawn_key=(w,)), so substreams are independent and the
 merged counts and maxima do not depend on worker interleaving.
 
-Samplers and campaign run in blocks of BLOCK rows: a block is an N x 9
-float64 array of (B, u, E) rows (N x 18 for a pair), computed column by
-column in the same operations, in the same order, as a single point would
-be.  The campaign's membership, decomposition and verification kernels are
-the per-point ones, run on numpy columns, so its reports are those of the
-per-point functions bit for bit.  The public samplers yield Triples from
-the sampler rows.
+Samplers and campaign run in blocks of BLOCK rows.  A pair or a mixture
+block is a state of component columns, (B, u, E) triples of float64
+columns; the hull sampler's blocks are N x 9 arrays of (B, u, E) rows.
+The stationary incompressible circle point is placed in closed form, by
+the cosine and sine of its angle, so the pair sampler calls no libm
+function row by row.  The campaign's membership, decomposition and
+verification kernels are the per-point ones, run on numpy columns in the
+same operations, in the same order, as a single point, so its reports are
+those of the per-point functions bit for bit.  The public samplers stack
+N x 9 rows only to yield Triples, and the campaign only for failure rows.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .core import (
     _dot,
     _excess_cap,
     _libm,
-    _separating_mask,
+    _separation_flags,
     _triple,
     _vec,
     eval_g1,
@@ -193,9 +196,9 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
     draws give the same normalised pair at every radius pair.  Draws: B1 (2),
     u1 (2), B2 (2), then the circle angle (the stationary incompressible
     branch draws a root-choice coin instead, or an angle when the whole
-    circle satisfies the second plane).  Returns the N x 18 rows (z1 then
-    z2), the index into REJECTIONS of each rejected attempt (-1 where
-    accepted) and the cone residual of each pair.
+    circle satisfies the second plane).  Returns the states z1 and z2 as
+    (B, u, E) component columns, the index into REJECTIONS of each rejected
+    attempt (-1 where accepted) and the cone residual of each pair.
     """
     with np.errstate(all="ignore"):
         b1 = _sphere(w[:, 0], w[:, 1], 1.0)
@@ -221,31 +224,43 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
         p2 = _cross(nh, p1)
 
         conditions = [n_len <= 1e-9, np.abs(h) > 1.0]
+        phi = TWO_PI * w[:, 6]
         if restricts_u:
-            # Second plane: u2 . (u1 x B2 + E1) = u1 . E1 on the circle.
+            # Second plane: u2 . (u1 x B2 + E1) = u1 . E1 on the circle, i.e.
+            # a_cos cos(phi) + a_sin sin(phi) = c_target.  With (cb, sb) =
+            # (cos beta, sin beta) the unit direction of (a_cos, a_sin), the
+            # roots are phi = beta +- delta with cos(delta) = ratio; their
+            # cosine and sine follow from the angle-sum formulas.
             ub = _cross(u1, b2)
             n2 = tuple(ub[i] + e1[i] for i in range(3))
             c_target = _dot(u1, e1) - h * _dot(nh, n2)
             a_cos = rho_c * _dot(p1, n2)
             a_sin = rho_c * _dot(p2, n2)
-            amp = _libm(math.hypot, a_cos, a_sin)
+            amp = np.sqrt(a_cos * a_cos + a_sin * a_sin)
             degeneracy = 1e-12 * (1.0 + np.sqrt(_dot(n2, n2)))
             free = amp <= degeneracy
             conditions += [free & (np.abs(c_target) > degeneracy),
                            ~free & (np.abs(c_target) > amp)]
+            cb = a_cos / amp
+            sb = a_sin / amp
             ratio = c_target / amp
             ratio = np.where(ratio > -1.0, ratio, -1.0)
             ratio = np.where(ratio < 1.0, ratio, 1.0)
-            base = _libm(math.atan2, a_sin, a_cos)
-            delta = _libm(math.acos, ratio)
-            phi = np.where(free, TWO_PI * w[:, 6],
-                           np.where(w[:, 6] < 0.5, base + delta, base - delta))
+            sd = np.sqrt(_COLUMNS.positive(1.0 - ratio * ratio))
+            sd = np.where(w[:, 6] < 0.5, sd, -sd)
+            cos_phi = cb * ratio - sb * sd
+            sin_phi = sb * ratio + cb * sd
+            # A circle that lies in the second plane keeps the drawn angle.
+            at = np.flatnonzero(free)
+            cos_phi[at] = np.cos(phi[at])
+            sin_phi[at] = np.sin(phi[at])
         else:
-            phi = TWO_PI * w[:, 6]
+            cos_phi = np.cos(phi)
+            sin_phi = np.sin(phi)
         status = np.select(conditions, list(range(len(conditions))), -1)
 
-        ca = rho_c * np.cos(phi)
-        sa = rho_c * np.sin(phi)
+        ca = rho_c * cos_phi
+        sa = rho_c * sin_phi
         u2 = tuple(nh[i] * h + ca * p1[i] + sa * p2[i] for i in range(3))
         e2 = _cross(b2, u2)
 
@@ -258,15 +273,29 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
             res = np.where(res2 > res, res2, res)
     r, s = p.r, p.s
     rs = r * s
-    rows = np.column_stack([x * r for x in b1] + [x * s for x in u1] + [x * rs for x in e1]
-                           + [x * r for x in b2] + [x * s for x in u2] + [x * rs for x in e2])
-    return rows, status, res
+
+    def scaled(B, u, E):
+        return tuple(x * r for x in B), tuple(x * s for x in u), tuple(x * rs for x in E)
+
+    return scaled(b1, u1, e1), scaled(b2, u2, e2), status, res
+
+
+def _head(z, k: int):
+    """The first k rows of a (B, u, E) state of component columns."""
+    return tuple(tuple(x[:k] for x in v) for v in z)
+
+
+def _stack(*states) -> np.ndarray:
+    """The rows of states of (B, u, E) component columns, side by side: N x 9
+    for one state, N x 18 for a pair."""
+    return np.column_stack([x for z in states for v in z for x in v])
 
 
 def _pair_blocks(stream: UniformStream, cfg: SampleConfig, stats: SampleStats,
-                 weighted: bool = False) -> Iterator[np.ndarray]:
-    """cfg.count pairs as blocks of N x 18 rows, with a 19th column, the
-    mixture weight, when weighted.
+                 weighted: bool = False) -> Iterator[tuple]:
+    """cfg.count pairs as blocks (z1, z2, lam): the states as (B, u, E)
+    component columns and the mixture weights, a column when weighted and
+    None otherwise.
 
     The draws are read in the per-pair order: an accepted attempt reads 7
     and a rejected one 6, and a weight is the draw after its pair.  A block
@@ -280,16 +309,17 @@ def _pair_blocks(stream: UniformStream, cfg: SampleConfig, stats: SampleStats,
     while left:
         n = min(BLOCK, left)
         w = stream.peek(n * stride).reshape(n, stride)
-        rows, status, res = _pair_block(w, p, cfg.kind.restricts_u)
+        z1, z2, status, res = _pair_block(w, p, cfg.kind.restricts_u)
         bad = np.flatnonzero((status >= 0) | (res > 1e-10))
         k = int(bad[0]) if len(bad) else n
         if k:
             stats.attempts += k
             stats.accepted += k
             in_a_row = 0
+            lam = w[:k, 7] if weighted else None
             stream.advance(k * stride)
             left -= k
-            yield np.column_stack((rows[:k], w[:k, 7])) if weighted else rows[:k]
+            yield _head(z1, k), _head(z2, k), lam
         if k < n:
             stats.attempts += 1
             if status[k] < 0:
@@ -302,18 +332,20 @@ def _pair_blocks(stream: UniformStream, cfg: SampleConfig, stats: SampleStats,
 
 
 def _mixture_blocks(stream: UniformStream, cfg: SampleConfig,
-                    stats: SampleStats) -> Iterator[np.ndarray]:
-    """cfg.count mixtures lam*z1 + (1-lam)*z2 as blocks of N x 9 rows."""
-    for rows in _pair_blocks(stream, cfg, stats, weighted=True):
-        lam = rows[:, 18:]
-        yield lam * rows[:, :9] + (1.0 - lam) * rows[:, 9:18]
+                    stats: SampleStats) -> Iterator[tuple]:
+    """cfg.count mixtures lam*z1 + (1-lam)*z2 as blocks of (B, u, E) component
+    columns."""
+    for z1, z2, lam in _pair_blocks(stream, cfg, stats, weighted=True):
+        mu = 1.0 - lam
+        yield tuple(tuple(lam * a + mu * b for a, b in zip(v1, v2)) for v1, v2 in zip(z1, z2))
 
 
 def sample_lambda_pair(cfg: SampleConfig,
                        stats: SampleStats | None = None) -> Iterator[tuple[Triple, Triple]]:
     """Constraint-set pairs whose difference lies in the cone for cfg.kind."""
     stats = stats if stats is not None else SampleStats()
-    for rows in _pair_blocks(UniformStream(cfg.seed, cfg.worker), cfg, stats):
+    for z1, z2, _ in _pair_blocks(UniformStream(cfg.seed, cfg.worker), cfg, stats):
+        rows = _stack(z1, z2)
         yield from zip(_triples(rows[:, :9]), _triples(rows[:, 9:]))
 
 
@@ -321,8 +353,8 @@ def sample_first_laminate(cfg: SampleConfig,
                           stats: SampleStats | None = None) -> Iterator[Triple]:
     """Convex combinations lam*z1 + (1-lam)*z2 of cone-compatible pairs."""
     stats = stats if stats is not None else SampleStats()
-    for rows in _mixture_blocks(UniformStream(cfg.seed, cfg.worker), cfg, stats):
-        yield from _triples(rows)
+    for z in _mixture_blocks(UniformStream(cfg.seed, cfg.worker), cfg, stats):
+        yield from _triples(_stack(z))
 
 
 def _excess_directions(B, t: np.ndarray, phi: np.ndarray):
@@ -516,17 +548,18 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
                              r=p.r, s=p.s)
 
     stats = SampleStats()
-    for rows in _mixture_blocks(UniformStream(cfg.seed, cfg.worker), cfg, stats):
-        report.laminate_checked += len(rows)
-        outside = _separating_mask(rows, p, kind, inner_tol.eps_mem)
-        off_cone = np.zeros(len(rows), dtype=bool)
+    for B, u, E in _mixture_blocks(UniformStream(cfg.seed, cfg.worker), cfg, stats):
+        n = len(B[0])
+        report.laminate_checked += n
+        g1, g3, g2 = _separation_flags(B, u, E, p, kind, inner_tol.eps_mem, _COLUMNS)
+        outside = g1 | g3 | g2
+        off_cone = np.zeros(n, dtype=bool)
         if kind.restricts_u:
-            _, u, E = _columns(rows)
             res = _cone_residual(u, E, rss, _COLUMNS)
             report.max_u_orthogonality = _fold_max(report.max_u_orthogonality, res)
             off_cone = res > tol.eps_mem
         for i in np.flatnonzero(outside | off_cone).tolist():
-            z = _row_triple(rows[i].tolist())
+            z = _row_triple([float(x[i]) for v in (B, u, E) for x in v])
             if outside[i]:
                 report.record_failure("laminate", z, "combination fails closed-form membership")
             if off_cone[i]:

@@ -30,6 +30,8 @@ from dynamohull import (
     unit_perpendicular_to_all,
     verify_decomposition,
 )
+from dynamohull.core import _COLUMNS, _cross, _dot, _libm
+from dynamohull.oracle import TWO_PI, _sphere
 
 ALPHA_GRID = np.linspace(0.0, 1.0, 10_000)
 _SQRT_WEIGHT = 2.0 * np.sqrt(ALPHA_GRID * (1.0 - ALPHA_GRID))
@@ -204,6 +206,86 @@ def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None, decompose_coun
             if res > tol.eps_mem:
                 report.record_failure("decompose", z, f"u.(Bbar x ubar) residual {res}")
     return report
+
+
+def reference_pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
+    """oracle._pair_block with the circle angle from math's hypot, atan2 and
+    acos row by row: the reference the closed-form circle point must
+    reproduce.  One pair attempt per row of draws (columns 0-6 of w).
+
+    The pair is built on the unit spheres, where every threshold below is
+    dimensionless, then scaled once (B by r, u by s, E by rs), so the same
+    draws give the same normalised pair at every radius pair.  Draws: B1 (2),
+    u1 (2), B2 (2), then the circle angle (the stationary incompressible
+    branch draws a root-choice coin instead, or an angle when the whole
+    circle satisfies the second plane).  Returns the N x 18 rows (z1 then
+    z2), the index into REJECTIONS of each rejected attempt (-1 where
+    accepted) and the cone residual of each pair.
+    """
+    with np.errstate(all="ignore"):
+        b1 = _sphere(w[:, 0], w[:, 1], 1.0)
+        u1 = _sphere(w[:, 2], w[:, 3], 1.0)
+        b2 = _sphere(w[:, 4], w[:, 5], 1.0)
+        e1 = _cross(b1, u1)
+        nv = _cross(b1, b2)
+        n_len = np.sqrt(_dot(nv, nv))
+        inv_n = 1.0 / n_len
+        nh = tuple(x * inv_n for x in nv)
+        db = tuple(b1[i] - b2[i] for i in range(3))
+        h = _dot(db, e1) * inv_n
+        rho_c = np.sqrt(_COLUMNS.positive(1.0 - h * h))
+
+        # Orthonormal frame of the circle plane (axis picked off nhat).
+        an = tuple(np.abs(x) for x in nh)
+        on_x = (an[0] <= an[1]) & (an[0] <= an[2])
+        on_y = ~on_x & (an[1] <= an[2])
+        axis = (on_x.astype(float), on_y.astype(float), (~on_x & ~on_y).astype(float))
+        p1 = _cross(nh, axis)
+        inv_p = 1.0 / np.sqrt(_dot(p1, p1))
+        p1 = tuple(x * inv_p for x in p1)
+        p2 = _cross(nh, p1)
+
+        conditions = [n_len <= 1e-9, np.abs(h) > 1.0]
+        if restricts_u:
+            # Second plane: u2 . (u1 x B2 + E1) = u1 . E1 on the circle.
+            ub = _cross(u1, b2)
+            n2 = tuple(ub[i] + e1[i] for i in range(3))
+            c_target = _dot(u1, e1) - h * _dot(nh, n2)
+            a_cos = rho_c * _dot(p1, n2)
+            a_sin = rho_c * _dot(p2, n2)
+            amp = _libm(math.hypot, a_cos, a_sin)
+            degeneracy = 1e-12 * (1.0 + np.sqrt(_dot(n2, n2)))
+            free = amp <= degeneracy
+            conditions += [free & (np.abs(c_target) > degeneracy),
+                           ~free & (np.abs(c_target) > amp)]
+            ratio = c_target / amp
+            ratio = np.where(ratio > -1.0, ratio, -1.0)
+            ratio = np.where(ratio < 1.0, ratio, 1.0)
+            base = _libm(math.atan2, a_sin, a_cos)
+            delta = _libm(math.acos, ratio)
+            phi = np.where(free, TWO_PI * w[:, 6],
+                           np.where(w[:, 6] < 0.5, base + delta, base - delta))
+        else:
+            phi = TWO_PI * w[:, 6]
+        status = np.select(conditions, list(range(len(conditions))), -1)
+
+        ca = rho_c * np.cos(phi)
+        sa = rho_c * np.sin(phi)
+        u2 = tuple(nh[i] * h + ca * p1[i] + sa * p2[i] for i in range(3))
+        e2 = _cross(b2, u2)
+
+        de = tuple(e1[i] - e2[i] for i in range(3))
+        de_len = np.sqrt(_dot(de, de))
+        res = np.abs(_dot(db, de)) / (1.0 + np.sqrt(_dot(db, db)) * de_len)
+        if restricts_u:
+            du = tuple(u1[i] - u2[i] for i in range(3))
+            res2 = np.abs(_dot(du, de)) / (1.0 + np.sqrt(_dot(du, du)) * de_len)
+            res = np.where(res2 > res, res2, res)
+    r, s = p.r, p.s
+    rs = r * s
+    rows = np.column_stack([x * r for x in b1] + [x * s for x in u1] + [x * rs for x in e1]
+                           + [x * r for x in b2] + [x * s for x in u2] + [x * rs for x in e2])
+    return rows, status, res
 
 
 def _reference_spatial_residuals(s, h, direction, kind, dst):

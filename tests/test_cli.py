@@ -159,7 +159,7 @@ def test_verify_hull_deterministic_reports(tmp_path):
 GOLDEN_DIGESTS = {
     "nonstationary": "3ee6824cdbea3167ccf2e44c37405d23fa49d74acb407f949750c47fd4bbab47",
     "stationary-incompressible":
-        "c064d0146a9813b3ebab71b7439a3f070e212d2cd8186b54e1451c0f97cf8ec4",
+        "6f899f095f478669de1e2d8f58eedb0dec984f928fc112278953b48ff362e3a6",
 }
 
 
@@ -256,7 +256,7 @@ SAMPLE_DIGESTS = {
     ("hull", "nonstationary", "csv"):
         "88ab04e3ad315e189162751cf8e0e8386ced28c0cf1b5740a6036db259c3c93a",
     ("laminate", "stationary-incompressible", "csv"):
-        "5832b7b45ee96cd8a91106e1ca830767deaa139cf3ffa66499fc4fa6bc2d0bac",
+        "e53b7c1fed43ff98c4752075174494c66ee99b79397a7bfd685b4861d84450a1",
     ("hull", "stationary-incompressible", "csv"):
         "6b0eebc4f8111b33a27843427cbe98e01db586908431c34daabe37462c0753e2",
     ("laminate", "nonstationary", "json"):

@@ -26,6 +26,8 @@ from dynamohull import (
     write_samples_csv,
 )
 from dynamohull import oracle
+from _helpers import reference_pair_block
+from test_blocks import ListStream
 
 P11 = HullParams(1.0, 1.0)
 
@@ -95,6 +97,61 @@ def test_lambda_pairs_are_valid(kind):
     assert stats.accepted == 500
     assert stats.acceptance_rate > 0.0
 
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (1e-3, 1e3), (1e-6, 1e6)])
+@pytest.mark.parametrize("kind", [ConeKind.NONSTATIONARY,
+                                  ConeKind.STATIONARY_INCOMPRESSIBLE])
+def test_pair_block_matches_libm_reference(kind, radii):
+    # 20k attempts of one stream, then 2k whose B2 draws sit within 1e-12 of
+    # their B1 draws.  Those are rejected as near-parallel, but their noisy
+    # circle puts c_target / amp outside [-1, 1], so they reach the clip of
+    # ratio; an accepted attempt has |c_target| <= amp and never does.
+    p = HullParams(*radii)
+    n, m = 20_000, 2_000
+    w = UniformStream(42).peek(7 * n).reshape(n, 7).copy()
+    near = w[:m].copy()
+    near[:, 4:6] = near[:, 0:2] + 1e-12 * np.random.default_rng(0).uniform(-1.0, 1.0, (m, 2))
+    w = np.concatenate((w, near))
+    z1, z2, status, res = oracle._pair_block(w, p, kind.restricts_u)
+    ref, ref_status, ref_res = reference_pair_block(w, p, kind.restricts_u)
+    rows = oracle._stack(z1, z2)
+
+    assert status.tolist() == ref_status.tolist()
+    accepted = status < 0
+    assert accepted[:n].sum() > 0.99 * n and not accepted[n:].any()
+    assert res[accepted].max() <= 1e-14
+    if kind.restricts_u:
+        # The libm angle goes through acos, which is ill-conditioned near
+        # |ratio| = 1, so the two placements differ by more than rounding.
+        unit = np.tile(np.repeat([p.r, p.s, p.r * p.s], 3), 2)
+        assert np.abs(rows / unit - ref / unit).max() <= 1e-10
+    else:
+        assert (rows.view(np.uint64) == ref.view(np.uint64)).all()
+        assert (res.view(np.uint64) == ref_res.view(np.uint64)).all()
+
+
+def test_coincident_planes_keep_the_drawn_angle(monkeypatch):
+    # u1's draws repeat B1's, so u1 = B1 and E1 = B1 x B1 = 0 exactly.  The
+    # second plane u2 . (B1 x B2) = 0 is then the circle's own plane, amp is
+    # rounding noise below the degeneracy bound, and every attempt is
+    # accepted with the drawn angle, as the libm reference places it.
+    count = 3000
+    p = HullParams(0.5, 2.0)
+    cfg = SampleConfig(seed=29, count=count, params=p, kind=ConeKind.STATIONARY_INCOMPRESSIBLE)
+    w = UniformStream(cfg.seed).peek(7 * count).reshape(count, 7).copy()
+    w[:, 2:4] = w[:, 0:2]
+    fake = ListStream(w.ravel())
+    monkeypatch.setattr(oracle, "UniformStream", lambda seed, worker=0: fake)
+    stats = SampleStats()
+    pairs = list(sample_lambda_pair(cfg, stats))
+    assert stats.attempts == stats.accepted == count
+    assert fake.i == 7 * count
+    ref, ref_status, _ = reference_pair_block(w, p, True)
+    assert (ref_status == -1).all()
+    rows = np.array([[*z1.B, *z1.u, *z1.E, *z2.B, *z2.u, *z2.E] for z1, z2 in pairs])
+    assert (rows[:, 6:9] == 0.0).all()
+    assert (rows.view(np.uint64) == ref.view(np.uint64)).all()
 
 def test_equal_B_pairs_are_valid_directions():
     # A shared magnetic endpoint makes the cone condition automatic.
