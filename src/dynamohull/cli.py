@@ -47,22 +47,29 @@ _RESIDUAL_DIRECTIONS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--r", type=float, default=1.0, help="magnetic amplitude radius (default 1)")
-    parser.add_argument("--s", type=float, default=1.0, help="velocity amplitude radius (default 1)")
-    parser.add_argument("--kind", default="nonstationary",
-                        choices=[k.value for k in ConeKind],
-                        help="system variant (default nonstationary)")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--count", type=int, default=10_000,
-                        help="sample count (default 10000)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="membership slack eps_mem override (default 1e-9)")
-    parser.add_argument("--output", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", default="json", choices=["json", "csv"],
-                        help="output format (default json)")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="suppress the timestamp so reports are byte-identical")
+_FLAGS = {
+    "r": dict(type=float, default=1.0, help="magnetic amplitude radius (default 1)"),
+    "s": dict(type=float, default=1.0, help="velocity amplitude radius (default 1)"),
+    "kind": dict(default="nonstationary", choices=[k.value for k in ConeKind],
+                 help="system variant (default nonstationary)"),
+    "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "count": dict(type=int, default=10_000, help="sample count (default 10000)"),
+    "tol": dict(type=float, default=None,
+                help="membership slack eps_mem override (default 1e-9)"),
+    "output": dict(default=None, help="output path (default stdout)"),
+    "format": dict(default="json", choices=["json", "csv"], help="output format (default json)"),
+    "deterministic": dict(action="store_true",
+                          help="suppress the timestamp so reports are byte-identical"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str):
+    """Register the flags of _FLAGS that the subcommand reads: those named, plus
+    the four every subcommand reads (--kind, --tol, --output, --deterministic)."""
+    wanted = {*names, "kind", "tol", "output", "deterministic"}
+    for name, spec in _FLAGS.items():
+        if name in wanted:
+            parser.add_argument(f"--{name}", **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,24 +80,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-hull", help="two-sided membership/decomposition campaign")
-    _add_common(p)
+    _add_flags(p, "r", "s", "seed", "count")
 
     p = sub.add_parser("decompose", help="decompose one triple read as JSON")
-    _add_common(p)
+    _add_flags(p, "r", "s")
     p.add_argument("--input", default="-", help="triple JSON path, or - for stdin")
 
     p = sub.add_parser("wavecone", help="cone membership verdict for one triple")
-    _add_common(p)
+    _add_flags(p)
     p.add_argument("--input", default="-", help="triple JSON path, or - for stdin")
 
     p = sub.add_parser("sample", help="export sampled triples")
-    _add_common(p)
+    _add_flags(p, "r", "s", "seed", "count", "format")
     p.add_argument("--sampler", default="laminate",
                    choices=["constraint", "laminate", "hull"],
                    help="which set to sample (default laminate)")
 
     p = sub.add_parser("residual", help="plane-wave grid residual convergence table")
-    _add_common(p)
+    _add_flags(p)
     p.add_argument("--n", type=int, default=32,
                    help="finest grid points per axis, a multiple of 8 and at least 16; "
                         "levels n/4, n/2, n (default 32)")
@@ -101,14 +108,6 @@ def _tolerances(args) -> Tolerances:
     if args.tol is None:
         return Tolerances()
     return Tolerances(eps_mem=args.tol)
-
-
-def _params(args, parser: argparse.ArgumentParser) -> HullParams:
-    try:
-        return HullParams(args.r, args.s)
-    except ValueError as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")
 
 
 def _emit_text(args, text: str):
@@ -136,7 +135,7 @@ def _read_triple(args) -> Triple:
 
 
 def _cmd_verify_hull(args, parser) -> int:
-    p = _params(args, parser)
+    p = HullParams(args.r, args.s)
     tol = _tolerances(args)
     cfg = SampleConfig(seed=args.seed, count=args.count, params=p,
                        kind=ConeKind.from_label(args.kind))
@@ -146,7 +145,7 @@ def _cmd_verify_hull(args, parser) -> int:
 
 
 def _cmd_decompose(args, parser) -> int:
-    p = _params(args, parser)
+    p = HullParams(args.r, args.s)
     tol = _tolerances(args)
     kind = ConeKind.from_label(args.kind)
     z = _read_triple(args)
@@ -184,7 +183,7 @@ def _cmd_wavecone(args, parser) -> int:
 
 
 def _cmd_sample(args, parser) -> int:
-    p = _params(args, parser)
+    p = HullParams(args.r, args.s)
     tol = _tolerances(args)
     kind = ConeKind.from_label(args.kind)
     cfg = SampleConfig(seed=args.seed, count=args.count, params=p, kind=kind)

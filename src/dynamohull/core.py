@@ -225,9 +225,14 @@ def _triple(B: Vec3, u: Vec3, E: Vec3) -> Triple:
     return z
 
 
+# With r s and r / s in this range, r and s lie in [1e-75, 1e75] and every
+# product of the radii the kernels form (up to r^2 s^2) is a finite, normal double.
+RADIUS_PRODUCT_RANGE = (1e-75, 1e75)
+
+
 @dataclass(frozen=True, slots=True)
 class HullParams:
-    """Amplitude radii: |B| = r on the constraint set, |u| = s."""
+    """Amplitude radii |B| = r, |u| = s; r s and r / s in RADIUS_PRODUCT_RANGE."""
 
     r: float
     s: float
@@ -238,6 +243,10 @@ class HullParams:
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{label} radius {name} must be a positive finite real, got {v}")
             _obj_set(self, name, v)
+        lo, hi = RADIUS_PRODUCT_RANGE
+        if not (lo <= self.r * self.s <= hi and lo <= self.r / self.s <= hi):
+            raise ValueError(f"radii r = {self.r}, s = {self.s} out of range: r*s and r/s "
+                             f"must lie in [{lo}, {hi}]")
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "s": self.s}
@@ -395,13 +404,8 @@ _COLUMNS = _Math(np.sqrt, partial(_libm, math.atan2), np.cos, np.sin, np.where,
                  lambda n, d: np.divide(n, d, out=np.zeros_like(d), where=d != 0.0))
 
 
-def _columns(rows: np.ndarray):
-    """The (B, u, E) component triples of an N x 9 block of rows."""
-    return tuple(tuple(rows[:, 3 * k + i] for i in range(3)) for k in range(3))
-
-
 def _parts(z: Triple):
-    """The (B, u, E) component triples of one state, as _columns gives a block's."""
+    """The (B, u, E) component triples of one state, as the block engine holds a block's."""
     B, u, E = z.B, z.u, z.E
     return (B.x, B.y, B.z), (u.x, u.y, u.z), (E.x, E.y, E.z)
 
@@ -471,18 +475,11 @@ def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Ma
 def _separating_function(z: Triple, p: HullParams, kind: ConeKind, eps: float) -> str | None:
     """Which of "g1", "g3", "g2" separates z, or None: the first flag, in that
     order, of the membership kernel, whose one body runs here on the floats of
-    one point and in _separating_mask on the numpy columns of a block."""
+    one point and in the block engine on the numpy columns of a block."""
     B, u, E = z.B, z.u, z.E
     g1, g3, g2 = _separation_flags((B.x, B.y, B.z), (u.x, u.y, u.z), (E.x, E.y, E.z),
                                    p, kind, eps, _FLOATS)
     return "g1" if g1 else "g3" if g3 else "g2" if g2 else None
-
-
-def _separating_mask(rows: np.ndarray, p: HullParams, kind: ConeKind, eps: float) -> np.ndarray:
-    """The membership kernel on an N x 9 block of (B, u, E) rows: True where
-    _separating_function would return a function."""
-    g1, g3, g2 = _separation_flags(*_columns(rows), p, kind, eps, _COLUMNS)
-    return g1 | g3 | g2
 
 
 def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,

@@ -33,12 +33,12 @@ The interior decomposition (the stages ``_excess``, ``_frame``,
 ``_sinusoid``, ``_perturbations``, ``_weight`` and ``_endpoints``) and the
 verification residuals (``_residuals``) are written once, on component
 triples, and one body serves both paths: the per-point functions run it on
-Python floats, the campaign engine on the numpy columns of N x 9 (B, u, E)
-blocks (``_decompose_block``, ``_verify_block``), so each row rounds exactly
-as the per-point path.  The per-point callers raise between stages, before
-the float arithmetic each guard protects; the block computes every row
-through and leaves the rows a guard would stop, and the points outside the
-set, to ``decompose``.
+Python floats, the campaign engine on blocks of (B, u, E) component columns
+(``_decompose_block``, and ``_residuals`` on ``_COLUMNS``), so each row
+rounds exactly as the per-point path.  The per-point callers raise between
+stages, before the float arithmetic each guard protects; the block computes
+every row through and leaves the rows a guard would stop, and the points
+outside the set, to ``decompose``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .core import (
     _COLUMNS,
     _FLOATS,
     _Math,
-    _columns,
     _cone_residual,
     _cross,
     _dot,
@@ -68,7 +67,7 @@ from .core import (
     _norm_rs,
     _parts,
     _separating_function,
-    _separating_mask,
+    _separation_flags,
     _triple,
     _vec,
     separation_witness,
@@ -401,17 +400,16 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     return _decomposition(lam, *_endpoints(B, u, bbar, ubar, lam))
 
 
-def _decompose_block(rows: np.ndarray, p: HullParams, kind: ConeKind, tol: Tolerances):
-    """decompose on the interior rows of an N x 9 block of targets.
+def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
+    """decompose on the interior rows of a block of targets (B, u, E), columns.
 
-    Returns (lam, z1, z2, fallback): the weights and the N x 9 endpoint rows
-    from decompose's stages, and the mask of rows left to decompose itself:
-    outside the relaxed set, exact Ohm, B = 0, amplitude boundary or a
+    Returns (lam, z1, z2, fallback): the weights and the endpoint states (as
+    columns) from decompose's stages, and the mask of rows left to decompose
+    itself: outside the relaxed set, exact Ohm, B = 0, amplitude boundary or a
     degenerate working plane.  lam, z1 and z2 are meaningless on those rows.
     """
     r, s = p.r, p.s
     m = _COLUMNS
-    B, u, E = _columns(rows)
     with np.errstate(all="ignore"):
         rr, ss, excess, c = _excess(B, u, E, p, m)
         f = _frame(rr, ss, excess, m)
@@ -421,17 +419,17 @@ def _decompose_block(rows: np.ndarray, p: HullParams, kind: ConeKind, tol: Toler
         _, bbar, ubar, _ = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, m)
         lam = _weight(B, bbar, m)
         z1, z2 = _endpoints(B, u, bbar, ubar, lam)
-        fallback = (_separating_mask(rows, p, kind, tol.eps_mem)
-                    | (c <= tol.eps_root * r * s)
+        g1, g3, g2 = _separation_flags(B, u, E, p, kind, tol.eps_mem, m)
+        fallback = (g1 | g3 | g2 | (c <= tol.eps_root * r * s)
                     | (rr <= tol.eps_mem * r * r) | (ss <= tol.eps_mem * s * s)
                     | (nb == 0.0) | ~(wn >= 1e-6))
-    z1, z2 = (np.column_stack([col for v in zi for col in v]) for zi in (z1, z2))
     return lam, z1, z2, fallback
 
 
 def _residuals(lam, z1, z2, target, p: HullParams, kind: ConeKind, m: _Math) -> dict:
     """verify_decomposition's residuals, in its key order, of the weight lam and
-    the (B, u, E) states z1, z2 and target of component triples."""
+    the (B, u, E) states z1, z2 and target of component triples: floats, or
+    numpy columns with one column per check."""
     r, s = p.r, p.s
     rs = r * s
     res = {}
@@ -460,12 +458,6 @@ def _residuals(lam, z1, z2, target, p: HullParams, kind: ConeKind, m: _Math) -> 
     prod = lam * mu * m.sqrt(_dot(dB, dB)) * m.sqrt(_dot(du, du))
     res["weight_amplitude_identity"] = abs(prod - d_bound) / (rs + d_bound)
     return res
-
-
-def _verify_block(lam: np.ndarray, z1: np.ndarray, z2: np.ndarray, target: np.ndarray,
-                  p: HullParams, kind: ConeKind) -> dict:
-    """verify_decomposition's residuals on blocks of rows: one column per check."""
-    return _residuals(lam, _columns(z1), _columns(z2), _columns(target), p, kind, _COLUMNS)
 
 
 @dataclass(frozen=True)

@@ -23,16 +23,16 @@ numpy's SeedSequence; worker w of a sharded run draws from
 SeedSequence(seed, spawn_key=(w,)), so substreams are independent and the
 merged counts and maxima do not depend on worker interleaving.
 
-Samplers and campaign run in blocks of BLOCK rows.  A pair or a mixture
-block is a state of component columns, (B, u, E) triples of float64
-columns; the hull sampler's blocks are N x 9 arrays of (B, u, E) rows.
-The stationary incompressible circle point is placed in closed form, by
-the cosine and sine of its angle, so the pair sampler calls no libm
-function row by row.  The campaign's membership, decomposition and
+Samplers and campaign run in blocks of BLOCK rows, and every block is a
+state of component columns: a (B, u, E) triple of float64 columns per
+state.  The stationary incompressible circle point is placed in closed
+form, by the cosine and sine of its angle, so the pair sampler calls no
+libm function row by row.  The campaign's membership, decomposition and
 verification kernels are the per-point ones, run on numpy columns in the
 same operations, in the same order, as a single point, so its reports are
-those of the per-point functions bit for bit.  The public samplers stack
-N x 9 rows only to yield Triples, and the campaign only for failure rows.
+those of the per-point functions bit for bit.  Rows become Triples only
+at the edge: the public samplers stack a block's N x 9 rows to yield them,
+and the campaign reads its failure rows one at a time (_triple_at).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .core import (
     Tolerances,
     Triple,
     _COLUMNS,
-    _columns,
     _cone_residual,
     _cross,
     _dot,
@@ -67,7 +66,7 @@ from .core import (
     in_hull,
     unit_perpendicular_to_all,
 )
-from .laminate import DecompositionError, _decompose_block, _verify_block, decompose
+from .laminate import DecompositionError, _decompose_block, _residuals, decompose
 
 TWO_PI = 2.0 * math.pi
 THIRD = 1.0 / 3.0
@@ -170,8 +169,13 @@ def _triples(rows: np.ndarray) -> Iterator[Triple]:
     return map(_row_triple, rows.tolist())
 
 
-def _K_blocks(stream: UniformStream, cfg: SampleConfig) -> Iterator[np.ndarray]:
-    """cfg.count constraint-set states as blocks of N x 9 rows; 4 draws per state."""
+def _triple_at(z, i: int) -> Triple:
+    """The Triple of row i of a (B, u, E) state of component columns."""
+    return _row_triple([float(x[i]) for v in z for x in v])
+
+
+def _K_blocks(stream: UniformStream, cfg: SampleConfig) -> Iterator[tuple]:
+    """cfg.count constraint-set states as (B, u, E) column blocks; 4 draws per state."""
     p = cfg.params
     for done in range(0, cfg.count, BLOCK):
         n = min(BLOCK, cfg.count - done)
@@ -179,13 +183,13 @@ def _K_blocks(stream: UniformStream, cfg: SampleConfig) -> Iterator[np.ndarray]:
         stream.advance(4 * n)
         B = _sphere(w[:, 0], w[:, 1], p.r)
         u = _sphere(w[:, 2], w[:, 3], p.s)
-        yield np.column_stack((*B, *u, *_cross(B, u)))
+        yield B, u, _cross(B, u)
 
 
 def sample_K(cfg: SampleConfig) -> Iterator[Triple]:
     """Uniform constraint-set states: B and u on their spheres, E = B x u."""
-    for rows in _K_blocks(UniformStream(cfg.seed, cfg.worker), cfg):
-        yield from _triples(rows)
+    for z in _K_blocks(UniformStream(cfg.seed, cfg.worker), cfg):
+        yield from _triples(_stack(z))
 
 
 def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
@@ -373,31 +377,31 @@ def _excess_directions(B, t: np.ndarray, phi: np.ndarray):
 
 
 def _restricted_directions(B, u, coin: np.ndarray):
-    """Unit directions perpendicular to B and u, signed by a coin draw."""
+    """Unit directions (columns) perpendicular to B and u, signed by a coin draw."""
     with np.errstate(all="ignore"):
         w = _cross(B, u)
         wn = np.sqrt(_dot(w, w))
-        e = np.column_stack([x / wn for x in w])
+        e = tuple(x / wn for x in w)
         small = ~(wn > 1e-4 * np.sqrt(_dot(B, B)) * np.sqrt(_dot(u, u)))
     for i in np.flatnonzero(small).tolist():
-        e[i] = unit_perpendicular_to_all((_vec(*(float(x[i]) for x in B)),
-                                          _vec(*(float(x[i]) for x in u)))).as_list()
-    e = np.where((coin < 0.5)[:, None], e, -e)
-    return e[:, 0], e[:, 1], e[:, 2]
+        t = _triple_at((B, u, w), i)
+        e[0][i], e[1][i], e[2][i] = unit_perpendicular_to_all((t.B, t.u))
+    keep = coin < 0.5
+    return tuple(np.where(keep, x, -x) for x in e)
 
 
-def _hull_rows(B, u, e, delta: np.ndarray, start: int, p: HullParams) -> np.ndarray:
-    """Rows (B, u, B x u + delta d e) of sample points start, start + 1, ...,
-    with d the sharp excess bound and delta = 1 at every 100th point."""
+def _hull_points(B, u, e, delta: np.ndarray, start: int, p: HullParams):
+    """Sample points start, start + 1, ... as (B, u, B x u + delta d e), component
+    columns, with d the sharp excess bound and delta = 1 at every 100th point."""
     index = np.arange(start, start + len(delta))
     delta = np.where(index % 100 == 99, 1.0, delta)
     f = delta * np.sqrt(_excess_cap(_dot(B, B), _dot(u, u), p, _COLUMNS))
     bxu = _cross(B, u)
-    return np.column_stack((*B, *u, *(bxu[i] + e[i] * f for i in range(3))))
+    return B, u, tuple(bxu[i] + e[i] * f for i in range(3))
 
 
-def _hull_blocks(stream: UniformStream, cfg: SampleConfig) -> Iterator[np.ndarray]:
-    """cfg.count points of the relaxed set as blocks of N x 9 rows.
+def _hull_blocks(stream: UniformStream, cfg: SampleConfig) -> Iterator[tuple]:
+    """cfg.count points of the relaxed set as (B, u, E) column blocks.
 
     Draws per point: 3 for B and 3 for u (radius, then the sphere); then 1
     coin for the sign of the excess direction (stationary incompressible
@@ -422,10 +426,10 @@ def _hull_blocks(stream: UniformStream, cfg: SampleConfig) -> Iterator[np.ndarra
             retry = np.flatnonzero(~ok)
             k = int(retry[0]) if len(retry) else n
         if k:
-            rows = _hull_rows(*(tuple(x[:k] for x in v) for v in (B, u, e)), w[:k, -1], done, p)
+            z = _hull_points(*_head((B, u, e), k), w[:k, -1], done, p)
             stream.advance(k * stride)
             done += k
-            yield rows
+            yield z
         if k < n:
             # Point k: repeat the direction tries, 2 draws each, until one succeeds.
             Bk, uk = (tuple(x[k:k + 1] for x in v) for v in (B, u))
@@ -435,10 +439,10 @@ def _hull_blocks(stream: UniformStream, cfg: SampleConfig) -> Iterator[np.ndarra
                 t = stream.peek(2)
                 e, ok = _excess_directions(Bk, t[:1], t[1:])
                 stream.advance(2)
-            rows = _hull_rows(Bk, uk, e, stream.peek(1), done, p)
+            z = _hull_points(Bk, uk, e, stream.peek(1), done, p)
             stream.advance(1)
             done += 1
-            yield rows
+            yield z
 
 
 def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
@@ -448,8 +452,8 @@ def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
     delta is uniform on [0, 1]; every 100th sample forces delta = 1 so the
     excess boundary is exercised with positive frequency.
     """
-    for rows in _hull_blocks(UniformStream(cfg.seed, cfg.worker), cfg):
-        yield from _triples(rows)
+    for z in _hull_blocks(UniformStream(cfg.seed, cfg.worker), cfg):
+        yield from _triples(_stack(z))
 
 
 @dataclass
@@ -559,17 +563,17 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
             report.max_u_orthogonality = _fold_max(report.max_u_orthogonality, res)
             off_cone = res > tol.eps_mem
         for i in np.flatnonzero(outside | off_cone).tolist():
-            z = _row_triple([float(x[i]) for v in (B, u, E) for x in v])
+            zi = _triple_at((B, u, E), i)
             if outside[i]:
-                report.record_failure("laminate", z, "combination fails closed-form membership")
+                report.record_failure("laminate", zi, "combination fails closed-form membership")
             if off_cone[i]:
-                report.record_failure("laminate", z, f"u.E residual {float(res[i])}")
+                report.record_failure("laminate", zi, f"u.E residual {float(res[i])}")
     report.pair_attempts = stats.attempts
 
     hull_cfg = SampleConfig(seed=cfg.seed, count=decompose_count, params=p,
                             kind=kind, worker=cfg.worker)
-    for rows in _hull_blocks(UniformStream(cfg.seed, cfg.worker), hull_cfg):
-        _check_decompositions(report, rows, p, kind, tol, rss)
+    for z in _hull_blocks(UniformStream(cfg.seed, cfg.worker), hull_cfg):
+        _check_decompositions(report, z, p, kind, tol, rss)
     return report
 
 
@@ -581,32 +585,33 @@ def _fold_max(acc: float | None, values: np.ndarray) -> float | None:
     return top if acc is None or top > acc else acc
 
 
-def _check_decompositions(report: HullCheckReport, rows: np.ndarray, p: HullParams,
+def _check_decompositions(report: HullCheckReport, z, p: HullParams,
                           kind: ConeKind, tol: Tolerances, rss: float):
-    """Decompose and verify a block of hull points into the report.
+    """Decompose and verify a block z of hull points, (B, u, E) columns, into the report.
 
     The block kernel splits the interior points; every other point goes
     through decompose itself, so the rare branches and their errors have one
     implementation.  All endpoints are then verified as one block.
     """
-    report.decompose_checked += len(rows)
-    lam, z1, z2, fallback = _decompose_block(rows, p, kind, tol)
+    n = len(z[0][0])
+    report.decompose_checked += n
+    lam, z1, z2, fallback = _decompose_block(*z, p, kind, tol)
     raised = {}
     for i in np.flatnonzero(fallback).tolist():
-        z = _row_triple(rows[i].tolist())
         try:
-            d = decompose(z, p, kind, tol)
+            d = decompose(_triple_at(z, i), p, kind, tol)
         except DecompositionError as exc:
             raised[i] = f"decomposition raised: {exc}"
             continue
         lam[i] = d.lam
-        z1[i] = (*d.z1.B, *d.z1.u, *d.z1.E)
-        z2[i] = (*d.z2.B, *d.z2.u, *d.z2.E)
-    verified = np.ones(len(rows), dtype=bool)
+        for zj, t in ((z1, d.z1), (z2, d.z2)):
+            for v, x in zip(zj, (t.B, t.u, t.E)):
+                v[0][i], v[1][i], v[2][i] = x
+    verified = np.ones(n, dtype=bool)
     verified[list(raised)] = False
 
     with np.errstate(all="ignore"):  # the rows that raised hold no endpoints
-        res = _verify_block(lam, z1, z2, rows, p, kind)
+        res = _residuals(lam, z1, z2, z, p, kind, _COLUMNS)
     names = list(res)
     table = np.column_stack([res[name] for name in names])[verified]
     if len(table):
@@ -614,12 +619,12 @@ def _check_decompositions(report: HullCheckReport, rows: np.ndarray, p: HullPara
         by_check = report.max_residual_by_check
         for name, val in zip(names, table.max(axis=0).tolist()):
             by_check[name] = max(by_check.get(name, 0.0), val)
-    failing = np.zeros((len(rows), len(names)), dtype=bool)
+    failing = np.zeros((n, len(names)), dtype=bool)
     failing[verified] = ~(table <= tol.eps_mem)  # a NaN residual fails
-    mixing = np.zeros(len(rows))
+    mixing = np.zeros(n)
     if kind.restricts_u:
-        dB, du, _ = _columns(z1 - z2)
-        _, u, _ = _columns(rows)
+        dB, du = (tuple(a - b for a, b in zip(z1[k], z2[k])) for k in (0, 1))
+        u = z[1]
         with np.errstate(all="ignore"):
             mixing = np.abs(_dot(u, _cross(dB, du))) / (
                 rss + np.sqrt(_dot(u, u)) * np.sqrt(_dot(dB, dB)) * np.sqrt(_dot(du, du)))
@@ -628,15 +633,15 @@ def _check_decompositions(report: HullCheckReport, rows: np.ndarray, p: HullPara
     unmixed = verified & (mixing > tol.eps_mem)
 
     for i in np.flatnonzero(~verified | failing.any(axis=1) | unmixed).tolist():
-        z = _row_triple(rows[i].tolist())
+        zi = _triple_at(z, i)
         if i in raised:
-            report.record_failure("decompose", z, raised[i])
+            report.record_failure("decompose", zi, raised[i])
             continue
         if failing[i].any():
-            report.record_failure("decompose", z, "verification failed: " + ", ".join(
+            report.record_failure("decompose", zi, "verification failed: " + ", ".join(
                 name for name, bad in zip(names, failing[i].tolist()) if bad))
         if unmixed[i]:
-            report.record_failure("decompose", z, f"u.(Bbar x ubar) residual {float(mixing[i])}")
+            report.record_failure("decompose", zi, f"u.(Bbar x ubar) residual {float(mixing[i])}")
 
 
 CSV_HEADER = "Bx,By,Bz,ux,uy,uz,Ex,Ey,Ez,in_hull,g1,g2,g3"

@@ -182,7 +182,15 @@ def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None, decompose_coun
 
     hull_cfg = SampleConfig(seed=cfg.seed, count=decompose_count, params=p,
                             kind=kind, worker=cfg.worker)
-    for z in sample_hull(hull_cfg):
+    reference_check_decompositions(report, sample_hull(hull_cfg), p, kind, tol)
+    return report
+
+
+def reference_check_decompositions(report, points, p, kind, tol):
+    """The surjective half of reference_two_sided_hull_check on the given
+    points: decompose and verify each one into the report."""
+    rss = p.r * p.s * p.s
+    for z in points:
         report.decompose_checked += 1
         try:
             d = decompose(z, p, kind, tol)
@@ -205,7 +213,6 @@ def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None, decompose_coun
                 report.max_mixing_orthogonality = res
             if res > tol.eps_mem:
                 report.record_failure("decompose", z, f"u.(Bbar x ubar) residual {res}")
-    return report
 
 
 def reference_pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):

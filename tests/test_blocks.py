@@ -1,9 +1,9 @@
 """The block campaign engine against the per-point path.
 
-The samplers, the membership mask, the interior decomposition and the
-verification residuals run on N x 9 blocks of rows in the per-point
-arithmetic, so every comparison here is exact: bit for bit, not within a
-tolerance.
+The samplers, the membership kernel, the interior decomposition and the
+verification residuals run on blocks of (B, u, E) component columns in the
+per-point arithmetic, so every comparison here is exact: bit for bit, not
+within a tolerance.
 """
 
 import math
@@ -32,16 +32,29 @@ from dynamohull import (
     verify_decomposition,
 )
 from dynamohull import oracle
-from dynamohull.core import DEFAULT_TOLERANCES, _separating_function, _separating_mask
-from dynamohull.laminate import _decompose_block, _verify_block
-from _helpers import reference_two_sided_hull_check, scaled_point
+from dynamohull.core import _COLUMNS, DEFAULT_TOLERANCES, _separating_function, _separation_flags
+from dynamohull.laminate import _decompose_block, _residuals
+from _helpers import reference_check_decompositions, reference_two_sided_hull_check, scaled_point
 
 KINDS = (ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE)
 RADII = (1e-6, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e6)
 
 
-def block(triples) -> np.ndarray:
-    return np.array([[*z.B, *z.u, *z.E] for z in triples], dtype=np.float64).reshape(-1, 9)
+def block(triples):
+    """The (B, u, E) component columns of a list of triples."""
+    rows = np.array([[*z.B, *z.u, *z.E] for z in triples], dtype=np.float64).reshape(-1, 9)
+    return tuple(tuple(rows[:, 3 * k + i].copy() for i in range(3)) for k in range(3))
+
+
+def row(z, i):
+    """Row i of a (B, u, E) state of component columns, as 9 floats."""
+    return [float(x[i]) for v in z for x in v]
+
+
+def set_row(z, i, t: Triple):
+    """Write the triple t into row i of a (B, u, E) state of component columns."""
+    for v, x in zip(z, (t.B, t.u, t.E)):
+        v[0][i], v[1][i], v[2][i] = x
 
 
 def bits(x) -> np.ndarray:
@@ -103,7 +116,8 @@ def test_separating_mask_matches_kernel(kind):
             points = [scaled_point(rng, kind, f, r, s) for f in
                       (*rng.uniform(0.0, 1.0, 8), 1.0, *np.exp(rng.uniform(0.0, 4.0, 8)))]
             points += special_points(p).values()
-            mask = _separating_mask(block(points), p, kind, eps)
+            g1, g3, g2 = _separation_flags(*block(points), p, kind, eps, _COLUMNS)
+            mask = g1 | g3 | g2
             expected = [_separating_function(z, p, kind, eps) is not None for z in points]
             assert mask.tolist() == expected, (r, s)
     assert any(expected) and not all(expected)
@@ -122,8 +136,8 @@ def test_block_decomposition_matches_decompose(kind, radii):
     # the block residuals are verify_decomposition's.
     p = HullParams(*radii)
     points = hull_points(kind, p)
-    rows = block(points)
-    lam, z1, z2, fallback = _decompose_block(rows, p, kind, DEFAULT_TOLERANCES)
+    cols = block(points)
+    lam, z1, z2, fallback = _decompose_block(*cols, p, kind, DEFAULT_TOLERANCES)
     decomposed = {}
     for i, z in enumerate(points):
         try:
@@ -134,13 +148,13 @@ def test_block_decomposition_matches_decompose(kind, radii):
         decomposed[i] = d
         if fallback[i]:
             lam[i] = d.lam
-            z1[i] = [*d.z1.B, *d.z1.u, *d.z1.E]
-            z2[i] = [*d.z2.B, *d.z2.u, *d.z2.E]
+            set_row(z1, i, d.z1)
+            set_row(z2, i, d.z2)
             continue
         assert bits(lam[i]) == bits(d.lam)
-        assert (bits(z1[i]) == bits([*d.z1.B, *d.z1.u, *d.z1.E])).all()
-        assert (bits(z2[i]) == bits([*d.z2.B, *d.z2.u, *d.z2.E])).all()
-    res = _verify_block(lam, z1, z2, rows, p, kind)
+        assert (bits(row(z1, i)) == bits([*d.z1.B, *d.z1.u, *d.z1.E])).all()
+        assert (bits(row(z2, i)) == bits([*d.z2.B, *d.z2.u, *d.z2.E])).all()
+    res = _residuals(lam, z1, z2, cols, p, kind, _COLUMNS)
     for i, d in decomposed.items():
         ver = verify_decomposition(d, points[i], p, kind)
         assert list(res) == list(ver.residuals)
@@ -156,7 +170,7 @@ def test_fallback_rows_are_the_rare_branches(kind):
     special = special_points(p)
     interior = list(sample_hull(SampleConfig(seed=25, count=300, params=p, kind=kind)))
     points = interior + list(special.values())
-    _, _, _, fallback = _decompose_block(block(points), p, kind, tol)
+    _, _, _, fallback = _decompose_block(*block(points), p, kind, tol)
     branch = {}
     for name, z in special.items():
         try:
@@ -176,6 +190,27 @@ def test_fallback_rows_are_the_rare_branches(kind):
     assert branch == {name: ("interior" if name == "u = 0" else name) for name in special}
     expected = [False] * len(interior) + [branch[name] != "interior" for name in special]
     assert fallback.tolist() == expected
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (2.0, 0.5), (1e-3, 1e3)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_fallback_rows_are_written_back(kind, radii):
+    # The rare branches sit among interior points of one block.  The rows
+    # decompose itself splits (exact Ohm, B = 0) are written back into the
+    # block's weights and endpoints before the block is verified, so the
+    # report, residual maxima included, is the per-point reference's.
+    p = HullParams(*radii)
+    tol = DEFAULT_TOLERANCES
+    interior = list(sample_hull(SampleConfig(seed=30, count=300, params=p, kind=kind)))
+    special = list(special_points(p).values())
+    points = interior[:100] + special + interior[100:] + special
+    report, expected = (HullCheckReport(seed=30, worker=0, kind=kind.label, r=p.r, s=p.s)
+                        for _ in range(2))
+    oracle._check_decompositions(report, block(points), p, kind, tol, p.r * p.s * p.s)
+    reference_check_decompositions(expected, points, p, kind, tol)
+    assert report.to_json() == expected.to_json()
+    # Only the three points outside or beyond decompose's reach fail.
+    assert report.decompose_failure_count == 2 * 3
 
 
 class ListStream:

@@ -217,6 +217,25 @@ def test_residual_rejects_odd_coarsest_level(capsys):
     assert "--n must be a multiple of 8 and at least 16, got 20" in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("verify-hull", "--format"),
+    *(("decompose", flag) for flag in ("--seed", "--count", "--format")),
+    *((command, flag) for command in ("wavecone", "residual")
+      for flag in ("--r", "--s", "--seed", "--count", "--format")),
+])
+def test_flags_a_subcommand_never_reads_are_rejected(command, flag, capsys):
+    assert main([command, flag, "csv" if flag == "--format" else "1"]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radii", [("1e-100", "1e-100"), ("1e155", "1"), ("1e100", "1e-100")])
+@pytest.mark.parametrize("command", ["decompose", "verify-hull", "sample"])
+def test_radii_out_of_range_exit_two(command, radii, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(K_POINT))
+    assert main([command, "--r", radii[0], "--s", radii[1]]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_sampler_choices_validated():
     assert main(["sample", "--sampler", "everything"]) == 2
 

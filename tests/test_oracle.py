@@ -76,8 +76,9 @@ def test_sample_K_mean_is_centred():
     n = 1_000_000
     r = 1.3
     cfg = SampleConfig(seed=0, count=n, params=HullParams(r, 1.0))
-    # sample_K yields these rows as Triples; summing the rows skips building 1M of them.
-    mean = sum(rows[:, :3].sum(axis=0) for rows in oracle._K_blocks(UniformStream(0), cfg)) / n
+    # sample_K yields these states as Triples; summing the B columns skips building 1M of them.
+    blocks = oracle._K_blocks(UniformStream(0), cfg)
+    mean = sum(np.array([x.sum() for x in B]) for B, _, _ in blocks) / n
     assert np.all(np.abs(mean) < 3.0 / np.sqrt(n) * r)
 
 

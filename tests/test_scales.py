@@ -28,6 +28,7 @@ from dynamohull import (
     sample_hull,
     sample_lambda_pair,
     separation_witness,
+    two_sided_hull_check,
     verify_decomposition,
     wave_vector_for,
 )
@@ -206,3 +207,42 @@ def test_every_decomposition_direction_has_a_wave_vector(kind, r, s):
         assert res["faraday"] <= 1e-9 * (abs(xi.xi_t) * dz.B.norm() + nx * e_scale)
         if kind.incompressible:
             assert res["u_div"] <= 1e-9 * dz.u.norm() * nx
+
+
+# (log10 r, log10 s) at the vertices and edge midpoints of the radii HullParams
+# accepts: |log10(r s)| <= 75 and |log10(r / s)| <= 75.
+RANGE_CORNERS = ((75.0, 0.0), (-75.0, 0.0), (0.0, 75.0), (0.0, -75.0),
+                 (37.5, 37.5), (-37.5, -37.5), (37.5, -37.5), (-37.5, 37.5))
+
+
+def corner_params(log_r, log_s, factor):
+    return HullParams(10.0 ** (log_r * factor), 10.0 ** (log_s * factor))
+
+
+@pytest.mark.parametrize("log_r, log_s", RANGE_CORNERS)
+def test_radius_range_edges(log_r, log_s):
+    # Just inside an edge the radii are accepted, just outside they raise.
+    corner_params(log_r, log_s, 1.0 - 1e-6)
+    with pytest.raises(ValueError, match="out of range"):
+        corner_params(log_r, log_s, 1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("r, s", [(1e155, 1.0), (1e154, 1.0), (1e-100, 1e-100),
+                                  (1e-80, 1e-80), (1e100, 1e-100), (1e-300, 1e300)])
+def test_radii_the_kernels_cannot_represent_raise(r, s):
+    # Beyond the range r^2 overflows (the exact-Ohm point at r = 1e155 would
+    # get g2 = nan) or the decomposition underflows and loses its splits.
+    with pytest.raises(ValueError, match="out of range"):
+        HullParams(r, s)
+
+
+@pytest.mark.parametrize("kind", SCALE_KINDS)
+@pytest.mark.parametrize("log_r, log_s", RANGE_CORNERS)
+def test_campaign_and_decompositions_at_the_range_corners(kind, log_r, log_s):
+    p = corner_params(log_r, log_s, 1.0 - 1e-6)
+    report = two_sided_hull_check(SampleConfig(seed=3, count=2000, params=p, kind=kind))
+    assert report.failure_count == 0
+    for z in sample_hull(SampleConfig(seed=4, count=100, params=p, kind=kind)):
+        assert verify_decomposition(decompose(z, p, kind), z, p, kind).passed
+    B, u = Vec3(0.5 * p.r, 0.0, 0.0), Vec3(0.0, 0.5 * p.s, 0.0)
+    assert in_hull(Triple(B, u, B.cross(u)), p, kind)
