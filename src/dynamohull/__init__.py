@@ -47,8 +47,6 @@ from .laminate import (
 from .oracle import (
     HullCheckReport,
     SampleConfig,
-    SampleStats,
-    UniformStream,
     sample_K,
     sample_first_laminate,
     sample_hull,
@@ -83,7 +81,7 @@ __all__ = [
     "DegenerateCallError", "LaminateConditions", "NotInHullError",
     "VerificationReport", "angle_equation", "decompose", "decompose_exact_ohm",
     "solve_laminate_conditions", "verify_decomposition",
-    "HullCheckReport", "SampleConfig", "SampleStats", "UniformStream",
+    "HullCheckReport", "SampleConfig",
     "sample_K", "sample_first_laminate", "sample_hull", "sample_lambda_pair",
     "two_sided_hull_check", "write_samples_csv",
     "GridResidualReport", "GridSpec", "LatticeError", "NotInConeError",

@@ -31,7 +31,6 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -366,19 +365,6 @@ def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -
     return (z.E - z.B.cross(z.u)).norm() <= eps * p.r * p.s
 
 
-def _libm(fn, *cols: np.ndarray) -> np.ndarray:
-    """fn of the math module applied row by row to numpy columns.
-
-    numpy's arctan2 and power differ from the C library by an ulp on a few
-    percent of inputs, while its sin, cos, sqrt and mod agree bit for bit;
-    the block kernels route the former through here so that a block rounds
-    exactly as the per-point arithmetic does.  Two uses remain: atan2 in
-    _COLUMNS (the decomposition angle) and the cube root in oracle._ball.
-    """
-    return np.fromiter(map(fn, *(c.tolist() for c in cols)), dtype=np.float64,
-                       count=len(cols[0]))
-
-
 def _dot(a, b):
     """a . b of two component triples (floats or numpy columns), in Vec3.dot's order."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -396,11 +382,10 @@ def _cross(a, b):
 # else b; positive(x) is max(0.0, x) with Python's max semantics (NaN -> 0.0);
 # quotient(n, d) is n / d, or 0.0 where d == 0.  A float kernel raises where a
 # column kernel gives inf or NaN, so its callers guard the arithmetic first.
-_Math = namedtuple("_Math", "sqrt atan2 cos sin where positive quotient")
-_FLOATS = _Math(math.sqrt, math.atan2, math.cos, math.sin, lambda c, a, b: a if c else b,
-                lambda x: x if x > 0.0 else 0.0, lambda n, d: n / d if d else 0.0)
-_COLUMNS = _Math(np.sqrt, partial(_libm, math.atan2), np.cos, np.sin, np.where,
-                 lambda x: np.where(x > 0.0, x, 0.0),
+_Math = namedtuple("_Math", "sqrt where positive quotient")
+_FLOATS = _Math(math.sqrt, lambda c, a, b: a if c else b, lambda x: x if x > 0.0 else 0.0,
+                lambda n, d: n / d if d else 0.0)
+_COLUMNS = _Math(np.sqrt, np.where, lambda x: np.where(x > 0.0, x, 0.0),
                  lambda n, d: np.divide(n, d, out=np.zeros_like(d), where=d != 0.0))
 
 

@@ -18,7 +18,9 @@ direction.  This module produces such a witness constructively:
                  - sqrt((r^2-|B|^2)/(s^2-|u|^2)) * (u . uhat(alpha)) = 0.
 
   In a fixed frame G is a sinusoid A cos(alpha) + C sin(alpha), so its root
-  in [pi/2, 3pi/2] is pi/2 + (atan2(A, -C) - pi/2) mod pi.  The perturbation
+  in [pi/2, 3pi/2] is the direction perpendicular to (A, C) with
+  cos(alpha) <= 0: (cos alpha, sin alpha) = (-|C|, sign(C) A) / sqrt(A^2 + C^2),
+  in closed form and without a trigonometric call.  The perturbation
   lengths follow from
   |Bbar|^2 = 4 (r^2 - |B|^2 sin^2 alpha) and
   |Bbar|^2 (s^2-|u|^2) = |ubar|^2 (r^2-|B|^2).
@@ -168,7 +170,7 @@ class AngleEquation:
 
     def root(self) -> float:
         """The root of G in [pi/2, 3pi/2]."""
-        return _angle_root(self.amp_cos, self.amp_sin)
+        return _angle(*_root_direction(self.amp_cos, self.amp_sin, _FLOATS))
 
 
 def _require_in_hull(z: Triple, p: HullParams, kind: ConeKind, tol: Tolerances | None):
@@ -273,19 +275,26 @@ def _sinusoid(u, nb, e1, w, wn, f: _Frame):
     return e1, e2, p_vec, q_vec, nb - kappa * _dot(u, p_vec), -kappa * _dot(u, q_vec)
 
 
-def _angle_root(amp_cos, amp_sin, m: _Math = _FLOATS):
-    """The root of A cos(alpha) + C sin(alpha) in [pi/2, 3pi/2], in closed form: it
-    vanishes where tan(alpha) = -A / C, and atan2(A, -C) is such an angle modulo pi."""
-    return HALF_PI + (m.atan2(amp_cos, -amp_sin) - HALF_PI) % math.pi
+def _root_direction(amp_cos, amp_sin, m: _Math):
+    """(cos alpha, sin alpha) of the root alpha of A cos(alpha) + C sin(alpha) in
+    [pi/2, 3pi/2], in closed form: the unit vector perpendicular to (A, C) with
+    cos(alpha) <= 0, (-|C|, sign(C) A) / sqrt(A^2 + C^2).  Where C = 0 it is
+    (0, 1), and where A = C = 0 it is (-1, 0)."""
+    rho = m.sqrt(amp_cos * amp_cos + amp_sin * amp_sin)
+    signed = m.where(amp_sin < 0.0, -amp_cos, m.where(amp_sin > 0.0, amp_cos, abs(amp_cos)))
+    return m.where(rho == 0.0, -1.0, m.quotient(-abs(amp_sin), rho)), m.quotient(signed, rho)
+
+
+def _angle(ca, sa) -> float:
+    """The angle in [0, 2pi) of the direction (cos, sin)."""
+    return math.atan2(sa, ca) % math.tau
 
 
 def _perturbations(nb, eq, f: _Frame, m: _Math):
-    """The root alpha of the angle equation eq (_sinusoid's values), bbar, ubar and
-    the unit direction uhat of ubar."""
+    """The root (cos alpha, sin alpha) of the angle equation eq (_sinusoid's
+    values), bbar, ubar and the unit direction uhat of ubar."""
     e1, e2, p_vec, q_vec, amp_cos, amp_sin = eq
-    alpha = _angle_root(amp_cos, amp_sin, m)
-    ca = m.cos(alpha)
-    sa = m.sin(alpha)
+    ca, sa = _root_direction(amp_cos, amp_sin, m)
     # |Bbar|^2 = 4 (r^2 - |B|^2 sin^2 alpha), computed as the amplitude gap
     # plus |B|^2 cos^2 alpha: near the boundary the direct form cancels
     # catastrophically and the endpoint amplitudes inherit the damage.
@@ -295,7 +304,7 @@ def _perturbations(nb, eq, f: _Frame, m: _Math):
             (e1[2] * ca + e2[2] * sa) * bbar_len)
     uhat = (p_vec[0] * ca + q_vec[0] * sa, p_vec[1] * ca + q_vec[1] * sa,
             p_vec[2] * ca + q_vec[2] * sa)
-    return alpha, bbar, (uhat[0] * ubar_len, uhat[1] * ubar_len, uhat[2] * ubar_len), uhat
+    return (ca, sa), bbar, (uhat[0] * ubar_len, uhat[1] * ubar_len, uhat[2] * ubar_len), uhat
 
 
 def _weight(B, bbar, m: _Math):
@@ -369,11 +378,11 @@ def solve_laminate_conditions(z: Triple, p: HullParams, kind: ConeKind = ConeKin
     """
     _require_in_hull(z, p, kind, tol)
     f, nb, eq = _interior_frame(*_parts(z), p, tol or DEFAULT_TOLERANCES)
-    alpha, bbar, ubar, uhat = _perturbations(nb, eq, f, _FLOATS)
+    root, bbar, ubar, uhat = _perturbations(nb, eq, f, _FLOATS)
     uhat = _vec(*uhat)
     alpha_u = math.atan2(z.u.cross(uhat).norm(), z.u.dot(uhat)) if z.u.norm() > 0.0 else 0.0
     return LaminateConditions(ebar=_vec(*f.ebar), bbar=_vec(*bbar), ubar=_vec(*ubar),
-                              alpha_b=alpha if nb else 0.0, alpha_u=alpha_u)
+                              alpha_b=_angle(*root) if nb else 0.0, alpha_u=alpha_u)
 
 
 def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,

@@ -13,21 +13,26 @@ condition (B1 - B2) . (E1 - E2) = 0 reads
     u2 . (B1 x B2) = (B1 - B2) . E1,
 
 a plane constraint on u2, intersected with the s-sphere (a circle that is
-sampled uniformly by angle).  The stationary incompressible cone adds the
-plane (u1 - u2) . (E1 - E2) = 0, i.e. u2 . (u1 x B2 + E1) = u1 . E1, which
-cuts the circle in at most two points.  Empty intersections are rejected
-and the draw repeats.
+sampled uniformly by angle).  u1 satisfies the constraint, so the plane's
+offset along its unit normal nhat is u1 . nhat and the circle is never
+empty; only B2 = +-B1 (nhat undefined) takes a fixed axis, and there every
+u2 on the sphere satisfies the condition.  The stationary incompressible
+cone adds the plane (u1 - u2) . (E1 - E2) = 0, i.e. u2 . (u1 x B2 + E1) =
+u1 . E1, which u1 also satisfies, so it always cuts the circle; the cut
+point is placed in closed form, by the cosine and sine of its angle.
 
 All randomness comes from a named 64-bit generator (PCG64) seeded through
 numpy's SeedSequence; worker w of a sharded run draws from
 SeedSequence(seed, spawn_key=(w,)), so substreams are independent and the
-merged counts and maxima do not depend on worker interleaving.
+merged counts and maxima do not depend on worker interleaving.  Every
+sampler reads a fixed number of draws per item (its stride: 4 per
+constraint-set state, 7 per pair, 8 per mixture and 8 per hull point), and
+item i reads draws [stride i, stride (i + 1)) of the stream and no others.
 
-Samplers and campaign run in blocks of BLOCK rows, and every block is a
-state of component columns: a (B, u, E) triple of float64 columns per
-state.  The stationary incompressible circle point is placed in closed
-form, by the cosine and sine of its angle, so the pair sampler calls no
-libm function row by row.  The campaign's membership, decomposition and
+Samplers and campaign run in blocks of BLOCK rows, one Generator.random
+call per block, and every block is a state of component columns: a
+(B, u, E) triple of float64 columns per state.  No kernel calls a libm
+function row by row.  The campaign's membership, decomposition and
 verification kernels are the per-point ones, run on numpy columns in the
 same operations, in the same order, as a single point, so its reports are
 those of the per-point functions bit for bit.  Rows become Triples only
@@ -56,7 +61,6 @@ from .core import (
     _cross,
     _dot,
     _excess_cap,
-    _libm,
     _separation_flags,
     _triple,
     _vec,
@@ -69,20 +73,15 @@ from .core import (
 from .laminate import DecompositionError, _decompose_block, _residuals, decompose
 
 TWO_PI = 2.0 * math.pi
-THIRD = 1.0 / 3.0
-
-# Abort threshold for rejection sampling; hitting it means the requested
-# configuration essentially never intersects the constraint circle.
-MAX_REJECTIONS_PER_SAMPLE = 10 ** 6
 
 # Rows per block of the samplers and the campaign: large enough to amortise
 # numpy's cost per call, small enough that a campaign's arrays stay at about
 # a megabyte whatever its count.
 BLOCK = 1024
 
-# Why a pair attempt is rejected, in the order the conditions are tested.
-REJECTIONS = ("near-parallel B draws", "plane misses the sphere", "degenerate circle",
-              "second plane misses the circle")
+# Revision of the sample streams a report was drawn from.  Version 2 reads a
+# fixed number of draws per item, with no rejection or retry.
+STREAM_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -102,46 +101,19 @@ class SampleConfig:
             raise ValueError(f"worker index must be nonnegative, got {self.worker}")
 
 
-class UniformStream:
-    """Uniform doubles of one PCG64 stream, read one at a time or as numpy
-    windows; the stream does not depend on how its values are read."""
-
-    __slots__ = ("_gen", "_buf", "_idx")
-    CHUNK = 8192
-
-    def __init__(self, seed: int, worker: int = 0):
-        self._gen = Generator(PCG64(SeedSequence(seed, spawn_key=(worker,))))
-        self._buf = self._gen.random(self.CHUNK)
-        self._idx = 0
-
-    def peek(self, n: int) -> np.ndarray:
-        """The next n draws, not consumed until advance(n)."""
-        i = self._idx
-        if i + n > len(self._buf):
-            self._buf = np.concatenate((self._buf[i:], self._gen.random(max(self.CHUNK, n))))
-            self._idx = i = 0
-        return self._buf[i:i + n]
-
-    def advance(self, n: int):
-        """Consume n draws."""
-        self._idx += n
-
-    def uniform(self) -> float:
-        u = float(self.peek(1)[0])
-        self._idx += 1
-        return u
+def _generator(cfg: SampleConfig) -> Generator:
+    """The uniform stream of cfg: PCG64 seeded by SeedSequence(seed, spawn_key=(worker,))."""
+    return Generator(PCG64(SeedSequence(cfg.seed, spawn_key=(cfg.worker,))))
 
 
-@dataclass
-class SampleStats:
-    """Aggregate counters for rejection sampling, filled in while iterating."""
-
-    attempts: int = 0
-    accepted: int = 0
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.attempts if self.attempts else 0.0
+def _draws(gen: Generator, count: int, stride: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, w) for blocks of count items of stride draws each: w holds the
+    draws of items start, start + 1, ..., one row per item, read with one
+    random call; a double costs one 64-bit output of the stream, so item i
+    reads draws [stride i, stride (i + 1)) however the blocks fall."""
+    for start in range(0, count, BLOCK):
+        n = min(BLOCK, count - start)
+        yield start, gen.random(n * stride).reshape(n, stride)
 
 
 def _sphere(t: np.ndarray, phi: np.ndarray, radius):
@@ -156,7 +128,7 @@ def _sphere(t: np.ndarray, phi: np.ndarray, radius):
 def _ball(w: np.ndarray, radius: float):
     """Uniform-volume points in the ball of the given radius from three draws
     per row (radius, then the sphere): component columns."""
-    return _sphere(w[:, 1], w[:, 2], radius * _libm(lambda x: x ** THIRD, w[:, 0]))
+    return _sphere(w[:, 1], w[:, 2], radius * np.cbrt(w[:, 0]))
 
 
 def _row_triple(f: list[float]) -> Triple:
@@ -174,13 +146,10 @@ def _triple_at(z, i: int) -> Triple:
     return _row_triple([float(x[i]) for v in z for x in v])
 
 
-def _K_blocks(stream: UniformStream, cfg: SampleConfig) -> Iterator[tuple]:
+def _K_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
     """cfg.count constraint-set states as (B, u, E) column blocks; 4 draws per state."""
     p = cfg.params
-    for done in range(0, cfg.count, BLOCK):
-        n = min(BLOCK, cfg.count - done)
-        w = stream.peek(4 * n).reshape(n, 4)
-        stream.advance(4 * n)
+    for _, w in _draws(gen, cfg.count, 4):
         B = _sphere(w[:, 0], w[:, 1], p.r)
         u = _sphere(w[:, 2], w[:, 3], p.s)
         yield B, u, _cross(B, u)
@@ -188,12 +157,30 @@ def _K_blocks(stream: UniformStream, cfg: SampleConfig) -> Iterator[tuple]:
 
 def sample_K(cfg: SampleConfig) -> Iterator[Triple]:
     """Uniform constraint-set states: B and u on their spheres, E = B x u."""
-    for z in _K_blocks(UniformStream(cfg.seed, cfg.worker), cfg):
+    for z in _K_blocks(_generator(cfg), cfg):
         yield from _triples(_stack(z))
 
 
+def _frame(v):
+    """An orthonormal frame (n, p1, p2) of component columns: n = v / |v|, or the
+    z axis where v = 0; p1 is n x the coordinate axis of n's smallest
+    component, normalised, and p2 = n x p1."""
+    with np.errstate(all="ignore"):
+        vn = np.sqrt(_dot(v, v))
+        zero = vn == 0.0
+        n = tuple(np.where(zero, a, x / vn) for x, a in zip(v, (0.0, 0.0, 1.0)))
+        an = tuple(np.abs(x) for x in n)
+        on_x = (an[0] <= an[1]) & (an[0] <= an[2])
+        on_y = ~on_x & (an[1] <= an[2])
+        axis = (on_x.astype(float), on_y.astype(float), (~on_x & ~on_y).astype(float))
+        p1 = _cross(n, axis)
+        inv_p = 1.0 / np.sqrt(_dot(p1, p1))
+        p1 = tuple(x * inv_p for x in p1)
+    return n, p1, _cross(n, p1)
+
+
 def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
-    """One pair attempt per row of draws (columns 0-6 of w).
+    """One pair per row of draws (columns 0-6 of w).
 
     The pair is built on the unit spheres, where every threshold below is
     dimensionless, then scaled once (B by r, u by s, E by rs), so the same
@@ -201,50 +188,34 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
     u1 (2), B2 (2), then the circle angle (the stationary incompressible
     branch draws a root-choice coin instead, or an angle when the whole
     circle satisfies the second plane).  Returns the states z1 and z2 as
-    (B, u, E) component columns, the index into REJECTIONS of each rejected
-    attempt (-1 where accepted) and the cone residual of each pair.
+    (B, u, E) component columns and the cone residual of each pair.
     """
     with np.errstate(all="ignore"):
         b1 = _sphere(w[:, 0], w[:, 1], 1.0)
         u1 = _sphere(w[:, 2], w[:, 3], 1.0)
         b2 = _sphere(w[:, 4], w[:, 5], 1.0)
         e1 = _cross(b1, u1)
-        nv = _cross(b1, b2)
-        n_len = np.sqrt(_dot(nv, nv))
-        inv_n = 1.0 / n_len
-        nh = tuple(x * inv_n for x in nv)
-        db = tuple(b1[i] - b2[i] for i in range(3))
-        h = _dot(db, e1) * inv_n
+        # The circle u2 . nh = h on the sphere, with nh along B1 x B2 and the
+        # offset taken at u1, which lies on the plane: |h| <= 1 but for rounding.
+        nh, p1, p2 = _frame(_cross(b1, b2))
+        h = _dot(u1, nh)
         rho_c = np.sqrt(_COLUMNS.positive(1.0 - h * h))
 
-        # Orthonormal frame of the circle plane (axis picked off nhat).
-        an = tuple(np.abs(x) for x in nh)
-        on_x = (an[0] <= an[1]) & (an[0] <= an[2])
-        on_y = ~on_x & (an[1] <= an[2])
-        axis = (on_x.astype(float), on_y.astype(float), (~on_x & ~on_y).astype(float))
-        p1 = _cross(nh, axis)
-        inv_p = 1.0 / np.sqrt(_dot(p1, p1))
-        p1 = tuple(x * inv_p for x in p1)
-        p2 = _cross(nh, p1)
-
-        conditions = [n_len <= 1e-9, np.abs(h) > 1.0]
         phi = TWO_PI * w[:, 6]
         if restricts_u:
             # Second plane: u2 . (u1 x B2 + E1) = u1 . E1 on the circle, i.e.
             # a_cos cos(phi) + a_sin sin(phi) = c_target.  With (cb, sb) =
             # (cos beta, sin beta) the unit direction of (a_cos, a_sin), the
             # roots are phi = beta +- delta with cos(delta) = ratio; their
-            # cosine and sine follow from the angle-sum formulas.
+            # cosine and sine follow from the angle-sum formulas.  u1 is a
+            # root, so |ratio| <= 1 but for rounding, which the clip absorbs.
             ub = _cross(u1, b2)
             n2 = tuple(ub[i] + e1[i] for i in range(3))
             c_target = _dot(u1, e1) - h * _dot(nh, n2)
             a_cos = rho_c * _dot(p1, n2)
             a_sin = rho_c * _dot(p2, n2)
             amp = np.sqrt(a_cos * a_cos + a_sin * a_sin)
-            degeneracy = 1e-12 * (1.0 + np.sqrt(_dot(n2, n2)))
-            free = amp <= degeneracy
-            conditions += [free & (np.abs(c_target) > degeneracy),
-                           ~free & (np.abs(c_target) > amp)]
+            free = amp <= 1e-12 * (1.0 + np.sqrt(_dot(n2, n2)))
             cb = a_cos / amp
             sb = a_sin / amp
             ratio = c_target / amp
@@ -261,13 +232,13 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
         else:
             cos_phi = np.cos(phi)
             sin_phi = np.sin(phi)
-        status = np.select(conditions, list(range(len(conditions))), -1)
 
         ca = rho_c * cos_phi
         sa = rho_c * sin_phi
         u2 = tuple(nh[i] * h + ca * p1[i] + sa * p2[i] for i in range(3))
         e2 = _cross(b2, u2)
 
+        db = tuple(b1[i] - b2[i] for i in range(3))
         de = tuple(e1[i] - e2[i] for i in range(3))
         de_len = np.sqrt(_dot(de, de))
         res = np.abs(_dot(db, de)) / (1.0 + np.sqrt(_dot(db, db)) * de_len)
@@ -281,12 +252,7 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
     def scaled(B, u, E):
         return tuple(x * r for x in B), tuple(x * s for x in u), tuple(x * rs for x in E)
 
-    return scaled(b1, u1, e1), scaled(b2, u2, e2), status, res
-
-
-def _head(z, k: int):
-    """The first k rows of a (B, u, E) state of component columns."""
-    return tuple(tuple(x[:k] for x in v) for v in z)
+    return scaled(b1, u1, e1), scaled(b2, u2, e2), res
 
 
 def _stack(*states) -> np.ndarray:
@@ -295,85 +261,49 @@ def _stack(*states) -> np.ndarray:
     return np.column_stack([x for z in states for v in z for x in v])
 
 
-def _pair_blocks(stream: UniformStream, cfg: SampleConfig, stats: SampleStats,
-                 weighted: bool = False) -> Iterator[tuple]:
+def _pair_blocks(gen: Generator, cfg: SampleConfig, weighted: bool = False) -> Iterator[tuple]:
     """cfg.count pairs as blocks (z1, z2, lam): the states as (B, u, E)
     component columns and the mixture weights, a column when weighted and
-    None otherwise.
-
-    The draws are read in the per-pair order: an accepted attempt reads 7
-    and a rejected one 6, and a weight is the draw after its pair.  A block
-    assumes every attempt is accepted; at its first rejected row it keeps the
-    rows before and starts the next block 6 draws after that row's start.
+    None otherwise.  A pair reads 7 draws, and a weight is the draw after
+    its pair.  Raises RuntimeError if a constructed pair is off the cone (a
+    residual above 1e-10, or NaN), which rounding alone never produces.
     """
-    p = cfg.params
-    stride = 8 if weighted else 7
-    left = cfg.count
-    in_a_row = 0
-    while left:
-        n = min(BLOCK, left)
-        w = stream.peek(n * stride).reshape(n, stride)
-        z1, z2, status, res = _pair_block(w, p, cfg.kind.restricts_u)
-        bad = np.flatnonzero((status >= 0) | (res > 1e-10))
-        k = int(bad[0]) if len(bad) else n
-        if k:
-            stats.attempts += k
-            stats.accepted += k
-            in_a_row = 0
-            lam = w[:k, 7] if weighted else None
-            stream.advance(k * stride)
-            left -= k
-            yield _head(z1, k), _head(z2, k), lam
-        if k < n:
-            stats.attempts += 1
-            if status[k] < 0:
-                raise RuntimeError(f"constructed pair violates the cone: residual {float(res[k])}")
-            stream.advance(6)
-            in_a_row += 1
-            if in_a_row > MAX_REJECTIONS_PER_SAMPLE:
-                raise RuntimeError(f"pair sampling rejected 1e6 draws in a row "
-                                   f"({REJECTIONS[status[k]]}) for params {p!r}")
+    for _, w in _draws(gen, cfg.count, 8 if weighted else 7):
+        z1, z2, res = _pair_block(w, cfg.params, cfg.kind.restricts_u)
+        bad = np.flatnonzero(~(res <= 1e-10))
+        if len(bad):
+            raise RuntimeError(f"constructed pair violates the cone: residual {float(res[bad[0]])}")
+        yield z1, z2, w[:, 7] if weighted else None
 
 
-def _mixture_blocks(stream: UniformStream, cfg: SampleConfig,
-                    stats: SampleStats) -> Iterator[tuple]:
+def _mixture_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
     """cfg.count mixtures lam*z1 + (1-lam)*z2 as blocks of (B, u, E) component
     columns."""
-    for z1, z2, lam in _pair_blocks(stream, cfg, stats, weighted=True):
+    for z1, z2, lam in _pair_blocks(gen, cfg, weighted=True):
         mu = 1.0 - lam
         yield tuple(tuple(lam * a + mu * b for a, b in zip(v1, v2)) for v1, v2 in zip(z1, z2))
 
 
-def sample_lambda_pair(cfg: SampleConfig,
-                       stats: SampleStats | None = None) -> Iterator[tuple[Triple, Triple]]:
+def sample_lambda_pair(cfg: SampleConfig) -> Iterator[tuple[Triple, Triple]]:
     """Constraint-set pairs whose difference lies in the cone for cfg.kind."""
-    stats = stats if stats is not None else SampleStats()
-    for z1, z2, _ in _pair_blocks(UniformStream(cfg.seed, cfg.worker), cfg, stats):
+    for z1, z2, _ in _pair_blocks(_generator(cfg), cfg):
         rows = _stack(z1, z2)
         yield from zip(_triples(rows[:, :9]), _triples(rows[:, 9:]))
 
 
-def sample_first_laminate(cfg: SampleConfig,
-                          stats: SampleStats | None = None) -> Iterator[Triple]:
+def sample_first_laminate(cfg: SampleConfig) -> Iterator[Triple]:
     """Convex combinations lam*z1 + (1-lam)*z2 of cone-compatible pairs."""
-    stats = stats if stats is not None else SampleStats()
-    for z in _mixture_blocks(UniformStream(cfg.seed, cfg.worker), cfg, stats):
+    for z in _mixture_blocks(_generator(cfg), cfg):
         yield from _triples(_stack(z))
 
 
-def _excess_directions(B, t: np.ndarray, phi: np.ndarray):
-    """One try per row of a unit direction perpendicular to B (2 draws): the
-    component columns and whether the try succeeded."""
-    with np.errstate(all="ignore"):
-        v = _sphere(t, phi, 1.0)
-        nb = np.sqrt(_dot(B, B))
-        bhat = tuple(x / nb for x in B)
-        d = _dot(v, bhat)
-        w = tuple(v[i] - bhat[i] * d for i in range(3))
-        wn = np.sqrt(_dot(w, w))
-        zero = nb == 0.0
-        e = tuple(np.where(zero, v[i], w[i] / wn) for i in range(3))
-    return e, zero | (wn > 1e-4)
+def _excess_directions(B, phi: np.ndarray):
+    """Unit directions (columns) perpendicular to B, at the drawn angle 2 pi phi
+    in a frame of B: uniform on that circle, since the frame is a function of B."""
+    _, p1, p2 = _frame(B)
+    phi = TWO_PI * phi
+    c, s = np.cos(phi), np.sin(phi)
+    return tuple(c * a + s * b for a, b in zip(p1, p2))
 
 
 def _restricted_directions(B, u, coin: np.ndarray):
@@ -400,49 +330,22 @@ def _hull_points(B, u, e, delta: np.ndarray, start: int, p: HullParams):
     return B, u, tuple(bxu[i] + e[i] * f for i in range(3))
 
 
-def _hull_blocks(stream: UniformStream, cfg: SampleConfig) -> Iterator[tuple]:
+def _hull_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
     """cfg.count points of the relaxed set as (B, u, E) column blocks.
 
     Draws per point: 3 for B and 3 for u (radius, then the sphere); then 1
-    coin for the sign of the excess direction (stationary incompressible
-    kind) or 2 per try of it (the other kinds); then 1 for delta.  A block
-    assumes one try per point; the first point that needs more ends it and
-    is finished on its own.
+    for the excess direction, a sign coin (stationary incompressible kind)
+    or an angle about B (the other kinds); then 1 for delta.
     """
     p = cfg.params
-    restricts = cfg.kind.restricts_u
-    stride = 8 if restricts else 9
-    done = 0
-    while done < cfg.count:
-        n = min(BLOCK, cfg.count - done)
-        w = stream.peek(n * stride).reshape(n, stride)
+    for start, w in _draws(gen, cfg.count, 8):
         B = _ball(w[:, 0:3], p.r)
         u = _ball(w[:, 3:6], p.s)
-        if restricts:
+        if cfg.kind.restricts_u:
             e = _restricted_directions(B, u, w[:, 6])
-            k = n
         else:
-            e, ok = _excess_directions(B, w[:, 6], w[:, 7])
-            retry = np.flatnonzero(~ok)
-            k = int(retry[0]) if len(retry) else n
-        if k:
-            z = _hull_points(*_head((B, u, e), k), w[:k, -1], done, p)
-            stream.advance(k * stride)
-            done += k
-            yield z
-        if k < n:
-            # Point k: repeat the direction tries, 2 draws each, until one succeeds.
-            Bk, uk = (tuple(x[k:k + 1] for x in v) for v in (B, u))
-            stream.advance(6)
-            ok = np.zeros(1, dtype=bool)
-            while not ok[0]:
-                t = stream.peek(2)
-                e, ok = _excess_directions(Bk, t[:1], t[1:])
-                stream.advance(2)
-            z = _hull_points(Bk, uk, e, stream.peek(1), done, p)
-            stream.advance(1)
-            done += 1
-            yield z
+            e = _excess_directions(B, w[:, 6])
+        yield _hull_points(B, u, e, w[:, 7], start, p)
 
 
 def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
@@ -452,7 +355,7 @@ def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
     delta is uniform on [0, 1]; every 100th sample forces delta = 1 so the
     excess boundary is exercised with positive frequency.
     """
-    for z in _hull_blocks(UniformStream(cfg.seed, cfg.worker), cfg):
+    for z in _hull_blocks(_generator(cfg), cfg):
         yield from _triples(_stack(z))
 
 
@@ -473,7 +376,6 @@ class HullCheckReport:
     max_residual_by_check: dict = field(default_factory=dict)
     max_u_orthogonality: float | None = None
     max_mixing_orthogonality: float | None = None
-    pair_attempts: int = 0
     failures: list = field(default_factory=list)
 
     MAX_RECORDED_FAILURES = 20
@@ -514,7 +416,7 @@ class HullCheckReport:
             "max_residual": self.max_residual,
             "max_verify_residual": self.max_verify_residual,
             "max_residual_by_check": dict(sorted(self.max_residual_by_check.items())),
-            "pair_attempts": self.pair_attempts,
+            "stream_version": STREAM_VERSION,
         }
         if self.max_u_orthogonality is not None:
             d["max_u_orthogonality"] = self.max_u_orthogonality
@@ -551,8 +453,7 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
     report = HullCheckReport(seed=cfg.seed, worker=cfg.worker, kind=kind.label,
                              r=p.r, s=p.s)
 
-    stats = SampleStats()
-    for B, u, E in _mixture_blocks(UniformStream(cfg.seed, cfg.worker), cfg, stats):
+    for B, u, E in _mixture_blocks(_generator(cfg), cfg):
         n = len(B[0])
         report.laminate_checked += n
         g1, g3, g2 = _separation_flags(B, u, E, p, kind, inner_tol.eps_mem, _COLUMNS)
@@ -568,11 +469,10 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
                 report.record_failure("laminate", zi, "combination fails closed-form membership")
             if off_cone[i]:
                 report.record_failure("laminate", zi, f"u.E residual {float(res[i])}")
-    report.pair_attempts = stats.attempts
 
     hull_cfg = SampleConfig(seed=cfg.seed, count=decompose_count, params=p,
                             kind=kind, worker=cfg.worker)
-    for z in _hull_blocks(UniformStream(cfg.seed, cfg.worker), hull_cfg):
+    for z in _hull_blocks(_generator(hull_cfg), hull_cfg):
         _check_decompositions(report, z, p, kind, tol, rss)
     return report
 

@@ -16,7 +16,6 @@ from dynamohull import (
     LaminateConditions,
     NotInHullError,
     SampleConfig,
-    SampleStats,
     Triple,
     Vec3,
     VerificationReport,
@@ -30,8 +29,8 @@ from dynamohull import (
     unit_perpendicular_to_all,
     verify_decomposition,
 )
-from dynamohull.core import _COLUMNS, _cross, _dot, _libm
-from dynamohull.oracle import TWO_PI, _sphere
+from dynamohull.core import _COLUMNS, _cross, _dot
+from dynamohull.oracle import TWO_PI, _frame, _sphere
 
 ALPHA_GRID = np.linspace(0.0, 1.0, 10_000)
 _SQRT_WEIGHT = 2.0 * np.sqrt(ALPHA_GRID * (1.0 - ALPHA_GRID))
@@ -166,8 +165,7 @@ def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None, decompose_coun
     report = HullCheckReport(seed=cfg.seed, worker=cfg.worker, kind=kind.label,
                              r=p.r, s=p.s)
 
-    stats = SampleStats()
-    for z in sample_first_laminate(cfg, stats):
+    for z in sample_first_laminate(cfg):
         report.laminate_checked += 1
         if not in_hull(z, p, kind, inner_tol):
             report.record_failure("laminate", z, "combination fails closed-form membership")
@@ -178,7 +176,6 @@ def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None, decompose_coun
                 report.max_u_orthogonality = res
             if res > tol.eps_mem:
                 report.record_failure("laminate", z, f"u.E residual {res}")
-    report.pair_attempts = stats.attempts
 
     hull_cfg = SampleConfig(seed=cfg.seed, count=decompose_count, params=p,
                             kind=kind, worker=cfg.worker)
@@ -215,44 +212,33 @@ def reference_check_decompositions(report, points, p, kind, tol):
                 report.record_failure("decompose", z, f"u.(Bbar x ubar) residual {res}")
 
 
+def _libm(fn, *cols: np.ndarray) -> np.ndarray:
+    """fn of the math module applied row by row to numpy columns."""
+    return np.fromiter(map(fn, *(c.tolist() for c in cols)), dtype=np.float64,
+                       count=len(cols[0]))
+
+
 def reference_pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
     """oracle._pair_block with the circle angle from math's hypot, atan2 and
     acos row by row: the reference the closed-form circle point must
-    reproduce.  One pair attempt per row of draws (columns 0-6 of w).
+    reproduce.  One pair per row of draws (columns 0-6 of w).
 
-    The pair is built on the unit spheres, where every threshold below is
-    dimensionless, then scaled once (B by r, u by s, E by rs), so the same
-    draws give the same normalised pair at every radius pair.  Draws: B1 (2),
-    u1 (2), B2 (2), then the circle angle (the stationary incompressible
-    branch draws a root-choice coin instead, or an angle when the whole
-    circle satisfies the second plane).  Returns the N x 18 rows (z1 then
-    z2), the index into REJECTIONS of each rejected attempt (-1 where
-    accepted) and the cone residual of each pair.
+    The pair is built on the unit spheres, then scaled once (B by r, u by s,
+    E by rs).  Draws: B1 (2), u1 (2), B2 (2), then the circle angle (the
+    stationary incompressible branch draws a root-choice coin instead, or an
+    angle when the whole circle satisfies the second plane).  The circle is
+    u2 . nh = u1 . nh on the sphere, in the sampler's frame of B1 x B2.
+    Returns the N x 18 rows (z1 then z2) and the cone residual of each pair.
     """
     with np.errstate(all="ignore"):
         b1 = _sphere(w[:, 0], w[:, 1], 1.0)
         u1 = _sphere(w[:, 2], w[:, 3], 1.0)
         b2 = _sphere(w[:, 4], w[:, 5], 1.0)
         e1 = _cross(b1, u1)
-        nv = _cross(b1, b2)
-        n_len = np.sqrt(_dot(nv, nv))
-        inv_n = 1.0 / n_len
-        nh = tuple(x * inv_n for x in nv)
-        db = tuple(b1[i] - b2[i] for i in range(3))
-        h = _dot(db, e1) * inv_n
+        nh, p1, p2 = _frame(_cross(b1, b2))
+        h = _dot(u1, nh)
         rho_c = np.sqrt(_COLUMNS.positive(1.0 - h * h))
 
-        # Orthonormal frame of the circle plane (axis picked off nhat).
-        an = tuple(np.abs(x) for x in nh)
-        on_x = (an[0] <= an[1]) & (an[0] <= an[2])
-        on_y = ~on_x & (an[1] <= an[2])
-        axis = (on_x.astype(float), on_y.astype(float), (~on_x & ~on_y).astype(float))
-        p1 = _cross(nh, axis)
-        inv_p = 1.0 / np.sqrt(_dot(p1, p1))
-        p1 = tuple(x * inv_p for x in p1)
-        p2 = _cross(nh, p1)
-
-        conditions = [n_len <= 1e-9, np.abs(h) > 1.0]
         if restricts_u:
             # Second plane: u2 . (u1 x B2 + E1) = u1 . E1 on the circle.
             ub = _cross(u1, b2)
@@ -261,10 +247,7 @@ def reference_pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
             a_cos = rho_c * _dot(p1, n2)
             a_sin = rho_c * _dot(p2, n2)
             amp = _libm(math.hypot, a_cos, a_sin)
-            degeneracy = 1e-12 * (1.0 + np.sqrt(_dot(n2, n2)))
-            free = amp <= degeneracy
-            conditions += [free & (np.abs(c_target) > degeneracy),
-                           ~free & (np.abs(c_target) > amp)]
+            free = amp <= 1e-12 * (1.0 + np.sqrt(_dot(n2, n2)))
             ratio = c_target / amp
             ratio = np.where(ratio > -1.0, ratio, -1.0)
             ratio = np.where(ratio < 1.0, ratio, 1.0)
@@ -274,13 +257,13 @@ def reference_pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
                            np.where(w[:, 6] < 0.5, base + delta, base - delta))
         else:
             phi = TWO_PI * w[:, 6]
-        status = np.select(conditions, list(range(len(conditions))), -1)
 
         ca = rho_c * np.cos(phi)
         sa = rho_c * np.sin(phi)
         u2 = tuple(nh[i] * h + ca * p1[i] + sa * p2[i] for i in range(3))
         e2 = _cross(b2, u2)
 
+        db = tuple(b1[i] - b2[i] for i in range(3))
         de = tuple(e1[i] - e2[i] for i in range(3))
         de_len = np.sqrt(_dot(de, de))
         res = np.abs(_dot(db, de)) / (1.0 + np.sqrt(_dot(db, db)) * de_len)
@@ -292,7 +275,7 @@ def reference_pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
     rs = r * s
     rows = np.column_stack([x * r for x in b1] + [x * s for x in u1] + [x * rs for x in e1]
                            + [x * r for x in b2] + [x * s for x in u2] + [x * rs for x in e2])
-    return rows, status, res
+    return rows, res
 
 
 def _reference_spatial_residuals(s, h, direction, kind, dst):
@@ -432,16 +415,25 @@ def _reference_gap(z, frame):
     return AngleEquation(e1, e2, p_vec, q_vec, amp_cos, amp_sin)
 
 
+def reference_root_direction(a, c):
+    """(cos alpha, sin alpha) of the root of a cos(alpha) + c sin(alpha) in
+    [pi/2, 3pi/2]: (-|c|, sign(c) a) / sqrt(a^2 + c^2), with (0, 1) at c = 0
+    and (-1, 0) at a = c = 0."""
+    rho = math.sqrt(a * a + c * c)
+    if rho == 0.0:
+        return -1.0, 0.0
+    if c == 0.0:
+        return -0.0, abs(a) / rho
+    return -abs(c) / rho, (a if c > 0.0 else -a) / rho
+
+
 def _reference_solve(z, frame):
     rr, ebar, _, _, _, kappa = frame
     nb = z.B.norm()
     gap = _reference_gap(z, frame)
-    alpha = 0.5 * math.pi + (math.atan2(gap.amp_cos, -gap.amp_sin) - 0.5 * math.pi) % math.pi
-    ca = math.cos(alpha)
-    sa = math.sin(alpha)
+    ca, sa = reference_root_direction(gap.amp_cos, gap.amp_sin)
     bhat, uhat = gap.e1 * ca + gap.e2 * sa, gap.p_vec * ca + gap.q_vec * sa
-    cos_alpha = math.cos(alpha)
-    bbar_len = 2.0 * math.sqrt(rr + nb * nb * (cos_alpha * cos_alpha))
+    bbar_len = 2.0 * math.sqrt(rr + nb * nb * (ca * ca))
     ubar_len = bbar_len / kappa
     bbar = bhat * bbar_len
     ubar = uhat * ubar_len
@@ -450,7 +442,8 @@ def _reference_solve(z, frame):
     else:
         alpha_u = 0.0
     return LaminateConditions(ebar=ebar, bbar=bbar, ubar=ubar,
-                              alpha_b=alpha if nb else 0.0, alpha_u=alpha_u)
+                              alpha_b=math.atan2(sa, ca) % TWO_PI if nb else 0.0,
+                              alpha_u=alpha_u)
 
 
 def _reference_endpoints(B, u, bbar, ubar, lam):

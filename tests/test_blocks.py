@@ -18,13 +18,12 @@ from dynamohull import (
     HullParams,
     NotInHullError,
     SampleConfig,
-    SampleStats,
     Tolerances,
     Triple,
-    UniformStream,
     Vec3,
     decompose,
     hull_excess_bound,
+    sample_first_laminate,
     sample_hull,
     sample_lambda_pair,
     two_sided_hull_check,
@@ -34,7 +33,12 @@ from dynamohull import (
 from dynamohull import oracle
 from dynamohull.core import _COLUMNS, DEFAULT_TOLERANCES, _separating_function, _separation_flags
 from dynamohull.laminate import _decompose_block, _residuals
-from _helpers import reference_check_decompositions, reference_two_sided_hull_check, scaled_point
+from _helpers import (
+    ALL_KINDS,
+    reference_check_decompositions,
+    reference_two_sided_hull_check,
+    scaled_point,
+)
 
 KINDS = (ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE)
 RADII = (1e-6, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e6)
@@ -90,7 +94,7 @@ def test_block_driver_matches_reference(kind, radii, count):
 
 
 @pytest.mark.parametrize("count, tol, inner_tol", [
-    (10_000, Tolerances(eps_mem=1e-15, eps_root=1e-16), None),
+    (10_000, Tolerances(eps_mem=4e-16, eps_root=1e-16), None),
     # decompose raises (g1 at rounding level) between verification failures
     (2500, Tolerances(eps_mem=1e-17, eps_root=1e-18), Tolerances()),
     # membership and u.E failures, then verification and mixing failures
@@ -214,55 +218,42 @@ def test_fallback_rows_are_written_back(kind, radii):
 
 
 class ListStream:
-    """A stream of given draws, read through the block interface."""
+    """A stream of given draws, read through Generator.random."""
 
     def __init__(self, draws):
         self.draws = np.asarray(draws, dtype=np.float64)
         self.i = 0
 
-    def peek(self, n):
+    def random(self, n):
         assert self.i + n <= len(self.draws)
-        return self.draws[self.i:self.i + n]
-
-    def advance(self, n):
         self.i += n
+        return self.draws[self.i - n:self.i]
+
+
+# Each public sampler and the draws it reads per item.
+STRIDES = {"pairs": (sample_lambda_pair, 7), "mixtures": (sample_first_laminate, 8),
+           "hull": (sample_hull, 8)}
 
 
 @pytest.mark.parametrize("k", [0, 700, 1024, 1500])
-@pytest.mark.parametrize("kind", KINDS)
-def test_rejected_attempt_resyncs_the_stream(kind, k, monkeypatch):
-    # Before pair k, insert an attempt whose B2 draws repeat its B1 draws:
-    # it is rejected as near-parallel after its 6 draws, and the pairs that
-    # follow are those of the stream without it.
-    count = 2000
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("sampler", sorted(STRIDES))
+def test_item_reads_only_its_own_draws(sampler, kind, k, monkeypatch):
+    # Item i reads draws [stride i, stride (i + 1)) and no others: fresh
+    # draws in item k's window change item k alone, at the start, inside and
+    # at the edge of a block, and the sampler reads exactly stride * count.
+    count = 1600
+    sample, stride = STRIDES[sampler]
     cfg = SampleConfig(seed=26, count=count, params=HullParams(0.5, 2.0), kind=kind)
-    expected = list(sample_lambda_pair(cfg))
-    draws = UniformStream(cfg.seed).peek(7 * count).copy()
-    at = 7 * k
-    rejected = [*draws[at:at + 4], *draws[at:at + 2]]
-    fake = ListStream(np.concatenate((draws[:at], rejected, draws[at:])))
-    monkeypatch.setattr(oracle, "UniformStream", lambda seed, worker=0: fake)
-    stats = SampleStats()
-    assert list(sample_lambda_pair(cfg, stats)) == expected
-    assert stats.attempts == count + 1
-    assert stats.accepted == count
-    assert fake.i == len(fake.draws)
-
-
-@pytest.mark.parametrize("k", [0, 500, 1024])
-def test_excess_direction_retry_resyncs_the_stream(k, monkeypatch):
-    # Before the excess-direction try of hull point k, insert a try that
-    # repeats the sphere draws of its B: that direction is parallel to B, so
-    # it is discarded after its 2 draws and the point takes the next try.
-    count = 1500
-    cfg = SampleConfig(seed=27, count=count, params=HullParams(0.5, 2.0))
-    expected = list(sample_hull(cfg))
-    draws = UniformStream(cfg.seed).peek(9 * count).copy()
-    at = 9 * k + 6
-    fake = ListStream(np.concatenate((draws[:at], draws[at - 5:at - 3], draws[at:])))
-    monkeypatch.setattr(oracle, "UniformStream", lambda seed, worker=0: fake)
-    assert list(sample_hull(cfg)) == expected
-    assert fake.i == len(fake.draws)
+    expected = list(sample(cfg))
+    draws = oracle._generator(cfg).random(stride * count)
+    draws[stride * k:stride * (k + 1)] = np.random.default_rng(k).random(stride)
+    fake = ListStream(draws)
+    monkeypatch.setattr(oracle, "_generator", lambda cfg: fake)
+    got = list(sample(cfg))
+    assert fake.i == stride * count
+    assert got[:k] == expected[:k] and got[k + 1:] == expected[k + 1:]
+    assert got[k] != expected[k]
 
 
 def test_parallel_B_and_u_take_the_perpendicular_fallback(monkeypatch):
@@ -273,9 +264,9 @@ def test_parallel_B_and_u_take_the_perpendicular_fallback(monkeypatch):
     kind = ConeKind.STATIONARY_INCOMPRESSIBLE
     p = HullParams(0.5, 2.0)
     cfg = SampleConfig(seed=28, count=count, params=p, kind=kind)
-    draws = UniformStream(cfg.seed).peek(8 * count).copy()
+    draws = oracle._generator(cfg).random(8 * count)
     draws[8 * k + 4:8 * k + 6] = draws[8 * k + 1:8 * k + 3]
-    monkeypatch.setattr(oracle, "UniformStream", lambda seed, worker=0: ListStream(draws))
+    monkeypatch.setattr(oracle, "_generator", lambda cfg: ListStream(draws))
     points = list(sample_hull(cfg))
     z = points[k]
     assert z.B.cross(z.u).norm() <= 1e-4 * z.B.norm() * z.u.norm()

@@ -157,9 +157,9 @@ def test_verify_hull_deterministic_reports(tmp_path):
 # a verdict or a residual changes the digest; the determinism criterion
 # only compares a rerun with itself and cannot see such a change.
 GOLDEN_DIGESTS = {
-    "nonstationary": "3ee6824cdbea3167ccf2e44c37405d23fa49d74acb407f949750c47fd4bbab47",
+    "nonstationary": "c17a75d5bba5922aa56fbdb47402231142862975272029ca6b223c77c705af26",
     "stationary-incompressible":
-        "6f899f095f478669de1e2d8f58eedb0dec984f928fc112278953b48ff362e3a6",
+        "d46bf04c25e5bceb26994882e722ab72aae2047941614bf354282f6c5c241830",
 }
 
 
@@ -271,15 +271,15 @@ def test_sample_constraint_sampler_csv(capsys):
 # while solver changes move the verify-hull digests above.
 SAMPLE_DIGESTS = {
     ("laminate", "nonstationary", "csv"):
-        "6be4acccb9cd357e9f22cb6218ffb800e505aa555a9013b60a6804cb8c4db076",
+        "140764aeaadc73fe3bdf1d690326b21b150e033bb848fa38bb3747cb7ee98222",
     ("hull", "nonstationary", "csv"):
-        "88ab04e3ad315e189162751cf8e0e8386ced28c0cf1b5740a6036db259c3c93a",
+        "4a22e10299d3e4f9ff738f7bce2e0e35c32157bf1236c51275b3f178973af8b5",
     ("laminate", "stationary-incompressible", "csv"):
-        "e53b7c1fed43ff98c4752075174494c66ee99b79397a7bfd685b4861d84450a1",
+        "110719059d406febd26260e94a48debd62d1064552ead46e602edefebcde82c8",
     ("hull", "stationary-incompressible", "csv"):
-        "6b0eebc4f8111b33a27843427cbe98e01db586908431c34daabe37462c0753e2",
+        "3bc6a2b78ccbf0a730e7e6af498463abd61f0413806e7a47652224694b8b9065",
     ("laminate", "nonstationary", "json"):
-        "6c9ff3d6d02ca9496b47d93826fab5ada5916fc2fd552ab3ae4ba19979424793",
+        "98f052f7c8be33a33e0c1e8155bf71661506e9e655909152a83bd0cc9836b13d",
 }
 
 

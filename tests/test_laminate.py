@@ -38,6 +38,8 @@ from _helpers import (
     unit,
     vec,
 )
+from dynamohull.core import _COLUMNS, _FLOATS
+from dynamohull.laminate import _angle, _root_direction
 from test_blocks import KINDS, RADII, special_points
 
 P11 = HullParams(1.0, 1.0)
@@ -223,6 +225,33 @@ def test_angle_gap_rejects_zero_B():
     z = Triple(Vec3(0, 0, 0), Vec3(0, 0, 0), Vec3(0, 0, 0.5))
     with pytest.raises(DegenerateCallError):
         angle_equation(z, P11)
+
+
+def test_root_direction_matches_the_atan2_root():
+    # The closed-form root direction (-|C|, sign(C) A) / sqrt(A^2 + C^2)
+    # against the atan2 root pi/2 + (atan2(A, -C) - pi/2) mod pi, on random
+    # rows over six decades, then C = 0 (A of either sign, zeros of either
+    # sign) and A = C = 0, where the atan2 root is pi/2 and pi.
+    rng = np.random.default_rng(31)
+    n = 4096
+    a, c = (rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n) for _ in range(2))
+    a = np.concatenate((a, [1.5, -1.5, 2.0, -2.0, 0.0, 0.0, -0.0, -0.0]))
+    c = np.concatenate((c, [0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0, -0.0]))
+    ca, sa = _root_direction(a, c, _COLUMNS)
+    alpha = np.array([0.5 * math.pi + (math.atan2(x, -y) - 0.5 * math.pi) % math.pi
+                      for x, y in zip(a.tolist(), c.tolist())])
+    assert np.abs(ca - np.cos(alpha)).max() <= 1e-15
+    assert np.abs(sa - np.sin(alpha)).max() <= 1e-15
+    assert (ca <= 0.0).all()
+    assert (np.abs(a * ca + c * sa) <= 1e-15 * np.hypot(a, c)).all()
+    assert (ca[n:n + 4] == 0.0).all() and (sa[n:n + 4] == 1.0).all()
+    assert (ca[n + 4:] == -1.0).all() and (sa[n + 4:] == 0.0).all()
+    angles = np.array([_angle(x, y) for x, y in zip(ca.tolist(), sa.tolist())])
+    assert ((0.5 * math.pi <= angles) & (angles <= 1.5 * math.pi)).all()
+    assert np.abs(angles - alpha).max() <= 1e-15 * math.pi
+    # The float path runs the same body to the same bits.
+    floats = [_root_direction(x, y, _FLOATS) for x, y in zip(a.tolist(), c.tolist())]
+    assert (np.array(floats).view(np.uint64) == np.column_stack((ca, sa)).view(np.uint64)).all()
 
 
 @pytest.mark.parametrize("kind", [ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE])

@@ -8,10 +8,8 @@ from dynamohull import (
     ConeKind,
     HullParams,
     SampleConfig,
-    SampleStats,
     Tolerances,
     Triple,
-    UniformStream,
     Vec3,
     eval_g1,
     eval_g3,
@@ -26,7 +24,7 @@ from dynamohull import (
     write_samples_csv,
 )
 from dynamohull import oracle
-from _helpers import reference_pair_block
+from _helpers import ALL_KINDS, reference_pair_block
 from test_blocks import ListStream
 
 P11 = HullParams(1.0, 1.0)
@@ -40,25 +38,26 @@ def test_sample_config_validation():
 
 
 def test_uniform_stream_is_deterministic_and_buffered():
-    a = UniformStream(123)
-    b = UniformStream(123)
-    assert [a.uniform() for _ in range(10_000)] == [b.uniform() for _ in range(10_000)]
-    c = UniformStream(124)
-    assert a.uniform() != c.uniform()
-    # Windows read by peek/advance continue the same stream across buffers.
-    d = UniformStream(123)
-    e = UniformStream(123)
-    head = [d.uniform() for _ in range(10_001)]
-    window = d.peek(3 * UniformStream.CHUNK).tolist()
-    d.advance(3 * UniformStream.CHUNK)
-    n = len(head) + len(window) + 1
-    assert head + window + [d.uniform()] == [e.uniform() for _ in range(n)]
+    # The samplers read each block with one Generator.random call.  A double
+    # costs one 64-bit output of PCG64, so random(a) then random(b) is
+    # random(a + b) bit for bit, and item i sits at a fixed offset however
+    # the blocks fall.
+    def stream(seed):
+        return oracle._generator(SampleConfig(seed=seed, count=0, params=P11))
+
+    whole = stream(123).random(30_000)
+    assert (stream(123).random(30_000).view(np.uint64) == whole.view(np.uint64)).all()
+    assert stream(124).random(1)[0] != whole[0]
+    for sizes in ((1, 29_999), (7, 8, 1024 * 7, 20_000 - 1024 * 7 - 15), (0, 8192, 8193)):
+        gen = stream(123)
+        split = np.concatenate([gen.random(n) for n in sizes])
+        assert (split.view(np.uint64) == whole[:len(split)].view(np.uint64)).all()
 
 
 def test_worker_substreams_differ():
-    a = UniformStream(7, worker=0)
-    b = UniformStream(7, worker=1)
-    assert [a.uniform() for _ in range(100)] != [b.uniform() for _ in range(100)]
+    a, b = (oracle._generator(SampleConfig(seed=7, count=0, params=P11, worker=w))
+            for w in (0, 1))
+    assert a.random(100).tolist() != b.random(100).tolist()
 
 
 def test_sample_K_members_and_determinism():
@@ -77,7 +76,7 @@ def test_sample_K_mean_is_centred():
     r = 1.3
     cfg = SampleConfig(seed=0, count=n, params=HullParams(r, 1.0))
     # sample_K yields these states as Triples; summing the B columns skips building 1M of them.
-    blocks = oracle._K_blocks(UniformStream(0), cfg)
+    blocks = oracle._K_blocks(oracle._generator(cfg), cfg)
     mean = sum(np.array([x.sum() for x in B]) for B, _, _ in blocks) / n
     assert np.all(np.abs(mean) < 3.0 / np.sqrt(n) * r)
 
@@ -86,42 +85,41 @@ def test_sample_K_mean_is_centred():
                                   ConeKind.STATIONARY_INCOMPRESSIBLE])
 def test_lambda_pairs_are_valid(kind):
     p = HullParams(1.5, 0.5)
-    stats = SampleStats()
     cfg = SampleConfig(seed=6, count=500, params=p, kind=kind)
-    for z1, z2 in sample_lambda_pair(cfg, stats):
+    pairs = list(sample_lambda_pair(cfg))
+    for z1, z2 in pairs:
         assert in_constraint_set(z1, p)
         assert in_constraint_set(z2, p)
         dz = z1 - z2
         assert abs(dz.B.dot(dz.E)) <= 1e-10 * (1.0 + dz.B.norm() * dz.E.norm())
         if kind.restricts_u:
             assert abs(dz.u.dot(dz.E)) <= 1e-10 * (1.0 + dz.u.norm() * dz.E.norm())
-    assert stats.accepted == 500
-    assert stats.acceptance_rate > 0.0
-
+    assert len(pairs) == 500
 
 
 @pytest.mark.parametrize("radii", [(1.0, 1.0), (1e-3, 1e3), (1e-6, 1e6)])
 @pytest.mark.parametrize("kind", [ConeKind.NONSTATIONARY,
                                   ConeKind.STATIONARY_INCOMPRESSIBLE])
 def test_pair_block_matches_libm_reference(kind, radii):
-    # 20k attempts of one stream, then 2k whose B2 draws sit within 1e-12 of
-    # their B1 draws.  Those are rejected as near-parallel, but their noisy
-    # circle puts c_target / amp outside [-1, 1], so they reach the clip of
-    # ratio; an accepted attempt has |c_target| <= amp and never does.
+    # 20k pairs of one stream, then 2k whose B2 draws sit within 1e-12 of
+    # their B1 draws: B1 x B2 is then mostly rounding, yet its direction is
+    # a valid plane normal through u1.  On those rows the second plane's
+    # normal (B1 - B2) x u1 is as small, so a few reach the clip of ratio,
+    # and about half fall under the bound of the free branch, keeping the
+    # drawn angle up to about 2e-12 off the second plane: inside the
+    # sampler's 1e-10 guard, and not reached by a stream's draws.
     p = HullParams(*radii)
     n, m = 20_000, 2_000
-    w = UniformStream(42).peek(7 * n).reshape(n, 7).copy()
+    w = oracle._generator(SampleConfig(seed=42, count=0, params=p)).random(7 * n).reshape(n, 7)
     near = w[:m].copy()
     near[:, 4:6] = near[:, 0:2] + 1e-12 * np.random.default_rng(0).uniform(-1.0, 1.0, (m, 2))
     w = np.concatenate((w, near))
-    z1, z2, status, res = oracle._pair_block(w, p, kind.restricts_u)
-    ref, ref_status, ref_res = reference_pair_block(w, p, kind.restricts_u)
+    z1, z2, res = oracle._pair_block(w, p, kind.restricts_u)
+    ref, ref_res = reference_pair_block(w, p, kind.restricts_u)
     rows = oracle._stack(z1, z2)
 
-    assert status.tolist() == ref_status.tolist()
-    accepted = status < 0
-    assert accepted[:n].sum() > 0.99 * n and not accepted[n:].any()
-    assert res[accepted].max() <= 1e-14
+    assert res[:n].max() <= 1e-14
+    assert res.max() <= 1e-10 if kind.restricts_u else res.max() <= 1e-14
     if kind.restricts_u:
         # The libm angle goes through acos, which is ill-conditioned near
         # |ratio| = 1, so the two placements differ by more than rounding.
@@ -135,21 +133,20 @@ def test_pair_block_matches_libm_reference(kind, radii):
 def test_coincident_planes_keep_the_drawn_angle(monkeypatch):
     # u1's draws repeat B1's, so u1 = B1 and E1 = B1 x B1 = 0 exactly.  The
     # second plane u2 . (B1 x B2) = 0 is then the circle's own plane, amp is
-    # rounding noise below the degeneracy bound, and every attempt is
-    # accepted with the drawn angle, as the libm reference places it.
+    # rounding noise below the degeneracy bound, and every pair keeps the
+    # drawn angle, as the libm reference places it.
     count = 3000
     p = HullParams(0.5, 2.0)
     cfg = SampleConfig(seed=29, count=count, params=p, kind=ConeKind.STATIONARY_INCOMPRESSIBLE)
-    w = UniformStream(cfg.seed).peek(7 * count).reshape(count, 7).copy()
+    w = oracle._generator(cfg).random(7 * count).reshape(count, 7)
     w[:, 2:4] = w[:, 0:2]
     fake = ListStream(w.ravel())
-    monkeypatch.setattr(oracle, "UniformStream", lambda seed, worker=0: fake)
-    stats = SampleStats()
-    pairs = list(sample_lambda_pair(cfg, stats))
-    assert stats.attempts == stats.accepted == count
+    monkeypatch.setattr(oracle, "_generator", lambda cfg: fake)
+    pairs = list(sample_lambda_pair(cfg))
+    assert len(pairs) == count
     assert fake.i == 7 * count
-    ref, ref_status, _ = reference_pair_block(w, p, True)
-    assert (ref_status == -1).all()
+    ref, ref_res = reference_pair_block(w, p, True)
+    assert ref_res.max() <= 1e-14
     rows = np.array([[*z1.B, *z1.u, *z1.E, *z2.B, *z2.u, *z2.E] for z1, z2 in pairs])
     assert (rows[:, 6:9] == 0.0).all()
     assert (rows.view(np.uint64) == ref.view(np.uint64)).all()
@@ -198,6 +195,20 @@ def test_hull_sampler_members_and_boundary_coverage():
             assert excess == pytest.approx(bound, rel=1e-12)
 
 
+def test_excess_directions_are_uniform_about_B():
+    # One angle in a frame of B: unit directions perpendicular to B whose
+    # mean over the circle vanishes within the 3-sigma CLT band; B = 0 takes
+    # the frame of the fixed axis.
+    n = 100_000
+    phi = np.random.default_rng(32).random(n)
+    for B in ((0.3, -0.4, 1.2), (0.0, 0.0, -2.0), (1e-3, 0.0, 0.0), (0.0, 0.0, 0.0)):
+        cols = tuple(np.full(n, x) for x in B)
+        e = np.column_stack(oracle._excess_directions(cols, phi))
+        assert np.abs(np.einsum("ij,ij->i", e, e) - 1.0).max() <= 1e-15
+        assert np.abs(e @ np.array(B)).max() <= 1e-15 * np.linalg.norm(B)
+        assert np.abs(e.mean(axis=0)).max() < 3.0 * np.sqrt(0.5 / n)
+
+
 def test_hull_sampler_stationary_keeps_u_orthogonality():
     cfg = SampleConfig(seed=10, count=500, params=P11,
                        kind=ConeKind.STATIONARY_INCOMPRESSIBLE)
@@ -212,7 +223,6 @@ def test_two_sided_check_clean_report():
     assert rep.decompose_checked == 300
     assert rep.failure_count == 0
     assert rep.max_verify_residual <= 1e-9
-    assert rep.pair_attempts >= 3000
 
 
 def test_two_sided_check_stationary_reports_extra_checks():
@@ -277,6 +287,10 @@ def test_report_json_contract():
     d = two_sided_hull_check(cfg).to_json_dict()
     assert {"seed", "kind", "r", "s", "checked", "failures",
             "max_residual", "failure_count"} <= set(d)
+    # The stream revision a report was drawn from; every item reads a fixed
+    # number of draws, so there are no attempts to count.
+    assert d["stream_version"] == 2
+    assert "pair_attempts" not in d
     json.dumps(d)  # serializable
 
 
@@ -298,20 +312,27 @@ def test_sample_K_stream_differs_per_worker():
     assert a != b
 
 
-def test_pair_sampler_gives_up_after_max_rejections(monkeypatch):
-    # A constant stream draws B2 = B1, so every attempt is rejected as
-    # near-parallel; the sampler stops after MAX_REJECTIONS_PER_SAMPLE + 1.
-    class Constant:
-        def peek(self, n):
-            return np.full(n, 0.5)
-
-        def advance(self, n):
-            pass
-
-    monkeypatch.setattr(oracle, "MAX_REJECTIONS_PER_SAMPLE", 3)
-    stats = SampleStats()
-    cfg = SampleConfig(seed=0, count=5, params=P11)
-    with pytest.raises(RuntimeError, match="near-parallel B draws"):
-        list(oracle._pair_blocks(Constant(), cfg, stats))
-    assert stats.attempts == 4
-    assert stats.accepted == 0
+def test_parallel_and_antiparallel_B_draws_give_valid_pairs(monkeypatch):
+    # B2 = B1 (the constant stream, and a stream that repeats B1's draws) and
+    # B2 = -B1 (heights 0 and 1: B1 = -z, B2 = +z) make B1 x B2 = 0, so the
+    # circle takes the fixed axis; every u2 on the sphere meets the cone
+    # condition there.  Each pair reads its 7 draws.
+    count = 6
+    p = HullParams(0.5, 2.0)
+    streams = {"equal": (np.full(7 * count, 0.5), 1.0),
+               "equal, u apart": (np.tile([0.3, 0.1, 0.7, 0.9, 0.3, 0.1, 0.4], count), 1.0),
+               "opposite": (np.tile([0.0, 0.3, 0.6, 0.2, 1.0, 0.8, 0.7], count), -1.0)}
+    for kind in ALL_KINDS:
+        cfg = SampleConfig(seed=0, count=count, params=p, kind=kind)
+        for name, (draws, sign) in streams.items():
+            fake = ListStream(draws)
+            monkeypatch.setattr(oracle, "_generator", lambda cfg: fake)
+            pairs = list(sample_lambda_pair(cfg))
+            assert len(pairs) == count and fake.i == 7 * count, name
+            for z1, z2 in pairs:
+                assert z2.B == z1.B * sign, name
+                assert in_constraint_set(z1, p) and in_constraint_set(z2, p), name
+                dz = z1 - z2
+                assert abs(dz.B.dot(dz.E)) <= 1e-14 * (1.0 + dz.B.norm() * dz.E.norm()), name
+                if kind.restricts_u:
+                    assert abs(dz.u.dot(dz.E)) <= 1e-14 * (1.0 + dz.u.norm() * dz.E.norm()), name
