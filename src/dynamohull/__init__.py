@@ -31,17 +31,11 @@ from .core import (
     unit_perpendicular_to_all,
 )
 from .laminate import (
-    AngleEquation,
     Decomposition,
     DecompositionError,
-    DegenerateCallError,
-    LaminateConditions,
     NotInHullError,
     VerificationReport,
-    angle_equation,
     decompose,
-    decompose_exact_ohm,
-    solve_laminate_conditions,
     verify_decomposition,
 )
 from .oracle import (
@@ -77,10 +71,8 @@ __all__ = [
     "hull_excess_bound", "in_constraint_set", "in_hull", "in_wave_cone",
     "orthonormal_basis", "separation_witness", "unit_perpendicular",
     "unit_perpendicular_to_all",
-    "AngleEquation", "Decomposition", "DecompositionError",
-    "DegenerateCallError", "LaminateConditions", "NotInHullError",
-    "VerificationReport", "angle_equation", "decompose", "decompose_exact_ohm",
-    "solve_laminate_conditions", "verify_decomposition",
+    "Decomposition", "DecompositionError", "NotInHullError",
+    "VerificationReport", "decompose", "verify_decomposition",
     "HullCheckReport", "SampleConfig",
     "sample_K", "sample_first_laminate", "sample_hull", "sample_lambda_pair",
     "two_sided_hull_check", "write_samples_csv",

@@ -426,7 +426,9 @@ def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bo
 
 def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Math):
     """The membership kernel: the flags (g1, g3, g2), each true where that function
-    separates the point (B, u, E) of component triples, floats or numpy columns.
+    separates the point (B, u, E) of component triples, floats or numpy columns,
+    and the terms (|B|^2, |u|^2, E - B x u, |E - B x u|^2) they are made of, which
+    the decomposition takes over rather than forming them again.
 
     Every comparison is made on the normalised triple (b, v, e) =
     (B/r, u/s, E/(rs)), where the relaxed set is the same for all radii:
@@ -451,19 +453,17 @@ def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Ma
     wx = ex - (by * uz - bz * uy)
     wy = ey - (bz * ux - bx * uz)
     wz = ez - (bx * uy - by * ux)
-    cap = _excess_cap(nb2, nu2, p, m)
+    w2 = wx * wx + wy * wy + wz * wz
     g2 = ((nb > r * (1.0 + eps)) | (nu > s * (1.0 + eps))
-          | (wx * wx + wy * wy + wz * wz > cap + eps * (rr * ss)))
-    return g1, g3, g2
+          | (w2 > _excess_cap(nb2, nu2, p, m) + eps * (rr * ss)))
+    return (g1, g3, g2), (nb2, nu2, (wx, wy, wz), w2)
 
 
 def _separating_function(z: Triple, p: HullParams, kind: ConeKind, eps: float) -> str | None:
     """Which of "g1", "g3", "g2" separates z, or None: the first flag, in that
     order, of the membership kernel, whose one body runs here on the floats of
     one point and in the block engine on the numpy columns of a block."""
-    B, u, E = z.B, z.u, z.E
-    g1, g3, g2 = _separation_flags((B.x, B.y, B.z), (u.x, u.y, u.z), (E.x, E.y, E.z),
-                                   p, kind, eps, _FLOATS)
+    (g1, g3, g2), _ = _separation_flags(*_parts(z), p, kind, eps, _FLOATS)
     return "g1" if g1 else "g3" if g3 else "g2" if g2 else None
 
 

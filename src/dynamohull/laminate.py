@@ -2,15 +2,18 @@
 
 Every point of the relaxed set is a convex combination of exactly two
 constraint-set states whose difference is an admissible oscillation
-direction.  This module produces such a witness constructively:
+direction.  ``decompose`` produces such a witness constructively; it is the
+one way into the decomposition.  It checks membership once, with the
+membership kernel, whose |B|^2, |u|^2 and excess E - B x u its stages take
+over, and then takes one of two branches:
 
-* ``decompose_exact_ohm`` handles E = B x u by perturbing (B, u) with a
-  parallel pair of vectors perpendicular to both, restoring the amplitudes.
+* E = B x u (within eps_root rs): (B, u) is perturbed by a parallel pair of
+  vectors perpendicular to both, restoring the amplitudes.
 
-* ``solve_laminate_conditions`` handles the genuine interior case.  With the
-  normalised excess Ebar = (E - B x u) / sqrt((r^2-|B|^2)(s^2-|u|^2)), it
-  looks for perturbations Bbar, ubar in the plane perpendicular to Ebar
-  whose directions differ by the rotation of angle arcsin|Ebar| about
+* The genuine interior case.  With the normalised excess
+  Ebar = (E - B x u) / sqrt((r^2-|B|^2)(s^2-|u|^2)), it looks for
+  perturbations Bbar, ubar in the plane perpendicular to Ebar whose
+  directions differ by the rotation of angle arcsin|Ebar| about
   Ebar/|Ebar| (so that bhat x uhat = Ebar exactly), and whose angle to B
   balances the amplitude budget:
 
@@ -25,22 +28,19 @@ direction.  This module produces such a witness constructively:
   |Bbar|^2 = 4 (r^2 - |B|^2 sin^2 alpha) and
   |Bbar|^2 (s^2-|u|^2) = |ubar|^2 (r^2-|B|^2).
 
-* ``decompose`` checks membership once, dispatches between the two and
-  assembles the endpoints with weight lambda = 1/2 + B . Bbar / |Bbar|^2.
+The endpoints carry the weight lambda = 1/2 + B . Bbar / |Bbar|^2, which
+cos(alpha) <= 0 keeps at most 1/2.  ``verify_decomposition`` is the
+independent residual check used by the test suite and the sampling oracle.
 
-* ``verify_decomposition`` is the independent residual check used by the
-  test suite and the sampling oracle.
-
-The interior decomposition (the stages ``_excess``, ``_frame``,
-``_sinusoid``, ``_perturbations``, ``_weight`` and ``_endpoints``) and the
-verification residuals (``_residuals``) are written once, on component
-triples, and one body serves both paths: the per-point functions run it on
-Python floats, the campaign engine on blocks of (B, u, E) component columns
-(``_decompose_block``, and ``_residuals`` on ``_COLUMNS``), so each row
-rounds exactly as the per-point path.  The per-point callers raise between
-stages, before the float arithmetic each guard protects; the block computes
-every row through and leaves the rows a guard would stop, and the points
-outside the set, to ``decompose``.
+The interior decomposition (the stages ``_frame``, ``_sinusoid``,
+``_perturbations``, ``_weight`` and ``_endpoints``) and the verification
+residuals (``_residuals``) are written once, on component triples, and one
+body serves both paths: ``decompose`` runs it on Python floats, the campaign
+engine on blocks of (B, u, E) component columns (``_decompose_block``, and
+``_residuals`` on ``_COLUMNS``), so each row rounds exactly as the per-point
+path.  ``decompose`` raises between stages, before the float arithmetic each
+guard protects; the block computes every row through and leaves the rows a
+guard would stop, and the points outside the set, to ``decompose``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .core import (
     SeparationWitness,
     Tolerances,
     Triple,
-    Vec3,
     _COLUMNS,
     _FLOATS,
     _Math,
@@ -68,7 +67,6 @@ from .core import (
     _excess_cap,
     _norm_rs,
     _parts,
-    _separating_function,
     _separation_flags,
     _triple,
     _vec,
@@ -76,8 +74,6 @@ from .core import (
     unit_perpendicular,
     unit_perpendicular_to_all,
 )
-
-HALF_PI = 0.5 * math.pi
 
 
 class DecompositionError(ValueError):
@@ -91,10 +87,6 @@ class DecompositionError(ValueError):
 
 class NotInHullError(DecompositionError):
     """The target point lies outside the relaxed set (or on a bad boundary)."""
-
-
-class DegenerateCallError(DecompositionError):
-    """The interior solver was called on an E = B x u point."""
 
 
 @dataclass(frozen=True)
@@ -129,83 +121,6 @@ class Decomposition:
             raise ValueError(f"malformed decomposition JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class LaminateConditions:
-    """Solved perturbation data for an interior relaxed-set point.
-
-    ebar is the normalised excess field, bbar/ubar the perturbations, and
-    alpha_b / alpha_u the angles between B and bbar resp. u and ubar (zero
-    by convention when the base vector vanishes).
-    """
-
-    ebar: Vec3
-    bbar: Vec3
-    ubar: Vec3
-    alpha_b: float
-    alpha_u: float
-
-
-@dataclass(frozen=True, slots=True)
-class AngleEquation:
-    """The scalar gap G(alpha) whose root balances the amplitude budget.
-
-    With the working-plane frame fixed, G reduces to a pure sinusoid
-    A cos(alpha) + C sin(alpha); the endpoint values of the root bracket
-    [pi/2, 3pi/2] therefore satisfy G(pi/2) = -G(3pi/2) exactly.
-    """
-
-    e1: Vec3
-    e2: Vec3
-    p_vec: Vec3
-    q_vec: Vec3
-    amp_cos: float
-    amp_sin: float
-
-    @property
-    def bracket(self) -> tuple[float, float]:
-        return (HALF_PI, 3.0 * HALF_PI)
-
-    def __call__(self, alpha: float) -> float:
-        return self.amp_cos * math.cos(alpha) + self.amp_sin * math.sin(alpha)
-
-    def root(self) -> float:
-        """The root of G in [pi/2, 3pi/2]."""
-        return _angle(*_root_direction(self.amp_cos, self.amp_sin, _FLOATS))
-
-
-def _require_in_hull(z: Triple, p: HullParams, kind: ConeKind, tol: Tolerances | None):
-    """Raise NotInHullError, carrying the separating witness, when z is outside;
-    the witness is built only then."""
-    if _separating_function(z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem) is not None:
-        w = separation_witness(z, p, kind, tol)
-        raise NotInHullError(f"point outside the relaxed set (witness {w.function}"
-                             f" = {w.value})", w)
-
-
-def decompose_exact_ohm(B: Vec3, u: Vec3, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
-                        tol: Tolerances | None = None) -> Decomposition:
-    """Split (B, u, B x u) into two full-amplitude states.
-
-    Uses a single unit direction e perpendicular to both B and u, sets
-    Bbar = sqrt(r^2-|B|^2) e and ubar = sqrt(s^2-|u|^2) e, and returns the
-    midpoint combination of (B +- Bbar, u +- ubar).  Because Bbar and ubar
-    are parallel, their cross product vanishes and the midpoint electric
-    field is exactly B x u; the difference of the endpoints is admissible
-    for every cone kind.
-    """
-    _require_in_hull(Triple(B, u, B.cross(u)), p, kind, tol)
-    return _split_exact_ohm(B, u, p)
-
-
-def _split_exact_ohm(B: Vec3, u: Vec3, p: HullParams) -> Decomposition:
-    e = unit_perpendicular_to_all((B, u))
-    # Endpoints B +- e sqrt(r^2-|B|^2), u +- e sqrt(s^2-|u|^2): the difference
-    # is doubled here and halved by lam = 1/2, both exact in floating point.
-    return _decomposition(0.5, *_endpoints(
-        tuple(B), tuple(u), tuple(e * (2.0 * math.sqrt(max(0.0, p.r * p.r - B.norm2())))),
-        tuple(e * (2.0 * math.sqrt(max(0.0, p.s * p.s - u.norm2())))), 0.5))
-
-
 def _decomposition(lam: float, z1, z2) -> Decomposition:
     """The Decomposition of a weight and two (B, u, E) states of component triples."""
     (B1, u1, E1), (B2, u2, E2) = z1, z2
@@ -228,29 +143,21 @@ class _Frame(NamedTuple):
     """The working-plane data of an interior point, built once per point."""
 
     rr: float     # r^2 - |B|^2
-    ebar: tuple   # (E - B x u) / sqrt((r^2-|B|^2)(s^2-|u|^2)), components
-    nhat: tuple   # ebar / |ebar|, components
+    nhat: tuple   # ebar / |ebar|, components, with the normalised excess
+                  # ebar = (E - B x u) / sqrt((r^2-|B|^2)(s^2-|u|^2))
     ct: float     # cos of the rotation angle arcsin|ebar|
     st: float     # sin of it: |ebar|, capped at 1 against rounding
     kappa: float  # sqrt((r^2-|B|^2) / (s^2-|u|^2))
 
 
-def _excess(B, u, E, p: HullParams, m: _Math):
-    """r^2 - |B|^2, s^2 - |u|^2, the excess E - B x u and its length."""
-    rr = p.r * p.r - _dot(B, B)
-    ss = p.s * p.s - _dot(u, u)
-    bxu = _cross(B, u)
-    excess = (E[0] - bxu[0], E[1] - bxu[1], E[2] - bxu[2])
-    return rr, ss, excess, m.sqrt(_dot(excess, excess))
-
-
 def _frame(rr, ss, excess, m: _Math) -> _Frame:
-    """The frame of a point from _excess's values; needs rr, ss > 0 and excess != 0."""
+    """The frame of a point from r^2 - |B|^2, s^2 - |u|^2 and the excess E - B x u;
+    needs rr, ss > 0 and excess != 0."""
     scale = m.sqrt(rr * ss)
     ebar = (excess[0] / scale, excess[1] / scale, excess[2] / scale)
     e_len = m.sqrt(_dot(ebar, ebar))
     st = m.where(1.0 < e_len, 1.0, e_len)
-    return _Frame(rr, ebar, (ebar[0] / e_len, ebar[1] / e_len, ebar[2] / e_len),
+    return _Frame(rr, (ebar[0] / e_len, ebar[1] / e_len, ebar[2] / e_len),
                   m.sqrt(m.positive(1.0 - st * st)), st, m.sqrt(rr / ss))
 
 
@@ -263,7 +170,7 @@ def _plane_normal(e1, f: _Frame, m: _Math):
 def _sinusoid(u, nb, e1, w, wn, f: _Frame):
     """The frame (e1, e2, p_vec, q_vec) and the amplitudes (A, C) of the angle
     equation, from |B|, the axis e1 and the plane normal w of length wn > 0."""
-    _, _, nhat, ct, st, kappa = f
+    _, nhat, ct, st, kappa = f
     e2 = (w[0] / wn, w[1] / wn, w[2] / wn)
     # uhat(alpha) is bhat(alpha) rotated by arcsin|Ebar| about +nhat, which
     # makes bhat x uhat = Ebar for every alpha.  Both are linear in
@@ -285,14 +192,9 @@ def _root_direction(amp_cos, amp_sin, m: _Math):
     return m.where(rho == 0.0, -1.0, m.quotient(-abs(amp_sin), rho)), m.quotient(signed, rho)
 
 
-def _angle(ca, sa) -> float:
-    """The angle in [0, 2pi) of the direction (cos, sin)."""
-    return math.atan2(sa, ca) % math.tau
-
-
 def _perturbations(nb, eq, f: _Frame, m: _Math):
-    """The root (cos alpha, sin alpha) of the angle equation eq (_sinusoid's
-    values), bbar, ubar and the unit direction uhat of ubar."""
+    """bbar and ubar at the root (cos alpha, sin alpha) of the angle equation eq
+    (_sinusoid's values)."""
     e1, e2, p_vec, q_vec, amp_cos, amp_sin = eq
     ca, sa = _root_direction(amp_cos, amp_sin, m)
     # |Bbar|^2 = 4 (r^2 - |B|^2 sin^2 alpha), computed as the amplitude gap
@@ -304,7 +206,7 @@ def _perturbations(nb, eq, f: _Frame, m: _Math):
             (e1[2] * ca + e2[2] * sa) * bbar_len)
     uhat = (p_vec[0] * ca + q_vec[0] * sa, p_vec[1] * ca + q_vec[1] * sa,
             p_vec[2] * ca + q_vec[2] * sa)
-    return (ca, sa), bbar, (uhat[0] * ubar_len, uhat[1] * ubar_len, uhat[2] * ubar_len), uhat
+    return bbar, (uhat[0] * ubar_len, uhat[1] * ubar_len, uhat[2] * ubar_len)
 
 
 def _weight(B, bbar, m: _Math):
@@ -313,23 +215,45 @@ def _weight(B, bbar, m: _Math):
     return m.where(lam < 1.0, lam, 1.0)
 
 
-def _interior_frame(B, u, E, p: HullParams, tol: Tolerances):
-    """The frame, |B| and the angle equation (_sinusoid's values) of an interior point
-    of float component triples.  Raises DegenerateCallError when |E - B x u| <=
-    eps_root rs, NotInHullError on the amplitude boundary and DecompositionError
-    when the working plane is degenerate, each before the arithmetic it guards."""
-    rr, ss, excess, c = _excess(B, u, E, p, _FLOATS)
-    if c <= tol.eps_root * p.r * p.s:
-        raise DegenerateCallError(
-            "E = B x u within tolerance; use decompose_exact_ohm")
-    if rr <= tol.eps_mem * p.r * p.r or ss <= tol.eps_mem * p.s * p.s:
+def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
+              tol: Tolerances | None = None) -> Decomposition:
+    """Write a relaxed-set point as a two-state constraint-set mixture.
+
+    Decompositions are not unique.  A point with |E - B x u| <= eps_root rs
+    is split along a direction perpendicular to B and u with weight 1/2; any
+    other point by the laminate conditions at the closed-form root of the
+    angle equation in [pi/2, 3pi/2], with weight at most 1/2.  Raises
+    NotInHullError (with the separating function attached) for points
+    outside the relaxed set, NotInHullError (without one) for a point on the
+    amplitude boundary with a nonzero excess, and DecompositionError when
+    the working plane is degenerate, each before the arithmetic it guards.
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    B, u, E = _parts(z)
+    flags, (nb2, nu2, excess, c2) = _separation_flags(B, u, E, p, kind, tol.eps_mem, _FLOATS)
+    if any(flags):
+        w = separation_witness(z, p, kind, tol)
+        raise NotInHullError(f"point outside the relaxed set (witness {w.function}"
+                             f" = {w.value})", w)
+    r, s = p.r, p.s
+    rr, ss, c = r * r - nb2, s * s - nu2, math.sqrt(c2)
+    if c <= tol.eps_root * r * s:
+        # E = B x u: endpoints B +- e sqrt(r^2-|B|^2), u +- e sqrt(s^2-|u|^2) for
+        # a unit e perpendicular to B and u.  The perturbations are parallel, so
+        # the midpoint keeps E = B x u, and the difference is admissible for
+        # every cone kind; it is doubled here and halved by lam = 1/2, both exact.
+        e = unit_perpendicular_to_all((z.B, z.u))
+        bbar = e * (2.0 * math.sqrt(max(0.0, rr)))
+        ubar = e * (2.0 * math.sqrt(max(0.0, ss)))
+        return _decomposition(0.5, *_endpoints(B, u, tuple(bbar), tuple(ubar), 0.5))
+    if rr <= tol.eps_mem * r * r or ss <= tol.eps_mem * s * s:
         # On the amplitude boundary the excess must vanish, so a boundary
         # point with E != B x u cannot be an interior relaxed-set point.
         raise NotInHullError(
             f"amplitude on the boundary (r^2-|B|^2={rr}, s^2-|u|^2={ss}) "
             f"with nonzero excess |E-Bxu|={c}")
     f = _frame(rr, ss, excess, _FLOATS)
-    nb = math.sqrt(_dot(B, B))
+    nb = math.sqrt(nb2)
     # With B = 0 any axis perpendicular to the excess will do: G then reads
     # -kappa u . uhat(alpha) for every such axis, and its root makes uhat
     # perpendicular to u.
@@ -340,71 +264,7 @@ def _interior_frame(B, u, E, p: HullParams, tol: Tolerances):
     if wn < 1e-6:
         raise DecompositionError(
             "working plane degenerate: B is parallel to the excess field")
-    return f, nb, _sinusoid(u, nb, e1, w, wn, f)
-
-
-def angle_equation(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
-                   tol: Tolerances | None = None) -> AngleEquation:
-    """Build the angle equation G for an interior point with B != 0.
-
-    Exposed so tests can scan G for continuity, check the bracket signs and
-    check the root the solver chose.
-    """
-    _require_in_hull(z, p, kind, tol)
-    # With B = 0 the working plane is never degenerate, so no other error
-    # precedes this one.
-    _, nb, (*vectors, amp_cos, amp_sin) = _interior_frame(*_parts(z), p, tol or DEFAULT_TOLERANCES)
-    if nb == 0.0:
-        raise DegenerateCallError("angle equation needs B != 0; with B = 0 the "
-                                  "frame axis is free")
-    return AngleEquation(*(_vec(*v) for v in vectors), amp_cos, amp_sin)
-
-
-def solve_laminate_conditions(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
-                              tol: Tolerances | None = None) -> LaminateConditions:
-    """Find perturbations (Bbar, ubar) witnessing an interior relaxed point.
-
-    The returned conditions satisfy, up to rounding,
-
-        E = B x u + sqrt((r^2-|B|^2)(s^2-|u|^2)) (Bbar x ubar)/(|Bbar||ubar|),
-        |Bbar|^2 (s^2-|u|^2) = |ubar|^2 (r^2-|B|^2),
-        |Bbar|^2 = 4 (r^2 - |B|^2 sin^2 alpha_b),
-        |B| cos(alpha_b) = sqrt((r^2-|B|^2)/(s^2-|u|^2)) |u| cos(alpha_u),
-        B . (Bbar x ubar) = 0,
-
-    and additionally u . (Bbar x ubar) = 0 for the stationary incompressible
-    cone (where the excess is parallel to B x u, so the working plane is
-    span{B, u}).
-    """
-    _require_in_hull(z, p, kind, tol)
-    f, nb, eq = _interior_frame(*_parts(z), p, tol or DEFAULT_TOLERANCES)
-    root, bbar, ubar, uhat = _perturbations(nb, eq, f, _FLOATS)
-    uhat = _vec(*uhat)
-    alpha_u = math.atan2(z.u.cross(uhat).norm(), z.u.dot(uhat)) if z.u.norm() > 0.0 else 0.0
-    return LaminateConditions(ebar=_vec(*f.ebar), bbar=_vec(*bbar), ubar=_vec(*ubar),
-                              alpha_b=_angle(*root) if nb else 0.0, alpha_u=alpha_u)
-
-
-def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
-              tol: Tolerances | None = None) -> Decomposition:
-    """Write a relaxed-set point as a two-state constraint-set mixture.
-
-    Decompositions are not unique.  A point with |E - B x u| <= eps_root rs
-    is split along a direction perpendicular to B and u
-    (decompose_exact_ohm); any other point by the laminate conditions at the
-    closed-form root of the angle equation in [pi/2, 3pi/2].  Raises
-    NotInHullError (with the separating function attached) for points
-    outside the relaxed set, and DecompositionError when the working plane
-    is degenerate.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    _require_in_hull(z, p, kind, tol)
-    B, u, E = _parts(z)
-    try:
-        f, nb, eq = _interior_frame(B, u, E, p, tol)
-    except DegenerateCallError:  # E = B x u within eps_root rs
-        return _split_exact_ohm(z.B, z.u, p)
-    _, bbar, ubar, _ = _perturbations(nb, eq, f, _FLOATS)
+    bbar, ubar = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, _FLOATS)
     lam = _weight(B, bbar, _FLOATS)
     return _decomposition(lam, *_endpoints(B, u, bbar, ubar, lam))
 
@@ -420,16 +280,17 @@ def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
     r, s = p.r, p.s
     m = _COLUMNS
     with np.errstate(all="ignore"):
-        rr, ss, excess, c = _excess(B, u, E, p, m)
+        (g1, g3, g2), (nb2, nu2, excess, c2) = _separation_flags(B, u, E, p, kind,
+                                                                 tol.eps_mem, m)
+        rr, ss = r * r - nb2, s * s - nu2
         f = _frame(rr, ss, excess, m)
-        nb = np.sqrt(_dot(B, B))
+        nb = np.sqrt(nb2)
         e1 = tuple(x / nb for x in B)
         w, wn = _plane_normal(e1, f, m)
-        _, bbar, ubar, _ = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, m)
+        bbar, ubar = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, m)
         lam = _weight(B, bbar, m)
         z1, z2 = _endpoints(B, u, bbar, ubar, lam)
-        g1, g3, g2 = _separation_flags(B, u, E, p, kind, tol.eps_mem, m)
-        fallback = (g1 | g3 | g2 | (c <= tol.eps_root * r * s)
+        fallback = (g1 | g3 | g2 | (np.sqrt(c2) <= tol.eps_root * r * s)
                     | (rr <= tol.eps_mem * r * r) | (ss <= tol.eps_mem * s * s)
                     | (nb == 0.0) | ~(wn >= 1e-6))
     return lam, z1, z2, fallback

@@ -240,11 +240,10 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
 
         db = tuple(b1[i] - b2[i] for i in range(3))
         de = tuple(e1[i] - e2[i] for i in range(3))
-        de_len = np.sqrt(_dot(de, de))
-        res = np.abs(_dot(db, de)) / (1.0 + np.sqrt(_dot(db, db)) * de_len)
+        res = _cone_residual(db, de, 1.0, _COLUMNS)
         if restricts_u:
             du = tuple(u1[i] - u2[i] for i in range(3))
-            res2 = np.abs(_dot(du, de)) / (1.0 + np.sqrt(_dot(du, du)) * de_len)
+            res2 = _cone_residual(du, de, 1.0, _COLUMNS)
             res = np.where(res2 > res, res2, res)
     r, s = p.r, p.s
     rs = r * s
@@ -429,22 +428,19 @@ class HullCheckReport:
 
 
 def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
-                         inner_tol: Tolerances | None = None,
-                         decompose_count: int | None = None) -> HullCheckReport:
+                         inner_tol: Tolerances | None = None) -> HullCheckReport:
     """Run the inner (laminate -> membership) and surjective (membership ->
     decomposition) checks and aggregate the outcome.
 
-    cfg.count combinations are generated for the inner half; decompose_count
-    (default cfg.count // 10) points are sampled from the closed-form set
-    for the surjective half.  inner_tol (default tol) controls the
-    membership slack on the inner half; tol controls decomposition and
-    verification.  Both halves run in blocks of BLOCK rows and report
-    exactly what the per-point functions would, failures in point order.
+    cfg.count combinations are generated for the inner half; cfg.count // 10
+    points are sampled from the closed-form set for the surjective half.
+    inner_tol (default tol) controls the membership slack on the inner half;
+    tol controls decomposition and verification.  Both halves run in blocks
+    of BLOCK rows and report exactly what the per-point functions would,
+    failures in point order.
     """
     tol = tol or DEFAULT_TOLERANCES
     inner_tol = inner_tol or tol
-    if decompose_count is None:
-        decompose_count = cfg.count // 10
     p = cfg.params
     kind = cfg.kind
     # u-orthogonality residuals are those of the normalised triple
@@ -456,7 +452,7 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
     for B, u, E in _mixture_blocks(_generator(cfg), cfg):
         n = len(B[0])
         report.laminate_checked += n
-        g1, g3, g2 = _separation_flags(B, u, E, p, kind, inner_tol.eps_mem, _COLUMNS)
+        (g1, g3, g2), _ = _separation_flags(B, u, E, p, kind, inner_tol.eps_mem, _COLUMNS)
         outside = g1 | g3 | g2
         off_cone = np.zeros(n, dtype=bool)
         if kind.restricts_u:
@@ -470,7 +466,7 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
             if off_cone[i]:
                 report.record_failure("laminate", zi, f"u.E residual {float(res[i])}")
 
-    hull_cfg = SampleConfig(seed=cfg.seed, count=decompose_count, params=p,
+    hull_cfg = SampleConfig(seed=cfg.seed, count=cfg.count // 10, params=p,
                             kind=kind, worker=cfg.worker)
     for z in _hull_blocks(_generator(hull_cfg), hull_cfg):
         _check_decompositions(report, z, p, kind, tol, rss)

@@ -6,14 +6,11 @@ import numpy as np
 
 from dynamohull import (
     DEFAULT_TOLERANCES,
-    AngleEquation,
     ConeKind,
     Decomposition,
     DecompositionError,
-    DegenerateCallError,
     HullCheckReport,
     HullParams,
-    LaminateConditions,
     NotInHullError,
     SampleConfig,
     Triple,
@@ -152,13 +149,11 @@ SHARED_CONE_KINDS = (ConeKind.NONSTATIONARY, ConeKind.NONSTATIONARY_INCOMPRESSIB
                      ConeKind.STATIONARY)
 
 
-def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None, decompose_count=None):
+def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None):
     """two_sided_hull_check one point at a time through the public per-point
     API: the reference the block campaign engine must reproduce exactly."""
     tol = tol or DEFAULT_TOLERANCES
     inner_tol = inner_tol or tol
-    if decompose_count is None:
-        decompose_count = cfg.count // 10
     p = cfg.params
     kind = cfg.kind
     rss = p.r * p.s * p.s
@@ -177,7 +172,7 @@ def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None, decompose_coun
             if res > tol.eps_mem:
                 report.record_failure("laminate", z, f"u.E residual {res}")
 
-    hull_cfg = SampleConfig(seed=cfg.seed, count=decompose_count, params=p,
+    hull_cfg = SampleConfig(seed=cfg.seed, count=cfg.count // 10, params=p,
                             kind=kind, worker=cfg.worker)
     reference_check_decompositions(report, sample_hull(hull_cfg), p, kind, tol)
     return report
@@ -380,18 +375,7 @@ def _reference_require_in_hull(z, p, kind, tol):
                              f" = {w.value})", w)
 
 
-def _reference_frame(z, p, tol):
-    rr = p.r * p.r - z.B.norm2()
-    ss = p.s * p.s - z.u.norm2()
-    excess = z.E - z.B.cross(z.u)
-    c = excess.norm()
-    if c <= tol.eps_root * p.r * p.s:
-        raise DegenerateCallError(
-            "E = B x u within tolerance; use decompose_exact_ohm")
-    if rr <= tol.eps_mem * p.r * p.r or ss <= tol.eps_mem * p.s * p.s:
-        raise NotInHullError(
-            f"amplitude on the boundary (r^2-|B|^2={rr}, s^2-|u|^2={ss}) "
-            f"with nonzero excess |E-Bxu|={c}")
+def _reference_frame(rr, ss, excess):
     ebar = excess / math.sqrt(rr * ss)
     e_len = ebar.norm()
     st = min(e_len, 1.0)
@@ -399,6 +383,8 @@ def _reference_frame(z, p, tol):
 
 
 def _reference_gap(z, frame):
+    """The axes e1, e2, the rotated axes p_vec, q_vec and the amplitudes (A, C)
+    of the angle equation A cos(alpha) + C sin(alpha)."""
     _, _, nhat, ct, st, kappa = frame
     nb = z.B.norm()
     e1 = z.B / nb if nb else unit_perpendicular(nhat)
@@ -412,7 +398,7 @@ def _reference_gap(z, frame):
     q_vec = e2 * ct + nhat.cross(e2) * st
     amp_cos = nb - kappa * z.u.dot(p_vec)
     amp_sin = -kappa * z.u.dot(q_vec)
-    return AngleEquation(e1, e2, p_vec, q_vec, amp_cos, amp_sin)
+    return e1, e2, p_vec, q_vec, amp_cos, amp_sin
 
 
 def reference_root_direction(a, c):
@@ -428,22 +414,14 @@ def reference_root_direction(a, c):
 
 
 def _reference_solve(z, frame):
-    rr, ebar, _, _, _, kappa = frame
+    """The perturbations (bbar, ubar) at the root of the angle equation."""
+    rr, _, _, _, _, kappa = frame
     nb = z.B.norm()
-    gap = _reference_gap(z, frame)
-    ca, sa = reference_root_direction(gap.amp_cos, gap.amp_sin)
-    bhat, uhat = gap.e1 * ca + gap.e2 * sa, gap.p_vec * ca + gap.q_vec * sa
+    e1, e2, p_vec, q_vec, amp_cos, amp_sin = _reference_gap(z, frame)
+    ca, sa = reference_root_direction(amp_cos, amp_sin)
     bbar_len = 2.0 * math.sqrt(rr + nb * nb * (ca * ca))
     ubar_len = bbar_len / kappa
-    bbar = bhat * bbar_len
-    ubar = uhat * ubar_len
-    if z.u.norm() > 0.0:
-        alpha_u = math.atan2(z.u.cross(uhat).norm(), z.u.dot(uhat))
-    else:
-        alpha_u = 0.0
-    return LaminateConditions(ebar=ebar, bbar=bbar, ubar=ubar,
-                              alpha_b=math.atan2(sa, ca) % TWO_PI if nb else 0.0,
-                              alpha_u=alpha_u)
+    return (e1 * ca + e2 * sa) * bbar_len, (p_vec * ca + q_vec * sa) * ubar_len
 
 
 def _reference_endpoints(B, u, bbar, ubar, lam):
@@ -455,34 +433,25 @@ def _reference_endpoints(B, u, bbar, ubar, lam):
     return Decomposition(lam, Triple(B1, u1, B1.cross(u1)), Triple(B2, u2, B2.cross(u2)))
 
 
-def reference_angle_equation(z, p, kind=ConeKind.NONSTATIONARY, tol=None):
-    _reference_require_in_hull(z, p, kind, tol)
-    frame = _reference_frame(z, p, tol or DEFAULT_TOLERANCES)
-    if z.B.norm() == 0.0:
-        raise DegenerateCallError("angle equation needs B != 0; with B = 0 the "
-                                  "frame axis is free")
-    return _reference_gap(z, frame)
-
-
-def reference_solve_laminate_conditions(z, p, kind=ConeKind.NONSTATIONARY, tol=None):
-    _reference_require_in_hull(z, p, kind, tol)
-    return _reference_solve(z, _reference_frame(z, p, tol or DEFAULT_TOLERANCES))
-
-
 def reference_decompose(z, p, kind=ConeKind.NONSTATIONARY, tol=None):
     """decompose in Vec3 arithmetic."""
     tol = tol or DEFAULT_TOLERANCES
     _reference_require_in_hull(z, p, kind, tol)
-    try:
-        frame = _reference_frame(z, p, tol)
-    except DegenerateCallError:
+    rr = p.r * p.r - z.B.norm2()
+    ss = p.s * p.s - z.u.norm2()
+    excess = z.E - z.B.cross(z.u)
+    c = excess.norm()
+    if c <= tol.eps_root * p.r * p.s:
         e = unit_perpendicular_to_all((z.B, z.u))
-        return _reference_endpoints(
-            z.B, z.u, e * (2.0 * math.sqrt(max(0.0, p.r * p.r - z.B.norm2()))),
-            e * (2.0 * math.sqrt(max(0.0, p.s * p.s - z.u.norm2()))), 0.5)
-    conds = _reference_solve(z, frame)
-    lam = 0.5 + z.B.dot(conds.bbar) / conds.bbar.norm2()
-    return _reference_endpoints(z.B, z.u, conds.bbar, conds.ubar, min(1.0, max(0.0, lam)))
+        return _reference_endpoints(z.B, z.u, e * (2.0 * math.sqrt(max(0.0, rr))),
+                                    e * (2.0 * math.sqrt(max(0.0, ss))), 0.5)
+    if rr <= tol.eps_mem * p.r * p.r or ss <= tol.eps_mem * p.s * p.s:
+        raise NotInHullError(
+            f"amplitude on the boundary (r^2-|B|^2={rr}, s^2-|u|^2={ss}) "
+            f"with nonzero excess |E-Bxu|={c}")
+    bbar, ubar = _reference_solve(z, _reference_frame(rr, ss, excess))
+    lam = 0.5 + z.B.dot(bbar) / bbar.norm2()
+    return _reference_endpoints(z.B, z.u, bbar, ubar, min(1.0, max(0.0, lam)))
 
 
 def _reference_cone_residual(a, b, unit):

@@ -56,8 +56,7 @@ def _report(capsys, num: int, name: str, ok: bool, detail: str = ""):
 def _run_campaign(kind: ConeKind, r: float, s: float):
     cfg = SampleConfig(seed=CAMPAIGN_SEED, count=LAMINATE_COUNT,
                        params=HullParams(r, s), kind=kind)
-    return two_sided_hull_check(cfg, VERIFY_TOL, inner_tol=INNER_TOL,
-                                decompose_count=DECOMPOSE_COUNT)
+    return two_sided_hull_check(cfg, VERIFY_TOL, inner_tol=INNER_TOL)
 
 
 @pytest.fixture(scope="module")

@@ -120,7 +120,7 @@ def test_separating_mask_matches_kernel(kind):
             points = [scaled_point(rng, kind, f, r, s) for f in
                       (*rng.uniform(0.0, 1.0, 8), 1.0, *np.exp(rng.uniform(0.0, 4.0, 8)))]
             points += special_points(p).values()
-            g1, g3, g2 = _separation_flags(*block(points), p, kind, eps, _COLUMNS)
+            (g1, g3, g2), _ = _separation_flags(*block(points), p, kind, eps, _COLUMNS)
             mask = g1 | g3 | g2
             expected = [_separating_function(z, p, kind, eps) is not None for z in points]
             assert mask.tolist() == expected, (r, s)

@@ -9,37 +9,31 @@ from dynamohull import (
     ConeKind,
     Decomposition,
     DecompositionError,
-    DegenerateCallError,
     HullParams,
     NotInHullError,
     SampleConfig,
     Tolerances,
     Triple,
     Vec3,
-    angle_equation,
     decompose,
-    decompose_exact_ohm,
     hull_excess_bound,
     in_constraint_set,
     in_hull,
     sample_first_laminate,
     sample_hull,
     sample_lambda_pair,
-    solve_laminate_conditions,
     unit_perpendicular,
     verify_decomposition,
 )
 from _helpers import (
     ALL_KINDS,
-    reference_angle_equation,
     reference_decompose,
-    reference_solve_laminate_conditions,
     reference_verify_decomposition,
     unit,
     vec,
 )
-from dynamohull.core import _COLUMNS, _FLOATS
-from dynamohull.laminate import _angle, _root_direction
+from dynamohull.core import _COLUMNS, _FLOATS, DEFAULT_TOLERANCES, _parts, _separation_flags
+from dynamohull.laminate import _frame, _plane_normal, _root_direction, _sinusoid
 from test_blocks import KINDS, RADII, special_points
 
 P11 = HullParams(1.0, 1.0)
@@ -50,10 +44,19 @@ def _interior_hull_points(kind, count, p=P11, seed=42):
     return list(sample_hull(cfg))
 
 
+def _ohm(B, u):
+    return Triple(B, u, B.cross(u))
+
+
+def _differences(d):
+    """Bbar = B1 - B2 and ubar = u1 - u2 of a decomposition."""
+    return d.z1.B - d.z2.B, d.z1.u - d.z2.u
+
+
 # ----------------------------------------------------- exact-Ohm splits
 
 def test_exact_ohm_at_origin():
-    d = decompose_exact_ohm(Vec3(0, 0, 0), Vec3(0, 0, 0), P11)
+    d = decompose(_ohm(Vec3(0, 0, 0), Vec3(0, 0, 0)), P11)
     assert d.lam == 0.5
     assert d.z1.B.norm() == pytest.approx(1.0)
     assert d.z1.u.norm() == pytest.approx(1.0)
@@ -68,7 +71,7 @@ def test_exact_ohm_at_origin():
 def test_exact_ohm_full_amplitude_is_trivial():
     B = Vec3(0.6, 0.8, 0)
     u = Vec3(0, 0, 1)
-    d = decompose_exact_ohm(B, u, P11)
+    d = decompose(_ohm(B, u), P11)
     assert d.lam == 0.5
     assert d.z1 == d.z2
     assert d.z1 == Triple(B, u, B.cross(u))
@@ -78,7 +81,7 @@ def test_exact_ohm_pythagoras_case():
     # Perpendicular perturbations restore the amplitudes by Pythagoras.
     B = Vec3(0.6, 0, 0)
     u = Vec3(0, 0.8, 0)
-    d = decompose_exact_ohm(B, u, P11)
+    d = decompose(_ohm(B, u), P11)
     bbar = d.z1.B - B
     ubar = d.z1.u - u
     assert bbar.norm() == pytest.approx(0.8)
@@ -93,9 +96,9 @@ def test_exact_ohm_pythagoras_case():
 
 def test_exact_ohm_rejects_oversized_amplitudes():
     with pytest.raises(NotInHullError):
-        decompose_exact_ohm(Vec3(1.5, 0, 0), Vec3(0, 0, 0), P11)
+        decompose(_ohm(Vec3(1.5, 0, 0), Vec3(0, 0, 0)), P11)
     with pytest.raises(NotInHullError):
-        decompose_exact_ohm(Vec3(0, 0, 0), Vec3(0, 1.5, 0), P11)
+        decompose(_ohm(Vec3(0, 0, 0), Vec3(0, 1.5, 0)), P11)
 
 
 def test_exact_ohm_valid_for_every_kind():
@@ -105,24 +108,28 @@ def test_exact_ohm_valid_for_every_kind():
         u = vec(rng, 0.55)
         target = Triple(B, u, B.cross(u))
         for kind in ALL_KINDS:
-            d = decompose_exact_ohm(B, u, P11, kind)
+            d = decompose(target, P11, kind)
             rep = verify_decomposition(d, target, P11, kind)
             assert rep.passed, (kind, rep.failures, rep.residuals)
 
 
 # ----------------------------------------------- the interior conditions
+#
+# The laminate conditions, read off decompose's endpoints with
+# Bbar = B1 - B2 and ubar = u1 - u2.
 
 def test_conditions_at_zero_fields():
     z = Triple(Vec3(0, 0, 0), Vec3(0, 0, 0), Vec3(0, 0, 0.5))
-    conds = solve_laminate_conditions(z, P11)
-    assert list(conds.ebar) == pytest.approx([0, 0, 0.5])
-    assert conds.bbar.norm() == pytest.approx(2.0)
-    assert conds.ubar.norm() == pytest.approx(2.0)
+    bbar, ubar = _differences(decompose(z, P11))
+    assert bbar.norm() == pytest.approx(2.0)
+    assert ubar.norm() == pytest.approx(2.0)
+    # bhat x uhat is the normalised excess Ebar = (E - B x u) / sqrt(rr ss).
+    mix = bbar.cross(ubar)
+    assert list(mix / (bbar.norm() * ubar.norm())) == pytest.approx([0, 0, 0.5])
     # sin of the angle between the perturbations equals the excess fraction.
-    sin_mix = conds.bbar.cross(conds.ubar).norm() / (conds.bbar.norm() * conds.ubar.norm())
+    sin_mix = mix.norm() / (bbar.norm() * ubar.norm())
     assert sin_mix == pytest.approx(0.5, abs=1e-12)
     # Oriented so that their cross product reproduces the excess direction.
-    mix = conds.bbar.cross(conds.ubar)
     assert (mix / mix.norm() - Vec3(0, 0, 1)).norm() < 1e-12
 
 
@@ -134,8 +141,7 @@ def test_conditions_equations_hold(kind):
         c = (z.E - z.B.cross(z.u)).norm()
         if c < 1e-9:
             continue
-        conds = solve_laminate_conditions(z, p, kind)
-        bbar, ubar = conds.bbar, conds.ubar
+        bbar, ubar = _differences(decompose(z, p, kind))
         rr = p.r * p.r - z.B.norm2()
         ss = p.s * p.s - z.u.norm2()
         d_bound = math.sqrt(rr * ss)
@@ -165,66 +171,49 @@ def test_conditions_equations_hold(kind):
 
 
 def test_conditions_degenerate_call():
+    # An excess up to eps_root rs is E = B x u: decompose takes the parallel
+    # split (lam = 1/2, bbar x ubar = 0) there, and the laminate conditions
+    # (lam < 1/2 here) just above.
     B = Vec3(0.5, 0, 0)
     u = Vec3(0, 0.5, 0)
-    z = Triple(B, u, B.cross(u))
-    with pytest.raises(DegenerateCallError):
-        solve_laminate_conditions(z, P11)
+    for p in (P11, HullParams(1e-3, 1e3)):
+        Bp, up = B * p.r, u * p.s
+        for excess, split in ((0.0, True), (0.5, True), (2.0, False), (1e3, False)):
+            z = Triple(Bp, up, Bp.cross(up) + Vec3(0, 0, excess * 1e-12 * p.r * p.s))
+            d = decompose(z, p)
+            bbar, ubar = _differences(d)
+            assert (d.lam == 0.5 and bbar.cross(ubar).norm() == 0.0) is split, (p, excess)
+            assert d.lam <= 0.5
+            assert verify_decomposition(d, z, p).passed
 
 
 def test_conditions_boundary_call_is_not_in_hull():
     # Full magnetic amplitude with leftover excess: no interior solution.
     z = Triple(Vec3(1, 0, 0), Vec3(0, 0.5, 0), Vec3(0, 0, 0.5 + 1e-3))
     with pytest.raises(NotInHullError):
-        solve_laminate_conditions(z, P11)
+        decompose(z, P11)
 
 
 def test_conditions_outside_hull():
     z = Triple(Vec3(0, 0, 0), Vec3(0, 0, 0), Vec3(0, 0, 2.0))
     with pytest.raises(NotInHullError):
-        solve_laminate_conditions(z, P11)
+        decompose(z, P11)
 
 
 # -------------------------------------------------- the angle equation
 
-def test_angle_gap_is_a_sinusoid_with_antisymmetric_bracket():
-    rng = np.random.default_rng(22)
-    checked = 0
-    for z in _interior_hull_points(ConeKind.NONSTATIONARY, 200):
-        if z.B.norm() == 0.0 or (z.E - z.B.cross(z.u)).norm() < 1e-9:
-            continue
-        gap = angle_equation(z, P11)
-        lo, hi = gap.bracket
-        assert gap(lo) * gap(hi) <= 1e-20
-        assert gap(lo) == pytest.approx(-gap(hi), abs=1e-12)
-        # random spot-check of the sinusoidal form
-        alpha = rng.uniform(lo, hi)
-        expected = gap.amp_cos * math.cos(alpha) + gap.amp_sin * math.sin(alpha)
-        assert gap(alpha) == expected
-        checked += 1
-    assert checked > 150
-
-
-def test_angle_gap_continuity_scan():
-    # 1e3-point scan: increments bounded by the Lipschitz constant of the
-    # sinusoid, so the root bracket never hides a jump.
-    for z in _interior_hull_points(ConeKind.NONSTATIONARY, 20, seed=23):
-        if z.B.norm() == 0.0 or (z.E - z.B.cross(z.u)).norm() < 1e-9:
-            continue
-        gap = angle_equation(z, P11)
-        lo, hi = gap.bracket
-        lipschitz = abs(gap.amp_cos) + abs(gap.amp_sin)
-        alphas = np.linspace(lo, hi, 1000)
-        values = [gap(a) for a in alphas]
-        step = alphas[1] - alphas[0]
-        for v0, v1 in zip(values, values[1:]):
-            assert abs(v1 - v0) <= lipschitz * step * 1.01 + 1e-12
-
-
-def test_angle_gap_rejects_zero_B():
-    z = Triple(Vec3(0, 0, 0), Vec3(0, 0, 0), Vec3(0, 0, 0.5))
-    with pytest.raises(DegenerateCallError):
-        angle_equation(z, P11)
+def _angle_equation(z, p, kind):
+    """The amplitudes (A, C) of the angle equation G(alpha) = A cos(alpha) +
+    C sin(alpha) of an interior point with B != 0, from decompose's stages."""
+    B, u, E = _parts(z)
+    _, (nb2, nu2, excess, _) = _separation_flags(B, u, E, p, kind,
+                                                 DEFAULT_TOLERANCES.eps_mem, _FLOATS)
+    f = _frame(p.r * p.r - nb2, p.s * p.s - nu2, excess, _FLOATS)
+    nb = math.sqrt(nb2)
+    e1 = (B[0] / nb, B[1] / nb, B[2] / nb)
+    w, wn = _plane_normal(e1, f, _FLOATS)
+    *_, amp_cos, amp_sin = _sinusoid(u, nb, e1, w, wn, f)
+    return amp_cos, amp_sin
 
 
 def test_root_direction_matches_the_atan2_root():
@@ -246,7 +235,7 @@ def test_root_direction_matches_the_atan2_root():
     assert (np.abs(a * ca + c * sa) <= 1e-15 * np.hypot(a, c)).all()
     assert (ca[n:n + 4] == 0.0).all() and (sa[n:n + 4] == 1.0).all()
     assert (ca[n + 4:] == -1.0).all() and (sa[n + 4:] == 0.0).all()
-    angles = np.array([_angle(x, y) for x, y in zip(ca.tolist(), sa.tolist())])
+    angles = np.array([math.atan2(y, x) % math.tau for x, y in zip(ca.tolist(), sa.tolist())])
     assert ((0.5 * math.pi <= angles) & (angles <= 1.5 * math.pi)).all()
     assert np.abs(angles - alpha).max() <= 1e-15 * math.pi
     # The float path runs the same body to the same bits.
@@ -256,16 +245,18 @@ def test_root_direction_matches_the_atan2_root():
 
 @pytest.mark.parametrize("kind", [ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE])
 def test_chosen_angle_is_the_bracketed_root(kind):
-    # The solver's alpha_b must be a root of G inside [pi/2, 3pi/2], to
+    # The solver's alpha must be a root of G inside [pi/2, 3pi/2], to
     # rounding relative to the sinusoid's amplitude |A| + |C|.
     checked = 0
     for z in _interior_hull_points(kind, 1100, seed=25):
         if z.B.norm() == 0.0 or (z.E - z.B.cross(z.u)).norm() <= 1e-12:
             continue
-        gap = angle_equation(z, P11, kind)
-        alpha = solve_laminate_conditions(z, P11, kind).alpha_b
+        amp_cos, amp_sin = _angle_equation(z, P11, kind)
+        ca, sa = _root_direction(amp_cos, amp_sin, _FLOATS)
+        alpha = math.atan2(sa, ca) % math.tau
         assert 0.5 * math.pi <= alpha <= 1.5 * math.pi
-        assert abs(gap(alpha)) <= 1e-15 * (abs(gap.amp_cos) + abs(gap.amp_sin))
+        gap = amp_cos * math.cos(alpha) + amp_sin * math.sin(alpha)
+        assert abs(gap) <= 1e-15 * (abs(amp_cos) + abs(amp_sin))
         checked += 1
     assert checked >= 1000
 
@@ -349,6 +340,25 @@ def test_decompose_weight_amplitude_identity():
             dz = d.z1 - d.z2
             prod = d.lam * (1.0 - d.lam) * dz.B.norm() * dz.u.norm()
             assert prod == pytest.approx(hull_excess_bound(z.B, z.u, P11), abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_decompose_weight_is_at_most_one_half(kind):
+    # The root in [pi/2, 3pi/2] has cos(alpha) <= 0, so B . bbar <= 0 and
+    # lam = 1/2 + B . bbar / |bbar|^2 <= 1/2; the exact-Ohm split has lam = 1/2.
+    decomposed = 0
+    for r in (1e-6, 1.0, 1e6):
+        for s in (1e-6, 1.0, 1e6):
+            p = HullParams(r, s)
+            cfg = SampleConfig(seed=29, count=3000, params=p, kind=kind)
+            for z in [*sample_hull(cfg), *special_points(p).values()]:
+                try:
+                    d = decompose(z, p, kind)
+                except DecompositionError:
+                    continue
+                assert d.lam <= 0.5, (r, s, z, d.lam)
+                decomposed += 1
+    assert decomposed >= 9 * 3000
 
 
 def test_decompose_stationary_mixing_orthogonality():
@@ -459,10 +469,8 @@ def test_scalar_path_matches_vec3_reference_bit_for_bit(kind):
             points = [*sample_hull(cfg), *sample_first_laminate(cfg),
                       *special_points(p).values()]
             for z, other in zip(points, points[1:] + points[:1]):
-                for fn, ref in ((angle_equation, reference_angle_equation),
-                                (solve_laminate_conditions, reference_solve_laminate_conditions),
-                                (decompose, reference_decompose)):
-                    assert _outcome(fn, z, p, kind) == _outcome(ref, z, p, kind), (r, s, z)
+                assert _outcome(decompose, z, p, kind) == _outcome(
+                    reference_decompose, z, p, kind), (r, s, z)
                 try:
                     d = decompose(z, p, kind)
                 except DecompositionError:
