@@ -25,7 +25,6 @@ from .core import (
     in_constraint_set,
     in_hull,
     in_wave_cone,
-    orthonormal_basis,
     separation_witness,
     unit_perpendicular,
     unit_perpendicular_to_all,
@@ -69,8 +68,7 @@ __all__ = [
     "ConeKind", "DEFAULT_TOLERANCES", "HullParams", "SeparationWitness",
     "Tolerances", "Triple", "Vec3", "eval_g1", "eval_g2", "eval_g3",
     "hull_excess_bound", "in_constraint_set", "in_hull", "in_wave_cone",
-    "orthonormal_basis", "separation_witness", "unit_perpendicular",
-    "unit_perpendicular_to_all",
+    "separation_witness", "unit_perpendicular", "unit_perpendicular_to_all",
     "Decomposition", "DecompositionError", "NotInHullError",
     "VerificationReport", "decompose", "verify_decomposition",
     "HullCheckReport", "SampleConfig",

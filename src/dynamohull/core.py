@@ -120,54 +120,6 @@ def _vec(x: float, y: float, z: float) -> Vec3:
     return v
 
 
-ZERO3 = Vec3(0.0, 0.0, 0.0)
-
-
-def unit_perpendicular(v: Vec3) -> Vec3:
-    """Some unit vector perpendicular to v (any unit vector if v = 0)."""
-    ax, ay, az = abs(v.x), abs(v.y), abs(v.z)
-    if ax <= ay and ax <= az:
-        w = Vec3(1.0, 0.0, 0.0)
-    elif ay <= az:
-        w = Vec3(0.0, 1.0, 0.0)
-    else:
-        w = Vec3(0.0, 0.0, 1.0)
-    p = v.cross(w)
-    n = p.norm()
-    if n == 0.0:
-        # v itself is (numerically) zero; w is as good as any direction.
-        return w
-    return p / n
-
-
-# orthonormal_basis drops a vector whose residual after projection is below
-# this fraction of its norm.
-BASIS_DROP_REL = 1e-10
-
-
-def orthonormal_basis(vs: tuple["Vec3", ...]) -> list["Vec3"]:
-    """Gram-Schmidt with a relative pivot; near-dependent vectors are dropped."""
-    basis: list[Vec3] = []
-    for v in vs:
-        w = v
-        for b in basis:
-            w = w - b * w.dot(b)
-        if w.norm() > BASIS_DROP_REL * v.norm():
-            basis.append(w.normalized())
-    return basis
-
-
-def unit_perpendicular_to_all(vs: tuple["Vec3", ...]) -> Vec3:
-    """A unit vector perpendicular to every vector in vs (at most two
-    independent ones in three dimensions)."""
-    basis = orthonormal_basis(vs)
-    if len(basis) >= 2:
-        return basis[0].cross(basis[1])
-    if len(basis) == 1:
-        return unit_perpendicular(basis[0])
-    return Vec3(1.0, 0.0, 0.0)
-
-
 @dataclass(frozen=True, slots=True)
 class Triple:
     """A state z = (B, u, E): magnetic field, velocity and electric field values."""
@@ -194,8 +146,7 @@ class Triple:
 
     def norm(self, r: float = 1.0, s: float = 1.0) -> float:
         """Euclidean norm of the 9-component state (B/r, u/s, E/(rs))."""
-        return math.sqrt(self.B.norm2() / (r * r) + self.u.norm2() / (s * s)
-                         + self.E.norm2() / (r * r * s * s))
+        return _norm_rs(*_parts(self), r, s)
 
     def to_json_dict(self) -> dict:
         return {"B": self.B.as_list(), "u": self.u.as_list(), "E": self.E.as_list()}
@@ -396,8 +347,55 @@ def _parts(z: Triple):
 
 
 def _norm_rs(B, u, E, r: float, s: float, m: _Math = _FLOATS):
-    """Triple.norm(r, s) of a (B, u, E) state of component triples, floats or columns."""
+    """The norm of the 9-component state (B/r, u/s, E/(rs)) of a (B, u, E) state of
+    component triples, floats or columns; Triple.norm(r, s) is its float view."""
     return m.sqrt(_dot(B, B) / (r * r) + _dot(u, u) / (s * s) + _dot(E, E) / (r * r * s * s))
+
+
+def _frame(v, m: _Math = _FLOATS):
+    """An orthonormal frame (n, p1, p2) of a component triple v, floats or columns:
+    n = v / |v|, or the z axis where |v| = 0; p1 is n x the coordinate axis of
+    n's smallest component, normalised, and p2 = n x p1.  On floats v needs
+    |v| > 0; on columns it runs under np.errstate(all="ignore")."""
+    vn = m.sqrt(_dot(v, v))
+    zero = vn == 0.0
+    n = tuple(m.where(zero, a, x / vn) for x, a in zip(v, (0.0, 0.0, 1.0)))
+    an = tuple(abs(x) for x in n)
+    on_x = (an[0] <= an[1]) & (an[0] <= an[2])
+    ax = m.where(on_x, 1.0, 0.0)
+    ay = m.where(on_x, 0.0, m.where(an[1] <= an[2], 1.0, 0.0))
+    p1 = _cross(n, (ax, ay, 1.0 - ax - ay))
+    inv_p = 1.0 / m.sqrt(_dot(p1, p1))
+    p1 = tuple(x * inv_p for x in p1)
+    return n, p1, _cross(n, p1)
+
+
+def _perpendicular(a, b, m: _Math = _FLOATS):
+    """A unit vector perpendicular to a and b, component triples, floats or columns.
+
+    In the frame (n, p1, p2) of a, the part of b perpendicular to n is
+    c1 p1 + c2 p2; turned by a right angle about n it gives
+    (c1 p2 - c2 p1) / rho, with rho = sqrt(c1^2 + c2^2), perpendicular to
+    both at every angle between them, with no threshold.  Where rho = 0 (b
+    parallel to a, or zero) it is p1.  A zero a is replaced by the z axis,
+    whose frame _frame gives it on columns.
+    """
+    zero = _dot(a, a) == 0.0
+    _, p1, p2 = _frame(tuple(m.where(zero, z, x) for x, z in zip(a, (0.0, 0.0, 1.0))), m)
+    c1, c2 = _dot(b, p1), _dot(b, p2)
+    rho = m.sqrt(c1 * c1 + c2 * c2)
+    return tuple(m.where(rho == 0.0, x, m.quotient(c1 * y - c2 * x, rho)) for x, y in zip(p1, p2))
+
+
+def unit_perpendicular(v: Vec3) -> Vec3:
+    """A unit vector perpendicular to v: p1 of v's frame (the y axis if v = 0)."""
+    return _vec(*_perpendicular(tuple(v), (0.0, 0.0, 0.0)))
+
+
+def unit_perpendicular_to_all(vs: tuple[Vec3, Vec3]) -> Vec3:
+    """A unit vector perpendicular to both vectors of vs = (a, b); where they are
+    parallel, or one is zero, it is perpendicular to the other."""
+    return _vec(*_perpendicular(*map(tuple, vs)))
 
 
 def _cone_residual(a, b, unit, m: _Math = _FLOATS):

@@ -8,7 +8,7 @@ membership kernel, whose |B|^2, |u|^2 and excess E - B x u its stages take
 over, and then takes one of two branches:
 
 * E = B x u (within eps_root rs): (B, u) is perturbed by a parallel pair of
-  vectors perpendicular to both, restoring the amplitudes.
+  vectors along core._perpendicular(B, u), restoring the amplitudes.
 
 * The genuine interior case.  With the normalised excess
   Ebar = (E - B x u) / sqrt((r^2-|B|^2)(s^2-|u|^2)), it looks for
@@ -32,15 +32,15 @@ The endpoints carry the weight lambda = 1/2 + B . Bbar / |Bbar|^2, which
 cos(alpha) <= 0 keeps at most 1/2.  ``verify_decomposition`` is the
 independent residual check used by the test suite and the sampling oracle.
 
-The interior decomposition (the stages ``_frame``, ``_sinusoid``,
-``_perturbations``, ``_weight`` and ``_endpoints``) and the verification
-residuals (``_residuals``) are written once, on component triples, and one
-body serves both paths: ``decompose`` runs it on Python floats, the campaign
-engine on blocks of (B, u, E) component columns (``_decompose_block``, and
-``_residuals`` on ``_COLUMNS``), so each row rounds exactly as the per-point
-path.  ``decompose`` raises between stages, before the float arithmetic each
-guard protects; the block computes every row through and leaves the rows a
-guard would stop, and the points outside the set, to ``decompose``.
+The decomposition (the stages ``_exact_ohm_split``, ``_excess_frame``,
+``_sinusoid``, ``_perturbations``, ``_weight`` and ``_endpoints``, with
+core's ``_frame`` for the axis at B = 0) and the verification residuals
+(``_residuals``) are written once, on component triples: ``decompose`` runs
+them on Python floats, the campaign engine on blocks of (B, u, E) component
+columns (``_decompose_block``), so each row rounds exactly as one point.
+``decompose`` raises between stages, before the float arithmetic each guard
+protects; the block computes every row through, the exact-Ohm and B = 0
+stages on their own rows, and masks exactly the rows ``decompose`` raises on.
 """
 
 from __future__ import annotations
@@ -65,14 +65,14 @@ from .core import (
     _cross,
     _dot,
     _excess_cap,
+    _frame,
     _norm_rs,
     _parts,
+    _perpendicular,
     _separation_flags,
     _triple,
     _vec,
     separation_witness,
-    unit_perpendicular,
-    unit_perpendicular_to_all,
 )
 
 
@@ -150,7 +150,7 @@ class _Frame(NamedTuple):
     kappa: float  # sqrt((r^2-|B|^2) / (s^2-|u|^2))
 
 
-def _frame(rr, ss, excess, m: _Math) -> _Frame:
+def _excess_frame(rr, ss, excess, m: _Math) -> _Frame:
     """The frame of a point from r^2 - |B|^2, s^2 - |u|^2 and the excess E - B x u;
     needs rr, ss > 0 and excess != 0."""
     scale = m.sqrt(rr * ss)
@@ -159,6 +159,16 @@ def _frame(rr, ss, excess, m: _Math) -> _Frame:
     st = m.where(1.0 < e_len, 1.0, e_len)
     return _Frame(rr, (ebar[0] / e_len, ebar[1] / e_len, ebar[2] / e_len),
                   m.sqrt(m.positive(1.0 - st * st)), st, m.sqrt(rr / ss))
+
+
+def _exact_ohm_split(B, u, rr, ss, m: _Math):
+    """bbar = 2 e sqrt(r^2-|B|^2) and ubar = 2 e sqrt(s^2-|u|^2) of a point with
+    E = B x u, each gap clipped at 0, for a unit e perpendicular to B and u.  The
+    perturbations are parallel, so the midpoint keeps E = B x u, and the
+    difference is admissible for every cone kind; lam = 1/2 halves them, exactly."""
+    e = _perpendicular(B, u, m)
+    b_len, u_len = 2.0 * m.sqrt(m.positive(rr)), 2.0 * m.sqrt(m.positive(ss))
+    return tuple(x * b_len for x in e), tuple(x * u_len for x in e)
 
 
 def _plane_normal(e1, f: _Frame, m: _Math):
@@ -238,26 +248,20 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     r, s = p.r, p.s
     rr, ss, c = r * r - nb2, s * s - nu2, math.sqrt(c2)
     if c <= tol.eps_root * r * s:
-        # E = B x u: endpoints B +- e sqrt(r^2-|B|^2), u +- e sqrt(s^2-|u|^2) for
-        # a unit e perpendicular to B and u.  The perturbations are parallel, so
-        # the midpoint keeps E = B x u, and the difference is admissible for
-        # every cone kind; it is doubled here and halved by lam = 1/2, both exact.
-        e = unit_perpendicular_to_all((z.B, z.u))
-        bbar = e * (2.0 * math.sqrt(max(0.0, rr)))
-        ubar = e * (2.0 * math.sqrt(max(0.0, ss)))
-        return _decomposition(0.5, *_endpoints(B, u, tuple(bbar), tuple(ubar), 0.5))
+        bbar, ubar = _exact_ohm_split(B, u, rr, ss, _FLOATS)
+        return _decomposition(0.5, *_endpoints(B, u, bbar, ubar, 0.5))
     if rr <= tol.eps_mem * r * r or ss <= tol.eps_mem * s * s:
         # On the amplitude boundary the excess must vanish, so a boundary
         # point with E != B x u cannot be an interior relaxed-set point.
         raise NotInHullError(
             f"amplitude on the boundary (r^2-|B|^2={rr}, s^2-|u|^2={ss}) "
             f"with nonzero excess |E-Bxu|={c}")
-    f = _frame(rr, ss, excess, _FLOATS)
+    f = _excess_frame(rr, ss, excess, _FLOATS)
     nb = math.sqrt(nb2)
     # With B = 0 any axis perpendicular to the excess will do: G then reads
     # -kappa u . uhat(alpha) for every such axis, and its root makes uhat
-    # perpendicular to u.
-    e1 = (B[0] / nb, B[1] / nb, B[2] / nb) if nb else tuple(unit_perpendicular(_vec(*f.nhat)))
+    # perpendicular to u.  The block takes the same axis, p1 of nhat's frame.
+    e1 = (B[0] / nb, B[1] / nb, B[2] / nb) if nb else _frame(f.nhat)[1]
     w, wn = _plane_normal(e1, f, _FLOATS)
     # B . Ebar = 0 on the relaxed set forces |B x Ebar| = |B||Ebar|; it vanishes
     # only for a tiny B parallel to the excess, admitted by the slack of g1.
@@ -270,12 +274,14 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
 
 
 def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
-    """decompose on the interior rows of a block of targets (B, u, E), columns.
+    """decompose on a block of targets (B, u, E), columns.
 
-    Returns (lam, z1, z2, fallback): the weights and the endpoint states (as
-    columns) from decompose's stages, and the mask of rows left to decompose
-    itself: outside the relaxed set, exact Ohm, B = 0, amplitude boundary or a
-    degenerate working plane.  lam, z1 and z2 are meaningless on those rows.
+    Returns (lam, z1, z2, raises): the weights and the endpoint states (as
+    columns), decompose's bit for bit, and the mask of the rows decompose
+    raises on: outside the relaxed set, or off exact Ohm with the amplitude
+    on the boundary or a degenerate working plane.  lam, z1 and z2 are
+    meaningless on those rows.  The exact-Ohm split and the B = 0 axis run
+    on their own rows only.
     """
     r, s = p.r, p.s
     m = _COLUMNS
@@ -283,17 +289,27 @@ def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
         (g1, g3, g2), (nb2, nu2, excess, c2) = _separation_flags(B, u, E, p, kind,
                                                                  tol.eps_mem, m)
         rr, ss = r * r - nb2, s * s - nu2
-        f = _frame(rr, ss, excess, m)
+        ohm = np.sqrt(c2) <= tol.eps_root * r * s
+        f = _excess_frame(rr, ss, excess, m)
         nb = np.sqrt(nb2)
         e1 = tuple(x / nb for x in B)
+        zero = nb == 0.0
+        if zero.any():
+            for x, y in zip(e1, _frame(tuple(a[zero] for a in f.nhat), m)[1]):
+                x[zero] = y
         w, wn = _plane_normal(e1, f, m)
         bbar, ubar = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, m)
         lam = _weight(B, bbar, m)
+        if ohm.any():
+            split = _exact_ohm_split(tuple(a[ohm] for a in B), tuple(a[ohm] for a in u),
+                                     rr[ohm], ss[ohm], m)
+            for x, y in zip(bbar + ubar, split[0] + split[1]):
+                x[ohm] = y
+            lam[ohm] = 0.5
         z1, z2 = _endpoints(B, u, bbar, ubar, lam)
-        fallback = (g1 | g3 | g2 | (np.sqrt(c2) <= tol.eps_root * r * s)
-                    | (rr <= tol.eps_mem * r * r) | (ss <= tol.eps_mem * s * s)
-                    | (nb == 0.0) | ~(wn >= 1e-6))
-    return lam, z1, z2, fallback
+        guarded = (rr <= tol.eps_mem * r * r) | (ss <= tol.eps_mem * s * s) | ~(wn >= 1e-6)
+        raises = g1 | g3 | g2 | (~ohm & guarded)
+    return lam, z1, z2, raises
 
 
 def _residuals(lam, z1, z2, target, p: HullParams, kind: ConeKind, m: _Math) -> dict:

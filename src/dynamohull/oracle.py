@@ -21,13 +21,11 @@ cone adds the plane (u1 - u2) . (E1 - E2) = 0, i.e. u2 . (u1 x B2 + E1) =
 u1 . E1, which u1 also satisfies, so it always cuts the circle; the cut
 point is placed in closed form, by the cosine and sine of its angle.
 
-All randomness comes from a named 64-bit generator (PCG64) seeded through
-numpy's SeedSequence; worker w of a sharded run draws from
-SeedSequence(seed, spawn_key=(w,)), so substreams are independent and the
-merged counts and maxima do not depend on worker interleaving.  Every
-sampler reads a fixed number of draws per item (its stride: 4 per
-constraint-set state, 7 per pair, 8 per mixture and 8 per hull point), and
-item i reads draws [stride i, stride (i + 1)) of the stream and no others.
+All randomness comes from a named 64-bit generator (PCG64) seeded by
+numpy's SeedSequence(seed, spawn_key=(0,)).  Every sampler reads a fixed
+number of draws per item (its stride: 4 per constraint-set state, 7 per
+pair, 8 per mixture and 8 per hull point), and item i reads draws
+[stride i, stride (i + 1)) of the stream and no others.
 
 Samplers and campaign run in blocks of BLOCK rows, one Generator.random
 call per block, and every block is a state of component columns: a
@@ -61,6 +59,8 @@ from .core import (
     _cross,
     _dot,
     _excess_cap,
+    _frame,
+    _perpendicular,
     _separation_flags,
     _triple,
     _vec,
@@ -68,7 +68,6 @@ from .core import (
     eval_g2,
     eval_g3,
     in_hull,
-    unit_perpendicular_to_all,
 )
 from .laminate import DecompositionError, _decompose_block, _residuals, decompose
 
@@ -79,9 +78,9 @@ TWO_PI = 2.0 * math.pi
 # a megabyte whatever its count.
 BLOCK = 1024
 
-# Revision of the sample streams a report was drawn from.  Version 2 reads a
-# fixed number of draws per item, with no rejection or retry.
-STREAM_VERSION = 2
+# Revision of the sample streams a report was drawn from.  Version 3 reads a
+# fixed number of draws per item and takes core._perpendicular's directions.
+STREAM_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -92,18 +91,15 @@ class SampleConfig:
     count: int
     params: HullParams
     kind: ConeKind = ConeKind.NONSTATIONARY
-    worker: int = 0
 
     def __post_init__(self):
         if self.count < 0:
             raise ValueError(f"count must be nonnegative, got {self.count}")
-        if self.worker < 0:
-            raise ValueError(f"worker index must be nonnegative, got {self.worker}")
 
 
 def _generator(cfg: SampleConfig) -> Generator:
-    """The uniform stream of cfg: PCG64 seeded by SeedSequence(seed, spawn_key=(worker,))."""
-    return Generator(PCG64(SeedSequence(cfg.seed, spawn_key=(cfg.worker,))))
+    """The uniform stream of cfg: PCG64 seeded by SeedSequence(seed, spawn_key=(0,))."""
+    return Generator(PCG64(SeedSequence(cfg.seed, spawn_key=(0,))))
 
 
 def _draws(gen: Generator, count: int, stride: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -161,24 +157,6 @@ def sample_K(cfg: SampleConfig) -> Iterator[Triple]:
         yield from _triples(_stack(z))
 
 
-def _frame(v):
-    """An orthonormal frame (n, p1, p2) of component columns: n = v / |v|, or the
-    z axis where v = 0; p1 is n x the coordinate axis of n's smallest
-    component, normalised, and p2 = n x p1."""
-    with np.errstate(all="ignore"):
-        vn = np.sqrt(_dot(v, v))
-        zero = vn == 0.0
-        n = tuple(np.where(zero, a, x / vn) for x, a in zip(v, (0.0, 0.0, 1.0)))
-        an = tuple(np.abs(x) for x in n)
-        on_x = (an[0] <= an[1]) & (an[0] <= an[2])
-        on_y = ~on_x & (an[1] <= an[2])
-        axis = (on_x.astype(float), on_y.astype(float), (~on_x & ~on_y).astype(float))
-        p1 = _cross(n, axis)
-        inv_p = 1.0 / np.sqrt(_dot(p1, p1))
-        p1 = tuple(x * inv_p for x in p1)
-    return n, p1, _cross(n, p1)
-
-
 def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
     """One pair per row of draws (columns 0-6 of w).
 
@@ -197,7 +175,7 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
         e1 = _cross(b1, u1)
         # The circle u2 . nh = h on the sphere, with nh along B1 x B2 and the
         # offset taken at u1, which lies on the plane: |h| <= 1 but for rounding.
-        nh, p1, p2 = _frame(_cross(b1, b2))
+        nh, p1, p2 = _frame(_cross(b1, b2), _COLUMNS)
         h = _dot(u1, nh)
         rho_c = np.sqrt(_COLUMNS.positive(1.0 - h * h))
 
@@ -299,7 +277,8 @@ def sample_first_laminate(cfg: SampleConfig) -> Iterator[Triple]:
 def _excess_directions(B, phi: np.ndarray):
     """Unit directions (columns) perpendicular to B, at the drawn angle 2 pi phi
     in a frame of B: uniform on that circle, since the frame is a function of B."""
-    _, p1, p2 = _frame(B)
+    with np.errstate(all="ignore"):
+        _, p1, p2 = _frame(B, _COLUMNS)
     phi = TWO_PI * phi
     c, s = np.cos(phi), np.sin(phi)
     return tuple(c * a + s * b for a, b in zip(p1, p2))
@@ -308,13 +287,7 @@ def _excess_directions(B, phi: np.ndarray):
 def _restricted_directions(B, u, coin: np.ndarray):
     """Unit directions (columns) perpendicular to B and u, signed by a coin draw."""
     with np.errstate(all="ignore"):
-        w = _cross(B, u)
-        wn = np.sqrt(_dot(w, w))
-        e = tuple(x / wn for x in w)
-        small = ~(wn > 1e-4 * np.sqrt(_dot(B, B)) * np.sqrt(_dot(u, u)))
-    for i in np.flatnonzero(small).tolist():
-        t = _triple_at((B, u, w), i)
-        e[0][i], e[1][i], e[2][i] = unit_perpendicular_to_all((t.B, t.u))
+        e = _perpendicular(B, u, _COLUMNS)
     keep = coin < 0.5
     return tuple(np.where(keep, x, -x) for x in e)
 
@@ -363,7 +336,6 @@ class HullCheckReport:
     """Outcome of a two-sided campaign; serializes deterministically."""
 
     seed: int
-    worker: int
     kind: str
     r: float
     s: float
@@ -403,7 +375,6 @@ class HullCheckReport:
     def to_json_dict(self) -> dict:
         d = {
             "seed": self.seed,
-            "worker": self.worker,
             "kind": self.kind,
             "r": self.r,
             "s": self.s,
@@ -446,8 +417,7 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
     # u-orthogonality residuals are those of the normalised triple
     # (B/r, u/s, E/(rs)); r s^2 is the unit of u . E.
     rss = p.r * p.s * p.s
-    report = HullCheckReport(seed=cfg.seed, worker=cfg.worker, kind=kind.label,
-                             r=p.r, s=p.s)
+    report = HullCheckReport(seed=cfg.seed, kind=kind.label, r=p.r, s=p.s)
 
     for B, u, E in _mixture_blocks(_generator(cfg), cfg):
         n = len(B[0])
@@ -466,8 +436,7 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
             if off_cone[i]:
                 report.record_failure("laminate", zi, f"u.E residual {float(res[i])}")
 
-    hull_cfg = SampleConfig(seed=cfg.seed, count=cfg.count // 10, params=p,
-                            kind=kind, worker=cfg.worker)
+    hull_cfg = SampleConfig(seed=cfg.seed, count=cfg.count // 10, params=p, kind=kind)
     for z in _hull_blocks(_generator(hull_cfg), hull_cfg):
         _check_decompositions(report, z, p, kind, tol, rss)
     return report
@@ -485,28 +454,16 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
                           kind: ConeKind, tol: Tolerances, rss: float):
     """Decompose and verify a block z of hull points, (B, u, E) columns, into the report.
 
-    The block kernel splits the interior points; every other point goes
-    through decompose itself, so the rare branches and their errors have one
-    implementation.  All endpoints are then verified as one block.
+    The block kernel splits every point decompose splits, and the block is
+    verified as one; decompose itself runs only on the points it raises on,
+    for the error message, so the rare branches have one implementation.
     """
     n = len(z[0][0])
     report.decompose_checked += n
-    lam, z1, z2, fallback = _decompose_block(*z, p, kind, tol)
-    raised = {}
-    for i in np.flatnonzero(fallback).tolist():
-        try:
-            d = decompose(_triple_at(z, i), p, kind, tol)
-        except DecompositionError as exc:
-            raised[i] = f"decomposition raised: {exc}"
-            continue
-        lam[i] = d.lam
-        for zj, t in ((z1, d.z1), (z2, d.z2)):
-            for v, x in zip(zj, (t.B, t.u, t.E)):
-                v[0][i], v[1][i], v[2][i] = x
-    verified = np.ones(n, dtype=bool)
-    verified[list(raised)] = False
+    lam, z1, z2, raises = _decompose_block(*z, p, kind, tol)
+    verified = ~raises
 
-    with np.errstate(all="ignore"):  # the rows that raised hold no endpoints
+    with np.errstate(all="ignore"):  # the rows that raise hold no endpoints
         res = _residuals(lam, z1, z2, z, p, kind, _COLUMNS)
     names = list(res)
     table = np.column_stack([res[name] for name in names])[verified]
@@ -528,11 +485,15 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
                                                     mixing[verified])
     unmixed = verified & (mixing > tol.eps_mem)
 
-    for i in np.flatnonzero(~verified | failing.any(axis=1) | unmixed).tolist():
+    for i in np.flatnonzero(raises | failing.any(axis=1) | unmixed).tolist():
         zi = _triple_at(z, i)
-        if i in raised:
-            report.record_failure("decompose", zi, raised[i])
-            continue
+        if raises[i]:
+            try:
+                decompose(zi, p, kind, tol)
+            except DecompositionError as exc:
+                report.record_failure("decompose", zi, f"decomposition raised: {exc}")
+                continue
+            raise RuntimeError(f"the block kernel left a point decompose splits: {zi.to_json()}")
         if failing[i].any():
             report.record_failure("decompose", zi, "verification failed: " + ", ".join(
                 name for name, bad in zip(names, failing[i].tolist()) if bad))

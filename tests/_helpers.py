@@ -26,8 +26,8 @@ from dynamohull import (
     unit_perpendicular_to_all,
     verify_decomposition,
 )
-from dynamohull.core import _COLUMNS, _cross, _dot
-from dynamohull.oracle import TWO_PI, _frame, _sphere
+from dynamohull.core import _COLUMNS, _cross, _dot, _frame
+from dynamohull.oracle import TWO_PI, _sphere
 
 ALPHA_GRID = np.linspace(0.0, 1.0, 10_000)
 _SQRT_WEIGHT = 2.0 * np.sqrt(ALPHA_GRID * (1.0 - ALPHA_GRID))
@@ -157,8 +157,7 @@ def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None):
     p = cfg.params
     kind = cfg.kind
     rss = p.r * p.s * p.s
-    report = HullCheckReport(seed=cfg.seed, worker=cfg.worker, kind=kind.label,
-                             r=p.r, s=p.s)
+    report = HullCheckReport(seed=cfg.seed, kind=kind.label, r=p.r, s=p.s)
 
     for z in sample_first_laminate(cfg):
         report.laminate_checked += 1
@@ -172,8 +171,7 @@ def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None):
             if res > tol.eps_mem:
                 report.record_failure("laminate", z, f"u.E residual {res}")
 
-    hull_cfg = SampleConfig(seed=cfg.seed, count=cfg.count // 10, params=p,
-                            kind=kind, worker=cfg.worker)
+    hull_cfg = SampleConfig(seed=cfg.seed, count=cfg.count // 10, params=p, kind=kind)
     reference_check_decompositions(report, sample_hull(hull_cfg), p, kind, tol)
     return report
 
@@ -230,7 +228,7 @@ def reference_pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
         u1 = _sphere(w[:, 2], w[:, 3], 1.0)
         b2 = _sphere(w[:, 4], w[:, 5], 1.0)
         e1 = _cross(b1, u1)
-        nh, p1, p2 = _frame(_cross(b1, b2))
+        nh, p1, p2 = _frame(_cross(b1, b2), _COLUMNS)
         h = _dot(u1, nh)
         rho_c = np.sqrt(_COLUMNS.positive(1.0 - h * h))
 

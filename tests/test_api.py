@@ -46,3 +46,34 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path) == []
+
+
+def _module_level_names(tree: ast.Module) -> list:
+    """The names a module binds at its top level by def, class or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def test_every_module_level_name_is_read_or_exported():
+    # A name bound at the top level of a module must be read somewhere in the
+    # package (as a name, an attribute or an import) or be exported.
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in MODULES}
+    read = set(dynamohull.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = [(name, line, module) for module, tree in trees.items()
+              for line, name in _module_level_names(tree)
+              if name not in read and not name.startswith("__")]
+    assert unread == []

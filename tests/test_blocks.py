@@ -82,7 +82,18 @@ def special_points(p: HullParams) -> dict:
         # Tiny B parallel to the excess, admitted by the floor of the g1 test.
         "degenerate plane": Triple(Vec3(1e-5 * r, 0.0, 0.0), Vec3(0.0, 0.5 * s, 0.0),
                                    Vec3(1e-5 * r * s, 0.0, 5e-6 * r * s)),
+        # Exact Ohm with no plane through B and u, with B = u = 0, and at the
+        # amplitude corner |B| = r, |u| = s, where both gaps vanish.
+        "B parallel to u": Triple(B, B * (2.0 * s / r), B.cross(B * (2.0 * s / r))),
+        "B = u = 0": Triple(Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0)),
+        "amplitude corner": Triple(edge, Vec3(0.0, s, 0.0), edge.cross(Vec3(0.0, s, 0.0))),
     }
+
+
+# The branch decompose takes on each special point, where it differs from the name.
+SPECIAL_BRANCH = {"u = 0": "interior", "B parallel to u": "exact Ohm", "B = u = 0": "exact Ohm",
+                  "amplitude corner": "exact Ohm"}
+RAISING_BRANCHES = ("outside", "amplitude boundary", "degenerate plane")
 
 
 @pytest.mark.parametrize("count", [0, 1, 2500])
@@ -135,46 +146,43 @@ def hull_points(kind, p, count=1500, seed=24):
 @pytest.mark.parametrize("radii", [(1.0, 1.0), (1e-3, 1e3), (1e6, 1e-6)])
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_decomposition_matches_decompose(kind, radii):
-    # Interior rows: the block endpoints are decompose's.  Every decomposed
-    # row, the rare branches' endpoints filled in as the campaign does:
-    # the block residuals are verify_decomposition's.
+    # The block's mask is exactly the rows decompose raises on.  Every other
+    # row, exact Ohm and B = 0 included, has decompose's weight and
+    # endpoints and verify_decomposition's residuals, bit for bit.
     p = HullParams(*radii)
     points = hull_points(kind, p)
     cols = block(points)
-    lam, z1, z2, fallback = _decompose_block(*cols, p, kind, DEFAULT_TOLERANCES)
-    decomposed = {}
+    lam, z1, z2, raises = _decompose_block(*cols, p, kind, DEFAULT_TOLERANCES)
+    with np.errstate(all="ignore"):  # the rows that raise hold no endpoints
+        res = _residuals(lam, z1, z2, cols, p, kind, _COLUMNS)
+    raised = []
     for i, z in enumerate(points):
         try:
             d = decompose(z, p, kind)
         except DecompositionError:
-            assert fallback[i]
-            continue
-        decomposed[i] = d
-        if fallback[i]:
-            lam[i] = d.lam
-            set_row(z1, i, d.z1)
-            set_row(z2, i, d.z2)
+            raised.append(i)
             continue
         assert bits(lam[i]) == bits(d.lam)
         assert (bits(row(z1, i)) == bits([*d.z1.B, *d.z1.u, *d.z1.E])).all()
         assert (bits(row(z2, i)) == bits([*d.z2.B, *d.z2.u, *d.z2.E])).all()
-    res = _residuals(lam, z1, z2, cols, p, kind, _COLUMNS)
-    for i, d in decomposed.items():
-        ver = verify_decomposition(d, points[i], p, kind)
+        ver = verify_decomposition(d, z, p, kind)
+        assert ver.passed
         assert list(res) == list(ver.residuals)
         assert (bits([res[name][i] for name in res]) == bits(list(ver.residuals.values()))).all()
-    assert len(points) - fallback.sum() >= 1400
-    assert fallback.sum() - (len(points) - len(decomposed)) >= 2  # exact Ohm and B = 0
+    assert np.flatnonzero(raises).tolist() == raised
+    assert len(points) - len(raised) >= 1400
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_fallback_rows_are_the_rare_branches(kind):
+    # The rows the block leaves to decompose are exactly those of the branches
+    # that raise; the exact-Ohm and B = 0 branches are split in the block.
     p = HullParams(2.0, 0.5)
     tol = DEFAULT_TOLERANCES
     special = special_points(p)
     interior = list(sample_hull(SampleConfig(seed=25, count=300, params=p, kind=kind)))
     points = interior + list(special.values())
-    _, _, _, fallback = _decompose_block(*block(points), p, kind, tol)
+    _, _, _, raises = _decompose_block(*block(points), p, kind, tol)
     branch = {}
     for name, z in special.items():
         try:
@@ -189,26 +197,25 @@ def test_fallback_rows_are_the_rare_branches(kind):
             rs = p.r * p.s
             branch[name] = ("exact Ohm" if (z.E - z.B.cross(z.u)).norm() <= tol.eps_root * rs
                             else "B = 0" if z.B.norm() == 0.0 else "interior")
-    # Each special point takes the branch it is named for (u = 0 is interior),
-    # and exactly the points of the rare branches are left to decompose.
-    assert branch == {name: ("interior" if name == "u = 0" else name) for name in special}
-    expected = [False] * len(interior) + [branch[name] != "interior" for name in special]
-    assert fallback.tolist() == expected
+    # Each special point takes the branch it is named for, or SPECIAL_BRANCH's.
+    assert branch == {name: SPECIAL_BRANCH.get(name, name) for name in special}
+    expected = [False] * len(interior) + [branch[name] in RAISING_BRANCHES for name in special]
+    assert raises.tolist() == expected
 
 
 @pytest.mark.parametrize("radii", [(1.0, 1.0), (2.0, 0.5), (1e-3, 1e3)])
 @pytest.mark.parametrize("kind", KINDS)
 def test_fallback_rows_are_written_back(kind, radii):
-    # The rare branches sit among interior points of one block.  The rows
-    # decompose itself splits (exact Ohm, B = 0) are written back into the
-    # block's weights and endpoints before the block is verified, so the
+    # The rare branches sit among interior points of one block.  The block
+    # splits the exact-Ohm and B = 0 rows itself and writes nothing back
+    # from decompose, which runs only on the rows that raise, so the
     # report, residual maxima included, is the per-point reference's.
     p = HullParams(*radii)
     tol = DEFAULT_TOLERANCES
     interior = list(sample_hull(SampleConfig(seed=30, count=300, params=p, kind=kind)))
     special = list(special_points(p).values())
     points = interior[:100] + special + interior[100:] + special
-    report, expected = (HullCheckReport(seed=30, worker=0, kind=kind.label, r=p.r, s=p.s)
+    report, expected = (HullCheckReport(seed=30, kind=kind.label, r=p.r, s=p.s)
                         for _ in range(2))
     oracle._check_decompositions(report, block(points), p, kind, tol, p.r * p.s * p.s)
     reference_check_decompositions(expected, points, p, kind, tol)
@@ -258,8 +265,9 @@ def test_item_reads_only_its_own_draws(sampler, kind, k, monkeypatch):
 
 def test_parallel_B_and_u_take_the_perpendicular_fallback(monkeypatch):
     # Hull point k of the stationary incompressible kind with u drawn on
-    # B's direction: B x u is rounding noise, so the excess direction is
-    # unit_perpendicular_to_all((B, u)), signed by the coin.
+    # B's direction: B x u is rounding noise, and the excess direction is
+    # still unit_perpendicular_to_all((B, u)), the float view of the column
+    # kernel, signed by the coin.
     count, k = 1500, 700
     kind = ConeKind.STATIONARY_INCOMPRESSIBLE
     p = HullParams(0.5, 2.0)
@@ -269,7 +277,7 @@ def test_parallel_B_and_u_take_the_perpendicular_fallback(monkeypatch):
     monkeypatch.setattr(oracle, "_generator", lambda cfg: ListStream(draws))
     points = list(sample_hull(cfg))
     z = points[k]
-    assert z.B.cross(z.u).norm() <= 1e-4 * z.B.norm() * z.u.norm()
+    assert z.B.cross(z.u).norm() <= 1e-12 * z.B.norm() * z.u.norm()
     e = unit_perpendicular_to_all((z.B, z.u))
     e = e if draws[8 * k + 6] < 0.5 else -e
     assert z.E == z.B.cross(z.u) + e * (draws[8 * k + 7] * hull_excess_bound(z.B, z.u, p))

@@ -157,9 +157,9 @@ def test_verify_hull_deterministic_reports(tmp_path):
 # a verdict or a residual changes the digest; the determinism criterion
 # only compares a rerun with itself and cannot see such a change.
 GOLDEN_DIGESTS = {
-    "nonstationary": "c17a75d5bba5922aa56fbdb47402231142862975272029ca6b223c77c705af26",
+    "nonstationary": "024cb6e27e21e9c2476b70875c0d27899a97e47eff26be7ca408f9e4f420b7fe",
     "stationary-incompressible":
-        "d46bf04c25e5bceb26994882e722ab72aae2047941614bf354282f6c5c241830",
+        "27486e1751c6241a27d5779dc756cc2b2c08f580cde1c6231fbb6512c9ab7e88",
 }
 
 
@@ -277,7 +277,7 @@ SAMPLE_DIGESTS = {
     ("laminate", "stationary-incompressible", "csv"):
         "110719059d406febd26260e94a48debd62d1064552ead46e602edefebcde82c8",
     ("hull", "stationary-incompressible", "csv"):
-        "3bc6a2b78ccbf0a730e7e6af498463abd61f0413806e7a47652224694b8b9065",
+        "01b087461ded54c4db3eee61f5abd62327c649fe19fb60d794cedd5e7c58fb1d",
     ("laminate", "nonstationary", "json"):
         "98f052f7c8be33a33e0c1e8155bf71661506e9e655909152a83bd0cc9836b13d",
 }

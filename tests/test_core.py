@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,10 @@ from dynamohull import (
     sample_K,
     sample_hull,
     separation_witness,
+    unit_perpendicular,
+    unit_perpendicular_to_all,
 )
+from dynamohull.core import _COLUMNS, _frame, _perpendicular
 from _helpers import (
     ALL_KINDS,
     cone_direction,
@@ -450,3 +455,57 @@ def test_hull_identical_across_shared_cone_kinds():
                                                      ConeKind.NONSTATIONARY_INCOMPRESSIBLE,
                                                      ConeKind.STATIONARY)}
         assert len(verdicts) == 1
+
+
+# ---------------------------------------------------------------- perpendiculars
+
+def _off_perpendicular(e, a) -> float:
+    """|e . a| / |a| in exact rationals, 0 for a = 0: how far e is from perpendicular to a."""
+    dot = sum(Fraction(x) * Fraction(y) for x, y in zip(e, a))
+    norm2 = sum(Fraction(y) ** 2 for y in a)
+    return 0.0 if norm2 == 0 else abs(float(dot)) / math.sqrt(float(norm2))
+
+
+def _perpendicular_cases():
+    """(a, b) pairs at angles from 1e-3 down to 1e-15 at magnitudes 1e-6..1e6,
+    exactly parallel and antiparallel pairs, and pairs with a zero vector."""
+    rng = np.random.default_rng(40)
+    cases = []
+    for angle in 10.0 ** -np.arange(3, 16):
+        for _ in range(40):
+            a = np.array(list(unit(rng)))
+            t = np.cross(a, np.array(list(unit(rng))))
+            t /= np.linalg.norm(t)
+            b = a * math.cos(angle) + t * math.sin(angle)
+            cases.append((a * 10.0 ** rng.uniform(-6, 6), b * 10.0 ** rng.uniform(-6, 6)))
+    for _ in range(40):
+        a = np.array(list(vec(rng)))
+        cases += [(a, 2.0 * a), (a, -0.5 * a), (a, np.zeros(3)), (np.zeros(3), a)]
+    cases += [(np.zeros(3), np.zeros(3)), (np.array([0.0, 0.0, 3.0]), np.array([0.0, 0.0, -1.0]))]
+    return [(Vec3(*a), Vec3(*b)) for a, b in cases]
+
+
+def test_perpendicular_is_perpendicular_at_every_angle():
+    # The closed form (c1 p2 - c2 p1) / rho has no threshold: it stays within
+    # 1e-15 of perpendicular to both vectors, and of unit length, at every angle.
+    for a, b in _perpendicular_cases():
+        e = unit_perpendicular_to_all((a, b))
+        assert _off_perpendicular(e, a) <= 1e-15 and _off_perpendicular(e, b) <= 1e-15, (a, b)
+        assert abs(e.norm() - 1.0) <= 1e-15
+        p = unit_perpendicular(a)
+        assert _off_perpendicular(p, a) <= 1e-15 and abs(p.norm() - 1.0) <= 1e-15
+
+
+def test_perpendicular_float_views_match_the_column_kernels():
+    # unit_perpendicular_to_all is _perpendicular on floats and
+    # unit_perpendicular is p1 of _frame: bit for bit the column kernels' rows.
+    cases = _perpendicular_cases()
+    a = tuple(np.array([getattr(x, c) for x, _ in cases]) for c in "xyz")
+    b = tuple(np.array([getattr(y, c) for _, y in cases]) for c in "xyz")
+    with np.errstate(all="ignore"):
+        e = np.column_stack(_perpendicular(a, b, _COLUMNS))
+        p1 = np.column_stack(_frame(a, _COLUMNS)[1])
+    got = np.array([list(unit_perpendicular_to_all(pair)) for pair in cases])
+    assert (got.view(np.uint64) == e.view(np.uint64)).all()
+    got = np.array([list(unit_perpendicular(x)) for x, _ in cases])
+    assert (got.view(np.uint64) == p1.view(np.uint64)).all()

@@ -33,7 +33,7 @@ from _helpers import (
     vec,
 )
 from dynamohull.core import _COLUMNS, _FLOATS, DEFAULT_TOLERANCES, _parts, _separation_flags
-from dynamohull.laminate import _frame, _plane_normal, _root_direction, _sinusoid
+from dynamohull.laminate import _excess_frame, _plane_normal, _root_direction, _sinusoid
 from test_blocks import KINDS, RADII, special_points
 
 P11 = HullParams(1.0, 1.0)
@@ -208,7 +208,7 @@ def _angle_equation(z, p, kind):
     B, u, E = _parts(z)
     _, (nb2, nu2, excess, _) = _separation_flags(B, u, E, p, kind,
                                                  DEFAULT_TOLERANCES.eps_mem, _FLOATS)
-    f = _frame(p.r * p.r - nb2, p.s * p.s - nu2, excess, _FLOATS)
+    f = _excess_frame(p.r * p.r - nb2, p.s * p.s - nu2, excess, _FLOATS)
     nb = math.sqrt(nb2)
     e1 = (B[0] / nb, B[1] / nb, B[2] / nb)
     w, wn = _plane_normal(e1, f, _FLOATS)
