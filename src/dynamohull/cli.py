@@ -72,6 +72,14 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str):
             parser.add_argument(f"--{name}", **spec)
 
 
+def _finest_grid(text: str) -> int:
+    """The residual subcommand's --n: levels n/4, n/2, n must all be even grids."""
+    n = int(text)
+    if n < 16 or n % 8 != 0:
+        raise argparse.ArgumentTypeError(f"--n must be a multiple of 8 and at least 16, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynamohull",
@@ -98,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residual", help="plane-wave grid residual convergence table")
     _add_flags(p)
-    p.add_argument("--n", type=int, default=32,
+    p.add_argument("--n", type=_finest_grid, default=32,
                    help="finest grid points per axis, a multiple of 8 and at least 16; "
                         "levels n/4, n/2, n (default 32)")
     return parser
@@ -134,7 +142,7 @@ def _read_triple(args) -> Triple:
     return Triple.from_json(text)
 
 
-def _cmd_verify_hull(args, parser) -> int:
+def _cmd_verify_hull(args) -> int:
     p = HullParams(args.r, args.s)
     tol = _tolerances(args)
     cfg = SampleConfig(seed=args.seed, count=args.count, params=p,
@@ -144,7 +152,7 @@ def _cmd_verify_hull(args, parser) -> int:
     return 0 if report.failure_count == 0 else MATH_FAILURE
 
 
-def _cmd_decompose(args, parser) -> int:
+def _cmd_decompose(args) -> int:
     p = HullParams(args.r, args.s)
     tol = _tolerances(args)
     kind = ConeKind.from_label(args.kind)
@@ -166,7 +174,7 @@ def _cmd_decompose(args, parser) -> int:
     return 0 if ver.passed else MATH_FAILURE
 
 
-def _cmd_wavecone(args, parser) -> int:
+def _cmd_wavecone(args) -> int:
     tol = _tolerances(args)
     kind = ConeKind.from_label(args.kind)
     z = _read_triple(args)
@@ -182,7 +190,7 @@ def _cmd_wavecone(args, parser) -> int:
     return 0
 
 
-def _cmd_sample(args, parser) -> int:
+def _cmd_sample(args) -> int:
     p = HullParams(args.r, args.s)
     tol = _tolerances(args)
     kind = ConeKind.from_label(args.kind)
@@ -200,9 +208,7 @@ def _cmd_sample(args, parser) -> int:
     return 0
 
 
-def _cmd_residual(args, parser) -> int:
-    if args.n < 16 or args.n % 8 != 0:
-        parser.error(f"--n must be a multiple of 8 and at least 16, got {args.n}")
+def _cmd_residual(args) -> int:
     tol = _tolerances(args)
     kind = ConeKind.from_label(args.kind)
     if kind is ConeKind.STATIONARY_INCOMPRESSIBLE:
@@ -241,9 +247,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _DISPATCH[args.command](args, parser)
-    except SystemExit as exc:  # parser.error inside a command
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+        return _DISPATCH[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

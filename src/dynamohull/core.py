@@ -387,15 +387,23 @@ def _perpendicular(a, b, m: _Math = _FLOATS):
     return tuple(m.where(rho == 0.0, x, m.quotient(c1 * y - c2 * x, rho)) for x, y in zip(p1, p2))
 
 
+def _unit_scaled(v: Vec3) -> tuple:
+    """The components of v times the power of two that brings its largest to
+    [0.5, 1): exact, so the frame of v is unchanged, but v . v can neither
+    overflow nor underflow in _frame."""
+    e = math.frexp(max(abs(x) for x in v))[1]
+    return tuple(math.ldexp(x, -e) for x in v)
+
+
 def unit_perpendicular(v: Vec3) -> Vec3:
     """A unit vector perpendicular to v: p1 of v's frame (the y axis if v = 0)."""
-    return _vec(*_perpendicular(tuple(v), (0.0, 0.0, 0.0)))
+    return _vec(*_perpendicular(_unit_scaled(v), (0.0, 0.0, 0.0)))
 
 
 def unit_perpendicular_to_all(vs: tuple[Vec3, Vec3]) -> Vec3:
     """A unit vector perpendicular to both vectors of vs = (a, b); where they are
     parallel, or one is zero, it is perpendicular to the other."""
-    return _vec(*_perpendicular(*map(tuple, vs)))
+    return _vec(*_perpendicular(*map(_unit_scaled, vs)))
 
 
 def _cone_residual(a, b, unit, m: _Math = _FLOATS):

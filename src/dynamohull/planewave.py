@@ -32,7 +32,6 @@ from .core import (
     Triple,
     Vec3,
     in_wave_cone,
-    unit_perpendicular,
     unit_perpendicular_to_all,
 )
 from .laminate import Decomposition
@@ -126,15 +125,20 @@ def wave_vector_for(direction: Triple, kind: ConeKind = ConeKind.NONSTATIONARY,
                     a: float = 1.0, c: float = 1.0) -> WaveVector:
     """Construct a frequency whose plane wave solves the system for `kind`.
 
-    For the shared cone the construction works in the orthogonal frame
-    {Ebar, Bbar, Ebar x Bbar}: xi_x = a Ebar + c (Ebar x Bbar) and
-    xi_t = -c |Ebar|^2 satisfy both conditions for any coefficients (a, c).
-    The incompressible variant solves a ubar . xi_x = 0 linearly for (a, c),
-    falling back to the given defaults when the functional vanishes; in the
-    degenerate branch Bbar = 0, Ebar != 0 the spatial frequency is forced
-    parallel to Ebar, so ubar . xi_x = 0 is additionally satisfiable only
-    when ubar is orthogonal to Ebar.  Stationary kinds always return
-    xi_t = 0.
+    Each branch chooses the spatial frequency xi_x; the time frequency
+    follows from Faraday's relation (_time_frequency).  For the shared cone
+    the construction works in the orthogonal frame {Ebar, Bbar, Ebar x Bbar}:
+    xi_x = a Ebar + c (Ebar x Bbar) satisfies both conditions for any
+    coefficients (a, c), with xi_t = -c |Ebar|^2.  The incompressible variant
+    solves ubar . xi_x = 0 linearly for (a, c), falling back to the given
+    defaults when the functional vanishes; in the degenerate branch Bbar = 0,
+    Ebar != 0 the spatial frequency is forced parallel to Ebar, so
+    ubar . xi_x = 0 is additionally satisfiable only when ubar is orthogonal
+    to Ebar.  Ebar = 0 admits any unit xi_x perpendicular to Bbar (and to
+    ubar for incompressible kinds).  On the stationary-incompressible cone
+    Ebar and Bbar x ubar are both axes, and the longer one is taken, so that
+    rounding noise in the other is never returned.  Stationary kinds always
+    return xi_t = 0.
 
     Raises NotInConeError when the direction is not in the cone for `kind`.
     """
@@ -143,41 +147,39 @@ def wave_vector_for(direction: Triple, kind: ConeKind = ConeKind.NONSTATIONARY,
         raise NotInConeError(
             f"direction is not in the wave cone for kind {kind.label!r}")
     bb, uu, ee = direction.B, direction.u, direction.E
+    axis = max(bb.cross(uu), ee, key=Vec3.norm) if kind.restricts_u else ee
 
-    if kind is ConeKind.STATIONARY_INCOMPRESSIBLE:
-        mix = bb.cross(uu)
-        if mix.norm() > 0.0:
-            return WaveVector(mix, 0.0)
-        if ee.norm() > 0.0:
-            return WaveVector(ee, 0.0)
-        return WaveVector(unit_perpendicular_to_all((bb, uu)), 0.0)
-
-    ne = ee.norm()
-    nb = bb.norm()
-    if ne == 0.0 and nb == 0.0:
-        # Free direction: any spatial frequency works, time-independent.
-        return WaveVector(Vec3(1.0, 0.0, 0.0), 0.0)
-    if ne == 0.0:
-        if kind.incompressible:
-            return WaveVector(unit_perpendicular_to_all((bb, uu)), 0.0)
-        return WaveVector(unit_perpendicular(bb), 0.0)
-    if nb == 0.0:
+    if axis.norm() == 0.0:
+        xi_x = unit_perpendicular_to_all((bb, uu if kind.incompressible else Vec3(0.0, 0.0, 0.0)))
+    elif kind.restricts_u:
+        xi_x = axis
+    elif bb.norm() == 0.0:
         # xi_x x Ebar = 0 with xi_t unconstrained forces xi_x parallel to Ebar.
-        return WaveVector(ee * (a if a != 0.0 else 1.0), 0.0)
+        xi_x = ee * (a if a != 0.0 else 1.0)
+    else:
+        exb = ee.cross(bb)
+        if kind.incompressible:
+            v1 = uu.dot(ee)
+            v2 = uu.dot(exb)
+            scale = max(abs(v1), abs(v2))
+            if scale > 1e-15 * (1.0 + uu.norm() * (ee.norm() + exb.norm())):
+                a, c = v2 / scale, -v1 / scale
+        if kind.stationary:
+            c = 0.0
+            if a == 0.0:
+                a = 1.0
+        xi_x = ee * a + exb * c
+    return WaveVector(xi_x, _time_frequency(xi_x, direction, kind))
 
-    exb = ee.cross(bb)
-    if kind.incompressible:
-        v1 = uu.dot(ee)
-        v2 = uu.dot(exb)
-        scale = max(abs(v1), abs(v2))
-        if scale > 1e-15 * (1.0 + uu.norm() * (ne + exb.norm())):
-            a, c = v2 / scale, -v1 / scale
-    if kind.stationary:
-        c = 0.0
-        if a == 0.0:
-            a = 1.0
-    xi_x = ee * a + exb * c
-    return WaveVector(xi_x, -c * ne * ne)
+
+def _time_frequency(xi_x: Vec3, direction: Triple, kind: ConeKind) -> float:
+    """The time frequency Faraday's relation xi_t Bbar + xi_x x Ebar = 0 gives
+    a spatial frequency xi_x: -xi_x . (Ebar x Bbar) / |Bbar|^2, or 0.0 for
+    stationary kinds and for Bbar = 0."""
+    nb2 = direction.B.norm2()
+    if kind.stationary or nb2 == 0.0:
+        return 0.0
+    return -xi_x.dot(direction.E.cross(direction.B)) / nb2
 
 
 def round_to_lattice(xi: WaveVector, direction: Triple,
@@ -187,9 +189,8 @@ def round_to_lattice(xi: WaveVector, direction: Triple,
 
     Tries scalings that put the largest spatial component at
     1..LATTICE_MAX_SCALE, accepting an integer candidate within angle 1e-2
-    of xi_x whose rounded frequencies still satisfy the plane-wave
-    conditions; when rounding breaks them, the frame coefficients (a, c)
-    are re-solved against the rounded spatial direction.  Raises
+    of xi_x whose time frequency from Faraday's relation is an integer and
+    whose frequencies satisfy the plane-wave conditions.  Raises
     LatticeError when the wave vector is not commensurable with the integer
     lattice at these scales.
     """
@@ -207,12 +208,12 @@ def round_to_lattice(xi: WaveVector, direction: Triple,
         cos_angle = cand_x.dot(xi.xi_x) / (cand_x.norm() * xi.xi_x.norm())
         if cos_angle < math.cos(1e-2):
             continue
-        cand = WaveVector(cand_x, round(xi.xi_t * t))
+        xi_t = _time_frequency(cand_x, direction, kind)
+        if abs(xi_t - round(xi_t)) > LATTICE_TOL:
+            continue
+        cand = WaveVector(cand_x, round(xi_t))
         if _conditions_ok(direction, cand, kind, tol):
             return _reduce_lattice(cand)
-        resolved = _resolve_time_frequency(cand_x, direction, kind)
-        if resolved is not None and _conditions_ok(direction, resolved, kind, tol):
-            return _reduce_lattice(resolved)
     raise LatticeError(
         f"no integer frequency within angle 1e-2 of {xi!r} up to scale {LATTICE_MAX_SCALE}")
 
@@ -234,30 +235,6 @@ def _conditions_ok(direction: Triple, xi: WaveVector, kind: ConeKind,
     res = plane_wave_conditions(direction, xi, kind)
     scale = 1.0 + xi.norm() * direction.norm()
     return max(res["gauss"], res["faraday"]) <= tol.eps_residual * scale
-
-
-def _resolve_time_frequency(cand_x: Vec3, direction: Triple,
-                            kind: ConeKind) -> WaveVector | None:
-    """Re-solve the frame coefficients against a rounded spatial frequency."""
-    if kind.stationary:
-        return WaveVector(cand_x, 0.0)
-    ee, bb = direction.E, direction.B
-    ne2 = ee.norm2()
-    if ne2 == 0.0 or bb.norm() == 0.0:
-        return WaveVector(cand_x, 0.0)
-    exb = ee.cross(bb)
-    exb2 = exb.norm2()
-    if exb2 == 0.0:
-        return None
-    a2 = cand_x.dot(ee) / ne2
-    c2 = cand_x.dot(exb) / exb2
-    in_span = (ee * a2 + exb * c2 - cand_x).norm() <= 1e-9 * cand_x.norm()
-    if not in_span:
-        return None
-    xi_t = -c2 * ne2
-    if abs(xi_t - round(xi_t)) > 1e-9:
-        return None
-    return WaveVector(cand_x, round(xi_t))
 
 
 @dataclass(frozen=True)

@@ -479,3 +479,34 @@ def reference_verify_decomposition(d, target, p, kind=ConeKind.NONSTATIONARY, to
     failures = tuple(name for name, v in res.items() if v > tol.eps_mem)
     return VerificationReport(passed=not failures, max_residual=max(res.values()),
                               residuals=res, failures=failures)
+
+
+def special_points(p: HullParams) -> dict:
+    """One triple per rare branch of decompose, at radii p."""
+    r, s = p.r, p.s
+    B = Vec3(0.3 * r, 0.1 * r, 0.0)
+    u = Vec3(0.0, 0.2 * s, 0.4 * s)
+    bound = math.sqrt((r * r - B.norm2()) * (s * s - u.norm2()))
+    excess = B.cross(Vec3(0.0, 0.0, 1.0)).normalized() * (0.5 * bound)
+    edge = Vec3(r, 0.0, 0.0)
+    return {
+        "outside": Triple(B, u, B.cross(u) + excess * 3.0),
+        "exact Ohm": Triple(B, u, B.cross(u)),
+        "B = 0": Triple(Vec3(0.0, 0.0, 0.0), u, Vec3(0.5 * r * s, 0.0, 0.0)),
+        "u = 0": Triple(B, Vec3(0.0, 0.0, 0.0), excess),
+        "amplitude boundary": Triple(edge, u, edge.cross(u) + Vec3(0.0, 2e-6, -1e-6) * (r * s)),
+        # Tiny B parallel to the excess, admitted by the floor of the g1 test.
+        "degenerate plane": Triple(Vec3(1e-5 * r, 0.0, 0.0), Vec3(0.0, 0.5 * s, 0.0),
+                                   Vec3(1e-5 * r * s, 0.0, 5e-6 * r * s)),
+        # Exact Ohm with no plane through B and u, with B = u = 0, and at the
+        # amplitude corner |B| = r, |u| = s, where both gaps vanish.
+        "B parallel to u": Triple(B, B * (2.0 * s / r), B.cross(B * (2.0 * s / r))),
+        "B = u = 0": Triple(Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0)),
+        "amplitude corner": Triple(edge, Vec3(0.0, s, 0.0), edge.cross(Vec3(0.0, s, 0.0))),
+    }
+
+
+# The branch decompose takes on each special point, where it differs from the name.
+SPECIAL_BRANCH = {"u = 0": "interior", "B parallel to u": "exact Ohm", "B = u = 0": "exact Ohm",
+                  "amplitude corner": "exact Ohm"}
+RAISING_BRANCHES = ("outside", "amplitude boundary", "degenerate plane")

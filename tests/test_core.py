@@ -509,3 +509,31 @@ def test_perpendicular_float_views_match_the_column_kernels():
     assert (got.view(np.uint64) == e.view(np.uint64)).all()
     got = np.array([list(unit_perpendicular(x)) for x, _ in cases])
     assert (got.view(np.uint64) == p1.view(np.uint64)).all()
+
+
+def test_perpendicular_float_views_are_bit_identical_at_every_magnitude():
+    # The float views scale each input by a power of two, which moves no bit
+    # of the frame while v . v neither overflows nor underflows: at
+    # magnitudes 1e-140..1e140 they match the unscaled column kernels.
+    rng = np.random.default_rng(41)
+    a = rng.normal(size=(3, 20_000)) * 10.0 ** rng.uniform(-140.0, 140.0, 20_000)
+    b = rng.normal(size=(3, 20_000)) * 10.0 ** rng.uniform(-140.0, 140.0, 20_000)
+    e = np.column_stack(_perpendicular(tuple(a), tuple(b), _COLUMNS))
+    p1 = np.column_stack(_frame(tuple(a), _COLUMNS)[1])
+    pairs = [(Vec3(*x), Vec3(*y)) for x, y in zip(a.T, b.T)]
+    got = np.array([list(unit_perpendicular_to_all(pair)) for pair in pairs])
+    assert (got.view(np.uint64) == e.view(np.uint64)).all()
+    got = np.array([list(unit_perpendicular(x)) for x, _ in pairs])
+    assert (got.view(np.uint64) == p1.view(np.uint64)).all()
+
+
+@pytest.mark.parametrize("v", [Vec3(1e200, 0.0, 0.0), Vec3(3e-170, 2e-170, 1e-170)])
+def test_perpendicular_at_the_ends_of_the_double_range(v):
+    # v . v overflows for the first vector and underflows for the second.
+    top = max(abs(x) for x in v)
+    other = Vec3(v.z, v.x, v.y)
+    checks = ((unit_perpendicular(v), (v,)), (unit_perpendicular_to_all((v, other)), (v, other)))
+    for e, vs in checks:
+        assert abs(e.norm() - 1.0) <= 1e-15
+        for w in vs:
+            assert _off_perpendicular(e, w / top) <= 1e-15, (v, e)

@@ -29,12 +29,13 @@ from _helpers import (
     ALL_KINDS,
     reference_decompose,
     reference_verify_decomposition,
+    special_points,
     unit,
     vec,
 )
 from dynamohull.core import _COLUMNS, _FLOATS, DEFAULT_TOLERANCES, _parts, _separation_flags
 from dynamohull.laminate import _excess_frame, _plane_normal, _root_direction, _sinusoid
-from test_blocks import KINDS, RADII, special_points
+from test_blocks import KINDS, RADII
 
 P11 = HullParams(1.0, 1.0)
 

@@ -92,6 +92,8 @@ def test_wave_vector_free_direction():
         xi = wave_vector_for(direction, kind)
         assert xi.xi_x.norm() == pytest.approx(1.0)
         assert xi.xi_t == 0.0
+        if kind.incompressible:
+            assert plane_wave_conditions(direction, xi, kind)["u_div"] <= 1e-15
 
 
 def test_wave_vector_degenerate_branches():
@@ -186,8 +188,8 @@ def test_round_to_lattice_rescales_commensurable_frequency():
 
 
 def test_round_to_lattice_resolves_time_frequency():
-    # Correct spatial direction but broken time component: the frame
-    # coefficients are re-solved against the rounded lattice direction.
+    # Correct spatial direction but broken time component: Faraday's
+    # relation gives the rounded lattice direction its time frequency.
     broken = WaveVector(Vec3(1, 1, 3), 0.25)
     fixed = round_to_lattice(broken, CANONICAL_DIR)
     assert list(fixed.xi_x) == [1.0, 1.0, 3.0]
