@@ -280,36 +280,42 @@ def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
     columns), decompose's bit for bit, and the mask of the rows decompose
     raises on: outside the relaxed set, or off exact Ohm with the amplitude
     on the boundary or a degenerate working plane.  lam, z1 and z2 are
-    meaningless on those rows.  The exact-Ohm split and the B = 0 axis run
-    on their own rows only.
+    meaningless on those rows.
     """
+    with np.errstate(all="ignore"):
+        lam, bbar, ubar, raises = _split_block(B, u, E, p, kind, tol)
+        z1, z2 = _endpoints(B, u, bbar, ubar, lam)
+    return lam, z1, z2, raises
+
+
+def _split_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
+    """The weights and perturbations (lam, bbar, ubar) of _decompose_block and its
+    mask of raising rows, in a function of their own, so that the working-plane
+    columns die before the endpoints are built.  The exact-Ohm split and the
+    B = 0 axis run on their own rows only."""
     r, s = p.r, p.s
     m = _COLUMNS
-    with np.errstate(all="ignore"):
-        (g1, g3, g2), (nb2, nu2, excess, c2) = _separation_flags(B, u, E, p, kind,
-                                                                 tol.eps_mem, m)
-        rr, ss = r * r - nb2, s * s - nu2
-        ohm = np.sqrt(c2) <= tol.eps_root * r * s
-        f = _excess_frame(rr, ss, excess, m)
-        nb = np.sqrt(nb2)
-        e1 = tuple(x / nb for x in B)
-        zero = nb == 0.0
-        if zero.any():
-            for x, y in zip(e1, _frame(tuple(a[zero] for a in f.nhat), m)[1]):
-                x[zero] = y
-        w, wn = _plane_normal(e1, f, m)
-        bbar, ubar = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, m)
-        lam = _weight(B, bbar, m)
-        if ohm.any():
-            split = _exact_ohm_split(tuple(a[ohm] for a in B), tuple(a[ohm] for a in u),
-                                     rr[ohm], ss[ohm], m)
-            for x, y in zip(bbar + ubar, split[0] + split[1]):
-                x[ohm] = y
-            lam[ohm] = 0.5
-        z1, z2 = _endpoints(B, u, bbar, ubar, lam)
-        guarded = (rr <= tol.eps_mem * r * r) | (ss <= tol.eps_mem * s * s) | ~(wn >= 1e-6)
-        raises = g1 | g3 | g2 | (~ohm & guarded)
-    return lam, z1, z2, raises
+    (g1, g3, g2), (nb2, nu2, excess, c2) = _separation_flags(B, u, E, p, kind, tol.eps_mem, m)
+    rr, ss = r * r - nb2, s * s - nu2
+    ohm = np.sqrt(c2) <= tol.eps_root * r * s
+    f = _excess_frame(rr, ss, excess, m)
+    nb = np.sqrt(nb2)
+    e1 = tuple(x / nb for x in B)
+    zero = nb == 0.0
+    if zero.any():
+        for x, y in zip(e1, _frame(tuple(a[zero] for a in f.nhat), m)[1]):
+            x[zero] = y
+    w, wn = _plane_normal(e1, f, m)
+    bbar, ubar = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, m)
+    lam = _weight(B, bbar, m)
+    if ohm.any():
+        split = _exact_ohm_split(tuple(a[ohm] for a in B), tuple(a[ohm] for a in u),
+                                 rr[ohm], ss[ohm], m)
+        for x, y in zip(bbar + ubar, split[0] + split[1]):
+            x[ohm] = y
+        lam[ohm] = 0.5
+    guarded = (rr <= tol.eps_mem * r * r) | (ss <= tol.eps_mem * s * s) | ~(wn >= 1e-6)
+    return lam, bbar, ubar, g1 | g3 | g2 | (~ohm & guarded)
 
 
 def _residuals(lam, z1, z2, target, p: HullParams, kind: ConeKind, m: _Math) -> dict:
@@ -330,6 +336,10 @@ def _residuals(lam, z1, z2, target, p: HullParams, kind: ConeKind, m: _Math) -> 
     res["cone_BE"] = _cone_residual(dB, dE, rs * r, m)
     if kind.restricts_u:
         res["cone_uE"] = _cone_residual(du, dE, rs * s, m)
+    # The identity below needs only the lengths; on columns the differences
+    # would outlive their use.
+    dB_len, du_len = m.sqrt(_dot(dB, dB)), m.sqrt(_dot(du, du))
+    del dB, du, dE
 
     below = m.positive(-lam)
     res["lambda_range"] = m.where(lam - 1.0 > below, lam - 1.0, below)
@@ -341,7 +351,7 @@ def _residuals(lam, z1, z2, target, p: HullParams, kind: ConeKind, m: _Math) -> 
 
     tB, tu, _ = target
     d_bound = m.sqrt(_excess_cap(_dot(tB, tB), _dot(tu, tu), p, m))
-    prod = lam * mu * m.sqrt(_dot(dB, dB)) * m.sqrt(_dot(du, du))
+    prod = lam * mu * dB_len * du_len
     res["weight_amplitude_identity"] = abs(prod - d_bound) / (rs + d_bound)
     return res
 

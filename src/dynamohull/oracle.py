@@ -30,12 +30,20 @@ pair, 8 per mixture and 8 per hull point), and item i reads draws
 Samplers and campaign run in blocks of BLOCK rows, one Generator.random
 call per block, and every block is a state of component columns: a
 (B, u, E) triple of float64 columns per state.  No kernel calls a libm
-function row by row.  The campaign's membership, decomposition and
-verification kernels are the per-point ones, run on numpy columns in the
-same operations, in the same order, as a single point, so its reports are
-those of the per-point functions bit for bit.  Rows become Triples only
-at the edge: the public samplers stack a block's N x 9 rows to yield them,
-and the campaign reads its failure rows one at a time (_triple_at).
+function row by row.  The blocks are built by functions, mapped over the
+draws, and each campaign loop drops its block before it asks for the next,
+so one block's columns are alive at a time and the campaign's memory is a
+few dozen columns of BLOCK rows whatever its count.  No output depends on
+BLOCK: every kernel is elementwise, and the report folds are maxima, counts
+and failure lists in point order (a NaN residual, which fails its point,
+also drops its block's maxima; see _check_decompositions).  The campaign's
+membership, decomposition and verification kernels are the per-point ones,
+run on numpy columns in the same operations, in the same order, as a
+single point, so its reports are those of the per-point functions bit for
+bit.  Rows become Triples only at the edge: the public samplers stack a
+block's rows (N x 9, or N x 18 for pairs) and make Triples of them a slice
+at a time (_items), and the campaign reads its failure rows one at a time
+(_triple_at).
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -73,10 +82,14 @@ from .laminate import DecompositionError, _decompose_block, _residuals, decompos
 
 TWO_PI = 2.0 * math.pi
 
-# Rows per block of the samplers and the campaign: large enough to amortise
-# numpy's cost per call, small enough that a campaign's arrays stay at about
-# a megabyte whatever its count.
-BLOCK = 1024
+# Rows per block of the samplers and the campaign.  At 1024 rows each numpy
+# call spent about as long on dispatch and allocation as on arithmetic.  A
+# 100k + 10k campaign at r = s = 1 (2 vCPUs, 2 MiB L2 per core) took 66 ms
+# at 1024 rows, 55 ms at 3072 and 60 ms at 4096; the pair kernel 40, 35 and
+# 38 ms of it.  Its peak is about 62 live columns of BLOCK doubles (one
+# block's: no frame keeps a block while the next is built), 1.5 MB at 3072
+# rows, inside L2; at 4096 rows, 2.0 MB, it is not.
+BLOCK = 3072
 
 # Revision of the sample streams a report was drawn from.  Version 3 reads a
 # fixed number of draws per item and takes core._perpendicular's directions.
@@ -132,9 +145,20 @@ def _row_triple(f: list[float]) -> Triple:
     return _triple(_vec(f[0], f[1], f[2]), _vec(f[3], f[4], f[5]), _vec(f[6], f[7], f[8]))
 
 
-def _triples(rows: np.ndarray) -> Iterator[Triple]:
-    """The rows of an N x 9 block as Triples."""
-    return map(_row_triple, rows.tolist())
+def _row_pair(f: list[float]) -> tuple[Triple, Triple]:
+    """The pair of Triples of one (B1, u1, E1, B2, u2, E2) row."""
+    return _row_triple(f), _row_triple(f[9:])
+
+
+def _items(make, row_blocks: Iterator[np.ndarray]) -> Iterator:
+    """make(row) for each row of a sequence of row blocks, the row a list of
+    Python floats.  The floats are made 256 rows at a time, as a whole block
+    of them would outweigh its columns fourfold, and each block is dropped
+    before the next one is built."""
+    for rows in row_blocks:
+        for i in range(0, len(rows), 256):
+            yield from map(make, rows[i:i + 256].tolist())
+        del rows
 
 
 def _triple_at(z, i: int) -> Triple:
@@ -145,16 +169,18 @@ def _triple_at(z, i: int) -> Triple:
 def _K_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
     """cfg.count constraint-set states as (B, u, E) column blocks; 4 draws per state."""
     p = cfg.params
-    for _, w in _draws(gen, cfg.count, 4):
+
+    def states(_, w):
         B = _sphere(w[:, 0], w[:, 1], p.r)
         u = _sphere(w[:, 2], w[:, 3], p.s)
-        yield B, u, _cross(B, u)
+        return B, u, _cross(B, u)
+
+    return starmap(states, _draws(gen, cfg.count, 4))
 
 
 def sample_K(cfg: SampleConfig) -> Iterator[Triple]:
     """Uniform constraint-set states: B and u on their spheres, E = B x u."""
-    for z in _K_blocks(_generator(cfg), cfg):
-        yield from _triples(_stack(z))
+    return _items(_row_triple, map(_stack, _K_blocks(_generator(cfg), cfg)))
 
 
 def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
@@ -166,70 +192,90 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
     u1 (2), B2 (2), then the circle angle (the stationary incompressible
     branch draws a root-choice coin instead, or an angle when the whole
     circle satisfies the second plane).  Returns the states z1 and z2 as
-    (B, u, E) component columns and the cone residual of each pair.
+    (B, u, E) component columns and the cone residual of each pair.  Each
+    stage is a function, so its intermediates die when it returns.
     """
     with np.errstate(all="ignore"):
         b1 = _sphere(w[:, 0], w[:, 1], 1.0)
         u1 = _sphere(w[:, 2], w[:, 3], 1.0)
         b2 = _sphere(w[:, 4], w[:, 5], 1.0)
         e1 = _cross(b1, u1)
-        # The circle u2 . nh = h on the sphere, with nh along B1 x B2 and the
-        # offset taken at u1, which lies on the plane: |h| <= 1 but for rounding.
-        nh, p1, p2 = _frame(_cross(b1, b2), _COLUMNS)
-        h = _dot(u1, nh)
-        rho_c = np.sqrt(_COLUMNS.positive(1.0 - h * h))
-
-        phi = TWO_PI * w[:, 6]
-        if restricts_u:
-            # Second plane: u2 . (u1 x B2 + E1) = u1 . E1 on the circle, i.e.
-            # a_cos cos(phi) + a_sin sin(phi) = c_target.  With (cb, sb) =
-            # (cos beta, sin beta) the unit direction of (a_cos, a_sin), the
-            # roots are phi = beta +- delta with cos(delta) = ratio; their
-            # cosine and sine follow from the angle-sum formulas.  u1 is a
-            # root, so |ratio| <= 1 but for rounding, which the clip absorbs.
-            ub = _cross(u1, b2)
-            n2 = tuple(ub[i] + e1[i] for i in range(3))
-            c_target = _dot(u1, e1) - h * _dot(nh, n2)
-            a_cos = rho_c * _dot(p1, n2)
-            a_sin = rho_c * _dot(p2, n2)
-            amp = np.sqrt(a_cos * a_cos + a_sin * a_sin)
-            free = amp <= 1e-12 * (1.0 + np.sqrt(_dot(n2, n2)))
-            cb = a_cos / amp
-            sb = a_sin / amp
-            ratio = c_target / amp
-            ratio = np.where(ratio > -1.0, ratio, -1.0)
-            ratio = np.where(ratio < 1.0, ratio, 1.0)
-            sd = np.sqrt(_COLUMNS.positive(1.0 - ratio * ratio))
-            sd = np.where(w[:, 6] < 0.5, sd, -sd)
-            cos_phi = cb * ratio - sb * sd
-            sin_phi = sb * ratio + cb * sd
-            # A circle that lies in the second plane keeps the drawn angle.
-            at = np.flatnonzero(free)
-            cos_phi[at] = np.cos(phi[at])
-            sin_phi[at] = np.sin(phi[at])
-        else:
-            cos_phi = np.cos(phi)
-            sin_phi = np.sin(phi)
-
-        ca = rho_c * cos_phi
-        sa = rho_c * sin_phi
-        u2 = tuple(nh[i] * h + ca * p1[i] + sa * p2[i] for i in range(3))
+        u2 = _circle_point(b1, u1, b2, e1, w[:, 6], restricts_u)
         e2 = _cross(b2, u2)
+        z1, z2 = (b1, u1, e1), (b2, u2, e2)
+        res = _pair_residual(z1, z2, restricts_u)
+    # Scaled in place: every column is this function's own.
+    for z in (z1, z2):
+        for v, k in zip(z, (p.r, p.s, p.r * p.s)):
+            for x in v:
+                np.multiply(x, k, out=x)
+    return z1, z2, res
 
-        db = tuple(b1[i] - b2[i] for i in range(3))
-        de = tuple(e1[i] - e2[i] for i in range(3))
-        res = _cone_residual(db, de, 1.0, _COLUMNS)
-        if restricts_u:
-            du = tuple(u1[i] - u2[i] for i in range(3))
-            res2 = _cone_residual(du, de, 1.0, _COLUMNS)
-            res = np.where(res2 > res, res2, res)
-    r, s = p.r, p.s
-    rs = r * s
 
-    def scaled(B, u, E):
-        return tuple(x * r for x in B), tuple(x * s for x in u), tuple(x * rs for x in E)
+def _circle_point(b1, u1, b2, e1, draw: np.ndarray, restricts_u: bool):
+    """u2 on the unit sphere and the plane of the cone condition, at the drawn
+    angle 2 pi draw, or, on the stationary incompressible cone, at the root of
+    the second plane chosen by the coin draw: component columns."""
+    # The circle u2 . nh = h on the sphere, with nh along B1 x B2 and the
+    # offset taken at u1, which lies on the plane: |h| <= 1 but for rounding.
+    nh, p1, p2 = _frame(_cross(b1, b2), _COLUMNS)
+    h = _dot(u1, nh)
+    rho_c = np.sqrt(_COLUMNS.positive(1.0 - h * h))
+    if restricts_u:
+        cos_phi, sin_phi = _second_plane_root(u1, b2, e1, (nh, p1, p2), h, rho_c, draw)
+    else:
+        phi = TWO_PI * draw
+        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    ca = rho_c * cos_phi
+    sa = rho_c * sin_phi
+    return tuple(nh[i] * h + ca * p1[i] + sa * p2[i] for i in range(3))
 
-    return scaled(b1, u1, e1), scaled(b2, u2, e2), res
+
+def _second_plane_root(u1, b2, e1, frame, h, rho_c, draw: np.ndarray):
+    """(cos phi, sin phi) of the circle point on the second plane
+    u2 . (u1 x B2 + E1) = u1 . E1, the root picked by the coin draw < 1/2."""
+    nh, p1, p2 = frame
+    # On the circle the plane reads a_cos cos(phi) + a_sin sin(phi) = c_target.
+    # With (cb, sb) = (cos beta, sin beta) the unit direction of (a_cos,
+    # a_sin), the roots are phi = beta +- delta with cos(delta) = ratio;
+    # their cosine and sine follow from the angle-sum formulas.  u1 is a
+    # root, so |ratio| <= 1 but for rounding, which the clip absorbs.
+    ub = _cross(u1, b2)
+    n2 = tuple(ub[i] + e1[i] for i in range(3))
+    c_target = _dot(u1, e1) - h * _dot(nh, n2)
+    a_cos = rho_c * _dot(p1, n2)
+    a_sin = rho_c * _dot(p2, n2)
+    amp = np.sqrt(a_cos * a_cos + a_sin * a_sin)
+    free = amp <= 1e-12 * (1.0 + np.sqrt(_dot(n2, n2)))
+    cb = a_cos / amp
+    sb = a_sin / amp
+    ratio = c_target / amp
+    ratio = np.where(ratio > -1.0, ratio, -1.0)
+    ratio = np.where(ratio < 1.0, ratio, 1.0)
+    sd = np.sqrt(_COLUMNS.positive(1.0 - ratio * ratio))
+    sd = np.where(draw < 0.5, sd, -sd)
+    cos_phi = cb * ratio - sb * sd
+    sin_phi = sb * ratio + cb * sd
+    # A circle that lies in the second plane keeps the drawn angle.
+    at = np.flatnonzero(free)
+    phi = TWO_PI * draw[at]
+    cos_phi[at] = np.cos(phi)
+    sin_phi[at] = np.sin(phi)
+    return cos_phi, sin_phi
+
+
+def _pair_residual(z1, z2, restricts_u: bool) -> np.ndarray:
+    """The cone residual of the unit pairs z1, z2: (B, E), and the larger of it
+    and (u, E)'s on the stationary incompressible cone."""
+    (b1, u1, e1), (b2, u2, e2) = z1, z2
+    db = tuple(b1[i] - b2[i] for i in range(3))
+    de = tuple(e1[i] - e2[i] for i in range(3))
+    res = _cone_residual(db, de, 1.0, _COLUMNS)
+    if restricts_u:
+        du = tuple(u1[i] - u2[i] for i in range(3))
+        res2 = _cone_residual(du, de, 1.0, _COLUMNS)
+        res = np.where(res2 > res, res2, res)
+    return res
 
 
 def _stack(*states) -> np.ndarray:
@@ -239,39 +285,43 @@ def _stack(*states) -> np.ndarray:
 
 
 def _pair_blocks(gen: Generator, cfg: SampleConfig, weighted: bool = False) -> Iterator[tuple]:
-    """cfg.count pairs as blocks (z1, z2, lam): the states as (B, u, E)
-    component columns and the mixture weights, a column when weighted and
-    None otherwise.  A pair reads 7 draws, and a weight is the draw after
+    """cfg.count pairs as blocks (z1, z2), and (z1, z2, lam) when weighted: the
+    states as (B, u, E) component columns and the mixture weights, a column.  A pair reads 7 draws, and a weight is the draw after
     its pair.  Raises RuntimeError if a constructed pair is off the cone (a
     residual above 1e-10, or NaN), which rounding alone never produces.
     """
-    for _, w in _draws(gen, cfg.count, 8 if weighted else 7):
-        z1, z2, res = _pair_block(w, cfg.params, cfg.kind.restricts_u)
+    p, restricts_u = cfg.params, cfg.kind.restricts_u
+
+    def pairs(_, w):
+        z1, z2, res = _pair_block(w, p, restricts_u)
         bad = np.flatnonzero(~(res <= 1e-10))
         if len(bad):
             raise RuntimeError(f"constructed pair violates the cone: residual {float(res[bad[0]])}")
-        yield z1, z2, w[:, 7] if weighted else None
+        return (z1, z2, w[:, 7]) if weighted else (z1, z2)
+
+    return starmap(pairs, _draws(gen, cfg.count, 8 if weighted else 7))
+
+
+def _mixture(z1, z2, lam):
+    """The mixture lam*z1 + (1-lam)*z2 of two (B, u, E) states of component columns."""
+    mu = 1.0 - lam
+    return tuple(tuple(lam * a + mu * b for a, b in zip(v1, v2)) for v1, v2 in zip(z1, z2))
 
 
 def _mixture_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
     """cfg.count mixtures lam*z1 + (1-lam)*z2 as blocks of (B, u, E) component
     columns."""
-    for z1, z2, lam in _pair_blocks(gen, cfg, weighted=True):
-        mu = 1.0 - lam
-        yield tuple(tuple(lam * a + mu * b for a, b in zip(v1, v2)) for v1, v2 in zip(z1, z2))
+    return starmap(_mixture, _pair_blocks(gen, cfg, weighted=True))
 
 
 def sample_lambda_pair(cfg: SampleConfig) -> Iterator[tuple[Triple, Triple]]:
     """Constraint-set pairs whose difference lies in the cone for cfg.kind."""
-    for z1, z2, _ in _pair_blocks(_generator(cfg), cfg):
-        rows = _stack(z1, z2)
-        yield from zip(_triples(rows[:, :9]), _triples(rows[:, 9:]))
+    return _items(_row_pair, starmap(_stack, _pair_blocks(_generator(cfg), cfg)))
 
 
 def sample_first_laminate(cfg: SampleConfig) -> Iterator[Triple]:
     """Convex combinations lam*z1 + (1-lam)*z2 of cone-compatible pairs."""
-    for z in _mixture_blocks(_generator(cfg), cfg):
-        yield from _triples(_stack(z))
+    return _items(_row_triple, map(_stack, _mixture_blocks(_generator(cfg), cfg)))
 
 
 def _excess_directions(B, phi: np.ndarray):
@@ -309,15 +359,18 @@ def _hull_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
     for the excess direction, a sign coin (stationary incompressible kind)
     or an angle about B (the other kinds); then 1 for delta.
     """
-    p = cfg.params
-    for start, w in _draws(gen, cfg.count, 8):
+    p, restricts_u = cfg.params, cfg.kind.restricts_u
+
+    def points(start, w):
         B = _ball(w[:, 0:3], p.r)
         u = _ball(w[:, 3:6], p.s)
-        if cfg.kind.restricts_u:
+        if restricts_u:
             e = _restricted_directions(B, u, w[:, 6])
         else:
             e = _excess_directions(B, w[:, 6])
-        yield _hull_points(B, u, e, w[:, 7], start, p)
+        return _hull_points(B, u, e, w[:, 7], start, p)
+
+    return starmap(points, _draws(gen, cfg.count, 8))
 
 
 def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
@@ -327,8 +380,7 @@ def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
     delta is uniform on [0, 1]; every 100th sample forces delta = 1 so the
     excess boundary is exercised with positive frequency.
     """
-    for z in _hull_blocks(_generator(cfg), cfg):
-        yield from _triples(_stack(z))
+    return _items(_row_triple, map(_stack, _hull_blocks(_generator(cfg), cfg)))
 
 
 @dataclass
@@ -419,26 +471,16 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
     rss = p.r * p.s * p.s
     report = HullCheckReport(seed=cfg.seed, kind=kind.label, r=p.r, s=p.s)
 
-    for B, u, E in _mixture_blocks(_generator(cfg), cfg):
-        n = len(B[0])
-        report.laminate_checked += n
-        (g1, g3, g2), _ = _separation_flags(B, u, E, p, kind, inner_tol.eps_mem, _COLUMNS)
-        outside = g1 | g3 | g2
-        off_cone = np.zeros(n, dtype=bool)
-        if kind.restricts_u:
-            res = _cone_residual(u, E, rss, _COLUMNS)
-            report.max_u_orthogonality = _fold_max(report.max_u_orthogonality, res)
-            off_cone = res > tol.eps_mem
-        for i in np.flatnonzero(outside | off_cone).tolist():
-            zi = _triple_at((B, u, E), i)
-            if outside[i]:
-                report.record_failure("laminate", zi, "combination fails closed-form membership")
-            if off_cone[i]:
-                report.record_failure("laminate", zi, f"u.E residual {float(res[i])}")
+    # Each loop drops its block before the next one is drawn and built, so
+    # one block's columns are alive at a time.
+    for z in _mixture_blocks(_generator(cfg), cfg):
+        _check_mixtures(report, z, p, kind, tol, inner_tol, rss)
+        del z
 
     hull_cfg = SampleConfig(seed=cfg.seed, count=cfg.count // 10, params=p, kind=kind)
     for z in _hull_blocks(_generator(hull_cfg), hull_cfg):
         _check_decompositions(report, z, p, kind, tol, rss)
+        del z
     return report
 
 
@@ -448,6 +490,28 @@ def _fold_max(acc: float | None, values: np.ndarray) -> float | None:
         return acc
     top = float(values.max())
     return top if acc is None or top > acc else acc
+
+
+def _check_mixtures(report: HullCheckReport, z, p: HullParams, kind: ConeKind,
+                    tol: Tolerances, inner_tol: Tolerances, rss: float):
+    """Check a block z of mixtures, (B, u, E) columns, for membership (inner_tol)
+    and, on the restricted cone, u-orthogonality (tol) into the report."""
+    B, u, E = z
+    n = len(B[0])
+    report.laminate_checked += n
+    g1, g3, g2 = _separation_flags(B, u, E, p, kind, inner_tol.eps_mem, _COLUMNS)[0]
+    outside = g1 | g3 | g2
+    off_cone = np.zeros(n, dtype=bool)
+    if kind.restricts_u:
+        res = _cone_residual(u, E, rss, _COLUMNS)
+        report.max_u_orthogonality = _fold_max(report.max_u_orthogonality, res)
+        off_cone = res > tol.eps_mem
+    for i in np.flatnonzero(outside | off_cone).tolist():
+        zi = _triple_at(z, i)
+        if outside[i]:
+            report.record_failure("laminate", zi, "combination fails closed-form membership")
+        if off_cone[i]:
+            report.record_failure("laminate", zi, f"u.E residual {float(res[i])}")
 
 
 def _check_decompositions(report: HullCheckReport, z, p: HullParams,
@@ -465,15 +529,16 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
 
     with np.errstate(all="ignore"):  # the rows that raise hold no endpoints
         res = _residuals(lam, z1, z2, z, p, kind, _COLUMNS)
-    names = list(res)
-    table = np.column_stack([res[name] for name in names])[verified]
-    if len(table):
-        report.max_verify_residual = max(report.max_verify_residual, float(table.max()))
+    # Folded one check at a time: the rows each check fails (a NaN residual
+    # fails) and its maximum over the verified rows.
+    failing = {name: verified & ~(col <= tol.eps_mem) for name, col in res.items()}
+    if verified.any():
+        tops = [float(col[verified].max()) for col in res.values()]
+        # A NaN maximum of one check makes the block's NaN, which max drops.
+        report.max_verify_residual = max(report.max_verify_residual, float(np.max(tops)))
         by_check = report.max_residual_by_check
-        for name, val in zip(names, table.max(axis=0).tolist()):
+        for name, val in zip(res, tops):
             by_check[name] = max(by_check.get(name, 0.0), val)
-    failing = np.zeros((n, len(names)), dtype=bool)
-    failing[verified] = ~(table <= tol.eps_mem)  # a NaN residual fails
     mixing = np.zeros(n)
     if kind.restricts_u:
         dB, du = (tuple(a - b for a, b in zip(z1[k], z2[k])) for k in (0, 1))
@@ -485,7 +550,10 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
                                                     mixing[verified])
     unmixed = verified & (mixing > tol.eps_mem)
 
-    for i in np.flatnonzero(raises | failing.any(axis=1) | unmixed).tolist():
+    flagged = raises | unmixed
+    for bad in failing.values():
+        flagged |= bad
+    for i in np.flatnonzero(flagged).tolist():
         zi = _triple_at(z, i)
         if raises[i]:
             try:
@@ -494,9 +562,9 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
                 report.record_failure("decompose", zi, f"decomposition raised: {exc}")
                 continue
             raise RuntimeError(f"the block kernel left a point decompose splits: {zi.to_json()}")
-        if failing[i].any():
-            report.record_failure("decompose", zi, "verification failed: " + ", ".join(
-                name for name, bad in zip(names, failing[i].tolist()) if bad))
+        names = [name for name, bad in failing.items() if bad[i]]
+        if names:
+            report.record_failure("decompose", zi, "verification failed: " + ", ".join(names))
         if unmixed[i]:
             report.record_failure("decompose", zi, f"u.(Bbar x ubar) residual {float(mixing[i])}")
 

@@ -140,7 +140,10 @@ def wave_vector_for(direction: Triple, kind: ConeKind = ConeKind.NONSTATIONARY,
     rounding noise in the other is never returned.  Stationary kinds always
     return xi_t = 0.
 
-    Raises NotInConeError when the direction is not in the cone for `kind`.
+    Raises NotInConeError when the direction is not in the cone for `kind`,
+    and ValueError when (a, c) = (0, 0) would be used on a time-dependent
+    kind with Bbar and Ebar nonzero: no coefficient replaces them there, as
+    a = 1 does on the stationary kinds and for Bbar = 0.
     """
     tol = tol or DEFAULT_TOLERANCES
     if not in_wave_cone(direction, kind, tol):
@@ -168,6 +171,9 @@ def wave_vector_for(direction: Triple, kind: ConeKind = ConeKind.NONSTATIONARY,
             c = 0.0
             if a == 0.0:
                 a = 1.0
+        elif a == 0.0 and c == 0.0:
+            raise ValueError(f"coefficients (a, c) = ({a}, {c}) give the zero spatial "
+                             "frequency a Ebar + c (Ebar x Bbar)")
         xi_x = ee * a + exb * c
     return WaveVector(xi_x, _time_frequency(xi_x, direction, kind))
 

@@ -21,6 +21,7 @@ from dynamohull import (
     Vec3,
     decompose,
     hull_excess_bound,
+    sample_K,
     sample_first_laminate,
     sample_hull,
     sample_lambda_pair,
@@ -43,6 +44,14 @@ from _helpers import (
 
 KINDS = (ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE)
 RADII = (1e-6, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e6)
+PRODUCTION_BLOCK = oracle.BLOCK
+
+
+@pytest.fixture
+def blocks_of_1024(monkeypatch):
+    """Blocks of 1024 rows, whose edges the counts of the tests that use this
+    fixture cross, whatever the production block size."""
+    monkeypatch.setattr(oracle, "BLOCK", 1024)
 
 
 def block(triples):
@@ -66,6 +75,7 @@ def bits(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
+@pytest.mark.usefixtures("blocks_of_1024")
 @pytest.mark.parametrize("count", [0, 1, 2500])
 @pytest.mark.parametrize("radii", [(1.0, 1.0), (1e-3, 1e3), (1e-6, 1e6)])
 @pytest.mark.parametrize("kind", KINDS)
@@ -74,6 +84,7 @@ def test_block_driver_matches_reference(kind, radii, count):
     assert two_sided_hull_check(cfg).to_json() == reference_two_sided_hull_check(cfg).to_json()
 
 
+@pytest.mark.usefixtures("blocks_of_1024")
 @pytest.mark.parametrize("count, tol, inner_tol", [
     (10_000, Tolerances(eps_mem=4e-16, eps_root=1e-16), None),
     # decompose raises (g1 at rounding level) between verification failures
@@ -212,6 +223,7 @@ STRIDES = {"pairs": (sample_lambda_pair, 7), "mixtures": (sample_first_laminate,
            "hull": (sample_hull, 8)}
 
 
+@pytest.mark.usefixtures("blocks_of_1024")
 @pytest.mark.parametrize("k", [0, 700, 1024, 1500])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("sampler", sorted(STRIDES))
@@ -231,6 +243,37 @@ def test_item_reads_only_its_own_draws(sampler, kind, k, monkeypatch):
     assert fake.i == stride * count
     assert got[:k] == expected[:k] and got[k + 1:] == expected[k + 1:]
     assert got[k] != expected[k]
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (1e-3, 1e3)])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_outputs_do_not_depend_on_the_block_size(kind, radii, monkeypatch):
+    # Item i reads draws [stride i, stride (i + 1)) however the blocks fall,
+    # every kernel is elementwise and every report fold is a maximum, a count
+    # or a failure list in point order: the campaign report and the bits of
+    # every sampler's output are the same at every block size.  The count
+    # takes two blocks of the production size.
+    count = PRODUCTION_BLOCK + 500
+    cfg = SampleConfig(seed=30, count=count, params=HullParams(*radii), kind=kind)
+
+    def floats(item):
+        """The floats of a Triple, or of a pair of Triples, in (B, u, E) order."""
+        return [x for z in (item if isinstance(item, tuple) else (item,))
+                for v in (z.B, z.u, z.E) for x in v]
+
+    def outputs():
+        return two_sided_hull_check(cfg).to_json(), [
+            bits([floats(item) for item in sample(cfg)])
+            for sample in (sample_K, sample_lambda_pair, sample_first_laminate, sample_hull)]
+
+    assert oracle.BLOCK == PRODUCTION_BLOCK
+    expected_json, expected_bits = outputs()
+    for size in (7, 1000, count + 1):
+        monkeypatch.setattr(oracle, "BLOCK", size)
+        got_json, got_bits = outputs()
+        assert got_json == expected_json, size
+        for got, want in zip(got_bits, expected_bits):
+            assert got.shape == want.shape and (got == want).all(), size
 
 
 def test_parallel_B_and_u_take_the_perpendicular_fallback(monkeypatch):

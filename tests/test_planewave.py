@@ -52,6 +52,26 @@ def test_wave_vector_requires_nonzero_spatial_frequency():
         WaveVector(Vec3(0, 0, 0), 1.0)
 
 
+def test_zero_coefficients_raise_on_the_time_dependent_shared_cone():
+    # With Bbar and Ebar nonzero, (a, c) = (0, 0) gives no spatial frequency
+    # on the time-dependent kinds, and the error names the coefficients.  With
+    # u parallel to B the incompressible solve's functional vanishes, so the
+    # given coefficients stand.
+    u_along_B = Triple(Vec3(6, -3, -1), Vec3(12, -6, -2), Vec3(1, 2, 0))
+    for direction, kind in ((CANONICAL_DIR, ConeKind.NONSTATIONARY),
+                            (u_along_B, ConeKind.NONSTATIONARY_INCOMPRESSIBLE)):
+        with pytest.raises(ValueError, match=r"coefficients \(a, c\) = \(0\.0, 0\.0\)"):
+            wave_vector_for(direction, kind, a=0.0, c=0.0)
+
+
+def test_zero_coefficients_keep_the_stationary_and_B_zero_results():
+    # The stationary kinds and Bbar = 0 take a = 1 in place of a = 0.
+    xi = WaveVector(Vec3(1, 2, 0), 0.0)
+    assert wave_vector_for(CANONICAL_DIR, ConeKind.STATIONARY, a=0.0, c=0.0) == xi
+    b_zero = Triple(ZERO, CANONICAL_DIR.u, CANONICAL_DIR.E)
+    assert wave_vector_for(b_zero, ConeKind.NONSTATIONARY, a=0.0, c=0.0) == xi
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(3)
