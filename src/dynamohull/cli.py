@@ -9,6 +9,7 @@ and --deterministic suppresses the timestamp so reports are byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -110,6 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="finest grid points per axis, a multiple of 8 and at least 16; "
                         "levels n/4, n/2, n (default 32)")
     return parser
+
+
+# main's parser, built on its first call and shared by every later one:
+# parse_args keeps no state between calls, and importing the package builds none.
+_parser = functools.cache(build_parser)
 
 
 def _tolerances(args) -> Tolerances:
@@ -241,9 +247,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

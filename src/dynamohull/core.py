@@ -346,6 +346,11 @@ def _parts(z: Triple):
     return (B.x, B.y, B.z), (u.x, u.y, u.z), (E.x, E.y, E.z)
 
 
+def _from_parts(B, u, E) -> Triple:
+    """The Triple of a (B, u, E) state of float component triples; _parts inverted."""
+    return _triple(_vec(*B), _vec(*u), _vec(*E))
+
+
 def _norm_rs(B, u, E, r: float, s: float, m: _Math = _FLOATS):
     """The norm of the 9-component state (B/r, u/s, E/(rs)) of a (B, u, E) state of
     component triples, floats or columns; Triple.norm(r, s) is its float view."""

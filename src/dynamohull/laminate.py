@@ -66,12 +66,11 @@ from .core import (
     _dot,
     _excess_cap,
     _frame,
+    _from_parts,
     _norm_rs,
     _parts,
     _perpendicular,
     _separation_flags,
-    _triple,
-    _vec,
     separation_witness,
 )
 
@@ -123,9 +122,7 @@ class Decomposition:
 
 def _decomposition(lam: float, z1, z2) -> Decomposition:
     """The Decomposition of a weight and two (B, u, E) states of component triples."""
-    (B1, u1, E1), (B2, u2, E2) = z1, z2
-    return Decomposition(lam, _triple(_vec(*B1), _vec(*u1), _vec(*E1)),
-                         _triple(_vec(*B2), _vec(*u2), _vec(*E2)))
+    return Decomposition(lam, _from_parts(*z1), _from_parts(*z2))
 
 
 def _endpoints(B, u, bbar, ubar, lam):

@@ -31,6 +31,11 @@ from .core import (
     Tolerances,
     Triple,
     Vec3,
+    _cross,
+    _dot,
+    _from_parts,
+    _norm_rs,
+    _parts,
     in_wave_cone,
     unit_perpendicular_to_all,
 )
@@ -111,13 +116,30 @@ def plane_wave_conditions(direction: Triple, xi: WaveVector,
     xi_t = 0 this is the curl-free condition of the stationary system), and
     incompressible kinds add "u_div" = |ubar . xi_x|.
     """
-    res = {
-        "gauss": abs(direction.B.dot(xi.xi_x)),
-        "faraday": (direction.B * xi.xi_t + xi.xi_x.cross(direction.E)).norm(),
-    }
-    if kind.incompressible:
-        res["u_div"] = abs(direction.u.dot(xi.xi_x))
-    return res
+    return dict(zip(_CONDITIONS, _condition_residuals(_parts(direction), xi, kind)))
+
+
+_CONDITIONS = ("gauss", "faraday", "u_div")
+
+
+def _condition_residuals(direction, xi: WaveVector, kind: ConeKind) -> tuple:
+    """The residuals of _CONDITIONS that `kind` has (u_div only on incompressible
+    kinds) for a direction of (B, u, E) float component triples: the one
+    implementation of the plane-wave conditions."""
+    B, u, E = direction
+    k, xi_t = (xi.xi_x.x, xi.xi_x.y, xi.xi_x.z), xi.xi_t
+    c = _cross(k, E)
+    f = (B[0] * xi_t + c[0], B[1] * xi_t + c[1], B[2] * xi_t + c[2])
+    res = (abs(_dot(B, k)), math.sqrt(_dot(f, f)))
+    return res + (abs(_dot(u, k)),) if kind.incompressible else res
+
+
+def _conditions_ok(direction, size: float, xi: WaveVector, kind: ConeKind,
+                   tol: Tolerances) -> bool:
+    """True when every plane-wave condition of `kind` holds for a direction of
+    component triples, of norm `size`, within eps_residual (1 + |xi| size)."""
+    return max(_condition_residuals(direction, xi, kind)) <= (
+        tol.eps_residual * (1.0 + xi.norm() * size))
 
 
 def wave_vector_for(direction: Triple, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -196,14 +218,16 @@ def round_to_lattice(xi: WaveVector, direction: Triple,
     Tries scalings that put the largest spatial component at
     1..LATTICE_MAX_SCALE, accepting an integer candidate within angle 1e-2
     of xi_x whose time frequency from Faraday's relation is an integer and
-    whose frequencies satisfy the plane-wave conditions.  Raises
+    whose frequencies satisfy every plane-wave condition of `kind`, div u
+    included on the incompressible kinds.  Raises
     LatticeError when the wave vector is not commensurable with the integer
     lattice at these scales.
     """
     tol = tol or DEFAULT_TOLERANCES
+    parts, size = _parts(direction), direction.norm()
     if xi.is_lattice():
         reduced = _reduce_lattice(xi)
-        if _conditions_ok(direction, reduced, kind, tol):
+        if _conditions_ok(parts, size, reduced, kind, tol):
             return reduced
     top = max(abs(v) for v in xi.xi_x)
     for k in range(1, LATTICE_MAX_SCALE + 1):
@@ -218,7 +242,7 @@ def round_to_lattice(xi: WaveVector, direction: Triple,
         if abs(xi_t - round(xi_t)) > LATTICE_TOL:
             continue
         cand = WaveVector(cand_x, round(xi_t))
-        if _conditions_ok(direction, cand, kind, tol):
+        if _conditions_ok(parts, size, cand, kind, tol):
             return _reduce_lattice(cand)
     raise LatticeError(
         f"no integer frequency within angle 1e-2 of {xi!r} up to scale {LATTICE_MAX_SCALE}")
@@ -234,13 +258,6 @@ def _reduce_lattice(xi: WaveVector) -> WaveVector:
     if g <= 1:
         return WaveVector(Vec3(*(float(v) for v in vals[:3])), float(vals[3]))
     return WaveVector(Vec3(*(v / g for v in vals[:3])), vals[3] / g)
-
-
-def _conditions_ok(direction: Triple, xi: WaveVector, kind: ConeKind,
-                   tol: Tolerances) -> bool:
-    res = plane_wave_conditions(direction, xi, kind)
-    scale = 1.0 + xi.norm() * direction.norm()
-    return max(res["gauss"], res["faraday"]) <= tol.eps_residual * scale
 
 
 @dataclass(frozen=True)
@@ -358,8 +375,15 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
     The field takes value z1 where frac(n_osc * phi / 2pi) < lambda and z2
     otherwise, with phi the plane-wave phase; jumps across phase planes are
     admissible because z1 - z2 satisfies the plane-wave conditions for xi
-    (validated here).  The 1-D phase is sampled at g.n**3 midpoints of equal
-    steps across the averaging window; samples reports that count.
+    (validated here, by the condition kernel round_to_lattice uses).  The 1-D
+    phase is sampled at g.n**3 midpoints of equal steps across the averaging
+    window; samples reports that count, and fraction the share of them
+    below lambda.
+
+    The endpoints are read once as component triples.  The average is
+    z1 f + z2 (1 - f) with f the fraction, and its distance from the mixture
+    lambda z1 + (1 - lambda) z2 is (f - lambda)(z1 - z2), so the error is
+    the closed form |f - lambda| |z1 - z2|, with no mixture formed.
 
     The averaging window spans g.periods base periods plus half an
     oscillation band.  A window commensurate with the bands would average
@@ -378,19 +402,21 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
     tol = tol or DEFAULT_TOLERANCES
     if n_osc < 1:
         raise ValueError(f"n_osc must be a positive integer, got {n_osc}")
-    dz = d.z1 - d.z2
-    if not _conditions_ok(dz, xi, ConeKind.NONSTATIONARY, tol):
+    z1, z2 = _parts(d.z1), _parts(d.z2)
+    dz = tuple((a[0] - b[0], a[1] - b[1], a[2] - b[2]) for a, b in zip(z1, z2))
+    size = _norm_rs(*dz, 1.0, 1.0)
+    if not _conditions_ok(dz, size, xi, ConeKind.NONSTATIONARY, tol):
         raise ValueError("xi does not admit plane waves along z1 - z2; "
-                         f"condition residuals {plane_wave_conditions(dz, xi)}")
+                         f"condition residuals {plane_wave_conditions(d.z1 - d.z2, xi)}")
 
     fracs = _band_fractions(n_osc, g.n, g.periods)
     samples = fracs.size
     fraction = float(np.searchsorted(fracs, d.lam, side="left")) / samples
-
-    average = d.z1 * fraction + d.z2 * (1.0 - fraction)
-    error = (average - d.combine()).norm()
-    return StaircaseReport(average=average, error=error, fraction=fraction,
-                           weight=d.lam, n_osc=n_osc, samples=samples)
+    rest = 1.0 - fraction
+    average = _from_parts(*((a[0] * fraction + b[0] * rest, a[1] * fraction + b[1] * rest,
+                             a[2] * fraction + b[2] * rest) for a, b in zip(z1, z2)))
+    return StaircaseReport(average=average, error=abs(fraction - d.lam) * size,
+                           fraction=fraction, weight=d.lam, n_osc=n_osc, samples=samples)
 
 
 @functools.lru_cache(maxsize=4)

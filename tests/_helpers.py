@@ -28,6 +28,7 @@ from dynamohull import (
 )
 from dynamohull.core import _COLUMNS, _cross, _dot, _frame
 from dynamohull.oracle import TWO_PI, _sphere
+from dynamohull.planewave import _band_fractions
 
 ALPHA_GRID = np.linspace(0.0, 1.0, 10_000)
 _SQRT_WEIGHT = 2.0 * np.sqrt(ALPHA_GRID * (1.0 - ALPHA_GRID))
@@ -323,6 +324,24 @@ def reference_grid_residual(direction, xi, g, kind=ConeKind.NONSTATIONARY):
             worst[key] = max(worst.get(key, 0.0), val)
         slices = [s_cur, s_next, sines[phase + (t_idx + 2) * step_t % n]]
     return worst
+
+
+def reference_staircase_average(d, xi, n_osc, g, tol=None):
+    """staircase_average written in Triple arithmetic: the Gauss and Faraday
+    conditions on z1 - z2 through Vec3 operations, the average and the
+    mixture d.combine() as Triples, and the error as the norm of their
+    difference.  Returns (average, fraction, error), the reference the
+    component-triple version must reproduce."""
+    tol = tol or DEFAULT_TOLERANCES
+    dz = d.z1 - d.z2
+    gauss = abs(dz.B.dot(xi.xi_x))
+    faraday = (dz.B * xi.xi_t + xi.xi_x.cross(dz.E)).norm()
+    if max(gauss, faraday) > tol.eps_residual * (1.0 + xi.norm() * dz.norm()):
+        raise ValueError("xi does not admit plane waves along z1 - z2")
+    fracs = _band_fractions(n_osc, g.n, g.periods)
+    fraction = float(np.searchsorted(fracs, d.lam, side="left")) / fracs.size
+    average = d.z1 * fraction + d.z2 * (1.0 - fraction)
+    return average, fraction, (average - d.combine()).norm()
 
 
 # The per-point membership kernel written out on its own, not shared with the

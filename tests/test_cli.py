@@ -1,9 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dynamohull
 from dynamohull.cli import main
 
 K_POINT = '{"B": [1, 0, 0], "u": [0, 1, 0], "E": [0, 0, 1]}'
@@ -290,3 +295,41 @@ def test_sample_stream_digest(sampler, kind, fmt, tmp_path):
                  "--sampler", sampler, "--kind", kind, "--deterministic",
                  "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_DIGESTS[(sampler, kind, fmt)]
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # main parses with one parser per process; no call leaves a value behind.
+    plain = ["verify-hull", "--count", "200", "--deterministic"]
+    assert main(plain) == 0
+    alone = capsys.readouterr().out
+    assert main(["verify-hull", "--count", "200", "--tol", "1e-6", "--seed", "3",
+                 "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+    assert main(plain) == 0
+    assert capsys.readouterr().out == alone
+    # --n 16 exits 1 on its own (the 4 -> 8 ratio is 1.41); a refused --n 20
+    # before it changes neither its code nor its table.
+    coarse = ["residual", "--n", "16", "--deterministic"]
+    assert main(coarse) == 1
+    alone = capsys.readouterr().out
+    assert main(["residual", "--n", "20"]) == 2
+    capsys.readouterr()
+    assert main(coarse) == 1
+    assert capsys.readouterr().out == alone
+    assert main(["residual", "--n", "20"]) == 2
+    assert main(["residual", "--n", "32", "--deterministic"]) == 0
+
+
+def test_parser_is_built_on_the_first_main_call_only():
+    # Importing the package and its CLI builds no parser; two main calls build one.
+    code = ("import os, dynamohull, dynamohull.cli as cli\n"
+            "before = cli._parser.cache_info().currsize\n"
+            "for _ in range(2):\n"
+            "    assert cli.main(['residual', '--n', '32', '--output', os.devnull]) == 0\n"
+            "info = cli._parser.cache_info()\n"
+            "print(before, info.misses, info.hits)\n")
+    src = str(Path(dynamohull.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["0", "1", "1"]

@@ -29,8 +29,8 @@ from dynamohull import (
     WaveVector,
 )
 from dynamohull import planewave
-from dynamohull.cli import main as cli_main
-from _helpers import ALL_KINDS, cone_direction, reference_grid_residual
+from dynamohull.cli import _RESIDUAL_DIRECTIONS, main as cli_main
+from _helpers import ALL_KINDS, cone_direction, reference_grid_residual, reference_staircase_average
 
 P11 = HullParams(1.0, 1.0)
 ZERO = Vec3(0, 0, 0)
@@ -216,6 +216,21 @@ def test_round_to_lattice_resolves_time_frequency():
     assert fixed.xi_t == 1.0
     res = plane_wave_conditions(CANONICAL_DIR, fixed)
     assert max(res["gauss"], res["faraday"]) <= 1e-10
+
+
+def test_round_to_lattice_checks_div_u_on_incompressible_kinds():
+    # (1, 2, 0; 0) satisfies Gauss and Faraday on the CLI's shared direction,
+    # but ubar . xi_x = 5: its div u residual does not converge on any grid.
+    # On the incompressible kind no rescaling of it passes; the compressible
+    # kind, which has no div u condition, keeps it unchanged.
+    direction = _RESIDUAL_DIRECTIONS["shared"]
+    xi = WaveVector(Vec3(1, 2, 0), 0.0)
+    kind = ConeKind.NONSTATIONARY_INCOMPRESSIBLE
+    assert plane_wave_conditions(direction, xi, kind) == {"gauss": 0.0, "faraday": 0.0,
+                                                          "u_div": 5.0}
+    with pytest.raises(LatticeError):
+        round_to_lattice(xi, direction, kind)
+    assert round_to_lattice(xi, direction, ConeKind.NONSTATIONARY) == xi
 
 
 def test_round_to_lattice_rejects_incommensurable_direction():
@@ -512,3 +527,25 @@ def test_staircase_error_matches_window_formula():
         rep = staircase_average(d, xi, n_osc, GridSpec(48, periods=periods))
         predicted = min(d.lam, 1.0 - d.lam) / (2 * periods * n_osc + 1) * dz_norm
         assert rep.error == pytest.approx(predicted, rel=0.05)
+
+
+def _bits(z: Triple) -> list:
+    return [x.hex() for v in (z.B, z.u, z.E) for x in v]
+
+
+@pytest.mark.parametrize("g", [GridSpec(16), GridSpec(48, periods=2)], ids=["16", "48x2"])
+def test_staircase_matches_triple_arithmetic_reference(g):
+    # The average and fraction are those of the Triple-arithmetic reference
+    # bit for bit; the closed-form error |f - lambda| |z1 - z2| equals the
+    # norm of average - mixture up to rounding.
+    decomps = [_sample_decomposition(seed)[1] for seed in range(60, 68)]
+    for n_osc in (1, 8, 32):
+        for d0 in decomps:
+            for lam in (d0.lam, 0.0, 1.0):
+                d = Decomposition(lam, d0.z1, d0.z2)
+                xi = wave_vector_for(d.z1 - d.z2, ConeKind.NONSTATIONARY)
+                rep = staircase_average(d, xi, n_osc, g)
+                average, fraction, error = reference_staircase_average(d, xi, n_osc, g)
+                assert _bits(rep.average) == _bits(average), (n_osc, lam)
+                assert rep.fraction.hex() == fraction.hex(), (n_osc, lam)
+                assert abs(rep.error - error) <= 1e-15 * (d.z1 - d.z2).norm(), (n_osc, lam)
