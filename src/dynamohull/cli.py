@@ -4,6 +4,9 @@ Exit codes are a stable contract: 0 success, 1 mathematical failure
 (membership violation, failed decomposition, convergence ratio below 3),
 2 usage or parse error.  All randomized commands print the effective seed,
 and --deterministic suppresses the timestamp so reports are byte-stable.
+
+The per-point commands, decompose and wavecone, import no numpy: the
+commands that sample or build grids import oracle or planewave when they run.
 """
 
 from __future__ import annotations
@@ -26,16 +29,6 @@ from .core import (
     in_wave_cone,
 )
 from .laminate import DecompositionError, NotInHullError, decompose, verify_decomposition
-from .oracle import (
-    SampleConfig,
-    _sample_row,
-    sample_K,
-    sample_first_laminate,
-    sample_hull,
-    two_sided_hull_check,
-    write_samples_csv,
-)
-from .planewave import refinement_study, round_to_lattice, wave_vector_for
 
 USAGE_ERROR = 2
 MATH_FAILURE = 1
@@ -74,10 +67,12 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str):
 
 
 def _finest_grid(text: str) -> int:
-    """The residual subcommand's --n: levels n/4, n/2, n must all be even grids."""
+    """The residual subcommand's --n: levels n/4, n/2, n must all be even grids,
+    and the coarsest must resolve the residual directions' waves (at n/4 = 4
+    the 4 -> 8 ratio is 1.41, so --n 16 would always exit 1)."""
     n = int(text)
-    if n < 16 or n % 8 != 0:
-        raise argparse.ArgumentTypeError(f"--n must be a multiple of 8 and at least 16, got {n}")
+    if n < 32 or n % 8 != 0:
+        raise argparse.ArgumentTypeError(f"--n must be a multiple of 8 and at least 32, got {n}")
     return n
 
 
@@ -108,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("residual", help="plane-wave grid residual convergence table")
     _add_flags(p)
     p.add_argument("--n", type=_finest_grid, default=32,
-                   help="finest grid points per axis, a multiple of 8 and at least 16; "
+                   help="finest grid points per axis, a multiple of 8 and at least 32; "
                         "levels n/4, n/2, n (default 32)")
     return parser
 
@@ -149,6 +144,8 @@ def _read_triple(args) -> Triple:
 
 
 def _cmd_verify_hull(args) -> int:
+    from .oracle import SampleConfig, two_sided_hull_check
+
     p = HullParams(args.r, args.s)
     tol = _tolerances(args)
     cfg = SampleConfig(seed=args.seed, count=args.count, params=p,
@@ -197,6 +194,9 @@ def _cmd_wavecone(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .oracle import (SampleConfig, _sample_row, sample_K, sample_first_laminate,
+                         sample_hull, write_samples_csv)
+
     p = HullParams(args.r, args.s)
     tol = _tolerances(args)
     kind = ConeKind.from_label(args.kind)
@@ -215,6 +215,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_residual(args) -> int:
+    from .planewave import refinement_study, round_to_lattice, wave_vector_for
+
     tol = _tolerances(args)
     kind = ConeKind.from_label(args.kind)
     if kind is ConeKind.STATIONARY_INCOMPRESSIBLE:

@@ -32,8 +32,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True, slots=True)
 class Vec3:
@@ -109,14 +107,16 @@ class Vec3:
 
 _obj_new = object.__new__
 _obj_set = object.__setattr__
+# The slots' own setters, which skip the frozen dataclass's __setattr__.
+_set_x, _set_y, _set_z = Vec3.x.__set__, Vec3.y.__set__, Vec3.z.__set__
 
 
 def _vec(x: float, y: float, z: float) -> Vec3:
     """Unchecked Vec3 for arithmetic on already-validated values."""
     v = _obj_new(Vec3)
-    _obj_set(v, "x", x)
-    _obj_set(v, "y", y)
-    _obj_set(v, "z", z)
+    _set_x(v, x)
+    _set_y(v, y)
+    _set_z(v, z)
     return v
 
 
@@ -166,12 +166,15 @@ class Triple:
         return cls.from_json_dict(json.loads(text))
 
 
+_set_B, _set_u, _set_E = Triple.B.__set__, Triple.u.__set__, Triple.E.__set__
+
+
 def _triple(B: Vec3, u: Vec3, E: Vec3) -> Triple:
     """Unchecked Triple for arithmetic on already-validated values."""
     z = _obj_new(Triple)
-    _obj_set(z, "B", B)
-    _obj_set(z, "u", u)
-    _obj_set(z, "E", E)
+    _set_B(z, B)
+    _set_u(z, u)
+    _set_E(z, E)
     return z
 
 
@@ -328,7 +331,8 @@ def _cross(a, b):
 
 # The functions a kernel below takes from its operand type.  Each kernel is
 # written once, on component triples, and runs on Python floats with _FLOATS
-# and on numpy columns with _COLUMNS, in the same operations and order, so a
+# and on numpy columns with oracle._COLUMNS (oracle builds every column, and
+# this module imports no numpy), in the same operations and order, so a
 # block row rounds exactly as one point.  where(c, a, b) is a where c holds,
 # else b; positive(x) is max(0.0, x) with Python's max semantics (NaN -> 0.0);
 # quotient(n, d) is n / d, or 0.0 where d == 0.  A float kernel raises where a
@@ -336,8 +340,6 @@ def _cross(a, b):
 _Math = namedtuple("_Math", "sqrt where positive quotient")
 _FLOATS = _Math(math.sqrt, lambda c, a, b: a if c else b, lambda x: x if x > 0.0 else 0.0,
                 lambda n, d: n / d if d else 0.0)
-_COLUMNS = _Math(np.sqrt, np.where, lambda x: np.where(x > 0.0, x, 0.0),
-                 lambda n, d: np.divide(n, d, out=np.zeros_like(d), where=d != 0.0))
 
 
 def _parts(z: Triple):

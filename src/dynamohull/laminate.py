@@ -37,10 +37,12 @@ The decomposition (the stages ``_exact_ohm_split``, ``_excess_frame``,
 core's ``_frame`` for the axis at B = 0) and the verification residuals
 (``_residuals``) are written once, on component triples: ``decompose`` runs
 them on Python floats, the campaign engine on blocks of (B, u, E) component
-columns (``_decompose_block``), so each row rounds exactly as one point.
-``decompose`` raises between stages, before the float arithmetic each guard
-protects; the block computes every row through, the exact-Ohm and B = 0
-stages on their own rows, and masks exactly the rows ``decompose`` raises on.
+columns (``oracle._decompose_block``), so each row rounds exactly as one
+point.  ``decompose`` raises between stages, before the float arithmetic
+each guard protects; the block computes every row through, the exact-Ohm
+and B = 0 stages on their own rows, and masks exactly the rows
+``decompose`` raises on.  This module imports no numpy: the block wrapper
+lives in oracle, next to the campaign that calls it.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import (
     ConeKind,
     DEFAULT_TOLERANCES,
@@ -58,7 +58,6 @@ from .core import (
     SeparationWitness,
     Tolerances,
     Triple,
-    _COLUMNS,
     _FLOATS,
     _Math,
     _cone_residual,
@@ -268,51 +267,6 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     bbar, ubar = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, _FLOATS)
     lam = _weight(B, bbar, _FLOATS)
     return _decomposition(lam, *_endpoints(B, u, bbar, ubar, lam))
-
-
-def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
-    """decompose on a block of targets (B, u, E), columns.
-
-    Returns (lam, z1, z2, raises): the weights and the endpoint states (as
-    columns), decompose's bit for bit, and the mask of the rows decompose
-    raises on: outside the relaxed set, or off exact Ohm with the amplitude
-    on the boundary or a degenerate working plane.  lam, z1 and z2 are
-    meaningless on those rows.
-    """
-    with np.errstate(all="ignore"):
-        lam, bbar, ubar, raises = _split_block(B, u, E, p, kind, tol)
-        z1, z2 = _endpoints(B, u, bbar, ubar, lam)
-    return lam, z1, z2, raises
-
-
-def _split_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
-    """The weights and perturbations (lam, bbar, ubar) of _decompose_block and its
-    mask of raising rows, in a function of their own, so that the working-plane
-    columns die before the endpoints are built.  The exact-Ohm split and the
-    B = 0 axis run on their own rows only."""
-    r, s = p.r, p.s
-    m = _COLUMNS
-    (g1, g3, g2), (nb2, nu2, excess, c2) = _separation_flags(B, u, E, p, kind, tol.eps_mem, m)
-    rr, ss = r * r - nb2, s * s - nu2
-    ohm = np.sqrt(c2) <= tol.eps_root * r * s
-    f = _excess_frame(rr, ss, excess, m)
-    nb = np.sqrt(nb2)
-    e1 = tuple(x / nb for x in B)
-    zero = nb == 0.0
-    if zero.any():
-        for x, y in zip(e1, _frame(tuple(a[zero] for a in f.nhat), m)[1]):
-            x[zero] = y
-    w, wn = _plane_normal(e1, f, m)
-    bbar, ubar = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, m)
-    lam = _weight(B, bbar, m)
-    if ohm.any():
-        split = _exact_ohm_split(tuple(a[ohm] for a in B), tuple(a[ohm] for a in u),
-                                 rr[ohm], ss[ohm], m)
-        for x, y in zip(bbar + ubar, split[0] + split[1]):
-            x[ohm] = y
-        lam[ohm] = 0.5
-    guarded = (rr <= tol.eps_mem * r * r) | (ss <= tol.eps_mem * s * s) | ~(wn >= 1e-6)
-    return lam, bbar, ubar, g1 | g3 | g2 | (~ohm & guarded)
 
 
 def _residuals(lam, z1, z2, target, p: HullParams, kind: ConeKind, m: _Math) -> dict:

@@ -44,6 +44,11 @@ bit.  Rows become Triples only at the edge: the public samplers stack a
 block's rows (N x 9, or N x 18 for pairs) and make Triples of them a slice
 at a time (_items), and the campaign reads its failure rows one at a time
 (_triple_at).
+
+This module is where numpy comes in: core and laminate import none, so the
+per-point API loads without it.  _COLUMNS is the column view of core's
+kernels, and the block decomposition (_decompose_block) lives here, next to
+the campaign that calls it, running laminate's stage functions.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from .core import (
     HullParams,
     Tolerances,
     Triple,
-    _COLUMNS,
+    _Math,
     _cone_residual,
     _cross,
     _dot,
@@ -78,7 +83,24 @@ from .core import (
     eval_g3,
     in_hull,
 )
-from .laminate import DecompositionError, _decompose_block, _residuals, decompose
+from .laminate import (
+    DecompositionError,
+    _endpoints,
+    _exact_ohm_split,
+    _excess_frame,
+    _perturbations,
+    _plane_normal,
+    _residuals,
+    _sinusoid,
+    _weight,
+    decompose,
+)
+
+# core._Math on numpy columns: the functions core's kernels, written once on
+# component triples, take from a block of columns (core._FLOATS is the view
+# on the floats of one point).
+_COLUMNS = _Math(np.sqrt, np.where, lambda x: np.where(x > 0.0, x, 0.0),
+                 lambda n, d: np.divide(n, d, out=np.zeros_like(d), where=d != 0.0))
 
 TWO_PI = 2.0 * math.pi
 
@@ -512,6 +534,51 @@ def _check_mixtures(report: HullCheckReport, z, p: HullParams, kind: ConeKind,
             report.record_failure("laminate", zi, "combination fails closed-form membership")
         if off_cone[i]:
             report.record_failure("laminate", zi, f"u.E residual {float(res[i])}")
+
+
+def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
+    """decompose on a block of targets (B, u, E), columns.
+
+    Returns (lam, z1, z2, raises): the weights and the endpoint states (as
+    columns), decompose's bit for bit, and the mask of the rows decompose
+    raises on: outside the relaxed set, or off exact Ohm with the amplitude
+    on the boundary or a degenerate working plane.  lam, z1 and z2 are
+    meaningless on those rows.
+    """
+    with np.errstate(all="ignore"):
+        lam, bbar, ubar, raises = _split_block(B, u, E, p, kind, tol)
+        z1, z2 = _endpoints(B, u, bbar, ubar, lam)
+    return lam, z1, z2, raises
+
+
+def _split_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
+    """The weights and perturbations (lam, bbar, ubar) of _decompose_block and its
+    mask of raising rows, in a function of their own, so that the working-plane
+    columns die before the endpoints are built.  The exact-Ohm split and the
+    B = 0 axis run on their own rows only."""
+    r, s = p.r, p.s
+    m = _COLUMNS
+    (g1, g3, g2), (nb2, nu2, excess, c2) = _separation_flags(B, u, E, p, kind, tol.eps_mem, m)
+    rr, ss = r * r - nb2, s * s - nu2
+    ohm = np.sqrt(c2) <= tol.eps_root * r * s
+    f = _excess_frame(rr, ss, excess, m)
+    nb = np.sqrt(nb2)
+    e1 = tuple(x / nb for x in B)
+    zero = nb == 0.0
+    if zero.any():
+        for x, y in zip(e1, _frame(tuple(a[zero] for a in f.nhat), m)[1]):
+            x[zero] = y
+    w, wn = _plane_normal(e1, f, m)
+    bbar, ubar = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, m)
+    lam = _weight(B, bbar, m)
+    if ohm.any():
+        split = _exact_ohm_split(tuple(a[ohm] for a in B), tuple(a[ohm] for a in u),
+                                 rr[ohm], ss[ohm], m)
+        for x, y in zip(bbar + ubar, split[0] + split[1]):
+            x[ohm] = y
+        lam[ohm] = 0.5
+    guarded = (rr <= tol.eps_mem * r * r) | (ss <= tol.eps_mem * s * s) | ~(wn >= 1e-6)
+    return lam, bbar, ubar, g1 | g3 | g2 | (~ohm & guarded)
 
 
 def _check_decompositions(report: HullCheckReport, z, p: HullParams,

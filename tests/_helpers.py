@@ -26,8 +26,8 @@ from dynamohull import (
     unit_perpendicular_to_all,
     verify_decomposition,
 )
-from dynamohull.core import _COLUMNS, _cross, _dot, _frame
-from dynamohull.oracle import TWO_PI, _sphere
+from dynamohull.core import _cross, _dot, _frame
+from dynamohull.oracle import _COLUMNS, TWO_PI, _sphere
 from dynamohull.planewave import _band_fractions
 
 ALPHA_GRID = np.linspace(0.0, 1.0, 10_000)

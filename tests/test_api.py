@@ -1,7 +1,12 @@
 """The package's public surface and its imports: every exported name resolves,
-a star import works, and no module of the package imports a name it never uses."""
+a star import works, no module of the package imports a name it never uses,
+and the per-point layer loads no numpy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +82,50 @@ def test_every_module_level_name_is_read_or_exported():
               for line, name in _module_level_names(tree)
               if name not in read and not name.startswith("__")]
     assert unread == []
+
+
+# Runs in a fresh interpreter, with the path of a triple file as argv[1], and
+# prints whether numpy is loaded after each step.
+IMPORT_STEPS = """
+import json, os, sys
+loaded = {}
+import dynamohull as dh
+loaded["import"] = "numpy" in sys.modules
+p = dh.HullParams(1.0, 1.0)
+z = dh.Triple(dh.Vec3(0.3, 0.0, 0.0), dh.Vec3(0.0, 0.4, 0.0), dh.Vec3(0.0, 0.0, 0.5))
+d = dh.decompose(z, p)
+assert dh.in_hull(z, p) and dh.verify_decomposition(d, z, p).passed
+loaded["set-up probe"] = "numpy" in sys.modules
+dh.separation_witness(z, p)
+dh.in_wave_cone(z, dh.ConeKind.STATIONARY_INCOMPRESSIBLE)
+dh.unit_perpendicular_to_all((z.B, z.u))
+d.to_json_dict()
+loaded["per-point calls"] = "numpy" in sys.modules
+from dynamohull import cli
+for command in ("decompose", "wavecone"):
+    assert cli.main([command, "--input", sys.argv[1], "--output", os.devnull]) == 0
+loaded["cli decompose, wavecone"] = "numpy" in sys.modules
+sample_hull = dh.sample_hull
+loaded["sample_hull"] = "numpy" in sys.modules
+loaded["sample_hull is oracle's"] = sample_hull is dh.oracle.sample_hull
+print(json.dumps(loaded))
+"""
+
+
+def test_per_point_layer_loads_no_numpy(tmp_path):
+    path = tmp_path / "triple.json"
+    path.write_text('{"B": [0.3, 0.1, 0], "u": [0, 0.2, 0.4], "E": [0.04, -0.12, 0.36]}')
+    src = str(Path(dynamohull.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_STEPS, str(path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {
+        "import": False, "set-up probe": False, "per-point calls": False,
+        "cli decompose, wavecone": False, "sample_hull": True, "sample_hull is oracle's": True,
+    }
+
+
+def test_lazy_names_are_listed_and_unknown_names_raise():
+    assert set(dynamohull.__all__) <= set(dir(dynamohull))
+    with pytest.raises(AttributeError, match="module 'dynamohull' has no attribute 'nope'"):
+        dynamohull.nope

@@ -30,8 +30,9 @@ from dynamohull import (
     verify_decomposition,
 )
 from dynamohull import oracle
-from dynamohull.core import _COLUMNS, DEFAULT_TOLERANCES, _separating_function, _separation_flags
-from dynamohull.laminate import _decompose_block, _residuals
+from dynamohull.core import DEFAULT_TOLERANCES, _separating_function, _separation_flags
+from dynamohull.laminate import _residuals
+from dynamohull.oracle import _COLUMNS, _decompose_block
 from _helpers import (
     ALL_KINDS,
     RAISING_BRANCHES,

@@ -211,6 +211,7 @@ def test_residual_fine_grid_converges_at_second_order(kind, capsys):
 def test_residual_rejects_bad_grid():
     assert main(["residual", "--n", "10"]) == 2
     assert main(["residual", "--n", "8"]) == 2
+    assert main(["residual", "--n", "16"]) == 2
 
 
 def test_residual_rejects_odd_coarsest_level(capsys):
@@ -219,7 +220,7 @@ def test_residual_rejects_odd_coarsest_level(capsys):
     assert main(["residual", "--n", "20"]) == 2
     err = capsys.readouterr().err
     assert "usage:" in err
-    assert "--n must be a multiple of 8 and at least 16, got 20" in err
+    assert "--n must be a multiple of 8 and at least 32, got 20" in err
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -297,7 +298,7 @@ def test_sample_stream_digest(sampler, kind, fmt, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_DIGESTS[(sampler, kind, fmt)]
 
 
-def test_shared_parser_keeps_no_state_between_calls(capsys):
+def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
     # main parses with one parser per process; no call leaves a value behind.
     plain = ["verify-hull", "--count", "200", "--deterministic"]
     assert main(plain) == 0
@@ -307,14 +308,16 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 3
     assert main(plain) == 0
     assert capsys.readouterr().out == alone
-    # --n 16 exits 1 on its own (the 4 -> 8 ratio is 1.41); a refused --n 20
-    # before it changes neither its code nor its table.
-    coarse = ["residual", "--n", "16", "--deterministic"]
-    assert main(coarse) == 1
+    # A point outside the hull exits 1 on its own; a refused --n 20 before it
+    # changes neither its code nor its report.
+    path = tmp_path / "outside.json"
+    path.write_text('{"B": [0, 0, 0], "u": [0, 0, 0], "E": [0, 0, 2]}')
+    outside = ["decompose", "--input", str(path), "--deterministic"]
+    assert main(outside) == 1
     alone = capsys.readouterr().out
     assert main(["residual", "--n", "20"]) == 2
     capsys.readouterr()
-    assert main(coarse) == 1
+    assert main(outside) == 1
     assert capsys.readouterr().out == alone
     assert main(["residual", "--n", "20"]) == 2
     assert main(["residual", "--n", "32", "--deterministic"]) == 0

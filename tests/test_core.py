@@ -24,7 +24,8 @@ from dynamohull import (
     unit_perpendicular,
     unit_perpendicular_to_all,
 )
-from dynamohull.core import _COLUMNS, _frame, _perpendicular
+from dynamohull.core import _frame, _perpendicular
+from dynamohull.oracle import _COLUMNS
 from _helpers import (
     ALL_KINDS,
     cone_direction,

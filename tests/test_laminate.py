@@ -33,8 +33,9 @@ from _helpers import (
     unit,
     vec,
 )
-from dynamohull.core import _COLUMNS, _FLOATS, DEFAULT_TOLERANCES, _parts, _separation_flags
+from dynamohull.core import _FLOATS, DEFAULT_TOLERANCES, _parts, _separation_flags
 from dynamohull.laminate import _excess_frame, _plane_normal, _root_direction, _sinusoid
+from dynamohull.oracle import _COLUMNS
 from test_blocks import KINDS, RADII
 
 P11 = HullParams(1.0, 1.0)
