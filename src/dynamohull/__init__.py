@@ -61,6 +61,8 @@ def _lazy_submodule(name: str):
     return module
 
 
+# Registered rather than imported from __getattr__, so that code which looks a
+# layer up in sys.modules, as perfbench/tracing.py does, finds all five.
 cli, oracle, planewave = map(_lazy_submodule, ("cli", "oracle", "planewave"))
 
 # The names defined by a lazy submodule, and which one.
