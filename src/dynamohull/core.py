@@ -310,13 +310,9 @@ def eval_g3(z: Triple) -> float:
 
 
 def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -> bool:
-    """True when E = B x u with |B| = r and |u| = s, up to relative slack."""
+    """True when E = B x u, |B| = r and |u| = s: each _constraint_residuals <= eps_mem."""
     eps = (tol or DEFAULT_TOLERANCES).eps_mem
-    if abs(z.B.norm() - p.r) > eps * p.r:
-        return False
-    if abs(z.u.norm() - p.s) > eps * p.s:
-        return False
-    return (z.E - z.B.cross(z.u)).norm() <= eps * p.r * p.s
+    return all(x <= eps for x in _constraint_residuals(*_parts(z), p.r, p.s))
 
 
 def _dot(a, b):
@@ -357,6 +353,15 @@ def _norm_rs(B, u, E, r: float, s: float, m: _Math = _FLOATS):
     """The norm of the 9-component state (B/r, u/s, E/(rs)) of a (B, u, E) state of
     component triples, floats or columns; Triple.norm(r, s) is its float view."""
     return m.sqrt(_dot(B, B) / (r * r) + _dot(u, u) / (s * s) + _dot(E, E) / (r * r * s * s))
+
+
+def _constraint_residuals(B, u, E, r: float, s: float, m: _Math = _FLOATS):
+    """(||B| - r| / r, ||u| - s| / s, |E - B x u| / (rs)) of a (B, u, E) state of
+    component triples, floats or columns: its distance from the constraint set."""
+    bxu = _cross(B, u)
+    ohm = (E[0] - bxu[0], E[1] - bxu[1], E[2] - bxu[2])
+    return (abs(m.sqrt(_dot(B, B)) - r) / r, abs(m.sqrt(_dot(u, u)) - s) / s,
+            m.sqrt(_dot(ohm, ohm)) / (r * s))
 
 
 def _frame(v, m: _Math = _FLOATS):

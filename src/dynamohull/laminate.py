@@ -61,6 +61,7 @@ from .core import (
     _FLOATS,
     _Math,
     _cone_residual,
+    _constraint_residuals,
     _cross,
     _dot,
     _excess_cap,
@@ -221,6 +222,20 @@ def _weight(B, bbar, m: _Math):
     return m.where(lam < 1.0, lam, 1.0)
 
 
+# decompose raises where the working plane's normal |e1 x nhat| falls below this.
+_DEGENERATE_PLANE = 1e-6
+
+
+def _exact_ohm(c, p: HullParams, tol: Tolerances):
+    """c = |E - B x u| <= eps_root rs, decompose's exact-Ohm branch; floats or columns."""
+    return c <= tol.eps_root * p.r * p.s
+
+
+def _on_amplitude_boundary(rr, ss, p: HullParams, tol: Tolerances):
+    """rr = r^2 - |B|^2 <= eps_mem r^2 or ss = s^2 - |u|^2 <= eps_mem s^2; floats or columns."""
+    return (rr <= tol.eps_mem * p.r * p.r) | (ss <= tol.eps_mem * p.s * p.s)
+
+
 def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
               tol: Tolerances | None = None) -> Decomposition:
     """Write a relaxed-set point as a two-state constraint-set mixture.
@@ -241,12 +256,11 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
         w = separation_witness(z, p, kind, tol)
         raise NotInHullError(f"point outside the relaxed set (witness {w.function}"
                              f" = {w.value})", w)
-    r, s = p.r, p.s
-    rr, ss, c = r * r - nb2, s * s - nu2, math.sqrt(c2)
-    if c <= tol.eps_root * r * s:
+    rr, ss, c = p.r * p.r - nb2, p.s * p.s - nu2, math.sqrt(c2)
+    if _exact_ohm(c, p, tol):
         bbar, ubar = _exact_ohm_split(B, u, rr, ss, _FLOATS)
         return _decomposition(0.5, *_endpoints(B, u, bbar, ubar, 0.5))
-    if rr <= tol.eps_mem * r * r or ss <= tol.eps_mem * s * s:
+    if _on_amplitude_boundary(rr, ss, p, tol):
         # On the amplitude boundary the excess must vanish, so a boundary
         # point with E != B x u cannot be an interior relaxed-set point.
         raise NotInHullError(
@@ -261,7 +275,7 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     w, wn = _plane_normal(e1, f, _FLOATS)
     # B . Ebar = 0 on the relaxed set forces |B x Ebar| = |B||Ebar|; it vanishes
     # only for a tiny B parallel to the excess, admitted by the slack of g1.
-    if wn < 1e-6:
+    if wn < _DEGENERATE_PLANE:
         raise DecompositionError(
             "working plane degenerate: B is parallel to the excess field")
     bbar, ubar = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, _FLOATS)
@@ -275,21 +289,22 @@ def _residuals(lam, z1, z2, target, p: HullParams, kind: ConeKind, m: _Math) -> 
     numpy columns with one column per check."""
     r, s = p.r, p.s
     rs = r * s
-    res = {}
-    for name, (B, u, E) in (("z1", z1), ("z2", z2)):
-        bxu = _cross(B, u)
-        ohm = (E[0] - bxu[0], E[1] - bxu[1], E[2] - bxu[2])
-        res[f"{name}_B_amplitude"] = abs(m.sqrt(_dot(B, B)) - r) / r
-        res[f"{name}_u_amplitude"] = abs(m.sqrt(_dot(u, u)) - s) / s
-        res[f"{name}_ohm"] = m.sqrt(_dot(ohm, ohm)) / rs
+    tB, tu, _ = target
+    res = dict(zip(("z1_B_amplitude", "z1_u_amplitude", "z1_ohm",
+                    "z2_B_amplitude", "z2_u_amplitude", "z2_ohm"),
+                   (*_constraint_residuals(*z1, r, s, m), *_constraint_residuals(*z2, r, s, m))))
 
     dB, du, dE = ((a[0] - b[0], a[1] - b[1], a[2] - b[2]) for a, b in zip(z1, z2))
     res["cone_BE"] = _cone_residual(dB, dE, rs * r, m)
+    dB_len, du_len = m.sqrt(_dot(dB, dB)), m.sqrt(_dot(du, du))
     if kind.restricts_u:
         res["cone_uE"] = _cone_residual(du, dE, rs * s, m)
-    # The identity below needs only the lengths; on columns the differences
-    # would outlive their use.
-    dB_len, du_len = m.sqrt(_dot(dB, dB)), m.sqrt(_dot(du, du))
+        # The mixture's E is B x u + lam (1-lam) dB x du, so its u . E vanishes
+        # only with u . (dB x du), u the target's; normalised as cone_uE.
+        res["mixing_orthogonality"] = abs(_dot(tu, _cross(dB, du))) / (
+            rs * s + m.sqrt(_dot(tu, tu)) * dB_len * du_len)
+    # The rest needs only the lengths; on columns the differences would
+    # outlive their use.
     del dB, du, dE
 
     below = m.positive(-lam)
@@ -300,7 +315,6 @@ def _residuals(lam, z1, z2, target, p: HullParams, kind: ConeKind, m: _Math) -> 
             a[2] * lam + b[2] * mu - t[2]) for a, b, t in zip(z1, z2, target))
     res["reconstruction"] = _norm_rs(*gap, r, s, m) / (1.0 + _norm_rs(*target, r, s, m))
 
-    tB, tu, _ = target
     d_bound = m.sqrt(_excess_cap(_dot(tB, tB), _dot(tu, tu), p, m))
     prod = lam * mu * dB_len * du_len
     res["weight_amplitude_identity"] = abs(prod - d_bound) / (rs + d_bound)
@@ -331,9 +345,10 @@ def verify_decomposition(d: Decomposition, target: Triple, p: HullParams,
     """Check a decomposition against its target, reporting residuals.
 
     Checks: both endpoints on the constraint set, endpoint difference in the
-    cone for `kind`, weight inside [0,1], reconstruction of the target, and
-    the product identity lam * (1-lam) * |B1-B2| * |u1-u2|
-    = sqrt((r^2-|B|^2)(s^2-|u|^2)) tying the weight to the amplitude gaps.
+    cone for `kind`, weight inside [0,1], reconstruction of the target, the
+    product identity lam * (1-lam) * |B1-B2| * |u1-u2|
+    = sqrt((r^2-|B|^2)(s^2-|u|^2)) tying the weight to the amplitude gaps,
+    and on the restricted cone u . ((B1-B2) x (u1-u2)) = 0, u the target's.
     """
     tol = tol or DEFAULT_TOLERANCES
     res = _residuals(d.lam, _parts(d.z1), _parts(d.z2), _parts(target), p, kind, _FLOATS)

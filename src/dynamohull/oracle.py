@@ -36,13 +36,14 @@ so one block's columns are alive at a time and the campaign's memory is a
 few dozen columns of BLOCK rows whatever its count.  No output depends on
 BLOCK: every kernel is elementwise, and the report folds are maxima, counts
 and failure lists in point order (a NaN residual, which fails its point,
-also drops its block's maxima; see _check_decompositions).  The campaign's
-membership, decomposition and verification kernels are the per-point ones,
-run on numpy columns in the same operations, in the same order, as a
-single point, so its reports are those of the per-point functions bit for
-bit.  Rows become Triples only at the edge: the public samplers stack a
-block's rows (N x 9, or N x 18 for pairs) and make Triples of them a slice
-at a time (_items), and the campaign reads its failure rows one at a time
+also drops its block's maximum of that check; see _check_decompositions).
+The campaign's membership, decomposition and verification kernels are the
+per-point ones, run on numpy columns in the same operations, in the same
+order, as a single point, so its reports are those of the per-point
+functions bit for bit; it checks nothing they do not.
+Rows become Triples only at the edge: the public samplers stack a block's
+rows (N x 9, or N x 18 for pairs) and make Triples of them a slice at a
+time (_items), and the campaign reads its failure rows one at a time
 (_triple_at).
 
 This module is where numpy comes in: core and laminate import none, so the
@@ -84,10 +85,13 @@ from .core import (
     in_hull,
 )
 from .laminate import (
+    _DEGENERATE_PLANE,
     DecompositionError,
     _endpoints,
+    _exact_ohm,
     _exact_ohm_split,
     _excess_frame,
+    _on_amplitude_boundary,
     _perturbations,
     _plane_normal,
     _residuals,
@@ -128,8 +132,9 @@ class SampleConfig:
     kind: ConeKind = ConeKind.NONSTATIONARY
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValueError(f"count must be nonnegative, got {self.count}")
+        if not (self.count >= 0 and self.count % 1 == 0):
+            raise ValueError(f"count must be a nonnegative integer, got {self.count}")
+        object.__setattr__(self, "count", int(self.count))
 
 
 def _generator(cfg: SampleConfig) -> Generator:
@@ -407,7 +412,11 @@ def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
 
 @dataclass
 class HullCheckReport:
-    """Outcome of a two-sided campaign; serializes deterministically."""
+    """Outcome of a two-sided campaign; serializes deterministically.
+
+    failure_count counts failing points, one record each.  Every verification
+    maximum is read from max_residual_by_check, each check's largest residual.
+    """
 
     seed: int
     kind: str
@@ -417,10 +426,8 @@ class HullCheckReport:
     laminate_failure_count: int = 0
     decompose_checked: int = 0
     decompose_failure_count: int = 0
-    max_verify_residual: float = 0.0
     max_residual_by_check: dict = field(default_factory=dict)
     max_u_orthogonality: float | None = None
-    max_mixing_orthogonality: float | None = None
     failures: list = field(default_factory=list)
 
     MAX_RECORDED_FAILURES = 20
@@ -430,12 +437,16 @@ class HullCheckReport:
         return self.laminate_failure_count + self.decompose_failure_count
 
     @property
+    def max_verify_residual(self) -> float:
+        return max(self.max_residual_by_check.values(), default=0.0)
+
+    @property
+    def max_mixing_orthogonality(self) -> float | None:
+        return self.max_residual_by_check.get("mixing_orthogonality")
+
+    @property
     def max_residual(self) -> float:
-        worst = self.max_verify_residual
-        for extra in (self.max_u_orthogonality, self.max_mixing_orthogonality):
-            if extra is not None:
-                worst = max(worst, extra)
-        return worst
+        return max(self.max_verify_residual, self.max_u_orthogonality or 0.0)
 
     def record_failure(self, side: str, z: Triple, reason: str):
         if side == "laminate":
@@ -478,62 +489,47 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
     decomposition) checks and aggregate the outcome.
 
     cfg.count combinations are generated for the inner half; cfg.count // 10
-    points are sampled from the closed-form set for the surjective half.
-    inner_tol (default tol) controls the membership slack on the inner half;
-    tol controls decomposition and verification.  Both halves run in blocks
-    of BLOCK rows and report exactly what the per-point functions would,
-    failures in point order.
+    points are sampled from the closed-form set for the surjective half.  A
+    mixture fails exactly when in_hull at inner_tol (default tol) rejects it,
+    a hull point when decompose raises or verify_decomposition at tol fails.
+    Both halves run in blocks of BLOCK rows and report exactly what the
+    per-point functions would, failures in point order.
     """
     tol = tol or DEFAULT_TOLERANCES
     inner_tol = inner_tol or tol
     p = cfg.params
     kind = cfg.kind
-    # u-orthogonality residuals are those of the normalised triple
-    # (B/r, u/s, E/(rs)); r s^2 is the unit of u . E.
-    rss = p.r * p.s * p.s
     report = HullCheckReport(seed=cfg.seed, kind=kind.label, r=p.r, s=p.s)
 
     # Each loop drops its block before the next one is drawn and built, so
     # one block's columns are alive at a time.
     for z in _mixture_blocks(_generator(cfg), cfg):
-        _check_mixtures(report, z, p, kind, tol, inner_tol, rss)
+        _check_mixtures(report, z, p, kind, inner_tol)
         del z
 
     hull_cfg = SampleConfig(seed=cfg.seed, count=cfg.count // 10, params=p, kind=kind)
     for z in _hull_blocks(_generator(hull_cfg), hull_cfg):
-        _check_decompositions(report, z, p, kind, tol, rss)
+        _check_decompositions(report, z, p, kind, tol)
         del z
     return report
 
 
-def _fold_max(acc: float | None, values: np.ndarray) -> float | None:
-    """The running maximum acc (None before the first value) over values."""
-    if not len(values):
-        return acc
-    top = float(values.max())
-    return top if acc is None or top > acc else acc
-
-
 def _check_mixtures(report: HullCheckReport, z, p: HullParams, kind: ConeKind,
-                    tol: Tolerances, inner_tol: Tolerances, rss: float):
-    """Check a block z of mixtures, (B, u, E) columns, for membership (inner_tol)
-    and, on the restricted cone, u-orthogonality (tol) into the report."""
+                    inner_tol: Tolerances):
+    """Check a block z of mixtures, (B, u, E) columns, for membership at inner_tol
+    into the report.  On the restricted cone the kernel's g3 is the one u . E
+    test; the u . E residual is only folded into max_u_orthogonality."""
     B, u, E = z
-    n = len(B[0])
-    report.laminate_checked += n
+    report.laminate_checked += len(B[0])
     g1, g3, g2 = _separation_flags(B, u, E, p, kind, inner_tol.eps_mem, _COLUMNS)[0]
-    outside = g1 | g3 | g2
-    off_cone = np.zeros(n, dtype=bool)
     if kind.restricts_u:
-        res = _cone_residual(u, E, rss, _COLUMNS)
-        report.max_u_orthogonality = _fold_max(report.max_u_orthogonality, res)
-        off_cone = res > tol.eps_mem
-    for i in np.flatnonzero(outside | off_cone).tolist():
-        zi = _triple_at(z, i)
-        if outside[i]:
-            report.record_failure("laminate", zi, "combination fails closed-form membership")
-        if off_cone[i]:
-            report.record_failure("laminate", zi, f"u.E residual {float(res[i])}")
+        # u . E's residual on the normalised triple (B/r, u/s, E/(rs)), unit r s^2.
+        top = float(_cone_residual(u, E, p.r * p.s * p.s, _COLUMNS).max())
+        acc = report.max_u_orthogonality
+        report.max_u_orthogonality = top if acc is None or top > acc else acc
+    for i in np.flatnonzero(g1 | g3 | g2).tolist():
+        report.record_failure("laminate", _triple_at(z, i),
+                              "combination fails closed-form membership")
 
 
 def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
@@ -556,11 +552,10 @@ def _split_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
     mask of raising rows, in a function of their own, so that the working-plane
     columns die before the endpoints are built.  The exact-Ohm split and the
     B = 0 axis run on their own rows only."""
-    r, s = p.r, p.s
     m = _COLUMNS
     (g1, g3, g2), (nb2, nu2, excess, c2) = _separation_flags(B, u, E, p, kind, tol.eps_mem, m)
-    rr, ss = r * r - nb2, s * s - nu2
-    ohm = np.sqrt(c2) <= tol.eps_root * r * s
+    rr, ss = p.r * p.r - nb2, p.s * p.s - nu2
+    ohm = _exact_ohm(np.sqrt(c2), p, tol)
     f = _excess_frame(rr, ss, excess, m)
     nb = np.sqrt(nb2)
     e1 = tuple(x / nb for x in B)
@@ -577,20 +572,21 @@ def _split_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
         for x, y in zip(bbar + ubar, split[0] + split[1]):
             x[ohm] = y
         lam[ohm] = 0.5
-    guarded = (rr <= tol.eps_mem * r * r) | (ss <= tol.eps_mem * s * s) | ~(wn >= 1e-6)
+    # ~(wn >= ...) rather than wn < ...: a NaN row raises.
+    guarded = _on_amplitude_boundary(rr, ss, p, tol) | ~(wn >= _DEGENERATE_PLANE)
     return lam, bbar, ubar, g1 | g3 | g2 | (~ohm & guarded)
 
 
 def _check_decompositions(report: HullCheckReport, z, p: HullParams,
-                          kind: ConeKind, tol: Tolerances, rss: float):
+                          kind: ConeKind, tol: Tolerances):
     """Decompose and verify a block z of hull points, (B, u, E) columns, into the report.
 
     The block kernel splits every point decompose splits, and the block is
-    verified as one; decompose itself runs only on the points it raises on,
-    for the error message, so the rare branches have one implementation.
+    verified as one, by verify_decomposition's residuals and nothing else;
+    decompose itself runs only on the points it raises on, for the error
+    message, so the rare branches have one implementation.
     """
-    n = len(z[0][0])
-    report.decompose_checked += n
+    report.decompose_checked += len(z[0][0])
     lam, z1, z2, raises = _decompose_block(*z, p, kind, tol)
     verified = ~raises
 
@@ -600,27 +596,12 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
     # fails) and its maximum over the verified rows.
     failing = {name: verified & ~(col <= tol.eps_mem) for name, col in res.items()}
     if verified.any():
-        tops = [float(col[verified].max()) for col in res.values()]
-        # A NaN maximum of one check makes the block's NaN, which max drops.
-        report.max_verify_residual = max(report.max_verify_residual, float(np.max(tops)))
         by_check = report.max_residual_by_check
-        for name, val in zip(res, tops):
-            by_check[name] = max(by_check.get(name, 0.0), val)
-    mixing = np.zeros(n)
-    if kind.restricts_u:
-        dB, du = (tuple(a - b for a, b in zip(z1[k], z2[k])) for k in (0, 1))
-        u = z[1]
-        with np.errstate(all="ignore"):
-            mixing = np.abs(_dot(u, _cross(dB, du))) / (
-                rss + np.sqrt(_dot(u, u)) * np.sqrt(_dot(dB, dB)) * np.sqrt(_dot(du, du)))
-        report.max_mixing_orthogonality = _fold_max(report.max_mixing_orthogonality,
-                                                    mixing[verified])
-    unmixed = verified & (mixing > tol.eps_mem)
+        for name, col in res.items():
+            # A NaN maximum, of a block with a failing point, leaves the fold as it was.
+            by_check[name] = max(by_check.get(name, 0.0), float(col[verified].max()))
 
-    flagged = raises | unmixed
-    for bad in failing.values():
-        flagged |= bad
-    for i in np.flatnonzero(flagged).tolist():
+    for i in np.flatnonzero(np.logical_or.reduce([raises, *failing.values()])).tolist():
         zi = _triple_at(z, i)
         if raises[i]:
             try:
@@ -630,10 +611,7 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
                 continue
             raise RuntimeError(f"the block kernel left a point decompose splits: {zi.to_json()}")
         names = [name for name, bad in failing.items() if bad[i]]
-        if names:
-            report.record_failure("decompose", zi, "verification failed: " + ", ".join(names))
-        if unmixed[i]:
-            report.record_failure("decompose", zi, f"u.(Bbar x ubar) residual {float(mixing[i])}")
+        report.record_failure("decompose", zi, "verification failed: " + ", ".join(names))
 
 
 CSV_HEADER = "Bx,By,Bz,ux,uy,uz,Ex,Ey,Ez,in_hull,g1,g2,g3"

@@ -94,12 +94,12 @@ class GridSpec:
     periods: int = 1
 
     def __post_init__(self):
-        n = int(self.n)
-        if n < 4 or n % 2 != 0:
-            raise ValueError(f"grid needs at least 4 points per axis and an even count, got {n}")
-        periods = int(self.periods)
-        if periods < 1:
-            raise ValueError(f"periods must be a positive integer, got {periods}")
+        n, periods = int(self.n), int(self.periods)
+        if n != self.n or n < 4 or n % 2 != 0:
+            raise ValueError("grid needs an even integer count of at least 4 points per axis, "
+                             f"got {self.n}")
+        if periods != self.periods or periods < 1:
+            raise ValueError(f"periods must be a positive integer, got {self.periods}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "periods", periods)
 
@@ -400,7 +400,7 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
     n = 48), and the count below lambda is one binary search.
     """
     tol = tol or DEFAULT_TOLERANCES
-    if n_osc < 1:
+    if not (n_osc >= 1 and n_osc % 1 == 0):
         raise ValueError(f"n_osc must be a positive integer, got {n_osc}")
     z1, z2 = _parts(d.z1), _parts(d.z2)
     dz = tuple((a[0] - b[0], a[1] - b[1], a[2] - b[2]) for a, b in zip(z1, z2))

@@ -157,7 +157,6 @@ def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None):
     inner_tol = inner_tol or tol
     p = cfg.params
     kind = cfg.kind
-    rss = p.r * p.s * p.s
     report = HullCheckReport(seed=cfg.seed, kind=kind.label, r=p.r, s=p.s)
 
     for z in sample_first_laminate(cfg):
@@ -165,12 +164,10 @@ def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None):
         if not in_hull(z, p, kind, inner_tol):
             report.record_failure("laminate", z, "combination fails closed-form membership")
         if kind.restricts_u:
-            den = rss + z.u.norm() * z.E.norm()
+            den = p.r * p.s * p.s + z.u.norm() * z.E.norm()
             res = abs(z.u.dot(z.E)) / den if den else 0.0
             if report.max_u_orthogonality is None or res > report.max_u_orthogonality:
                 report.max_u_orthogonality = res
-            if res > tol.eps_mem:
-                report.record_failure("laminate", z, f"u.E residual {res}")
 
     hull_cfg = SampleConfig(seed=cfg.seed, count=cfg.count // 10, params=p, kind=kind)
     reference_check_decompositions(report, sample_hull(hull_cfg), p, kind, tol)
@@ -180,7 +177,6 @@ def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None):
 def reference_check_decompositions(report, points, p, kind, tol):
     """The surjective half of reference_two_sided_hull_check on the given
     points: decompose and verify each one into the report."""
-    rss = p.r * p.s * p.s
     for z in points:
         report.decompose_checked += 1
         try:
@@ -189,21 +185,12 @@ def reference_check_decompositions(report, points, p, kind, tol):
             report.record_failure("decompose", z, f"decomposition raised: {exc}")
             continue
         ver = verify_decomposition(d, z, p, kind, tol)
-        report.max_verify_residual = max(report.max_verify_residual, ver.max_residual)
         by_check = report.max_residual_by_check
         for name, val in ver.residuals.items():
             by_check[name] = max(by_check.get(name, 0.0), val)
         if not ver.passed:
             report.record_failure("decompose", z,
                                   "verification failed: " + ", ".join(ver.failures))
-        if kind.restricts_u:
-            dz = d.z1 - d.z2
-            mix = dz.B.cross(dz.u)
-            res = abs(z.u.dot(mix)) / (rss + z.u.norm() * dz.B.norm() * dz.u.norm())
-            if report.max_mixing_orthogonality is None or res > report.max_mixing_orthogonality:
-                report.max_mixing_orthogonality = res
-            if res > tol.eps_mem:
-                report.record_failure("decompose", z, f"u.(Bbar x ubar) residual {res}")
 
 
 def _libm(fn, *cols: np.ndarray) -> np.ndarray:
@@ -490,6 +477,8 @@ def reference_verify_decomposition(d, target, p, kind=ConeKind.NONSTATIONARY, to
     res["cone_BE"] = _reference_cone_residual(dz.B, dz.E, rs * r)
     if kind.restricts_u:
         res["cone_uE"] = _reference_cone_residual(dz.u, dz.E, rs * s)
+        res["mixing_orthogonality"] = abs(target.u.dot(dz.B.cross(dz.u))) / (
+            rs * s + target.u.norm() * dz.B.norm() * dz.u.norm())
     res["lambda_range"] = max(0.0, -d.lam, d.lam - 1.0)
     res["reconstruction"] = (d.combine() - target).norm(r, s) / (1.0 + target.norm(r, s))
     d_bound = hull_excess_bound(target.B, target.u, p)
@@ -523,6 +512,15 @@ def special_points(p: HullParams) -> dict:
         "B = u = 0": Triple(Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0)),
         "amplitude corner": Triple(edge, Vec3(0.0, s, 0.0), edge.cross(Vec3(0.0, s, 0.0))),
     }
+
+
+# A stationary-incompressible hull point at r = s = 1 that in_hull accepts with
+# u . E at 0.9 eps_mem of g3's bound; decompose splits it, and the split's
+# mixing_orthogonality residual, 4.1e-9, fails verification.
+MIXING_GAP_POINT = Triple(
+    Vec3(0.21291284845497171, -0.8350749385942525, -0.49785248054581055),
+    Vec3(-0.263191832637829, -0.1451105884483324, 0.2211072889423951),
+    Vec3(-0.2530910073186107, 0.08271424186963601, -0.24697861824831405))
 
 
 # The branch decompose takes on each special point, where it differs from the name.

@@ -35,6 +35,7 @@ from dynamohull.laminate import _residuals
 from dynamohull.oracle import _COLUMNS, _decompose_block
 from _helpers import (
     ALL_KINDS,
+    MIXING_GAP_POINT,
     RAISING_BRANCHES,
     SPECIAL_BRANCH,
     reference_check_decompositions,
@@ -90,7 +91,7 @@ def test_block_driver_matches_reference(kind, radii, count):
     (10_000, Tolerances(eps_mem=4e-16, eps_root=1e-16), None),
     # decompose raises (g1 at rounding level) between verification failures
     (2500, Tolerances(eps_mem=1e-17, eps_root=1e-18), Tolerances()),
-    # membership and u.E failures, then verification and mixing failures
+    # membership failures, then verification failures (mixing included)
     (2500, Tolerances(eps_mem=1e-16, eps_root=1e-17), None),
 ])
 @pytest.mark.parametrize("kind", KINDS)
@@ -199,11 +200,38 @@ def test_fallback_rows_are_written_back(kind, radii):
     points = interior[:100] + special + interior[100:] + special
     report, expected = (HullCheckReport(seed=30, kind=kind.label, r=p.r, s=p.s)
                         for _ in range(2))
-    oracle._check_decompositions(report, block(points), p, kind, tol, p.r * p.s * p.s)
+    oracle._check_decompositions(report, block(points), p, kind, tol)
     reference_check_decompositions(expected, points, p, kind, tol)
     assert report.to_json() == expected.to_json()
     # Only the three points outside or beyond decompose's reach fail.
     assert report.decompose_failure_count == 2 * 3
+
+
+def test_a_mixing_orthogonality_failure_is_one_verification_record():
+    kind = ConeKind.STATIONARY_INCOMPRESSIBLE
+    report = HullCheckReport(seed=0, kind=kind.label, r=1.0, s=1.0)
+    oracle._check_decompositions(report, block([MIXING_GAP_POINT]), HullParams(1.0, 1.0), kind,
+                                 DEFAULT_TOLERANCES)
+    assert report.decompose_failure_count == 1
+    assert [f["reason"] for f in report.failures] == ["verification failed: mixing_orthogonality"]
+
+
+def test_a_mixture_off_u_dot_E_is_one_membership_failure(monkeypatch):
+    # Membership's g3 is the campaign's one u . E test: a mixture pushed off
+    # u . E fails once, and its residual is still folded into the maximum.
+    kind = ConeKind.STATIONARY_INCOMPRESSIBLE
+    cfg = SampleConfig(seed=31, count=10, params=HullParams(1.0, 1.0), kind=kind)
+    blocks = list(oracle._mixture_blocks(oracle._generator(cfg), cfg))
+    u, E = blocks[0][1], blocks[0][2]
+    u_len = np.sqrt(sum(x[0] * x[0] for x in u))
+    for x, y in zip(E, u):
+        x[0] += 5e-7 * y[0] / u_len
+    monkeypatch.setattr(oracle, "_mixture_blocks", lambda gen, cfg: iter(blocks))
+    report = two_sided_hull_check(cfg)
+    assert report.laminate_failure_count == 1
+    assert [(f["side"], f["reason"]) for f in report.failures] == [
+        ("laminate", "combination fails closed-form membership")]
+    assert report.max_u_orthogonality > 1e-7
 
 
 class ListStream:

@@ -10,6 +10,7 @@ import pytest
 
 import dynamohull
 from dynamohull.cli import main
+from _helpers import MIXING_GAP_POINT
 
 K_POINT = '{"B": [1, 0, 0], "u": [0, 1, 0], "E": [0, 0, 1]}'
 
@@ -41,6 +42,15 @@ def test_verify_hull_stationary_notes_extra_checks(tmp_path):
     assert report["failure_count"] == 0
     assert "max_u_orthogonality" in report
     assert "max_mixing_orthogonality" in report
+
+
+def test_decompose_exits_1_on_a_mixing_orthogonality_failure(tmp_path, capsys):
+    path = tmp_path / "triple.json"
+    path.write_text(MIXING_GAP_POINT.to_json())
+    assert main(["decompose", "--kind", "stationary-incompressible", "--input", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    assert payload["residuals"]["mixing_orthogonality"] > 1e-9
 
 
 def test_verify_hull_rejects_bad_radius(capsys):
@@ -164,7 +174,7 @@ def test_verify_hull_deterministic_reports(tmp_path):
 GOLDEN_DIGESTS = {
     "nonstationary": "024cb6e27e21e9c2476b70875c0d27899a97e47eff26be7ca408f9e4f420b7fe",
     "stationary-incompressible":
-        "27486e1751c6241a27d5779dc756cc2b2c08f580cde1c6231fbb6512c9ab7e88",
+        "1291fadef685f72f46946f22657b70dd94b0e29b1b929e15b419876f0eb70a0b",
 }
 
 

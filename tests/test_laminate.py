@@ -27,6 +27,7 @@ from dynamohull import (
 )
 from _helpers import (
     ALL_KINDS,
+    MIXING_GAP_POINT,
     reference_decompose,
     reference_verify_decomposition,
     special_points,
@@ -372,6 +373,16 @@ def test_decompose_stationary_mixing_orthogonality():
 
 
 # ---------------------------------------------------------- verification
+
+def test_verify_fails_a_split_off_mixing_orthogonality():
+    # in_hull accepts the point, and every other check of its split passes.
+    kind = ConeKind.STATIONARY_INCOMPRESSIBLE
+    z = MIXING_GAP_POINT
+    assert in_hull(z, P11, kind)
+    rep = verify_decomposition(decompose(z, P11, kind), z, P11, kind)
+    assert rep.failures == ("mixing_orthogonality",)
+    assert rep.max_residual == rep.residuals["mixing_orthogonality"] > 1e-9
+
 
 def test_verify_detects_tampered_weight():
     z = Triple(Vec3(0.2, 0.1, 0), Vec3(0, 0.3, 0.1), Vec3(0, 0, 0))

@@ -6,11 +6,13 @@ import pytest
 
 from dynamohull import (
     ConeKind,
+    HullCheckReport,
     HullParams,
     SampleConfig,
     Tolerances,
     Triple,
     Vec3,
+    decompose,
     eval_g1,
     eval_g3,
     hull_excess_bound,
@@ -21,6 +23,7 @@ from dynamohull import (
     sample_hull,
     sample_lambda_pair,
     two_sided_hull_check,
+    verify_decomposition,
     write_samples_csv,
 )
 from dynamohull import oracle
@@ -33,6 +36,14 @@ P11 = HullParams(1.0, 1.0)
 def test_sample_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(seed=0, count=-1, params=P11)
+
+
+def test_sample_config_rejects_a_non_integral_count():
+    with pytest.raises(ValueError, match="count must be a nonnegative integer"):
+        SampleConfig(seed=0, count=2.5, params=P11)
+    cfg = SampleConfig(seed=0, count=3.0, params=P11)
+    assert cfg.count == 3 and isinstance(cfg.count, int)
+    assert len(list(sample_hull(cfg))) == 3
 
 
 def test_uniform_stream_is_deterministic_and_buffered():
@@ -229,6 +240,36 @@ def test_two_sided_check_stationary_reports_extra_checks():
     d = rep.to_json_dict()
     assert "max_u_orthogonality" in d
     assert "max_mixing_orthogonality" in d
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_report_maxima_are_those_of_the_check_list(kind):
+    # The campaign folds verify_decomposition's residuals, one maximum per
+    # check, and reads every other verification maximum from them.
+    p = HullParams(0.5, 2.0)
+    cfg = SampleConfig(seed=19, count=2000, params=p, kind=kind)
+    rep = two_sided_hull_check(cfg)
+    z = next(sample_hull(cfg))
+    ver = verify_decomposition(decompose(z, p, kind), z, p, kind)
+    by_check = rep.max_residual_by_check
+    assert set(by_check) == set(ver.residuals)
+    assert rep.max_verify_residual == max(by_check.values())
+    assert rep.max_mixing_orthogonality == by_check.get("mixing_orthogonality")
+    assert (rep.max_mixing_orthogonality is None) == (not kind.restricts_u)
+    d = rep.to_json_dict()
+    assert d["max_verify_residual"] == rep.max_verify_residual
+    assert d.get("max_mixing_orthogonality") == rep.max_mixing_orthogonality
+
+
+def test_report_stores_no_maximum_it_can_derive():
+    rep = HullCheckReport(seed=0, kind="stationary-incompressible", r=1.0, s=1.0)
+    assert rep.max_verify_residual == 0.0 and rep.max_mixing_orthogonality is None
+    rep.max_residual_by_check.update(cone_BE=3e-16, mixing_orthogonality=5e-16)
+    assert rep.max_verify_residual == rep.max_mixing_orthogonality == rep.max_residual == 5e-16
+    rep.max_u_orthogonality = 7e-16
+    assert rep.max_residual == 7e-16
+    with pytest.raises(AttributeError):
+        rep.max_verify_residual = 1.0
 
 
 def test_two_sided_check_empty_campaign():

@@ -83,6 +83,14 @@ def test_grid_spec_validation():
     assert GridSpec(8, periods=3).h == pytest.approx(3 * 2.0 * math.pi / 8.0)
 
 
+def test_grid_spec_rejects_non_integral_sizes():
+    with pytest.raises(ValueError, match="got 48.9"):
+        GridSpec(48.9)
+    with pytest.raises(ValueError, match="got 1.9"):
+        GridSpec(32, periods=1.9)
+    assert GridSpec(48.0, periods=2.0) == GridSpec(48, periods=2)
+
+
 # -------------------------------------------------------- wave vectors
 
 def test_wave_vector_frame_example():
@@ -459,6 +467,15 @@ def test_staircase_validates_oscillation_count():
     xi = wave_vector_for(d.z1 - d.z2, ConeKind.NONSTATIONARY)
     with pytest.raises(ValueError):
         staircase_average(d, xi, n_osc=0, g=GridSpec(16))
+
+
+def test_staircase_rejects_a_non_integral_oscillation_count():
+    z, d = _sample_decomposition(seed=54)
+    xi = wave_vector_for(d.z1 - d.z2, ConeKind.NONSTATIONARY)
+    with pytest.raises(ValueError, match="got 2.5"):
+        staircase_average(d, xi, n_osc=2.5, g=GridSpec(16))
+    assert (staircase_average(d, xi, n_osc=2.0, g=GridSpec(16)).fraction
+            == staircase_average(d, xi, n_osc=2, g=GridSpec(16)).fraction)
 
 
 def test_staircase_fraction_tracks_weight():
