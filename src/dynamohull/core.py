@@ -22,134 +22,132 @@ separating functions that certify non-membership:
 
 A point lies in the mixed set exactly when g1 = 0 and g2 <= 0 (and
 g3(z) = u . E = 0 for the stationary incompressible variant).
+
+Vec3 and Triple are immutable tuples of components: a Triple is the
+(B, u, E) state of three float component triples, which every kernel here
+takes as it is.  The same kernel bodies run on the numpy columns of a block
+in oracle.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, slots=True)
-class Vec3:
-    """Immutable real 3-vector; rejects non-finite components at construction.
+def _dot(a, b):
+    """a . b of two component triples (floats or numpy columns)."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
-    Validation happens once, here; arithmetic between already-validated
-    vectors goes through an unchecked internal constructor, so the hot
-    predicates pay for the non-finiteness check only at the API boundary.
+
+def _cross(a, b):
+    """a x b of two component triples (floats or numpy columns)."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+class Vec3(namedtuple("Vec3", "x y z")):
+    """Immutable real 3-vector: the tuple (x, y, z) of its float components.
+
+    A Vec3 is a component triple, so the kernels take it as it is, and it
+    compares equal to (and hashes as) the plain tuple of its components.
+    The constructor rejects non-finite components; arithmetic between
+    already-validated vectors goes through the unchecked _vec, so the hot
+    predicates pay for the check only at the API boundary.  Its dot, cross
+    and norms are views of the kernels' _dot and _cross.
     """
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
+    # Keeps numpy from reading a Vec3 as an array: np.float64(2.0) * v is a Vec3.
+    __array_ufunc__ = None
 
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite Vec3 component {name} = {v}")
-            _obj_set(self, name, v)
+    def __new__(cls, x: float, y: float, z: float):
+        v = _tuple_new(cls, (float(x), float(y), float(z)))
+        for name, c in zip(cls._fields, v):
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite Vec3 component {name} = {c}")
+        return v
 
     def __repr__(self):
         return f"Vec3({self.x!r}, {self.y!r}, {self.z!r})"
 
-    def __iter__(self):
-        yield self.x
-        yield self.y
-        yield self.z
-
     def __add__(self, other: "Vec3") -> "Vec3":
-        return _vec(self.x + other.x, self.y + other.y, self.z + other.z)
+        return _vec((self[0] + other[0], self[1] + other[1], self[2] + other[2]))
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        return _vec(self.x - other.x, self.y - other.y, self.z - other.z)
+        return _vec((self[0] - other[0], self[1] - other[1], self[2] - other[2]))
 
     def __neg__(self) -> "Vec3":
-        return _vec(-self.x, -self.y, -self.z)
+        return _vec((-self[0], -self[1], -self[2]))
 
     def __mul__(self, a: float) -> "Vec3":
-        return _vec(self.x * a, self.y * a, self.z * a)
+        return _vec((self[0] * a, self[1] * a, self[2] * a))
 
     __rmul__ = __mul__
 
     def __truediv__(self, a: float) -> "Vec3":
-        return _vec(self.x / a, self.y / a, self.z / a)
+        return _vec((self[0] / a, self[1] / a, self[2] / a))
 
-    def dot(self, other: "Vec3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
+    dot = _dot
 
     def cross(self, other: "Vec3") -> "Vec3":
-        return _vec(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
+        return _vec(_cross(self, other))
 
     def norm2(self) -> float:
-        return self.x * self.x + self.y * self.y + self.z * self.z
+        return _dot(self, self)
 
     def norm(self) -> float:
-        x, y, z = self.x, self.y, self.z
-        return math.sqrt(x * x + y * y + z * z)
+        return math.sqrt(_dot(self, self))
 
     def normalized(self) -> "Vec3":
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return _vec(self.x / n, self.y / n, self.z / n)
-
-    def as_list(self) -> list[float]:
-        return [self.x, self.y, self.z]
+        return self / n
 
 
-_obj_new = object.__new__
-_obj_set = object.__setattr__
-# The slots' own setters, which skip the frozen dataclass's __setattr__.
-_set_x, _set_y, _set_z = Vec3.x.__set__, Vec3.y.__set__, Vec3.z.__set__
+_tuple_new = tuple.__new__
+# Unchecked Vec3 of a component triple, for arithmetic on already-validated values.
+_vec = functools.partial(_tuple_new, Vec3)
 
 
-def _vec(x: float, y: float, z: float) -> Vec3:
-    """Unchecked Vec3 for arithmetic on already-validated values."""
-    v = _obj_new(Vec3)
-    _set_x(v, x)
-    _set_y(v, y)
-    _set_z(v, z)
-    return v
+class Triple(namedtuple("Triple", "B u E")):
+    """A state z = (B, u, E): magnetic field, velocity and electric field values.
 
+    The tuple of its three Vec3 fields: the (B, u, E) state of component
+    triples that the kernels take as it is.
+    """
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    """A state z = (B, u, E): magnetic field, velocity and electric field values."""
+    __slots__ = ()
+    # As on Vec3: np.float64(2.0) * z is a Triple.
+    __array_ufunc__ = None
 
-    B: Vec3
-    u: Vec3
-    E: Vec3
-
-    def __post_init__(self):
-        for name, v in (("B", self.B), ("u", self.u), ("E", self.E)):
+    def __new__(cls, B: Vec3, u: Vec3, E: Vec3):
+        for name, v in zip(cls._fields, (B, u, E)):
             if not isinstance(v, Vec3):
                 raise TypeError(f"Triple field {name} must be a Vec3, got {type(v).__name__}")
+        return _tuple_new(cls, (B, u, E))
 
     def __add__(self, other: "Triple") -> "Triple":
-        return _triple(self.B + other.B, self.u + other.u, self.E + other.E)
+        return _triple((self[0] + other[0], self[1] + other[1], self[2] + other[2]))
 
     def __sub__(self, other: "Triple") -> "Triple":
-        return _triple(self.B - other.B, self.u - other.u, self.E - other.E)
+        return _triple((self[0] - other[0], self[1] - other[1], self[2] - other[2]))
 
     def __mul__(self, a: float) -> "Triple":
-        return _triple(self.B * a, self.u * a, self.E * a)
+        return _triple((self[0] * a, self[1] * a, self[2] * a))
 
     __rmul__ = __mul__
 
     def norm(self, r: float = 1.0, s: float = 1.0) -> float:
         """Euclidean norm of the 9-component state (B/r, u/s, E/(rs))."""
-        return _norm_rs(*_parts(self), r, s)
+        return _norm_rs(*self, r, s)
 
     def to_json_dict(self) -> dict:
-        return {"B": self.B.as_list(), "u": self.u.as_list(), "E": self.E.as_list()}
+        return {"B": list(self.B), "u": list(self.u), "E": list(self.E)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -166,16 +164,8 @@ class Triple:
         return cls.from_json_dict(json.loads(text))
 
 
-_set_B, _set_u, _set_E = Triple.B.__set__, Triple.u.__set__, Triple.E.__set__
-
-
-def _triple(B: Vec3, u: Vec3, E: Vec3) -> Triple:
-    """Unchecked Triple for arithmetic on already-validated values."""
-    z = _obj_new(Triple)
-    _set_B(z, B)
-    _set_u(z, u)
-    _set_E(z, E)
-    return z
+# Unchecked Triple of three Vec3s, for arithmetic on already-validated values.
+_triple = functools.partial(_tuple_new, Triple)
 
 
 # With r s and r / s in this range, r and s lie in [1e-75, 1e75] and every
@@ -195,7 +185,7 @@ class HullParams:
             v = float(getattr(self, name))
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{label} radius {name} must be a positive finite real, got {v}")
-            _obj_set(self, name, v)
+            object.__setattr__(self, name, v)
         lo, hi = RADIUS_PRODUCT_RANGE
         if not (lo <= self.r * self.s <= hi and lo <= self.r / self.s <= hi):
             raise ValueError(f"radii r = {self.r}, s = {self.s} out of range: r*s and r/s "
@@ -232,7 +222,7 @@ class Tolerances:
             v = float(getattr(self, name))
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be a positive finite real, got {v}")
-            _obj_set(self, name, v)
+            object.__setattr__(self, name, v)
         if not self.eps_root < self.eps_mem:
             raise ValueError(f"eps_root ({self.eps_root}) must be smaller than "
                              f"eps_mem ({self.eps_mem})")
@@ -297,9 +287,11 @@ def eval_g2(z: Triple, p: HullParams) -> float:
     via the substitution a = (1+t)/2 which turns the objective into
     (a+b)/2 + t (a-b)/2 + sqrt(1-t^2) c on t in [-1, 1].
     """
-    a = z.B.norm2() - p.r * p.r
-    b = z.u.norm2() - p.s * p.s
-    c = (z.B.cross(z.u) - z.E).norm()
+    B, u, E = z
+    a = _dot(B, B) - p.r * p.r
+    b = _dot(u, u) - p.s * p.s
+    w = _excess(B, u, E)
+    c = math.sqrt(_dot(w, w))
     half_diff = 0.5 * (a - b)
     return 0.5 * (a + b) + math.hypot(half_diff, c)
 
@@ -312,17 +304,7 @@ def eval_g3(z: Triple) -> float:
 def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -> bool:
     """True when E = B x u, |B| = r and |u| = s: each _constraint_residuals <= eps_mem."""
     eps = (tol or DEFAULT_TOLERANCES).eps_mem
-    return all(x <= eps for x in _constraint_residuals(*_parts(z), p.r, p.s))
-
-
-def _dot(a, b):
-    """a . b of two component triples (floats or numpy columns), in Vec3.dot's order."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b):
-    """a x b of two component triples (floats or numpy columns), in Vec3.cross's order."""
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+    return all(x <= eps for x in _constraint_residuals(*z, p.r, p.s))
 
 
 # The functions a kernel below takes from its operand type.  Each kernel is
@@ -338,15 +320,9 @@ _FLOATS = _Math(math.sqrt, lambda c, a, b: a if c else b, lambda x: x if x > 0.0
                 lambda n, d: n / d if d else 0.0)
 
 
-def _parts(z: Triple):
-    """The (B, u, E) component triples of one state, as the block engine holds a block's."""
-    B, u, E = z.B, z.u, z.E
-    return (B.x, B.y, B.z), (u.x, u.y, u.z), (E.x, E.y, E.z)
-
-
 def _from_parts(B, u, E) -> Triple:
-    """The Triple of a (B, u, E) state of float component triples; _parts inverted."""
-    return _triple(_vec(*B), _vec(*u), _vec(*E))
+    """The Triple of a (B, u, E) state of float component triples, unchecked."""
+    return _triple((_vec(B), _vec(u), _vec(E)))
 
 
 def _norm_rs(B, u, E, r: float, s: float, m: _Math = _FLOATS):
@@ -355,11 +331,16 @@ def _norm_rs(B, u, E, r: float, s: float, m: _Math = _FLOATS):
     return m.sqrt(_dot(B, B) / (r * r) + _dot(u, u) / (s * s) + _dot(E, E) / (r * r * s * s))
 
 
+def _excess(B, u, E):
+    """E - B x u of component triples, floats or columns."""
+    bxu = _cross(B, u)
+    return (E[0] - bxu[0], E[1] - bxu[1], E[2] - bxu[2])
+
+
 def _constraint_residuals(B, u, E, r: float, s: float, m: _Math = _FLOATS):
     """(||B| - r| / r, ||u| - s| / s, |E - B x u| / (rs)) of a (B, u, E) state of
     component triples, floats or columns: its distance from the constraint set."""
-    bxu = _cross(B, u)
-    ohm = (E[0] - bxu[0], E[1] - bxu[1], E[2] - bxu[2])
+    ohm = _excess(B, u, E)
     return (abs(m.sqrt(_dot(B, B)) - r) / r, abs(m.sqrt(_dot(u, u)) - s) / s,
             m.sqrt(_dot(ohm, ohm)) / (r * s))
 
@@ -409,13 +390,13 @@ def _unit_scaled(v: Vec3) -> tuple:
 
 def unit_perpendicular(v: Vec3) -> Vec3:
     """A unit vector perpendicular to v: p1 of v's frame (the y axis if v = 0)."""
-    return _vec(*_perpendicular(_unit_scaled(v), (0.0, 0.0, 0.0)))
+    return _vec(_perpendicular(_unit_scaled(v), (0.0, 0.0, 0.0)))
 
 
 def unit_perpendicular_to_all(vs: tuple[Vec3, Vec3]) -> Vec3:
     """A unit vector perpendicular to both vectors of vs = (a, b); where they are
     parallel, or one is zero, it is perpendicular to the other."""
-    return _vec(*_perpendicular(*map(_unit_scaled, vs)))
+    return _vec(_perpendicular(*map(_unit_scaled, vs)))
 
 
 def _cone_residual(a, b, unit, m: _Math = _FLOATS):
@@ -436,10 +417,10 @@ def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bo
     |B . E| <= eps_mem |B| (|E| + |B x u|) and likewise u . E, unchanged under
     (B, u, E) -> (aB, bu, abE); |B x u| absorbs rounding in a cancelled E."""
     eps = (tol or DEFAULT_TOLERANCES).eps_mem
-    B, u, E = _parts(z)
-    mix = z.B.cross(z.u).norm()
-    return _cone_residual(B, E, z.B.norm() * mix) <= eps and (
-        not kind.restricts_u or _cone_residual(u, E, z.u.norm() * mix) <= eps)
+    B, u, E = z
+    mix = B.cross(u).norm()
+    return _cone_residual(B, E, B.norm() * mix) <= eps and (
+        not kind.restricts_u or _cone_residual(u, E, u.norm() * mix) <= eps)
 
 
 def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Math):
@@ -481,7 +462,7 @@ def _separating_function(z: Triple, p: HullParams, kind: ConeKind, eps: float) -
     """Which of "g1", "g3", "g2" separates z, or None: the first flag, in that
     order, of the membership kernel, whose one body runs here on the floats of
     one point and in the block engine on the numpy columns of a block."""
-    (g1, g3, g2), _ = _separation_flags(*_parts(z), p, kind, eps, _FLOATS)
+    (g1, g3, g2), _ = _separation_flags(*z, p, kind, eps, _FLOATS)
     return "g1" if g1 else "g3" if g3 else "g2" if g2 else None
 
 

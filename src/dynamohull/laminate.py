@@ -68,7 +68,6 @@ from .core import (
     _frame,
     _from_parts,
     _norm_rs,
-    _parts,
     _perpendicular,
     _separation_flags,
     separation_witness,
@@ -250,7 +249,7 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     the working plane is degenerate, each before the arithmetic it guards.
     """
     tol = tol or DEFAULT_TOLERANCES
-    B, u, E = _parts(z)
+    B, u, E = z
     flags, (nb2, nu2, excess, c2) = _separation_flags(B, u, E, p, kind, tol.eps_mem, _FLOATS)
     if any(flags):
         w = separation_witness(z, p, kind, tol)
@@ -351,7 +350,7 @@ def verify_decomposition(d: Decomposition, target: Triple, p: HullParams,
     and on the restricted cone u . ((B1-B2) x (u1-u2)) = 0, u the target's.
     """
     tol = tol or DEFAULT_TOLERANCES
-    res = _residuals(d.lam, _parts(d.z1), _parts(d.z2), _parts(target), p, kind, _FLOATS)
+    res = _residuals(d.lam, d.z1, d.z2, target, p, kind, _FLOATS)
     # A NaN residual fails and is the maximum.
     failures = tuple(name for name, v in res.items() if not v <= tol.eps_mem)
     max_res = math.nan if any(map(math.isnan, res.values())) else max(res.values())

@@ -41,7 +41,9 @@ The campaign's membership, decomposition and verification kernels are the
 per-point ones, run on numpy columns in the same operations, in the same
 order, as a single point, so its reports are those of the per-point
 functions bit for bit; it checks nothing they do not.
-Rows become Triples only at the edge: the public samplers stack a block's
+Rows become Triples only at the edge.  A Triple is itself the (B, u, E)
+state of float component triples the kernels take, and a row becomes one
+through core._from_parts, unchecked: the public samplers stack a block's
 rows (N x 9, or N x 18 for pairs) and make Triples of them a slice at a
 time (_items), and the campaign reads its failure rows one at a time
 (_triple_at).
@@ -75,10 +77,9 @@ from .core import (
     _dot,
     _excess_cap,
     _frame,
+    _from_parts,
     _perpendicular,
     _separation_flags,
-    _triple,
-    _vec,
     eval_g1,
     eval_g2,
     eval_g3,
@@ -132,9 +133,11 @@ class SampleConfig:
     kind: ConeKind = ConeKind.NONSTATIONARY
 
     def __post_init__(self):
-        if not (self.count >= 0 and self.count % 1 == 0):
-            raise ValueError(f"count must be a nonnegative integer, got {self.count}")
-        object.__setattr__(self, "count", int(self.count))
+        for name in ("seed", "count"):
+            v = getattr(self, name)
+            if not (v >= 0 and v % 1 == 0):
+                raise ValueError(f"{name} must be a nonnegative integer, got {v}")
+            object.__setattr__(self, name, int(v))
 
 
 def _generator(cfg: SampleConfig) -> Generator:
@@ -169,7 +172,7 @@ def _ball(w: np.ndarray, radius: float):
 
 def _row_triple(f: list[float]) -> Triple:
     """The Triple of one (B, u, E) row."""
-    return _triple(_vec(f[0], f[1], f[2]), _vec(f[3], f[4], f[5]), _vec(f[6], f[7], f[8]))
+    return _from_parts(f[0:3], f[3:6], f[6:9])
 
 
 def _row_pair(f: list[float]) -> tuple[Triple, Triple]:

@@ -35,7 +35,6 @@ from .core import (
     _dot,
     _from_parts,
     _norm_rs,
-    _parts,
     in_wave_cone,
     unit_perpendicular_to_all,
 )
@@ -78,11 +77,10 @@ class WaveVector:
 
     def is_lattice(self) -> bool:
         """True when all frequencies are integers (so a 2*pi box is periodic)."""
-        vals = [self.xi_x.x, self.xi_x.y, self.xi_x.z, self.xi_t]
-        return all(abs(v - round(v)) <= LATTICE_TOL for v in vals)
+        return all(abs(v - round(v)) <= LATTICE_TOL for v in (*self.xi_x, self.xi_t))
 
     def to_json_dict(self) -> dict:
-        return {"xi_x": self.xi_x.as_list(), "xi_t": self.xi_t}
+        return {"xi_x": list(self.xi_x), "xi_t": self.xi_t}
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +114,7 @@ def plane_wave_conditions(direction: Triple, xi: WaveVector,
     xi_t = 0 this is the curl-free condition of the stationary system), and
     incompressible kinds add "u_div" = |ubar . xi_x|.
     """
-    return dict(zip(_CONDITIONS, _condition_residuals(_parts(direction), xi, kind)))
+    return dict(zip(_CONDITIONS, _condition_residuals(direction, xi, kind)))
 
 
 _CONDITIONS = ("gauss", "faraday", "u_div")
@@ -127,7 +125,7 @@ def _condition_residuals(direction, xi: WaveVector, kind: ConeKind) -> tuple:
     kinds) for a direction of (B, u, E) float component triples: the one
     implementation of the plane-wave conditions."""
     B, u, E = direction
-    k, xi_t = (xi.xi_x.x, xi.xi_x.y, xi.xi_x.z), xi.xi_t
+    k, xi_t = xi.xi_x, xi.xi_t
     c = _cross(k, E)
     f = (B[0] * xi_t + c[0], B[1] * xi_t + c[1], B[2] * xi_t + c[2])
     res = (abs(_dot(B, k)), math.sqrt(_dot(f, f)))
@@ -204,10 +202,11 @@ def _time_frequency(xi_x: Vec3, direction: Triple, kind: ConeKind) -> float:
     """The time frequency Faraday's relation xi_t Bbar + xi_x x Ebar = 0 gives
     a spatial frequency xi_x: -xi_x . (Ebar x Bbar) / |Bbar|^2, or 0.0 for
     stationary kinds and for Bbar = 0."""
-    nb2 = direction.B.norm2()
+    B, _, E = direction
+    nb2 = _dot(B, B)
     if kind.stationary or nb2 == 0.0:
         return 0.0
-    return -xi_x.dot(direction.E.cross(direction.B)) / nb2
+    return -_dot(xi_x, _cross(E, B)) / nb2
 
 
 def round_to_lattice(xi: WaveVector, direction: Triple,
@@ -224,10 +223,10 @@ def round_to_lattice(xi: WaveVector, direction: Triple,
     lattice at these scales.
     """
     tol = tol or DEFAULT_TOLERANCES
-    parts, size = _parts(direction), direction.norm()
+    size = direction.norm()
     if xi.is_lattice():
         reduced = _reduce_lattice(xi)
-        if _conditions_ok(parts, size, reduced, kind, tol):
+        if _conditions_ok(direction, size, reduced, kind, tol):
             return reduced
     top = max(abs(v) for v in xi.xi_x)
     for k in range(1, LATTICE_MAX_SCALE + 1):
@@ -242,7 +241,7 @@ def round_to_lattice(xi: WaveVector, direction: Triple,
         if abs(xi_t - round(xi_t)) > LATTICE_TOL:
             continue
         cand = WaveVector(cand_x, round(xi_t))
-        if _conditions_ok(parts, size, cand, kind, tol):
+        if _conditions_ok(direction, size, cand, kind, tol):
             return _reduce_lattice(cand)
     raise LatticeError(
         f"no integer frequency within angle 1e-2 of {xi!r} up to scale {LATTICE_MAX_SCALE}")
@@ -251,7 +250,7 @@ def round_to_lattice(xi: WaveVector, direction: Triple,
 def _reduce_lattice(xi: WaveVector) -> WaveVector:
     """Divide an integer frequency vector by the gcd of its entries, keeping
     the lowest grid-resolvable mode of the same wave family."""
-    vals = [round(xi.xi_x.x), round(xi.xi_x.y), round(xi.xi_x.z), round(xi.xi_t)]
+    vals = [round(v) for v in (*xi.xi_x, xi.xi_t)]
     g = 0
     for v in vals:
         g = math.gcd(g, abs(v))
@@ -402,7 +401,8 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
     tol = tol or DEFAULT_TOLERANCES
     if not (n_osc >= 1 and n_osc % 1 == 0):
         raise ValueError(f"n_osc must be a positive integer, got {n_osc}")
-    z1, z2 = _parts(d.z1), _parts(d.z2)
+    n_osc = int(n_osc)
+    z1, z2 = d.z1, d.z2
     dz = tuple((a[0] - b[0], a[1] - b[1], a[2] - b[2]) for a, b in zip(z1, z2))
     size = _norm_rs(*dz, 1.0, 1.0)
     if not _conditions_ok(dz, size, xi, ConeKind.NONSTATIONARY, tol):

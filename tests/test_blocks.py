@@ -287,7 +287,7 @@ def test_outputs_do_not_depend_on_the_block_size(kind, radii, monkeypatch):
 
     def floats(item):
         """The floats of a Triple, or of a pair of Triples, in (B, u, E) order."""
-        return [x for z in (item if isinstance(item, tuple) else (item,))
+        return [x for z in ((item,) if isinstance(item, Triple) else item)
                 for v in (z.B, z.u, z.E) for x in v]
 
     def outputs():

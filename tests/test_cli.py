@@ -58,6 +58,11 @@ def test_verify_hull_rejects_bad_radius(capsys):
     assert main(["verify-hull", "--r", "-1"]) == 2
 
 
+def test_verify_hull_rejects_a_negative_seed(capsys):
+    assert main(["verify-hull", "--seed", "-1", "--count", "10"]) == 2
+    assert "error: seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+
+
 def test_unknown_command_and_flags():
     assert main(["frobnicate"]) == 2
     assert main(["verify-hull", "--kind", "imaginary"]) == 2

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from dynamohull import (
     ConeKind,
+    Decomposition,
     HullParams,
     SampleConfig,
     Tolerances,
@@ -66,6 +69,33 @@ def test_triple_is_immutable():
     z = Triple(Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))
     with pytest.raises(AttributeError):
         z.B = Vec3(0, 0, 0)
+
+
+def test_numpy_scalars_scale_vec3_and_triple_as_floats_do():
+    # Without __array_ufunc__ = None numpy would read the tuples as arrays.
+    v = Vec3(1, -2, 3)
+    z = Triple(v, Vec3(0, 1, 0), Vec3(0.5, 0, -1))
+    for obj, kind in ((v, Vec3), (z, Triple)):
+        scaled = np.float64(2.0) * obj
+        assert type(scaled) is kind
+        assert scaled == obj * 2.0
+
+
+def test_vec3_triple_and_decomposition_survive_pickle_and_deepcopy():
+    v = Vec3(0.1, -0.0, 3e-300)
+    z = Triple(v, Vec3(0, 1, 0), Vec3(0.5, 0, -1))
+    d = Decomposition(0.25, z, Triple(-v, Vec3(1, 0, 0), Vec3(0, 0, 1)))
+    for obj in (v, z, d):
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            # repr names the type of every nested field and prints each float exactly.
+            assert type(back) is type(obj) and repr(back) == repr(obj)
+            assert back == obj
+
+
+def test_vec3_equals_and_hashes_as_the_tuple_of_its_components():
+    v = Vec3(1, 2, 3)
+    assert v == (1.0, 2.0, 3.0)
+    assert hash(v) == hash((1.0, 2.0, 3.0))
 
 
 def test_vec3_algebra_matches_numpy():

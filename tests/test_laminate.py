@@ -34,7 +34,7 @@ from _helpers import (
     unit,
     vec,
 )
-from dynamohull.core import _FLOATS, DEFAULT_TOLERANCES, _parts, _separation_flags
+from dynamohull.core import _FLOATS, DEFAULT_TOLERANCES, _separation_flags
 from dynamohull.laminate import _excess_frame, _plane_normal, _root_direction, _sinusoid
 from dynamohull.oracle import _COLUMNS
 from test_blocks import KINDS, RADII
@@ -208,7 +208,7 @@ def test_conditions_outside_hull():
 def _angle_equation(z, p, kind):
     """The amplitudes (A, C) of the angle equation G(alpha) = A cos(alpha) +
     C sin(alpha) of an interior point with B != 0, from decompose's stages."""
-    B, u, E = _parts(z)
+    B, u, E = z
     _, (nb2, nu2, excess, _) = _separation_flags(B, u, E, p, kind,
                                                  DEFAULT_TOLERANCES.eps_mem, _FLOATS)
     f = _excess_frame(p.r * p.r - nb2, p.s * p.s - nu2, excess, _FLOATS)
@@ -457,6 +457,8 @@ def _leaves(obj):
         return [struct.unpack("<Q", struct.pack("<d", obj))[0]]
     if isinstance(obj, dict):
         return [*obj, *(x for v in obj.values() for x in _leaves(v))]
+    if isinstance(obj, tuple):
+        return [type(obj), *(x for v in obj for x in _leaves(v))]
     if dataclasses.is_dataclass(obj):
         return [type(obj), *(x for f in dataclasses.fields(obj)
                              for x in _leaves(getattr(obj, f.name)))]

@@ -46,6 +46,18 @@ def test_sample_config_rejects_a_non_integral_count():
     assert len(list(sample_hull(cfg))) == 3
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5])
+def test_sample_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed}"):
+        SampleConfig(seed=seed, count=3, params=P11)
+
+
+def test_sample_config_stores_an_integral_seed_as_an_int():
+    cfg = SampleConfig(seed=7.0, count=3, params=P11)
+    assert cfg.seed == 7 and isinstance(cfg.seed, int)
+    assert list(sample_hull(cfg)) == list(sample_hull(SampleConfig(seed=7, count=3, params=P11)))
+
+
 def test_uniform_stream_is_deterministic_and_buffered():
     # The samplers read each block with one Generator.random call.  A double
     # costs one 64-bit output of PCG64, so random(a) then random(b) is

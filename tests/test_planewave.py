@@ -478,6 +478,15 @@ def test_staircase_rejects_a_non_integral_oscillation_count():
             == staircase_average(d, xi, n_osc=2, g=GridSpec(16)).fraction)
 
 
+def test_staircase_reports_an_integral_oscillation_count_as_an_int():
+    z, d = _sample_decomposition(seed=54)
+    xi = wave_vector_for(d.z1 - d.z2, ConeKind.NONSTATIONARY)
+    rep = staircase_average(d, xi, n_osc=2.0, g=GridSpec(16))
+    assert rep.n_osc == 2 and isinstance(rep.n_osc, int)
+    assert json.dumps(rep.to_json_dict()) == json.dumps(
+        staircase_average(d, xi, n_osc=2, g=GridSpec(16)).to_json_dict())
+
+
 def test_staircase_fraction_tracks_weight():
     z, d = _sample_decomposition(seed=55)
     xi = wave_vector_for(d.z1 - d.z2, ConeKind.NONSTATIONARY)
