@@ -345,14 +345,21 @@ def _constraint_residuals(B, u, E, r: float, s: float, m: _Math = _FLOATS):
             m.sqrt(_dot(ohm, ohm)) / (r * s))
 
 
-def _frame(v, m: _Math = _FLOATS):
-    """An orthonormal frame (n, p1, p2) of a component triple v, floats or columns:
-    n = v / |v|, or the z axis where |v| = 0; p1 is n x the coordinate axis of
-    n's smallest component, normalised, and p2 = n x p1.  On floats v needs
-    |v| > 0; on columns it runs under np.errstate(all="ignore")."""
+def _unit(v, m: _Math = _FLOATS):
+    """v / |v| of a component triple v, floats or columns, or the z axis where
+    |v| = 0.  On floats v needs |v| > 0; on columns it runs under
+    np.errstate(all="ignore")."""
     vn = m.sqrt(_dot(v, v))
     zero = vn == 0.0
-    n = tuple(m.where(zero, a, x / vn) for x, a in zip(v, (0.0, 0.0, 1.0)))
+    return tuple(m.where(zero, a, x / vn) for x, a in zip(v, (0.0, 0.0, 1.0)))
+
+
+def _frame(v, m: _Math = _FLOATS):
+    """An orthonormal frame (n, p1, p2) of a component triple v, floats or columns:
+    n = _unit(v); p1 is n x the coordinate axis of n's smallest component,
+    normalised, and p2 = n x p1.  On floats v needs |v| > 0; on columns it
+    runs under np.errstate(all="ignore")."""
+    n = _unit(v, m)
     an = tuple(abs(x) for x in n)
     on_x = (an[0] <= an[1]) & (an[0] <= an[2])
     ax = m.where(on_x, 1.0, 0.0)

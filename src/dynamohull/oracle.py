@@ -12,14 +12,17 @@ condition (B1 - B2) . (E1 - E2) = 0 reads
 
     u2 . (B1 x B2) = (B1 - B2) . E1,
 
-a plane constraint on u2, intersected with the s-sphere (a circle that is
-sampled uniformly by angle).  u1 satisfies the constraint, so the plane's
-offset along its unit normal nhat is u1 . nhat and the circle is never
-empty; only B2 = +-B1 (nhat undefined) takes a fixed axis, and there every
-u2 on the sphere satisfies the condition.  The stationary incompressible
-cone adds the plane (u1 - u2) . (E1 - E2) = 0, i.e. u2 . (u1 x B2 + E1) =
-u1 . E1, which u1 also satisfies, so it always cuts the circle; the cut
-point is placed in closed form, by the cosine and sine of its angle.
+a plane constraint on u2, intersected with the s-sphere: a circle through
+u1, which satisfies the constraint.  A turn about the plane's unit normal
+nhat keeps |u| and u . nhat, so the circle is the set of turns of u1 about
+nhat, and u2 is u1 turned by the drawn angle (Rodrigues' formula): uniform
+on the circle.  nhat is along B1 x B2, or the z axis where B2 = +-B1, and
+there every u2 on the sphere satisfies the condition.  The stationary
+incompressible cone adds the plane (u1 - u2) . (E1 - E2) = 0, i.e.
+u2 . n2 = u1 . n2 with n2 = u1 x B2 + E1, which u1 also satisfies.  Its
+other point on the circle is u1 mirrored across span{nhat, n2}, in closed
+form; where n2 is along nhat the whole circle lies in that plane, and u2
+keeps the drawn turn.
 
 All randomness comes from a named 64-bit generator (PCG64) seeded by
 numpy's SeedSequence(seed, spawn_key=(0,)).  Every sampler reads a fixed
@@ -80,6 +83,7 @@ from .core import (
     _from_parts,
     _perpendicular,
     _separation_flags,
+    _unit,
     eval_g1,
     eval_g2,
     eval_g3,
@@ -119,8 +123,10 @@ TWO_PI = 2.0 * math.pi
 BLOCK = 3072
 
 # Revision of the sample streams a report was drawn from.  Version 3 reads a
-# fixed number of draws per item and takes core._perpendicular's directions.
-STREAM_VERSION = 3
+# fixed number of draws per item and takes core._perpendicular's directions;
+# version 4 turns u1 about nhat for the pair's u2, and on the stationary
+# incompressible cone takes the second plane's root other than u1.
+STREAM_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -219,11 +225,11 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
     The pair is built on the unit spheres, where every threshold below is
     dimensionless, then scaled once (B by r, u by s, E by rs), so the same
     draws give the same normalised pair at every radius pair.  Draws: B1 (2),
-    u1 (2), B2 (2), then the circle angle (the stationary incompressible
-    branch draws a root-choice coin instead, or an angle when the whole
-    circle satisfies the second plane).  Returns the states z1 and z2 as
-    (B, u, E) component columns and the cone residual of each pair.  Each
-    stage is a function, so its intermediates die when it returns.
+    u1 (2), B2 (2), then the turn angle about nhat (which the stationary
+    incompressible cone reads only where the whole circle satisfies its
+    second plane).  Returns the states z1 and z2 as (B, u, E) component
+    columns and the cone residual of each pair.  Each stage is a function,
+    so its intermediates die when it returns.
     """
     with np.errstate(all="ignore"):
         b1 = _sphere(w[:, 0], w[:, 1], 1.0)
@@ -243,55 +249,40 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
 
 
 def _circle_point(b1, u1, b2, e1, draw: np.ndarray, restricts_u: bool):
-    """u2 on the unit sphere and the plane of the cone condition, at the drawn
-    angle 2 pi draw, or, on the stationary incompressible cone, at the root of
-    the second plane chosen by the coin draw: component columns."""
-    # The circle u2 . nh = h on the sphere, with nh along B1 x B2 and the
-    # offset taken at u1, which lies on the plane: |h| <= 1 but for rounding.
-    nh, p1, p2 = _frame(_cross(b1, b2), _COLUMNS)
-    h = _dot(u1, nh)
-    rho_c = np.sqrt(_COLUMNS.positive(1.0 - h * h))
-    if restricts_u:
-        cos_phi, sin_phi = _second_plane_root(u1, b2, e1, (nh, p1, p2), h, rho_c, draw)
-    else:
-        phi = TWO_PI * draw
-        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    ca = rho_c * cos_phi
-    sa = rho_c * sin_phi
-    return tuple(nh[i] * h + ca * p1[i] + sa * p2[i] for i in range(3))
-
-
-def _second_plane_root(u1, b2, e1, frame, h, rho_c, draw: np.ndarray):
-    """(cos phi, sin phi) of the circle point on the second plane
-    u2 . (u1 x B2 + E1) = u1 . E1, the root picked by the coin draw < 1/2."""
-    nh, p1, p2 = frame
-    # On the circle the plane reads a_cos cos(phi) + a_sin sin(phi) = c_target.
-    # With (cb, sb) = (cos beta, sin beta) the unit direction of (a_cos,
-    # a_sin), the roots are phi = beta +- delta with cos(delta) = ratio;
-    # their cosine and sine follow from the angle-sum formulas.  u1 is a
-    # root, so |ratio| <= 1 but for rounding, which the clip absorbs.
+    """u2: u1 turned about the unit normal nhat of the cone condition's plane
+    by the drawn angle 2 pi draw, or, on the stationary incompressible cone,
+    the circle's other point on the second plane u2 . n2 = u1 . n2, with
+    n2 = u1 x B2 + E1: component columns."""
+    nh = _unit(_cross(b1, b2), _COLUMNS)
+    if not restricts_u:
+        return _turn(u1, nh, draw)
+    # The mirror of u1 across span{nh, n2}, along m = nh x n2, keeps |u|,
+    # u . nh and u . n2.  n2's part across nh is formed first, so m stays
+    # across nh when |m| << |n2|.
     ub = _cross(u1, b2)
     n2 = tuple(ub[i] + e1[i] for i in range(3))
-    c_target = _dot(u1, e1) - h * _dot(nh, n2)
-    a_cos = rho_c * _dot(p1, n2)
-    a_sin = rho_c * _dot(p2, n2)
-    amp = np.sqrt(a_cos * a_cos + a_sin * a_sin)
-    free = amp <= 1e-12 * (1.0 + np.sqrt(_dot(n2, n2)))
-    cb = a_cos / amp
-    sb = a_sin / amp
-    ratio = c_target / amp
-    ratio = np.where(ratio > -1.0, ratio, -1.0)
-    ratio = np.where(ratio < 1.0, ratio, 1.0)
-    sd = np.sqrt(_COLUMNS.positive(1.0 - ratio * ratio))
-    sd = np.where(draw < 0.5, sd, -sd)
-    cos_phi = cb * ratio - sb * sd
-    sin_phi = sb * ratio + cb * sd
-    # A circle that lies in the second plane keeps the drawn angle.
-    at = np.flatnonzero(free)
-    phi = TWO_PI * draw[at]
-    cos_phi[at] = np.cos(phi)
-    sin_phi[at] = np.sin(phi)
-    return cos_phi, sin_phi
+    k = _dot(n2, nh)
+    m = _cross(nh, tuple(n2[i] - k * nh[i] for i in range(3)))
+    mm = _dot(m, m)
+    f = 2.0 * _dot(u1, m) / mm
+    u2 = tuple(u1[i] - f * m[i] for i in range(3))
+    # A circle that lies in the second plane keeps the drawn turn.
+    at = np.flatnonzero(np.sqrt(mm) <= 1e-12 * np.sqrt(_dot(n2, n2)))
+    if len(at):
+        turned = _turn(tuple(x[at] for x in u1), tuple(x[at] for x in nh), draw[at])
+        for x, y in zip(u2, turned):
+            x[at] = y
+    return u2
+
+
+def _turn(u1, nh, draw: np.ndarray):
+    """u1 turned about the unit axis nh by the angle 2 pi draw (Rodrigues'
+    formula): component columns."""
+    phi = TWO_PI * draw
+    c, s = np.cos(phi), np.sin(phi)
+    hc = _dot(u1, nh) * (1.0 - c)
+    t = _cross(nh, u1)
+    return tuple(u1[i] * c + t[i] * s + nh[i] * hc for i in range(3))
 
 
 def _pair_residual(z1, z2, restricts_u: bool) -> np.ndarray:

@@ -251,11 +251,7 @@ def _reduce_lattice(xi: WaveVector) -> WaveVector:
     """Divide an integer frequency vector by the gcd of its entries, keeping
     the lowest grid-resolvable mode of the same wave family."""
     vals = [round(v) for v in (*xi.xi_x, xi.xi_t)]
-    g = 0
-    for v in vals:
-        g = math.gcd(g, abs(v))
-    if g <= 1:
-        return WaveVector(Vec3(*(float(v) for v in vals[:3])), float(vals[3]))
+    g = math.gcd(*vals)
     return WaveVector(Vec3(*(v / g for v in vals[:3])), vals[3] / g)
 
 

@@ -26,8 +26,8 @@ from dynamohull import (
     unit_perpendicular_to_all,
     verify_decomposition,
 )
-from dynamohull.core import _cross, _dot, _frame
-from dynamohull.oracle import _COLUMNS, TWO_PI, _sphere
+from dynamohull.core import _cross, _dot
+from dynamohull.oracle import TWO_PI, _sphere
 from dynamohull.planewave import _band_fractions
 
 ALPHA_GRID = np.linspace(0.0, 1.0, 10_000)
@@ -200,48 +200,47 @@ def _libm(fn, *cols: np.ndarray) -> np.ndarray:
 
 
 def reference_pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
-    """oracle._pair_block with the circle angle from math's hypot, atan2 and
-    acos row by row: the reference the closed-form circle point must
-    reproduce.  One pair per row of draws (columns 0-6 of w).
+    """oracle._pair_block with the restricted root's angle from math's atan2 row
+    by row: the reference the closed-form mirror must reproduce.  One pair per
+    row of draws (columns 0-6 of w).
 
     The pair is built on the unit spheres, then scaled once (B by r, u by s,
-    E by rs).  Draws: B1 (2), u1 (2), B2 (2), then the circle angle (the
-    stationary incompressible branch draws a root-choice coin instead, or an
-    angle when the whole circle satisfies the second plane).  The circle is
-    u2 . nh = u1 . nh on the sphere, in the sampler's frame of B1 x B2.
-    Returns the N x 18 rows (z1 then z2) and the cone residual of each pair.
+    E by rs).  Draws: B1 (2), u1 (2), B2 (2), then the turn angle.  u2 is u1
+    turned about nh, the unit normal along B1 x B2 (the z axis where that is
+    0), by phi: phi = 2 pi w6 on the shared cones.  On the stationary
+    incompressible cone, the turn by phi moves u2 . n2, n2 = u1 x B2 + E1, by
+    -2 sin(phi/2) (A sin(phi/2) - C cos(phi/2)), with A = n2 . (u1 - h nh),
+    h = u1 . nh, and C = n2 . (nh x u1), so the root other than phi = 0 is
+    phi = 2 atan2(C, A).  Rows with |nh x (n2 - (n2 . nh) nh)| <= 1e-12 |n2|,
+    whose circle lies in the second plane, keep the drawn angle.  Returns the
+    N x 18 rows (z1 then z2) and the cone residual of each pair.
     """
     with np.errstate(all="ignore"):
         b1 = _sphere(w[:, 0], w[:, 1], 1.0)
         u1 = _sphere(w[:, 2], w[:, 3], 1.0)
         b2 = _sphere(w[:, 4], w[:, 5], 1.0)
         e1 = _cross(b1, u1)
-        nh, p1, p2 = _frame(_cross(b1, b2), _COLUMNS)
+        v = _cross(b1, b2)
+        vn = np.sqrt(_dot(v, v))
+        nh = tuple(np.where(vn == 0.0, a, x / vn) for x, a in zip(v, (0.0, 0.0, 1.0)))
         h = _dot(u1, nh)
-        rho_c = np.sqrt(_COLUMNS.positive(1.0 - h * h))
+        t = _cross(nh, u1)
+        phi = TWO_PI * w[:, 6]
 
         if restricts_u:
-            # Second plane: u2 . (u1 x B2 + E1) = u1 . E1 on the circle.
             ub = _cross(u1, b2)
             n2 = tuple(ub[i] + e1[i] for i in range(3))
-            c_target = _dot(u1, e1) - h * _dot(nh, n2)
-            a_cos = rho_c * _dot(p1, n2)
-            a_sin = rho_c * _dot(p2, n2)
-            amp = _libm(math.hypot, a_cos, a_sin)
-            free = amp <= 1e-12 * (1.0 + np.sqrt(_dot(n2, n2)))
-            ratio = c_target / amp
-            ratio = np.where(ratio > -1.0, ratio, -1.0)
-            ratio = np.where(ratio < 1.0, ratio, 1.0)
-            base = _libm(math.atan2, a_sin, a_cos)
-            delta = _libm(math.acos, ratio)
-            phi = np.where(free, TWO_PI * w[:, 6],
-                           np.where(w[:, 6] < 0.5, base + delta, base - delta))
-        else:
-            phi = TWO_PI * w[:, 6]
+            k = _dot(n2, nh)
+            across = tuple(n2[i] - k * nh[i] for i in range(3))
+            m = _cross(nh, across)
+            free = np.sqrt(_dot(m, m)) <= 1e-12 * np.sqrt(_dot(n2, n2))
+            a = _dot(n2, tuple(u1[i] - h * nh[i] for i in range(3)))
+            c = _dot(n2, t)
+            phi = np.where(free, phi, 2.0 * _libm(math.atan2, c, a))
 
-        ca = rho_c * np.cos(phi)
-        sa = rho_c * np.sin(phi)
-        u2 = tuple(nh[i] * h + ca * p1[i] + sa * p2[i] for i in range(3))
+        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+        hc = h * (1.0 - cos_phi)
+        u2 = tuple(u1[i] * cos_phi + t[i] * sin_phi + nh[i] * hc for i in range(3))
         e2 = _cross(b2, u2)
 
         db = tuple(b1[i] - b2[i] for i in range(3))

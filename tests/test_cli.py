@@ -177,9 +177,9 @@ def test_verify_hull_deterministic_reports(tmp_path):
 # a verdict or a residual changes the digest; the determinism criterion
 # only compares a rerun with itself and cannot see such a change.
 GOLDEN_DIGESTS = {
-    "nonstationary": "024cb6e27e21e9c2476b70875c0d27899a97e47eff26be7ca408f9e4f420b7fe",
+    "nonstationary": "df7c2438a92fecbc832734fca59b83c8aa1e141e8154e207cf779b0fe6497aef",
     "stationary-incompressible":
-        "1291fadef685f72f46946f22657b70dd94b0e29b1b929e15b419876f0eb70a0b",
+        "dc2b2c5b695c22f84f5cd3f2fe95ce42691727a4310e5a1c75028c8fd0d4af0f",
 }
 
 
@@ -292,15 +292,15 @@ def test_sample_constraint_sampler_csv(capsys):
 # while solver changes move the verify-hull digests above.
 SAMPLE_DIGESTS = {
     ("laminate", "nonstationary", "csv"):
-        "140764aeaadc73fe3bdf1d690326b21b150e033bb848fa38bb3747cb7ee98222",
+        "832836b80079db19e52145e28804c4e9ba960a6544c8c6c04bc2253a923c4de8",
     ("hull", "nonstationary", "csv"):
         "4a22e10299d3e4f9ff738f7bce2e0e35c32157bf1236c51275b3f178973af8b5",
     ("laminate", "stationary-incompressible", "csv"):
-        "110719059d406febd26260e94a48debd62d1064552ead46e602edefebcde82c8",
+        "4d604101cd1a4218321f33ea4343e4811882ec75f52e59942589ad28b1b175c9",
     ("hull", "stationary-incompressible", "csv"):
         "01b087461ded54c4db3eee61f5abd62327c649fe19fb60d794cedd5e7c58fb1d",
     ("laminate", "nonstationary", "json"):
-        "98f052f7c8be33a33e0c1e8155bf71661506e9e655909152a83bd0cc9836b13d",
+        "45468a30b20fc30d40d4839b0364f1cbc8daf5fad0c71cc71886352ac54d1190",
 }
 
 

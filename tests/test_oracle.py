@@ -119,10 +119,9 @@ def test_pair_block_matches_libm_reference(kind, radii):
     # 20k pairs of one stream, then 2k whose B2 draws sit within 1e-12 of
     # their B1 draws: B1 x B2 is then mostly rounding, yet its direction is
     # a valid plane normal through u1.  On those rows the second plane's
-    # normal (B1 - B2) x u1 is as small, so a few reach the clip of ratio,
-    # and about half fall under the bound of the free branch, keeping the
-    # drawn angle up to about 2e-12 off the second plane: inside the
-    # sampler's 1e-10 guard, and not reached by a stream's draws.
+    # normal n2 = (B1 - B2) x u1 is as small, yet the mirror across
+    # span{nh, n2} is taken along nh x n2's part across nh, so every pair,
+    # near-parallel rows included, meets the cone to rounding.
     p = HullParams(*radii)
     n, m = 20_000, 2_000
     w = oracle._generator(SampleConfig(seed=42, count=0, params=p)).random(7 * n).reshape(n, 7)
@@ -133,11 +132,10 @@ def test_pair_block_matches_libm_reference(kind, radii):
     ref, ref_res = reference_pair_block(w, p, kind.restricts_u)
     rows = oracle._stack(z1, z2)
 
-    assert res[:n].max() <= 1e-14
-    assert res.max() <= 1e-10 if kind.restricts_u else res.max() <= 1e-14
+    assert res.max() <= 1e-14
     if kind.restricts_u:
-        # The libm angle goes through acos, which is ill-conditioned near
-        # |ratio| = 1, so the two placements differ by more than rounding.
+        # The reference turns by 2 atan2(C, A), whose rounding differs from
+        # the mirror's, so the two placements agree to a bound, not bitwise.
         unit = np.tile(np.repeat([p.r, p.s, p.r * p.s], 3), 2)
         assert np.abs(rows / unit - ref / unit).max() <= 1e-10
     else:
@@ -147,9 +145,9 @@ def test_pair_block_matches_libm_reference(kind, radii):
 
 def test_coincident_planes_keep_the_drawn_angle(monkeypatch):
     # u1's draws repeat B1's, so u1 = B1 and E1 = B1 x B1 = 0 exactly.  The
-    # second plane u2 . (B1 x B2) = 0 is then the circle's own plane, amp is
-    # rounding noise below the degeneracy bound, and every pair keeps the
-    # drawn angle, as the libm reference places it.
+    # second plane u2 . (B1 x B2) = 0 is then the circle's own plane, nh x n2
+    # is rounding noise below the free rows' bound, and every pair keeps the
+    # drawn turn, as the libm reference places it.
     count = 3000
     p = HullParams(0.5, 2.0)
     cfg = SampleConfig(seed=29, count=count, params=p, kind=ConeKind.STATIONARY_INCOMPRESSIBLE)
@@ -165,6 +163,20 @@ def test_coincident_planes_keep_the_drawn_angle(monkeypatch):
     rows = np.array([[*z1.B, *z1.u, *z1.E, *z2.B, *z2.u, *z2.E] for z1, z2 in pairs])
     assert (rows[:, 6:9] == 0.0).all()
     assert (rows.view(np.uint64) == ref.view(np.uint64)).all()
+
+def test_restricted_pairs_are_not_degenerate():
+    # u1 is a root of the second plane on the circle; u2 is the other one, so
+    # a pair with u2 = u1 (a B-only laminate with |u| = s and no excess) is
+    # rare, not half of the stream.
+    cfg = SampleConfig(seed=3, count=20_000, params=P11, kind=ConeKind.STATIONARY_INCOMPRESSIBLE)
+    near = total = 0
+    for (_, u1, _), (_, u2, _) in oracle._pair_blocks(oracle._generator(cfg), cfg):
+        du = np.sqrt(sum((a - b) ** 2 for a, b in zip(u1, u2)))
+        near += int((du <= 1e-8 * cfg.params.s).sum())
+        total += len(du)
+    assert total == 20_000
+    assert near < 0.01 * total
+
 
 def test_equal_B_pairs_are_valid_directions():
     # A shared magnetic endpoint makes the cone condition automatic.
@@ -334,7 +346,7 @@ def test_report_json_contract():
             "max_residual", "failure_count"} <= set(d)
     # The stream revision a report was drawn from; every item reads a fixed
     # number of draws, so there are no attempts to count.
-    assert d["stream_version"] == 3
+    assert d["stream_version"] == 4
     assert "pair_attempts" not in d
     json.dumps(d)  # serializable
 
