@@ -32,12 +32,10 @@ from .core import (
     eval_g1,
     eval_g2,
     eval_g3,
-    hull_excess_bound,
     in_constraint_set,
     in_hull,
     in_wave_cone,
     separation_witness,
-    unit_perpendicular,
     unit_perpendicular_to_all,
 )
 from .laminate import (
@@ -93,8 +91,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConeKind", "DEFAULT_TOLERANCES", "HullParams", "SeparationWitness",
     "Tolerances", "Triple", "Vec3", "eval_g1", "eval_g2", "eval_g3",
-    "hull_excess_bound", "in_constraint_set", "in_hull", "in_wave_cone",
-    "separation_witness", "unit_perpendicular", "unit_perpendicular_to_all",
+    "in_constraint_set", "in_hull", "in_wave_cone",
+    "separation_witness", "unit_perpendicular_to_all",
     "Decomposition", "DecompositionError", "NotInHullError",
     "VerificationReport", "decompose", "verify_decomposition",
     "HullCheckReport", "SampleConfig",

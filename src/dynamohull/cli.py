@@ -28,7 +28,7 @@ from .core import (
     eval_g3,
     in_wave_cone,
 )
-from .laminate import DecompositionError, NotInHullError, decompose, verify_decomposition
+from .laminate import NotInHullError, decompose, verify_decomposition
 
 USAGE_ERROR = 2
 MATH_FAILURE = 1
@@ -162,12 +162,9 @@ def _cmd_decompose(args) -> int:
     z = _read_triple(args)
     try:
         d = decompose(z, p, kind, tol)
-    except DecompositionError as exc:
-        payload = {"error": "not-in-hull" if isinstance(exc, NotInHullError)
-                   else "decomposition-failed", "message": str(exc)}
-        if exc.witness is not None:
-            payload["witness"] = exc.witness.to_json_dict()
-        _emit_json(args, payload)
+    except NotInHullError as exc:
+        _emit_json(args, {"error": "not-in-hull", "message": str(exc),
+                          "witness": exc.witness.to_json_dict()})
         return MATH_FAILURE
     ver = verify_decomposition(d, z, p, kind, tol)
     payload = d.to_json_dict(residuals=ver.residuals)

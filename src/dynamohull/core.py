@@ -102,12 +102,6 @@ class Vec3(namedtuple("Vec3", "x y z")):
     def norm(self) -> float:
         return math.sqrt(_dot(self, self))
 
-    def normalized(self) -> "Vec3":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return self / n
-
 
 _tuple_new = tuple.__new__
 # Unchecked Vec3 of a component triple, for arithmetic on already-validated values.
@@ -204,28 +198,23 @@ class HullParams:
 
 @dataclass(frozen=True, slots=True)
 class Tolerances:
-    """Numerical slacks used by the predicates and the decomposition solver.
+    """Numerical slacks used by the predicates and the checks.
 
     eps_mem is the dimensionless slack of membership and verification, made
     on the normalised triple (B/r, u/s, E/(rs)) at every radius pair;
-    eps_root is the exact-Ohm threshold: decompose treats a point with
-    |E - B x u| / (rs) <= eps_root as E = B x u; eps_residual is the slack
-    for plane-wave and PDE residuals.
+    eps_residual is the slack for plane-wave and PDE residuals.  The
+    decomposition itself takes no tolerance.
     """
 
     eps_mem: float = 1e-9
-    eps_root: float = 1e-12
     eps_residual: float = 1e-10
 
     def __post_init__(self):
-        for name in ("eps_mem", "eps_root", "eps_residual"):
+        for name in ("eps_mem", "eps_residual"):
             v = float(getattr(self, name))
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be a positive finite real, got {v}")
             object.__setattr__(self, name, v)
-        if not self.eps_root < self.eps_mem:
-            raise ValueError(f"eps_root ({self.eps_root}) must be smaller than "
-                             f"eps_mem ({self.eps_mem})")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -313,11 +302,14 @@ def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -
 # this module imports no numpy), in the same operations and order, so a
 # block row rounds exactly as one point.  where(c, a, b) is a where c holds,
 # else b; positive(x) is max(0.0, x) with Python's max semantics (NaN -> 0.0);
-# quotient(n, d) is n / d, or 0.0 where d == 0.  A float kernel raises where a
-# column kernel gives inf or NaN, so its callers guard the arithmetic first.
-_Math = namedtuple("_Math", "sqrt where positive quotient")
+# quotient(n, d) is n / d, or 0.0 where d == 0; patch(c, v, fn, *args) is the
+# component triple v with fn(*args) in its place where c holds, fn run on
+# those rows only (on columns it writes into v's columns, which the caller
+# owns; args are component triples).  A float kernel raises where a column
+# kernel gives inf or NaN, so its callers guard the arithmetic first.
+_Math = namedtuple("_Math", "sqrt where positive quotient patch")
 _FLOATS = _Math(math.sqrt, lambda c, a, b: a if c else b, lambda x: x if x > 0.0 else 0.0,
-                lambda n, d: n / d if d else 0.0)
+                lambda n, d: n / d if d else 0.0, lambda c, v, fn, *args: fn(*args) if c else v)
 
 
 def _from_parts(B, u, E) -> Triple:
@@ -395,11 +387,6 @@ def _unit_scaled(v: Vec3) -> tuple:
     return tuple(math.ldexp(x, -e) for x in v)
 
 
-def unit_perpendicular(v: Vec3) -> Vec3:
-    """A unit vector perpendicular to v: p1 of v's frame (the y axis if v = 0)."""
-    return _vec(_perpendicular(_unit_scaled(v), (0.0, 0.0, 0.0)))
-
-
 def unit_perpendicular_to_all(vs: tuple[Vec3, Vec3]) -> Vec3:
     """A unit vector perpendicular to both vectors of vs = (a, b); where they are
     parallel, or one is zero, it is perpendicular to the other."""
@@ -433,8 +420,8 @@ def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bo
 def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Math):
     """The membership kernel: the flags (g1, g3, g2), each true where that function
     separates the point (B, u, E) of component triples, floats or numpy columns,
-    and the terms (|B|^2, |u|^2, E - B x u, |E - B x u|^2) they are made of, which
-    the decomposition takes over rather than forming them again.
+    and the terms (|B|^2, |u|^2, E - B x u) they are made of, which the
+    decomposition takes over rather than forming them again.
 
     Every comparison is made on the normalised triple (b, v, e) =
     (B/r, u/s, E/(rs)), where the relaxed set is the same for all radii:
@@ -462,7 +449,7 @@ def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Ma
     w2 = wx * wx + wy * wy + wz * wz
     g2 = ((nb > r * (1.0 + eps)) | (nu > s * (1.0 + eps))
           | (w2 > _excess_cap(nb2, nu2, p, m) + eps * (rr * ss)))
-    return (g1, g3, g2), (nb2, nu2, (wx, wy, wz), w2)
+    return (g1, g3, g2), (nb2, nu2, (wx, wy, wz))
 
 
 def _separating_function(z: Triple, p: HullParams, kind: ConeKind, eps: float) -> str | None:
@@ -482,11 +469,6 @@ def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     each checked on the normalised triple (B/r, u/s, E/(rs)) with slack eps_mem.
     """
     return _separating_function(z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem) is None
-
-
-def hull_excess_bound(B: Vec3, u: Vec3, p: HullParams) -> float:
-    """sqrt((r^2 - |B|^2)(s^2 - |u|^2)), the sharp bound on |E - B x u|."""
-    return math.sqrt(_excess_cap(B.norm2(), u.norm2(), p))
 
 
 @dataclass(frozen=True)

@@ -5,51 +5,47 @@ constraint-set states whose difference is an admissible oscillation
 direction.  ``decompose`` produces such a witness constructively; it is the
 one way into the decomposition.  It checks membership once, with the
 membership kernel, whose |B|^2, |u|^2 and excess E - B x u its stages take
-over, and then takes one of two branches:
+over, and then splits every point of the set by one formula.
 
-* E = B x u (within eps_root rs): (B, u) is perturbed by a parallel pair of
-  vectors along core._perpendicular(B, u), restoring the amplitudes.
+The perturbations Bbar, ubar lie in the working plane (e1, e2), whose
+normal nhat = e2 x e1 carries the excess on the cone's normal space:
+perpendicular to B, and on the stationary incompressible cone along B x u
+(``_working_plane``).  Their directions differ by the turn of angle
+arcsin(c / sqrt((r^2-|B|^2)(s^2-|u|^2))), capped at a right angle, about
+nhat, so that Bbar x ubar is along nhat with the excess's length c, and
+their angle alpha to B balances the two amplitude budgets:
 
-* The genuine interior case.  With the normalised excess
-  Ebar = (E - B x u) / sqrt((r^2-|B|^2)(s^2-|u|^2)), it looks for
-  perturbations Bbar, ubar in the plane perpendicular to Ebar whose
-  directions differ by the rotation of angle arcsin|Ebar| about
-  Ebar/|Ebar| (so that bhat x uhat = Ebar exactly), and whose angle to B
-  balances the amplitude budget:
+    G(alpha) = sqrt(s^2-|u|^2) |B| cos(alpha)
+               - sqrt(r^2-|B|^2) (u . uhat(alpha)) = 0.
 
-      G(alpha) = |B| cos(alpha)
-                 - sqrt((r^2-|B|^2)/(s^2-|u|^2)) * (u . uhat(alpha)) = 0.
-
-  In a fixed frame G is a sinusoid A cos(alpha) + C sin(alpha), so its root
-  in [pi/2, 3pi/2] is the direction perpendicular to (A, C) with
-  cos(alpha) <= 0: (cos alpha, sin alpha) = (-|C|, sign(C) A) / sqrt(A^2 + C^2),
-  in closed form and without a trigonometric call.  The perturbation
-  lengths follow from
-  |Bbar|^2 = 4 (r^2 - |B|^2 sin^2 alpha) and
-  |Bbar|^2 (s^2-|u|^2) = |ubar|^2 (r^2-|B|^2).
-
-The endpoints carry the weight lambda = 1/2 + B . Bbar / |Bbar|^2, which
-cos(alpha) <= 0 keeps at most 1/2.  ``verify_decomposition`` is the
+In a fixed frame G is a sinusoid A cos(alpha) + C sin(alpha), so its root
+in [pi/2, 3pi/2] is the direction perpendicular to (A, C) with
+cos(alpha) <= 0: (cos alpha, sin alpha) = (-|C|, sign(C) A) / sqrt(A^2 + C^2),
+or (0, 1) at C = 0, in closed form and without a trigonometric call.  Each perturbation length
+comes from its own side, |Bbar| = 2 sqrt(r^2 - |B|^2 + |B|^2 cos^2 alpha)
+and |ubar| = 2 sqrt(s^2 - |u|^2 + (u . uhat)^2), and the weight from the side
+with the longer normalised perturbation, lam = 1/2 + |B| cos(alpha) / |Bbar|
+or 1/2 + u . uhat / |ubar|; above 1/2 both perturbations change sign, so
+lam <= 1/2.  Nothing divides by a gap, so the one formula holds on either
+amplitude face and at their corner.  Where the normal vanishes (E = B x u,
+or the excess along B) e2 is perpendicular to B and u and the turn is 0:
+the perturbations are parallel.  ``verify_decomposition`` is the
 independent residual check used by the test suite and the sampling oracle.
 
-The decomposition (the stages ``_exact_ohm_split``, ``_excess_frame``,
-``_sinusoid``, ``_perturbations``, ``_weight`` and ``_endpoints``, with
-core's ``_frame`` for the axis at B = 0) and the verification residuals
+The decomposition (``_split``, with ``_working_plane``,
+``_root_direction`` and ``_endpoints``) and the verification residuals
 (``_residuals``) are written once, on component triples: ``decompose`` runs
 them on Python floats, the campaign engine on blocks of (B, u, E) component
 columns (``oracle._decompose_block``), so each row rounds exactly as one
-point.  ``decompose`` raises between stages, before the float arithmetic
-each guard protects; the block computes every row through, the exact-Ohm
-and B = 0 stages on their own rows, and masks exactly the rows
-``decompose`` raises on.  This module imports no numpy: the block wrapper
-lives in oracle, next to the campaign that calls it.
+point; the rows at B = 0 or with a vanishing normal take their axes from
+core._perpendicular, on those rows only.  This module imports no numpy: the
+block wrapper lives in oracle, next to the campaign that calls it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import (
     ConeKind,
@@ -65,7 +61,6 @@ from .core import (
     _cross,
     _dot,
     _excess_cap,
-    _frame,
     _from_parts,
     _norm_rs,
     _perpendicular,
@@ -84,7 +79,7 @@ class DecompositionError(ValueError):
 
 
 class NotInHullError(DecompositionError):
-    """The target point lies outside the relaxed set (or on a bad boundary)."""
+    """The target point lies outside the relaxed set; witness separates it."""
 
 
 @dataclass(frozen=True)
@@ -135,150 +130,102 @@ def _endpoints(B, u, bbar, ubar, lam):
     return (B1, u1, _cross(B1, u1)), (B2, u2, _cross(B2, u2))
 
 
-class _Frame(NamedTuple):
-    """The working-plane data of an interior point, built once per point."""
+def _working_plane(B, u, nb, excess, kind: ConeKind, m: _Math):
+    """The orthonormal axes (e1, e2) of the working plane and the length c of the
+    excess on the cone's normal space, which is along nhat = e2 x e1.
 
-    rr: float     # r^2 - |B|^2
-    nhat: tuple   # ebar / |ebar|, components, with the normalised excess
-                  # ebar = (E - B x u) / sqrt((r^2-|B|^2)(s^2-|u|^2))
-    ct: float     # cos of the rotation angle arcsin|ebar|
-    st: float     # sin of it: |ebar|, capped at 1 against rounding
-    kappa: float  # sqrt((r^2-|B|^2) / (s^2-|u|^2))
-
-
-def _excess_frame(rr, ss, excess, m: _Math) -> _Frame:
-    """The frame of a point from r^2 - |B|^2, s^2 - |u|^2 and the excess E - B x u;
-    needs rr, ss > 0 and excess != 0."""
-    scale = m.sqrt(rr * ss)
-    ebar = (excess[0] / scale, excess[1] / scale, excess[2] / scale)
-    e_len = m.sqrt(_dot(ebar, ebar))
-    st = m.where(1.0 < e_len, 1.0, e_len)
-    return _Frame(rr, (ebar[0] / e_len, ebar[1] / e_len, ebar[2] / e_len),
-                  m.sqrt(m.positive(1.0 - st * st)), st, m.sqrt(rr / ss))
-
-
-def _exact_ohm_split(B, u, rr, ss, m: _Math):
-    """bbar = 2 e sqrt(r^2-|B|^2) and ubar = 2 e sqrt(s^2-|u|^2) of a point with
-    E = B x u, each gap clipped at 0, for a unit e perpendicular to B and u.  The
-    perturbations are parallel, so the midpoint keeps E = B x u, and the
-    difference is admissible for every cone kind; lam = 1/2 halves them, exactly."""
-    e = _perpendicular(B, u, m)
-    b_len, u_len = 2.0 * m.sqrt(m.positive(rr)), 2.0 * m.sqrt(m.positive(ss))
-    return tuple(x * b_len for x in e), tuple(x * u_len for x in e)
-
-
-def _plane_normal(e1, f: _Frame, m: _Math):
-    """w = e1 x nhat, the normal of the working plane through the axis e1, and |w|."""
-    w = _cross(e1, f.nhat)
-    return w, m.sqrt(_dot(w, w))
-
-
-def _sinusoid(u, nb, e1, w, wn, f: _Frame):
-    """The frame (e1, e2, p_vec, q_vec) and the amplitudes (A, C) of the angle
-    equation, from |B|, the axis e1 and the plane normal w of length wn > 0."""
-    _, nhat, ct, st, kappa = f
-    e2 = (w[0] / wn, w[1] / wn, w[2] / wn)
-    # uhat(alpha) is bhat(alpha) rotated by arcsin|Ebar| about +nhat, which
-    # makes bhat x uhat = Ebar for every alpha.  Both are linear in
-    # (cos alpha, sin alpha), so G is the sinusoid below.
-    n1 = _cross(nhat, e1)
-    n2 = _cross(nhat, e2)
-    p_vec = (e1[0] * ct + n1[0] * st, e1[1] * ct + n1[1] * st, e1[2] * ct + n1[2] * st)
-    q_vec = (e2[0] * ct + n2[0] * st, e2[1] * ct + n2[1] * st, e2[2] * ct + n2[2] * st)
-    return e1, e2, p_vec, q_vec, nb - kappa * _dot(u, p_vec), -kappa * _dot(u, q_vec)
+    e1 is B / |B|, or at B = 0 an axis perpendicular to the excess and u.  On
+    the shared cone the plane normal w = e1 x (E - B x u) gives e2 = w / |w|
+    and c = |w|: nhat is the excess with its part along B taken off.  On the
+    stationary incompressible cone the excess is taken along n = B x u, as
+    w = ((E - B x u) . n / |n|^2) e1 x n, and where n = 0 as on the shared
+    cone.  Where w = 0 (E = B x u, or the excess along B) e2 is perpendicular
+    to B and u, the direction of the parallel split, and c = 0.
+    """
+    at_zero = nb == 0.0
+    d = m.where(at_zero, 1.0, nb)
+    e1 = m.patch(at_zero, (B[0] / d, B[1] / d, B[2] / d),
+                 lambda x, u: _perpendicular(x, u, m), excess, u)
+    if kind.restricts_u:
+        n = _cross(B, u)
+        nn = _dot(n, n)
+        k = m.quotient(_dot(excess, n), nn)
+        w = _cross(e1, n)
+        w = m.patch(nn == 0.0, (k * w[0], k * w[1], k * w[2]), _cross, e1, excess)
+    else:
+        w = _cross(e1, excess)
+    c = m.sqrt(_dot(w, w))
+    d = m.where(c == 0.0, 1.0, c)
+    e2 = m.patch(c == 0.0, (w[0] / d, w[1] / d, w[2] / d),
+                 lambda e1, u: _perpendicular(e1, u, m), e1, u)
+    return e1, e2, c
 
 
 def _root_direction(amp_cos, amp_sin, m: _Math):
     """(cos alpha, sin alpha) of the root alpha of A cos(alpha) + C sin(alpha) in
     [pi/2, 3pi/2], in closed form: the unit vector perpendicular to (A, C) with
     cos(alpha) <= 0, (-|C|, sign(C) A) / sqrt(A^2 + C^2).  Where C = 0 it is
-    (0, 1), and where A = C = 0 it is (-1, 0)."""
+    (0, 1), A = 0 included: there every alpha is a root, and alpha = pi/2 makes
+    the split of a point at exact Ohm on the amplitude corner the trivial one."""
     rho = m.sqrt(amp_cos * amp_cos + amp_sin * amp_sin)
     signed = m.where(amp_sin < 0.0, -amp_cos, m.where(amp_sin > 0.0, amp_cos, abs(amp_cos)))
-    return m.where(rho == 0.0, -1.0, m.quotient(-abs(amp_sin), rho)), m.quotient(signed, rho)
+    return m.quotient(-abs(amp_sin), rho), m.where(rho == 0.0, 1.0, m.quotient(signed, rho))
 
 
-def _perturbations(nb, eq, f: _Frame, m: _Math):
-    """bbar and ubar at the root (cos alpha, sin alpha) of the angle equation eq
-    (_sinusoid's values)."""
-    e1, e2, p_vec, q_vec, amp_cos, amp_sin = eq
-    ca, sa = _root_direction(amp_cos, amp_sin, m)
-    # |Bbar|^2 = 4 (r^2 - |B|^2 sin^2 alpha), computed as the amplitude gap
-    # plus |B|^2 cos^2 alpha: near the boundary the direct form cancels
-    # catastrophically and the endpoint amplitudes inherit the damage.
-    bbar_len = 2.0 * m.sqrt(f.rr + nb * nb * (ca * ca))
-    ubar_len = bbar_len / f.kappa
-    bbar = ((e1[0] * ca + e2[0] * sa) * bbar_len, (e1[1] * ca + e2[1] * sa) * bbar_len,
-            (e1[2] * ca + e2[2] * sa) * bbar_len)
-    uhat = (p_vec[0] * ca + q_vec[0] * sa, p_vec[1] * ca + q_vec[1] * sa,
-            p_vec[2] * ca + q_vec[2] * sa)
-    return bbar, (uhat[0] * ubar_len, uhat[1] * ubar_len, uhat[2] * ubar_len)
-
-
-def _weight(B, bbar, m: _Math):
-    """lam = 1/2 + B . bbar / |bbar|^2, clipped to [0, 1]."""
-    lam = m.positive(0.5 + _dot(B, bbar) / _dot(bbar, bbar))
-    return m.where(lam < 1.0, lam, 1.0)
-
-
-# decompose raises where the working plane's normal |e1 x nhat| falls below this.
-_DEGENERATE_PLANE = 1e-6
-
-
-def _exact_ohm(c, p: HullParams, tol: Tolerances):
-    """c = |E - B x u| <= eps_root rs, decompose's exact-Ohm branch; floats or columns."""
-    return c <= tol.eps_root * p.r * p.s
-
-
-def _on_amplitude_boundary(rr, ss, p: HullParams, tol: Tolerances):
-    """rr = r^2 - |B|^2 <= eps_mem r^2 or ss = s^2 - |u|^2 <= eps_mem s^2; floats or columns."""
-    return (rr <= tol.eps_mem * p.r * p.r) | (ss <= tol.eps_mem * p.s * p.s)
+def _split(B, u, nb2, nu2, excess, p: HullParams, kind: ConeKind, m: _Math):
+    """The weight and perturbations (lam, bbar, ubar) of a relaxed-set point with
+    |B|^2 = nb2, |u|^2 = nu2 and excess E - B x u, component triples, floats or
+    columns: the one split of every point, faces and exact Ohm included."""
+    rr, ss = m.positive(p.r * p.r - nb2), m.positive(p.s * p.s - nu2)
+    nb = m.sqrt(nb2)
+    e1, e2, c = _working_plane(B, u, nb, excess, kind, m)
+    # sin of the turn from bhat to uhat: the excess over its bound, at most 1.
+    scale = m.sqrt(rr * ss)
+    st = m.where(scale < c, 1.0, m.quotient(c, scale))
+    ct = m.sqrt(m.positive(1.0 - st * st))
+    # uhat(alpha) is bhat(alpha) = e1 cos(alpha) + e2 sin(alpha) turned by
+    # arcsin(st) about nhat, so bhat x uhat = st nhat for every alpha.
+    p_vec = (e1[0] * ct - e2[0] * st, e1[1] * ct - e2[1] * st, e1[2] * ct - e2[2] * st)
+    q_vec = (e2[0] * ct + e1[0] * st, e2[1] * ct + e1[1] * st, e2[2] * ct + e1[2] * st)
+    up, uq = _dot(u, p_vec), _dot(u, q_vec)
+    sr, sb = m.sqrt(rr), m.sqrt(ss)
+    ca, sa = _root_direction(sb * nb - sr * up, -(sr * uq), m)
+    # B . bhat and u . uhat at the root; each perturbation length is its own
+    # side's, 2 sqrt(gap + (. hat)^2), so neither divides by the other's gap.
+    xb, xu = nb * ca, up * ca + uq * sa
+    b_len, u_len = 2.0 * m.sqrt(rr + xb * xb), 2.0 * m.sqrt(ss + xu * xu)
+    # lam - 1/2 from the side with the longer normalised perturbation, where
+    # it is well conditioned; above 1/2 both perturbations change sign, which
+    # swaps the endpoints and leaves lam = 1/2 - |t|.
+    t = m.where(b_len * p.s >= u_len * p.r, m.quotient(xb, b_len), m.quotient(xu, u_len))
+    flip = m.where(t > 0.0, -1.0, 1.0)
+    b_len, u_len = b_len * flip, u_len * flip
+    bbar = ((e1[0] * ca + e2[0] * sa) * b_len, (e1[1] * ca + e2[1] * sa) * b_len,
+            (e1[2] * ca + e2[2] * sa) * b_len)
+    ubar = ((p_vec[0] * ca + q_vec[0] * sa) * u_len, (p_vec[1] * ca + q_vec[1] * sa) * u_len,
+            (p_vec[2] * ca + q_vec[2] * sa) * u_len)
+    return m.positive(0.5 - abs(t)), bbar, ubar
 
 
 def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
               tol: Tolerances | None = None) -> Decomposition:
     """Write a relaxed-set point as a two-state constraint-set mixture.
 
-    Decompositions are not unique.  A point with |E - B x u| <= eps_root rs
-    is split along a direction perpendicular to B and u with weight 1/2; any
-    other point by the laminate conditions at the closed-form root of the
-    angle equation in [pi/2, 3pi/2], with weight at most 1/2.  Raises
-    NotInHullError (with the separating function attached) for points
-    outside the relaxed set, NotInHullError (without one) for a point on the
-    amplitude boundary with a nonzero excess, and DecompositionError when
-    the working plane is degenerate, each before the arithmetic it guards.
+    Decompositions are not unique.  The split is the laminate at the
+    closed-form root of the angle equation in [pi/2, 3pi/2], with weight at
+    most 1/2, for every point of the set: on the amplitude faces, at exact
+    Ohm and at B = 0 alike.  Raises NotInHullError, with the separating
+    function attached, exactly for the points in_hull rejects;
+    verify_decomposition judges every split.
     """
     tol = tol or DEFAULT_TOLERANCES
     B, u, E = z
-    flags, (nb2, nu2, excess, c2) = _separation_flags(B, u, E, p, kind, tol.eps_mem, _FLOATS)
+    flags, (nb2, nu2, excess) = _separation_flags(B, u, E, p, kind, tol.eps_mem, _FLOATS)
     if any(flags):
         w = separation_witness(z, p, kind, tol)
         raise NotInHullError(f"point outside the relaxed set (witness {w.function}"
                              f" = {w.value})", w)
-    rr, ss, c = p.r * p.r - nb2, p.s * p.s - nu2, math.sqrt(c2)
-    if _exact_ohm(c, p, tol):
-        bbar, ubar = _exact_ohm_split(B, u, rr, ss, _FLOATS)
-        return _decomposition(0.5, *_endpoints(B, u, bbar, ubar, 0.5))
-    if _on_amplitude_boundary(rr, ss, p, tol):
-        # On the amplitude boundary the excess must vanish, so a boundary
-        # point with E != B x u cannot be an interior relaxed-set point.
-        raise NotInHullError(
-            f"amplitude on the boundary (r^2-|B|^2={rr}, s^2-|u|^2={ss}) "
-            f"with nonzero excess |E-Bxu|={c}")
-    f = _excess_frame(rr, ss, excess, _FLOATS)
-    nb = math.sqrt(nb2)
-    # With B = 0 any axis perpendicular to the excess will do: G then reads
-    # -kappa u . uhat(alpha) for every such axis, and its root makes uhat
-    # perpendicular to u.  The block takes the same axis, p1 of nhat's frame.
-    e1 = (B[0] / nb, B[1] / nb, B[2] / nb) if nb else _frame(f.nhat)[1]
-    w, wn = _plane_normal(e1, f, _FLOATS)
-    # B . Ebar = 0 on the relaxed set forces |B x Ebar| = |B||Ebar|; it vanishes
-    # only for a tiny B parallel to the excess, admitted by the slack of g1.
-    if wn < _DEGENERATE_PLANE:
-        raise DecompositionError(
-            "working plane degenerate: B is parallel to the excess field")
-    bbar, ubar = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, _FLOATS)
-    lam = _weight(B, bbar, _FLOATS)
+    lam, bbar, ubar = _split(B, u, nb2, nu2, excess, p, kind, _FLOATS)
     return _decomposition(lam, *_endpoints(B, u, bbar, ubar, lam))
 
 

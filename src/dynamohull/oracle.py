@@ -54,7 +54,7 @@ time (_items), and the campaign reads its failure rows one at a time
 This module is where numpy comes in: core and laminate import none, so the
 per-point API loads without it.  _COLUMNS is the column view of core's
 kernels, and the block decomposition (_decompose_block) lives here, next to
-the campaign that calls it, running laminate's stage functions.
+the campaign that calls it, running laminate's one split, _split.
 """
 
 from __future__ import annotations
@@ -89,27 +89,24 @@ from .core import (
     eval_g3,
     in_hull,
 )
-from .laminate import (
-    _DEGENERATE_PLANE,
-    DecompositionError,
-    _endpoints,
-    _exact_ohm,
-    _exact_ohm_split,
-    _excess_frame,
-    _on_amplitude_boundary,
-    _perturbations,
-    _plane_normal,
-    _residuals,
-    _sinusoid,
-    _weight,
-    decompose,
-)
+from .laminate import NotInHullError, _endpoints, _residuals, _split, decompose
+
+
+def _patch(mask, value, fn, *args):
+    """The component triple value, its columns overwritten with fn(*args) on the
+    rows where mask holds; fn runs on those rows of the component triples args only."""
+    at = np.flatnonzero(mask)
+    if len(at):
+        for x, y in zip(value, fn(*(tuple(c[at] for c in a) for a in args))):
+            x[at] = y
+    return value
+
 
 # core._Math on numpy columns: the functions core's kernels, written once on
 # component triples, take from a block of columns (core._FLOATS is the view
 # on the floats of one point).
 _COLUMNS = _Math(np.sqrt, np.where, lambda x: np.where(x > 0.0, x, 0.0),
-                 lambda n, d: np.divide(n, d, out=np.zeros_like(d), where=d != 0.0))
+                 lambda n, d: np.divide(n, d, out=np.zeros_like(d), where=d != 0.0), _patch)
 
 TWO_PI = 2.0 * math.pi
 
@@ -529,46 +526,18 @@ def _check_mixtures(report: HullCheckReport, z, p: HullParams, kind: ConeKind,
 def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
     """decompose on a block of targets (B, u, E), columns.
 
-    Returns (lam, z1, z2, raises): the weights and the endpoint states (as
-    columns), decompose's bit for bit, and the mask of the rows decompose
-    raises on: outside the relaxed set, or off exact Ohm with the amplitude
-    on the boundary or a degenerate working plane.  lam, z1 and z2 are
-    meaningless on those rows.
+    Returns (lam, z1, z2, outside): the weights and the endpoint states (as
+    columns), decompose's bit for bit, and the mask of the rows outside the
+    relaxed set, the only rows decompose raises on.  lam, z1 and z2 are
+    meaningless on those rows.  laminate._split returns only the weights and
+    perturbations, so its working-plane columns die before the endpoints are
+    built.
     """
     with np.errstate(all="ignore"):
-        lam, bbar, ubar, raises = _split_block(B, u, E, p, kind, tol)
+        (g1, g3, g2), terms = _separation_flags(B, u, E, p, kind, tol.eps_mem, _COLUMNS)
+        lam, bbar, ubar = _split(B, u, *terms, p, kind, _COLUMNS)
         z1, z2 = _endpoints(B, u, bbar, ubar, lam)
-    return lam, z1, z2, raises
-
-
-def _split_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
-    """The weights and perturbations (lam, bbar, ubar) of _decompose_block and its
-    mask of raising rows, in a function of their own, so that the working-plane
-    columns die before the endpoints are built.  The exact-Ohm split and the
-    B = 0 axis run on their own rows only."""
-    m = _COLUMNS
-    (g1, g3, g2), (nb2, nu2, excess, c2) = _separation_flags(B, u, E, p, kind, tol.eps_mem, m)
-    rr, ss = p.r * p.r - nb2, p.s * p.s - nu2
-    ohm = _exact_ohm(np.sqrt(c2), p, tol)
-    f = _excess_frame(rr, ss, excess, m)
-    nb = np.sqrt(nb2)
-    e1 = tuple(x / nb for x in B)
-    zero = nb == 0.0
-    if zero.any():
-        for x, y in zip(e1, _frame(tuple(a[zero] for a in f.nhat), m)[1]):
-            x[zero] = y
-    w, wn = _plane_normal(e1, f, m)
-    bbar, ubar = _perturbations(nb, _sinusoid(u, nb, e1, w, wn, f), f, m)
-    lam = _weight(B, bbar, m)
-    if ohm.any():
-        split = _exact_ohm_split(tuple(a[ohm] for a in B), tuple(a[ohm] for a in u),
-                                 rr[ohm], ss[ohm], m)
-        for x, y in zip(bbar + ubar, split[0] + split[1]):
-            x[ohm] = y
-        lam[ohm] = 0.5
-    # ~(wn >= ...) rather than wn < ...: a NaN row raises.
-    guarded = _on_amplitude_boundary(rr, ss, p, tol) | ~(wn >= _DEGENERATE_PLANE)
-    return lam, bbar, ubar, g1 | g3 | g2 | (~ohm & guarded)
+    return lam, z1, z2, g1 | g3 | g2
 
 
 def _check_decompositions(report: HullCheckReport, z, p: HullParams,
@@ -577,14 +546,14 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
 
     The block kernel splits every point decompose splits, and the block is
     verified as one, by verify_decomposition's residuals and nothing else;
-    decompose itself runs only on the points it raises on, for the error
-    message, so the rare branches have one implementation.
+    decompose itself runs only on the points outside the relaxed set, for
+    its error message.
     """
     report.decompose_checked += len(z[0][0])
     lam, z1, z2, raises = _decompose_block(*z, p, kind, tol)
     verified = ~raises
 
-    with np.errstate(all="ignore"):  # the rows that raise hold no endpoints
+    with np.errstate(all="ignore"):  # the rows outside hold no endpoints
         res = _residuals(lam, z1, z2, z, p, kind, _COLUMNS)
     # Folded one check at a time: the rows each check fails (a NaN residual
     # fails) and its maximum over the verified rows.
@@ -600,7 +569,7 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
         if raises[i]:
             try:
                 decompose(zi, p, kind, tol)
-            except DecompositionError as exc:
+            except NotInHullError as exc:
                 report.record_failure("decompose", zi, f"decomposition raised: {exc}")
                 continue
             raise RuntimeError(f"the block kernel left a point decompose splits: {zi.to_json()}")

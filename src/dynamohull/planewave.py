@@ -364,13 +364,15 @@ class StaircaseReport:
 
 
 def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
+                      kind: ConeKind = ConeKind.NONSTATIONARY,
                       tol: Tolerances | None = None) -> StaircaseReport:
     """Average the piecewise-constant oscillation between the two endpoints.
 
     The field takes value z1 where frac(n_osc * phi / 2pi) < lambda and z2
     otherwise, with phi the plane-wave phase; jumps across phase planes are
-    admissible because z1 - z2 satisfies the plane-wave conditions for xi
-    (validated here, by the condition kernel round_to_lattice uses).  The 1-D
+    admissible because z1 - z2 satisfies the plane-wave conditions of `kind`
+    for xi (validated here, by the condition kernel round_to_lattice uses,
+    div u included on the incompressible kinds).  The 1-D
     phase is sampled at g.n**3 midpoints of equal steps across the averaging
     window; samples reports that count, and fraction the share of them
     below lambda.
@@ -401,9 +403,9 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
     z1, z2 = d.z1, d.z2
     dz = tuple((a[0] - b[0], a[1] - b[1], a[2] - b[2]) for a, b in zip(z1, z2))
     size = _norm_rs(*dz, 1.0, 1.0)
-    if not _conditions_ok(dz, size, xi, ConeKind.NONSTATIONARY, tol):
+    if not _conditions_ok(dz, size, xi, kind, tol):
         raise ValueError("xi does not admit plane waves along z1 - z2; "
-                         f"condition residuals {plane_wave_conditions(d.z1 - d.z2, xi)}")
+                         f"condition residuals {plane_wave_conditions(d.z1 - d.z2, xi, kind)}")
 
     fracs = _band_fractions(n_osc, g.n, g.periods)
     samples = fracs.size

@@ -17,12 +17,10 @@ from dynamohull import (
     Vec3,
     VerificationReport,
     decompose,
-    hull_excess_bound,
     in_hull,
     sample_first_laminate,
     sample_hull,
     separation_witness,
-    unit_perpendicular,
     unit_perpendicular_to_all,
     verify_decomposition,
 )
@@ -68,6 +66,23 @@ def g2_refined_max(z: Triple, p: HullParams) -> float:
             x1 = hi - inv_phi * (hi - lo)
             f1 = h(x1)
     return max(h(lo), h(hi), h(0.0), h(1.0))
+
+
+def excess_bound(B: Vec3, u: Vec3, p: HullParams) -> float:
+    """sqrt((r^2 - |B|^2)(s^2 - |u|^2)), each factor clipped at 0: the sharp bound
+    on |E - B x u|, rounded as the verification's weight-amplitude check rounds it."""
+    return math.sqrt(max(0.0, p.r * p.r - B.norm2()) * max(0.0, p.s * p.s - u.norm2()))
+
+
+def normalized(v: Vec3) -> Vec3:
+    """v / |v| of a nonzero v."""
+    return v / v.norm()
+
+
+def perpendicular_to(v: Vec3) -> Vec3:
+    """A unit vector perpendicular to v: p1 of v's frame (the y axis if v = 0),
+    unit_perpendicular_to_all with a zero second vector."""
+    return unit_perpendicular_to_all((v, Vec3(0.0, 0.0, 0.0)))
 
 
 def vec(rng: np.random.Generator, scale: float = 1.0) -> Vec3:
@@ -378,53 +393,62 @@ def _reference_require_in_hull(z, p, kind, tol):
                              f" = {w.value})", w)
 
 
-def _reference_frame(rr, ss, excess):
-    ebar = excess / math.sqrt(rr * ss)
-    e_len = ebar.norm()
-    st = min(e_len, 1.0)
-    return rr, ebar, ebar / e_len, math.sqrt(max(0.0, 1.0 - st * st)), st, math.sqrt(rr / ss)
-
-
-def _reference_gap(z, frame):
-    """The axes e1, e2, the rotated axes p_vec, q_vec and the amplitudes (A, C)
-    of the angle equation A cos(alpha) + C sin(alpha)."""
-    _, _, nhat, ct, st, kappa = frame
-    nb = z.B.norm()
-    e1 = z.B / nb if nb else unit_perpendicular(nhat)
-    w = e1.cross(nhat)
-    wn = w.norm()
-    if wn < 1e-6:
-        raise DecompositionError(
-            "working plane degenerate: B is parallel to the excess field")
-    e2 = w / wn
-    p_vec = e1 * ct + nhat.cross(e1) * st
-    q_vec = e2 * ct + nhat.cross(e2) * st
-    amp_cos = nb - kappa * z.u.dot(p_vec)
-    amp_sin = -kappa * z.u.dot(q_vec)
-    return e1, e2, p_vec, q_vec, amp_cos, amp_sin
+def _reference_axes(z, nb, excess, kind):
+    """The working plane's axes e1, e2 and the excess length c on the cone's
+    normal space: e1 along B (at B = 0 perpendicular to the excess and u); e2
+    along e1 x excess, or on the stationary incompressible cone along
+    e1 x n, n = B x u, with the excess taken as its part along n, unless
+    n = 0; perpendicular to e1 and u where that vanishes."""
+    e1 = z.B / nb if nb else unit_perpendicular_to_all((excess, z.u))
+    n = z.B.cross(z.u)
+    if kind.restricts_u and n.norm2() != 0.0:
+        w = e1.cross(n) * (excess.dot(n) / n.norm2())
+    else:
+        w = e1.cross(excess)
+    c = w.norm()
+    return e1, (w / c if c else unit_perpendicular_to_all((e1, z.u))), c
 
 
 def reference_root_direction(a, c):
     """(cos alpha, sin alpha) of the root of a cos(alpha) + c sin(alpha) in
-    [pi/2, 3pi/2]: (-|c|, sign(c) a) / sqrt(a^2 + c^2), with (0, 1) at c = 0
-    and (-1, 0) at a = c = 0."""
+    [pi/2, 3pi/2]: (-|c|, sign(c) a) / sqrt(a^2 + c^2), with (0, 1) at c = 0,
+    a = 0 included."""
     rho = math.sqrt(a * a + c * c)
     if rho == 0.0:
-        return -1.0, 0.0
+        return 0.0, 1.0
     if c == 0.0:
         return -0.0, abs(a) / rho
     return -abs(c) / rho, (a if c > 0.0 else -a) / rho
 
 
-def _reference_solve(z, frame):
-    """The perturbations (bbar, ubar) at the root of the angle equation."""
-    rr, _, _, _, _, kappa = frame
+def _reference_split(z, p, kind):
+    """The weight lam and the perturbations (bbar, ubar) of a relaxed-set point:
+    the root of sqrt(ss) |B| cos(alpha) = sqrt(rr) u . uhat(alpha), each length
+    from its own side and lam from the side with the longer normalised
+    perturbation, the signs flipped where that is above 1/2."""
+    rr = max(0.0, p.r * p.r - z.B.norm2())
+    ss = max(0.0, p.s * p.s - z.u.norm2())
     nb = z.B.norm()
-    e1, e2, p_vec, q_vec, amp_cos, amp_sin = _reference_gap(z, frame)
-    ca, sa = reference_root_direction(amp_cos, amp_sin)
-    bbar_len = 2.0 * math.sqrt(rr + nb * nb * (ca * ca))
-    ubar_len = bbar_len / kappa
-    return (e1 * ca + e2 * sa) * bbar_len, (p_vec * ca + q_vec * sa) * ubar_len
+    e1, e2, c = _reference_axes(z, nb, z.E - z.B.cross(z.u), kind)
+    scale = math.sqrt(rr * ss)
+    st = 1.0 if scale < c else (c / scale if scale else 0.0)
+    ct = math.sqrt(max(0.0, 1.0 - st * st))
+    p_vec = e1 * ct - e2 * st
+    q_vec = e2 * ct + e1 * st
+    up, uq = z.u.dot(p_vec), z.u.dot(q_vec)
+    sr, sb = math.sqrt(rr), math.sqrt(ss)
+    ca, sa = reference_root_direction(sb * nb - sr * up, -(sr * uq))
+    xb, xu = nb * ca, up * ca + uq * sa
+    b_len, u_len = 2.0 * math.sqrt(rr + xb * xb), 2.0 * math.sqrt(ss + xu * xu)
+    if b_len * p.s >= u_len * p.r:
+        t = xb / b_len if b_len else 0.0
+    else:
+        t = xu / u_len if u_len else 0.0
+    if t > 0.0:
+        b_len, u_len = -b_len, -u_len
+    bbar = (e1 * ca + e2 * sa) * b_len
+    ubar = (p_vec * ca + q_vec * sa) * u_len
+    return max(0.0, 0.5 - abs(t)), bbar, ubar
 
 
 def _reference_endpoints(B, u, bbar, ubar, lam):
@@ -438,23 +462,9 @@ def _reference_endpoints(B, u, bbar, ubar, lam):
 
 def reference_decompose(z, p, kind=ConeKind.NONSTATIONARY, tol=None):
     """decompose in Vec3 arithmetic."""
-    tol = tol or DEFAULT_TOLERANCES
-    _reference_require_in_hull(z, p, kind, tol)
-    rr = p.r * p.r - z.B.norm2()
-    ss = p.s * p.s - z.u.norm2()
-    excess = z.E - z.B.cross(z.u)
-    c = excess.norm()
-    if c <= tol.eps_root * p.r * p.s:
-        e = unit_perpendicular_to_all((z.B, z.u))
-        return _reference_endpoints(z.B, z.u, e * (2.0 * math.sqrt(max(0.0, rr))),
-                                    e * (2.0 * math.sqrt(max(0.0, ss))), 0.5)
-    if rr <= tol.eps_mem * p.r * p.r or ss <= tol.eps_mem * p.s * p.s:
-        raise NotInHullError(
-            f"amplitude on the boundary (r^2-|B|^2={rr}, s^2-|u|^2={ss}) "
-            f"with nonzero excess |E-Bxu|={c}")
-    bbar, ubar = _reference_solve(z, _reference_frame(rr, ss, excess))
-    lam = 0.5 + z.B.dot(bbar) / bbar.norm2()
-    return _reference_endpoints(z.B, z.u, bbar, ubar, min(1.0, max(0.0, lam)))
+    _reference_require_in_hull(z, p, kind, tol or DEFAULT_TOLERANCES)
+    lam, bbar, ubar = _reference_split(z, p, kind)
+    return _reference_endpoints(z.B, z.u, bbar, ubar, lam)
 
 
 def _reference_cone_residual(a, b, unit):
@@ -480,7 +490,7 @@ def reference_verify_decomposition(d, target, p, kind=ConeKind.NONSTATIONARY, to
             rs * s + target.u.norm() * dz.B.norm() * dz.u.norm())
     res["lambda_range"] = max(0.0, -d.lam, d.lam - 1.0)
     res["reconstruction"] = (d.combine() - target).norm(r, s) / (1.0 + target.norm(r, s))
-    d_bound = hull_excess_bound(target.B, target.u, p)
+    d_bound = excess_bound(target.B, target.u, p)
     prod = d.lam * (1.0 - d.lam) * dz.B.norm() * dz.u.norm()
     res["weight_amplitude_identity"] = abs(prod - d_bound) / (rs + d_bound)
     failures = tuple(name for name, v in res.items() if v > tol.eps_mem)
@@ -489,12 +499,14 @@ def reference_verify_decomposition(d, target, p, kind=ConeKind.NONSTATIONARY, to
 
 
 def special_points(p: HullParams) -> dict:
-    """One triple per rare branch of decompose, at radii p."""
+    """One triple per rare case of decompose, at radii p: outside the set, at
+    exact Ohm, at B = 0 or u = 0, on an amplitude face or at their corner, and
+    item (b) of the slack band, a tiny B parallel to the excess."""
     r, s = p.r, p.s
     B = Vec3(0.3 * r, 0.1 * r, 0.0)
     u = Vec3(0.0, 0.2 * s, 0.4 * s)
     bound = math.sqrt((r * r - B.norm2()) * (s * s - u.norm2()))
-    excess = B.cross(Vec3(0.0, 0.0, 1.0)).normalized() * (0.5 * bound)
+    excess = normalized(B.cross(Vec3(0.0, 0.0, 1.0))) * (0.5 * bound)
     edge = Vec3(r, 0.0, 0.0)
     return {
         "outside": Triple(B, u, B.cross(u) + excess * 3.0),
@@ -514,15 +526,14 @@ def special_points(p: HullParams) -> dict:
 
 
 # A stationary-incompressible hull point at r = s = 1 that in_hull accepts with
-# u . E at 0.9 eps_mem of g3's bound; decompose splits it, and the split's
-# mixing_orthogonality residual, 4.1e-9, fails verification.
+# u . E at 0.9 eps_mem of g3's bound.  decompose takes its excess along B x u,
+# so the split drops the part along u and fails reconstruction.
 MIXING_GAP_POINT = Triple(
     Vec3(0.21291284845497171, -0.8350749385942525, -0.49785248054581055),
     Vec3(-0.263191832637829, -0.1451105884483324, 0.2211072889423951),
     Vec3(-0.2530910073186107, 0.08271424186963601, -0.24697861824831405))
 
-
-# The branch decompose takes on each special point, where it differs from the name.
-SPECIAL_BRANCH = {"u = 0": "interior", "B parallel to u": "exact Ohm", "B = u = 0": "exact Ohm",
-                  "amplitude corner": "exact Ohm"}
-RAISING_BRANCHES = ("outside", "amplitude boundary", "degenerate plane")
+# The special points in_hull admits only through its eps_mem slack, whose
+# splits fail verification: a nonzero excess on the face |B| = r, and a tiny B
+# parallel to the excess.
+FAILING_SPECIAL_POINTS = ("amplitude boundary", "degenerate plane")

@@ -33,7 +33,7 @@ from dynamohull import (
     WaveVector,
 )
 from dynamohull.cli import main as cli_main
-from _helpers import ALL_KINDS, cone_direction, g2_grid_max, unit, vec
+from _helpers import ALL_KINDS, cone_direction, g2_grid_max, normalized, unit, vec
 
 RADII = (0.5, 1.0, 2.0)
 LAMINATE_COUNT = 100_000
@@ -41,7 +41,7 @@ DECOMPOSE_COUNT = 10_000
 CAMPAIGN_SEED = 0
 
 VERIFY_TOL = Tolerances()                      # 1e-9 membership / verification
-INNER_TOL = Tolerances(eps_mem=1e-10, eps_root=1e-13)  # inner membership slack
+INNER_TOL = Tolerances(eps_mem=1e-10)  # inner membership slack
 
 
 def _report(capsys, num: int, name: str, ok: bool, detail: str = ""):
@@ -180,7 +180,7 @@ def test_criterion_5_boundary_collapse(capsys):
         B = unit(rng) * r
         u = unit(rng) * rng.uniform(0.0, s)
         e = unit(rng)
-        e = (e - B * (e.dot(B) / B.norm2())).normalized()
+        e = normalized(e - B * (e.dot(B) / B.norm2()))
         z = Triple(B, u, B.cross(u) + e * 1e-3)
         if not in_hull(z, p):
             rejected += 1

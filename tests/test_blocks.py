@@ -11,7 +11,6 @@ import pytest
 
 from dynamohull import (
     ConeKind,
-    DecompositionError,
     HullCheckReport,
     HullParams,
     NotInHullError,
@@ -20,7 +19,6 @@ from dynamohull import (
     Triple,
     Vec3,
     decompose,
-    hull_excess_bound,
     sample_K,
     sample_first_laminate,
     sample_hull,
@@ -35,9 +33,9 @@ from dynamohull.laminate import _residuals
 from dynamohull.oracle import _COLUMNS, _decompose_block
 from _helpers import (
     ALL_KINDS,
+    FAILING_SPECIAL_POINTS,
     MIXING_GAP_POINT,
-    RAISING_BRANCHES,
-    SPECIAL_BRANCH,
+    excess_bound,
     reference_check_decompositions,
     reference_two_sided_hull_check,
     scaled_point,
@@ -88,11 +86,11 @@ def test_block_driver_matches_reference(kind, radii, count):
 
 @pytest.mark.usefixtures("blocks_of_1024")
 @pytest.mark.parametrize("count, tol, inner_tol", [
-    (10_000, Tolerances(eps_mem=4e-16, eps_root=1e-16), None),
+    (10_000, Tolerances(eps_mem=4e-16), None),
     # decompose raises (g1 at rounding level) between verification failures
-    (2500, Tolerances(eps_mem=1e-17, eps_root=1e-18), Tolerances()),
+    (2500, Tolerances(eps_mem=1e-17), Tolerances()),
     # membership failures, then verification failures (mixing included)
-    (2500, Tolerances(eps_mem=1e-16, eps_root=1e-17), None),
+    (2500, Tolerances(eps_mem=1e-16), None),
 ])
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_driver_matches_reference_on_failures(kind, count, tol, inner_tol):
@@ -129,27 +127,29 @@ def hull_points(kind, p, count=1500, seed=24):
 @pytest.mark.parametrize("radii", [(1.0, 1.0), (1e-3, 1e3), (1e6, 1e-6)])
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_decomposition_matches_decompose(kind, radii):
-    # The block's mask is exactly the rows decompose raises on.  Every other
-    # row, exact Ohm and B = 0 included, has decompose's weight and
-    # endpoints and verify_decomposition's residuals, bit for bit.
+    # The block's mask is exactly the rows decompose raises on, those outside
+    # the set.  Every other row, exact Ohm, B = 0 and the amplitude faces
+    # included, has decompose's weight and endpoints and
+    # verify_decomposition's residuals, bit for bit.
     p = HullParams(*radii)
     points = hull_points(kind, p)
+    failing = [special_points(p)[name] for name in FAILING_SPECIAL_POINTS]
     cols = block(points)
     lam, z1, z2, raises = _decompose_block(*cols, p, kind, DEFAULT_TOLERANCES)
-    with np.errstate(all="ignore"):  # the rows that raise hold no endpoints
+    with np.errstate(all="ignore"):  # the rows outside hold no endpoints
         res = _residuals(lam, z1, z2, cols, p, kind, _COLUMNS)
     raised = []
     for i, z in enumerate(points):
         try:
             d = decompose(z, p, kind)
-        except DecompositionError:
+        except NotInHullError:
             raised.append(i)
             continue
         assert bits(lam[i]) == bits(d.lam)
         assert (bits(row(z1, i)) == bits([*d.z1.B, *d.z1.u, *d.z1.E])).all()
         assert (bits(row(z2, i)) == bits([*d.z2.B, *d.z2.u, *d.z2.E])).all()
         ver = verify_decomposition(d, z, p, kind)
-        assert ver.passed
+        assert ver.passed or z in failing
         assert list(res) == list(ver.residuals)
         assert (bits([res[name][i] for name in res]) == bits(list(ver.residuals.values()))).all()
     assert np.flatnonzero(raises).tolist() == raised
@@ -158,41 +158,38 @@ def test_block_decomposition_matches_decompose(kind, radii):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_fallback_rows_are_the_rare_branches(kind):
-    # The rows the block leaves to decompose are exactly those of the branches
-    # that raise; the exact-Ohm and B = 0 branches are split in the block.
+    # The rows the block leaves to decompose are exactly those outside the
+    # set, and decompose raises on them with a witness.  It splits every
+    # other special point, and only the points of the slack band fail
+    # verification, each by reconstruction.
     p = HullParams(2.0, 0.5)
     tol = DEFAULT_TOLERANCES
     special = special_points(p)
     interior = list(sample_hull(SampleConfig(seed=25, count=300, params=p, kind=kind)))
     points = interior + list(special.values())
     _, _, _, raises = _decompose_block(*block(points), p, kind, tol)
-    branch = {}
+    outcome = {}
     for name, z in special.items():
         try:
             d = decompose(z, p, kind, tol)
         except NotInHullError as exc:
-            branch[name] = "outside" if exc.witness else "amplitude boundary"
-        except DecompositionError as exc:
-            assert "working plane degenerate" in str(exc)
-            branch[name] = "degenerate plane"
+            assert exc.witness is not None and exc.witness.separates
+            outcome[name] = "raised"
         else:
-            assert verify_decomposition(d, z, p, kind, tol).passed
-            rs = p.r * p.s
-            branch[name] = ("exact Ohm" if (z.E - z.B.cross(z.u)).norm() <= tol.eps_root * rs
-                            else "B = 0" if z.B.norm() == 0.0 else "interior")
-    # Each special point takes the branch it is named for, or SPECIAL_BRANCH's.
-    assert branch == {name: SPECIAL_BRANCH.get(name, name) for name in special}
-    expected = [False] * len(interior) + [branch[name] in RAISING_BRANCHES for name in special]
-    assert raises.tolist() == expected
+            outcome[name] = verify_decomposition(d, z, p, kind, tol).failures
+    assert outcome == {name: "raised" if name == "outside"
+                       else ("reconstruction",) if name in FAILING_SPECIAL_POINTS else ()
+                       for name in special}
+    assert raises.tolist() == [False] * len(interior) + [name == "outside" for name in special]
 
 
 @pytest.mark.parametrize("radii", [(1.0, 1.0), (2.0, 0.5), (1e-3, 1e3)])
 @pytest.mark.parametrize("kind", KINDS)
 def test_fallback_rows_are_written_back(kind, radii):
-    # The rare branches sit among interior points of one block.  The block
-    # splits the exact-Ohm and B = 0 rows itself and writes nothing back
-    # from decompose, which runs only on the rows that raise, so the
-    # report, residual maxima included, is the per-point reference's.
+    # The special points sit among interior points of one block.  The block
+    # splits every row in the set itself and writes nothing back from
+    # decompose, which runs only on the rows outside, so the report,
+    # residual maxima included, is the per-point reference's.
     p = HullParams(*radii)
     tol = DEFAULT_TOLERANCES
     interior = list(sample_hull(SampleConfig(seed=30, count=300, params=p, kind=kind)))
@@ -203,17 +200,17 @@ def test_fallback_rows_are_written_back(kind, radii):
     oracle._check_decompositions(report, block(points), p, kind, tol)
     reference_check_decompositions(expected, points, p, kind, tol)
     assert report.to_json() == expected.to_json()
-    # Only the three points outside or beyond decompose's reach fail.
+    # Only the point outside and the two of the slack band fail.
     assert report.decompose_failure_count == 2 * 3
 
 
-def test_a_mixing_orthogonality_failure_is_one_verification_record():
+def test_a_verification_failure_is_one_record():
     kind = ConeKind.STATIONARY_INCOMPRESSIBLE
     report = HullCheckReport(seed=0, kind=kind.label, r=1.0, s=1.0)
     oracle._check_decompositions(report, block([MIXING_GAP_POINT]), HullParams(1.0, 1.0), kind,
                                  DEFAULT_TOLERANCES)
     assert report.decompose_failure_count == 1
-    assert [f["reason"] for f in report.failures] == ["verification failed: mixing_orthogonality"]
+    assert [f["reason"] for f in report.failures] == ["verification failed: reconstruction"]
 
 
 def test_a_mixture_off_u_dot_E_is_one_membership_failure(monkeypatch):
@@ -322,7 +319,7 @@ def test_parallel_B_and_u_take_the_perpendicular_fallback(monkeypatch):
     assert z.B.cross(z.u).norm() <= 1e-12 * z.B.norm() * z.u.norm()
     e = unit_perpendicular_to_all((z.B, z.u))
     e = e if draws[8 * k + 6] < 0.5 else -e
-    assert z.E == z.B.cross(z.u) + e * (draws[8 * k + 7] * hull_excess_bound(z.B, z.u, p))
+    assert z.E == z.B.cross(z.u) + e * (draws[8 * k + 7] * excess_bound(z.B, z.u, p))
     monkeypatch.undo()
     assert points[:k] + points[k + 1:] == [
         q for i, q in enumerate(sample_hull(cfg)) if i != k]

@@ -44,15 +44,6 @@ def test_verify_hull_stationary_notes_extra_checks(tmp_path):
     assert "max_mixing_orthogonality" in report
 
 
-def test_decompose_exits_1_on_a_mixing_orthogonality_failure(tmp_path, capsys):
-    path = tmp_path / "triple.json"
-    path.write_text(MIXING_GAP_POINT.to_json())
-    assert main(["decompose", "--kind", "stationary-incompressible", "--input", str(path)]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["passed"] is False
-    assert payload["residuals"]["mixing_orthogonality"] > 1e-9
-
-
 def test_verify_hull_rejects_bad_radius(capsys):
     assert main(["verify-hull", "--r", "0"]) == 2
     assert main(["verify-hull", "--r", "-1"]) == 2
@@ -101,16 +92,32 @@ def test_decompose_outside_hull_exits_one_with_witness(capsys, monkeypatch):
 
 
 def test_decompose_failure_inside_the_hull_exits_one(capsys, monkeypatch):
-    # in_hull accepts this point through the absolute floor of the g1 test,
-    # but B is parallel to the excess E - B x u = (1e-5, 0, 0), so the
-    # working plane of the solver is degenerate.
-    z = '{"B": [1e-5, 0, 0], "u": [0, 0.5, 0], "E": [1e-5, 0, 5e-6]}'
-    code = run(["decompose"], stdin=z, monkeypatch=monkeypatch)
-    assert code == 1
+    # Two points in_hull accepts whose splits fail reconstruction.  The first
+    # passes the g1 test through its absolute floor, but B is parallel to the
+    # excess E - B x u = (1e-5, 0, 0), so the split, across B, drops it.  The
+    # second has u . E at 0.9 eps_mem of g3's bound, and the split, along
+    # B x u, drops the excess's part along u.
+    for kind, point in (
+            ("nonstationary", '{"B": [1e-5, 0, 0], "u": [0, 0.5, 0], "E": [1e-5, 0, 5e-6]}'),
+            ("stationary-incompressible", MIXING_GAP_POINT.to_json())):
+        code = run(["decompose", "--kind", kind], stdin=point, monkeypatch=monkeypatch)
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is False
+        assert [name for name, v in payload["residuals"].items() if v > 1e-9] == ["reconstruction"]
+        assert "error" not in payload
+
+
+@pytest.mark.parametrize("kind", ["nonstationary", "stationary-incompressible"])
+def test_decompose_a_member_a_hair_inside_the_amplitude_face_exits_zero(kind, tmp_path, capsys):
+    # |B| = r (1 - 1e-12) at r = s = 1 and an excess within its cap: a member
+    # of the set, 1e-12 inside the face |B| = r, that decompose splits.
+    path = tmp_path / "triple.json"
+    path.write_text('{"B": [0.999999999999, 0.0, 0.0], "u": [0.0, 0.5, 0.0], '
+                    '"E": [0.0, 0.0, 0.5000006123651624]}')
+    assert main(["decompose", "--kind", kind, "--input", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["error"] == "decomposition-failed"
-    assert "working plane degenerate" in payload["message"]
-    assert "witness" not in payload
+    assert payload["passed"] is True and payload["lambda"] <= 0.5
 
 
 def test_decompose_parse_failure_exits_two(capsys, monkeypatch):
@@ -177,9 +184,9 @@ def test_verify_hull_deterministic_reports(tmp_path):
 # a verdict or a residual changes the digest; the determinism criterion
 # only compares a rerun with itself and cannot see such a change.
 GOLDEN_DIGESTS = {
-    "nonstationary": "df7c2438a92fecbc832734fca59b83c8aa1e141e8154e207cf779b0fe6497aef",
+    "nonstationary": "f722bb672fe861061e6b30ddb4c523085b52fe17d4f06af7001f19aaed7d19c6",
     "stationary-incompressible":
-        "dc2b2c5b695c22f84f5cd3f2fe95ce42691727a4310e5a1c75028c8fd0d4af0f",
+        "a55bc5ef8350d8b9bdca1fabbadb043e69f3e4d1365a8ce9186b373320abc69e",
 }
 
 
@@ -268,9 +275,10 @@ def test_tol_flag_loosens_membership_slack(tmp_path):
     assert json.loads(out.read_text())["failure_count"] == 0
 
 
-def test_tol_flag_rejects_value_below_exact_ohm_threshold():
-    # eps_mem must stay above the default exact-Ohm threshold eps_root.
-    assert main(["verify-hull", "--count", "10", "--tol", "1e-14"]) == 2
+def test_tol_flag_takes_any_positive_slack(capsys, monkeypatch):
+    # The decomposition takes no tolerance, so no slack is too small for it.
+    assert run(["decompose", "--tol", "1e-14"], stdin=K_POINT, monkeypatch=monkeypatch) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_sample_constraint_sampler_csv(capsys):

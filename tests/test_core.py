@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -24,7 +25,6 @@ from dynamohull import (
     sample_K,
     sample_hull,
     separation_witness,
-    unit_perpendicular,
     unit_perpendicular_to_all,
 )
 from dynamohull.core import _frame, _perpendicular
@@ -34,6 +34,8 @@ from _helpers import (
     cone_direction,
     g2_grid_max,
     g2_refined_max,
+    normalized,
+    perpendicular_to,
     rotation_matrix,
     rotate_triple,
     unit,
@@ -146,13 +148,14 @@ def test_hull_params_json_round_trip():
 
 def test_tolerances_validation():
     with pytest.raises(ValueError):
-        Tolerances(eps_mem=1e-12, eps_root=1e-9)
-    with pytest.raises(ValueError):
         Tolerances(eps_mem=0.0)
     with pytest.raises(ValueError):
         Tolerances(eps_residual=-1e-9)
-    t = Tolerances()
-    assert t.eps_root < t.eps_mem
+    # The decomposition takes no tolerance: the two slacks are all there is.
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["eps_mem", "eps_residual"]
+    with pytest.raises(TypeError):
+        Tolerances(eps_root=1e-12)
+    assert Tolerances(eps_mem=1e-14).eps_mem == 1e-14
 
 
 def test_cone_kind_labels_round_trip():
@@ -339,7 +342,7 @@ def test_boundary_collapse():
         B = unit(rng)
         u = vec(rng, 0.6)
         e = unit(rng)
-        e = (e - B * e.dot(B)).normalized()
+        e = normalized(e - B * e.dot(B))
         z = Triple(B, u, B.cross(u) + e * 1e-3)
         assert not in_hull(z, P11)
 
@@ -523,13 +526,13 @@ def test_perpendicular_is_perpendicular_at_every_angle():
         e = unit_perpendicular_to_all((a, b))
         assert _off_perpendicular(e, a) <= 1e-15 and _off_perpendicular(e, b) <= 1e-15, (a, b)
         assert abs(e.norm() - 1.0) <= 1e-15
-        p = unit_perpendicular(a)
+        p = perpendicular_to(a)
         assert _off_perpendicular(p, a) <= 1e-15 and abs(p.norm() - 1.0) <= 1e-15
 
 
 def test_perpendicular_float_views_match_the_column_kernels():
-    # unit_perpendicular_to_all is _perpendicular on floats and
-    # unit_perpendicular is p1 of _frame: bit for bit the column kernels' rows.
+    # unit_perpendicular_to_all is _perpendicular on floats, and with a zero
+    # second vector p1 of _frame: bit for bit the column kernels' rows.
     cases = _perpendicular_cases()
     a = tuple(np.array([getattr(x, c) for x, _ in cases]) for c in "xyz")
     b = tuple(np.array([getattr(y, c) for _, y in cases]) for c in "xyz")
@@ -538,7 +541,7 @@ def test_perpendicular_float_views_match_the_column_kernels():
         p1 = np.column_stack(_frame(a, _COLUMNS)[1])
     got = np.array([list(unit_perpendicular_to_all(pair)) for pair in cases])
     assert (got.view(np.uint64) == e.view(np.uint64)).all()
-    got = np.array([list(unit_perpendicular(x)) for x, _ in cases])
+    got = np.array([list(perpendicular_to(x)) for x, _ in cases])
     assert (got.view(np.uint64) == p1.view(np.uint64)).all()
 
 
@@ -554,7 +557,7 @@ def test_perpendicular_float_views_are_bit_identical_at_every_magnitude():
     pairs = [(Vec3(*x), Vec3(*y)) for x, y in zip(a.T, b.T)]
     got = np.array([list(unit_perpendicular_to_all(pair)) for pair in pairs])
     assert (got.view(np.uint64) == e.view(np.uint64)).all()
-    got = np.array([list(unit_perpendicular(x)) for x, _ in pairs])
+    got = np.array([list(perpendicular_to(x)) for x, _ in pairs])
     assert (got.view(np.uint64) == p1.view(np.uint64)).all()
 
 
@@ -563,7 +566,7 @@ def test_perpendicular_at_the_ends_of_the_double_range(v):
     # v . v overflows for the first vector and underflows for the second.
     top = max(abs(x) for x in v)
     other = Vec3(v.z, v.x, v.y)
-    checks = ((unit_perpendicular(v), (v,)), (unit_perpendicular_to_all((v, other)), (v, other)))
+    checks = ((perpendicular_to(v), (v,)), (unit_perpendicular_to_all((v, other)), (v, other)))
     for e, vs in checks:
         assert abs(e.norm() - 1.0) <= 1e-15
         for w in vs:

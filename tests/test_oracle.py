@@ -15,7 +15,6 @@ from dynamohull import (
     decompose,
     eval_g1,
     eval_g3,
-    hull_excess_bound,
     in_constraint_set,
     in_hull,
     sample_K,
@@ -27,7 +26,7 @@ from dynamohull import (
     write_samples_csv,
 )
 from dynamohull import oracle
-from _helpers import ALL_KINDS, reference_pair_block
+from _helpers import ALL_KINDS, excess_bound, reference_pair_block
 from test_blocks import ListStream
 
 P11 = HullParams(1.0, 1.0)
@@ -191,7 +190,7 @@ def test_equal_B_pairs_are_valid_directions():
 
 
 def test_first_laminate_in_hull_and_orthogonal():
-    tol = Tolerances(eps_mem=1e-10, eps_root=1e-13)
+    tol = Tolerances(eps_mem=1e-10)
     for kind in (ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE):
         cfg = SampleConfig(seed=7, count=2000, params=P11, kind=kind)
         for z in sample_first_laminate(cfg):
@@ -218,7 +217,7 @@ def test_hull_sampler_members_and_boundary_coverage():
         for idx in (99, 199, 299):
             z = pts[idx]
             excess = (z.E - z.B.cross(z.u)).norm()
-            bound = hull_excess_bound(z.B, z.u, cfg.params)
+            bound = excess_bound(z.B, z.u, cfg.params)
             assert excess == pytest.approx(bound, rel=1e-12)
 
 

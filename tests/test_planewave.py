@@ -462,6 +462,23 @@ def test_staircase_rejects_mismatched_wave_vector():
             staircase_average(d, bad_xi, n_osc=8, g=GridSpec(16))
 
 
+def test_staircase_checks_the_conditions_of_its_kind():
+    # A stationary incompressible split with the nonstationary wave vector of
+    # its jump: Gauss and Faraday hold, div u does not.  Validated against
+    # the nonstationary conditions (the default) it is accepted; against its
+    # own kind's it raises.
+    kind = ConeKind.STATIONARY_INCOMPRESSIBLE
+    z, d = _sample_decomposition(seed=40, kind=kind)
+    xi = wave_vector_for(d.z1 - d.z2, ConeKind.NONSTATIONARY)
+    assert xi.xi_t != 0.0
+    assert plane_wave_conditions(d.z1 - d.z2, xi, kind)["u_div"] > 0.1
+    staircase_average(d, xi, n_osc=8, g=GridSpec(16))
+    with pytest.raises(ValueError, match="u_div"):
+        staircase_average(d, xi, n_osc=8, g=GridSpec(16), kind=kind)
+    own = wave_vector_for(d.z1 - d.z2, kind)
+    assert staircase_average(d, own, n_osc=8, g=GridSpec(16), kind=kind).weight == d.lam
+
+
 def test_staircase_validates_oscillation_count():
     z, d = _sample_decomposition(seed=54)
     xi = wave_vector_for(d.z1 - d.z2, ConeKind.NONSTATIONARY)

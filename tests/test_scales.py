@@ -32,7 +32,7 @@ from dynamohull import (
     verify_decomposition,
     wave_vector_for,
 )
-from _helpers import RAISING_BRANCHES, reference_separating_function, scaled_point, special_points
+from _helpers import reference_separating_function, scaled_point, special_points
 
 RADII = (1e-6, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e6)
 
@@ -194,10 +194,10 @@ def test_every_decomposition_direction_has_a_wave_vector(kind, r, s):
     # sample_hull forces the excess boundary (delta = 1) every 100th point;
     # there the two endpoints' E agree up to rounding, so the laminate
     # direction's E is ~1e-16 noise that the wave cone must tolerate.  The
-    # special points add the exact-Ohm splits, where dB is parallel to du and
-    # dB x du is rounding noise.
+    # special points in the set add the exact-Ohm splits, where dB is
+    # parallel to du and dB x du is rounding noise.
     p = HullParams(r, s)
-    special = [z for name, z in special_points(p).items() if name not in RAISING_BRANCHES]
+    special = [z for name, z in special_points(p).items() if name != "outside"]
     for z in [*sample_hull(SampleConfig(seed=73, count=1000, params=p, kind=kind)), *special]:
         d = decompose(z, p, kind)
         dz = d.z1 - d.z2
