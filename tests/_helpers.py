@@ -533,6 +533,18 @@ MIXING_GAP_POINT = Triple(
     Vec3(-0.263191832637829, -0.1451105884483324, 0.2211072889423951),
     Vec3(-0.2530910073186107, 0.08271424186963601, -0.24697861824831405))
 
+# The split of MIXING_GAP_POINT that decompose gave while it took the excess
+# as it came, with its part along u: every check but mixing_orthogonality
+# passes.
+OFF_MIXING_SPLIT = Decomposition(
+    0.3173333284952153,
+    Triple(Vec3(0.30932797970058723, -0.7600481914960298, -0.5715268563925651),
+           Vec3(0.6350883176852815, 0.6365034643057195, -0.4376370284453731),
+           Vec3(0.6964040560392275, -0.2275966518871359, 0.6795860579830673)),
+    Triple(Vec3(0.1680948782909489, -0.8699506522868037, -0.46360540816314444),
+           Vec3(-0.6807517369391145, -0.508438987668917, 0.5273204608893778),
+           Vec3(-0.6944578433191965, 0.2269603181679007, -0.677686407346137)))
+
 # The special points in_hull admits only through its eps_mem slack, whose
 # splits fail verification: a nonzero excess on the face |B| = r, and a tiny B
 # parallel to the excess.

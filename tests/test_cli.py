@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import dynamohull
+from dynamohull import cli
 from dynamohull.cli import main
-from _helpers import MIXING_GAP_POINT
+from _helpers import MIXING_GAP_POINT, OFF_MIXING_SPLIT
 
 K_POINT = '{"B": [1, 0, 0], "u": [0, 1, 0], "E": [0, 0, 1]}'
 
@@ -42,6 +43,19 @@ def test_verify_hull_stationary_notes_extra_checks(tmp_path):
     assert report["failure_count"] == 0
     assert "max_u_orthogonality" in report
     assert "max_mixing_orthogonality" in report
+
+
+def test_decompose_exits_1_on_a_mixing_orthogonality_failure(tmp_path, capsys, monkeypatch):
+    # decompose's own split keeps u . (dB x du) = 0 by construction, so the
+    # split it once gave for this point, off mixing orthogonality, stands in:
+    # the command reports the failing residual and exits 1.
+    monkeypatch.setattr(cli, "decompose", lambda z, p, kind, tol: OFF_MIXING_SPLIT)
+    path = tmp_path / "triple.json"
+    path.write_text(MIXING_GAP_POINT.to_json())
+    assert main(["decompose", "--kind", "stationary-incompressible", "--input", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    assert payload["residuals"]["mixing_orthogonality"] > 1e-9
 
 
 def test_verify_hull_rejects_bad_radius(capsys):

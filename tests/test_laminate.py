@@ -26,6 +26,7 @@ from dynamohull import (
 from _helpers import (
     ALL_KINDS,
     MIXING_GAP_POINT,
+    OFF_MIXING_SPLIT,
     excess_bound,
     normalized,
     perpendicular_to,
@@ -382,19 +383,6 @@ def test_decompose_stationary_mixing_orthogonality():
 
 
 # ---------------------------------------------------------- verification
-
-# The split of MIXING_GAP_POINT that decompose gave while it took the excess
-# as it came, with its part along u: every check but mixing_orthogonality
-# passes.
-OFF_MIXING_SPLIT = Decomposition(
-    0.3173333284952153,
-    Triple(Vec3(0.30932797970058723, -0.7600481914960298, -0.5715268563925651),
-           Vec3(0.6350883176852815, 0.6365034643057195, -0.4376370284453731),
-           Vec3(0.6964040560392275, -0.2275966518871359, 0.6795860579830673)),
-    Triple(Vec3(0.1680948782909489, -0.8699506522868037, -0.46360540816314444),
-           Vec3(-0.6807517369391145, -0.508438987668917, 0.5273204608893778),
-           Vec3(-0.6944578433191965, 0.2269603181679007, -0.677686407346137)))
-
 
 def test_verify_fails_a_split_off_mixing_orthogonality():
     # in_hull accepts the point, and every other check of the split passes.
