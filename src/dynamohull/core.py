@@ -342,8 +342,7 @@ def _unit(v, m: _Math = _FLOATS):
     |v| = 0.  On floats v needs |v| > 0; on columns it runs under
     np.errstate(all="ignore")."""
     vn = m.sqrt(_dot(v, v))
-    zero = vn == 0.0
-    return tuple(m.where(zero, a, x / vn) for x, a in zip(v, (0.0, 0.0, 1.0)))
+    return m.patch(vn == 0.0, (v[0] / vn, v[1] / vn, v[2] / vn), lambda: (0.0, 0.0, 1.0))
 
 
 def _frame(v, m: _Math = _FLOATS):

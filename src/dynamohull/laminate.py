@@ -139,8 +139,9 @@ def _working_plane(B, u, nb, excess, kind: ConeKind, m: _Math):
     and c = |w|: nhat is the excess with its part along B taken off.  On the
     stationary incompressible cone the excess is taken along n = B x u, as
     w = ((E - B x u) . n / |n|^2) e1 x n, and where n = 0 as on the shared
-    cone.  Where w = 0 (E = B x u, or the excess along B) e2 is perpendicular
-    to B and u, the direction of the parallel split, and c = 0.
+    cone.  w's part along e1, its rounding, is taken off.  Where w = 0
+    (E = B x u, or the excess along B) e2 is perpendicular to B and u, the
+    direction of the parallel split, and c = 0.
     """
     at_zero = nb == 0.0
     d = m.where(at_zero, 1.0, nb)
@@ -154,6 +155,10 @@ def _working_plane(B, u, nb, excess, kind: ConeKind, m: _Math):
         w = m.patch(nn == 0.0, (k * w[0], k * w[1], k * w[2]), _cross, e1, excess)
     else:
         w = _cross(e1, excess)
+    # w is across e1 up to its rounding, which dominates where the excess
+    # lies along B: that part is taken off, so e2 is across e1 at every row.
+    k = _dot(w, e1)
+    w = (w[0] - k * e1[0], w[1] - k * e1[1], w[2] - k * e1[2])
     c = m.sqrt(_dot(w, w))
     d = m.where(c == 0.0, 1.0, c)
     e2 = m.patch(c == 0.0, (w[0] / d, w[1] / d, w[2] / d),

@@ -25,10 +25,13 @@ form; where n2 is along nhat the whole circle lies in that plane, and u2
 keeps the drawn turn.
 
 All randomness comes from a named 64-bit generator (PCG64) seeded by
-numpy's SeedSequence(seed, spawn_key=(0,)).  Every sampler reads a fixed
-number of draws per item (its stride: 4 per constraint-set state, 7 per
-pair, 8 per mixture and 8 per hull point), and item i reads draws
-[stride i, stride (i + 1)) of the stream and no others.
+numpy's SeedSequence(seed, spawn_key=(key,)): key 1 (HULL_KEY) for hull
+points, key 0 for every other sampler, so the campaign's two halves read
+disjoint streams.  Every sampler reads a fixed number of draws per item (its
+stride: 4 per constraint-set state, 7 per pair, 8 per mixture and 8 per
+hull point), and item i reads draws [stride i, stride (i + 1)) of its
+stream and no others.  Each drawn angle 2 pi w costs one cosine: its sine
+is the signed square root of (1 - cos)(1 + cos), in _circle.
 
 Samplers and campaign run in blocks of BLOCK rows, one Generator.random
 call per block, and every block is a state of component columns: a
@@ -122,8 +125,10 @@ BLOCK = 3072
 # Revision of the sample streams a report was drawn from.  Version 3 reads a
 # fixed number of draws per item and takes core._perpendicular's directions;
 # version 4 turns u1 about nhat for the pair's u2, and on the stationary
-# incompressible cone takes the second plane's root other than u1.
-STREAM_VERSION = 4
+# incompressible cone takes the second plane's root other than u1; version 5
+# takes one cosine per drawn angle, its sine by _circle, and reads the hull
+# points on spawn key HULL_KEY.
+STREAM_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -143,9 +148,15 @@ class SampleConfig:
             object.__setattr__(self, name, int(v))
 
 
-def _generator(cfg: SampleConfig) -> Generator:
-    """The uniform stream of cfg: PCG64 seeded by SeedSequence(seed, spawn_key=(0,))."""
-    return Generator(PCG64(SeedSequence(cfg.seed, spawn_key=(0,))))
+# The spawn key of the hull points' stream; every other sampler reads key 0,
+# so a campaign's two halves read disjoint streams.
+HULL_KEY = 1
+
+
+def _generator(cfg: SampleConfig, key: int = 0) -> Generator:
+    """The uniform stream of cfg on spawn key key: PCG64 seeded by
+    SeedSequence(seed, spawn_key=(key,))."""
+    return Generator(PCG64(SeedSequence(cfg.seed, spawn_key=(key,))))
 
 
 def _draws(gen: Generator, count: int, stride: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -158,13 +169,25 @@ def _draws(gen: Generator, count: int, stride: int) -> Iterator[tuple[int, np.nd
         yield start, gen.random(n * stride).reshape(n, stride)
 
 
-def _sphere(t: np.ndarray, phi: np.ndarray, radius):
-    """Points on spheres of the given radii, uniform from the draws t (height)
-    and phi (azimuth): component columns."""
+def _circle(w: np.ndarray):
+    """(cos, sin) of the angles 2 pi w of draws w in [0, 1): columns.  One
+    cosine per angle; the sine is the signed square root of (1 - c)(1 + c),
+    positive for w < 1/2, so its only error is the cosine's rounding, and
+    c^2 + s^2 = 1 to rounding, as with a libm sine."""
+    c = np.cos(TWO_PI * w)
+    return c, np.copysign(np.sqrt((1.0 - c) * (1.0 + c)), 0.5 - w)
+
+
+def _sphere(t: np.ndarray, w: np.ndarray, radius=None):
+    """Points on the unit sphere, or on spheres of the given radii, uniform from
+    the draws t (height) and w (azimuth): component columns.  |z| <= 1, so
+    1 - z^2 >= 0 in floats."""
     z = 2.0 * t - 1.0
-    phi = TWO_PI * phi
-    rho = radius * np.sqrt(_COLUMNS.positive(1.0 - z * z))
-    return rho * np.cos(phi), rho * np.sin(phi), radius * z
+    rho = np.sqrt(1.0 - z * z)
+    if radius is not None:
+        rho, z = radius * rho, radius * z
+    c, s = _circle(w)
+    return rho * c, rho * s, z
 
 
 def _ball(w: np.ndarray, radius: float):
@@ -229,19 +252,21 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
     so its intermediates die when it returns.
     """
     with np.errstate(all="ignore"):
-        b1 = _sphere(w[:, 0], w[:, 1], 1.0)
-        u1 = _sphere(w[:, 2], w[:, 3], 1.0)
-        b2 = _sphere(w[:, 4], w[:, 5], 1.0)
+        b1 = _sphere(w[:, 0], w[:, 1])
+        u1 = _sphere(w[:, 2], w[:, 3])
+        b2 = _sphere(w[:, 4], w[:, 5])
         e1 = _cross(b1, u1)
         u2 = _circle_point(b1, u1, b2, e1, w[:, 6], restricts_u)
         e2 = _cross(b2, u2)
         z1, z2 = (b1, u1, e1), (b2, u2, e2)
         res = _pair_residual(z1, z2, restricts_u)
-    # Scaled in place: every column is this function's own.
+    # Scaled in place: every column is this function's own.  A factor of 1.0
+    # leaves the bits as they are.
     for z in (z1, z2):
         for v, k in zip(z, (p.r, p.s, p.r * p.s)):
-            for x in v:
-                np.multiply(x, k, out=x)
+            if k != 1.0:
+                for x in v:
+                    np.multiply(x, k, out=x)
     return z1, z2, res
 
 
@@ -274,9 +299,8 @@ def _circle_point(b1, u1, b2, e1, draw: np.ndarray, restricts_u: bool):
 
 def _turn(u1, nh, draw: np.ndarray):
     """u1 turned about the unit axis nh by the angle 2 pi draw (Rodrigues'
-    formula): component columns."""
-    phi = TWO_PI * draw
-    c, s = np.cos(phi), np.sin(phi)
+    formula), its cosine and sine from _circle: component columns."""
+    c, s = _circle(draw)
     hc = _dot(u1, nh) * (1.0 - c)
     t = _cross(nh, u1)
     return tuple(u1[i] * c + t[i] * s + nh[i] * hc for i in range(3))
@@ -344,11 +368,11 @@ def sample_first_laminate(cfg: SampleConfig) -> Iterator[Triple]:
 
 def _excess_directions(B, phi: np.ndarray):
     """Unit directions (columns) perpendicular to B, at the drawn angle 2 pi phi
-    in a frame of B: uniform on that circle, since the frame is a function of B."""
+    in a frame of B (its cosine and sine from _circle): uniform on that circle,
+    since the frame is a function of B."""
     with np.errstate(all="ignore"):
         _, p1, p2 = _frame(B, _COLUMNS)
-    phi = TWO_PI * phi
-    c, s = np.cos(phi), np.sin(phi)
+    c, s = _circle(phi)
     return tuple(c * a + s * b for a, b in zip(p1, p2))
 
 
@@ -398,7 +422,7 @@ def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
     delta is uniform on [0, 1]; every 100th sample forces delta = 1 so the
     excess boundary is exercised with positive frequency.
     """
-    return _items(_row_triple, map(_stack, _hull_blocks(_generator(cfg), cfg)))
+    return _items(_row_triple, map(_stack, _hull_blocks(_generator(cfg, HULL_KEY), cfg)))
 
 
 @dataclass
@@ -480,7 +504,8 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
     decomposition) checks and aggregate the outcome.
 
     cfg.count combinations are generated for the inner half; cfg.count // 10
-    points are sampled from the closed-form set for the surjective half.  A
+    points are sampled from the closed-form set for the surjective half, on
+    their own stream: sample_hull's points for that count.  A
     mixture fails exactly when in_hull at inner_tol (default tol) rejects it,
     a hull point when decompose raises or verify_decomposition at tol fails.
     Both halves run in blocks of BLOCK rows and report exactly what the
@@ -499,7 +524,7 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
         del z
 
     hull_cfg = SampleConfig(seed=cfg.seed, count=cfg.count // 10, params=p, kind=kind)
-    for z in _hull_blocks(_generator(hull_cfg), hull_cfg):
+    for z in _hull_blocks(_generator(hull_cfg, HULL_KEY), hull_cfg):
         _check_decompositions(report, z, p, kind, tol)
         del z
     return report

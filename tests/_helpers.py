@@ -222,25 +222,27 @@ def reference_pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
     The pair is built on the unit spheres, then scaled once (B by r, u by s,
     E by rs).  Draws: B1 (2), u1 (2), B2 (2), then the turn angle.  u2 is u1
     turned about nh, the unit normal along B1 x B2 (the z axis where that is
-    0), by phi: phi = 2 pi w6 on the shared cones.  On the stationary
+    0), by 2 pi f: f = w6 on the shared cones.  On the stationary
     incompressible cone, the turn by phi moves u2 . n2, n2 = u1 x B2 + E1, by
     -2 sin(phi/2) (A sin(phi/2) - C cos(phi/2)), with A = n2 . (u1 - h nh),
     h = u1 . nh, and C = n2 . (nh x u1), so the root other than phi = 0 is
-    phi = 2 atan2(C, A).  Rows with |nh x (n2 - (n2 . nh) nh)| <= 1e-12 |n2|,
-    whose circle lies in the second plane, keep the drawn angle.  Returns the
-    N x 18 rows (z1 then z2) and the cone residual of each pair.
+    phi = 2 atan2(C, A), f = atan2(C, A) / pi mod 1.  Rows with
+    |nh x (n2 - (n2 . nh) nh)| <= 1e-12 |n2|, whose circle lies in the second
+    plane, keep the drawn angle.  The turn's cosine is cos(2 pi f) and its
+    sine sqrt((1 - cos)(1 + cos)), negative for f > 1/2.  Returns the N x 18
+    rows (z1 then z2) and the cone residual of each pair.
     """
     with np.errstate(all="ignore"):
-        b1 = _sphere(w[:, 0], w[:, 1], 1.0)
-        u1 = _sphere(w[:, 2], w[:, 3], 1.0)
-        b2 = _sphere(w[:, 4], w[:, 5], 1.0)
+        b1 = _sphere(w[:, 0], w[:, 1])
+        u1 = _sphere(w[:, 2], w[:, 3])
+        b2 = _sphere(w[:, 4], w[:, 5])
         e1 = _cross(b1, u1)
         v = _cross(b1, b2)
         vn = np.sqrt(_dot(v, v))
         nh = tuple(np.where(vn == 0.0, a, x / vn) for x, a in zip(v, (0.0, 0.0, 1.0)))
         h = _dot(u1, nh)
         t = _cross(nh, u1)
-        phi = TWO_PI * w[:, 6]
+        f = w[:, 6]
 
         if restricts_u:
             ub = _cross(u1, b2)
@@ -251,9 +253,11 @@ def reference_pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
             free = np.sqrt(_dot(m, m)) <= 1e-12 * np.sqrt(_dot(n2, n2))
             a = _dot(n2, tuple(u1[i] - h * nh[i] for i in range(3)))
             c = _dot(n2, t)
-            phi = np.where(free, phi, 2.0 * _libm(math.atan2, c, a))
+            f = np.where(free, f, np.mod(_libm(math.atan2, c, a) / math.pi, 1.0))
 
-        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+        cos_phi = np.cos(TWO_PI * f)
+        sin_phi = np.sqrt((1.0 - cos_phi) * (1.0 + cos_phi))
+        sin_phi = np.where(f > 0.5, -sin_phi, sin_phi)
         hc = h * (1.0 - cos_phi)
         u2 = tuple(u1[i] * cos_phi + t[i] * sin_phi + nh[i] * hc for i in range(3))
         e2 = _cross(b2, u2)
@@ -398,13 +402,15 @@ def _reference_axes(z, nb, excess, kind):
     normal space: e1 along B (at B = 0 perpendicular to the excess and u); e2
     along e1 x excess, or on the stationary incompressible cone along
     e1 x n, n = B x u, with the excess taken as its part along n, unless
-    n = 0; perpendicular to e1 and u where that vanishes."""
+    n = 0, with its rounding along e1 taken off; perpendicular to e1 and u
+    where that vanishes."""
     e1 = z.B / nb if nb else unit_perpendicular_to_all((excess, z.u))
     n = z.B.cross(z.u)
     if kind.restricts_u and n.norm2() != 0.0:
         w = e1.cross(n) * (excess.dot(n) / n.norm2())
     else:
         w = e1.cross(excess)
+    w = w - e1 * w.dot(e1)
     c = w.norm()
     return e1, (w / c if c else unit_perpendicular_to_all((e1, z.u))), c
 

@@ -244,9 +244,9 @@ class ListStream:
         return self.draws[self.i - n:self.i]
 
 
-# Each public sampler and the draws it reads per item.
-STRIDES = {"pairs": (sample_lambda_pair, 7), "mixtures": (sample_first_laminate, 8),
-           "hull": (sample_hull, 8)}
+# Each public sampler, the draws it reads per item and its stream's spawn key.
+STRIDES = {"pairs": (sample_lambda_pair, 7, 0), "mixtures": (sample_first_laminate, 8, 0),
+           "hull": (sample_hull, 8, oracle.HULL_KEY)}
 
 
 @pytest.mark.usefixtures("blocks_of_1024")
@@ -258,13 +258,13 @@ def test_item_reads_only_its_own_draws(sampler, kind, k, monkeypatch):
     # draws in item k's window change item k alone, at the start, inside and
     # at the edge of a block, and the sampler reads exactly stride * count.
     count = 1600
-    sample, stride = STRIDES[sampler]
+    sample, stride, key = STRIDES[sampler]
     cfg = SampleConfig(seed=26, count=count, params=HullParams(0.5, 2.0), kind=kind)
     expected = list(sample(cfg))
-    draws = oracle._generator(cfg).random(stride * count)
+    draws = oracle._generator(cfg, key).random(stride * count)
     draws[stride * k:stride * (k + 1)] = np.random.default_rng(k).random(stride)
     fake = ListStream(draws)
-    monkeypatch.setattr(oracle, "_generator", lambda cfg: fake)
+    monkeypatch.setattr(oracle, "_generator", lambda cfg, key=0: fake)
     got = list(sample(cfg))
     assert fake.i == stride * count
     assert got[:k] == expected[:k] and got[k + 1:] == expected[k + 1:]
@@ -311,9 +311,9 @@ def test_parallel_B_and_u_take_the_perpendicular_fallback(monkeypatch):
     kind = ConeKind.STATIONARY_INCOMPRESSIBLE
     p = HullParams(0.5, 2.0)
     cfg = SampleConfig(seed=28, count=count, params=p, kind=kind)
-    draws = oracle._generator(cfg).random(8 * count)
+    draws = oracle._generator(cfg, oracle.HULL_KEY).random(8 * count)
     draws[8 * k + 4:8 * k + 6] = draws[8 * k + 1:8 * k + 3]
-    monkeypatch.setattr(oracle, "_generator", lambda cfg: ListStream(draws))
+    monkeypatch.setattr(oracle, "_generator", lambda cfg, key: ListStream(draws))
     points = list(sample_hull(cfg))
     z = points[k]
     assert z.B.cross(z.u).norm() <= 1e-12 * z.B.norm() * z.u.norm()

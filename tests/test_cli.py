@@ -198,9 +198,9 @@ def test_verify_hull_deterministic_reports(tmp_path):
 # a verdict or a residual changes the digest; the determinism criterion
 # only compares a rerun with itself and cannot see such a change.
 GOLDEN_DIGESTS = {
-    "nonstationary": "f722bb672fe861061e6b30ddb4c523085b52fe17d4f06af7001f19aaed7d19c6",
+    "nonstationary": "f75deaa5628449e1c773bc08fa9043da8000a43ed36f0dfab0014e4fec524060",
     "stationary-incompressible":
-        "a55bc5ef8350d8b9bdca1fabbadb043e69f3e4d1365a8ce9186b373320abc69e",
+        "3777a7c37ec11449439510eb84393d8666c1f53b9863e15433ed9e4532300453",
 }
 
 
@@ -314,15 +314,15 @@ def test_sample_constraint_sampler_csv(capsys):
 # while solver changes move the verify-hull digests above.
 SAMPLE_DIGESTS = {
     ("laminate", "nonstationary", "csv"):
-        "832836b80079db19e52145e28804c4e9ba960a6544c8c6c04bc2253a923c4de8",
+        "48c0633c04a623a7d0d1f898bf4e7d132c6b7de6fa2cdb551c91dbe4b0f4c3dd",
     ("hull", "nonstationary", "csv"):
-        "4a22e10299d3e4f9ff738f7bce2e0e35c32157bf1236c51275b3f178973af8b5",
+        "0cec777b913e397f5f5d66ad6c737e63cc6841c813eb87ab014a47ff48d1e0bf",
     ("laminate", "stationary-incompressible", "csv"):
-        "4d604101cd1a4218321f33ea4343e4811882ec75f52e59942589ad28b1b175c9",
+        "d4a3c60d5920c171de9497c58044016c9437b32b4553c9242552e89470b83378",
     ("hull", "stationary-incompressible", "csv"):
-        "01b087461ded54c4db3eee61f5abd62327c649fe19fb60d794cedd5e7c58fb1d",
+        "d1de784bf072d0fa6a919d195b234b652436dd01c26384765a2560a5049c85d5",
     ("laminate", "nonstationary", "json"):
-        "45468a30b20fc30d40d4839b0364f1cbc8daf5fad0c71cc71886352ac54d1190",
+        "74360b42b6d6fbe6f6e9648321c59373fdbdb4f1d2363f535bc9999f4d0a4e9f",
 }
 
 

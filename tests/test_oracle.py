@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -82,6 +83,47 @@ def test_sample_K_members_and_determinism():
     for z in first:
         assert in_constraint_set(z, cfg.params)
         assert in_hull(z, cfg.params)
+
+
+def test_circle_takes_the_sine_from_the_cosine():
+    # One cosine per angle 2 pi w; the sine is the signed square root of
+    # (1 - c)(1 + c), so c^2 + s^2 = 1 to rounding and s misses the libm sine
+    # only by the cosine's own rounding, at most near c = +-1.
+    w = oracle._generator(SampleConfig(seed=34, count=0, params=P11)).random(1_000_000)
+    c, s = oracle._circle(w)
+    assert (c == np.cos(oracle.TWO_PI * w)).all()
+    assert np.abs(c * c + s * s - 1.0).max() <= 2.3e-16
+    assert np.abs(s - np.sin(oracle.TWO_PI * w)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("w0,expected", [(0.0, (1.0, 0.0)), (0.25, (0.0, 1.0)),
+                                         (0.5, (-1.0, 0.0)), (0.75, (0.0, -1.0))])
+def test_circle_quadrants(w0, expected):
+    # At the quarter turns, and at the 4 draws on either side of each (below
+    # 0 the draws wrap to just below 1), s has the sign bit of the libm sine:
+    # +0 at w = 0 and 1/2, -0 just below 1 and just above 1/2.
+    c, s = oracle._circle(np.array([w0]))
+    assert np.abs(np.array([c[0], s[0]]) - expected).max() <= 2.3e-16
+    w = [w0]
+    lo = hi = w0
+    for _ in range(4):
+        hi = np.nextafter(hi, 2.0)
+        lo = np.nextafter(lo, -1.0) if lo > 0.0 else np.nextafter(1.0, 0.0)
+        w += [hi, lo]
+    w = np.array(w)
+    c, s = oracle._circle(w)
+    sine = np.sin(oracle.TWO_PI * w)
+    assert (np.signbit(s) == np.signbit(sine)).all()
+    assert np.abs(s - sine).max() <= 1e-14
+
+
+def test_sample_K_states_lie_on_their_spheres():
+    # Off r = s = 1 the sphere's radius multiplies its unit point once:
+    # |B| and |u| are within 4 ulp of r and s.
+    p = HullParams(1e-3, 1e3)
+    for z in sample_K(SampleConfig(seed=35, count=20_000, params=p)):
+        assert abs(z.B.norm() - p.r) <= 4 * math.ulp(p.r)
+        assert abs(z.u.norm() - p.s) <= 4 * math.ulp(p.s)
 
 
 def test_sample_K_mean_is_centred():
@@ -295,6 +337,35 @@ def test_report_stores_no_maximum_it_can_derive():
         rep.max_verify_residual = 1.0
 
 
+def test_campaign_hull_half_is_sample_hull_on_its_own_stream(monkeypatch):
+    # The campaign's hull points are sample_hull's for count // 10, bit for
+    # bit, and they read a stream of their own: the first hull point's draws
+    # are none of the first pair's.
+    cfg = SampleConfig(seed=33, count=5000, params=HullParams(0.5, 2.0))
+    real, check = oracle._generator, oracle._check_decompositions
+    streams, blocks = [], []
+
+    def recorded(cfg, key=0):
+        streams.append(ListStream(real(cfg, key).random(8 * cfg.count)))
+        return streams[-1]
+
+    def spy(report, z, *args):
+        blocks.append(oracle._stack(z))
+        check(report, z, *args)
+
+    monkeypatch.setattr(oracle, "_generator", recorded)
+    monkeypatch.setattr(oracle, "_check_decompositions", spy)
+    assert two_sided_hull_check(cfg).failure_count == 0
+    monkeypatch.undo()
+    mixtures, hull = streams
+    assert not np.isin(hull.draws[:8], mixtures.draws[:8]).any()
+    expected = np.array([[*z.B, *z.u, *z.E] for z in sample_hull(
+        SampleConfig(seed=33, count=500, params=cfg.params))])
+    got = np.concatenate(blocks)
+    assert got.shape == expected.shape
+    assert (got.view(np.uint64) == expected.view(np.uint64)).all()
+
+
 def test_two_sided_check_empty_campaign():
     cfg = SampleConfig(seed=13, count=0, params=P11)
     rep = two_sided_hull_check(cfg)
@@ -345,7 +416,7 @@ def test_report_json_contract():
             "max_residual", "failure_count"} <= set(d)
     # The stream revision a report was drawn from; every item reads a fixed
     # number of draws, so there are no attempts to count.
-    assert d["stream_version"] == 4
+    assert d["stream_version"] == 5
     assert "pair_attempts" not in d
     json.dumps(d)  # serializable
 
