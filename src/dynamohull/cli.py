@@ -33,11 +33,18 @@ from .laminate import NotInHullError, decompose, verify_decomposition
 USAGE_ERROR = 2
 MATH_FAILURE = 1
 
-# Cone directions with small-integer lattice frequencies and a genuinely
-# second-order truncation term in every equation; used by `residual`.
-_RESIDUAL_DIRECTIONS = {
-    "shared": Triple(Vec3(6, -3, -1), Vec3(1, 2, -1), Vec3(1, 2, 0)),
-    "stationary-incompressible": Triple(Vec3(6, -3, -1), Vec3(2, -1, 3), Vec3(1, 2, 0)),
+# Per cone kind, the direction `residual` studies, with small-integer lattice
+# frequencies and a genuinely second-order truncation term in every
+# equation, and the coefficients (a, c) wave_vector_for takes for it.  On
+# the nonstationary cone (0.6, -0.2) lands exactly on the integer frequency
+# (1, 1, 3; 1).
+_SHARED_DIRECTION = Triple(Vec3(6, -3, -1), Vec3(1, 2, -1), Vec3(1, 2, 0))
+_RESIDUAL_WAVES = {
+    ConeKind.NONSTATIONARY: (_SHARED_DIRECTION, 0.6, -0.2),
+    ConeKind.NONSTATIONARY_INCOMPRESSIBLE: (_SHARED_DIRECTION, 1.0, 1.0),
+    ConeKind.STATIONARY: (_SHARED_DIRECTION, 1.0, 1.0),
+    ConeKind.STATIONARY_INCOMPRESSIBLE:
+        (Triple(Vec3(6, -3, -1), Vec3(2, -1, 3), Vec3(1, 2, 0)), 1.0, 1.0),
 }
 
 
@@ -214,19 +221,10 @@ def _cmd_sample(args) -> int:
 def _cmd_residual(args) -> int:
     from .planewave import refinement_study, round_to_lattice, wave_vector_for
 
-    tol = _tolerances(args)
     kind = ConeKind.from_label(args.kind)
-    if kind is ConeKind.STATIONARY_INCOMPRESSIBLE:
-        direction = _RESIDUAL_DIRECTIONS["stationary-incompressible"]
-        xi = wave_vector_for(direction, kind, tol)
-    elif kind is ConeKind.NONSTATIONARY:
-        direction = _RESIDUAL_DIRECTIONS["shared"]
-        # This coefficient pair lands exactly on the integer frequency (1,1,3;1).
-        xi = wave_vector_for(direction, kind, tol, a=0.6, c=-0.2)
-    else:
-        direction = _RESIDUAL_DIRECTIONS["shared"]
-        xi = wave_vector_for(direction, kind, tol)
-    xi = round_to_lattice(xi, direction, kind, tol)
+    direction, a, c = _RESIDUAL_WAVES[kind]
+    xi = wave_vector_for(direction, kind, _tolerances(args), a, c)
+    xi = round_to_lattice(xi, direction, kind)
     levels = (args.n // 4, args.n // 2, args.n)
     study = refinement_study(direction, xi, kind, levels)
     study["direction"] = direction.to_json_dict()

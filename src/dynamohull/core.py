@@ -198,23 +198,21 @@ class HullParams:
 
 @dataclass(frozen=True, slots=True)
 class Tolerances:
-    """Numerical slacks used by the predicates and the checks.
+    """The numerical slack of the predicates and the checks.
 
     eps_mem is the dimensionless slack of membership and verification, made
-    on the normalised triple (B/r, u/s, E/(rs)) at every radius pair;
-    eps_residual is the slack for plane-wave and PDE residuals.  The
-    decomposition itself takes no tolerance.
+    on the normalised triple (B/r, u/s, E/(rs)) at every radius pair.  The
+    decomposition itself takes no tolerance, and the plane-wave conditions
+    take the constant planewave.RESIDUAL_SLACK.
     """
 
     eps_mem: float = 1e-9
-    eps_residual: float = 1e-10
 
     def __post_init__(self):
-        for name in ("eps_mem", "eps_residual"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be a positive finite real, got {v}")
-            object.__setattr__(self, name, v)
+        v = float(self.eps_mem)
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"eps_mem must be a positive finite real, got {v}")
+        object.__setattr__(self, "eps_mem", v)
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -28,8 +28,8 @@ All randomness comes from a named 64-bit generator (PCG64) seeded by
 numpy's SeedSequence(seed, spawn_key=(key,)): key 1 (HULL_KEY) for hull
 points, key 0 for every other sampler, so the campaign's two halves read
 disjoint streams.  Every sampler reads a fixed number of draws per item (its
-stride: 4 per constraint-set state, 7 per pair, 8 per mixture and 8 per
-hull point), and item i reads draws [stride i, stride (i + 1)) of its
+stride: 4 per constraint-set state, 8 per pair or mixture, and 8 per hull
+point), and item i reads draws [stride i, stride (i + 1)) of its
 stream and no others.  Each drawn angle 2 pi w costs one cosine: its sine
 is the signed square root of (1 - cos)(1 + cos), in _circle.
 
@@ -289,12 +289,8 @@ def _circle_point(b1, u1, b2, e1, draw: np.ndarray, restricts_u: bool):
     f = 2.0 * _dot(u1, m) / mm
     u2 = tuple(u1[i] - f * m[i] for i in range(3))
     # A circle that lies in the second plane keeps the drawn turn.
-    at = np.flatnonzero(np.sqrt(mm) <= 1e-12 * np.sqrt(_dot(n2, n2)))
-    if len(at):
-        turned = _turn(tuple(x[at] for x in u1), tuple(x[at] for x in nh), draw[at])
-        for x, y in zip(u2, turned):
-            x[at] = y
-    return u2
+    return _patch(np.sqrt(mm) <= 1e-12 * np.sqrt(_dot(n2, n2)), u2,
+                  lambda u, n, w: _turn(u, n, *w), u1, nh, (draw,))
 
 
 def _turn(u1, nh, draw: np.ndarray):
@@ -326,11 +322,13 @@ def _stack(*states) -> np.ndarray:
     return np.column_stack([x for z in states for v in z for x in v])
 
 
-def _pair_blocks(gen: Generator, cfg: SampleConfig, weighted: bool = False) -> Iterator[tuple]:
-    """cfg.count pairs as blocks (z1, z2), and (z1, z2, lam) when weighted: the
-    states as (B, u, E) component columns and the mixture weights, a column.  A pair reads 7 draws, and a weight is the draw after
-    its pair.  Raises RuntimeError if a constructed pair is off the cone (a
-    residual above 1e-10, or NaN), which rounding alone never produces.
+def _pair_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
+    """cfg.count pairs as blocks (z1, z2, lam): the states as (B, u, E)
+    component columns and the mixture weights, a column.  A pair reads 7
+    draws and its weight the 8th, so the pair sampler yields the pairs the
+    laminate sampler mixes.  Raises RuntimeError if a constructed pair is
+    off the cone (a residual above 1e-10, or NaN), which rounding alone
+    never produces.
     """
     p, restricts_u = cfg.params, cfg.kind.restricts_u
 
@@ -339,9 +337,9 @@ def _pair_blocks(gen: Generator, cfg: SampleConfig, weighted: bool = False) -> I
         bad = np.flatnonzero(~(res <= 1e-10))
         if len(bad):
             raise RuntimeError(f"constructed pair violates the cone: residual {float(res[bad[0]])}")
-        return (z1, z2, w[:, 7]) if weighted else (z1, z2)
+        return z1, z2, w[:, 7]
 
-    return starmap(pairs, _draws(gen, cfg.count, 8 if weighted else 7))
+    return starmap(pairs, _draws(gen, cfg.count, 8))
 
 
 def _mixture(z1, z2, lam):
@@ -353,12 +351,14 @@ def _mixture(z1, z2, lam):
 def _mixture_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
     """cfg.count mixtures lam*z1 + (1-lam)*z2 as blocks of (B, u, E) component
     columns."""
-    return starmap(_mixture, _pair_blocks(gen, cfg, weighted=True))
+    return starmap(_mixture, _pair_blocks(gen, cfg))
 
 
 def sample_lambda_pair(cfg: SampleConfig) -> Iterator[tuple[Triple, Triple]]:
-    """Constraint-set pairs whose difference lies in the cone for cfg.kind."""
-    return _items(_row_pair, starmap(_stack, _pair_blocks(_generator(cfg), cfg)))
+    """Constraint-set pairs whose difference lies in the cone for cfg.kind: the
+    pairs sample_first_laminate(cfg) mixes."""
+    blocks = _pair_blocks(_generator(cfg), cfg)
+    return _items(_row_pair, (_stack(z1, z2) for z1, z2, _ in blocks))
 
 
 def sample_first_laminate(cfg: SampleConfig) -> Iterator[Triple]:
@@ -498,21 +498,19 @@ class HullCheckReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
-                         inner_tol: Tolerances | None = None) -> HullCheckReport:
+def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None) -> HullCheckReport:
     """Run the inner (laminate -> membership) and surjective (membership ->
     decomposition) checks and aggregate the outcome.
 
     cfg.count combinations are generated for the inner half; cfg.count // 10
     points are sampled from the closed-form set for the surjective half, on
-    their own stream: sample_hull's points for that count.  A
-    mixture fails exactly when in_hull at inner_tol (default tol) rejects it,
-    a hull point when decompose raises or verify_decomposition at tol fails.
-    Both halves run in blocks of BLOCK rows and report exactly what the
-    per-point functions would, failures in point order.
+    their own stream: sample_hull's points for that count.  Both halves run
+    at tol: a mixture fails exactly when in_hull rejects it, a hull point
+    when decompose raises or verify_decomposition fails.  They run in blocks
+    of BLOCK rows and report exactly what the per-point functions would,
+    failures in point order.
     """
     tol = tol or DEFAULT_TOLERANCES
-    inner_tol = inner_tol or tol
     p = cfg.params
     kind = cfg.kind
     report = HullCheckReport(seed=cfg.seed, kind=kind.label, r=p.r, s=p.s)
@@ -520,7 +518,7 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
     # Each loop drops its block before the next one is drawn and built, so
     # one block's columns are alive at a time.
     for z in _mixture_blocks(_generator(cfg), cfg):
-        _check_mixtures(report, z, p, kind, inner_tol)
+        _check_mixtures(report, z, p, kind, tol)
         del z
 
     hull_cfg = SampleConfig(seed=cfg.seed, count=cfg.count // 10, params=p, kind=kind)
@@ -531,13 +529,13 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None,
 
 
 def _check_mixtures(report: HullCheckReport, z, p: HullParams, kind: ConeKind,
-                    inner_tol: Tolerances):
-    """Check a block z of mixtures, (B, u, E) columns, for membership at inner_tol
+                    tol: Tolerances):
+    """Check a block z of mixtures, (B, u, E) columns, for membership at tol
     into the report.  On the restricted cone the kernel's g3 is the one u . E
     test; the u . E residual is only folded into max_u_orthogonality."""
     B, u, E = z
     report.laminate_checked += len(B[0])
-    g1, g3, g2 = _separation_flags(B, u, E, p, kind, inner_tol.eps_mem, _COLUMNS)[0]
+    g1, g3, g2 = _separation_flags(B, u, E, p, kind, tol.eps_mem, _COLUMNS)[0]
     if kind.restricts_u:
         # u . E's residual on the normalised triple (B/r, u/s, E/(rs)), unit r s^2.
         top = float(_cone_residual(u, E, p.r * p.s * p.s, _COLUMNS).max())

@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     ConeKind,
-    DEFAULT_TOLERANCES,
     Tolerances,
     Triple,
     Vec3,
@@ -43,6 +42,8 @@ from .laminate import Decomposition
 TWO_PI = 2.0 * math.pi
 # A frequency within this of an integer counts as a lattice frequency.
 LATTICE_TOL = 1e-9
+# The plane-wave conditions hold within RESIDUAL_SLACK (1 + |xi| |direction|).
+RESIDUAL_SLACK = 1e-10
 # round_to_lattice puts the largest spatial component at 1..LATTICE_MAX_SCALE.
 LATTICE_MAX_SCALE = 64
 
@@ -57,7 +58,8 @@ class LatticeError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class WaveVector:
-    """Space-time frequency (xi_x, xi_t) of a plane wave; xi_x must be nonzero."""
+    """Space-time frequency (xi_x, xi_t) of a plane wave; xi_x must be finite
+    and nonzero, xi_t finite."""
 
     xi_x: Vec3
     xi_t: float
@@ -65,6 +67,8 @@ class WaveVector:
     def __post_init__(self):
         if not isinstance(self.xi_x, Vec3):
             raise TypeError("xi_x must be a Vec3")
+        if not all(map(math.isfinite, self.xi_x)):
+            raise ValueError(f"non-finite spatial frequency {tuple(self.xi_x)}")
         if self.xi_x.norm() == 0.0:
             raise ValueError("spatial frequency xi_x must be nonzero")
         xi_t = float(self.xi_t)
@@ -132,12 +136,11 @@ def _condition_residuals(direction, xi: WaveVector, kind: ConeKind) -> tuple:
     return res + (abs(_dot(u, k)),) if kind.incompressible else res
 
 
-def _conditions_ok(direction, size: float, xi: WaveVector, kind: ConeKind,
-                   tol: Tolerances) -> bool:
+def _conditions_ok(direction, size: float, xi: WaveVector, kind: ConeKind) -> bool:
     """True when every plane-wave condition of `kind` holds for a direction of
-    component triples, of norm `size`, within eps_residual (1 + |xi| size)."""
+    component triples, of norm `size`, within RESIDUAL_SLACK (1 + |xi| size)."""
     return max(_condition_residuals(direction, xi, kind)) <= (
-        tol.eps_residual * (1.0 + xi.norm() * size))
+        RESIDUAL_SLACK * (1.0 + xi.norm() * size))
 
 
 def wave_vector_for(direction: Triple, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -163,9 +166,9 @@ def wave_vector_for(direction: Triple, kind: ConeKind = ConeKind.NONSTATIONARY,
     Raises NotInConeError when the direction is not in the cone for `kind`,
     and ValueError when (a, c) = (0, 0) would be used on a time-dependent
     kind with Bbar and Ebar nonzero: no coefficient replaces them there, as
-    a = 1 does on the stationary kinds and for Bbar = 0.
+    a = 1 does on the stationary kinds and for Bbar = 0, or when the
+    coefficients make a non-finite frequency (WaveVector rejects it).
     """
-    tol = tol or DEFAULT_TOLERANCES
     if not in_wave_cone(direction, kind, tol):
         raise NotInConeError(
             f"direction is not in the wave cone for kind {kind.label!r}")
@@ -210,23 +213,21 @@ def _time_frequency(xi_x: Vec3, direction: Triple, kind: ConeKind) -> float:
 
 
 def round_to_lattice(xi: WaveVector, direction: Triple,
-                     kind: ConeKind = ConeKind.NONSTATIONARY,
-                     tol: Tolerances | None = None) -> WaveVector:
+                     kind: ConeKind = ConeKind.NONSTATIONARY) -> WaveVector:
     """Scale xi to the nearest nonzero integer frequency vector.
 
     Tries scalings that put the largest spatial component at
     1..LATTICE_MAX_SCALE, accepting an integer candidate within angle 1e-2
     of xi_x whose time frequency from Faraday's relation is an integer and
-    whose frequencies satisfy every plane-wave condition of `kind`, div u
-    included on the incompressible kinds.  Raises
+    whose frequencies satisfy every plane-wave condition of `kind` within
+    RESIDUAL_SLACK, div u included on the incompressible kinds.  Raises
     LatticeError when the wave vector is not commensurable with the integer
     lattice at these scales.
     """
-    tol = tol or DEFAULT_TOLERANCES
     size = direction.norm()
     if xi.is_lattice():
         reduced = _reduce_lattice(xi)
-        if _conditions_ok(direction, size, reduced, kind, tol):
+        if _conditions_ok(direction, size, reduced, kind):
             return reduced
     top = max(abs(v) for v in xi.xi_x)
     for k in range(1, LATTICE_MAX_SCALE + 1):
@@ -241,7 +242,7 @@ def round_to_lattice(xi: WaveVector, direction: Triple,
         if abs(xi_t - round(xi_t)) > LATTICE_TOL:
             continue
         cand = WaveVector(cand_x, round(xi_t))
-        if _conditions_ok(direction, size, cand, kind, tol):
+        if _conditions_ok(direction, size, cand, kind):
             return _reduce_lattice(cand)
     raise LatticeError(
         f"no integer frequency within angle 1e-2 of {xi!r} up to scale {LATTICE_MAX_SCALE}")
@@ -315,15 +316,16 @@ def grid_residual(direction: Triple, xi: WaveVector, g: GridSpec,
 RESIDUAL_FLOOR = 1e-13
 
 
-def refinement_study(direction: Triple, xi: WaveVector,
-                     kind: ConeKind = ConeKind.NONSTATIONARY,
-                     levels: tuple[int, ...] = (8, 16, 32)) -> dict:
+def refinement_study(direction: Triple, xi: WaveVector, kind: ConeKind,
+                     levels: tuple[int, ...]) -> dict:
     """Grid residuals across refinement levels plus coarse/fine ratios.
 
     A centred second-order stencil on a smooth profile should show ratios
     approaching 4 (>= 3 in the asymptotic regime) wherever the residual is
-    above rounding level.
+    above rounding level.  Raises ValueError when levels is empty.
     """
+    if not levels:
+        raise ValueError("refinement_study needs at least one grid level")
     reports = [grid_residual(direction, xi, GridSpec(n), kind) for n in levels]
     ratios: dict[str, list] = {}
     for key in reports[0].residuals:
@@ -364,16 +366,15 @@ class StaircaseReport:
 
 
 def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
-                      kind: ConeKind = ConeKind.NONSTATIONARY,
-                      tol: Tolerances | None = None) -> StaircaseReport:
+                      kind: ConeKind = ConeKind.NONSTATIONARY) -> StaircaseReport:
     """Average the piecewise-constant oscillation between the two endpoints.
 
     The field takes value z1 where frac(n_osc * phi / 2pi) < lambda and z2
     otherwise, with phi the plane-wave phase; jumps across phase planes are
     admissible because z1 - z2 satisfies the plane-wave conditions of `kind`
-    for xi (validated here, by the condition kernel round_to_lattice uses,
-    div u included on the incompressible kinds).  The 1-D
-    phase is sampled at g.n**3 midpoints of equal steps across the averaging
+    for xi (validated here within RESIDUAL_SLACK, by the condition kernel
+    round_to_lattice uses, div u included on the incompressible kinds).  The
+    1-D phase is sampled at g.n**3 midpoints of equal steps across the averaging
     window; samples reports that count, and fraction the share of them
     below lambda.
 
@@ -396,14 +397,13 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
     are cached sorted for the last 4 keys, 8 * g.n**3 bytes each (0.9 MB at
     n = 48), and the count below lambda is one binary search.
     """
-    tol = tol or DEFAULT_TOLERANCES
     if not (n_osc >= 1 and n_osc % 1 == 0):
         raise ValueError(f"n_osc must be a positive integer, got {n_osc}")
     n_osc = int(n_osc)
     z1, z2 = d.z1, d.z2
     dz = tuple((a[0] - b[0], a[1] - b[1], a[2] - b[2]) for a, b in zip(z1, z2))
     size = _norm_rs(*dz, 1.0, 1.0)
-    if not _conditions_ok(dz, size, xi, kind, tol):
+    if not _conditions_ok(dz, size, xi, kind):
         raise ValueError("xi does not admit plane waves along z1 - z2; "
                          f"condition residuals {plane_wave_conditions(d.z1 - d.z2, xi, kind)}")
 

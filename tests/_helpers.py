@@ -26,7 +26,7 @@ from dynamohull import (
 )
 from dynamohull.core import _cross, _dot
 from dynamohull.oracle import TWO_PI, _sphere
-from dynamohull.planewave import _band_fractions
+from dynamohull.planewave import RESIDUAL_SLACK, _band_fractions
 
 ALPHA_GRID = np.linspace(0.0, 1.0, 10_000)
 _SQRT_WEIGHT = 2.0 * np.sqrt(ALPHA_GRID * (1.0 - ALPHA_GRID))
@@ -165,18 +165,17 @@ SHARED_CONE_KINDS = (ConeKind.NONSTATIONARY, ConeKind.NONSTATIONARY_INCOMPRESSIB
                      ConeKind.STATIONARY)
 
 
-def reference_two_sided_hull_check(cfg, tol=None, inner_tol=None):
+def reference_two_sided_hull_check(cfg, tol=None):
     """two_sided_hull_check one point at a time through the public per-point
     API: the reference the block campaign engine must reproduce exactly."""
     tol = tol or DEFAULT_TOLERANCES
-    inner_tol = inner_tol or tol
     p = cfg.params
     kind = cfg.kind
     report = HullCheckReport(seed=cfg.seed, kind=kind.label, r=p.r, s=p.s)
 
     for z in sample_first_laminate(cfg):
         report.laminate_checked += 1
-        if not in_hull(z, p, kind, inner_tol):
+        if not in_hull(z, p, kind, tol):
             report.record_failure("laminate", z, "combination fails closed-form membership")
         if kind.restricts_u:
             den = p.r * p.s * p.s + z.u.norm() * z.E.norm()
@@ -331,17 +330,16 @@ def reference_grid_residual(direction, xi, g, kind=ConeKind.NONSTATIONARY):
     return worst
 
 
-def reference_staircase_average(d, xi, n_osc, g, tol=None):
+def reference_staircase_average(d, xi, n_osc, g):
     """staircase_average written in Triple arithmetic: the Gauss and Faraday
     conditions on z1 - z2 through Vec3 operations, the average and the
     mixture d.combine() as Triples, and the error as the norm of their
     difference.  Returns (average, fraction, error), the reference the
     component-triple version must reproduce."""
-    tol = tol or DEFAULT_TOLERANCES
     dz = d.z1 - d.z2
     gauss = abs(dz.B.dot(xi.xi_x))
     faraday = (dz.B * xi.xi_t + xi.xi_x.cross(dz.E)).norm()
-    if max(gauss, faraday) > tol.eps_residual * (1.0 + xi.norm() * dz.norm()):
+    if max(gauss, faraday) > RESIDUAL_SLACK * (1.0 + xi.norm() * dz.norm()):
         raise ValueError("xi does not admit plane waves along z1 - z2")
     fracs = _band_fractions(n_osc, g.n, g.periods)
     fraction = float(np.searchsorted(fracs, d.lam, side="left")) / fracs.size

@@ -40,8 +40,7 @@ LAMINATE_COUNT = 100_000
 DECOMPOSE_COUNT = 10_000
 CAMPAIGN_SEED = 0
 
-VERIFY_TOL = Tolerances()                      # 1e-9 membership / verification
-INNER_TOL = Tolerances(eps_mem=1e-10)  # inner membership slack
+INNER_TOL = Tolerances(eps_mem=1e-10)  # membership and verification slack of both halves
 
 
 def _report(capsys, num: int, name: str, ok: bool, detail: str = ""):
@@ -56,7 +55,7 @@ def _report(capsys, num: int, name: str, ok: bool, detail: str = ""):
 def _run_campaign(kind: ConeKind, r: float, s: float):
     cfg = SampleConfig(seed=CAMPAIGN_SEED, count=LAMINATE_COUNT,
                        params=HullParams(r, s), kind=kind)
-    return two_sided_hull_check(cfg, VERIFY_TOL, inner_tol=INNER_TOL)
+    return two_sided_hull_check(cfg, INNER_TOL)
 
 
 @pytest.fixture(scope="module")

@@ -85,21 +85,39 @@ def test_block_driver_matches_reference(kind, radii, count):
 
 
 @pytest.mark.usefixtures("blocks_of_1024")
-@pytest.mark.parametrize("count, tol, inner_tol", [
-    (10_000, Tolerances(eps_mem=4e-16), None),
-    # decompose raises (g1 at rounding level) between verification failures
-    (2500, Tolerances(eps_mem=1e-17), Tolerances()),
+@pytest.mark.parametrize("count, tol", [
+    (10_000, Tolerances(eps_mem=4e-16)),
     # membership failures, then verification failures (mixing included)
-    (2500, Tolerances(eps_mem=1e-16), None),
+    (2500, Tolerances(eps_mem=1e-16)),
 ])
 @pytest.mark.parametrize("kind", KINDS)
-def test_block_driver_matches_reference_on_failures(kind, count, tol, inner_tol):
+def test_block_driver_matches_reference_on_failures(kind, count, tol):
     # Slacks at or below rounding make points fail, which pins the order of
     # the recorded failures, their cap and the counts.
     cfg = SampleConfig(seed=22, count=count, params=HullParams(0.5, 2.0), kind=kind)
-    block_report = two_sided_hull_check(cfg, tol, inner_tol)
-    assert block_report.to_json() == reference_two_sided_hull_check(cfg, tol, inner_tol).to_json()
+    block_report = two_sided_hull_check(cfg, tol)
+    assert block_report.to_json() == reference_two_sided_hull_check(cfg, tol).to_json()
     assert len(block_report.failures) == HullCheckReport.MAX_RECORDED_FAILURES
+
+
+@pytest.mark.usefixtures("blocks_of_1024")
+@pytest.mark.parametrize("kind", KINDS)
+def test_decomposition_half_matches_reference_on_failures(kind):
+    # At eps 1e-17 decompose raises (g1 at rounding level) between
+    # verification failures: both records, in point order, in one capped
+    # list, with the counts and maxima of the per-point reference, across
+    # block edges.
+    p, tol = HullParams(0.5, 2.0), Tolerances(eps_mem=1e-17)
+    cfg = SampleConfig(seed=22, count=2500, params=p, kind=kind)
+    report, expected = (HullCheckReport(seed=22, kind=kind.label, r=p.r, s=p.s)
+                        for _ in range(2))
+    for z in oracle._hull_blocks(oracle._generator(cfg, oracle.HULL_KEY), cfg):
+        oracle._check_decompositions(report, z, p, kind, tol)
+    reference_check_decompositions(expected, sample_hull(cfg), p, kind, tol)
+    assert report.to_json() == expected.to_json()
+    assert len(report.failures) == HullCheckReport.MAX_RECORDED_FAILURES
+    assert {f["reason"].split(":")[0] for f in report.failures} == {
+        "decomposition raised", "verification failed"}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -245,7 +263,7 @@ class ListStream:
 
 
 # Each public sampler, the draws it reads per item and its stream's spawn key.
-STRIDES = {"pairs": (sample_lambda_pair, 7, 0), "mixtures": (sample_first_laminate, 8, 0),
+STRIDES = {"pairs": (sample_lambda_pair, 8, 0), "mixtures": (sample_first_laminate, 8, 0),
            "hull": (sample_hull, 8, oracle.HULL_KEY)}
 
 
@@ -269,6 +287,21 @@ def test_item_reads_only_its_own_draws(sampler, kind, k, monkeypatch):
     assert fake.i == stride * count
     assert got[:k] == expected[:k] and got[k + 1:] == expected[k + 1:]
     assert got[k] != expected[k]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_laminates_mix_the_pair_samplers_pairs(kind):
+    # One pair stream: item i of sample_first_laminate is lam z1 + (1 - lam) z2,
+    # bit for bit, with (z1, z2) item i of sample_lambda_pair and lam draw
+    # 8 i + 7 of the stream.  The count spans two production blocks.
+    count = PRODUCTION_BLOCK + 1928
+    cfg = SampleConfig(seed=31, count=count, params=HullParams(1e-3, 1e3), kind=kind)
+    mixtures = np.array([[*z.B, *z.u, *z.E] for z in sample_first_laminate(cfg)])
+    pairs = np.array([[*z1.B, *z1.u, *z1.E, *z2.B, *z2.u, *z2.E]
+                      for z1, z2 in sample_lambda_pair(cfg)])
+    lam = oracle._generator(cfg).random(8 * count)[7::8, None]
+    assert mixtures.shape == (count, 9) and pairs.shape == (count, 18)
+    assert (bits(mixtures) == bits(lam * pairs[:, :9] + (1.0 - lam) * pairs[:, 9:])).all()
 
 
 @pytest.mark.parametrize("radii", [(1.0, 1.0), (1e-3, 1e3)])

@@ -150,9 +150,10 @@ def test_tolerances_validation():
     with pytest.raises(ValueError):
         Tolerances(eps_mem=0.0)
     with pytest.raises(ValueError):
-        Tolerances(eps_residual=-1e-9)
-    # The decomposition takes no tolerance: the two slacks are all there is.
-    assert [f.name for f in dataclasses.fields(Tolerances)] == ["eps_mem", "eps_residual"]
+        Tolerances(eps_mem=-1e-9)
+    # The decomposition takes no tolerance and the plane-wave slack is a
+    # constant: the membership slack is all there is.
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["eps_mem"]
     with pytest.raises(TypeError):
         Tolerances(eps_root=1e-12)
     assert Tolerances(eps_mem=1e-14).eps_mem == 1e-14

@@ -192,13 +192,13 @@ def test_coincident_planes_keep_the_drawn_angle(monkeypatch):
     count = 3000
     p = HullParams(0.5, 2.0)
     cfg = SampleConfig(seed=29, count=count, params=p, kind=ConeKind.STATIONARY_INCOMPRESSIBLE)
-    w = oracle._generator(cfg).random(7 * count).reshape(count, 7)
+    w = oracle._generator(cfg).random(8 * count).reshape(count, 8)
     w[:, 2:4] = w[:, 0:2]
     fake = ListStream(w.ravel())
     monkeypatch.setattr(oracle, "_generator", lambda cfg: fake)
     pairs = list(sample_lambda_pair(cfg))
     assert len(pairs) == count
-    assert fake.i == 7 * count
+    assert fake.i == 8 * count
     ref, ref_res = reference_pair_block(w, p, True)
     assert ref_res.max() <= 1e-14
     rows = np.array([[*z1.B, *z1.u, *z1.E, *z2.B, *z2.u, *z2.E] for z1, z2 in pairs])
@@ -211,7 +211,7 @@ def test_restricted_pairs_are_not_degenerate():
     # rare, not half of the stream.
     cfg = SampleConfig(seed=3, count=20_000, params=P11, kind=ConeKind.STATIONARY_INCOMPRESSIBLE)
     near = total = 0
-    for (_, u1, _), (_, u2, _) in oracle._pair_blocks(oracle._generator(cfg), cfg):
+    for (_, u1, _), (_, u2, _), _ in oracle._pair_blocks(oracle._generator(cfg), cfg):
         du = np.sqrt(sum((a - b) ** 2 for a, b in zip(u1, u2)))
         near += int((du <= 1e-8 * cfg.params.s).sum())
         total += len(du)
@@ -425,19 +425,19 @@ def test_parallel_and_antiparallel_B_draws_give_valid_pairs(monkeypatch):
     # B2 = B1 (the constant stream, and a stream that repeats B1's draws) and
     # B2 = -B1 (heights 0 and 1: B1 = -z, B2 = +z) make B1 x B2 = 0, so the
     # circle takes the fixed axis; every u2 on the sphere meets the cone
-    # condition there.  Each pair reads its 7 draws.
+    # condition there.  Each pair reads its 8 draws.
     count = 6
     p = HullParams(0.5, 2.0)
-    streams = {"equal": (np.full(7 * count, 0.5), 1.0),
-               "equal, u apart": (np.tile([0.3, 0.1, 0.7, 0.9, 0.3, 0.1, 0.4], count), 1.0),
-               "opposite": (np.tile([0.0, 0.3, 0.6, 0.2, 1.0, 0.8, 0.7], count), -1.0)}
+    streams = {"equal": (np.full(8 * count, 0.5), 1.0),
+               "equal, u apart": (np.tile([0.3, 0.1, 0.7, 0.9, 0.3, 0.1, 0.4, 0.5], count), 1.0),
+               "opposite": (np.tile([0.0, 0.3, 0.6, 0.2, 1.0, 0.8, 0.7, 0.5], count), -1.0)}
     for kind in ALL_KINDS:
         cfg = SampleConfig(seed=0, count=count, params=p, kind=kind)
         for name, (draws, sign) in streams.items():
             fake = ListStream(draws)
             monkeypatch.setattr(oracle, "_generator", lambda cfg: fake)
             pairs = list(sample_lambda_pair(cfg))
-            assert len(pairs) == count and fake.i == 7 * count, name
+            assert len(pairs) == count and fake.i == 8 * count, name
             for z1, z2 in pairs:
                 assert z2.B == z1.B * sign, name
                 assert in_constraint_set(z1, p) and in_constraint_set(z2, p), name

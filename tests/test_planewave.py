@@ -29,7 +29,7 @@ from dynamohull import (
     WaveVector,
 )
 from dynamohull import planewave
-from dynamohull.cli import _RESIDUAL_DIRECTIONS, main as cli_main
+from dynamohull.cli import _RESIDUAL_WAVES, main as cli_main
 from _helpers import ALL_KINDS, cone_direction, reference_grid_residual, reference_staircase_average
 
 P11 = HullParams(1.0, 1.0)
@@ -50,6 +50,17 @@ def _condition_scale(direction, xi):
 def test_wave_vector_requires_nonzero_spatial_frequency():
     with pytest.raises(ValueError):
         WaveVector(Vec3(0, 0, 0), 1.0)
+
+
+def test_wave_vector_rejects_non_finite_spatial_frequency():
+    # Vec3 arithmetic is unchecked: a large coefficient overflows xi_x, and a
+    # NaN one would reach is_lattice's round().  Both raise ValueError here.
+    direction = Triple(Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1e300))
+    for a in (1e10, math.nan):
+        with pytest.raises(ValueError, match="non-finite spatial frequency"):
+            wave_vector_for(direction, ConeKind.STATIONARY, a=a)
+    with pytest.raises(ValueError, match="non-finite spatial frequency"):
+        WaveVector(Vec3(0, 0, 1) * math.inf, 0.0)
 
 
 def test_zero_coefficients_raise_on_the_time_dependent_shared_cone():
@@ -231,9 +242,9 @@ def test_round_to_lattice_checks_div_u_on_incompressible_kinds():
     # but ubar . xi_x = 5: its div u residual does not converge on any grid.
     # On the incompressible kind no rescaling of it passes; the compressible
     # kind, which has no div u condition, keeps it unchanged.
-    direction = _RESIDUAL_DIRECTIONS["shared"]
-    xi = WaveVector(Vec3(1, 2, 0), 0.0)
     kind = ConeKind.NONSTATIONARY_INCOMPRESSIBLE
+    direction = _RESIDUAL_WAVES[kind][0]
+    xi = WaveVector(Vec3(1, 2, 0), 0.0)
     assert plane_wave_conditions(direction, xi, kind) == {"gauss": 0.0, "faraday": 0.0,
                                                           "u_div": 5.0}
     with pytest.raises(LatticeError):
@@ -366,6 +377,11 @@ def test_refinement_ratios_incompressible_velocity():
     for ratio in study["ratios"]["div_u"]:
         assert ratio is not None
         assert ratio >= 3.0
+
+
+def test_refinement_study_needs_a_level():
+    with pytest.raises(ValueError, match="at least one grid level"):
+        refinement_study(CANONICAL_DIR, CANONICAL_XI, ConeKind.NONSTATIONARY, ())
 
 
 def test_refinement_ratios_stationary_incompressible():
