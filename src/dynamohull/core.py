@@ -26,17 +26,16 @@ g3(z) = u . E = 0 for the stationary incompressible variant).
 Vec3 and Triple are immutable tuples of components: a Triple is the
 (B, u, E) state of three float component triples, which every kernel here
 takes as it is.  The same kernel bodies run on the numpy columns of a block
-in oracle.
+in oracle.  Every other record of the package (HullParams, Tolerances,
+SeparationWitness here) is likewise a namedtuple subclass.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 
 def _dot(a, b):
@@ -144,6 +143,8 @@ class Triple(namedtuple("Triple", "B u E")):
         return {"B": list(self.B), "u": list(self.u), "E": list(self.E)}
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict())
 
     @classmethod
@@ -155,6 +156,8 @@ class Triple(namedtuple("Triple", "B u E")):
 
     @classmethod
     def from_json(cls, text: str) -> "Triple":
+        import json
+
         return cls.from_json_dict(json.loads(text))
 
 
@@ -167,23 +170,35 @@ _triple = functools.partial(_tuple_new, Triple)
 RADIUS_PRODUCT_RANGE = (1e-75, 1e75)
 
 
-@dataclass(frozen=True, slots=True)
-class HullParams:
-    """Amplitude radii |B| = r, |u| = s; r s and r / s in RADIUS_PRODUCT_RANGE."""
+# The _make, and so the _replace, of a validated record: through its constructor.
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
 
-    r: float
-    s: float
 
-    def __post_init__(self):
-        for name, label in (("r", "magnetic"), ("s", "velocity")):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{label} radius {name} must be a positive finite real, got {v}")
-            object.__setattr__(self, name, v)
+def _positive_real(v, name: str) -> float:
+    """float(v), or ValueError unless it is positive and finite."""
+    v = float(v)
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"{name} must be a positive finite real, got {v}")
+    return v
+
+
+class HullParams(namedtuple("HullParams", "r s")):
+    """Amplitude radii |B| = r, |u| = s; r s and r / s in RADIUS_PRODUCT_RANGE.
+
+    The tuple (r, s) of floats.  Like every validated record here, its
+    _make, and so its _replace, checks through the constructor.
+    """
+
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, r: float, s: float):
+        p = _tuple_new(cls, map(_positive_real, (r, s), ("magnetic radius r", "velocity radius s")))
         lo, hi = RADIUS_PRODUCT_RANGE
-        if not (lo <= self.r * self.s <= hi and lo <= self.r / self.s <= hi):
-            raise ValueError(f"radii r = {self.r}, s = {self.s} out of range: r*s and r/s "
+        if not (lo <= p[0] * p[1] <= hi and lo <= p[0] / p[1] <= hi):
+            raise ValueError(f"radii r = {p[0]}, s = {p[1]} out of range: r*s and r/s "
                              f"must lie in [{lo}, {hi}]")
+        return p
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "s": self.s}
@@ -196,9 +211,8 @@ class HullParams:
             raise ValueError(f"malformed params JSON: {exc}") from exc
 
 
-@dataclass(frozen=True, slots=True)
-class Tolerances:
-    """The numerical slack of the predicates and the checks.
+class Tolerances(namedtuple("Tolerances", "eps_mem")):
+    """The numerical slack of the predicates and the checks: a validated record.
 
     eps_mem is the dimensionless slack of membership and verification, made
     on the normalised triple (B/r, u/s, E/(rs)) at every radius pair.  The
@@ -206,13 +220,11 @@ class Tolerances:
     take the constant planewave.RESIDUAL_SLACK.
     """
 
-    eps_mem: float = 1e-9
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        v = float(self.eps_mem)
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"eps_mem must be a positive finite real, got {v}")
-        object.__setattr__(self, "eps_mem", v)
+    def __new__(cls, eps_mem: float = 1e-9):
+        return _tuple_new(cls, (_positive_real(eps_mem, "eps_mem"),))
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -222,7 +234,9 @@ class ConeKind(enum.Enum):
     """Which system variant the oscillation-direction cone belongs to.
 
     The first three variants share the cone {B . E = 0}; the stationary
-    incompressible one shrinks it to {B . E = 0, u . E = 0}.
+    incompressible one shrinks it to {B . E = 0, u . E = 0}.  Each member
+    carries its flags as plain attributes: label (its value), restricts_u,
+    incompressible and stationary.
     """
 
     NONSTATIONARY = "nonstationary"
@@ -230,23 +244,12 @@ class ConeKind(enum.Enum):
     STATIONARY = "stationary"
     STATIONARY_INCOMPRESSIBLE = "stationary-incompressible"
 
-    @property
-    def label(self) -> str:
-        return self.value
-
-    @property
-    def restricts_u(self) -> bool:
-        """True when the cone carries the extra u . E = 0 condition."""
-        return self is ConeKind.STATIONARY_INCOMPRESSIBLE
-
-    @property
-    def incompressible(self) -> bool:
-        return self in (ConeKind.NONSTATIONARY_INCOMPRESSIBLE,
-                        ConeKind.STATIONARY_INCOMPRESSIBLE)
-
-    @property
-    def stationary(self) -> bool:
-        return self in (ConeKind.STATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE)
+    def __init__(self, label: str):
+        self.label = label
+        # The cone carries the extra u . E = 0 condition.
+        self.restricts_u = label == "stationary-incompressible"
+        self.incompressible = label.endswith("-incompressible")
+        self.stationary = label.startswith("stationary")
 
     @classmethod
     def from_label(cls, label: str) -> "ConeKind":
@@ -468,16 +471,14 @@ def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     return _separating_function(z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem) is None
 
 
-@dataclass(frozen=True)
-class SeparationWitness:
+class SeparationWitness(namedtuple("SeparationWitness", "function value")):
     """Which separating function certifies non-membership, if any.
 
     function is "g1", "g2" or "g3"; None means no separation (the point is
     in the relaxed set).  value is the attained function value.
     """
 
-    function: str | None
-    value: float
+    __slots__ = ()
 
     @property
     def separates(self) -> bool:
@@ -485,6 +486,10 @@ class SeparationWitness:
 
     def to_json_dict(self) -> dict:
         return {"function": self.function, "value": self.value}
+
+
+# The witness of every member: records are immutable, so one serves all.
+_NO_SEPARATION = SeparationWitness(None, 0.0)
 
 
 def separation_witness(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -498,6 +503,6 @@ def separation_witness(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONST
     """
     function = _separating_function(z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem)
     if function is None:
-        return SeparationWitness(None, 0.0)
+        return _NO_SEPARATION
     value = eval_g1(z) if function == "g1" else eval_g3(z) if function == "g3" else eval_g2(z, p)
     return SeparationWitness(function, value)

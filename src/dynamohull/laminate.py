@@ -45,7 +45,7 @@ block wrapper lives in oracle, next to the campaign that calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     ConeKind,
@@ -82,13 +82,14 @@ class NotInHullError(DecompositionError):
     """The target point lies outside the relaxed set; witness separates it."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Weight and endpoints of a two-state mixture: lam*z1 + (1-lam)*z2."""
+class Decomposition(namedtuple("Decomposition", "lam z1 z2")):
+    """Weight and endpoints of a two-state mixture: lam*z1 + (1-lam)*z2.
 
-    lam: float
-    z1: Triple
-    z2: Triple
+    The tuple (lam, z1, z2), built unchecked; from_json_dict checks the
+    weight it reads.
+    """
+
+    __slots__ = ()
 
     def combine(self) -> Triple:
         return self.z1 * self.lam + self.z2 * (1.0 - self.lam)
@@ -272,14 +273,15 @@ def _residuals(lam, z1, z2, target, p: HullParams, kind: ConeKind, m: _Math) -> 
     return res
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Per-check residuals for a decomposition; failures are reported, not thrown."""
+class VerificationReport(namedtuple("VerificationReport",
+                                     "passed max_residual residuals failures")):
+    """Per-check residuals for a decomposition; failures are reported, not thrown.
 
-    passed: bool
-    max_residual: float
-    residuals: dict
-    failures: tuple[str, ...]
+    The tuple (passed, max_residual, residuals, failures): residuals maps
+    each check to its residual and failures is the tuple of failing checks.
+    """
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -306,5 +308,4 @@ def verify_decomposition(d: Decomposition, target: Triple, p: HullParams,
     # A NaN residual fails and is the maximum.
     failures = tuple(name for name, v in res.items() if not v <= tol.eps_mem)
     max_res = math.nan if any(map(math.isnan, res.values())) else max(res.values())
-    return VerificationReport(passed=not failures, max_residual=max_res,
-                              residuals=res, failures=failures)
+    return VerificationReport(not failures, max_res, res, failures)

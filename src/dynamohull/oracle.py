@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import starmap
 from typing import Iterator, TextIO
 
@@ -78,6 +78,7 @@ from .core import (
     Tolerances,
     Triple,
     _Math,
+    _checked_make,
     _cone_residual,
     _cross,
     _dot,
@@ -86,6 +87,7 @@ from .core import (
     _from_parts,
     _perpendicular,
     _separation_flags,
+    _tuple_new,
     _unit,
     eval_g1,
     eval_g2,
@@ -131,21 +133,22 @@ BLOCK = 3072
 STREAM_VERSION = 5
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    """Deterministic sampling campaign: same config, same stream, bit for bit."""
+class SampleConfig(namedtuple("SampleConfig", "seed count params kind")):
+    """Deterministic sampling campaign: same config, same stream, bit for bit.
 
-    seed: int
-    count: int
-    params: HullParams
-    kind: ConeKind = ConeKind.NONSTATIONARY
+    A validated record, so _replace checks too; its field count shadows
+    tuple's count method.
+    """
 
-    def __post_init__(self):
-        for name in ("seed", "count"):
-            v = getattr(self, name)
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, seed: int, count: int, params: HullParams,
+                kind: ConeKind = ConeKind.NONSTATIONARY):
+        for name, v in (("seed", seed), ("count", count)):
             if not (v >= 0 and v % 1 == 0):
                 raise ValueError(f"{name} must be a nonnegative integer, got {v}")
-            object.__setattr__(self, name, int(v))
+        return _tuple_new(cls, (int(seed), int(count), params, kind))
 
 
 # The spawn key of the hull points' stream; every other sampler reads key 0,
@@ -425,27 +428,29 @@ def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
     return _items(_row_triple, map(_stack, _hull_blocks(_generator(cfg, HULL_KEY), cfg)))
 
 
-@dataclass
 class HullCheckReport:
     """Outcome of a two-sided campaign; serializes deterministically.
 
-    failure_count counts failing points, one record each.  Every verification
-    maximum is read from max_residual_by_check, each check's largest residual.
+    The one mutable record: the campaign adds to its counts, maxima and
+    failures as it goes.  failure_count counts failing points, one record
+    each.  Every verification maximum is read from max_residual_by_check,
+    each check's largest residual.
     """
 
-    seed: int
-    kind: str
-    r: float
-    s: float
-    laminate_checked: int = 0
-    laminate_failure_count: int = 0
-    decompose_checked: int = 0
-    decompose_failure_count: int = 0
-    max_residual_by_check: dict = field(default_factory=dict)
-    max_u_orthogonality: float | None = None
-    failures: list = field(default_factory=list)
-
     MAX_RECORDED_FAILURES = 20
+
+    def __init__(self, seed: int, kind: str, r: float, s: float, laminate_checked: int = 0,
+                 laminate_failure_count: int = 0, decompose_checked: int = 0,
+                 decompose_failure_count: int = 0, max_residual_by_check: dict | None = None,
+                 max_u_orthogonality: float | None = None, failures: list | None = None):
+        self.seed, self.kind, self.r, self.s = seed, kind, r, s
+        self.laminate_checked = laminate_checked
+        self.laminate_failure_count = laminate_failure_count
+        self.decompose_checked = decompose_checked
+        self.decompose_failure_count = decompose_failure_count
+        self.max_residual_by_check = {} if max_residual_by_check is None else max_residual_by_check
+        self.max_u_orthogonality = max_u_orthogonality
+        self.failures = [] if failures is None else failures
 
     @property
     def failure_count(self) -> int:

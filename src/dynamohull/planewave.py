@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,10 +30,12 @@ from .core import (
     Tolerances,
     Triple,
     Vec3,
+    _checked_make,
     _cross,
     _dot,
     _from_parts,
     _norm_rs,
+    _tuple_new,
     in_wave_cone,
     unit_perpendicular_to_all,
 )
@@ -56,25 +58,24 @@ class LatticeError(ValueError):
     """No integer frequency vector approximates the wave vector closely enough."""
 
 
-@dataclass(frozen=True, slots=True)
-class WaveVector:
+class WaveVector(namedtuple("WaveVector", "xi_x xi_t")):
     """Space-time frequency (xi_x, xi_t) of a plane wave; xi_x must be finite
-    and nonzero, xi_t finite."""
+    and nonzero, xi_t finite.  A validated record: _replace checks too."""
 
-    xi_x: Vec3
-    xi_t: float
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        if not isinstance(self.xi_x, Vec3):
+    def __new__(cls, xi_x: Vec3, xi_t: float):
+        if not isinstance(xi_x, Vec3):
             raise TypeError("xi_x must be a Vec3")
-        if not all(map(math.isfinite, self.xi_x)):
-            raise ValueError(f"non-finite spatial frequency {tuple(self.xi_x)}")
-        if self.xi_x.norm() == 0.0:
+        if not all(map(math.isfinite, xi_x)):
+            raise ValueError(f"non-finite spatial frequency {tuple(xi_x)}")
+        if xi_x.norm() == 0.0:
             raise ValueError("spatial frequency xi_x must be nonzero")
-        xi_t = float(self.xi_t)
+        xi_t = float(xi_t)
         if not math.isfinite(xi_t):
             raise ValueError(f"non-finite temporal frequency {xi_t}")
-        object.__setattr__(self, "xi_t", xi_t)
+        return _tuple_new(cls, (xi_x, xi_t))
 
     def norm(self) -> float:
         return math.sqrt(self.xi_x.norm2() + self.xi_t * self.xi_t)
@@ -87,23 +88,31 @@ class WaveVector:
         return {"xi_x": list(self.xi_x), "xi_t": self.xi_t}
 
 
-@dataclass(frozen=True, slots=True)
-class GridSpec:
+def _whole(v) -> int | None:
+    """int(v) where v is a finite whole number, else None."""
+    try:
+        i = int(v)
+    except (OverflowError, ValueError):
+        return None
+    return i if i == v else None
+
+
+class GridSpec(namedtuple("GridSpec", "n periods")):
     """Periodic evaluation grid: n points per axis spanning `periods` base
-    periods of 2 pi, so the spacing is h = 2 pi periods / n."""
+    periods of 2 pi, so the spacing is h = 2 pi periods / n.  A validated
+    record: _replace checks too."""
 
-    n: int
-    periods: int = 1
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        n, periods = int(self.n), int(self.periods)
-        if n != self.n or n < 4 or n % 2 != 0:
+    def __new__(cls, n: int, periods: int = 1):
+        whole_n, whole_periods = _whole(n), _whole(periods)
+        if whole_n is None or whole_n < 4 or whole_n % 2 != 0:
             raise ValueError("grid needs an even integer count of at least 4 points per axis, "
-                             f"got {self.n}")
-        if periods != self.periods or periods < 1:
-            raise ValueError(f"periods must be a positive integer, got {self.periods}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "periods", periods)
+                             f"got {n}")
+        if whole_periods is None or whole_periods < 1:
+            raise ValueError(f"periods must be a positive integer, got {periods}")
+        return _tuple_new(cls, (whole_n, whole_periods))
 
     @property
     def h(self) -> float:
@@ -256,15 +265,11 @@ def _reduce_lattice(xi: WaveVector) -> WaveVector:
     return WaveVector(Vec3(*(v / g for v in vals[:3])), vals[3] / g)
 
 
-@dataclass(frozen=True)
-class GridResidualReport:
-    """Max-norm centred-difference residuals of each conserved equation."""
+class GridResidualReport(namedtuple("GridResidualReport", "n h residuals xi kind")):
+    """Max-norm centred-difference residuals of each conserved equation: the
+    tuple (n, h, residuals, xi, kind), kind the cone kind's label."""
 
-    n: int
-    h: float
-    residuals: dict
-    xi: WaveVector
-    kind: str
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "h": self.h, "residuals": dict(self.residuals),
@@ -343,16 +348,12 @@ def refinement_study(direction: Triple, xi: WaveVector, kind: ConeKind,
     }
 
 
-@dataclass(frozen=True)
-class StaircaseReport:
-    """Domain average of a two-state staircase field and its mixing error."""
+class StaircaseReport(namedtuple("StaircaseReport",
+                                  "average error fraction weight n_osc samples")):
+    """Domain average of a two-state staircase field and its mixing error: the
+    tuple (average, error, fraction, weight, n_osc, samples)."""
 
-    average: Triple
-    error: float
-    fraction: float
-    weight: float
-    n_osc: int
-    samples: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -409,12 +410,11 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
 
     fracs = _band_fractions(n_osc, g.n, g.periods)
     samples = fracs.size
-    fraction = float(np.searchsorted(fracs, d.lam, side="left")) / samples
+    fraction = float(fracs.searchsorted(d.lam)) / samples
     rest = 1.0 - fraction
     average = _from_parts(*((a[0] * fraction + b[0] * rest, a[1] * fraction + b[1] * rest,
                              a[2] * fraction + b[2] * rest) for a, b in zip(z1, z2)))
-    return StaircaseReport(average=average, error=abs(fraction - d.lam) * size,
-                           fraction=fraction, weight=d.lam, n_osc=n_osc, samples=samples)
+    return StaircaseReport(average, abs(fraction - d.lam) * size, fraction, d.lam, n_osc, samples)
 
 
 @functools.lru_cache(maxsize=4)

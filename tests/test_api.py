@@ -112,17 +112,44 @@ print(json.dumps(loaded))
 """
 
 
+def _fresh(*args) -> str:
+    """The standard output of a fresh interpreter run with args, the package on its path."""
+    src = str(Path(dynamohull.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def test_per_point_layer_loads_no_numpy(tmp_path):
     path = tmp_path / "triple.json"
     path.write_text('{"B": [0.3, 0.1, 0], "u": [0, 0.2, 0.4], "E": [0.04, -0.12, 0.36]}')
-    src = str(Path(dynamohull.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", IMPORT_STEPS, str(path)], env=env,
-                          capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == {
+    assert json.loads(_fresh("-c", IMPORT_STEPS, str(path))) == {
         "import": False, "set-up probe": False, "per-point calls": False,
         "cli decompose, wavecone": False, "sample_hull": True, "sample_hull is oracle's": True,
     }
+
+
+# The first call of a fresh interpreter, as perfbench's set-up probe makes it;
+# prints which of the modules the package has no use for are loaded.
+SETUP_PROBE = """
+import sys
+import dynamohull as dh
+p = dh.HullParams(1.0, 1.0)
+z = dh.Triple(dh.Vec3(0.3, 0.0, 0.0), dh.Vec3(0.0, 0.4, 0.0), dh.Vec3(0.0, 0.0, 0.5))
+d = dh.decompose(z, p)
+assert dh.in_hull(z, p) and dh.verify_decomposition(d, z, p).passed
+print(sorted({"dataclasses", "inspect", "json", "numpy"} & set(sys.modules)))
+"""
+
+
+def test_cold_start_loads_no_dataclasses_inspect_json_or_numpy():
+    # -S: no site module, so only what the package itself imports is loaded.
+    assert _fresh("-S", "-c", SETUP_PROBE) == "[]\n"
+    # The numpy layers build no dataclass either.
+    assert _fresh("-c", "import sys\n"
+                  "from dynamohull.oracle import SampleConfig\n"
+                  "from dynamohull.planewave import GridSpec\n"
+                  "print(sorted({'dataclasses', 'numpy'} & set(sys.modules)))") == "['numpy']\n"
 
 
 def test_lazy_names_are_listed_and_unknown_names_raise():

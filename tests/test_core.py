@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import math
 import pickle
@@ -11,11 +10,16 @@ import pytest
 from dynamohull import (
     ConeKind,
     Decomposition,
+    GridResidualReport,
+    GridSpec,
     HullParams,
     SampleConfig,
+    SeparationWitness,
+    StaircaseReport,
     Tolerances,
     Triple,
     Vec3,
+    WaveVector,
     eval_g1,
     eval_g2,
     eval_g3,
@@ -26,6 +30,7 @@ from dynamohull import (
     sample_hull,
     separation_witness,
     unit_perpendicular_to_all,
+    verify_decomposition,
 )
 from dynamohull.core import _frame, _perpendicular
 from dynamohull.oracle import _COLUMNS
@@ -83,15 +88,47 @@ def test_numpy_scalars_scale_vec3_and_triple_as_floats_do():
         assert scaled == obj * 2.0
 
 
-def test_vec3_triple_and_decomposition_survive_pickle_and_deepcopy():
+def test_every_record_survives_pickle_and_deepcopy():
     v = Vec3(0.1, -0.0, 3e-300)
     z = Triple(v, Vec3(0, 1, 0), Vec3(0.5, 0, -1))
     d = Decomposition(0.25, z, Triple(-v, Vec3(1, 0, 0), Vec3(0, 0, 1)))
-    for obj in (v, z, d):
+    p = HullParams(0.5, 2.0)
+    xi = WaveVector(Vec3(1, 2, 0), -3.0)
+    for obj in (v, z, d, p, Tolerances(1e-12), SeparationWitness("g2", 0.125),
+                verify_decomposition(d, d.combine(), p), xi, GridSpec(8, 2),
+                GridResidualReport(8, 0.5, {"div_B": 1e-3}, xi, "stationary"),
+                StaircaseReport(z, 1e-3, 0.25, 0.25, 8, 512),
+                SampleConfig(3, 100, p, ConeKind.STATIONARY_INCOMPRESSIBLE)):
         for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
             # repr names the type of every nested field and prints each float exactly.
             assert type(back) is type(obj) and repr(back) == repr(obj)
             assert back == obj
+
+
+@pytest.mark.parametrize("record, field, value", [
+    (HullParams(1.0, 1.0), "r", 0.0),
+    (Tolerances(), "eps_mem", -1.0),
+    (SampleConfig(0, 10, HullParams(1.0, 1.0)), "count", -1),
+    (WaveVector(Vec3(1, 0, 0), 0.0), "xi_t", NAN),
+    (GridSpec(4), "n", 5),
+], ids=lambda x: type(x).__name__ if isinstance(x, tuple) else None)
+def test_replace_validates_the_parameter_records(record, field, value):
+    # _replace goes through the constructor, so it raises the constructor's error.
+    with pytest.raises(ValueError) as replaced:
+        record._replace(**{field: value})
+    with pytest.raises(ValueError) as built:
+        type(record)(**{**record._asdict(), field: value})
+    assert str(replaced.value) == str(built.value)
+
+
+def test_sample_config_count_is_the_field():
+    # The field shadows tuple.count.
+    assert SampleConfig(seed=0, count=7, params=HullParams(1.0, 1.0)).count == 7
+
+
+def test_records_compare_as_the_tuples_of_their_fields():
+    assert HullParams(4, 1) == GridSpec(4, 1) == (4, 1)
+    assert hash(Tolerances(1e-12)) == hash((1e-12,))
 
 
 def test_vec3_equals_and_hashes_as_the_tuple_of_its_components():
@@ -153,7 +190,7 @@ def test_tolerances_validation():
         Tolerances(eps_mem=-1e-9)
     # The decomposition takes no tolerance and the plane-wave slack is a
     # constant: the membership slack is all there is.
-    assert [f.name for f in dataclasses.fields(Tolerances)] == ["eps_mem"]
+    assert Tolerances._fields == ("eps_mem",)
     with pytest.raises(TypeError):
         Tolerances(eps_root=1e-12)
     assert Tolerances(eps_mem=1e-14).eps_mem == 1e-14
@@ -167,11 +204,15 @@ def test_cone_kind_labels_round_trip():
 
 
 def test_cone_kind_flags():
-    assert ConeKind.STATIONARY_INCOMPRESSIBLE.restricts_u
-    assert not ConeKind.STATIONARY.restricts_u
-    assert ConeKind.NONSTATIONARY_INCOMPRESSIBLE.incompressible
-    assert ConeKind.STATIONARY.stationary
-    assert not ConeKind.NONSTATIONARY.stationary
+    # (restricts_u, incompressible, stationary) of every kind.
+    assert {kind: (kind.restricts_u, kind.incompressible, kind.stationary)
+            for kind in ConeKind} == {
+        ConeKind.NONSTATIONARY: (False, False, False),
+        ConeKind.NONSTATIONARY_INCOMPRESSIBLE: (False, True, False),
+        ConeKind.STATIONARY: (False, False, True),
+        ConeKind.STATIONARY_INCOMPRESSIBLE: (True, True, True),
+    }
+    assert all(kind.label == kind.value for kind in ConeKind)
 
 
 # ------------------------------------------------------ constraint set
@@ -436,6 +477,9 @@ def test_witness_none_inside():
     w = separation_witness(z, P11)
     assert w.function is None
     assert not w.separates
+    # Every member gets the one shared witness.
+    origin = Triple(Vec3(0, 0, 0), Vec3(0, 0, 0), Vec3(0, 0, 0))
+    assert separation_witness(origin, P11) is w == SeparationWitness(None, 0.0)
 
 
 # ------------------------------------------- cone-affinity and convexity

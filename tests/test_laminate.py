@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import struct
 
@@ -474,9 +473,6 @@ def _leaves(obj):
         return [*obj, *(x for v in obj.values() for x in _leaves(v))]
     if isinstance(obj, tuple):
         return [type(obj), *(x for v in obj for x in _leaves(v))]
-    if dataclasses.is_dataclass(obj):
-        return [type(obj), *(x for f in dataclasses.fields(obj)
-                             for x in _leaves(getattr(obj, f.name)))]
     return [obj]
 
 

@@ -328,6 +328,13 @@ def test_report_maxima_are_those_of_the_check_list(kind):
 
 def test_report_stores_no_maximum_it_can_derive():
     rep = HullCheckReport(seed=0, kind="stationary-incompressible", r=1.0, s=1.0)
+    other = HullCheckReport(seed=0, kind="stationary-incompressible", r=1.0, s=1.0)
+    assert (rep.laminate_checked, rep.laminate_failure_count, rep.decompose_checked,
+            rep.decompose_failure_count, rep.max_u_orthogonality) == (0, 0, 0, 0, None)
+    # Each report owns its own map and list.
+    assert rep.max_residual_by_check == {} and rep.failures == []
+    assert rep.max_residual_by_check is not other.max_residual_by_check
+    assert rep.failures is not other.failures
     assert rep.max_verify_residual == 0.0 and rep.max_mixing_orthogonality is None
     rep.max_residual_by_check.update(cone_BE=3e-16, mixing_orthogonality=5e-16)
     assert rep.max_verify_residual == rep.max_mixing_orthogonality == rep.max_residual == 5e-16

@@ -100,6 +100,13 @@ def test_grid_spec_rejects_non_integral_sizes():
     with pytest.raises(ValueError, match="got 1.9"):
         GridSpec(32, periods=1.9)
     assert GridSpec(48.0, periods=2.0) == GridSpec(48, periods=2)
+    # Non-finite sizes get GridSpec's own messages, not int()'s.
+    with pytest.raises(ValueError, match="even integer count .* got inf"):
+        GridSpec(math.inf)
+    with pytest.raises(ValueError, match="even integer count .* got nan"):
+        GridSpec(math.nan)
+    with pytest.raises(ValueError, match="periods must be a positive integer, got inf"):
+        GridSpec(4, math.inf)
 
 
 # -------------------------------------------------------- wave vectors
