@@ -15,6 +15,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -134,11 +135,26 @@ def _emit_text(args, text: str):
         sys.stdout.write(text)
 
 
+def _null_non_finite(x):
+    """x with each non-finite float, at any depth of its dicts, lists and tuples,
+    replaced by None: RFC 8259 JSON has no token for them."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _null_non_finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_null_non_finite(v) for v in x]
+    return x
+
+
 def _emit_json(args, payload: dict):
+    """Write payload as RFC 8259 JSON, each non-finite float as null (a message
+    in the payload names such a value)."""
     if not args.deterministic:
         payload = {**payload,
                    "generated_at": datetime.now(timezone.utc).isoformat()}
-    _emit_text(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_null_non_finite(payload), indent=2, sort_keys=True, allow_nan=False)
+    _emit_text(args, text + "\n")
 
 
 def _read_triple(args) -> Triple:

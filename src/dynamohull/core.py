@@ -48,14 +48,24 @@ def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
+def _float(v, name: str) -> float:
+    """float(v), or ValueError where v is a number too large for a float, like
+    the ValueError of a non-finite one (float() raises OverflowError there)."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 class Vec3(namedtuple("Vec3", "x y z")):
     """Immutable real 3-vector: the tuple (x, y, z) of its float components.
 
     A Vec3 is a component triple, so the kernels take it as it is, and it
     compares equal to (and hashes as) the plain tuple of its components.
-    The constructor rejects non-finite components; arithmetic between
-    already-validated vectors goes through the unchecked _vec, so the hot
-    predicates pay for the check only at the API boundary.  Its dot, cross
+    The constructor rejects non-finite components and numbers too large for
+    a float, each with ValueError; arithmetic between already-validated
+    vectors goes through the unchecked _vec, so the hot predicates pay for
+    the check only at the API boundary.  Its dot, cross
     and norms are views of the kernels' _dot and _cross.
     """
 
@@ -64,7 +74,8 @@ class Vec3(namedtuple("Vec3", "x y z")):
     __array_ufunc__ = None
 
     def __new__(cls, x: float, y: float, z: float):
-        v = _tuple_new(cls, (float(x), float(y), float(z)))
+        v = _tuple_new(cls, (_float(x, "Vec3 component x"), _float(y, "Vec3 component y"),
+                             _float(z, "Vec3 component z")))
         for name, c in zip(cls._fields, v):
             if not math.isfinite(c):
                 raise ValueError(f"non-finite Vec3 component {name} = {c}")
@@ -137,7 +148,8 @@ class Triple(namedtuple("Triple", "B u E")):
 
     def norm(self, r: float = 1.0, s: float = 1.0) -> float:
         """Euclidean norm of the 9-component state (B/r, u/s, E/(rs))."""
-        return _norm_rs(*self, r, s)
+        B, u, E = self
+        return _norm_rs(_dot(B, B), _dot(u, u), _dot(E, E), r, s)
 
     def to_json_dict(self) -> dict:
         return {"B": list(self.B), "u": list(self.u), "E": list(self.E)}
@@ -176,7 +188,7 @@ _checked_make = classmethod(lambda cls, fields: cls(*fields))
 
 def _positive_real(v, name: str) -> float:
     """float(v), or ValueError unless it is positive and finite."""
-    v = float(v)
+    v = _float(v, name)
     if not (math.isfinite(v) and v > 0.0):
         raise ValueError(f"{name} must be a positive finite real, got {v}")
     return v
@@ -280,7 +292,7 @@ def eval_g2(z: Triple, p: HullParams) -> float:
     B, u, E = z
     a = _dot(B, B) - p.r * p.r
     b = _dot(u, u) - p.s * p.s
-    w = _excess(B, u, E)
+    w = _excess(*B, *u, *E)
     c = math.sqrt(_dot(w, w))
     half_diff = 0.5 * (a - b)
     return 0.5 * (a + b) + math.hypot(half_diff, c)
@@ -301,8 +313,16 @@ def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -
 # written once, on component triples, and runs on Python floats with _FLOATS
 # and on numpy columns with oracle._COLUMNS (oracle builds every column, and
 # this module imports no numpy), in the same operations and order, so a
-# block row rounds exactly as one point.  where(c, a, b) is a where c holds,
-# else b; positive(x) is max(0.0, x) with Python's max semantics (NaN -> 0.0);
+# block row rounds exactly as one point.  The membership, decomposition and
+# verification kernels, and the helpers below that they call, unpack each
+# triple they read into locals once and bind the functions of _Math they call
+# more than once to locals: CPython specialises neither indexing into a tuple
+# subclass (Vec3, Triple) nor reading a namedtuple field.  Dot and cross
+# products are written out on those locals; a formula with a name (a
+# residual, a norm, a bound) stays one helper, which takes the components and
+# lengths its caller already has (one exception, E - B x u in the membership
+# kernel, says why there).  where(c, a, b) is a where c holds, else b;
+# positive(x) is max(0.0, x) with Python's max semantics (NaN -> 0.0);
 # quotient(n, d) is n / d, or 0.0 where d == 0; patch(c, v, fn, *args) is the
 # component triple v with fn(*args) in its place where c holds, fn run on
 # those rows only (on columns it writes into v's columns, which the caller
@@ -314,28 +334,36 @@ _FLOATS = _Math(math.sqrt, lambda c, a, b: a if c else b, lambda x: x if x > 0.0
 
 
 def _from_parts(B, u, E) -> Triple:
-    """The Triple of a (B, u, E) state of float component triples, unchecked."""
-    return _triple((_vec(B), _vec(u), _vec(E)))
+    """The Triple of a (B, u, E) state of float component triples, unchecked,
+    built by tuple.__new__ itself: _vec and _triple each add a call per record."""
+    return _tuple_new(Triple, (_tuple_new(Vec3, B), _tuple_new(Vec3, u), _tuple_new(Vec3, E)))
 
 
-def _norm_rs(B, u, E, r: float, s: float, m: _Math = _FLOATS):
-    """The norm of the 9-component state (B/r, u/s, E/(rs)) of a (B, u, E) state of
-    component triples, floats or columns; Triple.norm(r, s) is its float view."""
-    return m.sqrt(_dot(B, B) / (r * r) + _dot(u, u) / (s * s) + _dot(E, E) / (r * r * s * s))
+def _norm_rs(nb2, nu2, ne2, r: float, s: float, m: _Math = _FLOATS):
+    """The norm of the 9-component state (B/r, u/s, E/(rs)) from |B|^2, |u|^2 and
+    |E|^2, floats or columns, as sqrt(|B|^2 / (r r) + |u|^2 / (s s)
+    + |E|^2 / (r r s s)), each product left to right; Triple.norm(r, s) is
+    its float view."""
+    rr = r * r
+    return m.sqrt(nb2 / rr + nu2 / (s * s) + ne2 / (rr * s * s))
 
 
-def _excess(B, u, E):
-    """E - B x u of component triples, floats or columns."""
-    bxu = _cross(B, u)
-    return (E[0] - bxu[0], E[1] - bxu[1], E[2] - bxu[2])
+def _excess(bx, by, bz, ux, uy, uz, ex, ey, ez):
+    """E - B x u from the components of B, u and E, floats or columns: the
+    kernels pass the components they have already unpacked."""
+    return (ex - (by * uz - bz * uy), ey - (bz * ux - bx * uz), ez - (bx * uy - by * ux))
 
 
 def _constraint_residuals(B, u, E, r: float, s: float, m: _Math = _FLOATS):
     """(||B| - r| / r, ||u| - s| / s, |E - B x u| / (rs)) of a (B, u, E) state of
     component triples, floats or columns: its distance from the constraint set."""
-    ohm = _excess(B, u, E)
-    return (abs(m.sqrt(_dot(B, B)) - r) / r, abs(m.sqrt(_dot(u, u)) - s) / s,
-            m.sqrt(_dot(ohm, ohm)) / (r * s))
+    sqrt = m.sqrt
+    bx, by, bz = B
+    ux, uy, uz = u
+    wx, wy, wz = _excess(bx, by, bz, ux, uy, uz, *E)
+    return (abs(sqrt(bx * bx + by * by + bz * bz) - r) / r,
+            abs(sqrt(ux * ux + uy * uy + uz * uz) - s) / s,
+            sqrt(wx * wx + wy * wy + wz * wz) / (r * s))
 
 
 def _unit(v, m: _Math = _FLOATS):
@@ -393,17 +421,21 @@ def unit_perpendicular_to_all(vs: tuple[Vec3, Vec3]) -> Vec3:
     return _vec(_perpendicular(*map(_unit_scaled, vs)))
 
 
-def _cone_residual(a, b, unit, m: _Math = _FLOATS):
-    """|a . b| / (unit + |a||b|) of component triples, the residual of a cone condition
-    a . b = 0; unit = r^2 s for B . E (r s^2 for u . E) normalises it as (B/r, u/s, E/(rs)).
-    0.0 where the denominator vanishes, as it does in in_wave_cone for B = 0."""
-    return m.quotient(abs(_dot(a, b)), unit + m.sqrt(_dot(a, a)) * m.sqrt(_dot(b, b)))
+def _cone_residual(ab, a_len, b_len, unit, m: _Math = _FLOATS):
+    """|a . b| / (unit + |a||b|) from a . b and the lengths |a|, |b|, floats or
+    columns: the residual of a cone condition a . b = 0; unit = r^2 s for B . E
+    (r s^2 for u . E) normalises it as (B/r, u/s, E/(rs)).  0.0 where the
+    denominator vanishes, as it does in in_wave_cone for B = 0."""
+    return m.quotient(abs(ab), unit + a_len * b_len)
 
 
-def _excess_cap(nb2, nu2, p: HullParams, m: _Math = _FLOATS):
-    """(r^2 - |B|^2)(s^2 - |u|^2), each factor clipped at 0, from |B|^2 and |u|^2:
-    the square of the sharp bound on |E - B x u|."""
-    return m.positive(p.r * p.r - nb2) * m.positive(p.s * p.s - nu2)
+def _amplitude_gaps(nb2, nu2, p: HullParams, m: _Math = _FLOATS):
+    """(r^2 - |B|^2, s^2 - |u|^2), each clipped at 0, from |B|^2 and |u|^2: the
+    squared amplitude budgets left to a perturbation of B and of u.  Their
+    product is the square of the sharp bound on |E - B x u|."""
+    r, s = p
+    positive = m.positive
+    return positive(r * r - nb2), positive(s * s - nu2)
 
 
 def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bool:
@@ -413,8 +445,11 @@ def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bo
     eps = (tol or DEFAULT_TOLERANCES).eps_mem
     B, u, E = z
     mix = B.cross(u).norm()
-    return _cone_residual(B, E, B.norm() * mix) <= eps and (
-        not kind.restricts_u or _cone_residual(u, E, u.norm() * mix) <= eps)
+    nb, ne = B.norm(), E.norm()
+    if not _cone_residual(_dot(B, E), nb, ne, nb * mix) <= eps:
+        return False
+    nu = u.norm()
+    return not kind.restricts_u or _cone_residual(_dot(u, E), nu, ne, nu * mix) <= eps
 
 
 def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Math):
@@ -431,7 +466,7 @@ def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Ma
     The flags combine with |, as bools and as masks.
     """
     sqrt = m.sqrt
-    r, s = p.r, p.s
+    r, s = p
     rr, ss = r * r, s * s
     bx, by, bz = B
     ux, uy, uz = u
@@ -443,12 +478,15 @@ def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Ma
     ne = sqrt(ex * ex + ey * ey + ez * ez)
     g1 = abs(bx * ex + by * ey + bz * ez) > eps * (rr * s + nb * ne)
     g3 = kind.restricts_u and abs(ux * ex + uy * ey + uz * ez) > eps * (r * ss + nu * ne)
+    # _excess's arithmetic, written out: the call would add about 6% to
+    # in_hull, which is this kernel on one point.
     wx = ex - (by * uz - bz * uy)
     wy = ey - (bz * ux - bx * uz)
     wz = ez - (bx * uy - by * ux)
     w2 = wx * wx + wy * wy + wz * wz
+    gb, gu = _amplitude_gaps(nb2, nu2, p, m)
     g2 = ((nb > r * (1.0 + eps)) | (nu > s * (1.0 + eps))
-          | (w2 > _excess_cap(nb2, nu2, p, m) + eps * (rr * ss)))
+          | (w2 > gb * gu + eps * (rr * ss)))
     return (g1, g3, g2), (nb2, nu2, (wx, wy, wz))
 
 

@@ -38,8 +38,11 @@ The decomposition (``_split``, with ``_working_plane``,
 them on Python floats, the campaign engine on blocks of (B, u, E) component
 columns (``oracle._decompose_block``), so each row rounds exactly as one
 point; the rows at B = 0 or with a vanishing normal take their axes from
-core._perpendicular, on those rows only.  This module imports no numpy: the
-block wrapper lives in oracle, next to the campaign that calls it.
+core._perpendicular, on those rows only.  Each kernel unpacks the triples
+it reads into locals once and writes its dot and cross products out on
+them; the named residuals and norms stay core's helpers, which take the
+lengths a kernel already has.  This module imports no numpy: the block
+wrapper lives in oracle, next to the campaign that calls it.
 """
 
 from __future__ import annotations
@@ -56,15 +59,16 @@ from .core import (
     Triple,
     _FLOATS,
     _Math,
+    _amplitude_gaps,
     _cone_residual,
     _constraint_residuals,
     _cross,
-    _dot,
-    _excess_cap,
+    _float,
     _from_parts,
     _norm_rs,
     _perpendicular,
     _separation_flags,
+    _tuple_new,
     separation_witness,
 )
 
@@ -107,7 +111,7 @@ class Decomposition(namedtuple("Decomposition", "lam z1 z2")):
     @classmethod
     def from_json_dict(cls, d: dict) -> "Decomposition":
         try:
-            lam = float(d["lambda"])
+            lam = _float(d["lambda"], "decomposition weight lambda")
             if not math.isfinite(lam):
                 raise ValueError(f"non-finite decomposition weight lambda = {lam}")
             return cls(lam, Triple.from_json_dict(d["z1"]), Triple.from_json_dict(d["z2"]))
@@ -116,18 +120,23 @@ class Decomposition(namedtuple("Decomposition", "lam z1 z2")):
 
 
 def _decomposition(lam: float, z1, z2) -> Decomposition:
-    """The Decomposition of a weight and two (B, u, E) states of component triples."""
-    return Decomposition(lam, _from_parts(*z1), _from_parts(*z2))
+    """The Decomposition of a weight and two (B, u, E) states of component triples,
+    built unchecked."""
+    return _tuple_new(Decomposition, (lam, _from_parts(*z1), _from_parts(*z2)))
 
 
 def _endpoints(B, u, bbar, ubar, lam):
     """Endpoints (B + (1-lam) bbar, u + (1-lam) ubar) and (B - lam bbar, u - lam ubar)
     of component triples, each E its own B x u, as two (B, u, E) states."""
     mu = 1.0 - lam
-    B1 = (B[0] + bbar[0] * mu, B[1] + bbar[1] * mu, B[2] + bbar[2] * mu)
-    u1 = (u[0] + ubar[0] * mu, u[1] + ubar[1] * mu, u[2] + ubar[2] * mu)
-    B2 = (B[0] - bbar[0] * lam, B[1] - bbar[1] * lam, B[2] - bbar[2] * lam)
-    u2 = (u[0] - ubar[0] * lam, u[1] - ubar[1] * lam, u[2] - ubar[2] * lam)
+    bx, by, bz = B
+    ux, uy, uz = u
+    px, py, pz = bbar
+    qx, qy, qz = ubar
+    B1 = (bx + px * mu, by + py * mu, bz + pz * mu)
+    u1 = (ux + qx * mu, uy + qy * mu, uz + qz * mu)
+    B2 = (bx - px * lam, by - py * lam, bz - pz * lam)
+    u2 = (ux - qx * lam, uy - qy * lam, uz - qz * lam)
     return (B1, u1, _cross(B1, u1)), (B2, u2, _cross(B2, u2))
 
 
@@ -144,26 +153,34 @@ def _working_plane(B, u, nb, excess, kind: ConeKind, m: _Math):
     (E = B x u, or the excess along B) e2 is perpendicular to B and u, the
     direction of the parallel split, and c = 0.
     """
+    where, patch = m.where, m.patch
+
+    def perpendicular(a, b):  # the axis patch puts on the rows that need one
+        return _perpendicular(a, b, m)
+
+    bx, by, bz = B
     at_zero = nb == 0.0
-    d = m.where(at_zero, 1.0, nb)
-    e1 = m.patch(at_zero, (B[0] / d, B[1] / d, B[2] / d),
-                 lambda x, u: _perpendicular(x, u, m), excess, u)
+    d = where(at_zero, 1.0, nb)
+    e1 = patch(at_zero, (bx / d, by / d, bz / d), perpendicular, excess, u)
+    ax, ay, az = e1
+    xx, xy, xz = excess
     if kind.restricts_u:
-        n = _cross(B, u)
-        nn = _dot(n, n)
-        k = m.quotient(_dot(excess, n), nn)
-        w = _cross(e1, n)
-        w = m.patch(nn == 0.0, (k * w[0], k * w[1], k * w[2]), _cross, e1, excess)
+        ux, uy, uz = u
+        nx, ny, nz = by * uz - bz * uy, bz * ux - bx * uz, bx * uy - by * ux
+        nn = nx * nx + ny * ny + nz * nz
+        k = m.quotient(xx * nx + xy * ny + xz * nz, nn)
+        wx, wy, wz = patch(nn == 0.0, (k * (ay * nz - az * ny), k * (az * nx - ax * nz),
+                                       k * (ax * ny - ay * nx)), _cross, e1, excess)
     else:
-        w = _cross(e1, excess)
+        wx, wy, wz = ay * xz - az * xy, az * xx - ax * xz, ax * xy - ay * xx
     # w is across e1 up to its rounding, which dominates where the excess
     # lies along B: that part is taken off, so e2 is across e1 at every row.
-    k = _dot(w, e1)
-    w = (w[0] - k * e1[0], w[1] - k * e1[1], w[2] - k * e1[2])
-    c = m.sqrt(_dot(w, w))
-    d = m.where(c == 0.0, 1.0, c)
-    e2 = m.patch(c == 0.0, (w[0] / d, w[1] / d, w[2] / d),
-                 lambda e1, u: _perpendicular(e1, u, m), e1, u)
+    k = wx * ax + wy * ay + wz * az
+    wx, wy, wz = wx - k * ax, wy - k * ay, wz - k * az
+    c = m.sqrt(wx * wx + wy * wy + wz * wz)
+    flat = c == 0.0
+    d = where(flat, 1.0, c)
+    e2 = patch(flat, (wx / d, wy / d, wz / d), perpendicular, e1, u)
     return e1, e2, c
 
 
@@ -173,44 +190,47 @@ def _root_direction(amp_cos, amp_sin, m: _Math):
     cos(alpha) <= 0, (-|C|, sign(C) A) / sqrt(A^2 + C^2).  Where C = 0 it is
     (0, 1), A = 0 included: there every alpha is a root, and alpha = pi/2 makes
     the split of a point at exact Ohm on the amplitude corner the trivial one."""
+    where, quotient = m.where, m.quotient
     rho = m.sqrt(amp_cos * amp_cos + amp_sin * amp_sin)
-    signed = m.where(amp_sin < 0.0, -amp_cos, m.where(amp_sin > 0.0, amp_cos, abs(amp_cos)))
-    return m.quotient(-abs(amp_sin), rho), m.where(rho == 0.0, 1.0, m.quotient(signed, rho))
+    signed = where(amp_sin < 0.0, -amp_cos, where(amp_sin > 0.0, amp_cos, abs(amp_cos)))
+    return quotient(-abs(amp_sin), rho), where(rho == 0.0, 1.0, quotient(signed, rho))
 
 
 def _split(B, u, nb2, nu2, excess, p: HullParams, kind: ConeKind, m: _Math):
     """The weight and perturbations (lam, bbar, ubar) of a relaxed-set point with
     |B|^2 = nb2, |u|^2 = nu2 and excess E - B x u, component triples, floats or
     columns: the one split of every point, faces and exact Ohm included."""
-    rr, ss = m.positive(p.r * p.r - nb2), m.positive(p.s * p.s - nu2)
-    nb = m.sqrt(nb2)
-    e1, e2, c = _working_plane(B, u, nb, excess, kind, m)
+    sqrt, where, positive, quotient = m.sqrt, m.where, m.positive, m.quotient
+    r, s = p
+    rr, ss = _amplitude_gaps(nb2, nu2, p, m)
+    nb = sqrt(nb2)
+    (e1x, e1y, e1z), (e2x, e2y, e2z), c = _working_plane(B, u, nb, excess, kind, m)
     # sin of the turn from bhat to uhat: the excess over its bound, at most 1.
-    scale = m.sqrt(rr * ss)
-    st = m.where(scale < c, 1.0, m.quotient(c, scale))
-    ct = m.sqrt(m.positive(1.0 - st * st))
+    scale = sqrt(rr * ss)
+    st = where(scale < c, 1.0, quotient(c, scale))
+    ct = sqrt(positive(1.0 - st * st))
     # uhat(alpha) is bhat(alpha) = e1 cos(alpha) + e2 sin(alpha) turned by
     # arcsin(st) about nhat, so bhat x uhat = st nhat for every alpha.
-    p_vec = (e1[0] * ct - e2[0] * st, e1[1] * ct - e2[1] * st, e1[2] * ct - e2[2] * st)
-    q_vec = (e2[0] * ct + e1[0] * st, e2[1] * ct + e1[1] * st, e2[2] * ct + e1[2] * st)
-    up, uq = _dot(u, p_vec), _dot(u, q_vec)
-    sr, sb = m.sqrt(rr), m.sqrt(ss)
+    px, py, pz = e1x * ct - e2x * st, e1y * ct - e2y * st, e1z * ct - e2z * st
+    qx, qy, qz = e2x * ct + e1x * st, e2y * ct + e1y * st, e2z * ct + e1z * st
+    ux, uy, uz = u
+    up, uq = ux * px + uy * py + uz * pz, ux * qx + uy * qy + uz * qz
+    sr, sb = sqrt(rr), sqrt(ss)
     ca, sa = _root_direction(sb * nb - sr * up, -(sr * uq), m)
     # B . bhat and u . uhat at the root; each perturbation length is its own
     # side's, 2 sqrt(gap + (. hat)^2), so neither divides by the other's gap.
     xb, xu = nb * ca, up * ca + uq * sa
-    b_len, u_len = 2.0 * m.sqrt(rr + xb * xb), 2.0 * m.sqrt(ss + xu * xu)
+    b_len, u_len = 2.0 * sqrt(rr + xb * xb), 2.0 * sqrt(ss + xu * xu)
     # lam - 1/2 from the side with the longer normalised perturbation, where
     # it is well conditioned; above 1/2 both perturbations change sign, which
     # swaps the endpoints and leaves lam = 1/2 - |t|.
-    t = m.where(b_len * p.s >= u_len * p.r, m.quotient(xb, b_len), m.quotient(xu, u_len))
-    flip = m.where(t > 0.0, -1.0, 1.0)
+    t = where(b_len * s >= u_len * r, quotient(xb, b_len), quotient(xu, u_len))
+    flip = where(t > 0.0, -1.0, 1.0)
     b_len, u_len = b_len * flip, u_len * flip
-    bbar = ((e1[0] * ca + e2[0] * sa) * b_len, (e1[1] * ca + e2[1] * sa) * b_len,
-            (e1[2] * ca + e2[2] * sa) * b_len)
-    ubar = ((p_vec[0] * ca + q_vec[0] * sa) * u_len, (p_vec[1] * ca + q_vec[1] * sa) * u_len,
-            (p_vec[2] * ca + q_vec[2] * sa) * u_len)
-    return m.positive(0.5 - abs(t)), bbar, ubar
+    bbar = ((e1x * ca + e2x * sa) * b_len, (e1y * ca + e2y * sa) * b_len,
+            (e1z * ca + e2z * sa) * b_len)
+    ubar = ((px * ca + qx * sa) * u_len, (py * ca + qy * sa) * u_len, (pz * ca + qz * sa) * u_len)
+    return positive(0.5 - abs(t)), bbar, ubar
 
 
 def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -226,8 +246,8 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     """
     tol = tol or DEFAULT_TOLERANCES
     B, u, E = z
-    flags, (nb2, nu2, excess) = _separation_flags(B, u, E, p, kind, tol.eps_mem, _FLOATS)
-    if any(flags):
+    (g1, g3, g2), (nb2, nu2, excess) = _separation_flags(B, u, E, p, kind, tol.eps_mem, _FLOATS)
+    if g1 or g3 or g2:
         w = separation_witness(z, p, kind, tol)
         raise NotInHullError(f"point outside the relaxed set (witness {w.function}"
                              f" = {w.value})", w)
@@ -239,36 +259,61 @@ def _residuals(lam, z1, z2, target, p: HullParams, kind: ConeKind, m: _Math) -> 
     """verify_decomposition's residuals, in its key order, of the weight lam and
     the (B, u, E) states z1, z2 and target of component triples: floats, or
     numpy columns with one column per check."""
-    r, s = p.r, p.s
+    sqrt = m.sqrt
+    r, s = p
     rs = r * s
-    tB, tu, _ = target
-    res = dict(zip(("z1_B_amplitude", "z1_u_amplitude", "z1_ohm",
-                    "z2_B_amplitude", "z2_u_amplitude", "z2_ohm"),
-                   (*_constraint_residuals(*z1, r, s, m), *_constraint_residuals(*z2, r, s, m))))
+    a1, b1, o1 = _constraint_residuals(*z1, r, s, m)
+    a2, b2, o2 = _constraint_residuals(*z2, r, s, m)
+    res = {"z1_B_amplitude": a1, "z1_u_amplitude": b1, "z1_ohm": o1,
+           "z2_B_amplitude": a2, "z2_u_amplitude": b2, "z2_ohm": o2}
+    (b1x, b1y, b1z), (u1x, u1y, u1z), (e1x, e1y, e1z) = z1
+    (b2x, b2y, b2z), (u2x, u2y, u2z), (e2x, e2y, e2z) = z2
+    (tbx, tby, tbz), (tux, tuy, tuz), (tex, tey, tez) = target
 
-    dB, du, dE = ((a[0] - b[0], a[1] - b[1], a[2] - b[2]) for a, b in zip(z1, z2))
-    res["cone_BE"] = _cone_residual(dB, dE, rs * r, m)
-    dB_len, du_len = m.sqrt(_dot(dB, dB)), m.sqrt(_dot(du, du))
+    dbx, dby, dbz = b1x - b2x, b1y - b2y, b1z - b2z
+    dux, duy, duz = u1x - u2x, u1y - u2y, u1z - u2z
+    dex, dey, dez = e1x - e2x, e1y - e2y, e1z - e2z
+    db_len = sqrt(dbx * dbx + dby * dby + dbz * dbz)
+    du_len = sqrt(dux * dux + duy * duy + duz * duz)
+    de_len = sqrt(dex * dex + dey * dey + dez * dez)
+    res["cone_BE"] = _cone_residual(dbx * dex + dby * dey + dbz * dez, db_len, de_len, rs * r, m)
     if kind.restricts_u:
-        res["cone_uE"] = _cone_residual(du, dE, rs * s, m)
+        res["cone_uE"] = _cone_residual(dux * dex + duy * dey + duz * dez, du_len, de_len,
+                                        rs * s, m)
         # The mixture's E is B x u + lam (1-lam) dB x du, so its u . E vanishes
         # only with u . (dB x du), u the target's; normalised as cone_uE.
-        res["mixing_orthogonality"] = abs(_dot(tu, _cross(dB, du))) / (
-            rs * s + m.sqrt(_dot(tu, tu)) * dB_len * du_len)
+        res["mixing_orthogonality"] = abs(
+            tux * (dby * duz - dbz * duy) + tuy * (dbz * dux - dbx * duz)
+            + tuz * (dbx * duy - dby * dux)) / (
+                rs * s + sqrt(tux * tux + tuy * tuy + tuz * tuz) * db_len * du_len)
     # The rest needs only the lengths; on columns the differences would
     # outlive their use.
-    del dB, du, dE
+    del dbx, dby, dbz, dux, duy, duz, dex, dey, dez, de_len
 
     below = m.positive(-lam)
     res["lambda_range"] = m.where(lam - 1.0 > below, lam - 1.0, below)
 
+    # The gap lam z1 + (1-lam) z2 - target, one field at a time: on columns
+    # three of its columns live at once.  Here too each column is dropped
+    # after its last use.
     mu = 1.0 - lam
-    gap = ((a[0] * lam + b[0] * mu - t[0], a[1] * lam + b[1] * mu - t[1],
-            a[2] * lam + b[2] * mu - t[2]) for a, b, t in zip(z1, z2, target))
-    res["reconstruction"] = _norm_rs(*gap, r, s, m) / (1.0 + _norm_rs(*target, r, s, m))
+    gx, gy, gz = b1x * lam + b2x * mu - tbx, b1y * lam + b2y * mu - tby, b1z * lam + b2z * mu - tbz
+    gb2 = gx * gx + gy * gy + gz * gz
+    gx, gy, gz = u1x * lam + u2x * mu - tux, u1y * lam + u2y * mu - tuy, u1z * lam + u2z * mu - tuz
+    gu2 = gx * gx + gy * gy + gz * gz
+    gx, gy, gz = e1x * lam + e2x * mu - tex, e1y * lam + e2y * mu - tey, e1z * lam + e2z * mu - tez
+    ge2 = gx * gx + gy * gy + gz * gz
+    del gx, gy, gz
+    nb2 = tbx * tbx + tby * tby + tbz * tbz
+    nu2 = tux * tux + tuy * tuy + tuz * tuz
+    res["reconstruction"] = _norm_rs(gb2, gu2, ge2, r, s, m) / (
+        1.0 + _norm_rs(nb2, nu2, tex * tex + tey * tey + tez * tez, r, s, m))
+    del gb2, gu2, ge2
 
-    d_bound = m.sqrt(_excess_cap(_dot(tB, tB), _dot(tu, tu), p, m))
-    prod = lam * mu * dB_len * du_len
+    gb, gu = _amplitude_gaps(nb2, nu2, p, m)
+    d_bound = sqrt(gb * gu)
+    del nb2, nu2, gb, gu
+    prod = lam * mu * db_len * du_len
     res["weight_amplitude_identity"] = abs(prod - d_bound) / (rs + d_bound)
     return res
 
@@ -303,9 +348,11 @@ def verify_decomposition(d: Decomposition, target: Triple, p: HullParams,
     = sqrt((r^2-|B|^2)(s^2-|u|^2)) tying the weight to the amplitude gaps,
     and on the restricted cone u . ((B1-B2) x (u1-u2)) = 0, u the target's.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    res = _residuals(d.lam, d.z1, d.z2, target, p, kind, _FLOATS)
+    eps = (tol or DEFAULT_TOLERANCES).eps_mem
+    lam, z1, z2 = d
+    res = _residuals(lam, z1, z2, target, p, kind, _FLOATS)
+    failures = tuple([name for name, v in res.items() if not v <= eps])
     # A NaN residual fails and is the maximum.
-    failures = tuple(name for name, v in res.items() if not v <= tol.eps_mem)
-    max_res = math.nan if any(map(math.isnan, res.values())) else max(res.values())
-    return VerificationReport(not failures, max_res, res, failures)
+    values = res.values()
+    max_res = math.nan if failures and any(map(math.isnan, values)) else max(values)
+    return _tuple_new(VerificationReport, (not failures, max_res, res, failures))

@@ -78,11 +78,11 @@ from .core import (
     Tolerances,
     Triple,
     _Math,
+    _amplitude_gaps,
     _checked_make,
     _cone_residual,
     _cross,
     _dot,
-    _excess_cap,
     _frame,
     _from_parts,
     _perpendicular,
@@ -311,10 +311,11 @@ def _pair_residual(z1, z2, restricts_u: bool) -> np.ndarray:
     (b1, u1, e1), (b2, u2, e2) = z1, z2
     db = tuple(b1[i] - b2[i] for i in range(3))
     de = tuple(e1[i] - e2[i] for i in range(3))
-    res = _cone_residual(db, de, 1.0, _COLUMNS)
+    de_len = np.sqrt(_dot(de, de))
+    res = _cone_residual(_dot(db, de), np.sqrt(_dot(db, db)), de_len, 1.0, _COLUMNS)
     if restricts_u:
         du = tuple(u1[i] - u2[i] for i in range(3))
-        res2 = _cone_residual(du, de, 1.0, _COLUMNS)
+        res2 = _cone_residual(_dot(du, de), np.sqrt(_dot(du, du)), de_len, 1.0, _COLUMNS)
         res = np.where(res2 > res, res2, res)
     return res
 
@@ -392,7 +393,8 @@ def _hull_points(B, u, e, delta: np.ndarray, start: int, p: HullParams):
     columns, with d the sharp excess bound and delta = 1 at every 100th point."""
     index = np.arange(start, start + len(delta))
     delta = np.where(index % 100 == 99, 1.0, delta)
-    f = delta * np.sqrt(_excess_cap(_dot(B, B), _dot(u, u), p, _COLUMNS))
+    gb, gu = _amplitude_gaps(_dot(B, B), _dot(u, u), p, _COLUMNS)
+    f = delta * np.sqrt(gb * gu)
     bxu = _cross(B, u)
     return B, u, tuple(bxu[i] + e[i] * f for i in range(3))
 
@@ -543,7 +545,8 @@ def _check_mixtures(report: HullCheckReport, z, p: HullParams, kind: ConeKind,
     g1, g3, g2 = _separation_flags(B, u, E, p, kind, tol.eps_mem, _COLUMNS)[0]
     if kind.restricts_u:
         # u . E's residual on the normalised triple (B/r, u/s, E/(rs)), unit r s^2.
-        top = float(_cone_residual(u, E, p.r * p.s * p.s, _COLUMNS).max())
+        top = float(_cone_residual(_dot(u, E), np.sqrt(_dot(u, u)), np.sqrt(_dot(E, E)),
+                                   p.r * p.s * p.s, _COLUMNS).max())
         acc = report.max_u_orthogonality
         report.max_u_orthogonality = top if acc is None or top > acc else acc
     for i in np.flatnonzero(g1 | g3 | g2).tolist():

@@ -33,6 +33,7 @@ from .core import (
     _checked_make,
     _cross,
     _dot,
+    _float,
     _from_parts,
     _norm_rs,
     _tuple_new,
@@ -72,7 +73,7 @@ class WaveVector(namedtuple("WaveVector", "xi_x xi_t")):
             raise ValueError(f"non-finite spatial frequency {tuple(xi_x)}")
         if xi_x.norm() == 0.0:
             raise ValueError("spatial frequency xi_x must be nonzero")
-        xi_t = float(xi_t)
+        xi_t = _float(xi_t, "temporal frequency xi_t")
         if not math.isfinite(xi_t):
             raise ValueError(f"non-finite temporal frequency {xi_t}")
         return _tuple_new(cls, (xi_x, xi_t))
@@ -403,7 +404,7 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
     n_osc = int(n_osc)
     z1, z2 = d.z1, d.z2
     dz = tuple((a[0] - b[0], a[1] - b[1], a[2] - b[2]) for a, b in zip(z1, z2))
-    size = _norm_rs(*dz, 1.0, 1.0)
+    size = _norm_rs(*(_dot(v, v) for v in dz), 1.0, 1.0)
     if not _conditions_ok(dz, size, xi, kind):
         raise ValueError("xi does not admit plane waves along z1 - z2; "
                          f"condition residuals {plane_wave_conditions(d.z1 - d.z2, xi, kind)}")

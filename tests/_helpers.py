@@ -476,6 +476,13 @@ def _reference_cone_residual(a, b, unit):
     return abs(a.dot(b)) / den if den else 0.0
 
 
+def _reference_norm_rs(z, r, s):
+    """Triple.norm(r, s) in Vec3 arithmetic, not through the kernel it is the
+    view of, in that kernel's order: sqrt(|B|^2 / (r r) + |u|^2 / (s s)
+    + |E|^2 / (r r s s)), each product left to right."""
+    return math.sqrt(z.B.norm2() / (r * r) + z.u.norm2() / (s * s) + z.E.norm2() / (r * r * s * s))
+
+
 def reference_verify_decomposition(d, target, p, kind=ConeKind.NONSTATIONARY, tol=None):
     """verify_decomposition in Vec3 arithmetic (for finite residuals)."""
     tol = tol or DEFAULT_TOLERANCES
@@ -493,7 +500,8 @@ def reference_verify_decomposition(d, target, p, kind=ConeKind.NONSTATIONARY, to
         res["mixing_orthogonality"] = abs(target.u.dot(dz.B.cross(dz.u))) / (
             rs * s + target.u.norm() * dz.B.norm() * dz.u.norm())
     res["lambda_range"] = max(0.0, -d.lam, d.lam - 1.0)
-    res["reconstruction"] = (d.combine() - target).norm(r, s) / (1.0 + target.norm(r, s))
+    res["reconstruction"] = _reference_norm_rs(d.combine() - target, r, s) / (
+        1.0 + _reference_norm_rs(target, r, s))
     d_bound = excess_bound(target.B, target.u, p)
     prod = d.lam * (1.0 - d.lam) * dz.B.norm() * dz.u.norm()
     res["weight_amplitude_identity"] = abs(prod - d_bound) / (rs + d_bound)

@@ -139,6 +139,36 @@ def test_decompose_parse_failure_exits_two(capsys, monkeypatch):
     assert run(["decompose"], stdin='{"B": [1, 0, 0]}', monkeypatch=monkeypatch) == 2
 
 
+# A component of 401 digits: valid JSON, but too large for a float.
+TOO_LARGE_POINT = '{"B": [1%s, 0, 0], "u": [0, 1, 0], "E": [0, 0, 0]}' % ("0" * 400)
+
+
+@pytest.mark.parametrize("command", ["decompose", "wavecone"])
+def test_a_number_too_large_for_a_float_exits_two(command, capsys, monkeypatch):
+    assert run([command], stdin=TOO_LARGE_POINT, monkeypatch=monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Vec3 component x is too large for a float\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"not RFC 8259 JSON: {name}")
+
+
+def test_non_finite_values_are_written_as_null(capsys, monkeypatch):
+    # Finite inputs whose products overflow: the witness value g2 and the
+    # cone value g1 are inf, written as null, which json.loads reads without
+    # the parse_constant hook, the one path of NaN, Infinity and -Infinity.
+    point = '{"B": [1e300, 0, 0], "u": [0, 1e300, 0], "E": [%s, 0, %s]}'
+    assert run(["decompose"], stdin=point % (0, 1e300), monkeypatch=monkeypatch) == 1
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["witness"] == {"function": "g2", "value": None}
+    assert payload["message"] == "point outside the relaxed set (witness g2 = inf)"
+    assert run(["wavecone"], stdin=point % (1e300, 0), monkeypatch=monkeypatch) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["g1"] is None and payload["verdict"] == "not-in-cone"
+
+
 def test_wavecone_verdict(capsys, monkeypatch):
     code = run(["wavecone", "--kind", "stationary-incompressible"],
                stdin=K_POINT, monkeypatch=monkeypatch)

@@ -61,6 +61,23 @@ def test_vec3_rejects_non_finite(bad):
         Vec3(*bad)
 
 
+# A number float() cannot hold (it raises OverflowError) is a ValueError, as a
+# non-finite one is, in every record that converts its fields to floats.
+TOO_LARGE = 10**400
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: Vec3(0, TOO_LARGE, 0), "Vec3 component y"),
+    (lambda: HullParams(TOO_LARGE, 1), "magnetic radius r"),
+    (lambda: Tolerances(TOO_LARGE), "eps_mem"),
+    (lambda: WaveVector(Vec3(1, 0, 0), TOO_LARGE), "temporal frequency xi_t"),
+    (lambda: Decomposition.from_json_dict({"lambda": TOO_LARGE}), "decomposition weight lambda"),
+], ids=["Vec3", "HullParams", "Tolerances", "WaveVector", "Decomposition"])
+def test_records_reject_numbers_too_large_for_a_float(make, name):
+    with pytest.raises(ValueError, match=f"^{name} is too large for a float$"):
+        make()
+
+
 def test_vec3_is_immutable():
     v = Vec3(1, 2, 3)
     with pytest.raises(AttributeError):
