@@ -135,14 +135,26 @@ class Triple(namedtuple("Triple", "B u E")):
                 raise TypeError(f"Triple field {name} must be a Vec3, got {type(v).__name__}")
         return _tuple_new(cls, (B, u, E))
 
+    # Each field's components are read once, by index (no slower than
+    # unpacking here), and _from_parts builds the result: no Vec3 operator runs.
     def __add__(self, other: "Triple") -> "Triple":
-        return _triple((self[0] + other[0], self[1] + other[1], self[2] + other[2]))
+        B, u, E = self
+        oB, ou, oE = other
+        return _from_parts((B[0] + oB[0], B[1] + oB[1], B[2] + oB[2]),
+                           (u[0] + ou[0], u[1] + ou[1], u[2] + ou[2]),
+                           (E[0] + oE[0], E[1] + oE[1], E[2] + oE[2]))
 
     def __sub__(self, other: "Triple") -> "Triple":
-        return _triple((self[0] - other[0], self[1] - other[1], self[2] - other[2]))
+        B, u, E = self
+        oB, ou, oE = other
+        return _from_parts((B[0] - oB[0], B[1] - oB[1], B[2] - oB[2]),
+                           (u[0] - ou[0], u[1] - ou[1], u[2] - ou[2]),
+                           (E[0] - oE[0], E[1] - oE[1], E[2] - oE[2]))
 
     def __mul__(self, a: float) -> "Triple":
-        return _triple((self[0] * a, self[1] * a, self[2] * a))
+        B, u, E = self
+        return _from_parts((B[0] * a, B[1] * a, B[2] * a), (u[0] * a, u[1] * a, u[2] * a),
+                           (E[0] * a, E[1] * a, E[2] * a))
 
     __rmul__ = __mul__
 
@@ -171,10 +183,6 @@ class Triple(namedtuple("Triple", "B u E")):
         import json
 
         return cls.from_json_dict(json.loads(text))
-
-
-# Unchecked Triple of three Vec3s, for arithmetic on already-validated values.
-_triple = functools.partial(_tuple_new, Triple)
 
 
 # With r s and r / s in this range, r and s lie in [1e-75, 1e75] and every
@@ -314,20 +322,21 @@ def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -
 # and on numpy columns with oracle._COLUMNS (oracle builds every column, and
 # this module imports no numpy), in the same operations and order, so a
 # block row rounds exactly as one point.  The membership, decomposition and
-# verification kernels, and the helpers below that they call, unpack each
-# triple they read into locals once and bind the functions of _Math they call
-# more than once to locals: CPython specialises neither indexing into a tuple
-# subclass (Vec3, Triple) nor reading a namedtuple field.  Dot and cross
-# products are written out on those locals; a formula with a name (a
-# residual, a norm, a bound) stays one helper, which takes the components and
-# lengths its caller already has (one exception, E - B x u in the membership
-# kernel, says why there).  where(c, a, b) is a where c holds, else b;
-# positive(x) is max(0.0, x) with Python's max semantics (NaN -> 0.0);
-# quotient(n, d) is n / d, or 0.0 where d == 0; patch(c, v, fn, *args) is the
-# component triple v with fn(*args) in its place where c holds, fn run on
-# those rows only (on columns it writes into v's columns, which the caller
-# owns; args are component triples).  A float kernel raises where a column
-# kernel gives inf or NaN, so its callers guard the arithmetic first.
+# verification kernels, in_wave_cone, the plane-wave layer in planewave, and
+# the helpers below that they call, unpack each triple they read into locals
+# once and bind the functions of _Math they call more than once to locals:
+# CPython specialises neither indexing into a tuple subclass (Vec3, Triple)
+# nor reading a namedtuple field.  Dot and cross products are written out on
+# those locals; a formula with a name (a residual, a norm, a bound) stays one
+# helper, which takes the components and lengths its caller already has (one
+# exception, E - B x u in the membership kernel, says why there).  where(c, a,
+# b) is a where c holds, else b; positive(x) is max(0.0, x) with Python's max
+# semantics (NaN -> 0.0); quotient(n, d) is n / d, or 0.0 where d == 0;
+# patch(c, v, fn, *args) is the component triple v with fn(*args) in its
+# place where c holds, fn run on those rows only (on columns it writes into
+# v's columns, which the caller owns; args are component triples).  A float
+# kernel raises where a column kernel gives inf or NaN, so its callers guard
+# the arithmetic first.
 _Math = namedtuple("_Math", "sqrt where positive quotient patch")
 _FLOATS = _Math(math.sqrt, lambda c, a, b: a if c else b, lambda x: x if x > 0.0 else 0.0,
                 lambda n, d: n / d if d else 0.0, lambda c, v, fn, *args: fn(*args) if c else v)
@@ -335,7 +344,7 @@ _FLOATS = _Math(math.sqrt, lambda c, a, b: a if c else b, lambda x: x if x > 0.0
 
 def _from_parts(B, u, E) -> Triple:
     """The Triple of a (B, u, E) state of float component triples, unchecked,
-    built by tuple.__new__ itself: _vec and _triple each add a call per record."""
+    built by tuple.__new__ itself: _vec adds a call per record."""
     return _tuple_new(Triple, (_tuple_new(Vec3, B), _tuple_new(Vec3, u), _tuple_new(Vec3, E)))
 
 
@@ -441,15 +450,20 @@ def _amplitude_gaps(nb2, nu2, p: HullParams, m: _Math = _FLOATS):
 def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bool:
     """True when z is an admissible one-dimensional oscillation direction:
     |B . E| <= eps_mem |B| (|E| + |B x u|) and likewise u . E, unchanged under
-    (B, u, E) -> (aB, bu, abE); |B x u| absorbs rounding in a cancelled E."""
+    (B, u, E) -> (aB, bu, abE) while no product of components over- or
+    underflows; |B x u| absorbs rounding in a cancelled E."""
     eps = (tol or DEFAULT_TOLERANCES).eps_mem
-    B, u, E = z
-    mix = B.cross(u).norm()
-    nb, ne = B.norm(), E.norm()
-    if not _cone_residual(_dot(B, E), nb, ne, nb * mix) <= eps:
+    sqrt = math.sqrt
+    (bx, by, bz), (ux, uy, uz), (ex, ey, ez) = z
+    nx, ny, nz = by * uz - bz * uy, bz * ux - bx * uz, bx * uy - by * ux
+    mix = sqrt(nx * nx + ny * ny + nz * nz)
+    nb, ne = sqrt(bx * bx + by * by + bz * bz), sqrt(ex * ex + ey * ey + ez * ez)
+    if not _cone_residual(bx * ex + by * ey + bz * ez, nb, ne, nb * mix) <= eps:
         return False
-    nu = u.norm()
-    return not kind.restricts_u or _cone_residual(_dot(u, E), nu, ne, nu * mix) <= eps
+    if not kind.restricts_u:
+        return True
+    nu = sqrt(ux * ux + uy * uy + uz * uz)
+    return _cone_residual(ux * ex + uy * ey + uz * ez, nu, ne, nu * mix) <= eps
 
 
 def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Math):

@@ -37,6 +37,7 @@ from .core import (
     _from_parts,
     _norm_rs,
     _tuple_new,
+    _vec,
     in_wave_cone,
     unit_perpendicular_to_all,
 )
@@ -61,7 +62,10 @@ class LatticeError(ValueError):
 
 class WaveVector(namedtuple("WaveVector", "xi_x xi_t")):
     """Space-time frequency (xi_x, xi_t) of a plane wave; xi_x must be finite
-    and nonzero, xi_t finite.  A validated record: _replace checks too."""
+    and nonzero, xi_t finite.  A validated record: _replace checks too.
+
+    xi_x is zero when each of its components is: a frequency as small as
+    (1e-200, 0, 0), whose square underflows, is a valid one."""
 
     __slots__ = ()
     _make = _checked_make
@@ -69,17 +73,20 @@ class WaveVector(namedtuple("WaveVector", "xi_x xi_t")):
     def __new__(cls, xi_x: Vec3, xi_t: float):
         if not isinstance(xi_x, Vec3):
             raise TypeError("xi_x must be a Vec3")
-        if not all(map(math.isfinite, xi_x)):
+        isfinite = math.isfinite
+        x, y, z = xi_x
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
             raise ValueError(f"non-finite spatial frequency {tuple(xi_x)}")
-        if xi_x.norm() == 0.0:
+        if x == 0.0 and y == 0.0 and z == 0.0:
             raise ValueError("spatial frequency xi_x must be nonzero")
         xi_t = _float(xi_t, "temporal frequency xi_t")
-        if not math.isfinite(xi_t):
+        if not isfinite(xi_t):
             raise ValueError(f"non-finite temporal frequency {xi_t}")
         return _tuple_new(cls, (xi_x, xi_t))
 
     def norm(self) -> float:
-        return math.sqrt(self.xi_x.norm2() + self.xi_t * self.xi_t)
+        (x, y, z), t = self
+        return math.sqrt(x * x + y * y + z * z + t * t)
 
     def is_lattice(self) -> bool:
         """True when all frequencies are integers (so a 2*pi box is periodic)."""
@@ -137,13 +144,15 @@ _CONDITIONS = ("gauss", "faraday", "u_div")
 def _condition_residuals(direction, xi: WaveVector, kind: ConeKind) -> tuple:
     """The residuals of _CONDITIONS that `kind` has (u_div only on incompressible
     kinds) for a direction of (B, u, E) float component triples: the one
-    implementation of the plane-wave conditions."""
-    B, u, E = direction
-    k, xi_t = xi.xi_x, xi.xi_t
-    c = _cross(k, E)
-    f = (B[0] * xi_t + c[0], B[1] * xi_t + c[1], B[2] * xi_t + c[2])
-    res = (abs(_dot(B, k)), math.sqrt(_dot(f, f)))
-    return res + (abs(_dot(u, k)),) if kind.incompressible else res
+    implementation of the plane-wave conditions, |B . xi_x|,
+    |xi_t B + xi_x x E| and |u . xi_x|."""
+    (bx, by, bz), (ux, uy, uz), (ex, ey, ez) = direction
+    (kx, ky, kz), xi_t = xi
+    fx = bx * xi_t + (ky * ez - kz * ey)
+    fy = by * xi_t + (kz * ex - kx * ez)
+    fz = bz * xi_t + (kx * ey - ky * ex)
+    res = (abs(bx * kx + by * ky + bz * kz), math.sqrt(fx * fx + fy * fy + fz * fz))
+    return res + (abs(ux * kx + uy * ky + uz * kz),) if kind.incompressible else res
 
 
 def _conditions_ok(direction, size: float, xi: WaveVector, kind: ConeKind) -> bool:
@@ -170,8 +179,10 @@ def wave_vector_for(direction: Triple, kind: ConeKind = ConeKind.NONSTATIONARY,
     to Ebar.  Ebar = 0 admits any unit xi_x perpendicular to Bbar (and to
     ubar for incompressible kinds).  On the stationary-incompressible cone
     Ebar and Bbar x ubar are both axes, and the longer one is taken, so that
-    rounding noise in the other is never returned.  Stationary kinds always
-    return xi_t = 0.
+    rounding noise in the other is never returned (Ebar where Bbar x ubar is
+    zero).  A vector counts as zero when each of its components is, so a
+    tiny Ebar whose square underflows still sets the axis.  Stationary kinds
+    always return xi_t = 0.
 
     Raises NotInConeError when the direction is not in the cone for `kind`,
     and ValueError when (a, c) = (0, 0) would be used on a time-dependent
@@ -182,23 +193,38 @@ def wave_vector_for(direction: Triple, kind: ConeKind = ConeKind.NONSTATIONARY,
     if not in_wave_cone(direction, kind, tol):
         raise NotInConeError(
             f"direction is not in the wave cone for kind {kind.label!r}")
-    bb, uu, ee = direction.B, direction.u, direction.E
-    axis = max(bb.cross(uu), ee, key=Vec3.norm) if kind.restricts_u else ee
+    sqrt = math.sqrt
+    B, u, E = direction
+    bx, by, bz = B
+    ux, uy, uz = u
+    ex, ey, ez = E
+    axis = ex, ey, ez
+    if kind.restricts_u:
+        nx, ny, nz = by * uz - bz * uy, bz * ux - bx * uz, bx * uy - by * ux
+        if (nx or ny or nz) and not (sqrt(ex * ex + ey * ey + ez * ez)
+                                     > sqrt(nx * nx + ny * ny + nz * nz)):
+            axis = nx, ny, nz
+    # Ebar x Bbar and |Bbar|^2, which Faraday's relation reads.
+    cx, cy, cz = ey * bz - ez * by, ez * bx - ex * bz, ex * by - ey * bx
+    nb2 = bx * bx + by * by + bz * bz
 
-    if axis.norm() == 0.0:
-        xi_x = unit_perpendicular_to_all((bb, uu if kind.incompressible else Vec3(0.0, 0.0, 0.0)))
+    if not (axis[0] or axis[1] or axis[2]):
+        xi_x = unit_perpendicular_to_all((B, u if kind.incompressible else (0.0, 0.0, 0.0)))
     elif kind.restricts_u:
-        xi_x = axis
-    elif bb.norm() == 0.0:
+        xi_x = _vec(axis)
+    elif nb2 == 0.0:
         # xi_x x Ebar = 0 with xi_t unconstrained forces xi_x parallel to Ebar.
-        xi_x = ee * (a if a != 0.0 else 1.0)
+        if a == 0.0:
+            a = 1.0
+        xi_x = _vec((ex * a, ey * a, ez * a))
     else:
-        exb = ee.cross(bb)
         if kind.incompressible:
-            v1 = uu.dot(ee)
-            v2 = uu.dot(exb)
+            v1 = ux * ex + uy * ey + uz * ez
+            v2 = ux * cx + uy * cy + uz * cz
             scale = max(abs(v1), abs(v2))
-            if scale > 1e-15 * (1.0 + uu.norm() * (ee.norm() + exb.norm())):
+            if scale > 1e-15 * (1.0 + sqrt(ux * ux + uy * uy + uz * uz)
+                                * (sqrt(ex * ex + ey * ey + ez * ez)
+                                   + sqrt(cx * cx + cy * cy + cz * cz))):
                 a, c = v2 / scale, -v1 / scale
         if kind.stationary:
             c = 0.0
@@ -207,19 +233,20 @@ def wave_vector_for(direction: Triple, kind: ConeKind = ConeKind.NONSTATIONARY,
         elif a == 0.0 and c == 0.0:
             raise ValueError(f"coefficients (a, c) = ({a}, {c}) give the zero spatial "
                              "frequency a Ebar + c (Ebar x Bbar)")
-        xi_x = ee * a + exb * c
-    return WaveVector(xi_x, _time_frequency(xi_x, direction, kind))
+        xi_x = _vec((ex * a + cx * c, ey * a + cy * c, ez * a + cz * c))
+    return WaveVector(xi_x, _time_frequency(xi_x, (cx, cy, cz), nb2, kind))
 
 
-def _time_frequency(xi_x: Vec3, direction: Triple, kind: ConeKind) -> float:
+def _time_frequency(xi_x: Vec3, exb: tuple, nb2: float, kind: ConeKind) -> float:
     """The time frequency Faraday's relation xi_t Bbar + xi_x x Ebar = 0 gives
-    a spatial frequency xi_x: -xi_x . (Ebar x Bbar) / |Bbar|^2, or 0.0 for
-    stationary kinds and for Bbar = 0."""
-    B, _, E = direction
-    nb2 = _dot(B, B)
+    a spatial frequency xi_x, from the components exb of Ebar x Bbar and
+    nb2 = |Bbar|^2: -xi_x . (Ebar x Bbar) / |Bbar|^2, or 0.0 for stationary
+    kinds and for Bbar = 0."""
     if kind.stationary or nb2 == 0.0:
         return 0.0
-    return -_dot(xi_x, _cross(E, B)) / nb2
+    kx, ky, kz = xi_x
+    cx, cy, cz = exb
+    return -(kx * cx + ky * cy + kz * cz) / nb2
 
 
 def round_to_lattice(xi: WaveVector, direction: Triple,
@@ -235,6 +262,8 @@ def round_to_lattice(xi: WaveVector, direction: Triple,
     lattice at these scales.
     """
     size = direction.norm()
+    B, _, E = direction
+    exb, nb2 = _cross(E, B), _dot(B, B)
     if xi.is_lattice():
         reduced = _reduce_lattice(xi)
         if _conditions_ok(direction, size, reduced, kind):
@@ -248,7 +277,7 @@ def round_to_lattice(xi: WaveVector, direction: Triple,
         cos_angle = cand_x.dot(xi.xi_x) / (cand_x.norm() * xi.xi_x.norm())
         if cos_angle < math.cos(1e-2):
             continue
-        xi_t = _time_frequency(cand_x, direction, kind)
+        xi_t = _time_frequency(cand_x, exb, nb2, kind)
         if abs(xi_t - round(xi_t)) > LATTICE_TOL:
             continue
         cand = WaveVector(cand_x, round(xi_t))
@@ -309,7 +338,8 @@ def grid_residual(direction: Triple, xi: WaveVector, g: GridSpec,
     coef = np.array(rows)[:, :len(steps)] / (2.0 * g.h)
     sines = np.sin(np.arange(n) * (TWO_PI / n))
     q = np.arange(0, n, math.gcd(n, *steps))
-    diffs = np.array([sines[(q + k) % n] - sines[(q - k) % n] for k in steps])
+    k = np.array(steps, dtype=np.int64)[:, None]
+    diffs = sines[(q + k) % n] - sines[(q - k) % n]
     worst = [float(abs(np.dot(row, diffs)).max()) for row in coef]
     residuals = {"div_B": worst[0], "faraday": max(worst[1:4])}
     if kind.incompressible:
@@ -380,10 +410,11 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
     window; samples reports that count, and fraction the share of them
     below lambda.
 
-    The endpoints are read once as component triples.  The average is
-    z1 f + z2 (1 - f) with f the fraction, and its distance from the mixture
-    lambda z1 + (1 - lambda) z2 is (f - lambda)(z1 - z2), so the error is
-    the closed form |f - lambda| |z1 - z2|, with no mixture formed.
+    Each component of the endpoints is read once: the jump z1 - z2, its
+    size, its conditions and the average come from those components.  The
+    average is z1 f + z2 (1 - f) with f the fraction, and its distance from
+    the mixture lambda z1 + (1 - lambda) z2 is (f - lambda)(z1 - z2), so the
+    error is the closed form |f - lambda| |z1 - z2|, with no mixture formed.
 
     The averaging window spans g.periods base periods plus half an
     oscillation band.  A window commensurate with the bands would average
@@ -402,20 +433,29 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
     if not (n_osc >= 1 and n_osc % 1 == 0):
         raise ValueError(f"n_osc must be a positive integer, got {n_osc}")
     n_osc = int(n_osc)
-    z1, z2 = d.z1, d.z2
-    dz = tuple((a[0] - b[0], a[1] - b[1], a[2] - b[2]) for a, b in zip(z1, z2))
-    size = _norm_rs(*(_dot(v, v) for v in dz), 1.0, 1.0)
+    lam, z1, z2 = d
+    (b1x, b1y, b1z), (u1x, u1y, u1z), (e1x, e1y, e1z) = z1
+    (b2x, b2y, b2z), (u2x, u2y, u2z), (e2x, e2y, e2z) = z2
+    dbx, dby, dbz = b1x - b2x, b1y - b2y, b1z - b2z
+    dux, duy, duz = u1x - u2x, u1y - u2y, u1z - u2z
+    dex, dey, dez = e1x - e2x, e1y - e2y, e1z - e2z
+    size = _norm_rs(dbx * dbx + dby * dby + dbz * dbz, dux * dux + duy * duy + duz * duz,
+                    dex * dex + dey * dey + dez * dez, 1.0, 1.0)
+    dz = ((dbx, dby, dbz), (dux, duy, duz), (dex, dey, dez))
     if not _conditions_ok(dz, size, xi, kind):
         raise ValueError("xi does not admit plane waves along z1 - z2; "
-                         f"condition residuals {plane_wave_conditions(d.z1 - d.z2, xi, kind)}")
+                         f"condition residuals {plane_wave_conditions(dz, xi, kind)}")
 
     fracs = _band_fractions(n_osc, g.n, g.periods)
     samples = fracs.size
-    fraction = float(fracs.searchsorted(d.lam)) / samples
+    fraction = float(fracs.searchsorted(lam)) / samples
     rest = 1.0 - fraction
-    average = _from_parts(*((a[0] * fraction + b[0] * rest, a[1] * fraction + b[1] * rest,
-                             a[2] * fraction + b[2] * rest) for a, b in zip(z1, z2)))
-    return StaircaseReport(average, abs(fraction - d.lam) * size, fraction, d.lam, n_osc, samples)
+    average = _from_parts(
+        (b1x * fraction + b2x * rest, b1y * fraction + b2y * rest, b1z * fraction + b2z * rest),
+        (u1x * fraction + u2x * rest, u1y * fraction + u2y * rest, u1z * fraction + u2z * rest),
+        (e1x * fraction + e2x * rest, e1y * fraction + e2y * rest, e1z * fraction + e2z * rest))
+    return _tuple_new(StaircaseReport,
+                      (average, abs(fraction - lam) * size, fraction, lam, n_osc, samples))
 
 
 @functools.lru_cache(maxsize=4)

@@ -11,6 +11,7 @@ from dynamohull import (
     DecompositionError,
     HullCheckReport,
     HullParams,
+    NotInConeError,
     NotInHullError,
     SampleConfig,
     Triple,
@@ -330,21 +331,122 @@ def reference_grid_residual(direction, xi, g, kind=ConeKind.NONSTATIONARY):
     return worst
 
 
+# The plane-wave layer and Triple arithmetic in plain float arithmetic on
+# lists of components: no operator or method of Vec3 or Triple and no kernel
+# of the package runs in them, so a reordering in those cannot hide here.
+
+def _components(z: Triple) -> list:
+    """The nine floats of z, B then u then E."""
+    return [x for v in z for x in v]
+
+
+def _ref_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _ref_cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _ref_norm(a):
+    return math.sqrt(_ref_dot(a, a))
+
+
+def _ref_is_zero(a):
+    """True when every component is zero: a vector whose square underflows is not."""
+    return a[0] == 0.0 and a[1] == 0.0 and a[2] == 0.0
+
+
+def reference_triple_arithmetic(a: Triple, b: Triple, t) -> tuple:
+    """The components of a + b, a - b and a * t, each a list of nine floats."""
+    x, y = _components(a), _components(b)
+    return ([p + q for p, q in zip(x, y)], [p - q for p, q in zip(x, y)], [p * t for p in x])
+
+
+def reference_wave_cone_residuals(z: Triple) -> tuple:
+    """The residuals in_wave_cone compares with eps_mem, for B . E and for u . E:
+    |a . E| / (|a| |B x u| + |a| |E|), or 0.0 where the denominator vanishes."""
+    c = _components(z)
+    B, u, E = c[0:3], c[3:6], c[6:9]
+    mix = _ref_norm(_ref_cross(B, u))
+    ne = _ref_norm(E)
+    res = []
+    for a in (B, u):
+        na = _ref_norm(a)
+        den = na * mix + na * ne
+        res.append(abs(_ref_dot(a, E)) / den if den else 0.0)
+    return tuple(res)
+
+
+def reference_in_wave_cone(z: Triple, kind: ConeKind, eps: float = 1e-9) -> bool:
+    """in_wave_cone: the B . E residual, and on the restricted cone the u . E
+    one, at most eps."""
+    res = reference_wave_cone_residuals(z)
+    return all(r <= eps for r in res[:2 if kind.restricts_u else 1])
+
+
+def reference_wave_vector_for(direction: Triple, kind: ConeKind, a=1.0, c=1.0):
+    """wave_vector_for's (xi_x, xi_t) as a list of three floats and a float, each
+    branch as the docstring there states it; zero is decided by components.
+    Raises NotInConeError outside the cone and ValueError for (a, c) = (0, 0)
+    on a time-dependent kind with B and E nonzero."""
+    if not reference_in_wave_cone(direction, kind):
+        raise NotInConeError("direction is not in the wave cone")
+    comps = _components(direction)
+    B, u, E = comps[0:3], comps[3:6], comps[6:9]
+    axis = E
+    if kind.restricts_u:
+        n = _ref_cross(B, u)
+        if not _ref_is_zero(n) and not _ref_norm(E) > _ref_norm(n):
+            axis = n
+    exb = _ref_cross(E, B)
+    if _ref_is_zero(axis):
+        free = direction.u if kind.incompressible else Vec3(0.0, 0.0, 0.0)
+        xi_x = list(unit_perpendicular_to_all((direction.B, free)))
+    elif kind.restricts_u:
+        xi_x = axis
+    elif _ref_norm(B) == 0.0:
+        xi_x = [e * (a if a != 0.0 else 1.0) for e in E]
+    else:
+        if kind.incompressible:
+            v1, v2 = _ref_dot(u, E), _ref_dot(u, exb)
+            scale = max(abs(v1), abs(v2))
+            if scale > 1e-15 * (1.0 + _ref_norm(u) * (_ref_norm(E) + _ref_norm(exb))):
+                a, c = v2 / scale, -v1 / scale
+        if kind.stationary:
+            a, c = (1.0 if a == 0.0 else a), 0.0
+        elif a == 0.0 and c == 0.0:
+            raise ValueError("coefficients (a, c) = (0, 0)")
+        xi_x = [e * a + x * c for e, x in zip(E, exb)]
+    nb2 = _ref_dot(B, B)
+    xi_t = 0.0 if kind.stationary or nb2 == 0.0 else -_ref_dot(xi_x, exb) / nb2
+    return xi_x, xi_t
+
+
 def reference_staircase_average(d, xi, n_osc, g):
-    """staircase_average written in Triple arithmetic: the Gauss and Faraday
-    conditions on z1 - z2 through Vec3 operations, the average and the
-    mixture d.combine() as Triples, and the error as the norm of their
-    difference.  Returns (average, fraction, error), the reference the
-    component-triple version must reproduce."""
-    dz = d.z1 - d.z2
-    gauss = abs(dz.B.dot(xi.xi_x))
-    faraday = (dz.B * xi.xi_t + xi.xi_x.cross(dz.E)).norm()
-    if max(gauss, faraday) > RESIDUAL_SLACK * (1.0 + xi.norm() * dz.norm()):
+    """staircase_average on the nonstationary cone: the Gauss and Faraday
+    conditions on z1 - z2, the average z1 f + z2 (1 - f) with f the fraction,
+    and the closed-form error |f - lambda| |z1 - z2|, with |z1 - z2| in
+    Triple.norm's documented order at r = s = 1.  Returns (average, fraction,
+    error, distance): the average as nine floats and the distance as the
+    norm of the average minus the mixture lambda z1 + (1 - lambda) z2,
+    formed here, which the closed-form error equals to rounding."""
+    x, y = _components(d.z1), _components(d.z2)
+    dz = [p - q for p, q in zip(x, y)]
+    dB, dE = dz[0:3], dz[6:9]
+    k, xi_t = list(xi.xi_x), xi.xi_t
+    gauss = abs(_ref_dot(dB, k))
+    faraday = _ref_norm([b * xi_t + f for b, f in zip(dB, _ref_cross(k, dE))])
+    xi_norm = math.sqrt(_ref_dot(k, k) + xi_t * xi_t)
+    size = math.sqrt(_ref_dot(dB, dB) + _ref_dot(dz[3:6], dz[3:6]) + _ref_dot(dE, dE))
+    if not max(gauss, faraday) <= RESIDUAL_SLACK * (1.0 + xi_norm * size):
         raise ValueError("xi does not admit plane waves along z1 - z2")
     fracs = _band_fractions(n_osc, g.n, g.periods)
     fraction = float(np.searchsorted(fracs, d.lam, side="left")) / fracs.size
-    average = d.z1 * fraction + d.z2 * (1.0 - fraction)
-    return average, fraction, (average - d.combine()).norm()
+    average = [p * fraction + q * (1.0 - fraction) for p, q in zip(x, y)]
+    mixture = [p * d.lam + q * (1.0 - d.lam) for p, q in zip(x, y)]
+    distance = math.sqrt(sum((p - q) ** 2 for p, q in zip(average, mixture)))
+    return average, fraction, abs(fraction - d.lam) * size, distance
 
 
 # The per-point membership kernel written out on its own, not shared with the

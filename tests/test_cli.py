@@ -274,6 +274,33 @@ def test_residual_fine_grid_converges_at_second_order(kind, capsys):
         assert ratios and all(r is not None and 3.9 <= r <= 4.1 for r in ratios)
 
 
+# sha256 of `residual --n <n> --kind <kind> --deterministic`, pinned on Python
+# 3.11.7 with numpy 2.4.6.  The bytes carry the wave vector wave_vector_for and
+# round_to_lattice give each CLI direction and every level's grid residuals,
+# so a change in the rounding of either moves a digest.
+RESIDUAL_DIGESTS = {
+    ("nonstationary", 32): "03459b15fa3aa1a716c80cc59a78039e43624c08e9a1e0becfb1903d3e384064",
+    ("nonstationary-incompressible", 32):
+        "ab7ea84eb1d557518474fd65547c1103fa9aada5a45ed460e2f2cd3fbe2e4edf",
+    ("stationary", 32): "0d5749dc76bbb273b51239383181778b4df0204fb2c6023a31dea3efd5bb6751",
+    ("stationary-incompressible", 32):
+        "4e5ca9293fa78a82e73516add1376e45e49436aaba7e7e82f1f11d6fc4ad0423",
+    ("nonstationary", 64): "4f46e0b39c4905fabf29b71ac64b7f6eda207bf3949d3c6ff839ec2274b144e8",
+    ("nonstationary-incompressible", 64):
+        "99ff4cdb2acb02657a51d1faca75cf6c55a8d080936dd8a70b089b3404283db1",
+    ("stationary", 64): "fdeabc733c66f655b82881c09cc28c95f4f6a5c293805ad3a386ebb684a48aee",
+    ("stationary-incompressible", 64):
+        "1dfee5cb12d035de5815807e08756a227c8d28227f61d409b1ebad44a68690e6",
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(RESIDUAL_DIGESTS))
+def test_residual_golden_digest(kind, n, capsys):
+    assert main(["residual", "--n", str(n), "--kind", kind, "--deterministic"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == RESIDUAL_DIGESTS[(kind, n)]
+
+
 def test_residual_rejects_bad_grid():
     assert main(["residual", "--n", "10"]) == 2
     assert main(["residual", "--n", "8"]) == 2

@@ -41,6 +41,9 @@ from _helpers import (
     g2_refined_max,
     normalized,
     perpendicular_to,
+    reference_in_wave_cone,
+    reference_triple_arithmetic,
+    reference_wave_cone_residuals,
     rotation_matrix,
     rotate_triple,
     unit,
@@ -359,6 +362,50 @@ def test_wave_cone_stationary_incompressible():
     z2 = Triple(Vec3(1, 0, 0), Vec3(0, 0, 1), Vec3(0, 0, 0.5))
     assert in_wave_cone(z2, ConeKind.NONSTATIONARY)
     assert not in_wave_cone(z2, ConeKind.STATIONARY_INCOMPRESSIBLE)
+
+
+def _wave_cone_points(rng):
+    """Random and cone directions at scales 1e-100..1e100, with zero fields."""
+    zero = Vec3(0, 0, 0)
+    for scale in (1e-100, 1e-3, 1.0, 1e3, 1e100):
+        for _ in range(40):
+            yield Triple(vec(rng, scale), vec(rng, scale), vec(rng, scale * scale))
+            for kind in (ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE):
+                z = cone_direction(rng, kind)
+                yield Triple(z.B * scale, z.u, z.E * scale)
+    b = Vec3(0.3, -0.4, 0.5)
+    yield from (Triple(zero, b, b), Triple(b, zero, b), Triple(b, b, zero), Triple(b, b, b))
+
+
+def test_in_wave_cone_matches_reference_at_its_own_thresholds():
+    # With eps_mem set to a residual of the reference, and to the doubles on
+    # either side of it, the verdict turns on the last bit of the residual:
+    # in_wave_cone must form it in the same operations, in the same order.
+    rng = np.random.default_rng(260)
+    for z in _wave_cone_points(rng):
+        for res in reference_wave_cone_residuals(z):
+            if not 0.0 < res < INF:
+                continue
+            for eps in (math.nextafter(res, 0.0), res, math.nextafter(res, INF)):
+                for kind in ALL_KINDS:
+                    assert in_wave_cone(z, kind, Tolerances(eps)) == (
+                        reference_in_wave_cone(z, kind, eps)), (z, kind, eps)
+        for kind in ALL_KINDS:
+            assert in_wave_cone(z, kind) == reference_in_wave_cone(z, kind), (z, kind)
+
+
+def test_triple_arithmetic_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(261)
+    triples = [Triple(vec(rng, scale), vec(rng, 1.0 / scale), vec(rng, scale))
+               for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150) for _ in range(20)]
+    triples.append(Triple(Vec3(-0.0, 0.0, -0.0), Vec3(0.0, -0.0, 5e-324), Vec3(-1.0, 1e308, 0.0)))
+    for a, b in zip(triples, triples[1:] + triples[:1]):
+        for t in (0.0, -0.0, -2.5, 3, np.float64(0.1), 1e300):
+            results = (a + b, a - b, a * t)
+            for got, want in zip(results, reference_triple_arithmetic(a, b, t)):
+                assert type(got) is Triple and all(type(v) is Vec3 for v in got)
+                assert [x.hex() for v in got for x in v] == [float(x).hex() for x in want]
+            assert t * a == a * t
 
 
 # ----------------------------------------------------------------- hull

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -30,7 +31,13 @@ from dynamohull import (
 )
 from dynamohull import planewave
 from dynamohull.cli import _RESIDUAL_WAVES, main as cli_main
-from _helpers import ALL_KINDS, cone_direction, reference_grid_residual, reference_staircase_average
+from _helpers import (
+    ALL_KINDS,
+    cone_direction,
+    reference_grid_residual,
+    reference_staircase_average,
+    reference_wave_vector_for,
+)
 
 P11 = HullParams(1.0, 1.0)
 ZERO = Vec3(0, 0, 0)
@@ -48,8 +55,45 @@ def _condition_scale(direction, xi):
 # ------------------------------------------------------------- validation
 
 def test_wave_vector_requires_nonzero_spatial_frequency():
-    with pytest.raises(ValueError):
-        WaveVector(Vec3(0, 0, 0), 1.0)
+    for zero in (Vec3(0, 0, 0), Vec3(0.0, -0.0, 0.0)):
+        with pytest.raises(ValueError, match="must be nonzero"):
+            WaveVector(zero, 1.0)
+
+
+def _faraday(xi: WaveVector, direction: Triple) -> tuple:
+    """xi_t B + xi_x x E, component by component, with no norm taken."""
+    (kx, ky, kz), xi_t = xi
+    (bx, by, bz), _, (ex, ey, ez) = direction
+    return (xi_t * bx + (ky * ez - kz * ey), xi_t * by + (kz * ex - kx * ez),
+            xi_t * bz + (kx * ey - ky * ex))
+
+
+def test_a_frequency_whose_square_underflows_is_nonzero():
+    # (1e-200)^2 underflows to 0.0, but the frequency is not zero: zero is
+    # decided by components.
+    assert WaveVector(Vec3(1e-200, 0, 0), 0.0).xi_x == (1e-200, 0.0, 0.0)
+    assert WaveVector(Vec3(0, -5e-324, 0), 2.0).xi_t == 2.0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_field_whose_square_underflows_sets_the_wave(kind):
+    # B = u = 0 and E = (1e-200, 0, 0): |E|^2 underflows to 0.0, but E is not
+    # zero, so xi_x must be parallel to it.  A unit xi_x perpendicular to B
+    # and u, the E = 0 answer, leaves xi_x x E = (0, 0, -1e-200).
+    E = Vec3(1e-200, 0, 0)
+    direction = Triple(ZERO, ZERO, E)
+    xi = wave_vector_for(direction, kind)
+    assert xi == (E, 0.0)
+    assert _faraday(xi, direction) == (0.0, 0.0, 0.0)
+
+
+def test_a_tiny_field_beside_a_unit_B_sets_the_wave():
+    # B = (0, 0, 1) and E = (1e-200, 0, 0) take the general branch, not the
+    # E = 0 one, whose xi_x = (0, 1, 0) leaves xi_x x E = (0, 0, -1e-200).
+    direction = Triple(Vec3(0, 0, 1), ZERO, Vec3(1e-200, 0, 0))
+    xi = wave_vector_for(direction, ConeKind.NONSTATIONARY)
+    assert xi.xi_x == (1e-200, -1e-200, 0.0)
+    assert _faraday(xi, direction) == (0.0, 0.0, 0.0)
 
 
 def test_wave_vector_rejects_non_finite_spatial_frequency():
@@ -162,6 +206,45 @@ def test_wave_vector_rejects_non_cone_direction():
     bad_stationary = Triple(Vec3(1, 0, 0), Vec3(0, 0, 1), Vec3(0, 0, 0.5))
     with pytest.raises(NotInConeError):
         wave_vector_for(bad_stationary, ConeKind.STATIONARY_INCOMPRESSIBLE)
+
+
+def _wave_vector_directions(rng):
+    """Directions for every branch of wave_vector_for: random cone directions
+    of both cones at three scales, B = 0, E = 0, both, u = 0, u parallel to B
+    (the incompressible functional vanishes), E along and across B x u, and
+    B x u = 0."""
+    zero = Vec3(0, 0, 0)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(25):
+            for kind in (ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE):
+                z = cone_direction(rng, kind)
+                yield Triple(z.B * scale, z.u, z.E * scale)
+    b, u, e = Vec3(6, -3, -1), Vec3(1, 2, -1), Vec3(1, 2, 0)
+    n = b.cross(u)
+    yield from (CANONICAL_DIR, Triple(zero, u, e), Triple(b, u, zero), Triple(zero, u, zero),
+                Triple(b, zero, e), Triple(b, b * 2.0, e), Triple(zero, zero, e),
+                Triple(b, u, n * 1e-3), Triple(b, u, n * 1e3), Triple(b, b * -0.5, zero),
+                Triple(zero, zero, zero))
+
+
+COEFFICIENTS = ((1.0, 1.0), (0.6, -0.2), (0.0, 0.0), (0.0, 1.0), (2.5, 0.0), (-1.0, 3.0))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_wave_vector_matches_reference_bit_for_bit(kind):
+    # Every branch and the (a, c) fallbacks give the reference's frequencies to
+    # the last bit, and raise where it raises.
+    for direction in _wave_vector_directions(np.random.default_rng(262)):
+        for a, c in COEFFICIENTS:
+            try:
+                want = reference_wave_vector_for(direction, kind, a, c)
+            except (NotInConeError, ValueError) as exc:
+                with pytest.raises(type(exc)):
+                    wave_vector_for(direction, kind, None, a, c)
+                continue
+            xi = wave_vector_for(direction, kind, None, a, c)
+            assert [x.hex() for x in xi.xi_x] == [x.hex() for x in want[0]], (direction, a, c)
+            assert xi.xi_t.hex() == want[1].hex(), (direction, a, c)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -600,10 +683,10 @@ def _bits(z: Triple) -> list:
 
 
 @pytest.mark.parametrize("g", [GridSpec(16), GridSpec(48, periods=2)], ids=["16", "48x2"])
-def test_staircase_matches_triple_arithmetic_reference(g):
-    # The average and fraction are those of the Triple-arithmetic reference
-    # bit for bit; the closed-form error |f - lambda| |z1 - z2| equals the
-    # norm of average - mixture up to rounding.
+def test_staircase_matches_component_reference(g):
+    # The average, fraction and closed-form error |f - lambda| |z1 - z2| are
+    # the component reference's bit for bit; the error equals the norm of
+    # average - mixture up to rounding.
     decomps = [_sample_decomposition(seed)[1] for seed in range(60, 68)]
     for n_osc in (1, 8, 32):
         for d0 in decomps:
@@ -611,7 +694,40 @@ def test_staircase_matches_triple_arithmetic_reference(g):
                 d = Decomposition(lam, d0.z1, d0.z2)
                 xi = wave_vector_for(d.z1 - d.z2, ConeKind.NONSTATIONARY)
                 rep = staircase_average(d, xi, n_osc, g)
-                average, fraction, error = reference_staircase_average(d, xi, n_osc, g)
-                assert _bits(rep.average) == _bits(average), (n_osc, lam)
+                average, fraction, error, distance = reference_staircase_average(d, xi, n_osc, g)
+                assert _bits(rep.average) == [x.hex() for x in average], (n_osc, lam)
                 assert rep.fraction.hex() == fraction.hex(), (n_osc, lam)
-                assert abs(rep.error - error) <= 1e-15 * (d.z1 - d.z2).norm(), (n_osc, lam)
+                assert rep.error.hex() == error.hex(), (n_osc, lam)
+                assert abs(rep.error - distance) <= 1e-15 * (d.z1 - d.z2).norm(), (n_osc, lam)
+
+
+# sha256 of the JSON of seeded plane-wave outputs, pinned on Python 3.11.7 with
+# numpy 2.4.6: staircase reports at n_osc 8, 16, 32 on a 48-point grid for the
+# splits of 100 nonstationary hull points, and the wave vectors of the jumps of
+# 100 hull points per cone kind.  Every float is written as its shortest
+# round-trip repr, so a change of one bit in an output moves a digest.
+STAIRCASE_DIGEST = "42e7773bcc0ff771fd3d4fee6184148424d6a7bb45d61a7225a1cf2cd04d3730"
+WAVE_VECTOR_DIGEST = "9bd44f849e88c6cea165507a690245ed157f26e446ec1213796a487e95de1c6a"
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def test_staircase_reports_golden_digest():
+    g, kind = GridSpec(48), ConeKind.NONSTATIONARY
+    reports = []
+    for z in sample_hull(SampleConfig(seed=26, count=100, params=P11)):
+        d = decompose(z, P11)
+        xi = wave_vector_for(d.z1 - d.z2, kind)
+        reports += [staircase_average(d, xi, n, g).to_json_dict() for n in (8, 16, 32)]
+    assert _digest(reports) == STAIRCASE_DIGEST
+
+
+def test_wave_vectors_golden_digest():
+    waves = []
+    for kind in ALL_KINDS:
+        for z in sample_hull(SampleConfig(seed=26, count=100, params=P11, kind=kind)):
+            d = decompose(z, P11, kind)
+            waves.append(wave_vector_for(d.z1 - d.z2, kind).to_json_dict())
+    assert _digest(waves) == WAVE_VECTOR_DIGEST
