@@ -469,8 +469,10 @@ def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bo
 def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Math):
     """The membership kernel: the flags (g1, g3, g2), each true where that function
     separates the point (B, u, E) of component triples, floats or numpy columns,
-    and the terms (|B|^2, |u|^2, E - B x u) they are made of, which the
-    decomposition takes over rather than forming them again.
+    the terms (|B|^2, |u|^2, E - B x u) they are made of, which the
+    decomposition takes over rather than forming them again, and g3's own
+    terms (u . E, |u|, |E|), which the campaign folds into its u . E maximum
+    (u . E is None off the stationary incompressible cone).
 
     Every comparison is made on the normalised triple (b, v, e) =
     (B/r, u/s, E/(rs)), where the relaxed set is the same for all radii:
@@ -491,7 +493,11 @@ def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Ma
     nu = sqrt(nu2)
     ne = sqrt(ex * ex + ey * ey + ez * ez)
     g1 = abs(bx * ex + by * ey + bz * ez) > eps * (rr * s + nb * ne)
-    g3 = kind.restricts_u and abs(ux * ex + uy * ey + uz * ez) > eps * (r * ss + nu * ne)
+    if kind.restricts_u:
+        ue = ux * ex + uy * ey + uz * ez
+        g3 = abs(ue) > eps * (r * ss + nu * ne)
+    else:
+        ue, g3 = None, False
     # _excess's arithmetic, written out: the call would add about 6% to
     # in_hull, which is this kernel on one point.
     wx = ex - (by * uz - bz * uy)
@@ -501,15 +507,7 @@ def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Ma
     gb, gu = _amplitude_gaps(nb2, nu2, p, m)
     g2 = ((nb > r * (1.0 + eps)) | (nu > s * (1.0 + eps))
           | (w2 > gb * gu + eps * (rr * ss)))
-    return (g1, g3, g2), (nb2, nu2, (wx, wy, wz))
-
-
-def _separating_function(z: Triple, p: HullParams, kind: ConeKind, eps: float) -> str | None:
-    """Which of "g1", "g3", "g2" separates z, or None: the first flag, in that
-    order, of the membership kernel, whose one body runs here on the floats of
-    one point and in the block engine on the numpy columns of a block."""
-    (g1, g3, g2), _ = _separation_flags(*z, p, kind, eps, _FLOATS)
-    return "g1" if g1 else "g3" if g3 else "g2" if g2 else None
+    return (g1, g3, g2), (nb2, nu2, (wx, wy, wz)), (ue, nu, ne)
 
 
 def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -520,7 +518,8 @@ def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     incompressible kind) and |E - B x u|^2 <= (r^2 - |B|^2)(s^2 - |u|^2),
     each checked on the normalised triple (B/r, u/s, E/(rs)) with slack eps_mem.
     """
-    return _separating_function(z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem) is None
+    g1, g3, g2 = _separation_flags(*z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem, _FLOATS)[0]
+    return not (g1 or g3 or g2)
 
 
 class SeparationWitness(namedtuple("SeparationWitness", "function value")):
@@ -553,8 +552,11 @@ def separation_witness(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONST
     witnesses a point outside it.  The verdict is in_hull's; the value is
     the function evaluated in the caller's units.
     """
-    function = _separating_function(z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem)
-    if function is None:
-        return _NO_SEPARATION
-    value = eval_g1(z) if function == "g1" else eval_g3(z) if function == "g3" else eval_g2(z, p)
-    return SeparationWitness(function, value)
+    g1, g3, g2 = _separation_flags(*z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem, _FLOATS)[0]
+    if g1:
+        return SeparationWitness("g1", eval_g1(z))
+    if g3:
+        return SeparationWitness("g3", eval_g3(z))
+    if g2:
+        return SeparationWitness("g2", eval_g2(z, p))
+    return _NO_SEPARATION

@@ -246,7 +246,8 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     """
     tol = tol or DEFAULT_TOLERANCES
     B, u, E = z
-    (g1, g3, g2), (nb2, nu2, excess) = _separation_flags(B, u, E, p, kind, tol.eps_mem, _FLOATS)
+    (g1, g3, g2), (nb2, nu2, excess), _ = _separation_flags(B, u, E, p, kind, tol.eps_mem,
+                                                               _FLOATS)
     if g1 or g3 or g2:
         w = separation_witness(z, p, kind, tol)
         raise NotInHullError(f"point outside the relaxed set (witness {w.function}"

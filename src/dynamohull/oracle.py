@@ -28,7 +28,7 @@ All randomness comes from a named 64-bit generator (PCG64) seeded by
 numpy's SeedSequence(seed, spawn_key=(key,)): key 1 (HULL_KEY) for hull
 points, key 0 for every other sampler, so the campaign's two halves read
 disjoint streams.  Every sampler reads a fixed number of draws per item (its
-stride: 4 per constraint-set state, 8 per pair or mixture, and 8 per hull
+stride: 4 per constraint-set state, 8 per pair or mixture, and 12 per hull
 point), and item i reads draws [stride i, stride (i + 1)) of its
 stream and no others.  Each drawn angle 2 pi w costs one cosine: its sine
 is the signed square root of (1 - cos)(1 + cos), in _circle.
@@ -48,11 +48,10 @@ per-point ones, run on numpy columns in the same operations, in the same
 order, as a single point, so its reports are those of the per-point
 functions bit for bit; it checks nothing they do not.
 Rows become Triples only at the edge.  A Triple is itself the (B, u, E)
-state of float component triples the kernels take, and a row becomes one
-through core._from_parts, unchecked: the public samplers stack a block's
-rows (N x 9, or N x 18 for pairs) and make Triples of them a slice at a
-time (_items), and the campaign reads its failure rows one at a time
-(_triple_at).
+state of float component triples the kernels take, and rows become them
+unchecked, straight from the columns (_triples): each field's Vec3s from
+its component lists, a slice of rows at a time in the public samplers
+(_items), one row at a time for the campaign's failure rows (_triple_at).
 
 This module is where numpy comes in: core and laminate import none, so the
 per-point API loads without it.  _COLUMNS is the column view of core's
@@ -62,6 +61,7 @@ the campaign that calls it, running laminate's one split, _split.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import namedtuple
@@ -84,11 +84,11 @@ from .core import (
     _cross,
     _dot,
     _frame,
-    _from_parts,
     _perpendicular,
     _separation_flags,
     _tuple_new,
     _unit,
+    _vec,
     eval_g1,
     eval_g2,
     eval_g3,
@@ -129,8 +129,9 @@ BLOCK = 3072
 # version 4 turns u1 about nhat for the pair's u2, and on the stationary
 # incompressible cone takes the second plane's root other than u1; version 5
 # takes one cosine per drawn angle, its sine by _circle, and reads the hull
-# points on spawn key HULL_KEY.
-STREAM_VERSION = 5
+# points on spawn key HULL_KEY; version 6 draws a hull point's radii as the
+# largest of three draws, not by a cube root (12 draws per hull point).
+STREAM_VERSION = 6
 
 
 class SampleConfig(namedtuple("SampleConfig", "seed count params kind")):
@@ -194,35 +195,43 @@ def _sphere(t: np.ndarray, w: np.ndarray, radius=None):
 
 
 def _ball(w: np.ndarray, radius: float):
-    """Uniform-volume points in the ball of the given radius from three draws
-    per row (radius, then the sphere): component columns."""
-    return _sphere(w[:, 1], w[:, 2], radius * np.cbrt(w[:, 0]))
+    """Uniform-volume points in the ball of the given radius from five draws
+    per row (three for the radius, then two for the sphere): component
+    columns.  The radius is the given one times the largest of three draws,
+    whose law P(max <= t) = t^3 is that of a uniform point's distance from
+    the centre; a comparison and a product are exact or correctly rounded,
+    so no radius depends on a libm (numpy's cbrt differs between its SIMD
+    kernels)."""
+    return _sphere(w[:, 3], w[:, 4], radius * np.maximum(np.maximum(w[:, 0], w[:, 1]), w[:, 2]))
 
 
-def _row_triple(f: list[float]) -> Triple:
-    """The Triple of one (B, u, E) row."""
-    return _from_parts(f[0:3], f[3:6], f[6:9])
+_triple = functools.partial(_tuple_new, Triple)
 
 
-def _row_pair(f: list[float]) -> tuple[Triple, Triple]:
-    """The pair of Triples of one (B1, u1, E1, B2, u2, E2) row."""
-    return _row_triple(f), _row_triple(f[9:])
+def _triples(z, start: int, stop: int) -> Iterator[Triple]:
+    """The Triples of rows [start, stop) of a (B, u, E) state of component
+    columns: each field's Vec3s straight from its component lists."""
+    return map(_triple, zip(*(map(_vec, zip(*[x[start:stop].tolist() for x in v])) for v in z)))
 
 
-def _items(make, row_blocks: Iterator[np.ndarray]) -> Iterator:
-    """make(row) for each row of a sequence of row blocks, the row a list of
-    Python floats.  The floats are made 256 rows at a time, as a whole block
-    of them would outweigh its columns fourfold, and each block is dropped
-    before the next one is built."""
-    for rows in row_blocks:
-        for i in range(0, len(rows), 256):
-            yield from map(make, rows[i:i + 256].tolist())
-        del rows
+def _items(blocks: Iterator[tuple], pairs: bool = False) -> Iterator:
+    """The Triples of the rows of a sequence of blocks of (B, u, E) states of
+    component columns or, with pairs, the pairs of Triples of the rows of
+    blocks (z1, z2, ...) of pairs.  The floats are made 256 rows at a time,
+    as a whole block of them would outweigh its columns fourfold, and each
+    block is dropped before the next one is built."""
+    for z in blocks:
+        for i in range(0, len(z[0][0][0] if pairs else z[0][0]), 256):
+            if pairs:
+                yield from zip(_triples(z[0], i, i + 256), _triples(z[1], i, i + 256))
+            else:
+                yield from _triples(z, i, i + 256)
+        del z
 
 
 def _triple_at(z, i: int) -> Triple:
     """The Triple of row i of a (B, u, E) state of component columns."""
-    return _row_triple([float(x[i]) for v in z for x in v])
+    return next(_triples(z, i, i + 1))
 
 
 def _K_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
@@ -239,7 +248,7 @@ def _K_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
 
 def sample_K(cfg: SampleConfig) -> Iterator[Triple]:
     """Uniform constraint-set states: B and u on their spheres, E = B x u."""
-    return _items(_row_triple, map(_stack, _K_blocks(_generator(cfg), cfg)))
+    return _items(_K_blocks(_generator(cfg), cfg))
 
 
 def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
@@ -251,8 +260,8 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
     u1 (2), B2 (2), then the turn angle about nhat (which the stationary
     incompressible cone reads only where the whole circle satisfies its
     second plane).  Returns the states z1 and z2 as (B, u, E) component
-    columns and the cone residual of each pair.  Each stage is a function,
-    so its intermediates die when it returns.
+    columns; raises RuntimeError if a pair is off the cone (_check_cone).
+    Each stage is a function, so its intermediates die when it returns.
     """
     with np.errstate(all="ignore"):
         b1 = _sphere(w[:, 0], w[:, 1])
@@ -262,7 +271,7 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
         u2 = _circle_point(b1, u1, b2, e1, w[:, 6], restricts_u)
         e2 = _cross(b2, u2)
         z1, z2 = (b1, u1, e1), (b2, u2, e2)
-        res = _pair_residual(z1, z2, restricts_u)
+        _check_cone(z1, z2, restricts_u)
     # Scaled in place: every column is this function's own.  A factor of 1.0
     # leaves the bits as they are.
     for z in (z1, z2):
@@ -270,7 +279,7 @@ def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
             if k != 1.0:
                 for x in v:
                     np.multiply(x, k, out=x)
-    return z1, z2, res
+    return z1, z2
 
 
 def _circle_point(b1, u1, b2, e1, draw: np.ndarray, restricts_u: bool):
@@ -305,6 +314,31 @@ def _turn(u1, nh, draw: np.ndarray):
     return tuple(u1[i] * c + t[i] * s + nh[i] * hc for i in range(3))
 
 
+def _check_cone(z1, z2, restricts_u: bool):
+    """Raise RuntimeError if a unit pair z1, z2 is off the cone: a residual
+    (_pair_residual) above 1e-10, or NaN, which rounding alone never produces.
+
+    The residual of a dot product a = x . y is |a| / (1 + |x||y|), at most
+    |a| in floats too, as its denominator is at least 1.  So a row whose dot
+    products are all within 1e-10 passes, and the residual is formed only on
+    the rest (NaN rows among them), by the one formula: the failing row and
+    its value are those of a residual formed on every row.
+    """
+    (b1, u1, e1), (b2, u2, e2) = z1, z2
+    de = tuple(e1[i] - e2[i] for i in range(3))
+    near = np.abs(_dot(tuple(b1[i] - b2[i] for i in range(3)), de)) <= 1e-10
+    if restricts_u:
+        near &= np.abs(_dot(tuple(u1[i] - u2[i] for i in range(3)), de)) <= 1e-10
+    at = np.flatnonzero(~near)
+    if len(at):
+        res = _pair_residual(*(tuple(tuple(x[at] for x in v) for v in z) for z in (z1, z2)),
+                             restricts_u)
+        bad = np.flatnonzero(~(res <= 1e-10))
+        if len(bad):
+            raise RuntimeError("constructed pair violates the cone: residual "
+                               f"{float(res[bad[0]])}")
+
+
 def _pair_residual(z1, z2, restricts_u: bool) -> np.ndarray:
     """The cone residual of the unit pairs z1, z2: (B, E), and the larger of it
     and (u, E)'s on the stationary incompressible cone."""
@@ -320,28 +354,17 @@ def _pair_residual(z1, z2, restricts_u: bool) -> np.ndarray:
     return res
 
 
-def _stack(*states) -> np.ndarray:
-    """The rows of states of (B, u, E) component columns, side by side: N x 9
-    for one state, N x 18 for a pair."""
-    return np.column_stack([x for z in states for v in z for x in v])
-
-
 def _pair_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
     """cfg.count pairs as blocks (z1, z2, lam): the states as (B, u, E)
     component columns and the mixture weights, a column.  A pair reads 7
     draws and its weight the 8th, so the pair sampler yields the pairs the
     laminate sampler mixes.  Raises RuntimeError if a constructed pair is
-    off the cone (a residual above 1e-10, or NaN), which rounding alone
-    never produces.
+    off the cone (_check_cone).
     """
     p, restricts_u = cfg.params, cfg.kind.restricts_u
 
     def pairs(_, w):
-        z1, z2, res = _pair_block(w, p, restricts_u)
-        bad = np.flatnonzero(~(res <= 1e-10))
-        if len(bad):
-            raise RuntimeError(f"constructed pair violates the cone: residual {float(res[bad[0]])}")
-        return z1, z2, w[:, 7]
+        return (*_pair_block(w, p, restricts_u), w[:, 7])
 
     return starmap(pairs, _draws(gen, cfg.count, 8))
 
@@ -361,13 +384,12 @@ def _mixture_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
 def sample_lambda_pair(cfg: SampleConfig) -> Iterator[tuple[Triple, Triple]]:
     """Constraint-set pairs whose difference lies in the cone for cfg.kind: the
     pairs sample_first_laminate(cfg) mixes."""
-    blocks = _pair_blocks(_generator(cfg), cfg)
-    return _items(_row_pair, (_stack(z1, z2) for z1, z2, _ in blocks))
+    return _items(_pair_blocks(_generator(cfg), cfg), pairs=True)
 
 
 def sample_first_laminate(cfg: SampleConfig) -> Iterator[Triple]:
     """Convex combinations lam*z1 + (1-lam)*z2 of cone-compatible pairs."""
-    return _items(_row_triple, map(_stack, _mixture_blocks(_generator(cfg), cfg)))
+    return _items(_mixture_blocks(_generator(cfg), cfg))
 
 
 def _excess_directions(B, phi: np.ndarray):
@@ -402,22 +424,22 @@ def _hull_points(B, u, e, delta: np.ndarray, start: int, p: HullParams):
 def _hull_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
     """cfg.count points of the relaxed set as (B, u, E) column blocks.
 
-    Draws per point: 3 for B and 3 for u (radius, then the sphere); then 1
-    for the excess direction, a sign coin (stationary incompressible kind)
-    or an angle about B (the other kinds); then 1 for delta.
+    Draws per point: 5 for B and 5 for u (_ball); then 1 for the excess
+    direction, a sign coin (stationary incompressible kind) or an angle
+    about B (the other kinds); then 1 for delta.
     """
     p, restricts_u = cfg.params, cfg.kind.restricts_u
 
     def points(start, w):
-        B = _ball(w[:, 0:3], p.r)
-        u = _ball(w[:, 3:6], p.s)
+        B = _ball(w[:, 0:5], p.r)
+        u = _ball(w[:, 5:10], p.s)
         if restricts_u:
-            e = _restricted_directions(B, u, w[:, 6])
+            e = _restricted_directions(B, u, w[:, 10])
         else:
-            e = _excess_directions(B, w[:, 6])
-        return _hull_points(B, u, e, w[:, 7], start, p)
+            e = _excess_directions(B, w[:, 10])
+        return _hull_points(B, u, e, w[:, 11], start, p)
 
-    return starmap(points, _draws(gen, cfg.count, 8))
+    return starmap(points, _draws(gen, cfg.count, 12))
 
 
 def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
@@ -427,7 +449,7 @@ def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
     delta is uniform on [0, 1]; every 100th sample forces delta = 1 so the
     excess boundary is exercised with positive frequency.
     """
-    return _items(_row_triple, map(_stack, _hull_blocks(_generator(cfg, HULL_KEY), cfg)))
+    return _items(_hull_blocks(_generator(cfg, HULL_KEY), cfg))
 
 
 class HullCheckReport:
@@ -540,13 +562,12 @@ def _check_mixtures(report: HullCheckReport, z, p: HullParams, kind: ConeKind,
     """Check a block z of mixtures, (B, u, E) columns, for membership at tol
     into the report.  On the restricted cone the kernel's g3 is the one u . E
     test; the u . E residual is only folded into max_u_orthogonality."""
-    B, u, E = z
-    report.laminate_checked += len(B[0])
-    g1, g3, g2 = _separation_flags(B, u, E, p, kind, tol.eps_mem, _COLUMNS)[0]
+    report.laminate_checked += len(z[0][0])
+    (g1, g3, g2), _, (ue, nu, ne) = _separation_flags(*z, p, kind, tol.eps_mem, _COLUMNS)
     if kind.restricts_u:
-        # u . E's residual on the normalised triple (B/r, u/s, E/(rs)), unit r s^2.
-        top = float(_cone_residual(_dot(u, E), np.sqrt(_dot(u, u)), np.sqrt(_dot(E, E)),
-                                   p.r * p.s * p.s, _COLUMNS).max())
+        # u . E's residual on the normalised triple (B/r, u/s, E/(rs)), unit r s^2,
+        # from the kernel's own u . E, |u| and |E|.
+        top = float(_cone_residual(ue, nu, ne, p.r * p.s * p.s, _COLUMNS).max())
         acc = report.max_u_orthogonality
         report.max_u_orthogonality = top if acc is None or top > acc else acc
     for i in np.flatnonzero(g1 | g3 | g2).tolist():
@@ -565,7 +586,7 @@ def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
     built.
     """
     with np.errstate(all="ignore"):
-        (g1, g3, g2), terms = _separation_flags(B, u, E, p, kind, tol.eps_mem, _COLUMNS)
+        (g1, g3, g2), terms = _separation_flags(B, u, E, p, kind, tol.eps_mem, _COLUMNS)[:2]
         lam, bbar, ubar = _split(B, u, *terms, p, kind, _COLUMNS)
         z1, z2 = _endpoints(B, u, bbar, ubar, lam)
     return lam, z1, z2, g1 | g3 | g2
@@ -586,14 +607,20 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
 
     with np.errstate(all="ignore"):  # the rows outside hold no endpoints
         res = _residuals(lam, z1, z2, z, p, kind, _COLUMNS)
-    # Folded one check at a time: the rows each check fails (a NaN residual
-    # fails) and its maximum over the verified rows.
-    failing = {name: verified & ~(col <= tol.eps_mem) for name, col in res.items()}
+    # Folded one check at a time: its maximum over the verified rows (every
+    # row, without a copy, unless a point is outside) and, only where that
+    # maximum is above eps_mem or NaN, the verified rows it fails (a NaN
+    # residual fails).
+    failing = {}
     if verified.any():
+        rows = slice(None) if verified.all() else verified
         by_check = report.max_residual_by_check
         for name, col in res.items():
+            top = float(col[rows].max())
             # A NaN maximum, of a block with a failing point, leaves the fold as it was.
-            by_check[name] = max(by_check.get(name, 0.0), float(col[verified].max()))
+            by_check[name] = max(by_check.get(name, 0.0), top)
+            if not top <= tol.eps_mem:
+                failing[name] = verified & ~(col <= tol.eps_mem)
 
     for i in np.flatnonzero(np.logical_or.reduce([raises, *failing.values()])).tolist():
         zi = _triple_at(z, i)

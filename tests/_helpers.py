@@ -663,3 +663,29 @@ OFF_MIXING_SPLIT = Decomposition(
 # splits fail verification: a nonzero excess on the face |B| = r, and a tiny B
 # parallel to the excess.
 FAILING_SPECIAL_POINTS = ("amplitude boundary", "degenerate plane")
+
+
+def active_cpu_features() -> set:
+    """The CPU features numpy dispatches its SIMD kernels to in this process."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {name for name, on in __cpu_features__.items() if on}
+
+
+def cli_output_digests(commands: list) -> list:
+    """[exit code, sha256 of standard output] of cli.main for each argument list."""
+    import contextlib
+    import hashlib
+    import io
+
+    from dynamohull.cli import main
+
+    out = []
+    for args in commands:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = main(args)
+        out.append([rc, hashlib.sha256(buf.getvalue().encode()).hexdigest()])
+    return out

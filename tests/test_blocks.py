@@ -19,6 +19,7 @@ from dynamohull import (
     Triple,
     Vec3,
     decompose,
+    in_hull,
     sample_K,
     sample_first_laminate,
     sample_hull,
@@ -28,7 +29,7 @@ from dynamohull import (
     verify_decomposition,
 )
 from dynamohull import oracle
-from dynamohull.core import DEFAULT_TOLERANCES, _separating_function, _separation_flags
+from dynamohull.core import DEFAULT_TOLERANCES, _separation_flags
 from dynamohull.laminate import _residuals
 from dynamohull.oracle import _COLUMNS, _decompose_block
 from _helpers import (
@@ -130,9 +131,9 @@ def test_separating_mask_matches_kernel(kind):
             points = [scaled_point(rng, kind, f, r, s) for f in
                       (*rng.uniform(0.0, 1.0, 8), 1.0, *np.exp(rng.uniform(0.0, 4.0, 8)))]
             points += special_points(p).values()
-            (g1, g3, g2), _ = _separation_flags(*block(points), p, kind, eps, _COLUMNS)
+            (g1, g3, g2), _, _ = _separation_flags(*block(points), p, kind, eps, _COLUMNS)
             mask = g1 | g3 | g2
-            expected = [_separating_function(z, p, kind, eps) is not None for z in points]
+            expected = [not in_hull(z, p, kind) for z in points]
             assert mask.tolist() == expected, (r, s)
     assert any(expected) and not all(expected)
 
@@ -264,7 +265,7 @@ class ListStream:
 
 # Each public sampler, the draws it reads per item and its stream's spawn key.
 STRIDES = {"pairs": (sample_lambda_pair, 8, 0), "mixtures": (sample_first_laminate, 8, 0),
-           "hull": (sample_hull, 8, oracle.HULL_KEY)}
+           "hull": (sample_hull, 12, oracle.HULL_KEY)}
 
 
 @pytest.mark.usefixtures("blocks_of_1024")
@@ -337,22 +338,23 @@ def test_outputs_do_not_depend_on_the_block_size(kind, radii, monkeypatch):
 
 def test_parallel_B_and_u_take_the_perpendicular_fallback(monkeypatch):
     # Hull point k of the stationary incompressible kind with u drawn on
-    # B's direction: B x u is rounding noise, and the excess direction is
+    # B's direction (u's sphere draws 8 and 9 are B's, 3 and 4, of the
+    # point's 12): B x u is rounding noise, and the excess direction is
     # still unit_perpendicular_to_all((B, u)), the float view of the column
     # kernel, signed by the coin.
     count, k = 1500, 700
     kind = ConeKind.STATIONARY_INCOMPRESSIBLE
     p = HullParams(0.5, 2.0)
     cfg = SampleConfig(seed=28, count=count, params=p, kind=kind)
-    draws = oracle._generator(cfg, oracle.HULL_KEY).random(8 * count)
-    draws[8 * k + 4:8 * k + 6] = draws[8 * k + 1:8 * k + 3]
+    draws = oracle._generator(cfg, oracle.HULL_KEY).random(12 * count)
+    draws[12 * k + 8:12 * k + 10] = draws[12 * k + 3:12 * k + 5]
     monkeypatch.setattr(oracle, "_generator", lambda cfg, key: ListStream(draws))
     points = list(sample_hull(cfg))
     z = points[k]
     assert z.B.cross(z.u).norm() <= 1e-12 * z.B.norm() * z.u.norm()
     e = unit_perpendicular_to_all((z.B, z.u))
-    e = e if draws[8 * k + 6] < 0.5 else -e
-    assert z.E == z.B.cross(z.u) + e * (draws[8 * k + 7] * excess_bound(z.B, z.u, p))
+    e = e if draws[12 * k + 10] < 0.5 else -e
+    assert z.E == z.B.cross(z.u) + e * (draws[12 * k + 11] * excess_bound(z.B, z.u, p))
     monkeypatch.undo()
     assert points[:k] + points[k + 1:] == [
         q for i, q in enumerate(sample_hull(cfg)) if i != k]

@@ -11,7 +11,7 @@ import pytest
 import dynamohull
 from dynamohull import cli
 from dynamohull.cli import main
-from _helpers import MIXING_GAP_POINT, OFF_MIXING_SPLIT
+from _helpers import MIXING_GAP_POINT, OFF_MIXING_SPLIT, active_cpu_features, cli_output_digests
 
 K_POINT = '{"B": [1, 0, 0], "u": [0, 1, 0], "E": [0, 0, 1]}'
 
@@ -224,13 +224,14 @@ def test_verify_hull_deterministic_reports(tmp_path):
 
 
 # sha256 of `verify-hull --seed 0 --count 20000 --deterministic` at r = s = 1,
-# pinned on Python 3.11.7 with numpy 2.4.6.  A change to the sample stream,
+# pinned with numpy 2.4.6; they do not depend on the CPU, as
+# test_seeded_outputs_do_not_depend_on_simd_dispatch checks.  A change to the sample stream,
 # a verdict or a residual changes the digest; the determinism criterion
 # only compares a rerun with itself and cannot see such a change.
 GOLDEN_DIGESTS = {
-    "nonstationary": "f75deaa5628449e1c773bc08fa9043da8000a43ed36f0dfab0014e4fec524060",
+    "nonstationary": "024d15f6284727e7778a7bdd214ee10733543a6620d9e6a683bd7e28ae283692",
     "stationary-incompressible":
-        "3777a7c37ec11449439510eb84393d8666c1f53b9863e15433ed9e4532300453",
+        "d9fad5324b2ea63dd66887a35340c15aa437524d58b665d5cad4b6da53f74968",
 }
 
 
@@ -274,10 +275,10 @@ def test_residual_fine_grid_converges_at_second_order(kind, capsys):
         assert ratios and all(r is not None and 3.9 <= r <= 4.1 for r in ratios)
 
 
-# sha256 of `residual --n <n> --kind <kind> --deterministic`, pinned on Python
-# 3.11.7 with numpy 2.4.6.  The bytes carry the wave vector wave_vector_for and
-# round_to_lattice give each CLI direction and every level's grid residuals,
-# so a change in the rounding of either moves a digest.
+# sha256 of `residual --n <n> --kind <kind> --deterministic`, pinned with numpy
+# 2.4.6, independent of the CPU.  The bytes carry the wave vector
+# wave_vector_for and round_to_lattice give each CLI direction and every
+# level's grid residuals, so a change in the rounding of either moves a digest.
 RESIDUAL_DIGESTS = {
     ("nonstationary", 32): "03459b15fa3aa1a716c80cc59a78039e43624c08e9a1e0becfb1903d3e384064",
     ("nonstationary-incompressible", 32):
@@ -365,19 +366,19 @@ def test_sample_constraint_sampler_csv(capsys):
         assert abs(float(cells[11])) < 1e-12
 
 
-# sha256 of `sample --seed 0 --count 2000 --deterministic`, pinned on Python
-# 3.11.7 with numpy 2.4.6.  The samplers draw nothing from the decomposition
-# solver, so these digests guard the sample streams and the CSV/JSON rows
-# while solver changes move the verify-hull digests above.
+# sha256 of `sample --seed 0 --count 2000 --deterministic`, pinned with numpy
+# 2.4.6, independent of the CPU.  The samplers draw nothing from the
+# decomposition solver, so these digests guard the sample streams and the
+# CSV/JSON rows while solver changes move the verify-hull digests above.
 SAMPLE_DIGESTS = {
     ("laminate", "nonstationary", "csv"):
         "48c0633c04a623a7d0d1f898bf4e7d132c6b7de6fa2cdb551c91dbe4b0f4c3dd",
     ("hull", "nonstationary", "csv"):
-        "0cec777b913e397f5f5d66ad6c737e63cc6841c813eb87ab014a47ff48d1e0bf",
+        "068b0d91fad32acbf500c25bcbe5046716c16ddbd4164313073a239df0265e6b",
     ("laminate", "stationary-incompressible", "csv"):
         "d4a3c60d5920c171de9497c58044016c9437b32b4553c9242552e89470b83378",
     ("hull", "stationary-incompressible", "csv"):
-        "d1de784bf072d0fa6a919d195b234b652436dd01c26384765a2560a5049c85d5",
+        "333e3d594f6f44dde946949ad4025ea60ed90c9229e23306fa10f073ae3e7c20",
     ("laminate", "nonstationary", "json"):
         "74360b42b6d6fbe6f6e9648321c59373fdbdb4f1d2363f535bc9999f4d0a4e9f",
 }
@@ -430,3 +431,43 @@ def test_parser_is_built_on_the_first_main_call_only():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == ["0", "1", "1"]
+
+
+# Seeded outputs of every command that draws or computes on numpy columns:
+# the campaign for each kind, each sampler on both cone families, and the
+# residual table for each kind.  Their bits must not depend on the SIMD
+# kernels numpy picks for the CPU it runs on.
+KINDS = ("nonstationary", "nonstationary-incompressible", "stationary",
+         "stationary-incompressible")
+DISPATCH_COMMANDS = (
+    [["verify-hull", "--seed", "0", "--count", "20000", "--kind", k, "--deterministic"]
+     for k in KINDS]
+    + [["sample", "--seed", "0", "--count", "2000", "--sampler", sampler, "--kind", k,
+        "--deterministic"]
+       for sampler in ("constraint", "laminate", "hull")
+       for k in ("nonstationary", "stationary-incompressible")]
+    + [["residual", "--n", "32", "--kind", k, "--deterministic"] for k in KINDS])
+AVX512_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_seeded_outputs_do_not_depend_on_simd_dispatch():
+    # The same outputs in a process whose numpy dispatches no AVX-512 kernel.
+    # On a host without X86_V4 the default run is already that path (and on
+    # one that is not x86 the variable breaks numpy's import).
+    if "X86_V4" not in active_cpu_features():
+        pytest.skip("numpy dispatches no AVX-512 kernel on this host")
+    code = ("import json, sys\n"
+            "from _helpers import active_cpu_features, cli_output_digests\n"
+            "print(json.dumps(['X86_V4' in active_cpu_features(),\n"
+            "                  cli_output_digests(json.loads(sys.argv[1]))]))\n")
+    paths = [str(Path(dynamohull.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": AVX512_OFF,
+           "PYTHONPATH": os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(DISPATCH_COMMANDS)], env=env,
+                          capture_output=True, text=True, check=True)
+    avx512, digests = json.loads(proc.stdout)
+    assert not avx512
+    expected = cli_output_digests(DISPATCH_COMMANDS)
+    assert [rc for rc, _ in expected] == [0] * len(DISPATCH_COMMANDS)
+    for args, got, want in zip(DISPATCH_COMMANDS, digests, expected):
+        assert got == want, " ".join(args)

@@ -169,9 +169,11 @@ def test_pair_block_matches_libm_reference(kind, radii):
     near = w[:m].copy()
     near[:, 4:6] = near[:, 0:2] + 1e-12 * np.random.default_rng(0).uniform(-1.0, 1.0, (m, 2))
     w = np.concatenate((w, near))
-    z1, z2, res = oracle._pair_block(w, p, kind.restricts_u)
+    z1, z2 = oracle._pair_block(w, p, kind.restricts_u)
     ref, ref_res = reference_pair_block(w, p, kind.restricts_u)
-    rows = oracle._stack(z1, z2)
+    rows = np.column_stack([x for z in (z1, z2) for v in z for x in v])
+    # The residual of the unit pairs: the radii's factors of 1.0 keep their bits.
+    res = oracle._pair_residual(*oracle._pair_block(w, P11, kind.restricts_u), kind.restricts_u)
 
     assert res.max() <= 1e-14
     if kind.restricts_u:
@@ -182,6 +184,101 @@ def test_pair_block_matches_libm_reference(kind, radii):
     else:
         assert (rows.view(np.uint64) == ref.view(np.uint64)).all()
         assert (res.view(np.uint64) == ref_res.view(np.uint64)).all()
+
+
+def _differences(z1, z2):
+    """(dB, du, dE) of two (B, u, E) states of component columns."""
+    return [tuple(x - y for x, y in zip(v1, v2)) for v1, v2 in zip(z1, z2)]
+
+
+def _edited_pairs(monkeypatch, edit):
+    """Patch the pair kernel's u2 by edit(b1, u1, b2, u2), in place, and record
+    every unit pair (z1, z2) it builds."""
+    real, built = oracle._circle_point, []
+
+    def circle_point(b1, u1, b2, e1, draw, restricts_u):
+        u2 = real(b1, u1, b2, e1, draw, restricts_u)
+        edit(b1, u1, b2, u2)
+        built.append(((b1, u1, e1), (b2, u2, oracle._cross(b2, u2))))
+        return u2
+
+    monkeypatch.setattr(oracle, "_circle_point", circle_point)
+    return built
+
+
+@pytest.mark.parametrize("kind", [ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE])
+def test_off_cone_pair_raises_on_its_first_row_with_the_residual(kind, monkeypatch):
+    # Two rows pushed off the cone, the later one further: the sampler raises
+    # on the earlier, with the residual _pair_residual gives it among all rows.
+    def edit(b1, u1, b2, u2):
+        for x, y in zip(u2, u1):
+            x[[700, 1500]] = -y[[700, 1500]] * np.array([1.0, 3.0])
+
+    built = _edited_pairs(monkeypatch, edit)
+    cfg = SampleConfig(seed=8, count=2000, params=HullParams(1e-3, 1e3), kind=kind)
+    with pytest.raises(RuntimeError) as exc:
+        list(sample_lambda_pair(cfg))
+    res = oracle._pair_residual(*built[0], kind.restricts_u)
+    bad = np.flatnonzero(~(res <= 1e-10))
+    assert bad.tolist() == [700, 1500]
+    assert str(exc.value) == f"constructed pair violates the cone: residual {float(res[700])}"
+
+
+@pytest.mark.parametrize("largest", [True, False])
+@pytest.mark.parametrize("kind", [ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE])
+def test_pair_screen_leaves_a_dot_product_above_its_bound_to_the_residual(
+        kind, largest, monkeypatch):
+    # One row's u2 moves along B1 x B2 by t, which moves dB . dE by
+    # -t |B1 x B2|, to about 2e-10: beyond the screen's bound, so that row
+    # alone goes to the residual.  On the row with the largest |dB||dE| (and
+    # |du||dE|) the residual, 2e-10 / (1 + |dB||dE|) with |dB||dE| > 1, stays
+    # below 1e-10 and the pair passes; on the row with the smallest it does
+    # not, and the sampler raises with that row's residual.
+    rows, calls = [], []
+
+    def edit(b1, u1, b2, u2):
+        z1, z2 = (b1, u1, oracle._cross(b1, u1)), (b2, u2, oracle._cross(b2, u2))
+        db, du, de = (np.sqrt(oracle._dot(d, d)) for d in _differences(z1, z2))
+        size = np.minimum(db, du) * de
+        k = int(np.argmax(size) if largest else np.argmin(size))
+        n = oracle._cross(b1, b2)
+        for x, c in zip(u2, n):
+            x[k] -= 2e-10 * c[k] / oracle._dot(n, n)[k]
+        rows.append(k)
+
+    real = oracle._pair_residual
+
+    def pair_residual(z1, z2, restricts_u):
+        calls.append(len(z1[0][0]))
+        return real(z1, z2, restricts_u)
+
+    monkeypatch.setattr(oracle, "_pair_residual", pair_residual)
+    built = _edited_pairs(monkeypatch, edit)
+    cfg = SampleConfig(seed=9, count=500, params=P11, kind=kind)
+    if largest:
+        assert len(list(sample_lambda_pair(cfg))) == 500
+    else:
+        with pytest.raises(RuntimeError) as exc:
+            list(sample_lambda_pair(cfg))
+    (k,) = rows
+    db, _, de = _differences(*built[0])
+    assert abs(oracle._dot(db, de)[k]) > 1e-10
+    res = real(*built[0], kind.restricts_u)
+    assert np.flatnonzero(~(res <= 1e-10)).tolist() == ([] if largest else [k])
+    if not largest:
+        assert str(exc.value) == f"constructed pair violates the cone: residual {float(res[k])}"
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("kind", [ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE])
+def test_nan_pair_raises(kind, monkeypatch):
+    def edit(b1, u1, b2, u2):
+        u2[1][42] = np.nan
+
+    _edited_pairs(monkeypatch, edit)
+    cfg = SampleConfig(seed=10, count=100, params=P11, kind=kind)
+    with pytest.raises(RuntimeError, match="^constructed pair violates the cone: residual nan$"):
+        list(sample_lambda_pair(cfg))
 
 
 def test_coincident_planes_keep_the_drawn_angle(monkeypatch):
@@ -353,11 +450,12 @@ def test_campaign_hull_half_is_sample_hull_on_its_own_stream(monkeypatch):
     streams, blocks = [], []
 
     def recorded(cfg, key=0):
-        streams.append(ListStream(real(cfg, key).random(8 * cfg.count)))
+        stride = 12 if key == oracle.HULL_KEY else 8
+        streams.append(ListStream(real(cfg, key).random(stride * cfg.count)))
         return streams[-1]
 
     def spy(report, z, *args):
-        blocks.append(oracle._stack(z))
+        blocks.append(np.column_stack([x for v in z for x in v]))
         check(report, z, *args)
 
     monkeypatch.setattr(oracle, "_generator", recorded)
@@ -365,7 +463,7 @@ def test_campaign_hull_half_is_sample_hull_on_its_own_stream(monkeypatch):
     assert two_sided_hull_check(cfg).failure_count == 0
     monkeypatch.undo()
     mixtures, hull = streams
-    assert not np.isin(hull.draws[:8], mixtures.draws[:8]).any()
+    assert not np.isin(hull.draws[:12], mixtures.draws[:8]).any()
     expected = np.array([[*z.B, *z.u, *z.E] for z in sample_hull(
         SampleConfig(seed=33, count=500, params=cfg.params))])
     got = np.concatenate(blocks)
@@ -423,7 +521,7 @@ def test_report_json_contract():
             "max_residual", "failure_count"} <= set(d)
     # The stream revision a report was drawn from; every item reads a fixed
     # number of draws, so there are no attempts to count.
-    assert d["stream_version"] == 5
+    assert d["stream_version"] == 6
     assert "pair_attempts" not in d
     json.dumps(d)  # serializable
 

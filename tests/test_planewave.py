@@ -701,13 +701,13 @@ def test_staircase_matches_component_reference(g):
                 assert abs(rep.error - distance) <= 1e-15 * (d.z1 - d.z2).norm(), (n_osc, lam)
 
 
-# sha256 of the JSON of seeded plane-wave outputs, pinned on Python 3.11.7 with
-# numpy 2.4.6: staircase reports at n_osc 8, 16, 32 on a 48-point grid for the
+# sha256 of the JSON of seeded plane-wave outputs, pinned with numpy 2.4.6 and
+# independent of the CPU: staircase reports at n_osc 8, 16, 32 on a 48-point grid for the
 # splits of 100 nonstationary hull points, and the wave vectors of the jumps of
 # 100 hull points per cone kind.  Every float is written as its shortest
 # round-trip repr, so a change of one bit in an output moves a digest.
-STAIRCASE_DIGEST = "42e7773bcc0ff771fd3d4fee6184148424d6a7bb45d61a7225a1cf2cd04d3730"
-WAVE_VECTOR_DIGEST = "9bd44f849e88c6cea165507a690245ed157f26e446ec1213796a487e95de1c6a"
+STAIRCASE_DIGEST = "85f77c83759b9d5a51547f51f1eb85854fe5cf21f9d87c745d490a75f6bb3763"
+WAVE_VECTOR_DIGEST = "f8cad659de2996494ee290b745a4293aa61d3a48d22455cc13b6ac7e11afc488"
 
 
 def _digest(payload) -> str:
