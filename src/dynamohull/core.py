@@ -297,13 +297,18 @@ def eval_g2(z: Triple, p: HullParams) -> float:
     via the substitution a = (1+t)/2 which turns the objective into
     (a+b)/2 + t (a-b)/2 + sqrt(1-t^2) c on t in [-1, 1].
     """
-    B, u, E = z
-    a = _dot(B, B) - p.r * p.r
-    b = _dot(u, u) - p.s * p.s
-    w = _excess(*B, *u, *E)
-    c = math.sqrt(_dot(w, w))
-    half_diff = 0.5 * (a - b)
-    return 0.5 * (a + b) + math.hypot(half_diff, c)
+    (bx, by, bz), (ux, uy, uz), (ex, ey, ez) = z
+    wx, wy, wz = _excess(bx, by, bz, ux, uy, uz, ex, ey, ez)
+    return _g2_value(bx * bx + by * by + bz * bz, ux * ux + uy * uy + uz * uz,
+                     wx * wx + wy * wy + wz * wz, p)
+
+
+def _g2_value(nb2, nu2, w2, p: HullParams) -> float:
+    """eval_g2's closed form from |B|^2, |u|^2 and |E - B x u|^2."""
+    r, s = p
+    a = nb2 - r * r
+    b = nu2 - s * s
+    return 0.5 * (a + b) + math.hypot(0.5 * (a - b), math.sqrt(w2))
 
 
 def eval_g3(z: Triple) -> float:
@@ -314,7 +319,8 @@ def eval_g3(z: Triple) -> float:
 def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -> bool:
     """True when E = B x u, |B| = r and |u| = s: each _constraint_residuals <= eps_mem."""
     eps = (tol or DEFAULT_TOLERANCES).eps_mem
-    return all(x <= eps for x in _constraint_residuals(*z, p.r, p.s))
+    B, u, E = z
+    return all(x <= eps for x in _constraint_residuals(*B, *u, *E, p.r, p.s))
 
 
 # The functions a kernel below takes from its operand type.  Each kernel is
@@ -329,9 +335,13 @@ def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -
 # nor reading a namedtuple field.  Dot and cross products are written out on
 # those locals; a formula with a name (a residual, a norm, a bound) stays one
 # helper, which takes the components and lengths its caller already has (one
-# exception, E - B x u in the membership kernel, says why there).  where(c, a,
-# b) is a where c holds, else b; positive(x) is max(0.0, x) with Python's max
-# semantics (NaN -> 0.0); quotient(n, d) is n / d, or 0.0 where d == 0;
+# exception, E - B x u in the membership kernel, says why there).  A predicate
+# hands the terms it formed to what follows it, so each is formed once per
+# point: the membership kernel's feed the witness (_witness, _g2_value), the
+# split, the sample rows and the campaign's u . E maximum, and in_wave_cone's
+# (_wave_cone_terms) feed planewave.wave_vector_for.
+# where(c, a, b) is a where c holds, else b; positive(x) is max(0.0, x) with
+# Python's max semantics (NaN -> 0.0); quotient(n, d) is n / d, or 0.0 where d == 0;
 # patch(c, v, fn, *args) is the component triple v with fn(*args) in its
 # place where c holds, fn run on those rows only (on columns it writes into
 # v's columns, which the caller owns; args are component triples).  A float
@@ -363,13 +373,12 @@ def _excess(bx, by, bz, ux, uy, uz, ex, ey, ez):
     return (ex - (by * uz - bz * uy), ey - (bz * ux - bx * uz), ez - (bx * uy - by * ux))
 
 
-def _constraint_residuals(B, u, E, r: float, s: float, m: _Math = _FLOATS):
-    """(||B| - r| / r, ||u| - s| / s, |E - B x u| / (rs)) of a (B, u, E) state of
-    component triples, floats or columns: its distance from the constraint set."""
+def _constraint_residuals(bx, by, bz, ux, uy, uz, ex, ey, ez, r: float, s: float,
+                          m: _Math = _FLOATS):
+    """(||B| - r| / r, ||u| - s| / s, |E - B x u| / (rs)) of a (B, u, E) state
+    from its components, floats or columns: its distance from the constraint set."""
     sqrt = m.sqrt
-    bx, by, bz = B
-    ux, uy, uz = u
-    wx, wy, wz = _excess(bx, by, bz, ux, uy, uz, *E)
+    wx, wy, wz = _excess(bx, by, bz, ux, uy, uz, ex, ey, ez)
     return (abs(sqrt(bx * bx + by * by + bz * bz) - r) / r,
             abs(sqrt(ux * ux + uy * uy + uz * uz) - s) / s,
             sqrt(wx * wx + wy * wy + wz * wz) / (r * s))
@@ -452,34 +461,47 @@ def in_wave_cone(z: Triple, kind: ConeKind, tol: Tolerances | None = None) -> bo
     |B . E| <= eps_mem |B| (|E| + |B x u|) and likewise u . E, unchanged under
     (B, u, E) -> (aB, bu, abE) while no product of components over- or
     underflows; |B x u| absorbs rounding in a cancelled E."""
+    return _wave_cone_terms(z, kind, tol) is not None
+
+
+def _wave_cone_terms(z, kind: ConeKind, tol: Tolerances | None):
+    """in_wave_cone's body on a (B, u, E) state of float component triples: None
+    where z is not in the cone, else the terms it formed, the components of
+    B x u, |B|^2, |E| and |B x u|, which planewave.wave_vector_for takes over."""
     eps = (tol or DEFAULT_TOLERANCES).eps_mem
     sqrt = math.sqrt
     (bx, by, bz), (ux, uy, uz), (ex, ey, ez) = z
     nx, ny, nz = by * uz - bz * uy, bz * ux - bx * uz, bx * uy - by * ux
     mix = sqrt(nx * nx + ny * ny + nz * nz)
-    nb, ne = sqrt(bx * bx + by * by + bz * bz), sqrt(ex * ex + ey * ey + ez * ez)
+    nb2 = bx * bx + by * by + bz * bz
+    nb, ne = sqrt(nb2), sqrt(ex * ex + ey * ey + ez * ez)
     if not _cone_residual(bx * ex + by * ey + bz * ez, nb, ne, nb * mix) <= eps:
-        return False
-    if not kind.restricts_u:
-        return True
-    nu = sqrt(ux * ux + uy * uy + uz * uz)
-    return _cone_residual(ux * ex + uy * ey + uz * ez, nu, ne, nu * mix) <= eps
+        return None
+    if kind.restricts_u:
+        nu = sqrt(ux * ux + uy * uy + uz * uz)
+        if not _cone_residual(ux * ex + uy * ey + uz * ez, nu, ne, nu * mix) <= eps:
+            return None
+    return nx, ny, nz, nb2, ne, mix
 
 
 def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Math):
-    """The membership kernel: the flags (g1, g3, g2), each true where that function
-    separates the point (B, u, E) of component triples, floats or numpy columns,
-    the terms (|B|^2, |u|^2, E - B x u) they are made of, which the
-    decomposition takes over rather than forming them again, and g3's own
-    terms (u . E, |u|, |E|), which the campaign folds into its u . E maximum
-    (u . E is None off the stationary incompressible cone).
+    """The membership kernel on a point (B, u, E) of component triples, floats or
+    numpy columns: g1, g3, g2, values, terms.
+
+    g1, g3 and g2 are the flags, each true where that function separates the
+    point; they combine with |, as bools and as masks.  values is
+    (B . E, u . E, |B|^2, |u|^2, |E - B x u|^2), from which _witness takes the
+    separating function's value (u . E is None off the stationary
+    incompressible cone).  terms is (|B|, |u|, |E|, r^2 - |B|^2, s^2 - |u|^2,
+    E - B x u), the gaps clipped at 0: the split takes over |B|, the gaps and
+    the excess, and the campaign folds |u| and |E| into its u . E maximum,
+    rather than forming them again.
 
     Every comparison is made on the normalised triple (b, v, e) =
     (B/r, u/s, E/(rs)), where the relaxed set is the same for all radii:
     |b . e| <= eps (1 + |b||e|) and likewise v . e; |b|, |v| <= 1 + eps;
     |e - b x v|^2 <= (1 - |b|^2)(1 - |v|^2) + eps.  The radii are folded into
     unrolled arithmetic: this kernel sits inside the million-point campaigns.
-    The flags combine with |, as bools and as masks.
     """
     sqrt = m.sqrt
     r, s = p
@@ -492,7 +514,8 @@ def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Ma
     nb = sqrt(nb2)
     nu = sqrt(nu2)
     ne = sqrt(ex * ex + ey * ey + ez * ez)
-    g1 = abs(bx * ex + by * ey + bz * ez) > eps * (rr * s + nb * ne)
+    be = bx * ex + by * ey + bz * ez
+    g1 = abs(be) > eps * (rr * s + nb * ne)
     if kind.restricts_u:
         ue = ux * ex + uy * ey + uz * ez
         g3 = abs(ue) > eps * (r * ss + nu * ne)
@@ -507,7 +530,7 @@ def _separation_flags(B, u, E, p: HullParams, kind: ConeKind, eps: float, m: _Ma
     gb, gu = _amplitude_gaps(nb2, nu2, p, m)
     g2 = ((nb > r * (1.0 + eps)) | (nu > s * (1.0 + eps))
           | (w2 > gb * gu + eps * (rr * ss)))
-    return (g1, g3, g2), (nb2, nu2, (wx, wy, wz)), (ue, nu, ne)
+    return g1, g3, g2, (be, ue, nb2, nu2, w2), (nb, nu, ne, gb, gu, (wx, wy, wz))
 
 
 def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
@@ -518,7 +541,8 @@ def in_hull(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     incompressible kind) and |E - B x u|^2 <= (r^2 - |B|^2)(s^2 - |u|^2),
     each checked on the normalised triple (B/r, u/s, E/(rs)) with slack eps_mem.
     """
-    g1, g3, g2 = _separation_flags(*z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem, _FLOATS)[0]
+    g1, g3, g2, _, _ = _separation_flags(*z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem,
+                                         _FLOATS)
     return not (g1 or g3 or g2)
 
 
@@ -552,11 +576,19 @@ def separation_witness(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONST
     witnesses a point outside it.  The verdict is in_hull's; the value is
     the function evaluated in the caller's units.
     """
-    g1, g3, g2 = _separation_flags(*z, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem, _FLOATS)[0]
+    g1, g3, g2, values, _ = _separation_flags(*z, p, kind,
+                                              (tol or DEFAULT_TOLERANCES).eps_mem, _FLOATS)
+    return _witness(g1, g3, g2, values, p)
+
+
+def _witness(g1, g3, g2, values, p: HullParams) -> SeparationWitness:
+    """The witness of the membership kernel's float flags and values at radii p:
+    the first separating function of g1, g3, g2 with its value, eval_g1's,
+    eval_g3's or eval_g2's bit for bit."""
     if g1:
-        return SeparationWitness("g1", eval_g1(z))
+        return _tuple_new(SeparationWitness, ("g1", values[0]))
     if g3:
-        return SeparationWitness("g3", eval_g3(z))
+        return _tuple_new(SeparationWitness, ("g3", values[1]))
     if g2:
-        return SeparationWitness("g2", eval_g2(z, p))
+        return _tuple_new(SeparationWitness, ("g2", _g2_value(*values[2:], p)))
     return _NO_SEPARATION

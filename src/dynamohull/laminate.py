@@ -4,8 +4,10 @@ Every point of the relaxed set is a convex combination of exactly two
 constraint-set states whose difference is an admissible oscillation
 direction.  ``decompose`` produces such a witness constructively; it is the
 one way into the decomposition.  It checks membership once, with the
-membership kernel, whose |B|^2, |u|^2 and excess E - B x u its stages take
-over, and then splits every point of the set by one formula.
+membership kernel: a point outside raises with the witness of that same
+pass, and the split takes over the kernel's |B|, clipped amplitude gaps
+r^2 - |B|^2, s^2 - |u|^2 and excess E - B x u, so it splits every point of
+the set by one formula without forming them again.
 
 The perturbations Bbar, ubar lie in the working plane (e1, e2), whose
 normal nhat = e2 x e1 carries the excess on the cone's normal space:
@@ -39,9 +41,10 @@ them on Python floats, the campaign engine on blocks of (B, u, E) component
 columns (``oracle._decompose_block``), so each row rounds exactly as one
 point; the rows at B = 0 or with a vanishing normal take their axes from
 core._perpendicular, on those rows only.  Each kernel unpacks the triples
-it reads into locals once and writes its dot and cross products out on
-them; the named residuals and norms stay core's helpers, which take the
-lengths a kernel already has.  This module imports no numpy: the block
+it reads into locals once (``_residuals`` each of z1, z2 and the target)
+and writes its dot and cross products out on them; the named residuals and
+norms stay core's helpers, which take the components and lengths a kernel
+already has.  This module imports no numpy: the block
 wrapper lives in oracle, next to the campaign that calls it.
 """
 
@@ -69,7 +72,7 @@ from .core import (
     _perpendicular,
     _separation_flags,
     _tuple_new,
-    separation_witness,
+    _witness,
 )
 
 
@@ -196,14 +199,14 @@ def _root_direction(amp_cos, amp_sin, m: _Math):
     return quotient(-abs(amp_sin), rho), where(rho == 0.0, 1.0, quotient(signed, rho))
 
 
-def _split(B, u, nb2, nu2, excess, p: HullParams, kind: ConeKind, m: _Math):
+def _split(B, u, nb, rr, ss, excess, p: HullParams, kind: ConeKind, m: _Math):
     """The weight and perturbations (lam, bbar, ubar) of a relaxed-set point with
-    |B|^2 = nb2, |u|^2 = nu2 and excess E - B x u, component triples, floats or
-    columns: the one split of every point, faces and exact Ohm included."""
+    |B| = nb, clipped amplitude gaps rr = r^2 - |B|^2 and ss = s^2 - |u|^2 and
+    excess E - B x u, the membership kernel's terms, on component triples,
+    floats or columns: the one split of every point, faces and exact Ohm
+    included."""
     sqrt, where, positive, quotient = m.sqrt, m.where, m.positive, m.quotient
     r, s = p
-    rr, ss = _amplitude_gaps(nb2, nu2, p, m)
-    nb = sqrt(nb2)
     (e1x, e1y, e1z), (e2x, e2y, e2z), c = _working_plane(B, u, nb, excess, kind, m)
     # sin of the turn from bhat to uhat: the excess over its bound, at most 1.
     scale = sqrt(rr * ss)
@@ -244,15 +247,14 @@ def decompose(z: Triple, p: HullParams, kind: ConeKind = ConeKind.NONSTATIONARY,
     function attached, exactly for the points in_hull rejects;
     verify_decomposition judges every split.
     """
-    tol = tol or DEFAULT_TOLERANCES
     B, u, E = z
-    (g1, g3, g2), (nb2, nu2, excess), _ = _separation_flags(B, u, E, p, kind, tol.eps_mem,
-                                                               _FLOATS)
+    g1, g3, g2, values, (nb, _, _, rr, ss, excess) = _separation_flags(
+        B, u, E, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem, _FLOATS)
     if g1 or g3 or g2:
-        w = separation_witness(z, p, kind, tol)
+        w = _witness(g1, g3, g2, values, p)
         raise NotInHullError(f"point outside the relaxed set (witness {w.function}"
                              f" = {w.value})", w)
-    lam, bbar, ubar = _split(B, u, nb2, nu2, excess, p, kind, _FLOATS)
+    lam, bbar, ubar = _split(B, u, nb, rr, ss, excess, p, kind, _FLOATS)
     return _decomposition(lam, *_endpoints(B, u, bbar, ubar, lam))
 
 
@@ -263,13 +265,13 @@ def _residuals(lam, z1, z2, target, p: HullParams, kind: ConeKind, m: _Math) -> 
     sqrt = m.sqrt
     r, s = p
     rs = r * s
-    a1, b1, o1 = _constraint_residuals(*z1, r, s, m)
-    a2, b2, o2 = _constraint_residuals(*z2, r, s, m)
-    res = {"z1_B_amplitude": a1, "z1_u_amplitude": b1, "z1_ohm": o1,
-           "z2_B_amplitude": a2, "z2_u_amplitude": b2, "z2_ohm": o2}
     (b1x, b1y, b1z), (u1x, u1y, u1z), (e1x, e1y, e1z) = z1
     (b2x, b2y, b2z), (u2x, u2y, u2z), (e2x, e2y, e2z) = z2
     (tbx, tby, tbz), (tux, tuy, tuz), (tex, tey, tez) = target
+    a1, b1, o1 = _constraint_residuals(b1x, b1y, b1z, u1x, u1y, u1z, e1x, e1y, e1z, r, s, m)
+    a2, b2, o2 = _constraint_residuals(b2x, b2y, b2z, u2x, u2y, u2z, e2x, e2y, e2z, r, s, m)
+    res = {"z1_B_amplitude": a1, "z1_u_amplitude": b1, "z1_ohm": o1,
+           "z2_B_amplitude": a2, "z2_u_amplitude": b2, "z2_ohm": o2}
 
     dbx, dby, dbz = b1x - b2x, b1y - b2y, b1z - b2z
     dux, duy, duz = u1x - u2x, u1y - u2y, u1z - u2z

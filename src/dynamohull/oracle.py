@@ -77,6 +77,7 @@ from .core import (
     HullParams,
     Tolerances,
     Triple,
+    _FLOATS,
     _Math,
     _amplitude_gaps,
     _checked_make,
@@ -84,15 +85,12 @@ from .core import (
     _cross,
     _dot,
     _frame,
+    _g2_value,
     _perpendicular,
     _separation_flags,
     _tuple_new,
     _unit,
     _vec,
-    eval_g1,
-    eval_g2,
-    eval_g3,
-    in_hull,
 )
 from .laminate import NotInHullError, _endpoints, _residuals, _split, decompose
 
@@ -563,7 +561,8 @@ def _check_mixtures(report: HullCheckReport, z, p: HullParams, kind: ConeKind,
     into the report.  On the restricted cone the kernel's g3 is the one u . E
     test; the u . E residual is only folded into max_u_orthogonality."""
     report.laminate_checked += len(z[0][0])
-    (g1, g3, g2), _, (ue, nu, ne) = _separation_flags(*z, p, kind, tol.eps_mem, _COLUMNS)
+    g1, g3, g2, (_, ue, _, _, _), (_, nu, ne, _, _, _) = _separation_flags(
+        *z, p, kind, tol.eps_mem, _COLUMNS)
     if kind.restricts_u:
         # u . E's residual on the normalised triple (B/r, u/s, E/(rs)), unit r s^2,
         # from the kernel's own u . E, |u| and |E|.
@@ -586,8 +585,9 @@ def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
     built.
     """
     with np.errstate(all="ignore"):
-        (g1, g3, g2), terms = _separation_flags(B, u, E, p, kind, tol.eps_mem, _COLUMNS)[:2]
-        lam, bbar, ubar = _split(B, u, *terms, p, kind, _COLUMNS)
+        g1, g3, g2, _, (nb, _, _, gb, gu, excess) = _separation_flags(
+            B, u, E, p, kind, tol.eps_mem, _COLUMNS)
+        lam, bbar, ubar = _split(B, u, nb, gb, gu, excess, p, kind, _COLUMNS)
         z1, z2 = _endpoints(B, u, bbar, ubar, lam)
     return lam, z1, z2, g1 | g3 | g2
 
@@ -639,9 +639,15 @@ CSV_HEADER = "Bx,By,Bz,ux,uy,uz,Ex,Ey,Ez,in_hull,g1,g2,g3"
 
 
 def _sample_row(z: Triple, p: HullParams, kind: ConeKind, tol: Tolerances | None) -> dict:
-    """The per-sample verdict and separating-function values of a CSV or JSON row."""
-    return {"in_hull": in_hull(z, p, kind, tol), "g1": eval_g1(z), "g2": eval_g2(z, p),
-            "g3": eval_g3(z)}
+    """The per-sample verdict and separating-function values of a CSV or JSON row:
+    in_hull's, eval_g1's, eval_g2's and eval_g3's, from one membership kernel
+    pass, plus u . E off the stationary incompressible cone, where the kernel
+    forms none."""
+    B, u, E = z
+    g1, g3, g2, (be, ue, nb2, nu2, w2), _ = _separation_flags(
+        B, u, E, p, kind, (tol or DEFAULT_TOLERANCES).eps_mem, _FLOATS)
+    return {"in_hull": not (g1 or g3 or g2), "g1": be, "g2": _g2_value(nb2, nu2, w2, p),
+            "g3": _dot(u, E) if ue is None else ue}
 
 
 def write_samples_csv(out: TextIO, triples: Iterator[Triple], p: HullParams,

@@ -38,7 +38,7 @@ from .core import (
     _norm_rs,
     _tuple_new,
     _vec,
-    in_wave_cone,
+    _wave_cone_terms,
     unit_perpendicular_to_all,
 )
 from .laminate import Decomposition
@@ -190,23 +190,23 @@ def wave_vector_for(direction: Triple, kind: ConeKind = ConeKind.NONSTATIONARY,
     a = 1 does on the stationary kinds and for Bbar = 0, or when the
     coefficients make a non-finite frequency (WaveVector rejects it).
     """
-    if not in_wave_cone(direction, kind, tol):
+    terms = _wave_cone_terms(direction, kind, tol)
+    if terms is None:
         raise NotInConeError(
             f"direction is not in the wave cone for kind {kind.label!r}")
+    # Bbar x ubar, |Bbar|^2 (which Faraday's relation reads), |Ebar| and
+    # |Bbar x ubar|, as the cone test formed them.
+    nx, ny, nz, nb2, ne, mix = terms
     sqrt = math.sqrt
     B, u, E = direction
     bx, by, bz = B
     ux, uy, uz = u
     ex, ey, ez = E
     axis = ex, ey, ez
-    if kind.restricts_u:
-        nx, ny, nz = by * uz - bz * uy, bz * ux - bx * uz, bx * uy - by * ux
-        if (nx or ny or nz) and not (sqrt(ex * ex + ey * ey + ez * ez)
-                                     > sqrt(nx * nx + ny * ny + nz * nz)):
-            axis = nx, ny, nz
-    # Ebar x Bbar and |Bbar|^2, which Faraday's relation reads.
+    if kind.restricts_u and (nx or ny or nz) and not ne > mix:
+        axis = nx, ny, nz
+    # Ebar x Bbar.
     cx, cy, cz = ey * bz - ez * by, ez * bx - ex * bz, ex * by - ey * bx
-    nb2 = bx * bx + by * by + bz * bz
 
     if not (axis[0] or axis[1] or axis[2]):
         xi_x = unit_perpendicular_to_all((B, u if kind.incompressible else (0.0, 0.0, 0.0)))
@@ -223,8 +223,7 @@ def wave_vector_for(direction: Triple, kind: ConeKind = ConeKind.NONSTATIONARY,
             v2 = ux * cx + uy * cy + uz * cz
             scale = max(abs(v1), abs(v2))
             if scale > 1e-15 * (1.0 + sqrt(ux * ux + uy * uy + uz * uz)
-                                * (sqrt(ex * ex + ey * ey + ez * ez)
-                                   + sqrt(cx * cx + cy * cy + cz * cz))):
+                                * (ne + sqrt(cx * cx + cy * cy + cz * cz))):
                 a, c = v2 / scale, -v1 / scale
         if kind.stationary:
             c = 0.0

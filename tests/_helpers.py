@@ -363,6 +363,19 @@ def reference_triple_arithmetic(a: Triple, b: Triple, t) -> tuple:
     return ([p + q for p, q in zip(x, y)], [p - q for p, q in zip(x, y)], [p * t for p in x])
 
 
+def reference_g_values(z: Triple, p: HullParams) -> tuple:
+    """(g1, g2, g3) of z on its components: B . E; the closed form
+    (a + b) / 2 + hypot((a - b) / 2, |E - B x u|) with a = |B|^2 - r^2 and
+    b = |u|^2 - s^2; and u . E."""
+    c = _components(z)
+    B, u, E = c[0:3], c[3:6], c[6:9]
+    excess = [e - x for e, x in zip(E, _ref_cross(B, u))]
+    a = _ref_dot(B, B) - p.r * p.r
+    b = _ref_dot(u, u) - p.s * p.s
+    g2 = 0.5 * (a + b) + math.hypot(0.5 * (a - b), _ref_norm(excess))
+    return _ref_dot(B, E), g2, _ref_dot(u, E)
+
+
 def reference_wave_cone_residuals(z: Triple) -> tuple:
     """The residuals in_wave_cone compares with eps_mem, for B . E and for u . E:
     |a . E| / (|a| |B x u| + |a| |E|), or 0.0 where the denominator vanishes."""

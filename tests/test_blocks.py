@@ -131,7 +131,7 @@ def test_separating_mask_matches_kernel(kind):
             points = [scaled_point(rng, kind, f, r, s) for f in
                       (*rng.uniform(0.0, 1.0, 8), 1.0, *np.exp(rng.uniform(0.0, 4.0, 8)))]
             points += special_points(p).values()
-            (g1, g3, g2), _, _ = _separation_flags(*block(points), p, kind, eps, _COLUMNS)
+            g1, g3, g2, _, _ = _separation_flags(*block(points), p, kind, eps, _COLUMNS)
             mask = g1 | g3 | g2
             expected = [not in_hull(z, p, kind) for z in points]
             assert mask.tolist() == expected, (r, s)
@@ -311,29 +311,50 @@ def test_outputs_do_not_depend_on_the_block_size(kind, radii, monkeypatch):
     # Item i reads draws [stride i, stride (i + 1)) however the blocks fall,
     # every kernel is elementwise and every report fold is a maximum, a count
     # or a failure list in point order: the campaign report and the bits of
-    # every sampler's output are the same at every block size.  The count
-    # takes two blocks of the production size.
+    # every block generator's columns are the same at every block size.  The
+    # public samplers build their Triples from those columns, compared at
+    # one size besides the production one.  The count takes two blocks of
+    # the production size.
     count = PRODUCTION_BLOCK + 500
     cfg = SampleConfig(seed=30, count=count, params=HullParams(*radii), kind=kind)
+
+    def flat(x):
+        """The columns of a block, nested tuples of columns, in order."""
+        return [x] if isinstance(x, np.ndarray) else [c for y in x for c in flat(y)]
+
+    def columns():
+        """The campaign report and each block generator's rows, stacked over its blocks."""
+        generators = ((oracle._K_blocks, 0), (oracle._pair_blocks, 0),
+                      (oracle._mixture_blocks, 0), (oracle._hull_blocks, oracle.HULL_KEY))
+        return two_sided_hull_check(cfg).to_json(), [
+            bits(np.concatenate([np.column_stack(flat(b))
+                                 for b in blocks(oracle._generator(cfg, key), cfg)]))
+            for blocks, key in generators]
 
     def floats(item):
         """The floats of a Triple, or of a pair of Triples, in (B, u, E) order."""
         return [x for z in ((item,) if isinstance(item, Triple) else item)
                 for v in (z.B, z.u, z.E) for x in v]
 
-    def outputs():
-        return two_sided_hull_check(cfg).to_json(), [
-            bits([floats(item) for item in sample(cfg)])
-            for sample in (sample_K, sample_lambda_pair, sample_first_laminate, sample_hull)]
+    def triples():
+        return [bits([floats(item) for item in sample(cfg)])
+                for sample in (sample_K, sample_lambda_pair, sample_first_laminate, sample_hull)]
+
+    def same(got, want, size):
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == w.shape and (g == w).all(), size
 
     assert oracle.BLOCK == PRODUCTION_BLOCK
-    expected_json, expected_bits = outputs()
+    expected_json, expected_columns = columns()
+    expected_triples = triples()
+    assert [len(x) for x in expected_triples] == [count] * 4
     for size in (7, 1000, count + 1):
         monkeypatch.setattr(oracle, "BLOCK", size)
-        got_json, got_bits = outputs()
+        got_json, got_columns = columns()
         assert got_json == expected_json, size
-        for got, want in zip(got_bits, expected_bits):
-            assert got.shape == want.shape and (got == want).all(), size
+        same(got_columns, expected_columns, size)
+        if size == 1000:
+            same(triples(), expected_triples, size)
 
 
 def test_parallel_B_and_u_take_the_perpendicular_fallback(monkeypatch):

@@ -215,10 +215,8 @@ def _angle_equation(z, p, kind):
     G = sqrt(ss) |B| cos(alpha) - sqrt(rr) u . uhat(alpha), with uhat(alpha)
     bhat(alpha) turned by arcsin(c / sqrt(rr ss)) about e2 x e1."""
     B, u, E = z
-    _, (nb2, nu2, excess), _ = _separation_flags(B, u, E, p, kind,
-                                                DEFAULT_TOLERANCES.eps_mem, _FLOATS)
-    rr, ss = p.r * p.r - nb2, p.s * p.s - nu2
-    nb = math.sqrt(nb2)
+    _, _, _, _, (nb, _, _, rr, ss, excess) = _separation_flags(
+        B, u, E, p, kind, DEFAULT_TOLERANCES.eps_mem, _FLOATS)
     e1, e2, c = _working_plane(B, u, nb, excess, kind, _FLOATS)
     e1, e2 = Vec3(*e1), Vec3(*e2)
     st = min(1.0, c / math.sqrt(rr * ss))

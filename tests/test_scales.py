@@ -21,6 +21,9 @@ from dynamohull import (
     Triple,
     Vec3,
     decompose,
+    eval_g1,
+    eval_g2,
+    eval_g3,
     in_constraint_set,
     in_hull,
     plane_wave_conditions,
@@ -32,7 +35,14 @@ from dynamohull import (
     verify_decomposition,
     wave_vector_for,
 )
-from _helpers import reference_separating_function, scaled_point, special_points
+from dynamohull.oracle import _sample_row
+from _helpers import (
+    ALL_KINDS,
+    reference_g_values,
+    reference_separating_function,
+    scaled_point,
+    special_points,
+)
 
 RADII = (1e-6, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e6)
 
@@ -128,6 +138,68 @@ def test_membership_matches_reference_kernel(kind):
                 function = reference_separating_function(z, p, kind, eps)
                 assert separation_witness(z, p, kind).function == function, (r, s, z)
                 assert in_hull(z, p, kind) == (function is None), (r, s, z)
+
+
+def separation_grid(kind):
+    """(p, z) at the 49 radius pairs: per pair two members and two points each
+    that g2, g1 and (on the stationary incompressible cone) g3 separate, B . E
+    and u . E pushed off zero by 1e-2 |b|^2 and 1e-2 |v_perp|^2 normalised,
+    v_perp the part of v = u/s across B."""
+    for ri, r in enumerate(RADII):
+        for si, s in enumerate(RADII):
+            p = HullParams(r, s)
+            rng = np.random.default_rng([74, ri, si])
+            fractions = (*rng.uniform(0.0, 0.99, 2), *np.exp(rng.uniform(*LOG_OUTSIDE, 2)))
+            points = [scaled_point(rng, kind, f, r, s) for f in fractions]
+            for _ in range(2):
+                z = scaled_point(rng, kind, rng.uniform(0.0, 0.99), r, s)
+                points.append(Triple(z.B, z.u, z.E + z.B * (1e-2 * s)))
+                u_perp = z.u - z.B * (z.u.dot(z.B) / z.B.norm2())
+                points.append(Triple(z.B, z.u, z.E + u_perp * (1e-2 * r)))
+            for z in points:
+                yield p, z
+
+
+def hexes(*values) -> list:
+    """The bits of each float, -0.0 and NaN included."""
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_witness_and_g_values_match_the_float_reference(kind):
+    # eval_g1/g2/g3 and the witness's value, which takes the membership
+    # kernel's own terms, against the same formulas on the components.
+    seen = set()
+    for p, z in separation_grid(kind):
+        ref = reference_g_values(z, p)
+        assert hexes(eval_g1(z), eval_g2(z, p), eval_g3(z)) == hexes(*ref), (p, z)
+        w = separation_witness(z, p, kind)
+        if w.separates:
+            seen.add(w.function)
+            assert hexes(w.value) == hexes(ref[("g1", "g2", "g3").index(w.function)]), (p, z)
+    assert seen == ({"g1", "g2", "g3"} if kind.restricts_u else {"g1", "g2"})
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_decompose_and_sample_rows_carry_the_per_point_values(kind):
+    # decompose raises with separation_witness's record, and a sample row
+    # holds in_hull's verdict and the eval_g* values, bit for bit.
+    raised = 0
+    for p, z in separation_grid(kind):
+        w = separation_witness(z, p, kind)
+        try:
+            decompose(z, p, kind)
+        except NotInHullError as exc:
+            raised += 1
+            assert exc.witness.function == w.function and hexes(exc.witness.value) == hexes(w.value)
+            assert str(exc) == f"point outside the relaxed set (witness {w.function} = {w.value})"
+        else:
+            assert not w.separates, (p, z)
+        row = _sample_row(z, p, kind, None)
+        assert row["in_hull"] is in_hull(z, p, kind)
+        assert hexes(row["g1"], row["g2"], row["g3"]) == hexes(eval_g1(z), eval_g2(z, p),
+                                                               eval_g3(z)), (p, z)
+    assert raised >= 49 * (6 if kind.restricts_u else 4)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
