@@ -331,9 +331,11 @@ def grid_residual(direction: Triple, xi: WaveVector, g: GridSpec,
             (-ee.z, 0.0, ee.x, bb.y), (ee.y, -ee.x, 0.0, bb.z)]
     if kind.incompressible:
         rows.append((uu.x, uu.y, uu.z, 0.0))
-    steps = [g.periods * round(c) for c in xi.xi_x]
+    # Steps reduced mod n in Python ints: the stencil reads the same residues,
+    # and a step of 2^63 or more still fits the int64 gather below.
+    steps = [g.periods * round(c) % n for c in xi.xi_x]
     if not (kind.stationary or xi.xi_t == 0.0):
-        steps.append(g.periods * round(xi.xi_t))
+        steps.append(g.periods * round(xi.xi_t) % n)
     coef = np.array(rows)[:, :len(steps)] / (2.0 * g.h)
     sines = np.sin(np.arange(n) * (TWO_PI / n))
     q = np.arange(0, n, math.gcd(n, *steps))
@@ -426,8 +428,10 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
     convergence of fast oscillations to their mean.
 
     The sampled band positions depend on (n_osc, g.n, g.periods) only: they
-    are cached sorted for the last 4 keys, 8 * g.n**3 bytes each (0.9 MB at
-    n = 48), and the count below lambda is one binary search.
+    are cached sorted for the last 4 keys, g.n**3 doubles each, and the
+    count below lambda is one binary search.  A table is built in place, so
+    building one peaks at one table's memory: 0.9 MB at n = 48, 16.8 MB at
+    n = 128.
     """
     if not (n_osc >= 1 and n_osc % 1 == 0):
         raise ValueError(f"n_osc must be a positive integer, got {n_osc}")
@@ -459,10 +463,18 @@ def staircase_average(d: Decomposition, xi: WaveVector, n_osc: int, g: GridSpec,
 
 @functools.lru_cache(maxsize=4)
 def _band_fractions(n_osc: int, n: int, periods: int) -> np.ndarray:
-    """Sorted, read-only band positions of staircase_average's samples."""
+    """Sorted, read-only band positions of staircase_average's samples.
+
+    Sample k sits at frac(((k + 0.5) * (window / samples)) * (n_osc / 2pi)),
+    rounded in that order.  The table is built in place in one array, so
+    building it takes one table's memory."""
     samples = n ** 3
     window = TWO_PI * periods + math.pi / n_osc
-    phi = (np.arange(samples, dtype=np.float64) + 0.5) * (window / samples)
-    fracs = np.sort((phi * (n_osc / TWO_PI)) % 1.0)
+    fracs = np.arange(samples, dtype=np.float64)
+    fracs += 0.5
+    fracs *= window / samples
+    fracs *= n_osc / TWO_PI
+    np.remainder(fracs, 1.0, out=fracs)
+    fracs.sort()
     fracs.flags.writeable = False
     return fracs

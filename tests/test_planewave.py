@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -453,6 +454,30 @@ def test_grid_residual_matches_roll_reference_on_special_waves(periods):
                 _assert_matches_reference(direction, xi, g, kind)
 
 
+@pytest.mark.parametrize("periods", [1, 5, 2 ** 64 + 1])
+def test_grid_residual_reduces_steps_beyond_int64(periods):
+    # A lattice frequency whose grid step reaches 2^63 is valid: its residual
+    # is that of the same wave with each step reduced mod n by hand.  Every
+    # float of 2^57 or more is a multiple of 16, so n = 24 keeps the reduced
+    # spatial steps nonzero.
+    n = 24
+    g = GridSpec(n, periods=periods)
+    for xi in (WaveVector(Vec3(2 ** 63, 0, 0), 0.0), WaveVector(Vec3(1e20, 0, 0), 0.0),
+               WaveVector(Vec3(2 ** 63 + 2 ** 12, -3e19, 5), 2.0 ** 70), CANONICAL_XI):
+        reduced = WaveVector(Vec3(*(periods * round(c) % n for c in xi.xi_x)),
+                             float(periods * round(xi.xi_t) % n))
+        for kind in ALL_KINDS:
+            got = grid_residual(CANONICAL_DIR, xi, g, kind).residuals
+            want = grid_residual(CANONICAL_DIR, reduced, GridSpec(n), kind).residuals
+            if periods == 1:
+                assert got == want, (xi, kind)
+            else:
+                # Same residues, spacing h = 2 pi periods / n: the residual
+                # scales as 1 / periods.
+                assert got == pytest.approx({k: v / periods for k, v in want.items()},
+                                            rel=1e-12), (xi, kind)
+
+
 def test_refinement_ratios_nonstationary():
     study = refinement_study(CANONICAL_DIR, CANONICAL_XI,
                              ConeKind.NONSTATIONARY, (8, 16, 32))
@@ -653,6 +678,33 @@ def test_band_fraction_cache_is_read_only_and_bounded():
         fracs[0] = 0.5
     assert np.all(np.diff(fracs) >= 0.0)
     assert planewave._band_fractions.cache_info().maxsize == 4
+
+
+@pytest.mark.parametrize("n", [4, 16, 48])
+def test_band_fractions_are_the_sorted_sampled_bands(n):
+    for periods in (1, 2, 3):
+        g = GridSpec(n, periods=periods)
+        for n_osc in (1, 8, 32, 64):
+            fracs = planewave._band_fractions(n_osc, n, periods)
+            assert fracs.tobytes() == np.sort(_sampled_bands(n_osc, g)).tobytes(), (periods, n_osc)
+
+
+def test_building_a_band_table_takes_one_table_of_memory():
+    # The table is built in place: no temporary of its size is held beside it.
+    build = planewave._band_fractions.__wrapped__
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fracs = build(8, 48, 1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not outer:
+            tracemalloc.stop()
+    assert fracs.size == 48 ** 3
+    assert peak <= 1.25 * fracs.nbytes, peak / fracs.nbytes
 
 
 def test_report_json_shapes():
