@@ -39,10 +39,27 @@ call per block, and every block is a state of component columns: a
 function row by row.  The blocks are built by functions, mapped over the
 draws, and each campaign loop drops its block before it asks for the next,
 so one block's columns are alive at a time and the campaign's memory is a
-few dozen columns of BLOCK rows whatever its count.  No output depends on
-BLOCK: every kernel is elementwise, and the report folds are maxima, counts
-and failure lists in point order (a NaN residual, which fails its point,
-also drops its block's maximum of that check; see _check_decompositions).
+few dozen columns of BLOCK rows whatever its count.
+
+The campaign's mixture half runs on every CPU the process may use: its
+blocks are cut into equal, contiguous shares, one per CPU, and each share
+after the first runs in a forked child, bound to a CPU of its own, which
+advances its own copy of the stream to its first item, folds its blocks into
+a partial report and sends it back pickled down a pipe, while the parent
+runs the first share and the hull half.  The parent merges the partial
+reports in point order and raises the error a serial run would raise, and
+only it: a share that raised in its child runs again in the parent, which
+raises its error.  It forks only from a process that runs a single thread
+(numpy's OpenBLAS pool is threads unless OPENBLAS_NUM_THREADS=1), and only
+where each share holds MIN_SHARE_BLOCKS blocks; elsewhere, and where a pipe
+or a process cannot be made, the same share function runs in-process.  No
+child outlives its campaign.  A spawned worker would import numpy afresh, in
+about 90 ms, more than a 100k campaign takes; a forked one starts in 2.6 ms.
+
+No output depends on BLOCK or on the number of workers: every kernel is
+elementwise, and the report folds are maxima, counts and failure lists in
+point order (a NaN residual, which fails its point, also drops its block's
+maximum of that check; see _check_decompositions).
 The campaign's membership, decomposition and verification kernels are the
 per-point ones, run on numpy columns in the same operations, in the same
 order, as a single point, so its reports are those of the per-point
@@ -64,6 +81,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import pickle
 from collections import namedtuple
 from itertools import starmap
 from typing import Iterator, TextIO
@@ -121,6 +140,13 @@ TWO_PI = 2.0 * math.pi
 # block's: no frame keeps a block while the next is built), 1.5 MB at 3072
 # rows, inside L2; at 4096 rows, 2.0 MB, it is not.
 BLOCK = 3072
+
+# Mixture blocks each share of a forked campaign holds at the least.  On
+# 2 vCPUs with Python 3.11.7, forking a child, piping an empty share's report
+# back and reaping it took 2.6 ms, and one mixture block 0.8-1.0 ms.  Run as
+# two shares against one, campaigns of 3 blocks per share were slower
+# (8.3 -> 11.0 ms) and of 4 faster (15.0 -> 12.7 ms, in 59 of 80 pairs).
+MIN_SHARE_BLOCKS = 4
 
 # Revision of the sample streams a report was drawn from.  Version 3 reads a
 # fixed number of draws per item and takes core._perpendicular's directions;
@@ -499,6 +525,24 @@ class HullCheckReport:
             self.failures.append({"side": side, "triple": z.to_json_dict(),
                                   "reason": reason})
 
+    def merge(self, later: HullCheckReport):
+        """Fold in the report of the points that follow this one's, as if this
+        report had gone on to check them: counts add, maxima take the larger by
+        the block folds' own rules, and the later failures follow this one's
+        up to MAX_RECORDED_FAILURES.  A campaign's maxima are finite (its pair
+        check raises on a NaN), and on finite maxima the folds are max."""
+        self.laminate_checked += later.laminate_checked
+        self.laminate_failure_count += later.laminate_failure_count
+        self.decompose_checked += later.decompose_checked
+        self.decompose_failure_count += later.decompose_failure_count
+        by_check = self.max_residual_by_check
+        for name, top in later.max_residual_by_check.items():
+            by_check[name] = max(by_check.get(name, 0.0), top)
+        acc, top = self.max_u_orthogonality, later.max_u_orthogonality
+        if top is not None and (acc is None or top > acc):
+            self.max_u_orthogonality = top
+        self.failures = (self.failures + later.failures)[:self.MAX_RECORDED_FAILURES]
+
     def to_json_dict(self) -> dict:
         d = {
             "seed": self.seed,
@@ -535,24 +579,160 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None) -> Hu
     at tol: a mixture fails exactly when in_hull rejects it, a hull point
     when decompose raises or verify_decomposition fails.  They run in blocks
     of BLOCK rows and report exactly what the per-point functions would,
-    failures in point order.
+    failures in point order.  The mixture half's shares after the first run
+    in forked children (_shares); the report, and the error raised, are the
+    serial run's.
     """
     tol = tol or DEFAULT_TOLERANCES
-    p = cfg.params
-    kind = cfg.kind
-    report = HullCheckReport(seed=cfg.seed, kind=kind.label, r=p.r, s=p.s)
+    (first, *rest), cpus = _shares(cfg.count)
+    children = {}  # share index in rest -> (pid, read end of its pipe), until reaped
+    try:
+        for k, share in enumerate(rest):
+            child = _fork_share(cfg, tol, share, cpus[k] if k < len(cpus) else None)
+            if child is not None:
+                children[k] = child
+        report = _mixture_share(cfg, tol, first)
+        try:
+            hull = _hull_half(cfg, tol)
+        except Exception as exc:  # a serial run raises it only after every mixture
+            hull = exc
+        for k, share in enumerate(rest):
+            part = _collect(children, k) if k in children else None
+            # A share that raised in its child runs here, to raise the serial run's error.
+            report.merge(_mixture_share(cfg, tol, share) if part is None else part)
+        if isinstance(hull, Exception):
+            raise hull
+        report.merge(hull)
+    finally:
+        # Only on an error, an interrupt included, is a child left here.
+        if children:
+            import signal  # on this path alone: its enums add 70 kB to the peak memory
+            for pid, pipe in children.values():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return report
 
+
+def _shares(count: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """(shares, cpus): the mixture ranges [start, stop) of a campaign of count
+    mixtures, one per process, and the CPUs for the children that run the
+    shares after the first.
+
+    The shares are equal, contiguous runs of whole blocks, one per CPU the
+    process may run on, as long as each holds MIN_SHARE_BLOCKS blocks and the
+    process can fork safely: where os.fork exists and the process runs a
+    single thread, so no other thread can hold a lock the child would copy.
+    Otherwise there is one share, [0, count).  The children's CPUs are those
+    the process may use other than the one it runs on: a host that does not
+    balance load across its CPUs (a cpuset with sched_load_balance 0, as on
+    the 2-vCPU host of MIN_SHARE_BLOCKS's figures) keeps an unbound child on
+    its parent's CPU, where the campaign took 41 -> 47 ms forked, not 43 -> 30.
+    """
+    blocks = -(-count // BLOCK)
+    n, cpus = 1, []
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        allowed = sorted(os.sched_getaffinity(0))
+        n = max(1, min(len(allowed), blocks // MIN_SHARE_BLOCKS))
+        if n > 1:
+            try:
+                single = len(os.listdir("/proc/self/task")) == 1
+                with open("/proc/self/stat", "rb") as stat:  # field 39: the CPU it runs on
+                    here = int(stat.read().rsplit(b")", 1)[1].split()[36])
+            except (OSError, ValueError, IndexError):  # no /proc to count the threads in
+                single = False
+            if single:
+                cpus = [cpu for cpu in allowed if cpu != here]
+            else:
+                n = 1
+    edges = [BLOCK * (blocks * k // n) for k in range(n + 1)]
+    return [(start, min(stop, count)) for start, stop in zip(edges, edges[1:])], cpus
+
+
+def _mixture_share(cfg: SampleConfig, tol: Tolerances, share: tuple[int, int]) -> HullCheckReport:
+    """The report of mixtures [start, stop) = share of cfg's campaign, start a
+    multiple of BLOCK: the stream is advanced by the 8 draws of each mixture
+    before start (one 64-bit output per draw), so its blocks are those of the
+    serial run."""
+    p, kind = cfg.params, cfg.kind
+    start, stop = share
+    report = HullCheckReport(seed=cfg.seed, kind=kind.label, r=p.r, s=p.s)
+    gen = _generator(cfg)
+    if start:
+        gen.bit_generator.advance(8 * start)
     # Each loop drops its block before the next one is drawn and built, so
     # one block's columns are alive at a time.
-    for z in _mixture_blocks(_generator(cfg), cfg):
+    for z in _mixture_blocks(gen, cfg._replace(count=stop - start)):
         _check_mixtures(report, z, p, kind, tol)
         del z
+    return report
 
-    hull_cfg = SampleConfig(seed=cfg.seed, count=cfg.count // 10, params=p, kind=kind)
+
+def _hull_half(cfg: SampleConfig, tol: Tolerances) -> HullCheckReport:
+    """The report of the decomposition half of cfg's campaign: cfg.count // 10
+    hull points on the HULL_KEY stream."""
+    p, kind = cfg.params, cfg.kind
+    report = HullCheckReport(seed=cfg.seed, kind=kind.label, r=p.r, s=p.s)
+    hull_cfg = cfg._replace(count=cfg.count // 10)
     for z in _hull_blocks(_generator(hull_cfg, HULL_KEY), hull_cfg):
         _check_decompositions(report, z, p, kind, tol)
         del z
     return report
+
+
+def _fork_share(cfg: SampleConfig, tol: Tolerances, share: tuple[int, int], cpu: int | None):
+    """(pid, read end) of a forked child, bound to cpu where it can be, that
+    runs _mixture_share for share and writes the pickled report down a pipe,
+    or None if the share raised; None where no pipe or process can be made (a
+    process limit, say), and the caller runs the share itself.  The child
+    leaves by os._exit, whatever happens, so it never returns into the
+    caller's code or flushes the parent's buffers, and it exits 0 only once
+    its result is written."""
+    try:
+        rfd, wfd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            if cpu is not None:
+                try:
+                    os.sched_setaffinity(0, (cpu,))
+                except OSError:  # a CPU the process may not use: left to the scheduler
+                    pass
+            try:
+                report = _mixture_share(cfg, tol, share)
+            except Exception:  # the parent runs the share again for its error
+                report = None
+            with open(wfd, "wb") as pipe:
+                pickle.dump(report, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    return pid, open(rfd, "rb")
+
+
+def _collect(children: dict, k: int) -> HullCheckReport | None:
+    """The report that child k of children sent, None if its share raised,
+    once the child is reaped and out of children; RuntimeError if it exited
+    without a result."""
+    pid, pipe = children[k]
+    with pipe:
+        data = pipe.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del children[k]
+    if status != 0:
+        raise RuntimeError(f"campaign worker {pid} exited with status {status} "
+                           "without a report")
+    return pickle.loads(data)
 
 
 def _check_mixtures(report: HullCheckReport, z, p: HullParams, kind: ConeKind,

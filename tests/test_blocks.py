@@ -290,6 +290,21 @@ def test_item_reads_only_its_own_draws(sampler, kind, k, monkeypatch):
     assert got[k] != expected[k]
 
 
+@pytest.mark.parametrize("stride, key", [(4, 0), (8, 0), (12, oracle.HULL_KEY)])
+def test_an_advanced_stream_reads_its_slice_of_the_draws(stride, key):
+    # A campaign share that starts at block b advances its own copy of the
+    # stream by stride * BLOCK * b outputs, one per draw: its blocks then
+    # read draws [stride * BLOCK * b, ...) of a single full draw, so item i
+    # still reads draws [stride i, stride (i + 1)).
+    cfg = SampleConfig(seed=27, count=0, params=HullParams(1.0, 1.0))
+    n = stride * PRODUCTION_BLOCK
+    full = oracle._generator(cfg, key).random(4 * n)
+    for b in range(4):
+        gen = oracle._generator(cfg, key)
+        gen.bit_generator.advance(n * b)
+        assert (bits(gen.random(n)) == bits(full[n * b:n * (b + 1)])).all(), b
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_laminates_mix_the_pair_samplers_pairs(kind):
     # One pair stream: item i of sample_first_laminate is lam z1 + (1 - lam) z2,
