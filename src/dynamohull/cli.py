@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -167,6 +168,9 @@ def _read_triple(args) -> Triple:
 
 
 def _cmd_verify_hull(args) -> int:
+    # The campaign calls no BLAS routine, and OpenBLAS's pool of threads,
+    # started as numpy is imported, would keep it from forking (oracle._shares).
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .oracle import SampleConfig, two_sided_hull_check
 
     p = HullParams(args.r, args.s)

@@ -41,25 +41,27 @@ draws, and each campaign loop drops its block before it asks for the next,
 so one block's columns are alive at a time and the campaign's memory is a
 few dozen columns of BLOCK rows whatever its count.
 
-The campaign's mixture half runs on every CPU the process may use: its
-blocks are cut into equal, contiguous shares, one per CPU, and each share
-after the first runs in a forked child, bound to a CPU of its own, which
-advances its own copy of the stream to its first item, folds its blocks into
-a partial report and sends it back pickled down a pipe, while the parent
-runs the first share and the hull half.  The parent merges the partial
-reports in point order and raises the error a serial run would raise, and
-only it: a share that raised in its child runs again in the parent, which
-raises its error.  It forks only from a process that runs a single thread
-(numpy's OpenBLAS pool is threads unless OPENBLAS_NUM_THREADS=1), and only
-where each share holds MIN_SHARE_BLOCKS blocks; elsewhere, and where a pipe
-or a process cannot be made, the same share function runs in-process.  No
+Both halves of the campaign run through one function, _share, which folds
+a contiguous run of one half's blocks into a report of its own.  The
+mixture half runs on every CPU the process may use: its blocks are cut into
+equal, contiguous shares, one per CPU, and each share after the first runs
+in a forked child, bound to a CPU of its own, which advances its own copy of
+the stream to its first item, folds its blocks into a partial report and
+sends it back pickled down a pipe, while the parent runs the first share and
+the hull half, one run from point 0.  The parent merges the partial reports
+in point order and raises the error a serial run would raise, and only it:
+a share that raised in its child runs again in the parent, which raises its
+error.  It forks only from a process that runs a single thread (numpy's
+OpenBLAS pool is threads unless OPENBLAS_NUM_THREADS=1, which verify-hull
+sets), and only where each share holds MIN_SHARE_BLOCKS blocks; elsewhere,
+and where a pipe or a process cannot be made, _share runs in-process.  No
 child outlives its campaign.  A spawned worker would import numpy afresh, in
 about 90 ms, more than a 100k campaign takes; a forked one starts in 2.6 ms.
 
 No output depends on BLOCK or on the number of workers: every kernel is
-elementwise, and the report folds are maxima, counts and failure lists in
-point order (a NaN residual, which fails its point, also drops its block's
-maximum of that check; see _check_decompositions).
+elementwise, and the report is a table of counts, maxima (one fold,
+HullCheckReport.fold: a NaN residual, which fails its point, also drops its
+block's maximum of that check) and a failure list in point order.
 The campaign's membership, decomposition and verification kernels are the
 per-point ones, run on numpy columns in the same operations, in the same
 order, as a single point, so its reports are those of the per-point
@@ -68,7 +70,9 @@ Rows become Triples only at the edge.  A Triple is itself the (B, u, E)
 state of float component triples the kernels take, and rows become them
 unchecked, straight from the columns (_triples): each field's Vec3s from
 its component lists, a slice of rows at a time in the public samplers
-(_items), one row at a time for the campaign's failure rows (_triple_at).
+(_items), one row at a time for the campaign's failure rows (_triple_at),
+and those only while the report has room for their records, or where
+decompose runs on a row the block kernel found outside the set.
 
 This module is where numpy comes in: core and laminate import none, so the
 per-point API loads without it.  _COLUMNS is the column view of core's
@@ -479,30 +483,39 @@ def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
 class HullCheckReport:
     """Outcome of a two-sided campaign; serializes deterministically.
 
-    The one mutable record: the campaign adds to its counts, maxima and
-    failures as it goes.  failure_count counts failing points, one record
-    each.  Every verification maximum is read from max_residual_by_check,
-    each check's largest residual.
+    The one mutable record, a table the campaign adds to as it goes: checked
+    and failed count the points of each half ("laminate", "decompose"),
+    maxima maps (half, check) to that check's largest residual, and failures
+    holds the first MAX_RECORDED_FAILURES failing points' records, one per
+    point, in point order.  Every other figure of the report is read from
+    the table.
     """
 
     MAX_RECORDED_FAILURES = 20
 
-    def __init__(self, seed: int, kind: str, r: float, s: float, laminate_checked: int = 0,
-                 laminate_failure_count: int = 0, decompose_checked: int = 0,
-                 decompose_failure_count: int = 0, max_residual_by_check: dict | None = None,
-                 max_u_orthogonality: float | None = None, failures: list | None = None):
+    def __init__(self, seed: int, kind: str, r: float, s: float):
         self.seed, self.kind, self.r, self.s = seed, kind, r, s
-        self.laminate_checked = laminate_checked
-        self.laminate_failure_count = laminate_failure_count
-        self.decompose_checked = decompose_checked
-        self.decompose_failure_count = decompose_failure_count
-        self.max_residual_by_check = {} if max_residual_by_check is None else max_residual_by_check
-        self.max_u_orthogonality = max_u_orthogonality
-        self.failures = [] if failures is None else failures
+        self.checked = {"laminate": 0, "decompose": 0}
+        self.failed = {"laminate": 0, "decompose": 0}
+        self.maxima = {}
+        self.failures = []
+
+    def fold(self, key: tuple[str, str], top: float):
+        """Fold top, a largest residual of the check key = (half, check), into
+        its maximum: the larger of the two, and a NaN top leaves it as it was."""
+        self.maxima[key] = max(self.maxima.get(key, 0.0), top)
+
+    @property
+    def full(self) -> bool:
+        return len(self.failures) >= self.MAX_RECORDED_FAILURES
 
     @property
     def failure_count(self) -> int:
-        return self.laminate_failure_count + self.decompose_failure_count
+        return sum(self.failed.values())
+
+    @property
+    def max_residual_by_check(self) -> dict:
+        return {check: top for (half, check), top in self.maxima.items() if half == "decompose"}
 
     @property
     def max_verify_residual(self) -> float:
@@ -510,37 +523,33 @@ class HullCheckReport:
 
     @property
     def max_mixing_orthogonality(self) -> float | None:
-        return self.max_residual_by_check.get("mixing_orthogonality")
+        return self.maxima.get(("decompose", "mixing_orthogonality"))
+
+    @property
+    def max_u_orthogonality(self) -> float | None:
+        return self.maxima.get(("laminate", "u_orthogonality"))
 
     @property
     def max_residual(self) -> float:
-        return max(self.max_verify_residual, self.max_u_orthogonality or 0.0)
+        return max(self.maxima.values(), default=0.0)
 
-    def record_failure(self, side: str, z: Triple, reason: str):
-        if side == "laminate":
-            self.laminate_failure_count += 1
-        else:
-            self.decompose_failure_count += 1
-        if len(self.failures) < self.MAX_RECORDED_FAILURES:
-            self.failures.append({"side": side, "triple": z.to_json_dict(),
-                                  "reason": reason})
+    def record_failure(self, half: str, z: Triple | None, reason: str):
+        """Count a failing point of half and keep its record, while the report
+        is not full; z, its Triple, is read only then, so it may be None once
+        the report is full."""
+        self.failed[half] += 1
+        if not self.full:
+            self.failures.append({"side": half, "triple": z.to_json_dict(), "reason": reason})
 
     def merge(self, later: HullCheckReport):
         """Fold in the report of the points that follow this one's, as if this
-        report had gone on to check them: counts add, maxima take the larger by
-        the block folds' own rules, and the later failures follow this one's
-        up to MAX_RECORDED_FAILURES.  A campaign's maxima are finite (its pair
-        check raises on a NaN), and on finite maxima the folds are max."""
-        self.laminate_checked += later.laminate_checked
-        self.laminate_failure_count += later.laminate_failure_count
-        self.decompose_checked += later.decompose_checked
-        self.decompose_failure_count += later.decompose_failure_count
-        by_check = self.max_residual_by_check
-        for name, top in later.max_residual_by_check.items():
-            by_check[name] = max(by_check.get(name, 0.0), top)
-        acc, top = self.max_u_orthogonality, later.max_u_orthogonality
-        if top is not None and (acc is None or top > acc):
-            self.max_u_orthogonality = top
+        report had gone on to check them: counts add, maxima fold, and the
+        later failures follow this one's up to MAX_RECORDED_FAILURES."""
+        for mine, theirs in ((self.checked, later.checked), (self.failed, later.failed)):
+            for half, n in theirs.items():
+                mine[half] += n
+        for key, top in later.maxima.items():
+            self.fold(key, top)
         self.failures = (self.failures + later.failures)[:self.MAX_RECORDED_FAILURES]
 
     def to_json_dict(self) -> dict:
@@ -549,9 +558,8 @@ class HullCheckReport:
             "kind": self.kind,
             "r": self.r,
             "s": self.s,
-            "checked": self.laminate_checked + self.decompose_checked,
-            "checked_detail": {"laminate": self.laminate_checked,
-                               "decompose": self.decompose_checked},
+            "checked": sum(self.checked.values()),
+            "checked_detail": dict(self.checked),
             "failures": self.failures,
             "failure_count": self.failure_count,
             "max_residual": self.max_residual,
@@ -559,10 +567,9 @@ class HullCheckReport:
             "max_residual_by_check": dict(sorted(self.max_residual_by_check.items())),
             "stream_version": STREAM_VERSION,
         }
-        if self.max_u_orthogonality is not None:
-            d["max_u_orthogonality"] = self.max_u_orthogonality
-        if self.max_mixing_orthogonality is not None:
-            d["max_mixing_orthogonality"] = self.max_mixing_orthogonality
+        for name in ("max_u_orthogonality", "max_mixing_orthogonality"):
+            if (top := getattr(self, name)) is not None:
+                d[name] = top
         return d
 
     def to_json(self) -> str:
@@ -591,15 +598,15 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None) -> Hu
             child = _fork_share(cfg, tol, share, cpus[k] if k < len(cpus) else None)
             if child is not None:
                 children[k] = child
-        report = _mixture_share(cfg, tol, first)
+        report = _share(cfg, tol, "laminate", first)
         try:
-            hull = _hull_half(cfg, tol)
+            hull = _share(cfg, tol, "decompose", (0, cfg.count // 10))
         except Exception as exc:  # a serial run raises it only after every mixture
             hull = exc
         for k, share in enumerate(rest):
             part = _collect(children, k) if k in children else None
             # A share that raised in its child runs here, to raise the serial run's error.
-            report.merge(_mixture_share(cfg, tol, share) if part is None else part)
+            report.merge(_share(cfg, tol, "laminate", share) if part is None else part)
         if isinstance(hull, Exception):
             raise hull
         report.merge(hull)
@@ -649,40 +656,37 @@ def _shares(count: int) -> tuple[list[tuple[int, int]], list[int]]:
     return [(start, min(stop, count)) for start, stop in zip(edges, edges[1:])], cpus
 
 
-def _mixture_share(cfg: SampleConfig, tol: Tolerances, share: tuple[int, int]) -> HullCheckReport:
-    """The report of mixtures [start, stop) = share of cfg's campaign, start a
-    multiple of BLOCK: the stream is advanced by the 8 draws of each mixture
-    before start (one 64-bit output per draw), so its blocks are those of the
-    serial run."""
+def _share(cfg: SampleConfig, tol: Tolerances, half: str,
+           run: tuple[int, int]) -> HullCheckReport:
+    """The report of points [start, stop) = run of half of cfg's campaign:
+    mixtures ("laminate") on the key-0 stream, or hull points ("decompose")
+    on the HULL_KEY stream, start a multiple of BLOCK.  The stream is
+    advanced by the draws of each point before start (8 per mixture, 12 per
+    hull point; one 64-bit output per draw), so its blocks are those of the
+    serial run.  A hull point's every-100th delta = 1 rule (_hull_points)
+    reads its index in the run, so the hull half runs as one run from 0."""
     p, kind = cfg.params, cfg.kind
-    start, stop = share
-    report = HullCheckReport(seed=cfg.seed, kind=kind.label, r=p.r, s=p.s)
-    gen = _generator(cfg)
+    start, stop = run
+    report = HullCheckReport(cfg.seed, kind.label, p.r, p.s)
+    # Looked up at each call, so each stage can be replaced by name.
+    if half == "laminate":
+        blocks, stride, key, check = _mixture_blocks, 8, 0, _check_mixtures
+    else:
+        blocks, stride, key, check = _hull_blocks, 12, HULL_KEY, _check_decompositions
+    gen = _generator(cfg, key)
     if start:
-        gen.bit_generator.advance(8 * start)
+        gen.bit_generator.advance(stride * start)
     # Each loop drops its block before the next one is drawn and built, so
     # one block's columns are alive at a time.
-    for z in _mixture_blocks(gen, cfg._replace(count=stop - start)):
-        _check_mixtures(report, z, p, kind, tol)
-        del z
-    return report
-
-
-def _hull_half(cfg: SampleConfig, tol: Tolerances) -> HullCheckReport:
-    """The report of the decomposition half of cfg's campaign: cfg.count // 10
-    hull points on the HULL_KEY stream."""
-    p, kind = cfg.params, cfg.kind
-    report = HullCheckReport(seed=cfg.seed, kind=kind.label, r=p.r, s=p.s)
-    hull_cfg = cfg._replace(count=cfg.count // 10)
-    for z in _hull_blocks(_generator(hull_cfg, HULL_KEY), hull_cfg):
-        _check_decompositions(report, z, p, kind, tol)
+    for z in blocks(gen, cfg._replace(count=stop - start)):
+        check(report, z, p, kind, tol)
         del z
     return report
 
 
 def _fork_share(cfg: SampleConfig, tol: Tolerances, share: tuple[int, int], cpu: int | None):
     """(pid, read end) of a forked child, bound to cpu where it can be, that
-    runs _mixture_share for share and writes the pickled report down a pipe,
+    runs _share for the mixtures of share and writes the pickled report down a pipe,
     or None if the share raised; None where no pipe or process can be made (a
     process limit, say), and the caller runs the share itself.  The child
     leaves by os._exit, whatever happens, so it never returns into the
@@ -708,7 +712,7 @@ def _fork_share(cfg: SampleConfig, tol: Tolerances, share: tuple[int, int], cpu:
                 except OSError:  # a CPU the process may not use: left to the scheduler
                     pass
             try:
-                report = _mixture_share(cfg, tol, share)
+                report = _share(cfg, tol, "laminate", share)
             except Exception:  # the parent runs the share again for its error
                 report = None
             with open(wfd, "wb") as pipe:
@@ -739,18 +743,17 @@ def _check_mixtures(report: HullCheckReport, z, p: HullParams, kind: ConeKind,
                     tol: Tolerances):
     """Check a block z of mixtures, (B, u, E) columns, for membership at tol
     into the report.  On the restricted cone the kernel's g3 is the one u . E
-    test; the u . E residual is only folded into max_u_orthogonality."""
-    report.laminate_checked += len(z[0][0])
+    test; the u . E residual is only folded into ("laminate", "u_orthogonality")."""
+    report.checked["laminate"] += len(z[0][0])
     g1, g3, g2, (_, ue, _, _, _), (_, nu, ne, _, _, _) = _separation_flags(
         *z, p, kind, tol.eps_mem, _COLUMNS)
     if kind.restricts_u:
         # u . E's residual on the normalised triple (B/r, u/s, E/(rs)), unit r s^2,
         # from the kernel's own u . E, |u| and |E|.
-        top = float(_cone_residual(ue, nu, ne, p.r * p.s * p.s, _COLUMNS).max())
-        acc = report.max_u_orthogonality
-        report.max_u_orthogonality = top if acc is None or top > acc else acc
+        report.fold(("laminate", "u_orthogonality"),
+                    float(_cone_residual(ue, nu, ne, p.r * p.s * p.s, _COLUMNS).max()))
     for i in np.flatnonzero(g1 | g3 | g2).tolist():
-        report.record_failure("laminate", _triple_at(z, i),
+        report.record_failure("laminate", None if report.full else _triple_at(z, i),
                               "combination fails closed-form membership")
 
 
@@ -781,7 +784,7 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
     decompose itself runs only on the points outside the relaxed set, for
     its error message.
     """
-    report.decompose_checked += len(z[0][0])
+    report.checked["decompose"] += len(z[0][0])
     lam, z1, z2, raises = _decompose_block(*z, p, kind, tol)
     verified = ~raises
 
@@ -794,17 +797,18 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
     failing = {}
     if verified.any():
         rows = slice(None) if verified.all() else verified
-        by_check = report.max_residual_by_check
         for name, col in res.items():
             top = float(col[rows].max())
             # A NaN maximum, of a block with a failing point, leaves the fold as it was.
-            by_check[name] = max(by_check.get(name, 0.0), top)
+            report.fold(("decompose", name), top)
             if not top <= tol.eps_mem:
                 failing[name] = verified & ~(col <= tol.eps_mem)
 
+    # decompose runs on every row that raises, to check that the block kernel
+    # agrees; a failure's Triple is built for its record only while there is room.
     for i in np.flatnonzero(np.logical_or.reduce([raises, *failing.values()])).tolist():
-        zi = _triple_at(z, i)
         if raises[i]:
+            zi = _triple_at(z, i)
             try:
                 decompose(zi, p, kind, tol)
             except NotInHullError as exc:
@@ -812,7 +816,8 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
                 continue
             raise RuntimeError(f"the block kernel left a point decompose splits: {zi.to_json()}")
         names = [name for name, bad in failing.items() if bad[i]]
-        report.record_failure("decompose", zi, "verification failed: " + ", ".join(names))
+        report.record_failure("decompose", None if report.full else _triple_at(z, i),
+                              "verification failed: " + ", ".join(names))
 
 
 CSV_HEADER = "Bx,By,Bz,ux,uy,uz,Ex,Ey,Ez,in_hull,g1,g2,g3"

@@ -175,14 +175,12 @@ def reference_two_sided_hull_check(cfg, tol=None):
     report = HullCheckReport(seed=cfg.seed, kind=kind.label, r=p.r, s=p.s)
 
     for z in sample_first_laminate(cfg):
-        report.laminate_checked += 1
+        report.checked["laminate"] += 1
         if not in_hull(z, p, kind, tol):
             report.record_failure("laminate", z, "combination fails closed-form membership")
         if kind.restricts_u:
             den = p.r * p.s * p.s + z.u.norm() * z.E.norm()
-            res = abs(z.u.dot(z.E)) / den if den else 0.0
-            if report.max_u_orthogonality is None or res > report.max_u_orthogonality:
-                report.max_u_orthogonality = res
+            report.fold(("laminate", "u_orthogonality"), abs(z.u.dot(z.E)) / den if den else 0.0)
 
     hull_cfg = SampleConfig(seed=cfg.seed, count=cfg.count // 10, params=p, kind=kind)
     reference_check_decompositions(report, sample_hull(hull_cfg), p, kind, tol)
@@ -193,16 +191,15 @@ def reference_check_decompositions(report, points, p, kind, tol):
     """The surjective half of reference_two_sided_hull_check on the given
     points: decompose and verify each one into the report."""
     for z in points:
-        report.decompose_checked += 1
+        report.checked["decompose"] += 1
         try:
             d = decompose(z, p, kind, tol)
         except DecompositionError as exc:
             report.record_failure("decompose", z, f"decomposition raised: {exc}")
             continue
         ver = verify_decomposition(d, z, p, kind, tol)
-        by_check = report.max_residual_by_check
         for name, val in ver.residuals.items():
-            by_check[name] = max(by_check.get(name, 0.0), val)
+            report.fold(("decompose", name), val)
         if not ver.passed:
             report.record_failure("decompose", z,
                                   "verification failed: " + ", ".join(ver.failures))

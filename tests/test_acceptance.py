@@ -70,14 +70,14 @@ def campaigns():
 
 def _campaign_problems(rep, expect_stationary_extras: bool):
     problems = []
-    if rep.laminate_checked != LAMINATE_COUNT:
-        problems.append(f"laminate count {rep.laminate_checked}")
-    if rep.decompose_checked != DECOMPOSE_COUNT:
-        problems.append(f"decompose count {rep.decompose_checked}")
-    if rep.laminate_failure_count:
-        problems.append(f"{rep.laminate_failure_count} membership failures")
-    if rep.decompose_failure_count:
-        problems.append(f"{rep.decompose_failure_count} decomposition failures")
+    if rep.checked["laminate"] != LAMINATE_COUNT:
+        problems.append(f"laminate count {rep.checked['laminate']}")
+    if rep.checked["decompose"] != DECOMPOSE_COUNT:
+        problems.append(f"decompose count {rep.checked['decompose']}")
+    if rep.failed["laminate"]:
+        problems.append(f"{rep.failed['laminate']} membership failures")
+    if rep.failed["decompose"]:
+        problems.append(f"{rep.failed['decompose']} decomposition failures")
     if rep.max_verify_residual > 1e-9:
         problems.append(f"verify residual {rep.max_verify_residual}")
     if expect_stationary_extras:
@@ -260,7 +260,7 @@ def test_criterion_8_weight_amplitude_identity(campaigns, capsys):
     ok = worst <= 1e-9
     _report(capsys, 8, "weight-amplitude product identity", ok,
             f"max residual {worst:.3g} over "
-            f"{sum(r.decompose_checked for r in campaigns.values())} decompositions")
+            f"{sum(r.checked['decompose'] for r in campaigns.values())} decompositions")
     assert ok, worst
 
 

@@ -220,7 +220,7 @@ def test_fallback_rows_are_written_back(kind, radii):
     reference_check_decompositions(expected, points, p, kind, tol)
     assert report.to_json() == expected.to_json()
     # Only the point outside and the two of the slack band fail.
-    assert report.decompose_failure_count == 2 * 3
+    assert report.failed["decompose"] == 2 * 3
 
 
 def test_a_verification_failure_is_one_record():
@@ -228,7 +228,7 @@ def test_a_verification_failure_is_one_record():
     report = HullCheckReport(seed=0, kind=kind.label, r=1.0, s=1.0)
     oracle._check_decompositions(report, block([MIXING_GAP_POINT]), HullParams(1.0, 1.0), kind,
                                  DEFAULT_TOLERANCES)
-    assert report.decompose_failure_count == 1
+    assert report.failed["decompose"] == 1
     assert [f["reason"] for f in report.failures] == ["verification failed: reconstruction"]
 
 
@@ -244,10 +244,32 @@ def test_a_mixture_off_u_dot_E_is_one_membership_failure(monkeypatch):
         x[0] += 5e-7 * y[0] / u_len
     monkeypatch.setattr(oracle, "_mixture_blocks", lambda gen, cfg: iter(blocks))
     report = two_sided_hull_check(cfg)
-    assert report.laminate_failure_count == 1
+    assert report.failed["laminate"] == 1
     assert [(f["side"], f["reason"]) for f in report.failures] == [
         ("laminate", "combination fails closed-form membership")]
     assert report.max_u_orthogonality > 1e-7
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_merge_is_the_block_fold(kind, monkeypatch):
+    # The mixtures of a campaign cut at block edges into 3 runs, each with
+    # more than MAX_RECORDED_FAILURES failures, merged in order and then with
+    # the hull run: the report of one run over every mixture merged with the
+    # same hull run, byte for byte, and the per-point reference's.  No fork.
+    monkeypatch.setattr(oracle, "BLOCK", 7)
+    tol = Tolerances(eps_mem=1e-17)
+    cfg = SampleConfig(seed=5, count=300, params=HullParams(1.0, 1.0), kind=kind)
+    hull = oracle._share(cfg, tol, "decompose", (0, cfg.count // 10))
+    report, *rest = (oracle._share(cfg, tol, "laminate", run)
+                     for run in ((0, 14 * 7), (14 * 7, 28 * 7), (28 * 7, 300)))
+    for part in (report, *rest):
+        assert part.failed["laminate"] > HullCheckReport.MAX_RECORDED_FAILURES
+    for part in (*rest, hull):
+        report.merge(part)
+    serial = oracle._share(cfg, tol, "laminate", (0, cfg.count))
+    serial.merge(hull)
+    assert report.to_json() == serial.to_json()
+    assert report.to_json() == reference_two_sided_hull_check(cfg, tol).to_json()
 
 
 class ListStream:

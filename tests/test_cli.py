@@ -230,8 +230,24 @@ def test_verify_hull_deterministic_reports(tmp_path):
 # only compares a rerun with itself and cannot see such a change.
 GOLDEN_DIGESTS = {
     "nonstationary": "024d15f6284727e7778a7bdd214ee10733543a6620d9e6a683bd7e28ae283692",
+    "nonstationary-incompressible":
+        "d19cbc9d907d4b8b8b920c2a347dcebd57064cada0285c2c04bd5c75d7bf7913",
+    "stationary": "ff98b81567b480d4bdbdf9d0f69801916403872abc720d4898b312f9b3971e94",
     "stationary-incompressible":
         "d9fad5324b2ea63dd66887a35340c15aa437524d58b665d5cad4b6da53f74968",
+}
+
+# The same campaigns at eps_mem = 1e-17, below rounding: 14058 (17980 on the
+# restricted cone) of the 20000 mixtures fail membership, so these bytes pin
+# the failure records, their cut at MAX_RECORDED_FAILURES and the counts of
+# each half.
+FAILING_DIGESTS = {
+    "nonstationary": "464dd22e777bb7cb3f9dc38eb036535aa4260eb9ed0ab4b87efe03c8eb4ebf0c",
+    "nonstationary-incompressible":
+        "1477c54a80484706a3ba2a2b9e7528064bb976d1c506c7ba6b0e1dedc0d68ef6",
+    "stationary": "51c46538a4812de37700ea94761a1dce885f8eec0a081a42369e07a9ad8fbe36",
+    "stationary-incompressible":
+        "d765f32f3519a26855b3e41befa5fe915490ca9c61c39314e8e71439346453cd",
 }
 
 
@@ -241,6 +257,14 @@ def test_verify_hull_golden_digest(kind, tmp_path):
     assert main(["verify-hull", "--seed", "0", "--count", "20000", "--kind", kind,
                  "--deterministic", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(FAILING_DIGESTS))
+def test_verify_hull_failing_digest(kind, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify-hull", "--seed", "0", "--count", "20000", "--kind", kind,
+                 "--tol", "1e-17", "--deterministic", "--output", str(out)]) == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FAILING_DIGESTS[kind]
 
 
 def test_reports_carry_timestamp_unless_deterministic(tmp_path):

@@ -384,8 +384,7 @@ def test_hull_sampler_stationary_keeps_u_orthogonality():
 def test_two_sided_check_clean_report():
     cfg = SampleConfig(seed=11, count=3000, params=P11)
     rep = two_sided_hull_check(cfg)
-    assert rep.laminate_checked == 3000
-    assert rep.decompose_checked == 300
+    assert rep.checked == {"laminate": 3000, "decompose": 300}
     assert rep.failure_count == 0
     assert rep.max_verify_residual <= 1e-9
 
@@ -426,19 +425,28 @@ def test_report_maxima_are_those_of_the_check_list(kind):
 def test_report_stores_no_maximum_it_can_derive():
     rep = HullCheckReport(seed=0, kind="stationary-incompressible", r=1.0, s=1.0)
     other = HullCheckReport(seed=0, kind="stationary-incompressible", r=1.0, s=1.0)
-    assert (rep.laminate_checked, rep.laminate_failure_count, rep.decompose_checked,
-            rep.decompose_failure_count, rep.max_u_orthogonality) == (0, 0, 0, 0, None)
-    # Each report owns its own map and list.
-    assert rep.max_residual_by_check == {} and rep.failures == []
-    assert rep.max_residual_by_check is not other.max_residual_by_check
-    assert rep.failures is not other.failures
+    assert rep.checked == rep.failed == {"laminate": 0, "decompose": 0}
+    assert rep.failure_count == 0 and rep.max_u_orthogonality is None
+    # Each report owns its own table and list.
+    assert rep.maxima == {} and rep.max_residual_by_check == {} and rep.failures == []
+    for name in ("checked", "failed", "maxima", "failures"):
+        assert getattr(rep, name) is not getattr(other, name), name
     assert rep.max_verify_residual == 0.0 and rep.max_mixing_orthogonality is None
-    rep.max_residual_by_check.update(cone_BE=3e-16, mixing_orthogonality=5e-16)
+    rep.fold(("decompose", "cone_BE"), 3e-16)
+    rep.fold(("decompose", "mixing_orthogonality"), 5e-16)
+    assert rep.max_residual_by_check == {"cone_BE": 3e-16, "mixing_orthogonality": 5e-16}
     assert rep.max_verify_residual == rep.max_mixing_orthogonality == rep.max_residual == 5e-16
-    rep.max_u_orthogonality = 7e-16
-    assert rep.max_residual == 7e-16
-    with pytest.raises(AttributeError):
-        rep.max_verify_residual = 1.0
+    rep.fold(("laminate", "u_orthogonality"), 7e-16)
+    assert rep.max_u_orthogonality == rep.max_residual == 7e-16
+    assert rep.max_verify_residual == 5e-16
+    # The fold keeps the larger maximum, and a NaN leaves it as it was.
+    rep.fold(("decompose", "cone_BE"), 1e-16)
+    rep.fold(("decompose", "cone_BE"), math.nan)
+    assert rep.maxima[("decompose", "cone_BE")] == 3e-16
+    for name in ("failure_count", "max_residual_by_check", "max_verify_residual",
+                 "max_mixing_orthogonality", "max_u_orthogonality", "max_residual"):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, 1.0)
 
 
 def test_campaign_hull_half_is_sample_hull_on_its_own_stream(monkeypatch):
@@ -474,8 +482,7 @@ def test_campaign_hull_half_is_sample_hull_on_its_own_stream(monkeypatch):
 def test_two_sided_check_empty_campaign():
     cfg = SampleConfig(seed=13, count=0, params=P11)
     rep = two_sided_hull_check(cfg)
-    assert rep.laminate_checked == 0
-    assert rep.decompose_checked == 0
+    assert rep.checked == {"laminate": 0, "decompose": 0}
     assert rep.failure_count == 0
     assert rep.failures == []
 

@@ -1,10 +1,11 @@
 """The campaign's forked shares against its in-process run.
 
 two_sided_hull_check forks only from a process that runs a single thread,
-and numpy's OpenBLAS pool is threads unless OPENBLAS_NUM_THREADS=1.  So each
-case runs in a fresh interpreter with that variable set: a function of this
-module, called there, which raises on a mismatch.  The CPU count is patched
-through os.sched_getaffinity, and every case ends with no child left.
+and numpy's OpenBLAS pool is threads unless OPENBLAS_NUM_THREADS=1 is set
+before numpy is imported, as verify-hull does unless it is set already.  So
+each case runs in a fresh interpreter with that variable set: a function of
+this module, called there, which raises on a mismatch.  The CPU count is
+patched through os.sched_getaffinity, and every case ends with no child left.
 """
 
 import contextlib
@@ -38,15 +39,27 @@ pytestmark = pytest.mark.skipif(
 RADII = ((1.0, 1.0), (1e-3, 1e3))
 
 
+def in_fresh_interpreter(code, **env):
+    """Run code in a fresh interpreter that finds the package and this module,
+    with the variables env sets (None removes one); fails with its stderr
+    unless it exits 0."""
+    paths = [str(Path(dynamohull.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    environ = {**os.environ, "PYTHONPATH": os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")])}
+    for name, value in env.items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=environ, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def in_single_thread_process(case):
     """Run case, a function of this module, in a fresh interpreter whose
-    OpenBLAS runs one thread; fails with the case's stderr unless it exits 0."""
-    paths = [str(Path(dynamohull.__file__).resolve().parents[1]), str(Path(__file__).parent)]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", f"import test_workers; test_workers.{case.__name__}()"],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    OpenBLAS runs one thread."""
+    in_fresh_interpreter(f"import test_workers; test_workers.{case.__name__}()",
+                         OPENBLAS_NUM_THREADS="1")
 
 
 def cpus(n):
@@ -112,8 +125,8 @@ def failures_keep_their_order_and_cut():
         shares, _ = oracle._shares(cfg.count)
         assert len(shares) == 3
         for share in shares:
-            part = oracle._mixture_share(cfg, tol, share)
-            assert part.laminate_failure_count > oracle.HullCheckReport.MAX_RECORDED_FAILURES
+            part = oracle._share(cfg, tol, "laminate", share)
+            assert part.failed["laminate"] > oracle.HullCheckReport.MAX_RECORDED_FAILURES
         cpus(1)
         serial = two_sided_hull_check(cfg, tol).to_json()
         cpus(3)
@@ -165,12 +178,14 @@ def the_serial_error_is_raised():
 
         oracle._circle_point = circle_point
         off_cone_pairs(cfg, [shares[1][0] + 3, shares[2][1] - 1])
-        hull_half = oracle._hull_half
+        share = oracle._share
 
-        def failing_hull(cfg, tol):
-            raise RuntimeError("the hull half failed")
+        def failing_hull(cfg, tol, half, run):
+            if half == "decompose":
+                raise RuntimeError("the hull half failed")
+            return share(cfg, tol, half, run)
 
-        oracle._hull_half = failing_hull
+        oracle._share = failing_hull
         cpus(1)
         first = raised(lambda: two_sided_hull_check(cfg))
         assert first.startswith("RuntimeError: constructed pair violates the cone"), first
@@ -181,7 +196,7 @@ def the_serial_error_is_raised():
             assert len(forks) == n - 1
             forks.clear()
             no_child_left()
-        oracle._circle_point, oracle._hull_half = circle_point, hull_half
+        oracle._circle_point, oracle._share = circle_point, share
 
 
 def a_failed_fork_runs_the_share_in_process():
@@ -213,14 +228,14 @@ def a_child_that_dies_raises():
     # The first child exits 3 before it sends its report: RuntimeError naming
     # status 3, and the second child is killed and reaped.
     oracle.BLOCK = 7
-    parent, share = os.getpid(), oracle._mixture_share
+    parent, share = os.getpid(), oracle._share
 
-    def dies(cfg, tol, bounds):
-        if os.getpid() != parent and 0 < bounds[0] < 150:
+    def dies(cfg, tol, half, run):
+        if os.getpid() != parent and 0 < run[0] < 150:
             os._exit(3)
-        return share(cfg, tol, bounds)
+        return share(cfg, tol, half, run)
 
-    oracle._mixture_share = dies
+    oracle._share = dies
     cpus(3)
     cfg = SampleConfig(seed=3, count=300, params=HullParams(1.0, 1.0))
     message = raised(lambda: two_sided_hull_check(cfg))
@@ -233,17 +248,16 @@ def an_interrupt_kills_every_child():
     # are killed (SIGKILL; they would sleep for a minute) and reaped before it
     # propagates.
     oracle.BLOCK = 7
-    parent, share = os.getpid(), oracle._mixture_share
+    parent, share = os.getpid(), oracle._share
 
-    def sleeps(cfg, tol, bounds):
+    def sleeps_or_interrupted(cfg, tol, half, run):
         if os.getpid() != parent:
             time.sleep(60)
-        return share(cfg, tol, bounds)
+        if half == "decompose":
+            raise KeyboardInterrupt
+        return share(cfg, tol, half, run)
 
-    def interrupted(cfg, tol):
-        raise KeyboardInterrupt
-
-    oracle._mixture_share, oracle._hull_half = sleeps, interrupted
+    oracle._share = sleeps_or_interrupted
     cpus(3)
     t = time.perf_counter()
     try:
@@ -283,6 +297,24 @@ def a_second_thread_keeps_the_campaign_in_process():
 ], ids=lambda case: case.__name__)
 def test_forked_campaign(case):
     in_single_thread_process(case)
+
+
+def test_a_plain_verify_hull_forks():
+    # A process started without OPENBLAS_NUM_THREADS: verify-hull sets it
+    # before numpy is first imported, so OpenBLAS starts no thread and the
+    # campaign forks one child on 2 CPUs (30000 mixtures are 10 blocks).
+    in_fresh_interpreter("\n".join([
+        "import contextlib, io, os",
+        "from dynamohull import cli",
+        "forks, fork = [], os.fork",
+        "os.fork = lambda: forks.append(None) or fork()",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['verify-hull', '--count', '30000', '--deterministic']) == 0",
+        "assert len(forks) == 1, f'{len(forks)} forks'",
+        "import test_workers",
+        "test_workers.no_child_left()",
+    ]), OPENBLAS_NUM_THREADS=None)
 
 
 def test_shares_are_whole_blocks_of_at_least_the_minimum(monkeypatch):
