@@ -70,9 +70,11 @@ Rows become Triples only at the edge.  A Triple is itself the (B, u, E)
 state of float component triples the kernels take, and rows become them
 unchecked, straight from the columns (_triples): each field's Vec3s from
 its component lists, a slice of rows at a time in the public samplers
-(_items), one row at a time for the campaign's failure rows (_triple_at),
-and those only while the report has room for their records, or where
-decompose runs on a row the block kernel found outside the set.
+(_items).  The campaign records a block's failing rows with one call
+(HullCheckReport.record), which counts them all and builds a Triple only
+for the records the report has room for, one row at a time (_triple_at);
+the rows the block kernel finds outside the set, on which decompose runs,
+are gathered and become Triples in one pass.
 
 This module is where numpy comes in: core and laminate import none, so the
 per-point API loads without it.  _COLUMNS is the column view of core's
@@ -506,10 +508,6 @@ class HullCheckReport:
         self.maxima[key] = max(self.maxima.get(key, 0.0), top)
 
     @property
-    def full(self) -> bool:
-        return len(self.failures) >= self.MAX_RECORDED_FAILURES
-
-    @property
     def failure_count(self) -> int:
         return sum(self.failed.values())
 
@@ -533,12 +531,13 @@ class HullCheckReport:
     def max_residual(self) -> float:
         return max(self.maxima.values(), default=0.0)
 
-    def record_failure(self, half: str, z: Triple | None, reason: str):
-        """Count a failing point of half and keep its record, while the report
-        is not full; z, its Triple, is read only then, so it may be None once
-        the report is full."""
-        self.failed[half] += 1
-        if not self.full:
+    def record(self, half: str, rows: list, record):
+        """Count the failing points rows of half, in point order, and keep the
+        records of the first of them the report has room for: record(i), the
+        (Triple, reason) of row i, is called for those rows only."""
+        self.failed[half] += len(rows)
+        for i in rows[:self.MAX_RECORDED_FAILURES - len(self.failures)]:
+            z, reason = record(i)
             self.failures.append({"side": half, "triple": z.to_json_dict(), "reason": reason})
 
     def merge(self, later: HullCheckReport):
@@ -752,9 +751,8 @@ def _check_mixtures(report: HullCheckReport, z, p: HullParams, kind: ConeKind,
         # from the kernel's own u . E, |u| and |E|.
         report.fold(("laminate", "u_orthogonality"),
                     float(_cone_residual(ue, nu, ne, p.r * p.s * p.s, _COLUMNS).max()))
-    for i in np.flatnonzero(g1 | g3 | g2).tolist():
-        report.record_failure("laminate", None if report.full else _triple_at(z, i),
-                              "combination fails closed-form membership")
+    report.record("laminate", np.flatnonzero(g1 | g3 | g2).tolist(),
+                  lambda i: (_triple_at(z, i), "combination fails closed-form membership"))
 
 
 def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
@@ -805,19 +803,22 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
                 failing[name] = verified & ~(col <= tol.eps_mem)
 
     # decompose runs on every row that raises, to check that the block kernel
-    # agrees; a failure's Triple is built for its record only while there is room.
-    for i in np.flatnonzero(np.logical_or.reduce([raises, *failing.values()])).tolist():
-        if raises[i]:
-            zi = _triple_at(z, i)
+    # agrees, on Triples gathered from those rows in one pass; a verification
+    # failure's Triple is built only for a record the report keeps.
+    raised = {}  # row -> the record of a row decompose raises on
+    if raises.any():
+        at = np.flatnonzero(raises)
+        for i, zi in zip(at.tolist(), _triples([[x[at] for x in v] for v in z], 0, len(at))):
             try:
                 decompose(zi, p, kind, tol)
             except NotInHullError as exc:
-                report.record_failure("decompose", zi, f"decomposition raised: {exc}")
+                raised[i] = zi, f"decomposition raised: {exc}"
                 continue
             raise RuntimeError(f"the block kernel left a point decompose splits: {zi.to_json()}")
-        names = [name for name, bad in failing.items() if bad[i]]
-        report.record_failure("decompose", None if report.full else _triple_at(z, i),
-                              "verification failed: " + ", ".join(names))
+    report.record("decompose",
+                  np.flatnonzero(np.logical_or.reduce([raises, *failing.values()])).tolist(),
+                  lambda i: raised.get(i) or (_triple_at(z, i), "verification failed: " + ", ".join(
+                      name for name, bad in failing.items() if bad[i])))
 
 
 CSV_HEADER = "Bx,By,Bz,ux,uy,uz,Ex,Ey,Ez,in_hull,g1,g2,g3"

@@ -166,6 +166,12 @@ SHARED_CONE_KINDS = (ConeKind.NONSTATIONARY, ConeKind.NONSTATIONARY_INCOMPRESSIB
                      ConeKind.STATIONARY)
 
 
+def record_point(report, half, z, reason):
+    """Count the failing point z of half into the report, as a block of one
+    row, with its record while the report has room for it."""
+    report.record(half, [z], lambda z: (z, reason))
+
+
 def reference_two_sided_hull_check(cfg, tol=None):
     """two_sided_hull_check one point at a time through the public per-point
     API: the reference the block campaign engine must reproduce exactly."""
@@ -177,7 +183,7 @@ def reference_two_sided_hull_check(cfg, tol=None):
     for z in sample_first_laminate(cfg):
         report.checked["laminate"] += 1
         if not in_hull(z, p, kind, tol):
-            report.record_failure("laminate", z, "combination fails closed-form membership")
+            record_point(report, "laminate", z, "combination fails closed-form membership")
         if kind.restricts_u:
             den = p.r * p.s * p.s + z.u.norm() * z.E.norm()
             report.fold(("laminate", "u_orthogonality"), abs(z.u.dot(z.E)) / den if den else 0.0)
@@ -195,14 +201,13 @@ def reference_check_decompositions(report, points, p, kind, tol):
         try:
             d = decompose(z, p, kind, tol)
         except DecompositionError as exc:
-            report.record_failure("decompose", z, f"decomposition raised: {exc}")
+            record_point(report, "decompose", z, f"decomposition raised: {exc}")
             continue
         ver = verify_decomposition(d, z, p, kind, tol)
         for name, val in ver.residuals.items():
             report.fold(("decompose", name), val)
         if not ver.passed:
-            report.record_failure("decompose", z,
-                                  "verification failed: " + ", ".join(ver.failures))
+            record_point(report, "decompose", z, "verification failed: " + ", ".join(ver.failures))
 
 
 def _libm(fn, *cols: np.ndarray) -> np.ndarray:

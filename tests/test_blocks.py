@@ -6,6 +6,8 @@ per-point arithmetic, so every comparison here is exact: bit for bit, not
 within a tolerance.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,52 @@ def test_merge_is_the_block_fold(kind, monkeypatch):
     serial.merge(hull)
     assert report.to_json() == serial.to_json()
     assert report.to_json() == reference_two_sided_hull_check(cfg, tol).to_json()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_block_records_its_failures_at_once(kind, monkeypatch):
+    # A campaign of blocks of 7 rows at eps 1e-17, where most points of both
+    # halves fail: each block records its failing rows with one call, and
+    # each half builds Triples only for the records its report keeps, beside
+    # the one Triple decompose checks per row the block kernel finds outside
+    # the set.  In process, so the counts are this process's.
+    monkeypatch.setattr(oracle, "BLOCK", 7)
+    tol = Tolerances(eps_mem=1e-17)
+    cfg = SampleConfig(seed=5, count=300, params=HullParams(1.0, 1.0), kind=kind)
+    expected = reference_two_sided_hull_check(cfg, tol).to_json()
+
+    calls = Counter()  # (half, call) -> count
+    half = {}
+
+    def counting(call, fn):
+        def wrapper(*args):
+            calls[half["now"], call] += 1
+            return fn(*args)
+        return wrapper
+
+    def in_half(name, check):
+        def wrapper(*args):
+            half["now"] = name
+            return check(*args)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "_check_mixtures", in_half("laminate", oracle._check_mixtures))
+    monkeypatch.setattr(oracle, "_check_decompositions",
+                        in_half("decompose", oracle._check_decompositions))
+    monkeypatch.setattr(HullCheckReport, "record", counting("record", HullCheckReport.record))
+    monkeypatch.setattr(oracle, "_triple", counting("Triple", oracle._triple))
+    monkeypatch.setattr(oracle, "decompose", counting("decompose", oracle.decompose))
+    monkeypatch.setattr(oracle, "_shares", lambda count: ([(0, count)], []))
+    report = two_sided_hull_check(cfg, tol)
+
+    assert report.to_json() == expected
+    assert calls["decompose", "decompose"] > 0
+    blocks = {"laminate": -(-cfg.count // 7), "decompose": -(-(cfg.count // 10) // 7)}
+    for name, n in blocks.items():
+        assert report.failed[name] > HullCheckReport.MAX_RECORDED_FAILURES
+        assert calls[name, "record"] <= n
+        assert (calls[name, "Triple"] - calls[name, "decompose"]
+                <= HullCheckReport.MAX_RECORDED_FAILURES)
 
 
 class ListStream:

@@ -283,6 +283,11 @@ def a_second_thread_keeps_the_campaign_in_process():
     finally:
         stop.set()
         thread.join()
+    # join returns before the joined thread's OS thread leaves /proc/self/task,
+    # which _shares counts: wait for it to go, at most 5 s.
+    deadline = time.monotonic() + 5.0
+    while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
     assert len(oracle._shares(300)[0]) == 3
 
 
