@@ -33,6 +33,13 @@ point), and item i reads draws [stride i, stride (i + 1)) of its
 stream and no others.  Each drawn angle 2 pi w costs one cosine: its sine
 is the signed square root of (1 - cos)(1 + cos), in _circle.
 
+Each block source (_K_blocks, _pair_blocks, _mixture_blocks, _hull_blocks)
+owns its stream: it takes a run [a, b) of items and reads them through
+_draws, which seeds the source's key, advances the stream to item a and
+hands out every item with its global index, so a run that starts anywhere
+reads the serial run's draws and builds its items.  The public samplers
+read the run [0, count).
+
 Samplers and campaign run in blocks of BLOCK rows, one Generator.random
 call per block, and every block is a state of component columns: a
 (B, u, E) triple of float64 columns per state.  No kernel calls a libm
@@ -42,21 +49,24 @@ so one block's columns are alive at a time and the campaign's memory is a
 few dozen columns of BLOCK rows whatever its count.
 
 Both halves of the campaign run through one function, _share, which folds
-a contiguous run of one half's blocks into a report of its own.  The
-mixture half runs on every CPU the process may use: its blocks are cut into
-equal, contiguous shares, one per CPU, and each share after the first runs
-in a forked child, bound to a CPU of its own, which advances its own copy of
-the stream to its first item, folds its blocks into a partial report and
-sends it back pickled down a pipe, while the parent runs the first share and
-the hull half, one run from point 0.  The parent merges the partial reports
-in point order and raises the error a serial run would raise, and only it:
-a share that raised in its child runs again in the parent, which raises its
-error.  It forks only from a process that runs a single thread (numpy's
-OpenBLAS pool is threads unless OPENBLAS_NUM_THREADS=1, which verify-hull
-sets), and only where each share holds MIN_SHARE_BLOCKS blocks; elsewhere,
-and where a pipe or a process cannot be made, _share runs in-process.  No
-child outlives its campaign.  A spawned worker would import numpy afresh, in
-about 90 ms, more than a 100k campaign takes; a forked one starts in 2.6 ms.
+a contiguous run of one half's blocks into a report of its own.  The block
+checks (_check_mixtures, _check_decompositions) return verdicts, the
+largest residual of each check, the failing rows and a builder of their
+records, and _share alone writes them into the report.  The mixture half
+runs on every CPU the process may use: its blocks are cut into equal,
+contiguous shares, one per CPU, and each share after the first runs in a
+forked child, bound to a CPU of its own, which reads its run of the stream,
+folds its blocks into a partial report and sends it back pickled down a
+pipe, while the parent runs the first share and the whole hull half.  The
+parent merges the partial reports in point order and raises the error a
+serial run would raise, and only it: a share that raised in its child runs
+again in the parent, which raises its error.  It forks only from a process
+that runs a single thread (numpy's OpenBLAS pool is threads unless
+OPENBLAS_NUM_THREADS=1, which verify-hull sets), and only where each share
+holds MIN_SHARE_BLOCKS blocks; elsewhere, and where a pipe or a process
+cannot be made, _share runs in-process.  No child outlives its campaign.
+A spawned worker would import numpy afresh, in about 90 ms, more than a
+100k campaign takes; a forked one starts in 2.6 ms.
 
 No output depends on BLOCK or on the number of workers: every kernel is
 elementwise, and the report is a table of counts, maxima (one fold,
@@ -70,7 +80,7 @@ Rows become Triples only at the edge.  A Triple is itself the (B, u, E)
 state of float component triples the kernels take, and rows become them
 unchecked, straight from the columns (_triples): each field's Vec3s from
 its component lists, a slice of rows at a time in the public samplers
-(_items).  The campaign records a block's failing rows with one call
+(_items).  _share records a block's failing rows with one call
 (HullCheckReport.record), which counts them all and builds a Triple only
 for the records the report has room for, one row at a time (_triple_at);
 the rows the block kernel finds outside the set, on which decompose runs,
@@ -193,13 +203,21 @@ def _generator(cfg: SampleConfig, key: int = 0) -> Generator:
     return Generator(PCG64(SeedSequence(cfg.seed, spawn_key=(key,))))
 
 
-def _draws(gen: Generator, count: int, stride: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, w) for blocks of count items of stride draws each: w holds the
-    draws of items start, start + 1, ..., one row per item, read with one
-    random call; a double costs one 64-bit output of the stream, so item i
-    reads draws [stride i, stride (i + 1)) however the blocks fall."""
-    for start in range(0, count, BLOCK):
-        n = min(BLOCK, count - start)
+def _draws(cfg: SampleConfig, key: int, stride: int,
+           run: tuple[int, int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, w) for the blocks of items [a, b) = run of cfg's stream on spawn
+    key key, stride draws per item: w holds the draws of items start,
+    start + 1, ..., one row per item, read with one random call.  start is
+    global, an index from the stream's item 0.  A double costs one 64-bit
+    output of the stream, so the stream is first advanced past the stride a
+    draws of the items before a, and item i reads draws [stride i,
+    stride (i + 1)) however the run and its blocks fall."""
+    a, b = run
+    gen = _generator(cfg, key)
+    if a > 0:
+        gen.bit_generator.advance(stride * a)
+    for start in range(a, b, BLOCK):
+        n = min(BLOCK, b - start)
         yield start, gen.random(n * stride).reshape(n, stride)
 
 
@@ -264,8 +282,9 @@ def _triple_at(z, i: int) -> Triple:
     return next(_triples(z, i, i + 1))
 
 
-def _K_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
-    """cfg.count constraint-set states as (B, u, E) column blocks; 4 draws per state."""
+def _K_blocks(cfg: SampleConfig, run: tuple[int, int]) -> Iterator[tuple]:
+    """Constraint-set states [a, b) = run of cfg's stream as (B, u, E) column
+    blocks; 4 draws per state."""
     p = cfg.params
 
     def states(_, w):
@@ -273,12 +292,12 @@ def _K_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
         u = _sphere(w[:, 2], w[:, 3], p.s)
         return B, u, _cross(B, u)
 
-    return starmap(states, _draws(gen, cfg.count, 4))
+    return starmap(states, _draws(cfg, 0, 4, run))
 
 
 def sample_K(cfg: SampleConfig) -> Iterator[Triple]:
     """Uniform constraint-set states: B and u on their spheres, E = B x u."""
-    return _items(_K_blocks(_generator(cfg), cfg))
+    return _items(_K_blocks(cfg, (0, cfg.count)))
 
 
 def _pair_block(w: np.ndarray, p: HullParams, restricts_u: bool):
@@ -384,19 +403,19 @@ def _pair_residual(z1, z2, restricts_u: bool) -> np.ndarray:
     return res
 
 
-def _pair_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
-    """cfg.count pairs as blocks (z1, z2, lam): the states as (B, u, E)
-    component columns and the mixture weights, a column.  A pair reads 7
-    draws and its weight the 8th, so the pair sampler yields the pairs the
-    laminate sampler mixes.  Raises RuntimeError if a constructed pair is
-    off the cone (_check_cone).
+def _pair_blocks(cfg: SampleConfig, run: tuple[int, int]) -> Iterator[tuple]:
+    """Pairs [a, b) = run of cfg's stream as blocks (z1, z2, lam): the states
+    as (B, u, E) component columns and the mixture weights, a column.  A
+    pair reads 7 draws and its weight the 8th, so the pair sampler yields
+    the pairs the laminate sampler mixes.  Raises RuntimeError if a
+    constructed pair is off the cone (_check_cone).
     """
     p, restricts_u = cfg.params, cfg.kind.restricts_u
 
     def pairs(_, w):
         return (*_pair_block(w, p, restricts_u), w[:, 7])
 
-    return starmap(pairs, _draws(gen, cfg.count, 8))
+    return starmap(pairs, _draws(cfg, 0, 8, run))
 
 
 def _mixture(z1, z2, lam):
@@ -405,21 +424,21 @@ def _mixture(z1, z2, lam):
     return tuple(tuple(lam * a + mu * b for a, b in zip(v1, v2)) for v1, v2 in zip(z1, z2))
 
 
-def _mixture_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
-    """cfg.count mixtures lam*z1 + (1-lam)*z2 as blocks of (B, u, E) component
-    columns."""
-    return starmap(_mixture, _pair_blocks(gen, cfg))
+def _mixture_blocks(cfg: SampleConfig, run: tuple[int, int]) -> Iterator[tuple]:
+    """Mixtures [a, b) = run, lam*z1 + (1-lam)*z2 of the pairs of cfg's stream,
+    as blocks of (B, u, E) component columns."""
+    return starmap(_mixture, _pair_blocks(cfg, run))
 
 
 def sample_lambda_pair(cfg: SampleConfig) -> Iterator[tuple[Triple, Triple]]:
     """Constraint-set pairs whose difference lies in the cone for cfg.kind: the
     pairs sample_first_laminate(cfg) mixes."""
-    return _items(_pair_blocks(_generator(cfg), cfg), pairs=True)
+    return _items(_pair_blocks(cfg, (0, cfg.count)), pairs=True)
 
 
 def sample_first_laminate(cfg: SampleConfig) -> Iterator[Triple]:
     """Convex combinations lam*z1 + (1-lam)*z2 of cone-compatible pairs."""
-    return _items(_mixture_blocks(_generator(cfg), cfg))
+    return _items(_mixture_blocks(cfg, (0, cfg.count)))
 
 
 def _excess_directions(B, phi: np.ndarray):
@@ -441,8 +460,9 @@ def _restricted_directions(B, u, coin: np.ndarray):
 
 
 def _hull_points(B, u, e, delta: np.ndarray, start: int, p: HullParams):
-    """Sample points start, start + 1, ... as (B, u, B x u + delta d e), component
-    columns, with d the sharp excess bound and delta = 1 at every 100th point."""
+    """Hull points start, start + 1, ... of the stream (global indices) as
+    (B, u, B x u + delta d e), component columns, with d the sharp excess
+    bound and delta = 1 at every 100th point."""
     index = np.arange(start, start + len(delta))
     delta = np.where(index % 100 == 99, 1.0, delta)
     gb, gu = _amplitude_gaps(_dot(B, B), _dot(u, u), p, _COLUMNS)
@@ -451,8 +471,9 @@ def _hull_points(B, u, e, delta: np.ndarray, start: int, p: HullParams):
     return B, u, tuple(bxu[i] + e[i] * f for i in range(3))
 
 
-def _hull_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
-    """cfg.count points of the relaxed set as (B, u, E) column blocks.
+def _hull_blocks(cfg: SampleConfig, run: tuple[int, int]) -> Iterator[tuple]:
+    """Points [a, b) = run of the relaxed set, on cfg's HULL_KEY stream, as
+    (B, u, E) column blocks.
 
     Draws per point: 5 for B and 5 for u (_ball); then 1 for the excess
     direction, a sign coin (stationary incompressible kind) or an angle
@@ -469,7 +490,7 @@ def _hull_blocks(gen: Generator, cfg: SampleConfig) -> Iterator[tuple]:
             e = _excess_directions(B, w[:, 10])
         return _hull_points(B, u, e, w[:, 11], start, p)
 
-    return starmap(points, _draws(gen, cfg.count, 12))
+    return starmap(points, _draws(cfg, HULL_KEY, 12, run))
 
 
 def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
@@ -479,7 +500,7 @@ def sample_hull(cfg: SampleConfig) -> Iterator[Triple]:
     delta is uniform on [0, 1]; every 100th sample forces delta = 1 so the
     excess boundary is exercised with positive frequency.
     """
-    return _items(_hull_blocks(_generator(cfg, HULL_KEY), cfg))
+    return _items(_hull_blocks(cfg, (0, cfg.count)))
 
 
 class HullCheckReport:
@@ -594,7 +615,7 @@ def two_sided_hull_check(cfg: SampleConfig, tol: Tolerances | None = None) -> Hu
     children = {}  # share index in rest -> (pid, read end of its pipe), until reaped
     try:
         for k, share in enumerate(rest):
-            child = _fork_share(cfg, tol, share, cpus[k] if k < len(cpus) else None)
+            child = _fork_share(cfg, tol, share, cpus[k])
             if child is not None:
                 children[k] = child
         report = _share(cfg, tol, "laminate", first)
@@ -658,32 +679,30 @@ def _shares(count: int) -> tuple[list[tuple[int, int]], list[int]]:
 def _share(cfg: SampleConfig, tol: Tolerances, half: str,
            run: tuple[int, int]) -> HullCheckReport:
     """The report of points [start, stop) = run of half of cfg's campaign:
-    mixtures ("laminate") on the key-0 stream, or hull points ("decompose")
-    on the HULL_KEY stream, start a multiple of BLOCK.  The stream is
-    advanced by the draws of each point before start (8 per mixture, 12 per
-    hull point; one 64-bit output per draw), so its blocks are those of the
-    serial run.  A hull point's every-100th delta = 1 rule (_hull_points)
-    reads its index in the run, so the hull half runs as one run from 0."""
+    mixtures ("laminate") or hull points ("decompose"), each drawn by the
+    half's source from its own stream at its global index, so a run may
+    start anywhere and its points are those of the serial run.  The one
+    owner of the report: per block, it counts the points checked, folds each
+    top of the block check into the maximum of (half, name) and records the
+    failing rows."""
     p, kind = cfg.params, cfg.kind
-    start, stop = run
     report = HullCheckReport(cfg.seed, kind.label, p.r, p.s)
     # Looked up at each call, so each stage can be replaced by name.
-    if half == "laminate":
-        blocks, stride, key, check = _mixture_blocks, 8, 0, _check_mixtures
-    else:
-        blocks, stride, key, check = _hull_blocks, 12, HULL_KEY, _check_decompositions
-    gen = _generator(cfg, key)
-    if start:
-        gen.bit_generator.advance(stride * start)
-    # Each loop drops its block before the next one is drawn and built, so
-    # one block's columns are alive at a time.
-    for z in blocks(gen, cfg._replace(count=stop - start)):
-        check(report, z, p, kind, tol)
-        del z
+    blocks, check = ((_mixture_blocks, _check_mixtures) if half == "laminate"
+                     else (_hull_blocks, _check_decompositions))
+    for z in blocks(cfg, run):
+        tops, rows, record = check(z, p, kind, tol)
+        report.checked[half] += len(z[0][0])
+        for name, top in tops.items():
+            report.fold((half, name), top)
+        report.record(half, rows, record)
+        # The block is dropped (record holds it too) before the next one is
+        # drawn and built, so one block's columns are alive at a time.
+        del z, record
     return report
 
 
-def _fork_share(cfg: SampleConfig, tol: Tolerances, share: tuple[int, int], cpu: int | None):
+def _fork_share(cfg: SampleConfig, tol: Tolerances, share: tuple[int, int], cpu: int):
     """(pid, read end) of a forked child, bound to cpu where it can be, that
     runs _share for the mixtures of share and writes the pickled report down a pipe,
     or None if the share raised; None where no pipe or process can be made (a
@@ -705,11 +724,10 @@ def _fork_share(cfg: SampleConfig, tol: Tolerances, share: tuple[int, int], cpu:
         status = 1
         try:
             os.close(rfd)
-            if cpu is not None:
-                try:
-                    os.sched_setaffinity(0, (cpu,))
-                except OSError:  # a CPU the process may not use: left to the scheduler
-                    pass
+            try:
+                os.sched_setaffinity(0, (cpu,))
+            except OSError:  # a CPU the process may not use: left to the scheduler
+                pass
             try:
                 report = _share(cfg, tol, "laminate", share)
             except Exception:  # the parent runs the share again for its error
@@ -738,21 +756,22 @@ def _collect(children: dict, k: int) -> HullCheckReport | None:
     return pickle.loads(data)
 
 
-def _check_mixtures(report: HullCheckReport, z, p: HullParams, kind: ConeKind,
-                    tol: Tolerances):
-    """Check a block z of mixtures, (B, u, E) columns, for membership at tol
-    into the report.  On the restricted cone the kernel's g3 is the one u . E
-    test; the u . E residual is only folded into ("laminate", "u_orthogonality")."""
-    report.checked["laminate"] += len(z[0][0])
+def _check_mixtures(z, p: HullParams, kind: ConeKind, tol: Tolerances):
+    """The verdicts on a block z of mixtures, (B, u, E) columns, for membership
+    at tol: (tops, rows, record), the largest residual of each measured check
+    by name, the failing rows in order and record(i), the (Triple, reason) of
+    row i.  On the restricted cone the kernel's g3 is the one u . E test; the
+    u . E residual is only a top, "u_orthogonality"."""
     g1, g3, g2, (_, ue, _, _, _), (_, nu, ne, _, _, _) = _separation_flags(
         *z, p, kind, tol.eps_mem, _COLUMNS)
+    tops = {}
     if kind.restricts_u:
         # u . E's residual on the normalised triple (B/r, u/s, E/(rs)), unit r s^2,
         # from the kernel's own u . E, |u| and |E|.
-        report.fold(("laminate", "u_orthogonality"),
-                    float(_cone_residual(ue, nu, ne, p.r * p.s * p.s, _COLUMNS).max()))
-    report.record("laminate", np.flatnonzero(g1 | g3 | g2).tolist(),
-                  lambda i: (_triple_at(z, i), "combination fails closed-form membership"))
+        tops["u_orthogonality"] = float(
+            _cone_residual(ue, nu, ne, p.r * p.s * p.s, _COLUMNS).max())
+    return tops, np.flatnonzero(g1 | g3 | g2).tolist(), lambda i: (
+        _triple_at(z, i), "combination fails closed-form membership")
 
 
 def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
@@ -773,32 +792,31 @@ def _decompose_block(B, u, E, p: HullParams, kind: ConeKind, tol: Tolerances):
     return lam, z1, z2, g1 | g3 | g2
 
 
-def _check_decompositions(report: HullCheckReport, z, p: HullParams,
-                          kind: ConeKind, tol: Tolerances):
-    """Decompose and verify a block z of hull points, (B, u, E) columns, into the report.
+def _check_decompositions(z, p: HullParams, kind: ConeKind, tol: Tolerances):
+    """The verdicts on a block z of hull points, (B, u, E) columns, decomposed
+    and verified at tol: (tops, rows, record), as _check_mixtures's, with a
+    top per verify_decomposition check.
 
     The block kernel splits every point decompose splits, and the block is
     verified as one, by verify_decomposition's residuals and nothing else;
     decompose itself runs only on the points outside the relaxed set, for
     its error message.
     """
-    report.checked["decompose"] += len(z[0][0])
     lam, z1, z2, raises = _decompose_block(*z, p, kind, tol)
     verified = ~raises
 
     with np.errstate(all="ignore"):  # the rows outside hold no endpoints
         res = _residuals(lam, z1, z2, z, p, kind, _COLUMNS)
-    # Folded one check at a time: its maximum over the verified rows (every
-    # row, without a copy, unless a point is outside) and, only where that
-    # maximum is above eps_mem or NaN, the verified rows it fails (a NaN
-    # residual fails).
-    failing = {}
+    # One check at a time: its maximum over the verified rows (every row,
+    # without a copy, unless a point is outside) and, only where that maximum
+    # is above eps_mem or NaN, the verified rows it fails (a NaN residual
+    # fails; a NaN top, of a block with a failing point, leaves the fold as
+    # it was).
+    tops, failing = {}, {}
     if verified.any():
         rows = slice(None) if verified.all() else verified
         for name, col in res.items():
-            top = float(col[rows].max())
-            # A NaN maximum, of a block with a failing point, leaves the fold as it was.
-            report.fold(("decompose", name), top)
+            tops[name] = top = float(col[rows].max())
             if not top <= tol.eps_mem:
                 failing[name] = verified & ~(col <= tol.eps_mem)
 
@@ -815,10 +833,9 @@ def _check_decompositions(report: HullCheckReport, z, p: HullParams,
                 raised[i] = zi, f"decomposition raised: {exc}"
                 continue
             raise RuntimeError(f"the block kernel left a point decompose splits: {zi.to_json()}")
-    report.record("decompose",
-                  np.flatnonzero(np.logical_or.reduce([raises, *failing.values()])).tolist(),
-                  lambda i: raised.get(i) or (_triple_at(z, i), "verification failed: " + ", ".join(
-                      name for name, bad in failing.items() if bad[i])))
+    return tops, np.flatnonzero(np.logical_or.reduce([raises, *failing.values()])).tolist(), (
+        lambda i: raised.get(i) or (_triple_at(z, i), "verification failed: " + ", ".join(
+            name for name, bad in failing.items() if bad[i])))
 
 
 CSV_HEADER = "Bx,By,Bz,ux,uy,uz,Ex,Ey,Ez,in_hull,g1,g2,g3"

@@ -37,6 +37,7 @@ from .core import (
     _from_parts,
     _norm_rs,
     _tuple_new,
+    _unit_scaled,
     _vec,
     _wave_cone_terms,
     unit_perpendicular_to_all,
@@ -89,8 +90,11 @@ class WaveVector(namedtuple("WaveVector", "xi_x xi_t")):
         return math.sqrt(x * x + y * y + z * z + t * t)
 
     def is_lattice(self) -> bool:
-        """True when all frequencies are integers (so a 2*pi box is periodic)."""
-        return all(abs(v - round(v)) <= LATTICE_TOL for v in (*self.xi_x, self.xi_t))
+        """True when all frequencies are integers (so a 2*pi box is periodic) and
+        xi_x does not round to zero, as (1e-10, 0, 0) would."""
+        x, y, z = self.xi_x
+        return (all(abs(v - round(v)) <= LATTICE_TOL for v in (x, y, z, self.xi_t))
+                and (round(x), round(y), round(z)) != (0, 0, 0))
 
     def to_json_dict(self) -> dict:
         return {"xi_x": list(self.xi_x), "xi_t": self.xi_t}
@@ -267,13 +271,16 @@ def round_to_lattice(xi: WaveVector, direction: Triple,
         reduced = _reduce_lattice(xi)
         if _conditions_ok(direction, size, reduced, kind):
             return reduced
-    top = max(abs(v) for v in xi.xi_x)
+    # xi_x scaled by a power of two, exactly, so that neither |xi_x|^2 nor
+    # k / top over- or underflows: the same candidates and angles as xi_x's.
+    x, y, z = xs = _unit_scaled(xi.xi_x)
+    top, xs_norm = max(abs(x), abs(y), abs(z)), math.sqrt(_dot(xs, xs))
     for k in range(1, LATTICE_MAX_SCALE + 1):
         t = k / top
-        cand_x = Vec3(round(xi.xi_x.x * t), round(xi.xi_x.y * t), round(xi.xi_x.z * t))
+        cand_x = Vec3(round(x * t), round(y * t), round(z * t))
         if cand_x.norm() == 0.0:
             continue
-        cos_angle = cand_x.dot(xi.xi_x) / (cand_x.norm() * xi.xi_x.norm())
+        cos_angle = cand_x.dot(xs) / (cand_x.norm() * xs_norm)
         if cos_angle < math.cos(1e-2):
             continue
         xi_t = _time_frequency(cand_x, exb, nb2, kind)

@@ -78,6 +78,18 @@ def bits(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
+def flat(x):
+    """The columns of a block, nested tuples of columns, in order."""
+    return [x] if isinstance(x, np.ndarray) else [c for y in x for c in flat(y)]
+
+
+def decomposition_report(monkeypatch, points, p, kind, tol, seed=0):
+    """The report _share fills from one block of the hull points points."""
+    monkeypatch.setattr(oracle, "_hull_blocks", lambda cfg, run: iter([block(points)]))
+    cfg = SampleConfig(seed=seed, count=len(points), params=p, kind=kind)
+    return oracle._share(cfg, tol, "decompose", (0, cfg.count))
+
+
 @pytest.mark.usefixtures("blocks_of_1024")
 @pytest.mark.parametrize("count", [0, 1, 2500])
 @pytest.mark.parametrize("radii", [(1.0, 1.0), (1e-3, 1e3), (1e-6, 1e6)])
@@ -112,10 +124,8 @@ def test_decomposition_half_matches_reference_on_failures(kind):
     # block edges.
     p, tol = HullParams(0.5, 2.0), Tolerances(eps_mem=1e-17)
     cfg = SampleConfig(seed=22, count=2500, params=p, kind=kind)
-    report, expected = (HullCheckReport(seed=22, kind=kind.label, r=p.r, s=p.s)
-                        for _ in range(2))
-    for z in oracle._hull_blocks(oracle._generator(cfg, oracle.HULL_KEY), cfg):
-        oracle._check_decompositions(report, z, p, kind, tol)
+    report = oracle._share(cfg, tol, "decompose", (0, cfg.count))
+    expected = HullCheckReport(seed=22, kind=kind.label, r=p.r, s=p.s)
     reference_check_decompositions(expected, sample_hull(cfg), p, kind, tol)
     assert report.to_json() == expected.to_json()
     assert len(report.failures) == HullCheckReport.MAX_RECORDED_FAILURES
@@ -206,7 +216,7 @@ def test_fallback_rows_are_the_rare_branches(kind):
 
 @pytest.mark.parametrize("radii", [(1.0, 1.0), (2.0, 0.5), (1e-3, 1e3)])
 @pytest.mark.parametrize("kind", KINDS)
-def test_fallback_rows_are_written_back(kind, radii):
+def test_fallback_rows_are_written_back(kind, radii, monkeypatch):
     # The special points sit among interior points of one block.  The block
     # splits every row in the set itself and writes nothing back from
     # decompose, which runs only on the rows outside, so the report,
@@ -216,20 +226,18 @@ def test_fallback_rows_are_written_back(kind, radii):
     interior = list(sample_hull(SampleConfig(seed=30, count=300, params=p, kind=kind)))
     special = list(special_points(p).values())
     points = interior[:100] + special + interior[100:] + special
-    report, expected = (HullCheckReport(seed=30, kind=kind.label, r=p.r, s=p.s)
-                        for _ in range(2))
-    oracle._check_decompositions(report, block(points), p, kind, tol)
+    report = decomposition_report(monkeypatch, points, p, kind, tol, seed=30)
+    expected = HullCheckReport(seed=30, kind=kind.label, r=p.r, s=p.s)
     reference_check_decompositions(expected, points, p, kind, tol)
     assert report.to_json() == expected.to_json()
     # Only the point outside and the two of the slack band fail.
     assert report.failed["decompose"] == 2 * 3
 
 
-def test_a_verification_failure_is_one_record():
+def test_a_verification_failure_is_one_record(monkeypatch):
     kind = ConeKind.STATIONARY_INCOMPRESSIBLE
-    report = HullCheckReport(seed=0, kind=kind.label, r=1.0, s=1.0)
-    oracle._check_decompositions(report, block([MIXING_GAP_POINT]), HullParams(1.0, 1.0), kind,
-                                 DEFAULT_TOLERANCES)
+    report = decomposition_report(monkeypatch, [MIXING_GAP_POINT], HullParams(1.0, 1.0), kind,
+                                  DEFAULT_TOLERANCES)
     assert report.failed["decompose"] == 1
     assert [f["reason"] for f in report.failures] == ["verification failed: reconstruction"]
 
@@ -239,12 +247,12 @@ def test_a_mixture_off_u_dot_E_is_one_membership_failure(monkeypatch):
     # u . E fails once, and its residual is still folded into the maximum.
     kind = ConeKind.STATIONARY_INCOMPRESSIBLE
     cfg = SampleConfig(seed=31, count=10, params=HullParams(1.0, 1.0), kind=kind)
-    blocks = list(oracle._mixture_blocks(oracle._generator(cfg), cfg))
+    blocks = list(oracle._mixture_blocks(cfg, (0, cfg.count)))
     u, E = blocks[0][1], blocks[0][2]
     u_len = np.sqrt(sum(x[0] * x[0] for x in u))
     for x, y in zip(E, u):
         x[0] += 5e-7 * y[0] / u_len
-    monkeypatch.setattr(oracle, "_mixture_blocks", lambda gen, cfg: iter(blocks))
+    monkeypatch.setattr(oracle, "_mixture_blocks", lambda cfg, run: iter(blocks))
     report = two_sided_hull_check(cfg)
     assert report.failed["laminate"] == 1
     assert [(f["side"], f["reason"]) for f in report.failures] == [
@@ -360,19 +368,48 @@ def test_item_reads_only_its_own_draws(sampler, kind, k, monkeypatch):
     assert got[k] != expected[k]
 
 
-@pytest.mark.parametrize("stride, key", [(4, 0), (8, 0), (12, oracle.HULL_KEY)])
-def test_an_advanced_stream_reads_its_slice_of_the_draws(stride, key):
-    # A campaign share that starts at block b advances its own copy of the
-    # stream by stride * BLOCK * b outputs, one per draw: its blocks then
-    # read draws [stride * BLOCK * b, ...) of a single full draw, so item i
-    # still reads draws [stride i, stride (i + 1)).
-    cfg = SampleConfig(seed=27, count=0, params=HullParams(1.0, 1.0))
-    n = stride * PRODUCTION_BLOCK
-    full = oracle._generator(cfg, key).random(4 * n)
-    for b in range(4):
-        gen = oracle._generator(cfg, key)
-        gen.bit_generator.advance(n * b)
-        assert (bits(gen.random(n)) == bits(full[n * b:n * (b + 1)])).all(), b
+# Runs of the block sources that start on a block edge (blocks of 128 rows),
+# off one, and off the multiples of 100 that the hull points' every-100th
+# delta = 1 rule reads.
+RUNS = ((128, 300), (129, 250), (1, 2), (199, 300))
+
+
+@pytest.mark.parametrize("source", ["_K_blocks", "_pair_blocks", "_hull_blocks"])
+def test_a_source_reads_its_slice_from_any_start(source, monkeypatch):
+    # A source's run (a, b) reads items a..b of its stream at their global
+    # indices: its rows are rows a..b of the run (0, n), bit for bit.
+    monkeypatch.setattr(oracle, "BLOCK", 128)
+    blocks, n = getattr(oracle, source), 300
+    for kind in KINDS:
+        cfg = SampleConfig(seed=27, count=n, params=HullParams(0.5, 2.0), kind=kind)
+
+        def rows(run):
+            return bits(np.concatenate([np.column_stack(flat(b)) for b in blocks(cfg, run)]))
+
+        full = rows((0, n))
+        assert full.shape[0] == n
+        for a, b in RUNS:
+            got = rows((a, b))
+            assert got.shape == full[a:b].shape and (got == full[a:b]).all(), (kind, a, b)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_hull_runs_cut_anywhere_merge_into_the_one_run_report(kind, monkeypatch):
+    # The hull half cut at the starts of RUNS, each run through _share and
+    # merged in order: the report of the one run (0, count), byte for byte,
+    # clean at the default tolerance, failing on about half the points at
+    # 2e-16 (where the count shows which points take delta = 1) and on every
+    # point at 1e-17.  No fork.
+    monkeypatch.setattr(oracle, "BLOCK", 128)
+    cfg = SampleConfig(seed=5, count=300, params=HullParams(0.5, 2.0), kind=kind)
+    edges = (0, 128, 129, 199, 300)
+    for tol in (DEFAULT_TOLERANCES, Tolerances(eps_mem=2e-16), Tolerances(eps_mem=1e-17)):
+        one = oracle._share(cfg, tol, "decompose", (0, cfg.count))
+        report, *rest = (oracle._share(cfg, tol, "decompose", run)
+                         for run in zip(edges, edges[1:]))
+        for part in rest:
+            report.merge(part)
+        assert report.to_json() == one.to_json(), tol
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -403,18 +440,13 @@ def test_outputs_do_not_depend_on_the_block_size(kind, radii, monkeypatch):
     count = PRODUCTION_BLOCK + 500
     cfg = SampleConfig(seed=30, count=count, params=HullParams(*radii), kind=kind)
 
-    def flat(x):
-        """The columns of a block, nested tuples of columns, in order."""
-        return [x] if isinstance(x, np.ndarray) else [c for y in x for c in flat(y)]
-
     def columns():
         """The campaign report and each block generator's rows, stacked over its blocks."""
-        generators = ((oracle._K_blocks, 0), (oracle._pair_blocks, 0),
-                      (oracle._mixture_blocks, 0), (oracle._hull_blocks, oracle.HULL_KEY))
+        sources = (oracle._K_blocks, oracle._pair_blocks, oracle._mixture_blocks,
+                   oracle._hull_blocks)
         return two_sided_hull_check(cfg).to_json(), [
-            bits(np.concatenate([np.column_stack(flat(b))
-                                 for b in blocks(oracle._generator(cfg, key), cfg)]))
-            for blocks, key in generators]
+            bits(np.concatenate([np.column_stack(flat(b)) for b in blocks(cfg, (0, count))]))
+            for blocks in sources]
 
     def floats(item):
         """The floats of a Triple, or of a pair of Triples, in (B, u, E) order."""

@@ -343,6 +343,19 @@ def test_round_to_lattice_checks_div_u_on_incompressible_kinds():
     assert round_to_lattice(xi, direction, ConeKind.NONSTATIONARY) == xi
 
 
+@pytest.mark.parametrize("x", [1e-10, 1e-200, 5e-324])
+def test_a_tiny_wave_vector_rounds_to_its_lattice_direction(x):
+    # xi_x = (x, 0, 0) is within LATTICE_TOL of zero, which is not a lattice
+    # frequency: the scan scales it exactly, so |xi_x|^2 cannot underflow nor
+    # k / top overflow, and finds (1, 0, 0).  grid_residual rejects it.
+    direction = Triple(Vec3(0, 1, 0), ZERO, ZERO)
+    xi = WaveVector(Vec3(x, 0, 0), 0.0)
+    assert not xi.is_lattice()
+    assert round_to_lattice(xi, direction, ConeKind.STATIONARY) == WaveVector(Vec3(1, 0, 0), 0.0)
+    with pytest.raises(ValueError, match="integer frequencies"):
+        grid_residual(direction, xi, GridSpec(8), ConeKind.STATIONARY)
+
+
 def test_round_to_lattice_rejects_incommensurable_direction():
     e = Vec3(1.0, math.pi, 0.0)
     b = Vec3(math.pi, -1.0, 0.0)
