@@ -344,12 +344,17 @@ def in_constraint_set(z: Triple, p: HullParams, tol: Tolerances | None = None) -
 # Python's max semantics (NaN -> 0.0); quotient(n, d) is n / d, or 0.0 where d == 0;
 # patch(c, v, fn, *args) is the component triple v with fn(*args) in its
 # place where c holds, fn run on those rows only (on columns it writes into
-# v's columns, which the caller owns; args are component triples).  A float
-# kernel raises where a column kernel gives inf or NaN, so its callers guard
-# the arithmetic first.
-_Math = namedtuple("_Math", "sqrt where positive quotient patch")
+# v's columns, which the caller owns; args are component triples);
+# along(v, length, fn, *args) is the component triple v / length, with
+# fn(*args) in its place where length == 0: the one rule for a unit vector
+# with a fallback axis (on floats it divides only by a nonzero length, on
+# columns it divides every row and patches the zero ones, under the
+# caller's np.errstate(all="ignore")).  A float kernel raises where a column
+# kernel gives inf or NaN, so its callers guard the arithmetic first.
+_Math = namedtuple("_Math", "sqrt where positive quotient patch along")
 _FLOATS = _Math(math.sqrt, lambda c, a, b: a if c else b, lambda x: x if x > 0.0 else 0.0,
-                lambda n, d: n / d if d else 0.0, lambda c, v, fn, *args: fn(*args) if c else v)
+                lambda n, d: n / d if d else 0.0, lambda c, v, fn, *args: fn(*args) if c else v,
+                lambda v, d, fn, *args: (v[0] / d, v[1] / d, v[2] / d) if d else fn(*args))
 
 
 def _from_parts(B, u, E) -> Triple:
@@ -386,17 +391,15 @@ def _constraint_residuals(bx, by, bz, ux, uy, uz, ex, ey, ez, r: float, s: float
 
 def _unit(v, m: _Math = _FLOATS):
     """v / |v| of a component triple v, floats or columns, or the z axis where
-    |v| = 0.  On floats v needs |v| > 0; on columns it runs under
-    np.errstate(all="ignore")."""
-    vn = m.sqrt(_dot(v, v))
-    return m.patch(vn == 0.0, (v[0] / vn, v[1] / vn, v[2] / vn), lambda: (0.0, 0.0, 1.0))
+    |v| = 0: total on floats; on columns it runs under np.errstate(all="ignore")."""
+    return m.along(v, m.sqrt(_dot(v, v)), lambda: (0.0, 0.0, 1.0))
 
 
 def _frame(v, m: _Math = _FLOATS):
     """An orthonormal frame (n, p1, p2) of a component triple v, floats or columns:
     n = _unit(v); p1 is n x the coordinate axis of n's smallest component,
-    normalised, and p2 = n x p1.  On floats v needs |v| > 0; on columns it
-    runs under np.errstate(all="ignore")."""
+    normalised, and p2 = n x p1.  Total on floats; on columns it runs under
+    np.errstate(all="ignore")."""
     n = _unit(v, m)
     an = tuple(abs(x) for x in n)
     on_x = (an[0] <= an[1]) & (an[0] <= an[2])
@@ -415,14 +418,13 @@ def _perpendicular(a, b, m: _Math = _FLOATS):
     c1 p1 + c2 p2; turned by a right angle about n it gives
     (c1 p2 - c2 p1) / rho, with rho = sqrt(c1^2 + c2^2), perpendicular to
     both at every angle between them, with no threshold.  Where rho = 0 (b
-    parallel to a, or zero) it is p1.  A zero a is replaced by the z axis,
-    whose frame _frame gives it on columns.
+    parallel to a, or zero) it is p1; a zero a has the z axis's frame.
+    Total on floats; on columns it runs under np.errstate(all="ignore").
     """
-    zero = _dot(a, a) == 0.0
-    _, p1, p2 = _frame(tuple(m.where(zero, z, x) for x, z in zip(a, (0.0, 0.0, 1.0))), m)
+    _, p1, p2 = _frame(a, m)
     c1, c2 = _dot(b, p1), _dot(b, p2)
-    rho = m.sqrt(c1 * c1 + c2 * c2)
-    return tuple(m.where(rho == 0.0, x, m.quotient(c1 * y - c2 * x, rho)) for x, y in zip(p1, p2))
+    return m.along(tuple(c1 * y - c2 * x for x, y in zip(p1, p2)), m.sqrt(c1 * c1 + c2 * c2),
+                   lambda x: x, p1)
 
 
 def _unit_scaled(v: Vec3) -> tuple:

@@ -40,7 +40,8 @@ The decomposition (``_split``, with ``_working_plane``,
 them on Python floats, the campaign engine on blocks of (B, u, E) component
 columns (``oracle._decompose_block``), so each row rounds exactly as one
 point; the rows at B = 0 or with a vanishing normal take their axes from
-core._perpendicular, on those rows only.  Each kernel unpacks the triples
+core._perpendicular, on those rows only, through _Math.along, the one rule
+for a unit vector with a fallback axis.  Each kernel unpacks the triples
 it reads into locals once (``_residuals`` each of z1, z2 and the target)
 and writes its dot and cross products out on them; the named residuals and
 norms stay core's helpers, which take the components and lengths a kernel
@@ -154,26 +155,24 @@ def _working_plane(B, u, nb, excess, kind: ConeKind, m: _Math):
     w = ((E - B x u) . n / |n|^2) e1 x n, and where n = 0 as on the shared
     cone.  w's part along e1, its rounding, is taken off.  Where w = 0
     (E = B x u, or the excess along B) e2 is perpendicular to B and u, the
-    direction of the parallel split, and c = 0.
+    direction of the parallel split, and c = 0.  Total on floats; on columns
+    it runs under np.errstate(all="ignore").
     """
-    where, patch = m.where, m.patch
+    along = m.along
 
-    def perpendicular(a, b):  # the axis patch puts on the rows that need one
+    def perpendicular(a, b):  # along's fallback axis, on the rows that need one
         return _perpendicular(a, b, m)
 
-    bx, by, bz = B
-    at_zero = nb == 0.0
-    d = where(at_zero, 1.0, nb)
-    e1 = patch(at_zero, (bx / d, by / d, bz / d), perpendicular, excess, u)
+    e1 = along(B, nb, perpendicular, excess, u)
     ax, ay, az = e1
     xx, xy, xz = excess
     if kind.restricts_u:
-        ux, uy, uz = u
+        (bx, by, bz), (ux, uy, uz) = B, u
         nx, ny, nz = by * uz - bz * uy, bz * ux - bx * uz, bx * uy - by * ux
         nn = nx * nx + ny * ny + nz * nz
         k = m.quotient(xx * nx + xy * ny + xz * nz, nn)
-        wx, wy, wz = patch(nn == 0.0, (k * (ay * nz - az * ny), k * (az * nx - ax * nz),
-                                       k * (ax * ny - ay * nx)), _cross, e1, excess)
+        wx, wy, wz = m.patch(nn == 0.0, (k * (ay * nz - az * ny), k * (az * nx - ax * nz),
+                                         k * (ax * ny - ay * nx)), _cross, e1, excess)
     else:
         wx, wy, wz = ay * xz - az * xy, az * xx - ax * xz, ax * xy - ay * xx
     # w is across e1 up to its rounding, which dominates where the excess
@@ -181,10 +180,7 @@ def _working_plane(B, u, nb, excess, kind: ConeKind, m: _Math):
     k = wx * ax + wy * ay + wz * az
     wx, wy, wz = wx - k * ax, wy - k * ay, wz - k * az
     c = m.sqrt(wx * wx + wy * wy + wz * wz)
-    flat = c == 0.0
-    d = where(flat, 1.0, c)
-    e2 = patch(flat, (wx / d, wy / d, wz / d), perpendicular, e1, u)
-    return e1, e2, c
+    return e1, along((wx, wy, wz), c, perpendicular, e1, u), c
 
 
 def _root_direction(amp_cos, amp_sin, m: _Math):

@@ -144,7 +144,8 @@ def _patch(mask, value, fn, *args):
 # component triples, take from a block of columns (core._FLOATS is the view
 # on the floats of one point).
 _COLUMNS = _Math(np.sqrt, np.where, lambda x: np.where(x > 0.0, x, 0.0),
-                 lambda n, d: np.divide(n, d, out=np.zeros_like(d), where=d != 0.0), _patch)
+                 lambda n, d: np.divide(n, d, out=np.zeros_like(d), where=d != 0.0), _patch,
+                 lambda v, d, fn, *args: _patch(d == 0.0, tuple(x / d for x in v), fn, *args))
 
 TWO_PI = 2.0 * math.pi
 

@@ -31,8 +31,8 @@ from dynamohull import (
     verify_decomposition,
 )
 from dynamohull import oracle
-from dynamohull.core import DEFAULT_TOLERANCES, _separation_flags
-from dynamohull.laminate import _residuals
+from dynamohull.core import DEFAULT_TOLERANCES, _FLOATS, _excess, _separation_flags
+from dynamohull.laminate import _residuals, _working_plane
 from dynamohull.oracle import _COLUMNS, _decompose_block
 from _helpers import (
     ALL_KINDS,
@@ -43,6 +43,7 @@ from _helpers import (
     reference_two_sided_hull_check,
     scaled_point,
     special_points,
+    vec,
 )
 
 KINDS = (ConeKind.NONSTATIONARY, ConeKind.STATIONARY_INCOMPRESSIBLE)
@@ -185,6 +186,34 @@ def test_block_decomposition_matches_decompose(kind, radii):
         assert (bits([res[name][i] for name in res]) == bits(list(ver.residuals.values()))).all()
     assert np.flatnonzero(raises).tolist() == raised
     assert len(points) - len(raised) >= 1400
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_working_plane_rows_match_the_float_view_at_the_rare_rows(kind):
+    # e1 at B = 0 and e2 where the normal vanishes come from _Math.along's
+    # fallback, e2 also at E = B x u: the column rows are the float view's,
+    # bit for bit, as are the generic rows beside them.
+    rng = np.random.default_rng(26)
+    u, B = Vec3(0.0, 0.2, 0.4), Vec3(0.3, 0.1, 0.0)
+    zero = Vec3(0.0, 0.0, 0.0)
+    points = [Triple(zero, u, Vec3(0.5, 0.0, 0.0)),  # B = 0
+              Triple(zero, u, zero),  # B = 0 at E = B x u
+              Triple(zero, u, u * 0.5),  # B = 0, the excess along u
+              Triple(zero, zero, Vec3(0.0, 0.0, 0.25)),  # B = u = 0
+              Triple(zero, zero, zero),
+              Triple(B, u, B.cross(u)),  # E = B x u
+              Triple(B, B * 2.0, zero),  # E = B x u with B || u
+              Triple(B, u, B.cross(u) + B * 1e-3),  # the excess along B
+              *(Triple(vec(rng), vec(rng), vec(rng)) for _ in range(20))]
+    def plane(B, u, E, m):
+        e1, e2, c = _working_plane(B, u, m.sqrt(B[0] * B[0] + B[1] * B[1] + B[2] * B[2]),
+                                   _excess(*B, *u, *E), kind, m)
+        return [*e1, *e2, c]
+
+    with np.errstate(all="ignore"):
+        rows = np.column_stack(plane(*block(points), _COLUMNS))
+    for z, expected in zip(points, rows):
+        assert (bits(plane(*z, _FLOATS)) == bits(expected)).all(), z
 
 
 @pytest.mark.parametrize("kind", KINDS)

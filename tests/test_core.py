@@ -32,7 +32,7 @@ from dynamohull import (
     unit_perpendicular_to_all,
     verify_decomposition,
 )
-from dynamohull.core import _frame, _perpendicular
+from dynamohull.core import _frame, _perpendicular, _unit
 from dynamohull.oracle import _COLUMNS
 from _helpers import (
     ALL_KINDS,
@@ -625,6 +625,13 @@ def _perpendicular_cases():
         a = np.array(list(vec(rng)))
         cases += [(a, 2.0 * a), (a, -0.5 * a), (a, np.zeros(3)), (np.zeros(3), a)]
     cases += [(np.zeros(3), np.zeros(3)), (np.array([0.0, 0.0, 3.0]), np.array([0.0, 0.0, -1.0]))]
+    # The rows of _Math.along's fallbacks: a zero a (with signed zeros, and
+    # with b along the z axis whose frame it takes), a zero b and b parallel
+    # to a along an axis or exactly doubled.
+    z, axis = np.array([-0.0, 0.0, -0.0]), np.array([0.0, 0.0, -2.0])
+    cases += [(z, axis), (np.zeros(3), -axis), (np.zeros(3), np.array([5.0, 0.0, 0.0])),
+              (axis, z), (np.array([0.0, 2.0, 0.0]), np.array([0.0, -1.0, 0.0])),
+              (np.array([0.5, 0.25, 0.0]), np.array([1.0, 0.5, 0.0])), (axis, 3.0 * axis)]
     return [(Vec3(*a), Vec3(*b)) for a, b in cases]
 
 
@@ -641,7 +648,9 @@ def test_perpendicular_is_perpendicular_at_every_angle():
 
 def test_perpendicular_float_views_match_the_column_kernels():
     # unit_perpendicular_to_all is _perpendicular on floats, and with a zero
-    # second vector p1 of _frame: bit for bit the column kernels' rows.
+    # second vector p1 of _frame: bit for bit the column kernels' rows.  So
+    # is _perpendicular on the unscaled floats, zero a, zero b and b || a
+    # included, where each view takes its own _Math.along fallback.
     cases = _perpendicular_cases()
     a = tuple(np.array([getattr(x, c) for x, _ in cases]) for c in "xyz")
     b = tuple(np.array([getattr(y, c) for _, y in cases]) for c in "xyz")
@@ -650,8 +659,25 @@ def test_perpendicular_float_views_match_the_column_kernels():
         p1 = np.column_stack(_frame(a, _COLUMNS)[1])
     got = np.array([list(unit_perpendicular_to_all(pair)) for pair in cases])
     assert (got.view(np.uint64) == e.view(np.uint64)).all()
+    got = np.array([_perpendicular(x, y) for x, y in cases])
+    assert (got.view(np.uint64) == e.view(np.uint64)).all()
     got = np.array([list(perpendicular_to(x)) for x, _ in cases])
     assert (got.view(np.uint64) == p1.view(np.uint64)).all()
+
+
+def test_unit_and_frame_are_total_on_floats():
+    # A zero vector has the z axis and its frame, on floats as on columns,
+    # bit for bit, signed zeros included.
+    def bits(x):
+        return np.array(x).view(np.uint64).tolist()
+
+    rows = ((0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (0.5, -0.5, 0.5))
+    assert bits(_unit(rows[0])) == bits(_unit(rows[1])) == bits((0.0, 0.0, 1.0))
+    assert bits(_frame(rows[1])) == bits(_frame((0.0, 0.0, 1.0)))
+    with np.errstate(all="ignore"):
+        frame = _frame(tuple(np.array(c) for c in zip(*rows)), _COLUMNS)
+    for i, v in enumerate(rows):
+        assert bits(_frame(v)) == bits([[x[i] for x in axis] for axis in frame])
 
 
 def test_perpendicular_float_views_are_bit_identical_at_every_magnitude():
